@@ -7,7 +7,6 @@ Subcommands mirror a deployment's life cycle:
 - ``repro build``     -- incrementally build the artifact workspace
   (index, vectors, tokens, citation graph, paper sets, representatives,
   prestige scores -- the paper's query-independent pre-processing);
-  ``repro precompute`` is kept as an alias;
 - ``repro workspace status`` -- per-artifact freshness of a workspace;
 - ``repro search``    -- run a context-based search against a data dir
   (hydrates from ``<data>/workspace`` when one is built);
@@ -183,7 +182,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             limit=args.limit,
             threshold=args.threshold,
             selection_strategy=args.selection_strategy,
-            max_workers=args.workers,
         )
         answered = 0
         for query, hits in zip(queries, batches):
@@ -334,7 +332,7 @@ def _derive_queries(pipeline: Pipeline, n_queries: int) -> List[str]:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    """Incrementally build the artifact workspace (`repro precompute` alias)."""
+    """Incrementally build the artifact workspace."""
     pipeline = _load_pipeline(
         args.data, use_workspace=False, index_backend=args.index_backend
     )
@@ -569,7 +567,7 @@ def _cmd_obs_serve(args: argparse.Namespace) -> int:
             # the first scrape; the second pass hits the result cache.
             for query in queries:
                 pipeline.search(query)
-            pipeline.search_many(queries, max_workers=args.workers)
+            pipeline.search_many(queries)
             print(f"warmed up with {len(queries)} queries")
 
     def health_info() -> dict:
@@ -637,7 +635,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if queries:
             for query in queries:
                 pipeline.search(query)
-            pipeline.search_many(queries, max_workers=args.workers)
+            pipeline.search_many(queries)
             print(f"warmed up with {len(queries)} queries")
     if args.probe_queries:
         try:
@@ -823,10 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="probe",
         help="how to pick candidate contexts for a query",
     )
-    search.add_argument(
-        "--workers", type=int, default=4,
-        help="thread-pool size for --queries-file batches",
-    )
     search.add_argument("--limit", type=int, default=10)
     search.add_argument("--threshold", type=float, default=0.0)
     # Like --function, choices derive from a registry (the index-backend
@@ -900,10 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run N derived queries through the pipeline before serving",
     )
     serve.add_argument(
-        "--workers", type=int, default=4,
-        help="thread-pool size for the warmup batch",
-    )
-    serve.add_argument(
         "--for-seconds", type=float, default=None, metavar="S",
         help="serve for S seconds then exit (default: run until ctrl-c)",
     )
@@ -962,34 +952,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.set_defaults(func=_cmd_evaluate)
 
-    build_help = "incrementally build the artifact workspace"
-    for command, help_text in (
-        ("build", build_help),
-        # Deprecated spelling from before the artifact-graph workspace;
-        # same behaviour, kept so existing scripts don't break.
-        ("precompute", build_help + " (alias of `repro build`)"),
-    ):
-        build = subparsers.add_parser(command, help=help_text, parents=[obs_common])
-        build.add_argument("--data", default="data")
-        build.add_argument(
-            "--only",
-            action="append",
-            metavar="ARTIFACT",
-            help="build only this artifact (+ dependencies); repeatable",
-        )
-        build.add_argument(
-            "--force",
-            action="store_true",
-            help="rebuild the requested artifacts even if fresh",
-        )
-        build.add_argument(
-            "--index-backend",
-            choices=index_backends.backend_names(),
-            default=index_backends.DEFAULT_BACKEND,
-            help="registered index backend used to build/open the inverted "
-            "index (see repro.index.backends)",
-        )
-        build.set_defaults(func=_cmd_build)
+    build = subparsers.add_parser(
+        "build", help="incrementally build the artifact workspace",
+        parents=[obs_common],
+    )
+    build.add_argument("--data", default="data")
+    build.add_argument(
+        "--only",
+        action="append",
+        metavar="ARTIFACT",
+        help="build only this artifact (+ dependencies); repeatable",
+    )
+    build.add_argument(
+        "--force",
+        action="store_true",
+        help="rebuild the requested artifacts even if fresh",
+    )
+    build.add_argument(
+        "--index-backend",
+        choices=index_backends.backend_names(),
+        default=index_backends.DEFAULT_BACKEND,
+        help="registered index backend used to build/open the inverted "
+        "index (see repro.index.backends)",
+    )
+    build.set_defaults(func=_cmd_build)
 
     workspace = subparsers.add_parser(
         "workspace", help="workspace utilities", parents=[obs_common]
@@ -1171,10 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_serve.add_argument(
         "--warmup", type=int, default=0, metavar="N",
         help="run N derived queries through the pipeline before serving",
-    )
-    obs_serve.add_argument(
-        "--workers", type=int, default=4,
-        help="thread-pool size for the warmup batch",
     )
     obs_serve.add_argument(
         "--for-seconds", type=float, default=None, metavar="S",

@@ -18,16 +18,15 @@ Serving fast path: each query is analysed into one
 that probe selection, relevancy scoring, grouped results, and
 :meth:`ContextSearchEngine.explain` all share -- the index is never
 scanned twice for one request.  Independent queries can be batched
-through :meth:`ContextSearchEngine.search_many`, which fans out over a
-thread pool (the registry and the engine's lazy caches are
-thread-safe).
+through :meth:`ContextSearchEngine.search_many`.  HTTP handler threads
+call :meth:`ContextSearchEngine.search` concurrently; the registry and
+the engine's lazy caches are thread-safe.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +34,7 @@ from repro.core.context import ContextPaperSet
 from repro.core.scores.base import PrestigeScores
 from repro.core.vectors import PaperVectorStore
 from repro.index.search import KeywordSearchEngine, QueryEvaluation
-from repro.obs import attach_span, current_span, get_registry, span
+from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology
 
 #: Available context-selection strategies (task 3 of the paradigm):
@@ -152,8 +151,9 @@ class ContextSearchEngine:
     def warm(self) -> "ContextSearchEngine":
         """Build the engine's lazy per-query caches up front.
 
-        Called implicitly by :meth:`search_many` before fanning out so
-        worker threads never race a lazy build; harmless to call twice.
+        Called implicitly by :meth:`search_many`.  The engine is shared
+        by HTTP handler threads, so the lock lets concurrent callers run
+        one build between them; harmless to call twice.
         """
         with self._warm_lock:
             if self._warmed:
@@ -199,25 +199,36 @@ class ContextSearchEngine:
         max_contexts: int,
         evaluation: Optional[QueryEvaluation],
     ) -> List[ContextSelection]:
-        """Selection core; ``evaluation`` is the request's shared scan."""
+        """Selection core; ``evaluation`` is the request's shared scan.
+
+        ``probed`` counts the contexts the strategy computed a strength
+        for, not the whole paper set: the probe strategy only reaches the
+        contexts of its top hits.
+        """
         with span("search.select", strategy=self.selection_strategy) as trace:
             if self.selection_strategy == "name":
-                selections = self._select_by_name(query, max_contexts)
+                strengths = self._name_strengths(query)
             elif self.selection_strategy == "representative":
-                selections = self._select_by_representative(query, max_contexts)
+                strengths = self._representative_strengths(query)
             else:
                 assert evaluation is not None
-                selections = self._select_by_probe(evaluation, max_contexts)
-            trace.set(probed=len(self.paper_set), selected=len(selections))
+                strengths = self._probe_strengths(evaluation)
+            ranked = heapq.nsmallest(
+                max_contexts, strengths.items(),
+                key=lambda item: (-item[1], item[0]),
+            )
+            selections = [
+                ContextSelection(context_id=cid, strength=value)
+                for cid, value in ranked
+            ]
+            trace.set(probed=len(strengths), selected=len(selections))
         registry = get_registry()
-        registry.counter("search.context.contexts_probed").inc(len(self.paper_set))
+        registry.counter("search.context.contexts_probed").inc(len(strengths))
         registry.counter("search.context.contexts_selected").inc(len(selections))
         return selections
 
-    def _select_by_probe(
-        self, evaluation: QueryEvaluation, max_contexts: int
-    ) -> List[ContextSelection]:
-        """Rank contexts by keyword-probe response plus term-name overlap.
+    def _probe_strengths(self, evaluation: QueryEvaluation) -> Dict[str, float]:
+        """Strength by keyword-probe response plus term-name overlap.
 
         Rather than walking every context's full member list, the probe
         walks only its top hits and accumulates strength through the
@@ -243,12 +254,10 @@ class ContextSearchEngine:
                 name_terms = self._context_name_terms(context_id)
                 strength += self.name_bonus * len(query_terms & name_terms)
             strengths[context_id] = strength
-        return self._ranked_selections(strengths, max_contexts)
+        return strengths
 
-    def _select_by_name(
-        self, query: str, max_contexts: int
-    ) -> List[ContextSelection]:
-        """Rank by query-term overlap with context term names only.
+    def _name_strengths(self, query: str) -> Dict[str, float]:
+        """Strength by query-term overlap with context term names only.
 
         The GoPubMed-style lookup the related-work section describes:
         cheap, but blind to contexts whose names share no word with the
@@ -256,25 +265,23 @@ class ContextSearchEngine:
         """
         analyzer = self.keyword_engine.index.analyzer
         query_terms = set(analyzer.analyze(query))
-        if not query_terms:
-            return []
         strengths: Dict[str, float] = {}
+        if not query_terms:
+            return strengths
         for context in self.paper_set:
             name_terms = self._context_name_terms(context.term_id)
             shared = query_terms & name_terms
             if shared:
                 strengths[context.term_id] = len(shared) / len(query_terms)
-        return self._ranked_selections(strengths, max_contexts)
+        return strengths
 
-    def _select_by_representative(
-        self, query: str, max_contexts: int
-    ) -> List[ContextSelection]:
-        """Rank by cosine similarity to each context's representative paper."""
+    def _representative_strengths(self, query: str) -> Dict[str, float]:
+        """Strength by cosine similarity to each context's representative."""
         assert self.vectors is not None
         query_vector = self.vectors.query_vector(query)
-        if not query_vector:
-            return []
         strengths: Dict[str, float] = {}
+        if not query_vector:
+            return strengths
         for context in self.paper_set:
             representative = self.representatives.get(context.term_id)
             if representative is None:
@@ -284,19 +291,7 @@ class ContextSearchEngine:
             )
             if similarity > 0.0:
                 strengths[context.term_id] = similarity
-        return self._ranked_selections(strengths, max_contexts)
-
-    @staticmethod
-    def _ranked_selections(
-        strengths: Dict[str, float], max_contexts: int
-    ) -> List[ContextSelection]:
-        ranked = heapq.nsmallest(
-            max_contexts, strengths.items(), key=lambda item: (-item[1], item[0])
-        )
-        return [
-            ContextSelection(context_id=cid, strength=value)
-            for cid, value in ranked
-        ]
+        return strengths
 
     # -- tasks 4 & 5: search and rank -------------------------------------------------
 
@@ -402,43 +397,24 @@ class ContextSearchEngine:
                     yield paper_id, matching
 
     def search_many(
-        self,
-        queries: Sequence[str],
-        max_workers: int = 4,
-        **kwargs,
+        self, queries: Sequence[str], **kwargs
     ) -> List[List[SearchHit]]:
-        """Run independent queries concurrently; results in input order.
+        """Run independent queries in input order under one batch span.
 
-        Queries fan out over a thread pool after :meth:`warm` has built
-        every lazy cache, so workers only read shared state.  Each query
-        runs the same single-scan path as :meth:`search` and increments
-        every metric exactly once.  The batch span is handed to every
-        worker via :func:`repro.obs.attach_span`, so per-query
-        ``search.run`` spans stay children of ``search.batch.run``
-        instead of becoming orphan roots of the tracer's per-thread
-        stacks.  ``kwargs`` are passed through to :meth:`search`.
+        A plain loop over :meth:`search`: selection and scoring are
+        pure-Python dict work, so threads would only contend for the
+        interpreter lock.  ``kwargs`` are passed through to :meth:`search`.
         """
         queries = list(queries)
         if not queries:
             return []
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.warm()
         registry = get_registry()
         registry.counter("search.batch.queries").inc(len(queries))
-        with span(
-            "search.batch.run", queries=len(queries), workers=max_workers
-        ), registry.timer("search.batch.seconds"):
-            if max_workers == 1 or len(queries) == 1:
-                return [self.search(query, **kwargs) for query in queries]
-            parent = current_span()
-
-            def run_one(query: str) -> List[SearchHit]:
-                with attach_span(parent):
-                    return self.search(query, **kwargs)
-
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(run_one, queries))
+        with span("search.batch.run", queries=len(queries)), registry.timer(
+            "search.batch.seconds"
+        ):
+            return [self.search(query, **kwargs) for query in queries]
 
     def search_grouped(
         self,

@@ -58,13 +58,11 @@ class RelevancyTuner:
         function: str = "text",
         paper_set_name: str = "text",
         ac_builder: Optional[ACAnswerBuilder] = None,
-        max_workers: int = 4,
     ) -> None:
         if not queries:
             raise ValueError("need at least one validation query")
         self.pipeline = pipeline
         self.queries = list(queries)
-        self.max_workers = max_workers
         self.function = function
         self.paper_set_name = paper_set_name
         self.ac_builder = (
@@ -103,12 +101,7 @@ class RelevancyTuner:
                 w_prestige=w_prestige,
                 w_matching=1.0 - w_prestige,
             )
-            hits_per_query = list(
-                zip(
-                    self.queries,
-                    engine.search_many(self.queries, max_workers=self.max_workers),
-                )
-            )
+            hits_per_query = list(zip(self.queries, engine.search_many(self.queries)))
             for threshold in threshold_grid:
                 points.append(
                     self._evaluate_cell(w_prestige, threshold, hits_per_query)

@@ -70,13 +70,11 @@ class PrecisionExperiment:
         thresholds: Sequence[float] = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5),
         ac_config: Optional[ACAnswerConfig] = None,
         max_contexts: int = 5,
-        max_workers: int = 4,
     ) -> None:
         self.pipeline = pipeline
         self.queries = list(queries)
         self.thresholds = list(thresholds)
         self.max_contexts = max_contexts
-        self.max_workers = max_workers
         self.ac_builder = ACAnswerBuilder(
             pipeline.keyword_engine,
             pipeline.vectors,
@@ -119,9 +117,7 @@ class PrecisionExperiment:
         per_threshold: List[List[float]] = [[] for _ in self.thresholds]
         empties = [0] * len(self.thresholds)
         hits_per_query = engine.search_many(
-            self.queries,
-            max_workers=self.max_workers,
-            max_contexts=self.max_contexts,
+            self.queries, max_contexts=self.max_contexts
         )
         for query, hits in zip(self.queries, hits_per_query):
             answers = self.answer_set(query)

@@ -60,8 +60,6 @@ from repro.obs.trace import (
     NULL_SPAN,
     Span,
     Tracer,
-    attach_span,
-    current_span,
     current_tracer,
     read_trace_jsonl,
     span,
@@ -86,10 +84,8 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "Tracer",
-    "attach_span",
     "configure_logging",
     "configure_telemetry",
-    "current_span",
     "current_tracer",
     "evaluate_slo",
     "evaluate_slos",

@@ -3,10 +3,9 @@
 Every ``Pipeline.search`` / ``search_many`` / ``explain`` call runs
 inside one *request context*: it gets a process-unique query id, a root
 span (``request.<kind>``) under which selection/scoring/cache spans are
-parented -- across ``search_many`` worker threads too, via
-:func:`repro.obs.trace.attach_span` -- and a latency observation into
-the per-kind histogram (``search.run.latency`` / ``search.batch.latency``
-/ ``search.explain.latency``).
+parented, and a latency observation into the per-kind histogram
+(``search.run.latency`` / ``search.batch.latency`` /
+``search.explain.latency``).
 
 Capture policy (head + tail sampling): while telemetry is *enabled*,
 every request records its span tree; at completion the record is offered

@@ -33,8 +33,7 @@ import functools
 import json
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 class Span:
@@ -131,24 +130,6 @@ class Tracer:
                 break
             top.finish()
 
-    # -- cross-thread parenting ------------------------------------------------------
-
-    def adopt(self, parent: Span) -> None:
-        """Push ``parent`` onto *this thread's* stack without timing it.
-
-        The explicit-parent handle for work fanned out to other threads:
-        a worker adopts the submitting thread's span so its own spans
-        become children instead of orphan roots.  Balance with
-        :meth:`release`; :func:`attach_span` wraps the pair.
-        """
-        self._stack().append(parent)
-
-    def release(self, parent: Span) -> None:
-        """Undo :meth:`adopt` (the parent is *not* finished)."""
-        stack = self._stack()
-        if stack and stack[-1] is parent:
-            stack.pop()
-
     def discard_root(self, node: Span) -> None:
         """Forget one captured root (bounds memory for long-lived tracers).
 
@@ -212,47 +193,6 @@ def stop_tracing() -> Optional[Tracer]:
 
 def current_tracer() -> Optional[Tracer]:
     return _active_tracer
-
-
-def current_span() -> Optional[Span]:
-    """The innermost open span on *this thread* (None when untraced).
-
-    Capture it in the submitting thread and hand it to pool workers via
-    :func:`attach_span` so spans opened on worker threads are parented
-    under the batch's span instead of becoming orphan roots.
-    """
-    tracer = _active_tracer
-    if tracer is None:
-        return None
-    stack = tracer._stack()
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def attach_span(parent: Optional[Span]) -> Iterator[None]:
-    """Parent this thread's spans under ``parent`` for the duration.
-
-    The worker-side half of cross-thread span propagation::
-
-        parent = current_span()              # submitting thread
-        def task(item):
-            with attach_span(parent):        # worker thread
-                return work(item)            # spans nest under parent
-
-    No-op when ``parent`` is None or tracing is inactive, so untraced
-    fan-out pays only one attribute check per task.  Appending children
-    to a shared parent from several workers is safe: ``list.append`` is
-    atomic under the GIL and each worker keeps its own span stack.
-    """
-    tracer = _active_tracer
-    if tracer is None or parent is None:
-        yield
-        return
-    tracer.adopt(parent)
-    try:
-        yield
-    finally:
-        tracer.release(parent)
 
 
 class _SpanHandle:

@@ -325,13 +325,6 @@ class Pipeline:
             }
         return rankings
 
-    def invalidate_serving_caches(self) -> None:
-        """Drop memoised search engines and cached search results.
-
-        Equivalent to :meth:`refresh`; kept as the historical spelling.
-        """
-        self.refresh()
-
     # -- incremental corpus updates ---------------------------------------------------
 
     def add_papers(self, papers: Sequence["Paper"]):
@@ -715,17 +708,16 @@ class Pipeline:
         limit: Optional[int] = 10,
         threshold: float = 0.0,
         selection_strategy: str = "probe",
-        max_workers: int = 4,
         use_cache: bool = True,
     ) -> List[List[SearchHit]]:
-        """Batch search: answer independent queries concurrently.
+        """Batch search: answer independent queries in one request.
 
-        Cached queries are answered inline; the misses fan out through
-        :meth:`ContextSearchEngine.search_many` on a thread pool.  The
-        returned list is index-aligned with ``queries`` (deterministic
-        merge), and each miss populates the result cache.  The whole
-        batch is served from one :class:`ServingView` snapshot, so a
-        concurrent :meth:`refresh` cannot tear it.
+        Cached queries are answered from the result cache; the misses
+        run through :meth:`ContextSearchEngine.search_many`.  The
+        returned list is index-aligned with ``queries``, and each miss
+        populates the result cache.  The whole batch is served from one
+        :class:`ServingView` snapshot, so a concurrent :meth:`refresh`
+        cannot tear it.
         """
         queries = list(queries)
         view = self._view()
@@ -764,7 +756,6 @@ class Pipeline:
                 engine = view.engine(function, paper_set_name, selection_strategy)
                 fresh = engine.search_many(
                     [queries[i] for i in misses],
-                    max_workers=max_workers,
                     threshold=threshold,
                     limit=limit,
                 )

@@ -63,8 +63,8 @@ class SparseVector:
         if na == 0.0 or nb == 0.0:
             return 0.0
         denominator = na * nb
-        if denominator == 0.0 or math.isinf(denominator):
-            # The norm product under/overflowed (subnormal or huge
+        if denominator < sys.float_info.min or math.isinf(denominator):
+            # The norm product under/overflowed (zero, subnormal or huge
             # weights).  Dividing raw weights by a subnormal norm loses
             # almost every bit of precision, so normalise each vector via
             # ``normalized()`` (which rescales by the peak magnitude into

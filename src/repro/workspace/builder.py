@@ -299,9 +299,7 @@ def open_workspace(pipeline, directory: PathLike, strict: bool = True) -> int:
         if loaded:
             # Hydration replaced ranking inputs: memoised engines and
             # cached results built from the old objects must go.
-            invalidate = getattr(pipeline, "invalidate_serving_caches", None)
-            if invalidate is not None:
-                invalidate()
+            pipeline.refresh()
     return loaded
 
 

@@ -107,7 +107,7 @@ class TestSearch:
         )
         code = main([
             "search", "--data", str(data_dir),
-            "--queries-file", str(queries_file), "--workers", "2",
+            "--queries-file", str(queries_file),
         ])
         output = capsys.readouterr().out
         assert code in (0, 1)
@@ -137,9 +137,7 @@ class TestSearch:
 
 class TestBuild:
     def test_workspace_written(self, data_dir, capsys):
-        # `precompute` is the legacy alias of `build`; both target the
-        # artifact workspace under <data>/workspace.
-        code = main(["precompute", "--data", str(data_dir)])
+        code = main(["build", "--data", str(data_dir)])
         assert code == 0
         output = capsys.readouterr().out
         from repro.workspace import ARTIFACTS
@@ -367,7 +365,7 @@ class TestObsTelemetry:
         out = tmp_path / "telemetry.json"
         code = main([
             "search", "--data", str(data_dir),
-            "--queries-file", str(queries_file), "--workers", "2",
+            "--queries-file", str(queries_file),
             "--telemetry-out", str(out), "--sample-rate", "1.0",
         ])
         capsys.readouterr()

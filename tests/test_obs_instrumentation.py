@@ -64,6 +64,30 @@ class TestPipelineSearchSpans:
         # on a fresh pipeline computes prestige lazily).
         assert _spans_named(tracer, "scores.text.score_all")
 
+    def test_contexts_probed_counts_contexts_of_probe_hits(self, pipeline):
+        engine = pipeline.search_engine("text", "text")
+        index = pipeline.keyword_engine.index
+        # The rarest term makes a narrow probe: a handful of hits.
+        query = min(index.vocabulary(), key=lambda t: len(index.postings(t)))
+        probe = pipeline.keyword_engine.evaluate(query).top_scores(
+            engine.probe_depth
+        )
+        reached = {
+            context_id
+            for paper_id, _ in probe
+            for context_id in engine.paper_set.contexts_of_paper(paper_id)
+        }
+        assert 0 < len(reached) < len(engine.paper_set)
+
+        registry = reset_registry()
+        tracer = start_tracing()
+        engine.select_contexts(query)
+        stop_tracing()
+        (select,) = _spans_named(tracer, "search.select")
+        assert select.attrs["probed"] == len(reached)
+        counters = registry.snapshot()["counters"]
+        assert counters["search.context.contexts_probed"] == len(reached)
+
     def test_counters_match_returned_hits(self, pipeline):
         registry = reset_registry()
         hits = pipeline.search("gene expression regulation", limit=None)
@@ -80,7 +104,7 @@ class TestPipelineSearchSpans:
         # Force prestige recomputation: drop the scores AND the serving
         # caches (memoised engines hold a reference to the old scores).
         pipeline._scores.clear()
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         pipeline.search("gene expression", limit=5)
         snapshot = registry.snapshot()
         assert snapshot["histograms"]["scores.text.seconds"]["count"] >= 1

@@ -4,21 +4,17 @@ Unit-level coverage of :mod:`repro.obs.request` (the disabled fast
 path, head + tail sampling, error capture, tracer ownership, the SLO
 event window) plus the integration contract: ``Pipeline.search`` /
 ``search_many`` / ``explain`` run inside request contexts, and a
-``search_many`` batch's per-worker ``search.run`` spans are parented
-under the batch root even though they execute on pool threads.
+``search_many`` batch's per-query ``search.run`` spans are parented
+under the batch root.
 
 The conftest autouse fixture resets the registry and telemetry around
 every test, so each starts from the disabled default.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro.obs import (
-    attach_span,
     configure_telemetry,
-    current_span,
     get_registry,
     get_telemetry,
     reset_telemetry,
@@ -237,38 +233,6 @@ class TestValidation:
         }
 
 
-class TestCrossThreadParenting:
-    def test_attach_span_parents_worker_spans(self):
-        start_tracing()
-        with span("search.batch") as batch:
-            parent = current_span()
-            assert parent is batch
-
-            def worker(i):
-                with attach_span(parent):
-                    with span("search.run", worker=i):
-                        return i
-
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(worker, range(8)))
-        tracer = stop_tracing()
-        assert results == list(range(8))
-        (root,) = tracer.roots
-        children = [child.name for child in root.children]
-        assert children == ["search.run"] * 8
-        assert {child.attrs["worker"] for child in root.children} == set(
-            range(8)
-        )
-
-    def test_attach_null_parent_is_noop(self):
-        # No tracer, no parent: attach_span must not explode and spans
-        # stay no-ops.
-        with attach_span(current_span()):
-            with span("search.run") as node:
-                pass
-        assert current_tracer() is None
-
-
 class TestPipelineIntegration:
     @pytest.fixture(scope="class")
     def pipeline(self):
@@ -291,7 +255,7 @@ class TestPipelineIntegration:
     def test_search_many_workers_parent_under_batch_root(self, pipeline):
         telemetry = configure_telemetry(enabled=True, sample_rate=1.0)
         queries = ["protein folding", "cell cycle", "dna repair"]
-        pipeline.search_many(queries, limit=5, max_workers=3, use_cache=False)
+        pipeline.search_many(queries, limit=5, use_cache=False)
         (record,) = [
             r for r in telemetry.slowlog.records() if r.kind == "search_many"
         ]
@@ -302,8 +266,6 @@ class TestPipelineIntegration:
         assert pipeline_span.name == "pipeline.search_many"
         (batch,) = pipeline_span.children
         assert batch.name == "search.batch.run"
-        # The satellite fix under test: worker spans land under the
-        # batch span, not as orphaned roots of the pool threads.
         runs = [child for child in batch.children if child.name == "search.run"]
         assert len(runs) == 3
 

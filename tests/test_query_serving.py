@@ -11,8 +11,7 @@ Covers the serving-layer contract end to end:
   ``load_precomputed`` or workspace hydration;
 - engine memoisation identity and the ``representative``-strategy
   vector plumbing;
-- ``search_many`` determinism and metric exactness under the thread
-  pool.
+- ``search_many`` determinism and metric exactness.
 """
 
 import pytest
@@ -76,7 +75,7 @@ class TestSingleScan:
 
 class TestResultCache:
     def test_miss_then_hit_counters_and_identical_results(self, pipeline):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         first = pipeline.search(QUERY, limit=5)
         counters = _counters()
         assert counters["search.cache.miss"] == 1
@@ -86,7 +85,7 @@ class TestResultCache:
         assert _counters()["search.cache.hit"] == 1
 
     def test_cache_key_covers_request_shape(self, pipeline):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         pipeline.search(QUERY, limit=5)
         # A different limit/threshold is a different request: no false hit.
         pipeline.search(QUERY, limit=3)
@@ -170,7 +169,7 @@ class TestResultCache:
     def test_cached_results_identical_across_functions(
         self, pipeline, function, paper_set
     ):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         uncached = pipeline.search(
             QUERY, function=function, paper_set_name=paper_set, use_cache=False
         )
@@ -196,7 +195,7 @@ class TestEngineMemoisation:
 
     def test_invalidation_discards_engines(self, pipeline):
         before = pipeline.search_engine("text", "text")
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         assert pipeline.search_engine("text", "text") is not before
 
     def test_unknown_strategy_rejected(self, pipeline):
@@ -216,7 +215,7 @@ class TestInvalidation:
         write_prestige_scores(
             pipeline.prestige("text", "text"), tmp_path / "scores_text_text.json"
         )
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         engine = pipeline.search_engine("text", "text")
         pipeline.search(QUERY, limit=5)
         assert len(pipeline._result_cache) == 1
@@ -226,7 +225,7 @@ class TestInvalidation:
         assert pipeline.search_engine("text", "text") is not engine
 
     def test_load_of_nothing_keeps_caches(self, pipeline, tmp_path):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         engine = pipeline.search_engine("text", "text")
         pipeline.search(QUERY, limit=5)
         assert pipeline.load_precomputed(tmp_path / "empty") == 0
@@ -256,12 +255,12 @@ class TestSearchMany:
     def test_results_match_sequential_search_in_input_order(self, pipeline):
         engine = pipeline.search_engine("text", "text")
         sequential = [engine.search(q, limit=10) for q in self.QUERIES]
-        batched = engine.search_many(self.QUERIES, max_workers=4, limit=10)
+        batched = engine.search_many(self.QUERIES, limit=10)
         assert batched == sequential
 
     def test_metrics_increment_exactly_once_per_query(self, pipeline):
-        # The thread pool must produce exactly the counter increments the
-        # sequential loop would (no duplicates, no losses).
+        # The batch must produce exactly the counter increments the
+        # single-query loop would (no duplicates, no losses).
         engine = pipeline.search_engine("text", "text")
         engine.search(self.QUERIES[0], limit=10)  # warm lazy state
         watched = (
@@ -274,7 +273,7 @@ class TestSearchMany:
         for query in self.QUERIES:
             engine.search(query, limit=10)
         mid = _counters()
-        engine.search_many(self.QUERIES, max_workers=4, limit=10)
+        engine.search_many(self.QUERIES, limit=10)
         after = _counters()
         for name in watched:
             sequential = mid.get(name, 0) - before.get(name, 0)
@@ -288,21 +287,16 @@ class TestSearchMany:
 
     def test_batch_is_deterministic_across_runs(self, pipeline):
         engine = pipeline.search_engine("text", "text")
-        first = engine.search_many(self.QUERIES, max_workers=4, limit=10)
-        second = engine.search_many(self.QUERIES, max_workers=4, limit=10)
+        first = engine.search_many(self.QUERIES, limit=10)
+        second = engine.search_many(self.QUERIES, limit=10)
         assert first == second
-
-    def test_rejects_bad_worker_count(self, pipeline):
-        engine = pipeline.search_engine("text", "text")
-        with pytest.raises(ValueError):
-            engine.search_many(self.QUERIES, max_workers=0)
 
     def test_empty_batch(self, pipeline):
         engine = pipeline.search_engine("text", "text")
         assert engine.search_many([]) == []
 
     def test_pipeline_batch_uses_result_cache(self, pipeline):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         first = pipeline.search_many(self.QUERIES, limit=10)
         hits_before = _counters().get("search.cache.hit", 0)
         second = pipeline.search_many(self.QUERIES, limit=10)

@@ -13,9 +13,9 @@ caller sees.  The load-bearing properties:
   while the observability routes keep answering;
 - ``GET /search`` racing ``POST /admin/reload`` never observes a torn
   view (the PR-7 swap-race property, extended over HTTP);
-- the batch sequential short-circuit records the same telemetry as the
-  threaded path, and batch cache entries are the entries single-query
-  search looks up.
+- a batch does the same search work and records the same telemetry as
+  its queries' single searches, and batch cache entries are the entries
+  single-query search looks up.
 """
 
 import json
@@ -28,7 +28,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.obs import configure_telemetry, get_registry, reset_registry
+from repro.obs import (
+    configure_telemetry,
+    get_registry,
+    reset_registry,
+    start_tracing,
+    stop_tracing,
+)
 from repro.pipeline import build_demo_pipeline
 from repro.serving.service import (
     AdmissionController,
@@ -539,49 +545,77 @@ class TestMetricsExposition:
 
 
 class TestBatchParity:
-    """The sequential short-circuit is an optimisation, not a different path."""
+    """A batch is its queries' single searches plus one request's bookkeeping."""
 
-    def _run_batch(self, pipeline, max_workers):
+    def _observe(self, pipeline, run):
         reset_registry()
         telemetry = configure_telemetry(enabled=True, sample_rate=0.0)
-        pipeline.refresh()  # fresh cache: identical miss pattern per run
-        results = pipeline.search_many(
-            list(QUERIES), limit=10, max_workers=max_workers
-        )
-        counters = dict(get_registry().snapshot()["counters"])
+        pipeline.refresh()  # fresh view: no lazy state carried between runs
+        results = run()
+        snapshot = get_registry().snapshot()
         events = [
             (e.kind, e.queries, e.error, e.cache_hits, e.cache_lookups)
             for e in telemetry.events()
         ]
         histogram_counts = {
             name: summary["count"]
-            for name, summary in
-            get_registry().snapshot()["histograms"].items()
+            for name, summary in snapshot["histograms"].items()
         }
-        return results, counters, events, histogram_counts
+        return results, dict(snapshot["counters"]), events, histogram_counts
 
-    def test_sequential_short_circuit_records_identical_telemetry(
-        self, pipeline
-    ):
-        threaded = self._run_batch(pipeline, max_workers=4)
-        sequential = self._run_batch(pipeline, max_workers=1)
-        assert sequential[0] == threaded[0]  # rankings
-        assert sequential[1] == threaded[1]  # every counter, same value
-        assert sequential[2] == threaded[2]  # SLO event stream
-        assert sequential[3] == threaded[3]  # histogram observation counts
-
-    def test_single_query_batch_records_identical_telemetry(self, pipeline):
-        """len(queries) == 1 short-circuits even with max_workers > 1."""
-        def run(max_workers):
-            reset_registry()
-            configure_telemetry(enabled=True, sample_rate=0.0)
-            pipeline.refresh()
-            results = pipeline.search_many(
-                [QUERIES[0]], limit=10, max_workers=max_workers
+    def test_batch_equals_single_searches(self, pipeline):
+        queries = list(QUERIES)
+        n = len(queries)
+        # Build prestige and paper sets first, so neither run pays for them.
+        pipeline.search_many(queries, limit=10, use_cache=False)
+        tracer = start_tracing()
+        try:
+            batch = self._observe(
+                pipeline,
+                lambda: pipeline.search_many(queries, limit=10, use_cache=False),
             )
-            return results, dict(get_registry().snapshot()["counters"])
+        finally:
+            stop_tracing()
+        single = self._observe(
+            pipeline,
+            lambda: [
+                pipeline.search(q, limit=10, use_cache=False) for q in queries
+            ],
+        )
+        assert batch[0] == single[0]  # rankings
 
-        assert run(max_workers=4) == run(max_workers=1)
+        # Counters: identical search work; the request count differs by
+        # shape (one batch request against n single ones).
+        batch_counters, single_counters = dict(batch[1]), dict(single[1])
+        assert batch_counters.pop("search.batch.queries") == n
+        assert batch_counters.pop("search.request.queries") == 1
+        assert single_counters.pop("search.request.queries") == n
+        assert batch_counters == single_counters
+
+        # SLO events: one batch event carrying all n queries.
+        assert batch[2] == [("search_many", n, False, 0, 0)]
+        assert single[2] == [("search", 1, False, 0, 0)] * n
+
+        # Histograms: the per-kind latency and the batch timer aside,
+        # every observation count matches.
+        batch_histograms, single_histograms = dict(batch[3]), dict(single[3])
+        assert batch_histograms.pop("search.batch.latency") == 1
+        assert batch_histograms.pop("search.batch.seconds") == 1
+        assert single_histograms.pop("search.run.latency") == n
+        assert batch_histograms == single_histograms
+
+        # Spans: every query's search.run hangs under the batch span.
+        parents = []
+
+        def walk(node):
+            for child in node.children:
+                if child.name == "search.run":
+                    parents.append(node.name)
+                walk(child)
+
+        for root in tracer.roots:
+            walk(root)
+        assert parents == ["search.batch.run"] * n
 
     def test_batch_cache_entries_served_to_single_query_search(
         self, pipeline

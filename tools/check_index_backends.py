@@ -6,7 +6,7 @@ truth for index storage engines.  This lint (modeled on
 ``check_score_registry.py``) fails CI when any derived surface drifts:
 
 1. the CLI ``--index-backend`` choice lists (``repro search`` /
-   ``repro build`` / ``repro precompute`` / ``repro workspace status``)
+   ``repro build`` / ``repro workspace status``)
    must equal the registered names, with the registry default as the
    argparse default;
 2. every spec must carry a callable ``build``/``save``/``load`` and a
@@ -37,7 +37,7 @@ DOCS_PATH = "docs/architecture.md"
 #: The index package itself is where the concrete classes belong.
 EXEMPT_PREFIX = "src/repro/index/"
 #: Subcommands required to expose --index-backend.
-REQUIRED_SUBCOMMANDS = {"search", "build", "precompute"}
+REQUIRED_SUBCOMMANDS = {"search", "build"}
 
 
 def check_cli_choices(backends) -> list:

@@ -37,8 +37,8 @@ SCAN_DIRS = ("src", "benchmarks", "tests")
 CALL_RE = re.compile(
     r"\b(?:counter|gauge|histogram|timer)\(\s*(f?)([\"'])((?:[^\"'\\]|\\.)*?)\2"
 )
-#: span("name") literals; the lookbehind keeps ``attach_span(parent)``
-#: and other ``*_span`` helpers out of the match.
+#: span("name") literals; the lookbehind keeps ``*_span`` helpers and
+#: ``obj.span(...)`` calls out of the match.
 SPAN_CALL_RE = re.compile(
     r"(?<![\w.])span\(\s*(f?)([\"'])((?:[^\"'\\]|\\.)*?)\2"
 )
