@@ -27,7 +27,6 @@ PathLike = Union[str, Path]
 
 _PAPER_SET_FORMAT = "repro/context-paper-set/v1"
 _SCORES_FORMAT = "repro/prestige-scores/v1"
-_INDEX_FORMAT = "repro/inverted-index/v1"
 _VECTORS_FORMAT = "repro/vector-store/v1"
 _TOKENS_FORMAT = "repro/token-cache/v1"
 _GRAPH_FORMAT = "repro/citation-graph/v1"
@@ -161,28 +160,6 @@ def read_prestige_scores(path: PathLike) -> PrestigeScores:
 # over its in-place ``to_payload``/``from_payload`` snapshot.  Readers
 # take the live objects the artefact cannot embed (corpus, analyzer) --
 # the same convention as :func:`read_context_paper_set`'s ontology.
-
-
-def write_inverted_index(index, path: PathLike) -> None:
-    """Persist an index via the memory backend's codec (compat shim).
-
-    New code should go through :func:`repro.index.backends.save_index`,
-    which dispatches on the backend that produced the object.
-    """
-    from repro.index import backends  # lazy: backends' codecs import this module
-
-    backends.get("memory").save(index, path)
-
-
-def read_inverted_index(path: PathLike, analyzer: Optional[Analyzer] = None):
-    """Load a memory-backend index artifact (compat shim).
-
-    New code should go through :func:`repro.index.backends.open_index`,
-    which sniffs the format tag and dispatches to the owning backend.
-    """
-    from repro.index import backends  # lazy: backends' codecs import this module
-
-    return backends.get("memory").load(path, analyzer=analyzer)
 
 
 def write_vector_store(vectors: PaperVectorStore, path: PathLike) -> None:

@@ -7,7 +7,9 @@ registered by name, and every layer that used to hard-code the concrete
 index artifact's codec, the CLI ``--index-backend`` choices -- derives
 its behaviour from the registry instead.  Registering one spec therefore
 surfaces a new storage engine in builds, workspaces, and the CLI with no
-edits under ``repro/core/`` or ``repro/serving/``.
+edits under ``repro/core/`` or ``repro/serving/``.  The mechanics are
+the shared :class:`repro.registry.Registry`; this module binds its
+public functions to one instance, ``REGISTRY``.
 
 A spec declares:
 
@@ -27,18 +29,14 @@ installed index through the codec that produced it.
 
 from __future__ import annotations
 
-import re
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable
+
+from repro.registry import Registry, check_name
 
 #: The backend used when none is configured -- the paper-faithful
 #: in-memory inverted index.
 DEFAULT_BACKEND = "memory"
-
-#: Registry keys double as CLI values and artifact-format discriminators.
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
 @dataclass(frozen=True)
@@ -63,12 +61,7 @@ class SearchBackendSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
-            raise ValueError(
-                f"index backend name {self.name!r} must match "
-                f"{_NAME_RE.pattern} (it becomes a CLI value and an "
-                f"artifact discriminator)"
-            )
+        check_name("index backend", self.name)
         for role in ("build", "save", "load"):
             if not callable(getattr(self, role)):
                 raise ValueError(f"index backend {self.name!r}: {role} not callable")
@@ -79,120 +72,33 @@ class SearchBackendSpec:
             )
 
 
-_registry: Dict[str, SearchBackendSpec] = {}
-_registry_lock = threading.Lock()
-#: Bumped on every mutation so derived views (memoised CLI parsers) can
-#: cheaply detect staleness.
-_revision: int = 0
+#: Format tags are unique: they identify which backend owns an artifact.
+REGISTRY: Registry[SearchBackendSpec] = Registry(
+    "index backend", unique=("format_tag",)
+)
 
-
-def register(spec: SearchBackendSpec, replace: bool = False) -> SearchBackendSpec:
-    """Register ``spec``; the single entry point for built-ins and plugins.
-
-    Raises ``ValueError`` when the name or format tag is already taken
-    (pass ``replace=True`` to swap a variant in deliberately).  Returns
-    the spec for decorator-style chaining.
-    """
-    global _revision
-    with _registry_lock:
-        if spec.name in _registry and not replace:
-            raise ValueError(
-                f"index backend {spec.name!r} is already registered "
-                f"(pass replace=True to override)"
-            )
-        for other in _registry.values():
-            if other.name != spec.name and other.format_tag == spec.format_tag:
-                raise ValueError(
-                    f"index backend {spec.name!r} reuses format tag "
-                    f"{spec.format_tag!r} already claimed by {other.name!r}; "
-                    f"format tags must identify exactly one backend"
-                )
-        _registry[spec.name] = spec
-        _revision += 1
-    return spec
-
-
-def unregister(name: str) -> SearchBackendSpec:
-    """Remove a registration (tests and plugin teardown); returns it."""
-    global _revision
-    with _registry_lock:
-        try:
-            spec = _registry.pop(name)
-        except KeyError:
-            raise ValueError(f"index backend {name!r} is not registered") from None
-        _revision += 1
-    return spec
-
-
-@contextmanager
-def temporary_registration(
-    spec: SearchBackendSpec, replace: bool = False
-) -> Iterator[SearchBackendSpec]:
-    """Register ``spec`` for the duration of a ``with`` block.
-
-    Restores any shadowed spec on exit -- the idiom for tests and
-    short-lived experimental backends.
-    """
-    with _registry_lock:
-        shadowed = _registry.get(spec.name)
-    if shadowed is not None and not replace:
-        raise ValueError(
-            f"index backend {spec.name!r} is already registered "
-            f"(pass replace=True to shadow it temporarily)"
-        )
-    register(spec, replace=replace)
-    try:
-        yield spec
-    finally:
-        unregister(spec.name)
-        if shadowed is not None:
-            register(shadowed)
-
-
-def get(name: str) -> SearchBackendSpec:
-    """The spec registered under ``name``.
-
-    Raises ``ValueError`` naming the known backends -- the one "unknown
-    index backend" error every layer shares.
-    """
-    with _registry_lock:
-        spec = _registry.get(name)
-        if spec is None:
-            known = ", ".join(sorted(_registry))
-            raise ValueError(f"unknown index backend {name!r}; registered: {known}")
-        return spec
-
-
-def is_registered(name: str) -> bool:
-    with _registry_lock:
-        return name in _registry
-
-
-def specs() -> List[SearchBackendSpec]:
-    """Every registered spec, in registration order."""
-    with _registry_lock:
-        return list(_registry.values())
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Registered backend names in registration order (CLI choices)."""
-    with _registry_lock:
-        return tuple(_registry)
-
-
-def spec_for_format(format_tag: str) -> SearchBackendSpec:
-    """The spec whose codec owns ``format_tag`` (ValueError if none)."""
-    with _registry_lock:
-        for spec in _registry.values():
-            if spec.format_tag == format_tag:
-                return spec
-        known = ", ".join(sorted(s.format_tag for s in _registry.values()))
-        raise ValueError(
-            f"no index backend claims format {format_tag!r}; known formats: {known}"
-        )
+register = REGISTRY.register
+unregister = REGISTRY.unregister
+temporary_registration = REGISTRY.temporary_registration
+get = REGISTRY.get
+is_registered = REGISTRY.__contains__
+specs = REGISTRY.specs
+#: Registered backend names in registration order (CLI choices).
+backend_names = REGISTRY.names
 
 
 def registry_revision() -> int:
     """Mutation counter; derived views compare it to detect staleness."""
-    with _registry_lock:
-        return _revision
+    return REGISTRY.revision
+
+
+def spec_for_format(format_tag: str) -> SearchBackendSpec:
+    """The spec whose codec owns ``format_tag`` (ValueError if none)."""
+    registered = specs()
+    for spec in registered:
+        if spec.format_tag == format_tag:
+            return spec
+    known = ", ".join(sorted(spec.format_tag for spec in registered))
+    raise ValueError(
+        f"no index backend claims format {format_tag!r}; known formats: {known}"
+    )

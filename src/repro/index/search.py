@@ -397,11 +397,6 @@ class KeywordSearchEngine:
             self._lengths_revision = getattr(self.index, "revision", None)
             return self._section_lengths, self._avg_section_length, False
 
-    def _ensure_lengths(self):
-        """Backward-compatible accessor for the BM25 length tables."""
-        lengths, averages, _ = self._lengths_state()
-        return lengths, averages
-
     def match_score(self, query: str, paper_id: str) -> float:
         """Text-matching score of one (query, paper) pair in [0, 1].
 

@@ -425,122 +425,6 @@ class Pipeline:
         """The context paper set named by ``paper_set_name``."""
         return self._store.paper_set(paper_set_name)
 
-    # -- backward-compatible private slots ------------------------------------------
-    # Older call sites (and a few tests) reach for the pre-split private
-    # attributes; these map reads to the store's raw slots (no lazy
-    # build) and writes to the store's install methods (revision bump).
-
-    @property
-    def _index(self) -> Optional[SearchBackend]:
-        return self._store._index
-
-    @_index.setter
-    def _index(self, value: Optional[SearchBackend]) -> None:
-        self._store.install_index(value)
-
-    @property
-    def _vectors(self) -> Optional[PaperVectorStore]:
-        return self._store._vectors
-
-    @_vectors.setter
-    def _vectors(self, value: Optional[PaperVectorStore]) -> None:
-        self._store.install_vectors(value)
-
-    @property
-    def _tokens(self) -> Optional[AnalyzedPaperCache]:
-        return self._store._tokens
-
-    @_tokens.setter
-    def _tokens(self, value: Optional[AnalyzedPaperCache]) -> None:
-        self._store.install_tokens(value)
-
-    @property
-    def _graph(self) -> Optional[CitationGraph]:
-        return self._store._graph
-
-    @_graph.setter
-    def _graph(self, value: Optional[CitationGraph]) -> None:
-        self._store.install_citation_graph(value)
-
-    @property
-    def _text_paper_set(self) -> Optional[ContextPaperSet]:
-        return self._store._text_paper_set
-
-    @_text_paper_set.setter
-    def _text_paper_set(self, value: Optional[ContextPaperSet]) -> None:
-        self._store.install_text_paper_set(value)
-
-    @property
-    def _pattern_paper_set(self) -> Optional[ContextPaperSet]:
-        return self._store._pattern_paper_set
-
-    @_pattern_paper_set.setter
-    def _pattern_paper_set(self, value: Optional[ContextPaperSet]) -> None:
-        self._store.install_pattern_paper_set(value)
-
-    @property
-    def _representatives(self) -> Optional[Dict[str, str]]:
-        return self._store._representatives
-
-    @_representatives.setter
-    def _representatives(self, value: Optional[Mapping[str, str]]) -> None:
-        self._store.install_representatives(value)
-
-    @property
-    def _scores(self) -> Dict[str, PrestigeScores]:
-        return self._store.scores
-
-    @property
-    def _result_cache(self) -> SearchResultCache:
-        return self._view().result_cache
-
-    # -- precomputed artefacts ------------------------------------------------------
-
-    def load_precomputed(self, data_dir) -> int:
-        """Load paper-set/score artefacts from a directory of JSON files.
-
-        Any ``text_paper_set.json`` / ``pattern_paper_set.json`` /
-        ``scores_<function>_<set>.json`` found is installed into the
-        substrate store, short-circuiting the expensive builds.  Returns
-        the number of artefacts loaded.  Missing files are fine (you can
-        precompute a subset); corrupt files raise.  For full zero-rebuild
-        hydration of every substrate use :meth:`open_workspace` instead.
-        """
-        from pathlib import Path
-
-        from repro.core.io import read_context_paper_set, read_prestige_scores
-
-        data = Path(data_dir)
-        loaded = 0
-        text_set = data / "text_paper_set.json"
-        if text_set.exists():
-            self._store.install_text_paper_set(
-                read_context_paper_set(text_set, self.ontology)
-            )
-            loaded += 1
-        pattern_set = data / "pattern_paper_set.json"
-        if pattern_set.exists():
-            self._store.install_pattern_paper_set(
-                read_context_paper_set(pattern_set, self.ontology)
-            )
-            loaded += 1
-        for scores_path in sorted(data.glob("scores_*_*.json")):
-            # Filename is scores_<function>_<set>; the *function* may itself
-            # contain underscores ("citation_xctx"), the paper-set name never
-            # does -- so split the set off from the right, not the left.
-            function, _, paper_set_name = scores_path.stem[len("scores_"):].rpartition(
-                "_"
-            )
-            if not function or not paper_set_name:
-                continue
-            self._store.install_scores(
-                f"{function}/{paper_set_name}", read_prestige_scores(scores_path)
-            )
-            loaded += 1
-        if loaded:
-            self.refresh()
-        return loaded
-
     # -- workspace (artifact graph) -------------------------------------------------
 
     @classmethod
@@ -549,11 +433,10 @@ class Pipeline:
     ) -> "Pipeline":
         """Open a data directory and hydrate every cache from its workspace.
 
-        The generalisation of :meth:`load_precomputed`: a workspace built
-        by ``repro build`` (see :mod:`repro.workspace`) holds *all* heavy
-        substrates -- index, vectors, token cache, citation graph, paper
-        sets, representatives, prestige scores -- so a fully-built
-        workspace opens with zero rebuilds.
+        A workspace built by ``repro build`` (see :mod:`repro.workspace`)
+        holds *all* heavy substrates -- index, vectors, token cache,
+        citation graph, paper sets, representatives, prestige scores --
+        so a fully-built workspace opens with zero rebuilds.
 
         ``workspace_dir`` defaults to ``<data_dir>/workspace``.  With
         ``strict=True`` any missing or stale artifact raises

@@ -10,7 +10,8 @@ sweeps -- derives its list from the registry instead.  Registering one
 spec therefore gets a new ranking function fingerprinted persistence,
 CLI exposure, and inclusion in evaluation sweeps with no edits to core
 modules (see ``docs/architecture.md`` for the worked ``combined``
-example).
+example).  The mechanics are the shared :class:`repro.registry.Registry`;
+this module binds its public functions to one instance, ``REGISTRY``.
 
 A spec declares:
 
@@ -32,19 +33,15 @@ A spec declares:
 from __future__ import annotations
 
 import itertools
-import re
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, List, Tuple
+
+from repro.registry import Registry, check_name
 
 #: The two context paper sets of section 4.  Paper-set construction is
 #: structural (text assignment vs pattern assignment), not pluggable --
 #: specs may only reference these names.
 PAPER_SET_NAMES: Tuple[str, ...] = ("text", "pattern")
-
-#: Registry keys double as metric segments and CLI values.
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
 @dataclass(frozen=True)
@@ -77,12 +74,7 @@ class ScoreFunctionSpec:
     delta_scope: str = "full"
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
-            raise ValueError(
-                f"score function name {self.name!r} must match "
-                f"{_NAME_RE.pattern} (it becomes a CLI value, a file-name "
-                f"segment, and a metric segment)"
-            )
+        check_name("score function", self.name)
         if not callable(self.factory):
             raise ValueError(f"score function {self.name!r}: factory not callable")
         for paper_set in self.paper_sets:
@@ -102,100 +94,21 @@ class ScoreFunctionSpec:
         return [(self.name, paper_set) for paper_set in self.paper_sets]
 
 
-_registry: Dict[str, ScoreFunctionSpec] = {}
-_registry_lock = threading.Lock()
-#: Bumped on every mutation so derived views (the workspace artifact
-#: registry, memoised CLI parsers) can cheaply detect staleness.
-_revision: int = 0
+REGISTRY: Registry[ScoreFunctionSpec] = Registry("prestige function")
+
+register = REGISTRY.register
+unregister = REGISTRY.unregister
+temporary_registration = REGISTRY.temporary_registration
+get = REGISTRY.get
+is_registered = REGISTRY.__contains__
+specs = REGISTRY.specs
+#: Registered function names in registration order (CLI choices).
+function_names = REGISTRY.names
 
 
-def register(spec: ScoreFunctionSpec, replace: bool = False) -> ScoreFunctionSpec:
-    """Register ``spec``; the single entry point for built-ins and plugins.
-
-    Raises ``ValueError`` when the name is taken (pass ``replace=True``
-    to swap an experimental variant in deliberately).  Returns the spec
-    for decorator-style chaining.
-    """
-    global _revision
-    with _registry_lock:
-        if spec.name in _registry and not replace:
-            raise ValueError(
-                f"score function {spec.name!r} is already registered "
-                f"(pass replace=True to override)"
-            )
-        _registry[spec.name] = spec
-        _revision += 1
-    return spec
-
-
-def unregister(name: str) -> ScoreFunctionSpec:
-    """Remove a registration (tests and plugin teardown); returns it."""
-    global _revision
-    with _registry_lock:
-        try:
-            spec = _registry.pop(name)
-        except KeyError:
-            raise ValueError(f"score function {name!r} is not registered") from None
-        _revision += 1
-    return spec
-
-
-@contextmanager
-def temporary_registration(
-    spec: ScoreFunctionSpec, replace: bool = False
-) -> Iterator[ScoreFunctionSpec]:
-    """Register ``spec`` for the duration of a ``with`` block.
-
-    Restores any shadowed spec on exit -- the idiom for tests and
-    short-lived experiment functions.
-    """
-    with _registry_lock:
-        shadowed = _registry.get(spec.name)
-    if shadowed is not None and not replace:
-        raise ValueError(
-            f"score function {spec.name!r} is already registered "
-            f"(pass replace=True to shadow it temporarily)"
-        )
-    register(spec, replace=replace)
-    try:
-        yield spec
-    finally:
-        unregister(spec.name)
-        if shadowed is not None:
-            register(shadowed)
-
-
-def get(name: str) -> ScoreFunctionSpec:
-    """The spec registered under ``name``.
-
-    Raises ``ValueError`` naming the known functions -- the one
-    "unknown prestige function" error every layer shares.
-    """
-    with _registry_lock:
-        spec = _registry.get(name)
-        if spec is None:
-            known = ", ".join(sorted(_registry))
-            raise ValueError(
-                f"unknown prestige function {name!r}; registered: {known}"
-            )
-        return spec
-
-
-def is_registered(name: str) -> bool:
-    with _registry_lock:
-        return name in _registry
-
-
-def specs() -> List[ScoreFunctionSpec]:
-    """Every registered spec, in registration order."""
-    with _registry_lock:
-        return list(_registry.values())
-
-
-def function_names() -> Tuple[str, ...]:
-    """Registered function names in registration order (CLI choices)."""
-    with _registry_lock:
-        return tuple(_registry)
+def registry_revision() -> int:
+    """Mutation counter; derived views compare it to detect staleness."""
+    return REGISTRY.revision
 
 
 def evaluation_arms() -> Tuple[Tuple[str, str], ...]:
@@ -214,9 +127,3 @@ def overlap_pairs() -> Tuple[Tuple[str, str], ...]:
     """Pairs for the figure-5.3 overlap grid (functions opted in)."""
     names = [spec.name for spec in specs() if spec.in_overlap]
     return tuple(itertools.combinations(names, 2))
-
-
-def registry_revision() -> int:
-    """Mutation counter; derived views compare it to detect staleness."""
-    with _registry_lock:
-        return _revision

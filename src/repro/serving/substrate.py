@@ -4,10 +4,10 @@ The store holds the raw inputs (corpus, ontology, training papers) and
 the substrates derived from them -- inverted index, vector store, token
 cache, citation graph, the two context paper sets, representatives, and
 memoised prestige scores.  Substrates build lazily on first access and
-can be *installed* directly (workspace hydration, ``load_precomputed``);
-every installation bumps a monotonically increasing **revision**, which
-the serving layer (:class:`~repro.serving.view.ServingView`) compares
-against to know when its memoised engines and result cache are stale.
+can be *installed* directly (workspace hydration); every installation
+bumps a monotonically increasing **revision**, which the serving layer
+(:class:`~repro.serving.view.ServingView`) compares against to know
+when its memoised engines and result cache are stale.
 
 Prestige computation is single-flighted per ``function/paper_set`` key:
 concurrent cold lookups of the same scores block on one per-key lock and
@@ -518,7 +518,7 @@ class SubstrateStore:
             scores.function_name, merged, pre_propagation=pre
         )
 
-    # -- installation (workspace hydration / precomputed artefacts) -----------------
+    # -- installation (workspace hydration) -----------------------------------------
 
     def install_index(self, index: Optional[SearchBackend]) -> None:
         with self._build_lock:
@@ -565,5 +565,23 @@ class SubstrateStore:
             self._scores[key] = scores
         self._bump()
 
-    def installed_score_keys(self) -> List[str]:
-        return list(self._scores)
+    #: Substrate name (as in the workspace artifact graph) -> raw slot.
+    _SLOTS = {
+        "index": "_index",
+        "tokens": "_tokens",
+        "vectors": "_vectors",
+        "citation_graph": "_graph",
+        "text_paper_set": "_text_paper_set",
+        "pattern_paper_set": "_pattern_paper_set",
+        "representatives": "_representatives",
+    }
+
+    def has(self, slot: str) -> bool:
+        """Is ``slot`` built or installed?  Never triggers a lazy build.
+
+        ``slot`` is a substrate name (``"index"``, ``"citation_graph"``,
+        ...) or a ``<function>/<paper_set>`` score key.
+        """
+        if "/" in slot:
+            return slot in self._scores
+        return getattr(self, self._SLOTS[slot]) is not None

@@ -50,11 +50,15 @@ class Artifact:
     save: Callable
     load: Callable
     install: Callable
-    #: Is the object already live in the pipeline's cache slot?
-    installed: Callable = lambda pipeline: False
     deps: Tuple[str, ...] = ()
     config_keys: Tuple[str, ...] = ()
     description: str = ""
+    #: The substrate-store slot ``install`` fills (default: ``name``).
+    slot: str = ""
+
+    def installed(self, pipeline) -> bool:
+        """Is the object already live in the pipeline's substrate store?"""
+        return pipeline.substrates.has(self.slot or self.name)
 
 
 def _score_artifact(function: str, paper_set_name: str, deps: Tuple[str, ...]) -> Artifact:
@@ -71,9 +75,9 @@ def _score_artifact(function: str, paper_set_name: str, deps: Tuple[str, ...]) -
         save=core_io.write_prestige_scores,
         load=lambda path, pipeline: core_io.read_prestige_scores(path),
         install=install,
-        installed=lambda pipeline: key in pipeline._scores,
         deps=deps,
         description=f"{function} prestige scores on the {paper_set_name} paper set",
+        slot=key,
     )
 
 
@@ -106,44 +110,16 @@ def _load_index(path, pipeline):
     return backends.open_index(path)
 
 
-def _install_index(pipeline, index):
-    pipeline._index = index
-
-
 def _build_tokens(pipeline):
     tokens = pipeline.tokens
     tokens.warm()
     return tokens
 
 
-def _install_tokens(pipeline, tokens):
-    pipeline._tokens = tokens
-
-
 def _build_vectors(pipeline):
     vectors = pipeline.vectors
     vectors.warm()
     return vectors
-
-
-def _install_vectors(pipeline, vectors):
-    pipeline._vectors = vectors
-
-
-def _install_graph(pipeline, graph):
-    pipeline._graph = graph
-
-
-def _install_text_paper_set(pipeline, paper_set):
-    pipeline._text_paper_set = paper_set
-
-
-def _install_pattern_paper_set(pipeline, paper_set):
-    pipeline._pattern_paper_set = paper_set
-
-
-def _install_representatives(pipeline, representatives):
-    pipeline._representatives = dict(representatives)
 
 
 #: The structural artifacts every pipeline shares (declaration order is
@@ -157,8 +133,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         build=_build_index,
         save=_save_index,
         load=_load_index,
-        install=_install_index,
-        installed=lambda pipeline: pipeline._index is not None,
+        install=lambda pipeline, index: pipeline.substrates.install_index(index),
         config_keys=("index_backend",),
         description="section-aware inverted index over the corpus",
     ),
@@ -171,8 +146,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         load=lambda path, pipeline: core_io.read_token_cache(
             path, pipeline.corpus, pipeline.index.analyzer
         ),
-        install=_install_tokens,
-        installed=lambda pipeline: pipeline._tokens is not None,
+        install=lambda pipeline, tokens: pipeline.substrates.install_tokens(tokens),
         deps=("index",),
         description="analysed token sequences per (paper, section)",
     ),
@@ -185,8 +159,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         load=lambda path, pipeline: core_io.read_vector_store(
             path, pipeline.corpus, pipeline.index.analyzer
         ),
-        install=_install_vectors,
-        installed=lambda pipeline: pipeline._vectors is not None,
+        install=lambda pipeline, vectors: pipeline.substrates.install_vectors(vectors),
         deps=("index",),
         description="fitted TF-IDF models + whole-paper vectors",
     ),
@@ -197,8 +170,9 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         build=lambda pipeline: pipeline.citation_graph,
         save=core_io.write_citation_graph,
         load=lambda path, pipeline: core_io.read_citation_graph(path),
-        install=_install_graph,
-        installed=lambda pipeline: pipeline._graph is not None,
+        install=lambda pipeline, graph: (
+            pipeline.substrates.install_citation_graph(graph)
+        ),
         description="corpus-wide directed citation graph",
     ),
     Artifact(
@@ -210,8 +184,9 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         load=lambda path, pipeline: core_io.read_context_paper_set(
             path, pipeline.ontology
         ),
-        install=_install_text_paper_set,
-        installed=lambda pipeline: pipeline._text_paper_set is not None,
+        install=lambda pipeline, paper_set: (
+            pipeline.substrates.install_text_paper_set(paper_set)
+        ),
         deps=("index", "vectors"),
         config_keys=("text_similarity_threshold",),
         description="text-based context paper set (section 4)",
@@ -225,8 +200,9 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         load=lambda path, pipeline: core_io.read_context_paper_set(
             path, pipeline.ontology
         ),
-        install=_install_pattern_paper_set,
-        installed=lambda pipeline: pipeline._pattern_paper_set is not None,
+        install=lambda pipeline, paper_set: (
+            pipeline.substrates.install_pattern_paper_set(paper_set)
+        ),
         deps=("index", "tokens"),
         description="pattern-based context paper set (section 4)",
     ),
@@ -237,8 +213,9 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         build=lambda pipeline: pipeline.representatives,
         save=core_io.write_representatives,
         load=lambda path, pipeline: core_io.read_representatives(path),
-        install=_install_representatives,
-        installed=lambda pipeline: pipeline._representatives is not None,
+        install=lambda pipeline, representatives: (
+            pipeline.substrates.install_representatives(representatives)
+        ),
         deps=("text_paper_set", "vectors"),
         description="representative paper per text-set context",
     ),

@@ -115,22 +115,23 @@ class TestSubontology:
 
 
 class TestLoadPrecomputed:
+    """Partial hydration: ``open_workspace(strict=False)`` over a
+    workspace holding only some precomputed artefacts."""
+
     def test_round_trip_through_pipeline(self, small_dataset, tmp_path):
-        from repro.core.io import write_context_paper_set, write_prestige_scores
         from repro.pipeline import Pipeline
+        from repro.workspace import open_workspace, topological_order
 
         source = Pipeline.from_dataset(small_dataset, min_context_size=3)
-        write_context_paper_set(
-            source.text_paper_set, tmp_path / "text_paper_set.json"
-        )
-        write_prestige_scores(
-            source.prestige("text", "text"), tmp_path / "scores_text_text.json"
-        )
+        source.build_workspace(tmp_path, only=["scores_text_text"])
 
         fresh = Pipeline.from_dataset(small_dataset, min_context_size=3)
-        loaded = fresh.load_precomputed(tmp_path)
-        assert loaded == 2
+        loaded = open_workspace(fresh, tmp_path, strict=False)
+        assert loaded == len(topological_order(["scores_text_text"]))
         # The loaded artefacts short-circuit the builds and match exactly.
+        assert fresh.substrates.has("text_paper_set")
+        assert fresh.substrates.has("text/text")
+        assert not fresh.substrates.has("pattern_paper_set")
         assert fresh.text_paper_set.context_ids() == (
             source.text_paper_set.context_ids()
         )
@@ -142,19 +143,19 @@ class TestLoadPrecomputed:
             )
 
     def test_representatives_rederived_after_load(self, small_dataset, tmp_path):
-        from repro.core.io import write_context_paper_set
         from repro.pipeline import Pipeline
+        from repro.workspace import open_workspace
 
         source = Pipeline.from_dataset(small_dataset, min_context_size=3)
-        write_context_paper_set(
-            source.text_paper_set, tmp_path / "text_paper_set.json"
-        )
+        source.build_workspace(tmp_path, only=["text_paper_set"])
         fresh = Pipeline.from_dataset(small_dataset, min_context_size=3)
-        fresh.load_precomputed(tmp_path)
+        open_workspace(fresh, tmp_path, strict=False)
+        assert not fresh.substrates.has("representatives")
         assert fresh.representatives == source.representatives
 
     def test_empty_directory_loads_nothing(self, small_dataset, tmp_path):
         from repro.pipeline import Pipeline
+        from repro.workspace import open_workspace
 
         pipeline = Pipeline.from_dataset(small_dataset)
-        assert pipeline.load_precomputed(tmp_path) == 0
+        assert open_workspace(pipeline, tmp_path, strict=False) == 0

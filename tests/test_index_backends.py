@@ -132,9 +132,6 @@ class TestRegistry:
         with backends.temporary_registration(shadow, replace=True):
             assert backends.get("memory") is shadow
         assert backends.get("memory") is original
-        # Shadow restore re-appends "memory"; put the built-ins back in
-        # registration order so choice lists stay stable for later tests.
-        backends.register(backends.unregister("ondisk"))
 
     def test_spec_for_format(self):
         assert (

@@ -103,7 +103,7 @@ class TestPipelineSearchSpans:
         registry = reset_registry()
         # Force prestige recomputation: drop the scores AND the serving
         # caches (memoised engines hold a reference to the old scores).
-        pipeline._scores.clear()
+        pipeline.substrates.scores.clear()
         pipeline.refresh()
         pipeline.search("gene expression", limit=5)
         snapshot = registry.snapshot()

@@ -136,18 +136,25 @@ class TestFromDirectory:
         }
 
 
-class TestLoadPrecomputedParsing:
+class TestWorkspaceScoreArtifacts:
     def test_function_name_with_underscore(self, small_dataset, tmp_path):
-        """Regression: scores_<function>_<set> where <function> itself
-        contains an underscore used to be skipped silently."""
-        from repro.core.io import write_prestige_scores
-        from repro.core.scores import PrestigeScores
+        """scores_<function>_<set> where <function> itself contains an
+        underscore hydrates under the ``<function>/<set>`` score key."""
+        from dataclasses import replace
 
-        scores = PrestigeScores("citation_xctx", {"T:1": {"P:1": 0.5}})
-        write_prestige_scores(scores, tmp_path / "scores_citation_xctx_text.json")
-        pipeline = Pipeline.from_dataset(small_dataset)
-        assert pipeline.load_precomputed(tmp_path) == 1
-        assert "citation_xctx/text" in pipeline._scores
-        restored = pipeline._scores["citation_xctx/text"]
-        assert restored.function_name == "citation_xctx"
-        assert restored.score("T:1", "P:1") == pytest.approx(0.5)
+        from repro import scoring
+        from repro.workspace import open_workspace
+
+        spec = replace(
+            scoring.get("citation"), name="citation_xctx", paper_sets=("text",)
+        )
+        with scoring.temporary_registration(spec):
+            source = Pipeline.from_dataset(small_dataset)
+            source.build_workspace(tmp_path, only=["scores_citation_xctx_text"])
+            pipeline = Pipeline.from_dataset(small_dataset)
+            open_workspace(pipeline, tmp_path, strict=False)
+            assert pipeline.substrates.has("citation_xctx/text")
+            restored = pipeline.substrates.scores["citation_xctx/text"]
+            original = source.prestige("citation_xctx", "text")
+        for context_id in original.context_ids():
+            assert restored.of(context_id) == original.of(context_id)

@@ -142,7 +142,7 @@ class TestBm25:
         hits = engine.search("gene")
         assert all(h.paper_id != "P2" for h in hits)
         # Lengths were recomputed for the shrunken index.
-        lengths, _ = engine._ensure_lengths()
+        lengths, _, _ = engine._lengths_state()
         assert all(pid != "P2" for pid, _section in lengths)
 
     def test_validation(self, index):

@@ -7,8 +7,8 @@ Covers the serving-layer contract end to end:
 - the pipeline's LRU result cache -- hit/miss/evict counters, capacity
   bound, and identical results with the cache on or off for all three
   prestige functions;
-- cache invalidation when artifacts are (re)installed via
-  ``load_precomputed`` or workspace hydration;
+- cache invalidation when artifacts are (re)installed by workspace
+  hydration;
 - engine memoisation identity and the ``representative``-strategy
   vector plumbing;
 - ``search_many`` determinism and metric exactness.
@@ -16,10 +16,9 @@ Covers the serving-layer contract end to end:
 
 import pytest
 
-from repro.core.io import write_prestige_scores
 from repro.obs import get_registry, reset_registry
 from repro.pipeline import SearchResultCache, build_demo_pipeline
-from repro.workspace import open_workspace
+from repro.workspace import open_workspace, topological_order
 
 QUERY = "gene expression regulation"
 
@@ -157,7 +156,7 @@ class TestResultCache:
         first = pipeline.search(QUERY, limit=5)
         second = pipeline.search(QUERY, limit=5)
         assert second == first
-        assert len(pipeline._result_cache) == 0
+        assert len(pipeline.serving_view.result_cache) == 0
         counters = _counters()
         assert counters.get("search.cache.hit", 0) == 0
         assert counters.get("search.cache.miss", 0) == 0
@@ -211,25 +210,23 @@ class TestEngineMemoisation:
 
 
 class TestInvalidation:
-    def test_load_precomputed_clears_serving_caches(self, pipeline, tmp_path):
-        write_prestige_scores(
-            pipeline.prestige("text", "text"), tmp_path / "scores_text_text.json"
-        )
+    def test_partial_open_clears_serving_caches(self, pipeline, tmp_path):
+        pipeline.build_workspace(tmp_path, only=["scores_text_text"])
         pipeline.refresh()
         engine = pipeline.search_engine("text", "text")
         pipeline.search(QUERY, limit=5)
-        assert len(pipeline._result_cache) == 1
-        loaded = pipeline.load_precomputed(tmp_path)
-        assert loaded == 1
-        assert len(pipeline._result_cache) == 0
+        assert len(pipeline.serving_view.result_cache) == 1
+        loaded = open_workspace(pipeline, tmp_path, strict=False)
+        assert loaded == len(topological_order(["scores_text_text"]))
+        assert len(pipeline.serving_view.result_cache) == 0
         assert pipeline.search_engine("text", "text") is not engine
 
     def test_load_of_nothing_keeps_caches(self, pipeline, tmp_path):
         pipeline.refresh()
         engine = pipeline.search_engine("text", "text")
         pipeline.search(QUERY, limit=5)
-        assert pipeline.load_precomputed(tmp_path / "empty") == 0
-        assert len(pipeline._result_cache) == 1
+        assert open_workspace(pipeline, tmp_path / "empty", strict=False) == 0
+        assert len(pipeline.serving_view.result_cache) == 1
         assert pipeline.search_engine("text", "text") is engine
 
     def test_open_workspace_clears_serving_caches(self, tmp_path):
@@ -239,7 +236,7 @@ class TestInvalidation:
         pipeline.search(QUERY, limit=5)
         loaded = open_workspace(pipeline, tmp_path / "ws")
         assert loaded > 0
-        assert len(pipeline._result_cache) == 0
+        assert len(pipeline.serving_view.result_cache) == 0
         assert pipeline.search_engine("text", "text") is not engine
 
 

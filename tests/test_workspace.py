@@ -163,7 +163,7 @@ class TestOpenWorkspace:
         pipeline = Pipeline.from_directory(data_dir)
         loaded = open_workspace(pipeline, partial, strict=False)
         assert loaded == len(ARTIFACTS) - 1
-        assert pipeline._graph is None  # left to lazy rebuild
+        assert not pipeline.substrates.has("citation_graph")  # lazy rebuild
 
 
 class TestIncremental:
@@ -294,12 +294,12 @@ class TestCodecs:
     """Round-trips of the typed save/load pairs on the tiny testbed."""
 
     def test_inverted_index_round_trip(self, tiny_corpus, tmp_path):
-        from repro.core.io import read_inverted_index, write_inverted_index
+        from repro.index import backends
         from repro.index.inverted import InvertedIndex
 
         index = InvertedIndex().index_corpus(tiny_corpus)
-        write_inverted_index(index, tmp_path / "index.json")
-        restored = read_inverted_index(tmp_path / "index.json")
+        backends.save_index(index, tmp_path / "index.json")
+        restored = backends.get("memory").load(tmp_path / "index.json")
         assert restored.to_payload() == index.to_payload()
         assert restored.n_papers == index.n_papers
         for term in ("glucose", "kinase", "quasar"):
@@ -359,12 +359,12 @@ class TestCodecs:
         assert read_representatives(tmp_path / "reps.json") == representatives
 
     def test_corrupt_artifact_names_path(self, tmp_path):
-        from repro.core.io import read_inverted_index
+        from repro.index import backends
 
         path = tmp_path / "index.json"
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(ValueError, match="corrupt JSON") as excinfo:
-            read_inverted_index(path)
+            backends.get("memory").load(path)
         assert str(path) in str(excinfo.value)
 
     def test_mismatched_format_tag_names_both_tags(self, tmp_path):

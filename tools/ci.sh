@@ -13,12 +13,8 @@ echo "== lint: metric name convention =="
 python tools/check_metric_names.py
 
 echo
-echo "== lint: score-function registry =="
-python tools/check_score_registry.py
-
-echo
-echo "== lint: index-backend registry =="
-python tools/check_index_backends.py
+echo "== lint: score-function and index-backend registries =="
+python tools/check_registries.py
 
 echo
 echo "== lint: workspace artifact registry =="
