@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import abc
 import re
-from typing import Dict, Mapping, Optional
+from itertools import chain, repeat
+from typing import Dict, Mapping, Optional, Tuple
 
-from repro.core.context import Context, ContextPaperSet
+import numpy as np
+
+from repro.core.context import Context, ContextColumns, ContextPaperSet
 from repro.obs import get_registry, span
 
 _METRIC_SEGMENT_SUB = re.compile(r"[^a-z0-9_]+")
@@ -96,6 +99,7 @@ class PrestigeScores:
         self.function_name = function_name
         self._by_context = by_context
         self.pre_propagation = pre_propagation
+        self._aligned: Optional[Tuple[ContextColumns, np.ndarray]] = None
 
     def of(self, context_id: str) -> Dict[str, float]:
         """``paper_id -> prestige`` within one context (empty if unknown)."""
@@ -104,6 +108,35 @@ class PrestigeScores:
     def score(self, context_id: str, paper_id: str, default: float = 0.0) -> float:
         """Prestige of one paper in one context."""
         return self._by_context.get(context_id, {}).get(paper_id, default)
+
+    def aligned(self, columns: ContextColumns) -> np.ndarray:
+        """Prestige as ``float64`` aligned with ``columns.members``.
+
+        Entry ``i`` is the prestige of member ``i`` in its context (0.0
+        when the context or the paper is unscored).  Cached for the last
+        ``columns`` asked for; the scores never change after
+        construction, so the array needs no invalidation.
+        """
+        cached = self._aligned
+        if cached is not None and cached[0] is columns:
+            return cached[1]
+        by_context = self._by_context
+
+        def row_values(context_id, paper_ids):
+            scores = by_context.get(context_id)
+            if scores is None:
+                return repeat(0.0, len(paper_ids))
+            return map(scores.get, paper_ids, repeat(0.0))
+
+        values = np.fromiter(
+            chain.from_iterable(
+                map(row_values, columns.context_ids, columns.row_paper_ids)
+            ),
+            dtype=np.float64,
+            count=len(columns.members),
+        )
+        self._aligned = (columns, values)
+        return values
 
     def context_ids(self):
         return list(self._by_context)

@@ -17,23 +17,51 @@ Serving fast path: each query is analysed into one
 :class:`~repro.index.search.QueryEvaluation` (a single postings scan)
 that probe selection, relevancy scoring, grouped results, and
 :meth:`ContextSearchEngine.explain` all share -- the index is never
-scanned twice for one request.  Independent queries can be batched
-through :meth:`ContextSearchEngine.search_many`.  HTTP handler threads
-call :meth:`ContextSearchEngine.search` concurrently; the registry and
-the engine's lazy caches are thread-safe.
+scanned twice for one request.
+
+Selection, scoring and merging run as array operations over the paper
+set's :class:`~repro.core.context.ContextColumns` (CSR rows over a dense
+paper index sorted by id) and the prestige values aligned with them:
+
+- probe selection sums the top hits' scores into the contexts of their
+  reverse-CSR rows with ``np.add.at``, in probe order;
+- scoring gathers the selected rows, masks the members the query
+  matched, and computes ``w_prestige * p + w_matching * m`` with the
+  same float64 operations a scalar loop performs;
+- merging keeps each paper's best relevancy (the earliest selected
+  context on a tie) and ranks by ``(-relevancy, paper_id)`` with
+  ``lexsort``; :class:`SearchHit` objects are built only for the
+  returned rows.
+
+Rankings are bit-identical to the per-paper loop they replace
+(``tests/test_context_kernel_reference.py`` keeps that loop as the
+reference).
+
+Thread safety: HTTP handler threads call :meth:`ContextSearchEngine.search`
+on shared engines.  The arrays are built once per engine under its lock
+(:meth:`ContextSearchEngine.warm`) and only read afterwards; every
+per-query array is local to the call.  Paper sets and prestige scores
+are immutable -- a corpus delta builds new ones -- so nothing is ever
+invalidated.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.context import ContextPaperSet
+import numpy as np
+
+from repro.core.context import ContextPaperSet, csr_positions
 from repro.core.scores.base import PrestigeScores
 from repro.core.vectors import PaperVectorStore
-from repro.index.search import KeywordSearchEngine, QueryEvaluation
+from repro.index.search import (
+    KeywordSearchEngine,
+    QueryEvaluation,
+    top_items,
+)
 from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology
 
@@ -83,6 +111,34 @@ class ContextResultGroup:
 
     def __len__(self) -> int:
         return len(self.hits)
+
+
+@dataclass(frozen=True)
+class _Scored:
+    """Scored (context, paper) pairs as parallel arrays.
+
+    ``order`` is the context's position in the selection, ``papers`` the
+    paper's row in the set's :class:`~repro.core.context.ContextColumns`.
+    """
+
+    order: np.ndarray
+    papers: np.ndarray
+    relevancy: np.ndarray
+    prestige: np.ndarray
+    matching: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.papers)
+
+    def take(self, index: np.ndarray) -> _Scored:
+        """The rows at ``index`` (an integer or boolean array)."""
+        return _Scored(
+            self.order[index],
+            self.papers[index],
+            self.relevancy[index],
+            self.prestige[index],
+            self.matching[index],
+        )
 
 
 class ContextSearchEngine:
@@ -141,44 +197,50 @@ class ContextSearchEngine:
         self.selection_strategy = selection_strategy
         self.vectors = vectors
         self.representatives = dict(representatives) if representatives else {}
-        self._name_terms: Dict[str, frozenset] = {}
-        self._sqrt_size: Dict[str, float] = {}
         self._warm_lock = threading.Lock()
         self._warmed = False
 
     # -- engine warm-up ----------------------------------------------------------------
 
     def warm(self) -> "ContextSearchEngine":
-        """Build the engine's lazy per-query caches up front.
+        """Build the engine's arrays up front; harmless to call twice.
 
-        Called implicitly by :meth:`search_many`.  The engine is shared
-        by HTTP handler threads, so the lock lets concurrent callers run
-        one build between them; harmless to call twice.
+        Every query path calls it, so the first query builds whatever a
+        prior call did not: the paper set's :class:`ContextColumns`, the
+        prestige values aligned with them, and the analysed term ->
+        context-rows map of context names.  HTTP handler threads share
+        engines, so the lock makes concurrent first callers run one
+        build between them; afterwards the arrays are only read.
         """
+        if self._warmed:
+            return self
         with self._warm_lock:
             if self._warmed:
                 return self
+            columns = self.paper_set.columns
+            self._prestige_values = self.prestige.aligned(columns)
             analyzer = self.keyword_engine.index.analyzer
-            for context in self.paper_set:
-                self._name_terms[context.term_id] = frozenset(
-                    analyzer.analyze(self.ontology.term(context.term_id).name)
-                )
-                self._sqrt_size[context.term_id] = max(context.size ** 0.5, 1.0)
-                _ = context.paper_id_set
-            # Force the paper -> contexts reverse map (lazy in the set).
-            self.paper_set.contexts_of_paper("")
+            name_rows: Dict[str, List[int]] = {}
+            for row, context_id in enumerate(columns.context_ids):
+                name = self.ontology.term(context_id).name
+                for term in set(analyzer.analyze(name)):
+                    name_rows.setdefault(term, []).append(row)
+            self._name_rows = {
+                term: np.array(rows, dtype=np.intp)
+                for term, rows in name_rows.items()
+            }
+            self._columns = columns
             self._warmed = True
         return self
 
-    def _context_name_terms(self, context_id: str) -> frozenset:
-        terms = self._name_terms.get(context_id)
-        if terms is None:
-            analyzer = self.keyword_engine.index.analyzer
-            terms = frozenset(
-                analyzer.analyze(self.ontology.term(context_id).name)
-            )
-            self._name_terms[context_id] = terms
-        return terms
+    def _name_overlap(self, query_terms: frozenset) -> np.ndarray:
+        """Per context row, how many of ``query_terms`` its term name holds."""
+        shared = np.zeros(len(self._columns))
+        for term in query_terms:
+            rows = self._name_rows.get(term)
+            if rows is not None:
+                shared[rows] += 1.0
+        return shared
 
     # -- task 3: context selection ---------------------------------------------------
 
@@ -213,10 +275,7 @@ class ContextSearchEngine:
             else:
                 assert evaluation is not None
                 strengths = self._probe_strengths(evaluation)
-            ranked = heapq.nsmallest(
-                max_contexts, strengths.items(),
-                key=lambda item: (-item[1], item[0]),
-            )
+            ranked = top_items(strengths, max_contexts)
             selections = [
                 ContextSelection(context_id=cid, strength=value)
                 for cid, value in ranked
@@ -230,31 +289,39 @@ class ContextSearchEngine:
     def _probe_strengths(self, evaluation: QueryEvaluation) -> Dict[str, float]:
         """Strength by keyword-probe response plus term-name overlap.
 
-        Rather than walking every context's full member list, the probe
-        walks only its top hits and accumulates strength through the
-        paper-set's reverse (paper -> contexts) map -- O(probe_depth x
-        avg contexts per paper) instead of O(total memberships).
+        Only the top ``probe_depth`` hits are walked: their reverse-CSR
+        rows give the contexts they reach, and ``np.add.at`` sums each
+        hit's score into those contexts in probe order -- the order a
+        per-hit loop would add them in.  Papers outside the set still
+        take probe slots; they just reach no context.
         """
+        self.warm()
+        columns = self._columns
         probe = evaluation.top_scores(self.probe_depth)
-        strengths: Dict[str, float] = {}
-        contexts_of_paper = self.paper_set.contexts_of_paper
-        for paper_id, score in probe:
-            for context_id in contexts_of_paper(paper_id):
-                strengths[context_id] = strengths.get(context_id, 0.0) + score
+        if not probe:
+            return {}
+        paper_ids, scores = zip(*probe)
+        rows = np.fromiter(
+            map(columns.paper_row.get, paper_ids, repeat(-1)),
+            dtype=np.int64,
+            count=len(probe),
+        )
+        inside = rows >= 0
+        positions, counts = csr_positions(columns.paper_indptr, rows[inside])
+        reached = columns.paper_contexts[positions]
+        totals = np.zeros(len(columns))
+        np.add.at(
+            totals, reached, np.repeat(np.array(scores)[inside], counts)
+        )
+        touched = np.flatnonzero(np.bincount(reached, minlength=len(columns)))
+        # Normalise by context size so huge contexts don't always win.
+        strengths = totals[touched] / columns.sqrt_sizes[touched]
         query_terms = frozenset(evaluation.terms)
-        for context_id in list(strengths):
-            # Normalise by context size so huge contexts don't always win.
-            sqrt_size = self._sqrt_size.get(context_id)
-            if sqrt_size is None:
-                size = self.paper_set.context(context_id).size
-                sqrt_size = max(size ** 0.5, 1.0)
-                self._sqrt_size[context_id] = sqrt_size
-            strength = strengths[context_id] / sqrt_size
-            if query_terms:
-                name_terms = self._context_name_terms(context_id)
-                strength += self.name_bonus * len(query_terms & name_terms)
-            strengths[context_id] = strength
-        return strengths
+        if query_terms:
+            strengths = strengths + self.name_bonus * self._name_overlap(
+                query_terms
+            )[touched]
+        return self._by_context_id(touched, strengths)
 
     def _name_strengths(self, query: str) -> Dict[str, float]:
         """Strength by query-term overlap with context term names only.
@@ -263,17 +330,23 @@ class ContextSearchEngine:
         cheap, but blind to contexts whose names share no word with the
         query.
         """
+        self.warm()
         analyzer = self.keyword_engine.index.analyzer
-        query_terms = set(analyzer.analyze(query))
-        strengths: Dict[str, float] = {}
+        query_terms = frozenset(analyzer.analyze(query))
         if not query_terms:
-            return strengths
-        for context in self.paper_set:
-            name_terms = self._context_name_terms(context.term_id)
-            shared = query_terms & name_terms
-            if shared:
-                strengths[context.term_id] = len(shared) / len(query_terms)
-        return strengths
+            return {}
+        shared = self._name_overlap(query_terms)
+        named = np.flatnonzero(shared)
+        return self._by_context_id(named, shared[named] / len(query_terms))
+
+    def _by_context_id(
+        self, rows: np.ndarray, values: np.ndarray
+    ) -> Dict[str, float]:
+        """``context_id -> value`` for parallel context rows and values."""
+        context_ids = self._columns.context_ids
+        return dict(
+            zip([context_ids[row] for row in rows.tolist()], values.tolist())
+        )
 
     def _representative_strengths(self, query: str) -> Dict[str, float]:
         """Strength by cosine similarity to each context's representative."""
@@ -306,11 +379,12 @@ class ContextSearchEngine:
         """Full context-based search: select, score, threshold, merge.
 
         ``contexts`` overrides automatic selection (used by experiments
-        that fix the context of interest).  The whole request shares one
-        :class:`QueryEvaluation`, so the inverted index is scanned
-        exactly once per call.
+        that fix the context of interest); a repeated id counts once.
+        The whole request shares one :class:`QueryEvaluation`, so the
+        inverted index is scanned exactly once per call.
         """
         with span("search.run", query=query, threshold=threshold) as trace:
+            self.warm()
             evaluation = self.keyword_engine.evaluate(query)
             if contexts is None:
                 selected = [
@@ -318,97 +392,144 @@ class ContextSearchEngine:
                     for s in self._select_contexts(query, max_contexts, evaluation)
                 ]
             else:
-                selected = [cid for cid in contexts if cid in self.paper_set]
+                selected = [
+                    cid for cid in dict.fromkeys(contexts) if cid in self.paper_set
+                ]
             if not selected:
                 trace.set(selected=0, hits=0)
                 return []
-            registry = get_registry()
-            papers_scored = 0
-            papers_dropped = 0
-            merge_deduped = 0
-            best: Dict[str, SearchHit] = {}
             with span("search.score", contexts=len(selected)) as score_trace:
-                match_scores = evaluation.scores
-                for context_id in selected:
-                    context = self.paper_set.context(context_id)
-                    context_prestige = self.prestige.of(context_id)
-                    for paper_id, matching in self._context_matches(
-                        context, match_scores
-                    ):
-                        # A paper with no textual response to the query is
-                        # not a search result, however prestigious.
-                        papers_scored += 1
-                        prestige = context_prestige.get(paper_id, 0.0)
-                        relevancy = (
-                            self.w_prestige * prestige + self.w_matching * matching
-                        )
-                        if relevancy < threshold:
-                            papers_dropped += 1
-                            continue
-                        current = best.get(paper_id)
-                        if current is not None:
-                            # Merge step: a paper already seen through an
-                            # earlier context keeps its best relevancy.
-                            merge_deduped += 1
-                            if relevancy <= current.relevancy:
-                                continue
-                        best[paper_id] = SearchHit(
-                            paper_id=paper_id,
-                            context_id=context_id,
-                            relevancy=relevancy,
-                            prestige=prestige,
-                            matching=matching,
-                        )
+                scored, papers_scored = self._score(
+                    selected, evaluation.scores, threshold
+                )
+                papers_dropped = papers_scored - len(scored)
                 score_trace.set(
                     papers_scored=papers_scored, papers_dropped=papers_dropped
                 )
             with span("search.merge") as merge_trace:
-                hits = sorted(
-                    best.values(), key=lambda h: (-h.relevancy, h.paper_id)
+                # Merge step: a paper selected through several contexts
+                # keeps its best relevancy; on a tie the earliest
+                # selected context wins.
+                by_paper = np.lexsort(
+                    (scored.order, -scored.relevancy, scored.papers)
                 )
+                papers = scored.papers[by_paper]
+                first = np.ones(len(papers), dtype=bool)
+                first[1:] = papers[1:] != papers[:-1]
+                best = scored.take(by_paper[first])
+                merge_deduped = len(scored) - len(best)
+                ranked = np.lexsort((best.papers, -best.relevancy))
                 if limit is not None:
-                    hits = hits[:limit]
+                    ranked = ranked[:limit]
+                hits = self._hits(best.take(ranked), selected)
                 merge_trace.set(deduped=merge_deduped, hits=len(hits))
             trace.set(hits=len(hits))
+            registry = get_registry()
             registry.counter("search.context.queries").inc()
             registry.counter("search.context.papers_scored").inc(papers_scored)
             registry.counter("search.context.papers_dropped").inc(papers_dropped)
             registry.counter("search.context.merge_deduped").inc(merge_deduped)
             return hits
 
+    def _score(
+        self,
+        selected: Sequence[str],
+        match_scores: Mapping[str, float],
+        threshold: float,
+    ) -> Tuple[_Scored, int]:
+        """Score the selected contexts; ``(rows at or above threshold, scored)``.
+
+        Gathers the selected CSR rows in selection order and scores the
+        members with a positive match score: a paper with no textual
+        response to the query is not a search result, however
+        prestigious.  Relevancy is ``w_prestige * p + w_matching * m``,
+        two products and a sum in float64, exactly as a scalar loop
+        computes it.  ``scored`` counts the pairs before the threshold.
+        """
+        columns = self._columns
+        rows = np.fromiter(
+            map(columns.context_row.__getitem__, selected),
+            dtype=np.int64,
+            count=len(selected),
+        )
+        positions, counts = csr_positions(columns.indptr, rows)
+        papers = columns.members[positions]
+        matching = self._match_vector(match_scores)[papers]
+        matched = matching > 0.0
+        positions = positions[matched]
+        matching = matching[matched]
+        prestige = self._prestige_values[positions]
+        scored = _Scored(
+            order=np.repeat(np.arange(len(rows)), counts)[matched],
+            papers=papers[matched],
+            relevancy=self.w_prestige * prestige + self.w_matching * matching,
+            prestige=prestige,
+            matching=matching,
+        )
+        # Not ``>=``: a NaN relevancy is kept, as ``relevancy < threshold``
+        # is what drops a pair.
+        return scored.take(~(scored.relevancy < threshold)), len(scored)
+
+    def _match_vector(self, match_scores: Mapping[str, float]) -> np.ndarray:
+        """Match score by paper row; 0.0 for members the query missed."""
+        columns = self._columns
+        rows = np.fromiter(
+            map(columns.paper_row.get, match_scores, repeat(-1)),
+            dtype=np.int64,
+            count=len(match_scores),
+        )
+        values = np.fromiter(
+            match_scores.values(), dtype=np.float64, count=len(match_scores)
+        )
+        inside = rows >= 0
+        vector = np.zeros(len(columns.paper_ids))
+        vector[rows[inside]] = values[inside]
+        return vector
+
+    def _hits(self, scored: _Scored, selected: Sequence[str]) -> List[SearchHit]:
+        """One :class:`SearchHit` per scored row, in row order."""
+        paper_ids = self._columns.paper_ids
+        return [
+            SearchHit(
+                paper_id=paper_ids[paper],
+                context_id=selected[order],
+                relevancy=relevancy,
+                prestige=prestige,
+                matching=matching,
+            )
+            for paper, order, relevancy, prestige, matching in zip(
+                scored.papers.tolist(),
+                scored.order.tolist(),
+                scored.relevancy.tolist(),
+                scored.prestige.tolist(),
+                scored.matching.tolist(),
+            )
+        ]
+
     @staticmethod
     def _context_matches(context, match_scores):
-        """(paper_id, matching) pairs of one context, iterating the smaller side.
+        """(paper_id, matching) pairs of one context with a positive match.
 
-        When the context is larger than the query's match set, walking the
-        match set and testing membership is cheaper than walking every
-        member; both directions yield each matched (paper, score) pair
-        exactly once, so metrics and merge results are identical.
+        The per-pair view of what :meth:`_score` gathers for one context.
+        The query path does not call it; the end-to-end benchmark's
+        frozen tracer patches this name, so it stays defined.
         """
-        if len(context.paper_ids) <= len(match_scores):
-            for paper_id in context.paper_ids:
-                matching = match_scores.get(paper_id, 0.0)
-                if matching > 0.0:
-                    yield paper_id, matching
-        else:
-            members = context.paper_id_set
-            for paper_id, matching in match_scores.items():
-                if matching > 0.0 and paper_id in members:
-                    yield paper_id, matching
+        for paper_id in context.paper_ids:
+            matching = match_scores.get(paper_id, 0.0)
+            if matching > 0.0:
+                yield paper_id, matching
 
     def search_many(
         self, queries: Sequence[str], **kwargs
     ) -> List[List[SearchHit]]:
         """Run independent queries in input order under one batch span.
 
-        A plain loop over :meth:`search`: selection and scoring are
-        pure-Python dict work, so threads would only contend for the
-        interpreter lock.  ``kwargs`` are passed through to :meth:`search`.
+        A plain loop over :meth:`search`.  ``kwargs`` are passed through
+        to :meth:`search`.
         """
         queries = list(queries)
         if not queries:
             return []
-        self.warm()
         registry = get_registry()
         registry.counter("search.batch.queries").inc(len(queries))
         with span("search.batch.run", queries=len(queries)), registry.timer(
@@ -431,41 +552,29 @@ class ContextSearchEngine:
         are dropped.  Shares one :class:`QueryEvaluation` between
         selection and scoring, like :meth:`search`.
         """
+        self.warm()
         evaluation = self.keyword_engine.evaluate(query)
         selections = self._select_contexts(query, max_contexts, evaluation)
         if not selections:
             return []
-        match_scores = evaluation.scores
+        selected = [selection.context_id for selection in selections]
+        scored, _ = self._score(selected, evaluation.scores, threshold)
+        # Selection order first, then the per-context ranking.
+        scored = scored.take(
+            np.lexsort((scored.papers, -scored.relevancy, scored.order))
+        )
+        bounds = np.searchsorted(scored.order, np.arange(len(selected) + 1))
         groups: List[ContextResultGroup] = []
-        for selection in selections:
-            context = self.paper_set.context(selection.context_id)
-            context_prestige = self.prestige.of(selection.context_id)
-            hits = []
-            for paper_id, matching in self._context_matches(context, match_scores):
-                prestige = context_prestige.get(paper_id, 0.0)
-                relevancy = (
-                    self.w_prestige * prestige + self.w_matching * matching
-                )
-                if relevancy < threshold:
-                    continue
-                hits.append(
-                    SearchHit(
-                        paper_id=paper_id,
-                        context_id=selection.context_id,
-                        relevancy=relevancy,
-                        prestige=prestige,
-                        matching=matching,
-                    )
-                )
-            hits.sort(key=lambda h: (-h.relevancy, h.paper_id))
+        for order, selection in enumerate(selections):
+            rows = np.arange(bounds[order], bounds[order + 1])
             if per_context_limit is not None:
-                hits = hits[:per_context_limit]
-            if hits:
+                rows = rows[:per_context_limit]
+            if len(rows):
                 groups.append(
                     ContextResultGroup(
                         context_id=selection.context_id,
                         selection_strength=selection.strength,
-                        hits=tuple(hits),
+                        hits=tuple(self._hits(scored.take(rows), selected)),
                     )
                 )
         return groups

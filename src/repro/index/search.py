@@ -31,6 +31,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section
 from repro.index.backends.base import SearchBackend
@@ -46,6 +48,30 @@ DEFAULT_SECTION_WEIGHTS: Mapping[Section, float] = {
     Section.INDEX_TERMS: 2.0,
     Section.BODY: 1.0,
 }
+
+
+def _best_first(item: Tuple[str, float]) -> Tuple[float, str]:
+    return -item[1], item[0]
+
+
+def top_items(scores: Mapping[str, float], limit: int) -> List[Tuple[str, float]]:
+    """The ``limit`` best ``(key, score)`` pairs, ordered by ``(-score, key)``.
+
+    A partition finds the ``limit``-th best score, so only the pairs at
+    or above it are sorted -- the same pairs, in the same order, as a
+    full sort cut to ``limit``.
+    """
+    if limit <= 0:
+        return []
+    if limit < len(scores):
+        values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+        cut = float(np.partition(values, len(values) - limit)[len(values) - limit])
+        items = [item for item in scores.items() if item[1] >= cut]
+    else:
+        items = list(scores.items())
+    items.sort(key=_best_first)
+    del items[limit:]
+    return items
 
 
 @dataclass(frozen=True)
@@ -124,12 +150,7 @@ class QueryEvaluation:
         :class:`KeywordHit` per matched paper -- the cheap form consumers
         on the hot path (probe selection) want.
         """
-        items = self.scores.items()
-        if limit < len(self.scores):
-            return heapq.nsmallest(
-                limit, items, key=lambda item: (-item[1], item[0])
-            )
-        return sorted(items, key=lambda item: (-item[1], item[0]))
+        return top_items(self.scores, limit)
 
 
 class KeywordSearchEngine:

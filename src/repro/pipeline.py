@@ -523,7 +523,9 @@ class Pipeline:
         view = self._view()
         cache = view.result_cache
         caching = use_cache and cache.enabled
-        contexts = tuple(contexts) if contexts is not None else None
+        # A repeated context id selects that context once, in the engine
+        # and in the cache key alike.
+        contexts = tuple(dict.fromkeys(contexts)) if contexts is not None else None
         key = self._cache_key(
             query, function, paper_set_name, selection_strategy, limit,
             threshold, contexts,

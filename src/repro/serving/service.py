@@ -46,6 +46,7 @@ histograms ``serving.http.<endpoint>.latency``, counters
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -254,11 +255,16 @@ def _float(
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise BadRequest(
             f"parameter {name!r} must be a number, got {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        # NaN would serialise as invalid JSON and, never equal to itself,
+        # add a result-cache entry no later request can hit.
+        raise BadRequest(f"parameter {name!r} must be finite, got {raw!r}")
+    return value
 
 
 class SearchService(ExpositionServer):

@@ -188,3 +188,36 @@ class TestPrestigeSingleFlight:
             get_registry().counter("pipeline.prestige.computed").value
             == computed
         )
+
+
+class TestEngineWarmRace:
+    def test_cold_engine_builds_its_arrays_once(self, monkeypatch):
+        from repro.core import context as context_module
+
+        reference = build_demo_pipeline(seed=5, n_papers=120, n_terms=30)
+        baseline = {
+            query: _rows(reference.search(query, limit=10, use_cache=False))
+            for query in QUERIES
+        }
+        built = []
+
+        class CountingColumns(context_module.ContextColumns):
+            def __init__(self, contexts):
+                built.append(len(contexts))
+                super().__init__(contexts)
+
+        monkeypatch.setattr(context_module, "ContextColumns", CountingColumns)
+        pipeline = build_demo_pipeline(seed=5, n_papers=120, n_terms=30)
+        engine = pipeline.search_engine("text", "text")
+        barrier = threading.Barrier(8)
+
+        def cold_search(worker: int):
+            query = QUERIES[worker % len(QUERIES)]
+            barrier.wait()
+            return query, _rows(engine.search(query, limit=10))
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(cold_search, range(8)))
+
+        assert all(rows == baseline[query] for query, rows in results)
+        assert len(built) == 1

@@ -99,6 +99,41 @@ class TestPipelineSearchSpans:
         assert scored > 0
         assert len(hits) == scored - dropped - deduped
 
+    def test_repeated_explicit_context_is_scored_once(self, pipeline):
+        engine = pipeline.search_engine("text", "text")
+        query = "gene expression regulation"
+        (selection,) = engine.select_contexts(query, max_contexts=1)
+        watched = (
+            "search.context.queries",
+            "search.context.papers_scored",
+            "search.context.papers_dropped",
+            "search.context.merge_deduped",
+        )
+
+        def run(contexts):
+            registry = reset_registry()
+            hits = engine.search(query, contexts=contexts)
+            counters = registry.snapshot()["counters"]
+            return hits, {name: counters.get(name, 0) for name in watched}
+
+        once = run([selection.context_id])
+        twice = run([selection.context_id, selection.context_id])
+        assert once[1]["search.context.papers_scored"] > 0
+        assert twice == once
+
+    def test_repeated_explicit_context_shares_a_cache_entry(self, pipeline):
+        engine = pipeline.search_engine("text", "text")
+        query = "gene expression"
+        (selection,) = engine.select_contexts(query, max_contexts=1)
+        cache = pipeline.serving_view.result_cache
+        first = pipeline.search(query, contexts=[selection.context_id])
+        entries = len(cache)
+        again = pipeline.search(
+            query, contexts=[selection.context_id, selection.context_id]
+        )
+        assert again == first
+        assert len(cache) == entries
+
     def test_score_function_timing_recorded(self, pipeline):
         registry = reset_registry()
         # Force prestige recomputation: drop the scores AND the serving

@@ -202,6 +202,16 @@ class TestBadRequests:
         payload = json.loads(body)
         assert fragment in payload["error"]
 
+    @pytest.mark.parametrize("path", ["/search", "/search_grouped"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_400(self, pipeline, service, path, value):
+        cache = pipeline.serving_view.result_cache
+        entries = len(cache)
+        status, _, body = _request(service, path, q=QUERIES[0], threshold=value)
+        assert status == 400
+        assert "threshold" in json.loads(body)["error"]
+        assert len(cache) == entries
+
     def test_bad_request_counter_increments(self, service):
         before = get_registry().counter("serving.http.bad_request").value
         _request(service, "/search")

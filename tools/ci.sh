@@ -29,5 +29,9 @@ echo "== smoke: http search service (start, scrape, search, reload, stop) =="
 python tools/smoke_service.py
 
 echo
+echo "== bench: end-to-end smoke (every workload on tiny, traced and untraced) =="
+python benchmarks/e2e/run.py --smoke
+
+echo
 echo "== tests: tier-1 suite =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
