@@ -9,14 +9,9 @@ bench.  Scale is environment-configurable:
 - ``REPRO_BENCH_SEED``    (default 42)
 
 Each bench writes its table to ``benchmarks/results/<name>.txt`` in
-addition to printing it, so results survive output capture.  In addition
-every bench test drops ``benchmarks/results/BENCH_<test name>.json`` --
-wall-clock seconds plus the delta of the observability counters the run
-produced -- so per-stage cost trajectories can be compared across
-commits (see docs/observability.md).
+addition to printing it, so results survive output capture.
 """
 
-import json
 import os
 from pathlib import Path
 
@@ -24,7 +19,6 @@ import pytest
 
 from repro.datagen import CorpusGenerator, OntologyGenerator, generate_queries
 from repro.eval.experiments import PrecisionExperiment
-from repro.obs import get_registry
 from repro.pipeline import Pipeline
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -83,34 +77,3 @@ def write_result(results_dir: Path, name: str, text: str) -> None:
     print(f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}")
     (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
-
-# -- per-bench JSON trajectories ----------------------------------------------------
-
-def _counter_snapshot():
-    return dict(get_registry().snapshot()["counters"])
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    outcome = yield
-    report = outcome.get_result()
-    if call.when == "setup":
-        item._obs_counters_before = _counter_snapshot()
-    if call.when != "call":
-        return
-    before = getattr(item, "_obs_counters_before", {})
-    after = _counter_snapshot()
-    deltas = {
-        name: value - before.get(name, 0)
-        for name, value in sorted(after.items())
-        if value - before.get(name, 0)
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "name": item.name,
-        "outcome": report.outcome,
-        "wall_seconds": round(report.duration, 6),
-        "counter_deltas": deltas,
-    }
-    out = RESULTS_DIR / f"BENCH_{item.name}.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -41,10 +41,10 @@ def read_corpus_jsonl(path: PathLike) -> Corpus:
             if not stripped:
                 continue
             try:
-                data = json.loads(stripped)
-            except json.JSONDecodeError as error:
+                paper = Paper.from_dict(json.loads(stripped))
+            except (KeyError, TypeError, ValueError) as error:
                 raise ValueError(
                     f"{path}:{line_number}: malformed JSONL record: {error}"
                 ) from error
-            corpus.add(Paper.from_dict(data))
+            corpus.add(paper)
     return corpus

@@ -30,6 +30,11 @@ TEXT_SECTIONS: Tuple[Section, ...] = (
     Section.INDEX_TERMS,
 )
 
+#: Record fields :meth:`Paper.from_dict` requires to be a string / a list
+#: of strings when present.
+_TEXT_FIELDS = ("title", "abstract", "body")
+_LIST_FIELDS = ("index_terms", "authors", "references", "true_context_ids")
+
 
 @dataclass(frozen=True)
 class Paper:
@@ -108,15 +113,26 @@ class Paper:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Paper":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Raises ``ValueError`` naming the field when a text field is not a
+        string, a list field is not a list of strings, or ``year`` is not
+        an integer, so a malformed record fails before it reaches a corpus.
+        """
+        text = {"paper_id": data["paper_id"]}
+        text.update({name: data.get(name, "") for name in _TEXT_FIELDS})
+        lists = {name: data.get(name, []) for name in _LIST_FIELDS}
+        year = data.get("year", 2000)
+        for name, value in text.items():
+            if not isinstance(value, str):
+                raise ValueError(f"paper field {name!r} must be a string")
+        for name, value in lists.items():
+            if not isinstance(value, list) or not all(
+                isinstance(item, str) for item in value
+            ):
+                raise ValueError(f"paper field {name!r} must be a list of strings")
+        if not isinstance(year, int) or isinstance(year, bool):
+            raise ValueError("paper field 'year' must be an integer")
         return cls(
-            paper_id=str(data["paper_id"]),
-            title=str(data.get("title", "")),
-            abstract=str(data.get("abstract", "")),
-            body=str(data.get("body", "")),
-            index_terms=tuple(data.get("index_terms", ())),  # type: ignore[arg-type]
-            authors=tuple(data.get("authors", ())),  # type: ignore[arg-type]
-            references=tuple(data.get("references", ())),  # type: ignore[arg-type]
-            year=int(data.get("year", 2000)),  # type: ignore[arg-type]
-            true_context_ids=tuple(data.get("true_context_ids", ())),  # type: ignore[arg-type]
+            year=year, **text, **{name: tuple(value) for name, value in lists.items()}
         )

@@ -19,9 +19,7 @@ substrate SLO evaluation and the ``/slo`` endpoint read.
 While telemetry is *disabled* (the default) the request context is a
 hair above free: one sentinel check, two monotonic-clock reads, one
 histogram observation, one counter increment -- the
-"instrumentation-disabled fast path" guarded by
-``benchmarks/test_perf_obs_overhead.py`` (within 2% of a stripped
-baseline).
+"instrumentation-disabled fast path".
 
 The process-wide instance mirrors the metrics registry idiom::
 

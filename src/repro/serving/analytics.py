@@ -25,8 +25,7 @@ Two serving-side consumers of the request-telemetry stream
 The hot-path cost is bounded by construction: with no shadow functions
 configured :meth:`ShadowScorer.offer` is one attribute check, and with
 sampling active it is an RNG draw plus a non-blocking queue put (full
-queue = drop + count, never block) -- budgets enforced by
-``benchmarks/test_perf_obs_overhead.py``.
+queue = drop + count, never block).
 """
 
 from __future__ import annotations

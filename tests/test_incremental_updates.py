@@ -368,3 +368,51 @@ class TestHttpIngest:
             "POST", "/admin/ingest", {}, json.dumps({"remove": ["ZZMISSING"]})
         )
         assert unknown.status == 400
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"index_terms": [1]},
+            {"index_terms": "abc"},
+            {"title": ["a"]},
+            {"year": "2001"},
+        ],
+        ids=["int-index-term", "string-index-terms", "list-title", "string-year"],
+    )
+    def test_malformed_paper_is_400_and_changes_nothing(
+        self, pipeline, service, bad
+    ):
+        good = {"paper_id": "NEW2", "title": "dna repair", "index_terms": ["dna"]}
+        corpus_ids = [paper.paper_id for paper in pipeline.corpus]
+        revision = pipeline.serving_view.revision
+        response = service.dispatch(
+            "POST", "/admin/ingest", {}, json.dumps({"add": [{**good, **bad}]})
+        )
+        assert response.status == 400
+        assert "bad paper in 'add'" in json.loads(response.body)["error"]
+        assert [paper.paper_id for paper in pipeline.corpus] == corpus_ids
+        assert pipeline.serving_view.revision == revision
+        # Nothing was half-applied, so the corrected paper goes through.
+        retry = service.dispatch(
+            "POST", "/admin/ingest", {}, json.dumps({"add": [good]})
+        )
+        assert retry.status == 200
+        assert "NEW2" in pipeline.corpus
+
+
+def test_cli_ingest_delta_names_the_malformed_line(tmp_path, capsys):
+    from repro.cli import main
+
+    delta = tmp_path / "delta.jsonl"
+    delta.write_text(
+        json.dumps({"paper_id": "NEW1", "title": "dna repair"})
+        + "\n"
+        + json.dumps({"paper_id": "NEW2", "title": "dna repair", "index_terms": [1]})
+        + "\n",
+        encoding="utf-8",
+    )
+    code = main(["ingest-delta", "--data", str(tmp_path), "--add", str(delta)])
+    assert code == 1
+    error = capsys.readouterr().err
+    assert f"{delta}:2:" in error
+    assert "index_terms" in error

@@ -10,6 +10,7 @@ pipeline and the CLI with zero edits under ``repro/core/`` or
 """
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -255,7 +256,7 @@ class TestTermCache:
         finally:
             index.close()
 
-    def test_backend_stats_and_resident_bytes(self, ondisk_index):
+    def test_backend_stats_and_resident_bytes(self, pipeline, ondisk_index):
         stats = ondisk_index.backend_stats()
         assert stats["mapped_bytes"] > 0
         assert stats["cached_terms"] == 0
@@ -263,6 +264,11 @@ class TestTermCache:
         ondisk_index.postings(ondisk_index.vocabulary()[0])
         assert ondisk_index.backend_stats()["cached_terms"] == 1
         assert ondisk_index.resident_postings_bytes() > 0
+        # Lazy decode holds only the touched slice, never the whole index.
+        assert (
+            ondisk_index.resident_postings_bytes()
+            < pipeline.index.resident_postings_bytes()
+        )
 
 
 class TestFormatDispatch:
@@ -364,6 +370,13 @@ class TestMemoryViewSatellites:
         assert index.postings(term) is view
         with pytest.raises(AttributeError):
             view.append  # tuples expose no mutators
+        # Warm calls hand out the cached tuple: no per-call allocation.
+        tracemalloc.start()
+        for _ in range(50):
+            index.postings(term)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak_bytes < 16 * 1024
 
     def test_postings_view_invalidated_by_mutation(self, pipeline):
         first_paper, second_paper = self._two_papers(pipeline)

@@ -21,12 +21,17 @@ echo "== lint: workspace artifact registry =="
 python tools/check_workspace_manifest.py
 
 echo
-echo "== bench: regression gates (serving speedup, obs overhead, index backend, http qps) =="
-python tools/check_bench_regression.py
+echo "== docs: docs/api.md is generated from the code =="
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/gen_api_docs.py
+git diff --exit-code docs/api.md
 
 echo
 echo "== smoke: http search service (start, scrape, search, reload, stop) =="
 python tools/smoke_service.py
+
+echo
+echo "== bench: figure and ablation harness collects =="
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest benchmarks --collect-only -q
 
 echo
 echo "== bench: end-to-end smoke (every workload on tiny, traced and untraced) =="

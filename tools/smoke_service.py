@@ -26,7 +26,7 @@ once over real HTTP:
 
 Seconds, not minutes: this is the "does the service even serve" check
 between the lints and the full test suite in ``tools/ci.sh``, not a
-benchmark (that is ``benchmarks/test_perf_serving_http.py``).
+benchmark (that is the ``search_hot`` workload of ``benchmarks/e2e/``).
 """
 
 from __future__ import annotations
