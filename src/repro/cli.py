@@ -374,13 +374,16 @@ def _format_generation_lineage(workspace: Path) -> List[str]:
 
 
 def _cmd_workspace_status(args: argparse.Namespace) -> int:
-    """Show per-artifact freshness of a data directory's workspace."""
+    """Show per-artifact freshness, size and build time of a workspace."""
     from repro.workspace import workspace_status
+    from repro.workspace.manifest import entries_from_payload, read_manifest
 
     pipeline = _load_pipeline(
         args.data, use_workspace=False, index_backend=args.index_backend
     )
     statuses = workspace_status(pipeline, _workspace_dir(args.data))
+    payload = read_manifest(_workspace_dir(args.data))
+    entries = entries_from_payload(payload) if payload else {}
     stale = 0
     print(f"workspace: {_workspace_dir(args.data)}")
     stored = index_backends.sniff_backend(_workspace_dir(args.data) / "index.json")
@@ -390,9 +393,21 @@ def _cmd_workspace_status(args: argparse.Namespace) -> int:
         print(line)
     for status in statuses:
         note = f"  ({status.reason})" if status.reason else ""
-        print(f"  {status.name:<24} {status.state}{note}")
+        entry = entries.get(status.name)
+        recorded = (
+            f"{entry.size_bytes:>12,} B {entry.wall_seconds:>9.3f} s"
+            if entry is not None
+            else f"{'-':>12}   {'-':>9}  "
+        )
+        print(f"  {status.name:<24} {status.state:<8}{recorded}{note}")
         if status.state != "fresh":
             stale += 1
+    if entries:
+        print(
+            f"  {'total':<24} {'':<8}"
+            f"{sum(e.size_bytes for e in entries.values()):>12,} B "
+            f"{sum(e.wall_seconds for e in entries.values()):>9.3f} s"
+        )
     if stale:
         print(f"{stale} artifact(s) need `repro build`")
         return 1

@@ -19,12 +19,18 @@ from __future__ import annotations
 
 import abc
 import re
+import threading
 from itertools import chain, repeat
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.context import Context, ContextColumns, ContextPaperSet
+from repro.core.context import (
+    Context,
+    ContextColumns,
+    ContextPaperSet,
+    csr_positions,
+)
 from repro.obs import get_registry, span
 
 _METRIC_SEGMENT_SUB = re.compile(r"[^a-z0-9_]+")
@@ -78,6 +84,60 @@ NORMALIZERS = {
 }
 
 
+class ScoreRows:
+    """One ``{context: {paper: score}}`` map as CSR rows over a paper table.
+
+    ``values[indptr[c]:indptr[c + 1]]`` are the scores of context
+    ``context_ids[c]``, for the papers ``paper_ids[rows[...]]`` of a
+    table the caller owns, in the map's key order.  This is the stored
+    form of :class:`PrestigeScores` (see :mod:`repro.core.io`).
+    """
+
+    def __init__(
+        self,
+        context_ids: Tuple[str, ...],
+        indptr: np.ndarray,
+        rows: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        self.context_ids = context_ids
+        self.indptr = indptr
+        self.rows = rows
+        self.values = values
+
+    @classmethod
+    def from_dicts(
+        cls, by_context: Dict[str, Dict[str, float]], paper_row: Dict[str, int]
+    ) -> "ScoreRows":
+        maps = list(by_context.values())
+        sizes = np.fromiter(map(len, maps), dtype=np.int64, count=len(maps))
+        indptr = np.zeros(len(maps) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        total = int(indptr[-1])
+        rows = np.fromiter(
+            map(paper_row.__getitem__, chain.from_iterable(maps)),
+            dtype=np.int32,
+            count=total,
+        )
+        values = np.fromiter(
+            chain.from_iterable(scores.values() for scores in maps),
+            dtype=np.float64,
+            count=total,
+        )
+        return cls(tuple(by_context), indptr, rows, values)
+
+    def to_dicts(self, paper_ids: Tuple[str, ...]) -> Dict[str, Dict[str, float]]:
+        papers = [paper_ids[row] for row in self.rows.tolist()]
+        values = self.values.tolist()
+        bounds = self.indptr.tolist()
+        return {
+            context_id: dict(zip(papers[start:end], values[start:end]))
+            for context_id, start, end in zip(
+                self.context_ids, bounds, bounds[1:]
+            )
+        }
+
+
 class PrestigeScores:
     """Prestige of every paper in every context, for one score function.
 
@@ -86,8 +146,16 @@ class PrestigeScores:
     patching needs them: propagation mixes descendant scores into
     ancestors, so patching a changed context requires re-running the
     propagation pass over pre-propagation values, not the merged ones.
-    Scores loaded from a workspace artifact carry ``None`` here (the
-    artifact stores only final scores) and fall back to full recompute.
+    Scores without it (``propagate=False``) fall back to full recompute
+    on a corpus delta.
+
+    Scores come either from dicts (a fresh :meth:`PrestigeScoreFunction.
+    score_all`) or from the :class:`ScoreRows` of a workspace artifact
+    (:meth:`from_rows`).  Row-backed scores answer :meth:`context_ids`,
+    ``in`` and ``len`` from the rows, serve :meth:`aligned` straight from
+    the stored values when the layout matches, and build the dicts that
+    :meth:`of`, :meth:`score` and :attr:`pre_propagation` read only on
+    first use, once.
     """
 
     def __init__(
@@ -97,17 +165,72 @@ class PrestigeScores:
         pre_propagation: Optional[Dict[str, Dict[str, float]]] = None,
     ) -> None:
         self.function_name = function_name
-        self._by_context = by_context
-        self.pre_propagation = pre_propagation
+        self._by_context: Optional[Dict[str, Dict[str, float]]] = by_context
+        self._pre_propagation = pre_propagation
+        self._stored: Optional[
+            Tuple[Tuple[str, ...], ScoreRows, Optional[ScoreRows]]
+        ] = None
+        self._stored_ids: frozenset = frozenset()
+        self._dicts_lock = threading.Lock()
         self._aligned: Optional[Tuple[ContextColumns, np.ndarray]] = None
+
+    @classmethod
+    def from_rows(
+        cls,
+        function_name: str,
+        paper_ids: Tuple[str, ...],
+        scores: ScoreRows,
+        pre_propagation: Optional[ScoreRows] = None,
+    ) -> "PrestigeScores":
+        """Row-backed scores over the sorted paper table ``paper_ids``."""
+        loaded = cls(function_name, None)
+        loaded._stored = (paper_ids, scores, pre_propagation)
+        loaded._stored_ids = frozenset(scores.context_ids)
+        return loaded
+
+    def to_rows(self) -> Tuple[Tuple[str, ...], ScoreRows, Optional[ScoreRows]]:
+        """``(paper_ids, scores, pre_propagation)`` in stored form."""
+        if self._stored is not None:
+            return self._stored
+        by_context, pre = self._by_context, self._pre_propagation
+        paper_ids = tuple(
+            sorted(
+                set(chain.from_iterable(
+                    chain(by_context.values(), (pre or {}).values())
+                ))
+            )
+        )
+        paper_row = {pid: row for row, pid in enumerate(paper_ids)}
+        return (
+            paper_ids,
+            ScoreRows.from_dicts(by_context, paper_row),
+            None if pre is None else ScoreRows.from_dicts(pre, paper_row),
+        )
+
+    def _dicts(self) -> Dict[str, Dict[str, float]]:
+        by_context = self._by_context
+        if by_context is None:
+            with self._dicts_lock:
+                if self._by_context is None:
+                    paper_ids, scores, pre = self._stored
+                    if pre is not None:
+                        self._pre_propagation = pre.to_dicts(paper_ids)
+                    self._by_context = scores.to_dicts(paper_ids)
+                by_context = self._by_context
+        return by_context
+
+    @property
+    def pre_propagation(self) -> Optional[Dict[str, Dict[str, float]]]:
+        self._dicts()
+        return self._pre_propagation
 
     def of(self, context_id: str) -> Dict[str, float]:
         """``paper_id -> prestige`` within one context (empty if unknown)."""
-        return dict(self._by_context.get(context_id, {}))
+        return dict(self._dicts().get(context_id, {}))
 
     def score(self, context_id: str, paper_id: str, default: float = 0.0) -> float:
         """Prestige of one paper in one context."""
-        return self._by_context.get(context_id, {}).get(paper_id, default)
+        return self._dicts().get(context_id, {}).get(paper_id, default)
 
     def aligned(self, columns: ContextColumns) -> np.ndarray:
         """Prestige as ``float64`` aligned with ``columns.members``.
@@ -120,7 +243,45 @@ class PrestigeScores:
         cached = self._aligned
         if cached is not None and cached[0] is columns:
             return cached[1]
-        by_context = self._by_context
+        values = None
+        if self._stored is not None:
+            values = self._aligned_from_rows(columns)
+        if values is None:
+            values = self._aligned_from_dicts(columns)
+        self._aligned = (columns, values)
+        return values
+
+    def _aligned_from_rows(self, columns: ContextColumns) -> Optional[np.ndarray]:
+        """The stored values scattered onto ``columns``, or None.
+
+        Valid only when every stored row holds exactly its context's
+        members in member order; any other layout returns None and goes
+        through the dicts.
+        """
+        paper_ids, scores, _ = self._stored
+        context_rows = np.fromiter(
+            map(columns.context_row.get, scores.context_ids, repeat(-1)),
+            dtype=np.int64,
+            count=len(scores.context_ids),
+        )
+        if (context_rows < 0).any():
+            return None
+        positions, counts = csr_positions(columns.indptr, context_rows)
+        if not np.array_equal(counts, np.diff(scores.indptr)):
+            return None
+        table = np.fromiter(
+            map(columns.paper_row.get, paper_ids, repeat(-1)),
+            dtype=np.int64,
+            count=len(paper_ids),
+        )
+        if not np.array_equal(columns.members[positions], table[scores.rows]):
+            return None
+        values = np.zeros(len(columns.members), dtype=np.float64)
+        values[positions] = scores.values
+        return values
+
+    def _aligned_from_dicts(self, columns: ContextColumns) -> np.ndarray:
+        by_context = self._dicts()
 
         def row_values(context_id, paper_ids):
             scores = by_context.get(context_id)
@@ -128,23 +289,27 @@ class PrestigeScores:
                 return repeat(0.0, len(paper_ids))
             return map(scores.get, paper_ids, repeat(0.0))
 
-        values = np.fromiter(
+        return np.fromiter(
             chain.from_iterable(
                 map(row_values, columns.context_ids, columns.row_paper_ids)
             ),
             dtype=np.float64,
             count=len(columns.members),
         )
-        self._aligned = (columns, values)
-        return values
 
     def context_ids(self):
+        if self._stored is not None:
+            return list(self._stored[1].context_ids)
         return list(self._by_context)
 
     def __contains__(self, context_id: str) -> bool:
+        if self._stored is not None:
+            return context_id in self._stored_ids
         return context_id in self._by_context
 
     def __len__(self) -> int:
+        if self._stored is not None:
+            return len(self._stored[1].context_ids)
         return len(self._by_context)
 
 

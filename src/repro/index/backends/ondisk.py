@@ -132,14 +132,17 @@ def save_packed_index(index, path) -> None:
         }
     ).encode("utf-8")
 
+    # lazy: core.io imports repro.index
+    from repro.core.io import atomic_write, write_tagged_json
+
     path = Path(path)
     sidecar = _sidecar_path(path)
-    with open(sidecar, "wb") as handle:
+    # Replaced, never truncated: an open backend keeps its mapping valid.
+    with atomic_write(sidecar) as handle:
         handle.write(_MAGIC)
         handle.write(_LEN.pack(len(header)))
         handle.write(header)
         handle.write(bytes(data))
-    from repro.core.io import write_tagged_json  # lazy: core.io imports repro.index
 
     write_tagged_json({"backend": "ondisk", "data_file": sidecar.name},
                       path, ONDISK_FORMAT)

@@ -6,7 +6,7 @@ pipeline's :class:`~repro.serving.substrate.SubstrateStore` and returns
 a ready :class:`~repro.core.scores.base.PrestigeScoreFunction`; the
 ``substrates`` tuples name the workspace artifacts the computed scores
 depend on, which is exactly the fingerprint chain each persisted
-``scores_<function>_<paper_set>.json`` artifact declares.
+``scores_<function>_<paper_set>.npz`` artifact declares.
 
 The declared ``paper_sets`` reproduce the paper's experiment arms:
 

@@ -436,8 +436,8 @@ class SubstrateStore:
                         if (
                             spec is not None
                             and spec.delta_scope == "contexts"
-                            and scores.pre_propagation is not None
                             and changed is not None
+                            and scores.pre_propagation is not None
                         ):
                             self._scores[key] = self._patch_scores(
                                 spec,

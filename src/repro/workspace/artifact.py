@@ -7,7 +7,8 @@ pipeline substrate as a first-class build product:
   pipeline's lazily-memoised properties, so dependency objects installed
   beforehand are reused, never rebuilt);
 - ``save(obj, path)`` / ``load(path, pipeline)`` -- the typed codec
-  (format-tagged JSON; see :mod:`repro.core.io`);
+  (see :mod:`repro.core.io` and :mod:`repro.index.backends`); ``save``
+  writes exactly ``path``, atomically;
 - ``install(pipeline, obj)`` -- hydrate the substrate store's slot so
   later property accesses short-circuit (and the serving layer sees the
   revision bump);
@@ -69,8 +70,8 @@ def _score_artifact(function: str, paper_set_name: str, deps: Tuple[str, ...]) -
 
     return Artifact(
         name=f"scores_{function}_{paper_set_name}",
-        filename=f"scores_{function}_{paper_set_name}.json",
-        schema_version=1,
+        filename=f"scores_{function}_{paper_set_name}.npz",
+        schema_version=2,
         build=lambda pipeline: pipeline.prestige(function, paper_set_name),
         save=core_io.write_prestige_scores,
         load=lambda path, pipeline: core_io.read_prestige_scores(path),

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
+from repro.core.io import atomic_write
 from repro.obs import get_registry, span
 from repro.workspace.artifact import ARTIFACTS, topological_order
 from repro.workspace.fingerprint import InputDigests, artifact_fingerprints
@@ -200,6 +201,9 @@ class WorkspaceBuilder:
         payload = read_manifest(self.directory)
         entries = entries_from_payload(payload) if payload else {}
         actions: List[BuildAction] = []
+        #: Files of rebuilt artifacts whose file name changed (a schema
+        #: bump); removed once the new manifest no longer names them.
+        superseded: List[str] = []
         with span("workspace.build.run", directory=str(self.directory)):
             for name in closure:
                 artifact = ARTIFACTS[name]
@@ -213,6 +217,9 @@ class WorkspaceBuilder:
                         artifact.save(obj, path)
                     elapsed = time.perf_counter() - started
                     registry.counter("workspace.build.artifacts").inc()
+                    previous = entries.get(name)
+                    if previous is not None and previous.file != artifact.filename:
+                        superseded.append(previous.file)
                     entries[name] = ManifestEntry(
                         file=artifact.filename,
                         fingerprint=fingerprints[name],
@@ -253,6 +260,8 @@ class WorkspaceBuilder:
                 delta=lineage["delta"],
             )
             self._next_lineage = None
+            for filename in superseded:
+                (self.directory / filename).unlink(missing_ok=True)
             registry.gauge("workspace.generation.current").set(
                 float(lineage["generation"])
             )
@@ -351,11 +360,12 @@ def ingest_delta(
             trace.set(generation=parent_generation, noop=True)
             return report, None
         # Archive the parent manifest before build() overwrites it; the
-        # artifact files themselves are overwritten in place (generations
-        # share artifact storage -- the chain records *what changed*, not
-        # full snapshots).
+        # artifact files themselves are replaced under the same names
+        # (generations share artifact storage -- the chain records *what
+        # changed*, not full snapshots).
         archive = directory / generation_archive_name(parent_generation)
-        archive.write_bytes((directory / MANIFEST_FILE).read_bytes())
+        with atomic_write(archive) as handle:
+            handle.write((directory / MANIFEST_FILE).read_bytes())
         builder = WorkspaceBuilder(pipeline, directory)
         builder._next_lineage = {
             "generation": parent_generation + 1,

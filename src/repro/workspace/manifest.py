@@ -49,6 +49,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.core.io import atomic_write
+
 PathLike = Union[str, Path]
 
 MANIFEST_FORMAT = "repro/workspace-manifest/v1"
@@ -181,7 +183,7 @@ def write_manifest(
     parent: Optional[str] = None,
     delta: Optional[Dict[str, List[str]]] = None,
 ) -> Path:
-    """Write ``manifest.json`` atomically-ish (write then replace).
+    """Write ``manifest.json`` atomically (see :func:`atomic_write`).
 
     ``generation``/``parent``/``delta`` record the workspace's place in
     its generation chain; full builds of a fresh workspace use the
@@ -201,11 +203,9 @@ def write_manifest(
             "removed": list(delta.get("removed", ())),
         }
     validate_manifest_payload(payload, origin=str(path))
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with atomic_write(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    tmp.replace(path)
     return path
 
 

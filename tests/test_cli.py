@@ -147,14 +147,14 @@ class TestBuild:
         assert (workspace / "manifest.json").exists()
         assert (workspace / "text_paper_set.json").exists()
         assert (workspace / "pattern_paper_set.json").exists()
-        assert (workspace / "scores_text_text.json").exists()
-        assert (workspace / "scores_citation_pattern.json").exists()
+        assert (workspace / "scores_text_text.npz").exists()
+        assert (workspace / "scores_citation_pattern.npz").exists()
 
     def test_artifacts_load_back(self, data_dir):
         from repro.core.io import read_prestige_scores
 
         scores = read_prestige_scores(
-            data_dir / "workspace" / "scores_text_text.json"
+            data_dir / "workspace" / "scores_text_text.npz"
         )
         assert scores.function_name == "text"
         assert len(scores) > 0
@@ -185,6 +185,22 @@ class TestWorkspaceStatus:
         assert code == 0
         output = capsys.readouterr().out
         assert "all artifacts fresh" in output
+
+    def test_reports_recorded_size_and_build_time(self, data_dir, capsys):
+        from repro.workspace.manifest import entries_from_payload, read_manifest
+
+        entries = entries_from_payload(read_manifest(data_dir / "workspace"))
+        code = main(["workspace", "status", "--data", str(data_dir)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, entry in entries.items():
+            (row,) = [line for line in lines if line.startswith(f"  {name} ")]
+            assert f"{entry.size_bytes:,} B" in row
+            assert f"{entry.wall_seconds:.3f} s" in row
+        (total,) = [line for line in lines if line.startswith("  total ")]
+        assert f"{sum(e.size_bytes for e in entries.values()):,} B" in total
+        wall = sum(e.wall_seconds for e in entries.values())
+        assert f"{wall:.3f} s" in total
 
     def test_unbuilt_workspace_reports_stale(self, tmp_path, capsys):
         main(

@@ -8,6 +8,7 @@ observability counters, not just timing.
 """
 
 import json
+import re
 import shutil
 
 import pytest
@@ -147,6 +148,26 @@ class TestOpenWorkspace:
                 (h.paper_id, h.relevancy) for h in expected
             ]
 
+    def test_search_builds_no_score_dicts(self, built, data_dir):
+        """Loaded scores serve every arm and strategy from their arrays."""
+        from repro import scoring
+        from repro.core.search import SELECTION_STRATEGIES
+
+        hydrated = Pipeline.open_workspace(data_dir)
+        arms = scoring.evaluation_arms()
+        for function, paper_set in arms:
+            for strategy in SELECTION_STRATEGIES:
+                hydrated.search(
+                    "metabolic process", function=function,
+                    paper_set_name=paper_set, selection_strategy=strategy,
+                )
+        loaded = [
+            hydrated.substrates.scores[f"{function}/{paper_set}"]
+            for function, paper_set in arms
+        ]
+        assert len(loaded) == len(arms) > 0
+        assert all(scores._by_context is None for scores in loaded)
+
     def test_strict_open_of_unbuilt_raises(self, data_dir, tmp_path):
         pipeline = Pipeline.from_directory(data_dir)
         with pytest.raises(StaleWorkspaceError, match="not fully built"):
@@ -164,6 +185,71 @@ class TestOpenWorkspace:
         loaded = open_workspace(pipeline, partial, strict=False)
         assert loaded == len(ARTIFACTS) - 1
         assert not pipeline.substrates.has("citation_graph")  # lazy rebuild
+
+
+class TestCorruptArtifacts:
+    @pytest.mark.parametrize("name", artifact_names())
+    def test_truncated_artifact_is_named(self, built, data_dir, tmp_path, name):
+        _, workspace, _ = built
+        copy = tmp_path / "workspace"
+        shutil.copytree(workspace, copy)
+        target = copy / ARTIFACTS[name].filename
+        target.write_bytes(target.read_bytes()[: target.stat().st_size // 2])
+        pipeline = Pipeline.from_directory(data_dir)
+        with pytest.raises(ValueError, match=re.escape(ARTIFACTS[name].filename)):
+            open_workspace(pipeline, copy, strict=True)
+
+    def test_v1_scores_are_stale_by_schema_and_rebuilt(
+        self, built, data_dir, tmp_path
+    ):
+        _, workspace, _ = built
+        copy = tmp_path / "workspace"
+        shutil.copytree(workspace, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        v1_files = []
+        for name, entry in manifest["artifacts"].items():
+            if name.startswith("scores_"):
+                v1_file = entry["file"].replace(".npz", ".json")
+                (copy / entry["file"]).rename(copy / v1_file)
+                entry.update(file=v1_file, schema_version=1)
+                v1_files.append(v1_file)
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        pipeline = Pipeline.from_directory(data_dir)
+        statuses = workspace_status(pipeline, copy)
+        scores = {s.name for s in statuses if s.name.startswith("scores_")}
+        assert len(scores) == len(v1_files) > 0
+        for status in statuses:
+            if status.name in scores:
+                assert (status.state, status.reason) == ("stale", "schema v1 != v2")
+            else:
+                assert status.state == "fresh"
+        report = WorkspaceBuilder(pipeline, copy).build()
+        assert set(report.built) == scores
+        assert not any((copy / v1_file).exists() for v1_file in v1_files)
+        assert all(s.state == "fresh" for s in workspace_status(pipeline, copy))
+
+
+class TestManifestCheckTool:
+    def test_leftover_temp_file_fails_the_check(self, built, tmp_path, capsys):
+        import importlib.util
+        from pathlib import Path
+
+        tools = Path(__file__).resolve().parent.parent / "tools"
+        spec = importlib.util.spec_from_file_location(
+            "check_workspace_manifest", tools / "check_workspace_manifest.py"
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        _, workspace, _ = built
+        copy = tmp_path / "workspace"
+        shutil.copytree(workspace, copy)
+        manifest = str(copy / "manifest.json")
+        assert tool.main(["--manifest", manifest]) == 0
+        (copy / ".index.json.0badf00d.tmp").write_bytes(b"half an index")
+        assert tool.main(["--manifest", manifest]) == 1
+        assert "leftover temporary file .index.json.0badf00d.tmp" in (
+            capsys.readouterr().out
+        )
 
 
 class TestIncremental:

@@ -15,10 +15,11 @@ With ``--manifest PATH`` it additionally validates a built workspace's
 ``manifest.json``: schema (via ``validate_manifest_payload``), every
 entry names a registered artifact, recorded schema versions and
 dependency edges match the registry, every referenced artifact file
-exists on disk, and -- when the workspace carries generations -- the
-lineage chain is sound: each archived ``manifest.gen-<N>.json`` hashes
-to the ``parent`` fingerprint its child recorded and generation numbers
-descend monotonically by one (via ``read_generation_chain``).
+exists on disk, no temporary file of an interrupted write is left in
+the workspace directory, and -- when the workspace carries generations
+-- the lineage chain is sound: each archived ``manifest.gen-<N>.json``
+hashes to the ``parent`` fingerprint its child recorded and generation
+numbers descend monotonically by one (via ``read_generation_chain``).
 
 Exit status 1 when any violation is found; intended for tools/ci.sh.
 """
@@ -34,6 +35,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.io import TEMP_SUFFIX  # noqa: E402
 from repro.pipeline import Pipeline  # noqa: E402
 from repro.workspace import (  # noqa: E402
     ARTIFACTS,
@@ -111,6 +113,11 @@ def check_manifest(path: Path) -> list:
             )
         if not (workspace / entry["file"]).exists():
             problems.append(f"{path}: {name}: {entry['file']} missing on disk")
+    for leftover in sorted(workspace.glob(f"*{TEMP_SUFFIX}")):
+        problems.append(
+            f"{path}: leftover temporary file {leftover.name} "
+            f"(a write was interrupted)"
+        )
     problems += check_generation_chain(workspace, payload)
     return problems
 

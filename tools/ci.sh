@@ -21,6 +21,16 @@ echo "== lint: workspace artifact registry =="
 python tools/check_workspace_manifest.py
 
 echo
+echo "== lint: a freshly built workspace passes the manifest check =="
+WORKSPACE_DATA="$(mktemp -d)"
+trap 'rm -rf "$WORKSPACE_DATA"' EXIT
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli generate \
+    --papers 60 --terms 15 --seed 8 --out "$WORKSPACE_DATA" > /dev/null
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
+    --data "$WORKSPACE_DATA" > /dev/null
+python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
+
+echo
 echo "== docs: docs/api.md is generated from the code =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/gen_api_docs.py
 git diff --exit-code docs/api.md
