@@ -154,6 +154,10 @@ class PatternContextAssigner:
         pattern_builder: Optional[PatternSetBuilder] = None,
         max_middle_coverage: float = 0.08,
     ) -> None:
+        if not max_middle_coverage >= 0:  # also rejects NaN
+            raise ValueError(
+                f"max_middle_coverage must be >= 0, got {max_middle_coverage}"
+            )
         #: Middles occurring in more than this fraction of the corpus are
         #: too unselective to define context membership ("process" alone
         #: must not pull every paper into a context).  Their patterns still

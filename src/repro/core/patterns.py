@@ -36,6 +36,9 @@ choice preserves the scoring semantics the evaluation relies on.
 from __future__ import annotations
 
 import enum
+import heapq
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -101,7 +104,7 @@ class AnalyzedPaperCache:
         self.analyzer = analyzer if analyzer is not None else default_analyzer()
         self._cache: Dict[Tuple[str, Section], Terms] = {}
         # Plain ints (not registry counters): tokens() is too hot for a
-        # lock per lookup.  score_paper_against_patterns flushes them.
+        # lock per lookup.  PatternSetBuilder.build publishes them.
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -199,6 +202,10 @@ class PatternSetBuilder:
     build_extended:
         The simplified builder of section 4 sets this False ("extended
         patterns were not used").
+
+    Raises ``ValueError`` for a negative ``window``,
+    ``max_regular_patterns`` or ``max_joined_pairs`` and for a non-finite
+    ``coverage_exponent`` or ``frequency_coefficient``.
     """
 
     def __init__(
@@ -216,6 +223,19 @@ class PatternSetBuilder:
         frequency_coefficient: float = 1.0,
         build_extended: bool = True,
     ) -> None:
+        for name, count in (
+            ("window", window),
+            ("max_regular_patterns", max_regular_patterns),
+            ("max_joined_pairs", max_joined_pairs),
+        ):
+            if count < 0:
+                raise ValueError(f"{name} must be >= 0, got {count}")
+        for name, constant in (
+            ("coverage_exponent", coverage_exponent),
+            ("frequency_coefficient", frequency_coefficient),
+        ):
+            if not math.isfinite(constant):
+                raise ValueError(f"{name} must be finite, got {constant}")
         self.ontology = ontology
         self.corpus = corpus
         self.index = index
@@ -247,20 +267,18 @@ class PatternSetBuilder:
         training_tokens = [
             self.tokens.all_tokens(pid) for pid in training_paper_ids
         ]
-        significant = self._significant_terms(term_id, training_tokens)
+        significant = self._significant_terms(context_words, training_tokens)
         if not significant:
             return PatternSet(term_id=term_id)
 
-        raw = self._extract_regular(training_tokens, significant)
-        if not raw:
+        occ, papers = self._extract_regular(training_tokens, significant)
+        if not occ:
             return PatternSet(term_id=term_id)
 
+        registry.counter("patterns.builder.mined").inc(len(occ))
         patterns = self._score_regular(
-            term_id, raw, context_words, significant, len(training_tokens)
+            occ, papers, context_words, significant, len(training_tokens)
         )
-        registry.counter("patterns.builder.mined").inc(len(patterns))
-        patterns.sort(key=lambda p: (-p.score, p.key()))
-        patterns = patterns[: self.max_regular_patterns]
         if self.build_extended:
             patterns.extend(self._side_joined(patterns))
             patterns.extend(self._middle_joined(patterns))
@@ -279,7 +297,7 @@ class PatternSetBuilder:
         return tuple(self.tokens.analyzer.analyze(name))
 
     def _significant_terms(
-        self, term_id: str, training_tokens: Sequence[Terms]
+        self, context_words: Terms, training_tokens: Sequence[Terms]
     ) -> Dict[Terms, str]:
         """Map of significant phrase -> source ('context'/'frequent'/'both').
 
@@ -289,7 +307,6 @@ class PatternSetBuilder:
         multiword phrases only survive if their sub-phrases are frequent.
         """
         result: Dict[Terms, str] = {}
-        context_words = self._context_term_words(term_id)
         for word in context_words:
             result[(word,)] = "context"
         if len(context_words) > 1:
@@ -307,68 +324,90 @@ class PatternSetBuilder:
         self,
         training_tokens: Sequence[Terms],
         significant: Mapping[Terms, str],
-    ) -> Dict[Tuple[Terms, Terms, Terms], Dict[str, int]]:
+    ) -> Tuple[Counter, Counter]:
         """Occurrences of <left, middle, right> windows around significant terms.
 
-        Returns pattern key -> {'occ': total occurrences,
-        'papers': distinct training papers containing the pattern}.
+        Returns two counters over the same pattern keys: total occurrences,
+        and distinct training papers containing the pattern.  Each paper is
+        scanned once; at each token only the phrases starting with it are
+        tried, so nested phrases ("rna polymerase" and "rna") both count.
         """
-        counts: Dict[Tuple[Terms, Terms, Terms], Dict[str, int]] = {}
-        # Scan longest phrases first so nested phrases both count; an
-        # occurrence of "rna polymerase" also contains "rna".
-        phrases = sorted(significant, key=len, reverse=True)
-        for doc_index, tokens in enumerate(training_tokens):
-            seen_here: Set[Tuple[Terms, Terms, Terms]] = set()
-            for phrase in phrases:
-                for start in find_occurrences(tokens, phrase):
-                    left = tuple(tokens[max(start - self.window, 0) : start])
-                    end = start + len(phrase)
-                    right = tuple(tokens[end : end + self.window])
-                    key = (left, phrase, right)
-                    entry = counts.setdefault(key, {"occ": 0, "papers": 0})
-                    entry["occ"] += 1
-                    if key not in seen_here:
-                        entry["papers"] += 1
-                        seen_here.add(key)
-        return counts
+        by_first: Dict[str, List[Tuple[Terms, int]]] = {}
+        for phrase in significant:
+            if phrase:
+                by_first.setdefault(phrase[0], []).append((phrase, len(phrase)))
+        window = self.window
+        occ: Counter = Counter()
+        papers: Counter = Counter()
+        for tokens in training_tokens:
+            keys = []
+            for start, token in enumerate(tokens):
+                phrases = by_first.get(token)
+                if phrases is None:
+                    continue
+                left = tokens[max(start - window, 0) : start]
+                for phrase, length in phrases:
+                    end = start + length
+                    # A slice running off the end is shorter, so never equal.
+                    if length == 1 or tokens[start:end] == phrase:
+                        keys.append((left, phrase, tokens[end : end + window]))
+            occ.update(keys)
+            papers.update(set(keys))
+        return occ, papers
 
     # -- scoring -------------------------------------------------------------------
 
     def _score_regular(
         self,
-        term_id: str,
-        raw: Mapping[Tuple[Terms, Terms, Terms], Mapping[str, int]],
+        occ: Mapping[Tuple[Terms, Terms, Terms], int],
+        papers: Mapping[Tuple[Terms, Terms, Terms], int],
         context_words: Terms,
         significant: Mapping[Terms, str],
         n_training: int,
     ) -> List[Pattern]:
+        """The ``max_regular_patterns`` best regular patterns, best first.
+
+        Every term but the occurrence frequency depends on the middle
+        alone, so it is computed once per distinct middle.  Those terms are
+        the formula's left-most summands and its last factor, so hoisting
+        them leaves every score bit-identical.  Keys are unique, so
+        ``(-score, key)`` orders them totally and only the kept ones
+        become :class:`Pattern` objects.
+        """
         context_word_set = set(context_words)
-        middle_paper_freq = self._middle_training_frequency(raw, n_training)
-        patterns: List[Pattern] = []
-        for (left, middle, right), stats in raw.items():
-            middle_type = self._middle_type_score(middle, context_word_set, significant)
-            total_term = sum(
+        n = max(n_training, 1)
+        papers_by_middle: Dict[Terms, int] = {}
+        for (_, middle, __), count in papers.items():
+            papers_by_middle[middle] = papers_by_middle.get(middle, 0) + count
+        per_middle: Dict[Terms, Tuple[float, float, float]] = {}
+        for middle, paper_count in papers_by_middle.items():
+            type_and_terms = self._middle_type_score(
+                middle, context_word_set, significant
+            ) + sum(
                 self._word_selectivity(word)
                 for word in middle
                 if word in context_word_set
             )
-            occ_freq = stats["occ"] / max(n_training, 1)
-            paper_freq = middle_paper_freq[middle]
-            base = middle_type + total_term + self.frequency_coefficient * (
-                occ_freq + paper_freq
+            coverage_factor = (
+                1.0 / self._paper_coverage(middle)
+            ) ** self.coverage_exponent
+            per_middle[middle] = (
+                type_and_terms,
+                min(paper_count / n, 1.0),
+                coverage_factor,
             )
-            coverage = self._paper_coverage(middle)
-            score = base * (1.0 / coverage) ** self.coverage_exponent
-            patterns.append(
-                Pattern(
-                    left=left,
-                    middle=middle,
-                    right=right,
-                    kind=PatternKind.REGULAR,
-                    score=score,
-                )
+        c = self.frequency_coefficient
+        scored = []
+        for key, count in occ.items():
+            type_and_terms, paper_freq, coverage_factor = per_middle[key[1]]
+            base = type_and_terms + c * (count / n + paper_freq)
+            scored.append((-(base * coverage_factor), key))
+        return [
+            Pattern(left, middle, right, PatternKind.REGULAR, -neg_score)
+            for neg_score, (left, middle, right) in heapq.nsmallest(
+                self.max_regular_patterns, scored
             )
-        return patterns
+        ]
 
     @staticmethod
     def _middle_type_score(
@@ -403,20 +442,6 @@ class PatternSetBuilder:
             self._term_word_df = df
         count = self._term_word_df.get(word, 1)
         return 1.0 / count
-
-    def _middle_training_frequency(
-        self,
-        raw: Mapping[Tuple[Terms, Terms, Terms], Mapping[str, int]],
-        n_training: int,
-    ) -> Dict[Terms, float]:
-        """Fraction of training papers whose patterns use each middle."""
-        papers_by_middle: Dict[Terms, int] = {}
-        for (_, middle, __), stats in raw.items():
-            papers_by_middle[middle] = papers_by_middle.get(middle, 0) + stats["papers"]
-        return {
-            middle: min(count / max(n_training, 1), 1.0)
-            for middle, count in papers_by_middle.items()
-        }
 
     def _paper_coverage(self, middle: Terms) -> float:
         """Fraction of all corpus papers containing the middle tuple.
@@ -581,35 +606,40 @@ def match_strength(
     return weight * (0.5 + 0.5 * surround)
 
 
-def score_paper_against_patterns(
+def score_papers_against_patterns(
     pattern_set: PatternSet,
     token_cache: AnalyzedPaperCache,
-    paper_id: str,
+    paper_ids: Iterable[str],
     middle_only: bool = False,
-) -> float:
-    """Score(P) = sum over matching patterns of Score(pt) * M(P, pt).
+) -> Dict[str, float]:
+    """Score(P) = sum over matching patterns of Score(pt) * M(P, pt), per paper.
 
     With ``middle_only`` (the simplified variant of section 4), matching
-    strength reduces to the section weight of each middle-tuple hit.
+    strength reduces to the section weight of each middle-tuple hit.  The
+    first-middle-word index of ``pattern_set`` is built once and shared by
+    every paper.
     """
-    total = 0.0
     by_first = pattern_set.by_first_middle_word()
     if not by_first:
-        return 0.0
-    for section in TEXT_SECTIONS:
-        tokens = token_cache.tokens(paper_id, section)
-        if not tokens:
-            continue
-        section_weight = MATCH_SECTION_WEIGHTS.get(section, 0.6)
-        for i, token in enumerate(tokens):
-            for pattern in by_first.get(token, ()):
-                n = len(pattern.middle)
-                if tuple(tokens[i : i + n]) != pattern.middle:
-                    continue
-                if middle_only:
-                    total += pattern.score * section_weight
-                else:
-                    total += pattern.score * match_strength(
-                        pattern, tokens, i, section
-                    )
-    return total
+        return dict.fromkeys(paper_ids, 0.0)
+    scores: Dict[str, float] = {}
+    for paper_id in paper_ids:
+        total = 0.0
+        for section in TEXT_SECTIONS:
+            tokens = token_cache.tokens(paper_id, section)
+            if not tokens:
+                continue
+            section_weight = MATCH_SECTION_WEIGHTS.get(section, 0.6)
+            for i, token in enumerate(tokens):
+                for pattern in by_first.get(token, ()):
+                    n = len(pattern.middle)
+                    if tuple(tokens[i : i + n]) != pattern.middle:
+                        continue
+                    if middle_only:
+                        total += pattern.score * section_weight
+                    else:
+                        total += pattern.score * match_strength(
+                            pattern, tokens, i, section
+                        )
+        scores[paper_id] = total
+    return scores

@@ -19,7 +19,7 @@ from repro.core.context import Context
 from repro.core.patterns import (
     AnalyzedPaperCache,
     PatternSet,
-    score_paper_against_patterns,
+    score_papers_against_patterns,
 )
 from repro.core.scores.base import PrestigeScoreFunction
 
@@ -68,9 +68,6 @@ class PatternPrestige(PrestigeScoreFunction):
         pattern_set = self.pattern_sets.get(source_term)
         if pattern_set is None or not pattern_set.patterns:
             return {}
-        return {
-            paper_id: score_paper_against_patterns(
-                pattern_set, self.tokens, paper_id, middle_only=self.middle_only
-            )
-            for paper_id in context.paper_ids
-        }
+        return score_papers_against_patterns(
+            pattern_set, self.tokens, context.paper_ids, middle_only=self.middle_only
+        )

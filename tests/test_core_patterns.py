@@ -1,7 +1,10 @@
 """Unit tests for pattern construction, joining, scoring, and matching."""
 
+import math
+
 import pytest
 
+from repro.core.assignment import PatternContextAssigner
 from repro.core.patterns import (
     AnalyzedPaperCache,
     Pattern,
@@ -10,7 +13,7 @@ from repro.core.patterns import (
     PatternSetBuilder,
     find_occurrences,
     match_strength,
-    score_paper_against_patterns,
+    score_papers_against_patterns,
 )
 from repro.corpus.paper import Section
 from repro.index.inverted import InvertedIndex
@@ -43,6 +46,51 @@ class TestFindOccurrences:
 
     def test_overlapping_occurrences(self):
         assert find_occurrences(["a", "a", "a"], ("a", "a")) == [0, 1]
+
+
+class TestKnobValidation:
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("window", -1),
+            ("max_regular_patterns", -3),
+            ("max_joined_pairs", -1),
+            ("coverage_exponent", math.nan),
+            ("coverage_exponent", math.inf),
+            ("frequency_coefficient", math.nan),
+            ("frequency_coefficient", -math.inf),
+        ],
+    )
+    def test_builder_rejects_nonsense(self, request, knob, value):
+        corpus = request.getfixturevalue("tiny_corpus")
+        ontology = request.getfixturevalue("tiny_ontology")
+        index = InvertedIndex().index_corpus(corpus)
+        with pytest.raises(ValueError, match=knob):
+            PatternSetBuilder(ontology, corpus, index, **{knob: value})
+
+    @pytest.mark.parametrize("value", [-0.1, math.nan])
+    def test_assigner_rejects_nonsense_coverage_cut(self, request, value):
+        corpus = request.getfixturevalue("tiny_corpus")
+        ontology = request.getfixturevalue("tiny_ontology")
+        index = InvertedIndex().index_corpus(corpus)
+        with pytest.raises(ValueError, match="max_middle_coverage"):
+            PatternContextAssigner(
+                corpus, ontology, index, max_middle_coverage=value
+            )
+
+    def test_zero_knobs_are_accepted(self, request):
+        corpus = request.getfixturevalue("tiny_corpus")
+        ontology = request.getfixturevalue("tiny_ontology")
+        index = InvertedIndex().index_corpus(corpus)
+        builder = PatternSetBuilder(
+            ontology,
+            corpus,
+            index,
+            window=0,
+            max_regular_patterns=0,
+            max_joined_pairs=0,
+        )
+        assert len(builder.build("met", ["M1", "M2", "M3"])) == 0
 
 
 class TestPatternConstruction:
@@ -195,23 +243,26 @@ class TestMatching:
 
     def test_score_paper_positive_for_topical_paper(self, builder, cache):
         pattern_set = builder.build("met", ["M1", "M2", "M3"])
-        score_topical = score_paper_against_patterns(pattern_set, cache, "M1")
-        score_off = score_paper_against_patterns(pattern_set, cache, "X1")
+        scores = score_papers_against_patterns(pattern_set, cache, ["M1", "X1"])
+        score_topical, score_off = scores["M1"], scores["X1"]
         assert score_topical > score_off
         assert score_off == 0.0
 
     def test_middle_only_mode(self, builder, cache):
         pattern_set = builder.build("met", ["M1", "M2", "M3"])
-        full = score_paper_against_patterns(pattern_set, cache, "M1")
-        simplified = score_paper_against_patterns(
-            pattern_set, cache, "M1", middle_only=True
-        )
+        (full,) = score_papers_against_patterns(pattern_set, cache, ["M1"]).values()
+        (simplified,) = score_papers_against_patterns(
+            pattern_set, cache, ["M1"], middle_only=True
+        ).values()
         assert simplified > 0
         assert full > 0
 
     def test_empty_pattern_set_scores_zero(self, cache):
         empty = PatternSet(term_id="met")
-        assert score_paper_against_patterns(empty, cache, "M1") == 0.0
+        assert score_papers_against_patterns(empty, cache, ["M1", "X1"]) == {
+            "M1": 0.0,
+            "X1": 0.0,
+        }
 
 
 class TestAnalyzedPaperCache:
