@@ -238,29 +238,5 @@ class CitationGraph:
             edges=[(source, target) for source, target in payload["edges"]],
         )
 
-    # -- interop -------------------------------------------------------------------
-
-    def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` (for analysis/visualisation).
-
-        Edge direction is preserved: ``u -> v`` means u cites v.
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes())
-        graph.add_edges_from(self.edges())
-        return graph
-
-    @classmethod
-    def from_networkx(cls, graph) -> "CitationGraph":
-        """Import from any networkx directed graph (self-loops dropped)."""
-        result = cls()
-        for node in graph.nodes():
-            result.add_node(str(node))
-        for source, target in graph.edges():
-            result.add_edge(str(source), str(target))
-        return result
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CitationGraph({len(self)} nodes, {self.n_edges} edges)"

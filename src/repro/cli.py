@@ -53,7 +53,6 @@ from typing import List, Optional
 
 from repro import scoring
 from repro.core.search import SELECTION_STRATEGIES
-from repro.index import backends as index_backends
 from repro.corpus import write_corpus_jsonl
 from repro.datagen import CorpusGenerator, OntologyGenerator
 from repro.eval.experiments import PrecisionExperiment, SeparabilityExperiment
@@ -171,7 +170,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         args.data,
         use_workspace=not args.no_workspace,
         result_cache_size=0 if args.no_result_cache else 256,
-        index_backend=args.index_backend,
     )
     if args.queries_file is not None:
         queries = _read_queries_file(args.queries_file)
@@ -333,9 +331,7 @@ def _derive_queries(pipeline: Pipeline, n_queries: int) -> List[str]:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     """Incrementally build the artifact workspace."""
-    pipeline = _load_pipeline(
-        args.data, use_workspace=False, index_backend=args.index_backend
-    )
+    pipeline = _load_pipeline(args.data, use_workspace=False)
     report = pipeline.build_workspace(
         _workspace_dir(args.data), only=args.only or None, force=args.force
     )
@@ -378,17 +374,12 @@ def _cmd_workspace_status(args: argparse.Namespace) -> int:
     from repro.workspace import workspace_status
     from repro.workspace.manifest import entries_from_payload, read_manifest
 
-    pipeline = _load_pipeline(
-        args.data, use_workspace=False, index_backend=args.index_backend
-    )
+    pipeline = _load_pipeline(args.data, use_workspace=False)
     statuses = workspace_status(pipeline, _workspace_dir(args.data))
     payload = read_manifest(_workspace_dir(args.data))
     entries = entries_from_payload(payload) if payload else {}
     stale = 0
     print(f"workspace: {_workspace_dir(args.data)}")
-    stored = index_backends.sniff_backend(_workspace_dir(args.data) / "index.json")
-    on_disk = f" (on disk: {stored})" if stored else ""
-    print(f"index backend: {pipeline.index_backend}{on_disk}")
     for line in _format_generation_lineage(_workspace_dir(args.data)):
         print(line)
     for status in statuses:
@@ -431,9 +422,7 @@ def _cmd_ingest_delta(args: argparse.Namespace) -> int:
         except (OSError, ValueError, CorpusError) as error:
             print(f"error: cannot read {args.add}: {error}", file=sys.stderr)
             return 1
-    pipeline = _load_pipeline(
-        args.data, use_workspace=True, index_backend=args.index_backend
-    )
+    pipeline = _load_pipeline(args.data, use_workspace=True)
     workspace = _workspace_dir(args.data)
     try:
         report, build_report = ingest_delta(
@@ -643,7 +632,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.data,
         use_workspace=not args.no_workspace,
         result_cache_size=0 if args.no_result_cache else 256,
-        index_backend=args.index_backend,
     )
     if args.warmup:
         queries = _derive_queries(pipeline, args.warmup)
@@ -838,15 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("--limit", type=int, default=10)
     search.add_argument("--threshold", type=float, default=0.0)
-    # Like --function, choices derive from a registry (the index-backend
-    # one), so a backend registered by a plugin is usable with no CLI edits.
-    search.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to build/open the inverted "
-        "index (see repro.index.backends)",
-    )
     search.add_argument(
         "--no-result-cache",
         action="store_true",
@@ -878,13 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--retry-after-s", type=float, default=1.0, metavar="S",
         help="Retry-After hint sent with 429 responses (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to build/open the inverted "
-        "index (see repro.index.backends)",
     )
     serve.add_argument(
         "--no-result-cache",
@@ -983,13 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rebuild the requested artifacts even if fresh",
     )
-    build.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to build/open the inverted "
-        "index (see repro.index.backends)",
-    )
     build.set_defaults(func=_cmd_build)
 
     workspace = subparsers.add_parser(
@@ -1000,13 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         "status", help="per-artifact freshness of a workspace"
     )
     ws_status.add_argument("--data", default="data")
-    ws_status.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to build/open the inverted "
-        "index (see repro.index.backends)",
-    )
     ws_status.set_defaults(func=_cmd_workspace_status)
 
     ingest_delta = subparsers.add_parser(
@@ -1031,12 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="where to write the post-delta corpus "
         "(default: overwrite <data>/corpus.jsonl)",
-    )
-    ingest_delta.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to open the inverted index",
     )
     ingest_delta.set_defaults(func=_cmd_ingest_delta)
 

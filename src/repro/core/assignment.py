@@ -28,7 +28,7 @@ from repro.core.patterns import (
 from repro.core.representative import select_representative
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
-from repro.index.backends.base import SearchBackend
+from repro.index.backend import SearchBackend
 from repro.obs import get_logger, get_registry, span
 from repro.ontology.ontology import Ontology
 

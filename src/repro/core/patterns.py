@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section, TEXT_SECTIONS
-from repro.index.backends.base import SearchBackend
+from repro.index.backend import SearchBackend
 from repro.obs import get_registry
 from repro.ontology.ontology import Ontology
 from repro.text.analyze import Analyzer, default_analyzer

@@ -21,7 +21,7 @@ import abc
 import re
 import threading
 from itertools import chain, repeat
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -369,14 +369,7 @@ class PrestigeScoreFunction(abc.ABC):
         scores are commensurable with the ancestor's when the max is
         taken -- both live in [0, 1].
         """
-        key = normalize if normalize is not None else self.normalization
-        try:
-            normalizer = NORMALIZERS[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown normalization {key!r}; expected one of "
-                f"{sorted(NORMALIZERS)}"
-            ) from None
+        key, normalizer = self._normalizer(normalize)
         registry = get_registry()
         # Score-function names are free-form ("citation-xctx"); fold them
         # into one valid metric segment so the dotted convention holds.
@@ -387,17 +380,7 @@ class PrestigeScoreFunction(abc.ABC):
         with span(
             f"scores.{metric_name}.score_all", normalize=key
         ) as trace, registry.timer(f"scores.{metric_name}.seconds"):
-            by_context: Dict[str, Dict[str, float]] = {}
-            papers_scored = 0
-            for context in paper_set:
-                raw = self.score_context(context)
-                if not raw:
-                    continue
-                papers_scored += len(raw)
-                scored = normalizer(raw)
-                if context.decay != 1.0:
-                    scored = {pid: s * context.decay for pid, s in scored.items()}
-                by_context[context.term_id] = scored
+            by_context, papers_scored = self._score_each(paper_set, normalizer)
             pre_propagation = None
             if propagate:
                 pre_propagation = by_context
@@ -422,18 +405,38 @@ class PrestigeScoreFunction(abc.ABC):
         exactly.  Contexts that cannot be scored map to an *absent* entry,
         mirroring ``score_all``'s skip of empty raw scores.
         """
-        key = normalize if normalize is not None else self.normalization
-        normalizer = NORMALIZERS[key]
+        _, normalizer = self._normalizer(normalize)
         wanted = set(context_ids)
-        result: Dict[str, Dict[str, float]] = {}
-        for context in paper_set:
-            if context.term_id not in wanted:
-                continue
+        contexts = (c for c in paper_set if c.term_id in wanted)
+        return self._score_each(contexts, normalizer)[0]
+
+    def _normalizer(self, normalize: Optional[str]) -> Tuple[str, Callable]:
+        """The :data:`NORMALIZERS` key and function (None: the default)."""
+        key = normalize if normalize is not None else self.normalization
+        try:
+            return key, NORMALIZERS[key]
+        except KeyError:
+            raise ValueError(
+                f"unknown normalization {key!r}; expected one of "
+                f"{sorted(NORMALIZERS)}"
+            ) from None
+
+    def _score_each(
+        self, contexts: Iterable[Context], normalizer: Callable
+    ) -> Tuple[Dict[str, Dict[str, float]], int]:
+        """Normalised, decayed scores per context, and papers scored.
+
+        Contexts whose raw scores are empty get no entry.
+        """
+        by_context: Dict[str, Dict[str, float]] = {}
+        papers_scored = 0
+        for context in contexts:
             raw = self.score_context(context)
             if not raw:
                 continue
+            papers_scored += len(raw)
             scored = normalizer(raw)
             if context.decay != 1.0:
                 scored = {pid: s * context.decay for pid, s in scored.items()}
-            result[context.term_id] = scored
-        return result
+            by_context[context.term_id] = scored
+        return by_context, papers_scored

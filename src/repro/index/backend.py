@@ -1,33 +1,32 @@
-"""The ``SearchBackend`` protocol: what every index backend must serve.
+"""The ``SearchBackend`` protocol: what every index form must serve.
 
-The keyword search engine, the serving substrate, and the workspace
-codecs talk to this interface and never to a concrete index class.  A
-backend is any object that answers postings / document-frequency /
-term-frequency / forward-index questions about one immutable-ish corpus
-snapshot; *how* the postings are held (Python dataclasses in RAM, a
-packed binary file behind ``mmap``, a remote service...) is the
-backend's business.
+The keyword search engine, the serving substrate, and the assigners
+talk to this interface and never to a concrete index class.  Two forms
+implement it: the in-memory :class:`~repro.index.inverted.InvertedIndex`
+(the build form, and the form a corpus delta mutates) and the read-only
+:class:`~repro.index.packed.PackedIndex` (packed postings behind
+``mmap``, the form a workspace opens).
 
-Contracts that keep rankings byte-identical across backends:
+Contracts that keep rankings byte-identical across the two forms:
 
 - :meth:`postings` returns the postings of a term **in indexing order**.
-  Scoring sums float contributions in postings order, so two backends
+  Scoring sums float contributions in postings order, so two forms
   that return the same postings in the same order produce bit-identical
   scores.  The returned sequence must be *immutable from the caller's
-  point of view* -- backends are free to return a shared cached tuple,
-  and callers must never mutate it.
+  point of view* -- implementations are free to return a shared cached
+  tuple, and callers must never mutate it.
 - :meth:`vocabulary` returns a **stable snapshot**, never a live view of
   internal state.  Callers may add or remove papers mid-iteration (on
-  mutable backends) without a ``RuntimeError``; backends must therefore
-  materialise the term list (e.g. a tuple) rather than hand out
-  ``dict.keys()``.
+  the mutable form) without a ``RuntimeError``; implementations must
+  therefore materialise the term list (e.g. a tuple) rather than hand
+  out ``dict.keys()``.
 - :attr:`revision` is a monotonic mutation counter.  Every observable
-  change to the backend's contents bumps it; derived caches (per-term
-  contribution caches, BM25 length tables) key on it.  Read-only
-  backends report the revision frozen into their artifact.
+  change to the index's contents bumps it; derived caches (per-term
+  contribution caches, BM25 length tables) key on it.  The read-only
+  form reports the revision frozen into its file.
 
 Positional data (term positions, phrase queries) is an *optional
-capability*: backends without it simply do not grow the
+capability*: indexes without it simply do not grow the
 ``positions``/``phrase_frequency``/``papers_containing_phrase`` methods,
 and the search engine degrades phrase handling accordingly (it already
 feature-detects via ``getattr``).
@@ -45,26 +44,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 
 class SearchBackend(abc.ABC):
-    """Abstract interface served by every registered index backend.
+    """Abstract interface served by every index form.
 
-    Concrete backends either subclass this (the built-ins do) or simply
-    implement the same surface -- the serving layers only ever
-    duck-type.  See the module docstring for the ordering, snapshot, and
-    revision contracts that keep rankings identical across backends.
+    See the module docstring for the ordering, snapshot, and revision
+    contracts that keep rankings identical across forms.
     """
 
     #: The analyzer whose term pipeline produced the indexed terms;
     #: queries must be analysed with the same one.
     analyzer: "Analyzer"
 
-    #: Document-level mutation is an *optional capability*.  Backends that
+    #: Document-level mutation is an *optional capability*.  Indexes that
     #: set this True grow ``add_document(paper)`` / ``remove_document
     #: (paper_id)`` which update postings in place while preserving the
-    #: postings-order contract and bumping :attr:`revision`.  Backends
-    #: that leave it False (read-optimised formats like the mmap ondisk
-    #: backend) are handled by the documented rebuild-on-mutate fallback:
-    #: the substrate rebuilds them from the mutated corpus via their
-    #: registered ``build`` hook.
+    #: postings-order contract and bumping :attr:`revision`.  Indexes
+    #: that leave it False (the mmap-backed packed index) are rebuilt
+    #: from the mutated corpus with ``build_index`` when a delta lands.
     supports_mutation: bool = False
 
     # -- corpus-level facts --------------------------------------------------------
@@ -90,7 +85,7 @@ class SearchBackend(abc.ABC):
     def postings(self, term: str) -> Sequence["Posting"]:
         """Postings of ``term`` in indexing order (empty if unseen).
 
-        The result is an immutable snapshot the backend may share across
+        The result is an immutable snapshot the index may share across
         calls; callers must not mutate it.
         """
 
@@ -123,7 +118,7 @@ class SearchBackend(abc.ABC):
         """All indexed terms, as a **stable snapshot** in indexing order.
 
         Never a live view: iterating the result stays valid across
-        concurrent paper adds/removes on mutable backends (those mutate
+        concurrent paper adds/removes on the mutable form (those mutate
         the internal tables, not previously returned snapshots).
         """
 

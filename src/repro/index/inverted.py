@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
+from repro.index.backend import SearchBackend
 from repro.text.analyze import Analyzer, default_analyzer
 
 
@@ -26,22 +27,17 @@ class Posting:
     term_frequency: int
 
 
-class InvertedIndex:
+class InvertedIndex(SearchBackend):
     """Section-aware inverted index over a corpus.
 
     Build once with :meth:`index_corpus` (or incrementally with
     :meth:`index_paper`); the index also tracks per-section document
-    frequencies and paper lengths needed for TF-IDF scoring.
+    frequencies and paper lengths needed for TF-IDF scoring.  This is
+    the build form and the mutation form; a workspace persists it with
+    :func:`repro.index.packed.save_index`.
     """
 
-    #: Registered index-backend whose codec persists this class (see
-    #: :mod:`repro.index.backends`); instances built for another backend
-    #: get re-stamped by that backend's ``build``.
-    backend_name = "memory"
-
-    #: The memory backend mutates in place (see
-    #: :meth:`add_document`/:meth:`remove_document`); backends that leave
-    #: this False are rebuilt from the corpus when a delta is applied.
+    #: Mutates in place (see :meth:`add_document`/:meth:`remove_document`).
     supports_mutation = True
 
     def __init__(self, analyzer: Optional[Analyzer] = None) -> None:
@@ -128,7 +124,7 @@ class InvertedIndex:
     def add_document(self, paper: Paper) -> None:
         """Mutation-capability alias of :meth:`index_paper`.
 
-        The :class:`~repro.index.backends.base.SearchBackend` mutation
+        The :class:`~repro.index.backend.SearchBackend` mutation
         contract (``supports_mutation``) names the operations
         ``add_document``/``remove_document``; new postings land at the end
         of each term's list, preserving the postings-order contract, and
@@ -214,7 +210,7 @@ class InvertedIndex:
 
         Never the live ``dict.keys()`` view: callers may add or remove
         papers while iterating the result without a ``RuntimeError``
-        (the :class:`~repro.index.backends.base.SearchBackend` contract).
+        (the :class:`~repro.index.backend.SearchBackend` contract).
         """
         view = self._vocabulary_view
         if view is None:
@@ -229,8 +225,8 @@ class InvertedIndex:
     def resident_postings_bytes(self) -> int:
         """Heap bytes held by the materialised postings structures.
 
-        Bench/observability aid: the memory backend pays this for the
-        whole corpus up front, lazy backends only for their cached
+        Bench/observability aid: the in-memory index pays this for the
+        whole corpus up front, the packed index only for its cached
         working set.
         """
         total = 0
@@ -243,11 +239,11 @@ class InvertedIndex:
     # -- (de)serialisation -----------------------------------------------------------
 
     def to_payload(self) -> Dict[str, Dict[str, Dict[str, int]]]:
-        """JSON-able snapshot: per-paper per-section term counts.
+        """Per-paper per-section term counts, in indexing order.
 
         Postings and document frequencies are fully derivable from the
-        per-paper counts, so only those are stored; :meth:`from_payload`
-        reconstructs the derived structures in the original order.
+        per-paper counts; :func:`repro.index.packed.save_index` replays
+        them in this order to write postings in indexing order.
         """
         return {
             "papers": {
@@ -259,36 +255,10 @@ class InvertedIndex:
             }
         }
 
-    @classmethod
-    def from_payload(
-        cls, payload: Mapping, analyzer: Optional[Analyzer] = None
-    ) -> "InvertedIndex":
-        """Rebuild from :meth:`to_payload` output without re-analysing text.
-
-        Replaying papers in stored order reproduces the exact postings
-        and document-frequency state of the original index.
-        """
-        index = cls(analyzer=analyzer)
-        for paper_id, sections in payload["papers"].items():
-            per_section: Dict[Section, Dict[str, int]] = {}
-            seen_terms = set()
-            for section_value, counts in sections.items():
-                section = Section(section_value)
-                counts = {term: int(tf) for term, tf in counts.items()}
-                per_section[section] = counts
-                for term, frequency in counts.items():
-                    index._postings.setdefault(term, []).append(
-                        Posting(paper_id, section, frequency)
-                    )
-                    seen_terms.add(term)
-            for term in seen_terms:
-                index._document_frequency[term] = (
-                    index._document_frequency.get(term, 0) + 1
-                )
-            index._paper_terms[paper_id] = per_section
-            index._n_papers += 1
-            index._revision += 1
-        return index
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"InvertedIndex({self._n_papers} papers, {self.n_terms} terms)"
+
+
+def build_index(corpus: Corpus, analyzer: Optional[Analyzer] = None) -> InvertedIndex:
+    """Full analyse-and-index pass over ``corpus``."""
+    return InvertedIndex(analyzer=analyzer).index_corpus(corpus)

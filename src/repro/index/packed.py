@@ -1,29 +1,23 @@
-"""The ``ondisk`` backend: packed postings behind ``mmap``.
+"""The persisted index: packed postings behind ``mmap``.
 
-The memory backend's cold open is a full-index parse: every posting of
-every term becomes a Python ``Posting`` before the first query runs, so
-corpus scale is capped by RAM and open time.  This backend flips that:
-the postings live in one packed binary file, opening a workspace maps it
-(``mmap``) and parses only a small header, and each term's postings are
-decoded on first touch into a bounded LRU cache.  Open cost is
-proportional to the vocabulary header, not the corpus; resident memory
-is proportional to the *queried* vocabulary, not the indexed one.
+A workspace stores its inverted index as one packed binary file.
+Opening it maps the file (``mmap``) and parses only a small header;
+each term's postings are decoded on first touch into a bounded LRU
+cache.  Open cost is proportional to the vocabulary header, not the
+corpus; resident memory is proportional to the *queried* vocabulary,
+not the indexed one.
 
-On-disk layout (artifact = JSON descriptor + binary sidecar):
+File layout (``index.bin``): ``magic | u64 header_len | header JSON |
+data``:
 
-- ``<artifact>.json`` -- a tiny format-tagged descriptor
-  (``repro/index-ondisk/v1``) naming the sidecar file, so workspace
-  manifests and format sniffing keep working on plain JSON;
-- ``<artifact>.bin`` -- ``magic | u64 header_len | header JSON | data``:
-
-  - header: paper-id table, section table, per-term
-    ``(df, offset, count)`` directory, per-(paper, section) forward
-    directory, ``n_papers``, ``revision``;
-  - data: per-term postings runs of packed ``(paper_idx u32,
-    section_idx u8, tf u32)`` records **in indexing order** (scoring
-    sums floats in postings order, so preserving it keeps rankings
-    byte-identical with the memory backend), then per-(paper, section)
-    forward runs of ``(term_idx u32, tf u32)``.
+- header: paper-id table, section table, per-term
+  ``(df, offset, count)`` directory, per-(paper, section) forward
+  directory, ``n_papers``, ``revision``;
+- data: per-term postings runs of packed ``(paper_idx u32,
+  section_idx u8, tf u32)`` records **in indexing order** (scoring
+  sums floats in postings order, so preserving it keeps rankings
+  byte-identical with the in-memory index), then per-(paper, section)
+  forward runs of ``(term_idx u32, tf u32)``.
 
 Metrics: ``index.backend.term_loads`` / ``index.backend.cache_hit`` /
 ``index.backend.cache_evict`` counters on the term cache, and an
@@ -34,6 +28,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 import struct
 import sys
 import threading
@@ -41,20 +36,17 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section
-from repro.index.backends.base import SearchBackend
-from repro.index.backends.registry import SearchBackendSpec
-from repro.index.inverted import InvertedIndex, Posting
+from repro.index.backend import SearchBackend
+from repro.index.inverted import Posting
 from repro.obs import get_registry
 from repro.text.analyze import Analyzer, default_analyzer
-
-ONDISK_FORMAT = "repro/index-ondisk/v1"
 
 _MAGIC = b"RPROIDX1"
 _LEN = struct.Struct("<Q")
 _POSTING = struct.Struct("<IBI")   # paper_idx, section_idx, term_frequency
 _FORWARD = struct.Struct("<II")    # term_idx, term_frequency
+_PREAMBLE = len(_MAGIC) + _LEN.size
 
 #: Default bound on decoded-term residency.  Sized for query serving --
 #: far above any realistic per-query term count, far below a large
@@ -62,19 +54,13 @@ _FORWARD = struct.Struct("<II")    # term_idx, term_frequency
 DEFAULT_TERM_CACHE_SIZE = 1024
 
 
-def _sidecar_path(path) -> Path:
-    """The packed-postings file next to the descriptor ``path``."""
-    path = Path(path)
-    return path.with_name(path.stem + ".bin")
+def save_index(index, path) -> None:
+    """Pack any index exposing ``to_payload`` into one file at ``path``.
 
-
-def save_packed_index(index, path) -> None:
-    """Pack any backend exposing ``to_payload`` into the ondisk format.
-
-    Replays the per-paper per-section counts exactly the way
-    ``InvertedIndex.from_payload`` does, so the packed postings order --
-    and therefore every downstream score sum -- matches what a memory
-    load of the same artifact would produce.
+    Replays the per-paper per-section counts in stored order -- the
+    order the in-memory index indexed them -- so the packed postings
+    order, and therefore every downstream score sum, matches the index
+    that was saved.
     """
     papers: Mapping[str, Mapping[str, Mapping[str, int]]]
     papers = index.to_payload()["papers"]
@@ -129,36 +115,47 @@ def save_packed_index(index, path) -> None:
             "sections": section_values,
             "terms": terms_header,
             "forward": forward_header,
+            "data_bytes": len(data),
         }
     ).encode("utf-8")
 
-    # lazy: core.io imports repro.index
-    from repro.core.io import atomic_write, write_tagged_json
+    from repro.core.io import atomic_write  # lazy: core.io imports repro.index
 
-    path = Path(path)
-    sidecar = _sidecar_path(path)
-    # Replaced, never truncated: an open backend keeps its mapping valid.
-    with atomic_write(sidecar) as handle:
+    # Replaced, never truncated: an open PackedIndex keeps its mapping valid.
+    with atomic_write(path) as handle:
         handle.write(_MAGIC)
         handle.write(_LEN.pack(len(header)))
         handle.write(header)
         handle.write(bytes(data))
 
-    write_tagged_json({"backend": "ondisk", "data_file": sidecar.name},
-                      path, ONDISK_FORMAT)
+
+def _parse_header(buffer, path) -> Tuple[dict, int]:
+    """Validate a mapped file's framing; returns ``(header, data_start)``."""
+    if buffer[: len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a packed index (bad magic)")
+    (header_len,) = _LEN.unpack_from(buffer, len(_MAGIC))
+    data_start = _PREAMBLE + header_len
+    try:
+        header = json.loads(buffer[_PREAMBLE:data_start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ValueError(f"{path}: corrupt header ({error})") from error
+    if len(buffer) != data_start + header["data_bytes"]:
+        raise ValueError(
+            f"{path}: truncated packed index ({len(buffer) - data_start} of "
+            f"{header['data_bytes']} data bytes)"
+        )
+    return header, data_start
 
 
-class OndiskPostingsBackend(SearchBackend):
+class PackedIndex(SearchBackend):
     """Read-only :class:`SearchBackend` over a packed, mmapped postings file.
 
-    Construction maps the sidecar and parses only its header -- no
-    posting is decoded until a query asks for its term.  Decoded terms
-    live in a bounded LRU so resident memory tracks the working set.
-    The backend is immutable: ``index_paper``/``remove_paper`` raise,
-    and :attr:`revision` is the value frozen into the artifact.
+    Construction maps the file and parses only its header -- no posting
+    is decoded until a query asks for its term.  Decoded terms live in a
+    bounded LRU so resident memory tracks the working set.  The index
+    is immutable: ``index_paper``/``remove_paper`` raise, and
+    :attr:`revision` is the value frozen into the file.
     """
-
-    backend_name = "ondisk"
 
     def __init__(
         self,
@@ -167,24 +164,17 @@ class OndiskPostingsBackend(SearchBackend):
         term_cache_size: int = DEFAULT_TERM_CACHE_SIZE,
     ) -> None:
         self.analyzer = analyzer if analyzer is not None else default_analyzer()
-        descriptor_path = Path(path)
-        from repro.core.io import read_tagged_json  # lazy: core.io imports repro.index
-
-        descriptor = read_tagged_json(descriptor_path, ONDISK_FORMAT)
-        self._path = descriptor_path.with_name(descriptor["data_file"])
+        self._path = Path(path)
+        self._mmap = None
         self._file = open(self._path, "rb")
-        self._mmap = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-        if self._mmap[: len(_MAGIC)] != _MAGIC:
-            raise ValueError(f"{self._path}: not a packed index (bad magic)")
-        (header_len,) = _LEN.unpack_from(self._mmap, len(_MAGIC))
-        header_start = len(_MAGIC) + _LEN.size
         try:
-            header = json.loads(
-                self._mmap[header_start : header_start + header_len].decode("utf-8")
-            )
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ValueError(f"{self._path}: corrupt header ({error})") from error
-        self._data_start = header_start + header_len
+            if os.fstat(self._file.fileno()).st_size < _PREAMBLE:
+                raise ValueError(f"{self._path}: not a packed index (too short)")
+            self._mmap = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+            header, self._data_start = _parse_header(self._mmap, self._path)
+        except ValueError:
+            self.close()
+            raise
 
         self._n_papers = int(header["n_papers"])
         self._revision = int(header["revision"])
@@ -230,23 +220,13 @@ class OndiskPostingsBackend(SearchBackend):
 
     # -- immutability --------------------------------------------------------------
 
-    def index_corpus(self, corpus: Corpus) -> "OndiskPostingsBackend":
+    def _read_only(self, *args) -> None:
         raise TypeError(
-            "ondisk index backend is read-only; rebuild the artifact "
-            "(repro build --index-backend ondisk) to change the corpus"
+            "packed index is read-only; build_index() an in-memory index "
+            "to change the corpus"
         )
 
-    def index_paper(self, paper) -> None:
-        raise TypeError(
-            "ondisk index backend is read-only; rebuild the artifact "
-            "(repro build --index-backend ondisk) to change the corpus"
-        )
-
-    def remove_paper(self, paper_id: str) -> None:
-        raise TypeError(
-            "ondisk index backend is read-only; rebuild the artifact "
-            "(repro build --index-backend ondisk) to change the corpus"
-        )
+    index_corpus = index_paper = remove_paper = _read_only
 
     # -- corpus-level facts --------------------------------------------------------
 
@@ -385,9 +365,8 @@ class OndiskPostingsBackend(SearchBackend):
     def to_payload(self) -> Dict[str, Dict[str, Dict[str, int]]]:
         """Reconstruct the canonical per-paper snapshot (repack path).
 
-        Decodes the full forward region -- this is the bulk escape
-        hatch for converting an ondisk artifact back to other formats,
-        not a serving-path operation.
+        Decodes the full forward region -- the repack path of
+        :func:`save_index`, not a serving-path operation.
         """
         papers: Dict[str, Dict[str, Dict[str, int]]] = {}
         for paper_idx, paper_id in enumerate(self._paper_ids):
@@ -401,42 +380,11 @@ class OndiskPostingsBackend(SearchBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"OndiskPostingsBackend({self._n_papers} papers, "
+            f"PackedIndex({self._n_papers} papers, "
             f"{len(self._terms)} terms, {self._path.name})"
         )
 
 
-def build_ondisk_index(
-    corpus: Corpus, analyzer: Optional[Analyzer] = None
-) -> InvertedIndex:
-    """Build pass for the ondisk backend.
-
-    Indexing is identical to the memory backend (the format only changes
-    how postings are *persisted and opened*), so the build returns a
-    regular in-memory index stamped ``backend_name='ondisk'`` -- the
-    workspace save path then packs it with :func:`save_packed_index`.
-    """
-    index = InvertedIndex(analyzer=analyzer).index_corpus(corpus)
-    index.backend_name = "ondisk"
-    return index
-
-
-def load_packed_index(
-    path, analyzer: Optional[Analyzer] = None
-) -> OndiskPostingsBackend:
-    """Open a packed artifact: mmap + header parse, no postings decode."""
-    return OndiskPostingsBackend(path, analyzer=analyzer)
-
-
-SPEC = SearchBackendSpec(
-    name="ondisk",
-    build=build_ondisk_index,
-    save=save_packed_index,
-    load=load_packed_index,
-    format_tag=ONDISK_FORMAT,
-    description=(
-        "Packed binary postings + term-offset table behind mmap; "
-        "cold open parses only the header, terms decode lazily into a "
-        "bounded LRU."
-    ),
-)
+def open_index(path, analyzer: Optional[Analyzer] = None) -> PackedIndex:
+    """Open a packed index file: mmap + header parse, no postings decode."""
+    return PackedIndex(path, analyzer=analyzer)

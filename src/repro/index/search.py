@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section
-from repro.index.backends.base import SearchBackend
+from repro.index.backend import SearchBackend
 from repro.obs import get_registry
 
 _PHRASE_RE = re.compile(r'"([^"]*)"')

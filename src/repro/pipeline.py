@@ -36,7 +36,7 @@ from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.datagen.corpus_gen import CorpusGenerator, GeneratedDataset
 from repro.datagen.ontology_gen import OntologyGenerator
-from repro.index.backends.base import SearchBackend
+from repro.index.backend import SearchBackend
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, get_telemetry, span
 from repro.obs.quality import (
@@ -67,10 +67,6 @@ class Pipeline:
     result_cache_size:
         Capacity of the serving-side LRU result cache (entries);
         ``0`` disables result caching entirely.
-    index_backend:
-        Name of the registered index backend (``repro.index.backends``)
-        that builds/persists/opens the inverted index -- ``memory``
-        (default) or ``ondisk``, plus any plugin registrations.
     """
 
     def __init__(
@@ -83,7 +79,6 @@ class Pipeline:
         w_prestige: float = 0.7,
         w_matching: float = 0.3,
         result_cache_size: int = 256,
-        index_backend: str = "memory",
     ) -> None:
         self.min_context_size = min_context_size
         self.w_prestige = w_prestige
@@ -94,7 +89,6 @@ class Pipeline:
             ontology,
             training_papers,
             text_similarity_threshold=text_similarity_threshold,
-            index_backend=index_backend,
         )
         self._serving = ServingView(
             self._store,
@@ -370,11 +364,6 @@ class Pipeline:
     @property
     def text_similarity_threshold(self) -> float:
         return self._store.text_similarity_threshold
-
-    @property
-    def index_backend(self) -> str:
-        """Name of the registered index backend this pipeline builds with."""
-        return self._store.index_backend
 
     # -- shared substrates ----------------------------------------------------------
 

@@ -1,8 +1,7 @@
 """One thread-safe, registration-ordered registry of named specs.
 
-Both plug-in seams of the system are instances of :class:`Registry`:
-prestige score functions (:mod:`repro.scoring`) and index backends
-(:mod:`repro.index.backends`).  A spec is any object with a ``name``;
+The prestige score functions (:mod:`repro.scoring`) are registered in a
+:class:`Registry`.  A spec is any object with a ``name``;
 the registry keeps specs in registration order (that order becomes CLI
 choice lists and evaluation-arm order) and counts mutations in
 ``revision`` so derived views (the workspace artifact graph, memoised
@@ -36,14 +35,10 @@ class Registry(Generic[Spec]):
     """Specs keyed by ``spec.name``, in registration order.
 
     ``kind`` names the specs in error messages ("unknown <kind> 'x'").
-    ``unique`` lists spec fields no two registered specs may share (the
-    index backends' ``format_tag``, which identifies an artifact's
-    owner on disk).
     """
 
-    def __init__(self, kind: str, unique: Tuple[str, ...] = ()) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self._unique = unique
         self._specs: Dict[str, Spec] = {}
         self._lock = threading.Lock()
         self._revision = 0
@@ -60,16 +55,6 @@ class Registry(Generic[Spec]):
                 f"{self.kind} {spec.name!r} is already registered "
                 f"(pass replace=True to override)"
             )
-        for field in self._unique:
-            value = getattr(spec, field)
-            for other in self._specs.values():
-                if other.name != spec.name and getattr(other, field) == value:
-                    label = field.replace("_", " ")
-                    raise ValueError(
-                        f"{self.kind} {spec.name!r} reuses {label} {value!r} "
-                        f"already claimed by {other.name!r}; each {label} "
-                        f"must identify exactly one {self.kind}"
-                    )
         # Assigning an existing key keeps its position in the order.
         self._specs[spec.name] = spec
         self._revision += 1
@@ -77,8 +62,8 @@ class Registry(Generic[Spec]):
     def register(self, spec: Spec, replace: bool = False) -> Spec:
         """Register ``spec``; the single entry point for built-ins and plugins.
 
-        Raises ``ValueError`` when the name (or a ``unique`` field) is
-        taken; pass ``replace=True`` to swap a variant in deliberately.
+        Raises ``ValueError`` when the name is taken; pass
+        ``replace=True`` to swap a variant in deliberately.
         Returns the spec for decorator-style chaining.
         """
         with self._lock:

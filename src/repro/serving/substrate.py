@@ -31,8 +31,8 @@ from repro.core.scores.base import propagate_max_over_descendants
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper
-from repro.index import backends as index_backends
-from repro.index.backends.base import SearchBackend
+from repro.index.backend import SearchBackend
+from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology
@@ -51,7 +51,7 @@ class DeltaReport:
     #: Memoised score keys patched in place vs dropped for lazy recompute.
     scores_patched: Tuple[str, ...]
     scores_dropped: Tuple[str, ...]
-    #: True when a non-mutable index backend was rebuilt from the corpus.
+    #: True when a read-only (packed) index was rebuilt from the corpus.
     index_rebuilt: bool
     #: Substrate revision after the delta (unchanged for a no-op).
     revision: int
@@ -90,17 +90,11 @@ class SubstrateStore:
         ontology: Ontology,
         training_papers: Mapping[str, Sequence[str]],
         text_similarity_threshold: float = 0.10,
-        index_backend: Optional[str] = None,
     ) -> None:
         self.corpus = corpus
         self.ontology = ontology
         self.training_papers = {k: list(v) for k, v in training_papers.items()}
         self.text_similarity_threshold = text_similarity_threshold
-        self.index_backend = (
-            index_backend if index_backend is not None
-            else index_backends.DEFAULT_BACKEND
-        )
-        index_backends.get(self.index_backend)  # fail fast on unknown names
         self._index: Optional[SearchBackend] = None
         self._vectors: Optional[PaperVectorStore] = None
         self._tokens: Optional[AnalyzedPaperCache] = None
@@ -138,9 +132,8 @@ class SubstrateStore:
         if self._index is None:
             with self._build_lock:
                 if self._index is None:
-                    spec = index_backends.get(self.index_backend)
-                    with span("substrate.index.build", backend=spec.name):
-                        self._index = spec.build(self.corpus)
+                    with span("substrate.index.build"):
+                        self._index = build_index(self.corpus)
         return self._index
 
     @property
@@ -318,11 +311,11 @@ class SubstrateStore:
 
         Built substrates update as follows:
 
-        - **index** -- mutated in place when the backend declares
-          ``supports_mutation`` (the ``memory`` backend), otherwise
-          rebuilt from the corpus via the backend's registered ``build``
-          hook (the documented rebuild-on-mutate fallback for read-only
-          formats like ``ondisk``);
+        - **index** -- mutated in place when it declares
+          ``supports_mutation`` (the in-memory index), otherwise rebuilt
+          in memory from the corpus with ``build_index`` (the read-only
+          packed index a workspace opens; later deltas then mutate the
+          rebuilt index in place);
         - **vectors** -- fitted TF-IDF models are delta-updated exactly
           (ghost terms keep df=0); cached vectors re-weight from retained
           count maps;
@@ -372,15 +365,14 @@ class SubstrateStore:
 
                 index_rebuilt = False
                 if self._index is not None:
-                    with span("substrate.delta.index", backend=self.index_backend):
-                        if getattr(self._index, "supports_mutation", False):
+                    with span("substrate.delta.index"):
+                        if self._index.supports_mutation:
                             for paper in removed_papers:
                                 self._index.remove_document(paper.paper_id)
                             for paper in added:
                                 self._index.add_document(paper)
                         else:
-                            spec = index_backends.get(self.index_backend)
-                            self._index = spec.build(self.corpus)
+                            self._index = build_index(self.corpus)
                             index_rebuilt = True
                             registry.counter("substrate.delta.index_rebuilds").inc()
                     self._keyword_engine = None

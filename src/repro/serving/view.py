@@ -197,9 +197,8 @@ class ServingView:
         hit_rate = self.result_cache.hit_rate
         if hit_rate is not None:
             registry.gauge("search.cache.hit_rate").set(hit_rate)
-        # Backend-aware: lazy index backends (ondisk) expose cache/mmap
-        # stats; only the raw slot is inspected so a scrape never
-        # triggers a substrate build.
+        # The packed index exposes cache/mmap stats; only the raw slot
+        # is inspected so a scrape never triggers a substrate build.
         backend_stats = getattr(self._store._index, "backend_stats", None)
         if callable(backend_stats):
             for stat, value in backend_stats().items():

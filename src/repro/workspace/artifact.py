@@ -7,7 +7,7 @@ pipeline substrate as a first-class build product:
   pipeline's lazily-memoised properties, so dependency objects installed
   beforehand are reused, never rebuilt);
 - ``save(obj, path)`` / ``load(path, pipeline)`` -- the typed codec
-  (see :mod:`repro.core.io` and :mod:`repro.index.backends`); ``save``
+  (see :mod:`repro.core.io` and :mod:`repro.index.packed`); ``save``
   writes exactly ``path``, atomically;
 - ``install(pipeline, obj)`` -- hydrate the substrate store's slot so
   later property accesses short-circuit (and the serving layer sees the
@@ -38,6 +38,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import scoring
 from repro.core import io as core_io
+from repro.index import open_index, save_index
 
 
 @dataclass(frozen=True)
@@ -82,35 +83,6 @@ def _score_artifact(function: str, paper_set_name: str, deps: Tuple[str, ...]) -
     )
 
 
-def _build_index(pipeline):
-    return pipeline.index
-
-
-def _save_index(index, path):
-    """Persist the index through its producing backend's codec.
-
-    Backend build/load functions stamp their objects with
-    ``backend_name`` (see :mod:`repro.index.backends`), so a pipeline
-    configured with ``index_backend='ondisk'`` packs binary postings
-    here while the default keeps writing the original JSON snapshot.
-    """
-    from repro.index import backends
-
-    backends.save_index(index, path)
-
-
-def _load_index(path, pipeline):
-    """Open the index with whichever backend's codec wrote the file.
-
-    Dispatch is by the artifact's format tag, not the pipeline's
-    configured default -- lazy formats (ondisk) therefore open lazily
-    (mmap + header parse, no postings decode) on every reader.
-    """
-    from repro.index import backends
-
-    return backends.open_index(path)
-
-
 def _build_tokens(pipeline):
     tokens = pipeline.tokens
     tokens.warm()
@@ -129,14 +101,14 @@ def _build_vectors(pipeline):
 _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
     Artifact(
         name="index",
-        filename="index.json",
-        schema_version=1,
-        build=_build_index,
-        save=_save_index,
-        load=_load_index,
+        filename="index.bin",
+        schema_version=2,
+        build=lambda pipeline: pipeline.index,
+        save=save_index,
+        # Opened read-only behind mmap; a delta rebuilds it in memory.
+        load=lambda path, pipeline: open_index(path),
         install=lambda pipeline, index: pipeline.substrates.install_index(index),
-        config_keys=("index_backend",),
-        description="section-aware inverted index over the corpus",
+        description="section-aware inverted index over the corpus (packed postings)",
     ),
     Artifact(
         name="tokens",

@@ -176,7 +176,7 @@ class TestBuild:
         assert code == 0
         workspace = tmp_path / "workspace"
         assert (workspace / "citation_graph.json").exists()
-        assert not (workspace / "index.json").exists()
+        assert not (workspace / "index.bin").exists()
 
 
 class TestWorkspaceStatus:

@@ -80,16 +80,16 @@ class TestSearchUnderRefresh:
         assert swaps > 0
 
     def test_rankings_identical_while_index_backends_swap(self, tmp_path):
-        """Searches racing install_index() swaps between the memory index
-        and an ondisk (mmap) load of the same artifact must stay
-        byte-identical -- the backend split's concurrency guarantee."""
-        from repro.index import backends
+        """Searches racing install_index() swaps between the freshly built
+        index and the packed (mmap) index reopened from the workspace
+        must stay byte-identical."""
+        from repro.index import open_index
+        from repro.workspace import ARTIFACTS
 
         pipeline = build_demo_pipeline(seed=7, n_papers=120, n_terms=30)
-        memory_index = pipeline.index
-        path = tmp_path / "index.json"
-        backends.get("ondisk").save(memory_index, path)
-        ondisk_index = backends.get("ondisk").load(path)
+        fresh_index = pipeline.index
+        pipeline.build_workspace(tmp_path, only=["index"])
+        reopened_index = open_index(tmp_path / ARTIFACTS["index"].filename)
         baseline = {
             query: _rows(pipeline.search(query, limit=10)) for query in QUERIES
         }
@@ -100,8 +100,8 @@ class TestSearchUnderRefresh:
         def swapper():
             nonlocal swaps
             while not stop.is_set():
-                pipeline.substrates.install_index(ondisk_index)
-                pipeline.substrates.install_index(memory_index)
+                pipeline.substrates.install_index(reopened_index)
+                pipeline.substrates.install_index(fresh_index)
                 swaps += 2
 
         def searcher(_worker: int):
@@ -125,8 +125,8 @@ class TestSearchUnderRefresh:
             assert all(not m for m in all_mismatches), all_mismatches
             assert swaps > 0
         finally:
-            pipeline.substrates.install_index(memory_index)
-            ondisk_index.close()
+            pipeline.substrates.install_index(fresh_index)
+            reopened_index.close()
 
     def test_refresh_returns_fresh_view_atomically(self):
         pipeline = build_demo_pipeline(seed=3, n_papers=60, n_terms=20)

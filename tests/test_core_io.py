@@ -248,26 +248,27 @@ class TestAtomicWrite:
         assert not list(tmp_path.glob(f"*{TEMP_SUFFIX}"))
 
     def test_replace_keeps_a_live_ondisk_mapping_valid(self, tmp_path):
-        """Re-saving an index under an open ondisk backend must not tear it.
+        """Re-saving an index under an open packed index must not tear it.
 
-        Runs in a child: an in-place rewrite of the mapped sidecar kills
+        Runs in a child: an in-place rewrite of the mapped file kills
         the reader with SIGBUS (or feeds it the new file's bytes).
         """
         script = textwrap.dedent(
             """
             import sys
             from repro.corpus.corpus import Corpus
-            from repro.index.backends import ondisk
+            from repro.index import build_index, open_index, save_index
+            from repro.index.packed import PackedIndex
             from repro.pipeline import build_demo_pipeline
 
             path = sys.argv[1]
             pipeline = build_demo_pipeline(seed=11, n_papers=60, n_terms=20)
             full = pipeline.index
-            ondisk.save_packed_index(full, path)
-            live = ondisk.OndiskPostingsBackend(path, term_cache_size=0)
-            small = ondisk.build_ondisk_index(Corpus(list(pipeline.corpus)[:3]))
-            ondisk.save_packed_index(small, path)
-            assert ondisk.OndiskPostingsBackend(path).n_papers == 3
+            save_index(full, path)
+            live = PackedIndex(path, term_cache_size=0)
+            small = build_index(Corpus(list(pipeline.corpus)[:3]))
+            save_index(small, path)
+            assert open_index(path).n_papers == 3
             for term in full.vocabulary():
                 if tuple(live.postings(term)) != tuple(full.postings(term)):
                     sys.exit(f"postings of {term!r} changed under the mapping")
@@ -275,7 +276,7 @@ class TestAtomicWrite:
         )
         env = dict(os.environ, PYTHONPATH=str(SRC))
         result = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "index.json")],
+            [sys.executable, "-c", script, str(tmp_path / "index.bin")],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, (result.returncode, result.stderr[-2000:])

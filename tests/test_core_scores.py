@@ -132,6 +132,14 @@ class TestCitationPrestige:
         context = tiny_setup["paper_set"].context("met")
         assert scorer.subgraph_density(context) == pytest.approx(3 / 6)
 
+    def test_unknown_normalization_rejected_on_both_paths(self, tiny_setup):
+        scorer = CitationPrestige(tiny_setup["graph"])
+        paper_set = tiny_setup["paper_set"]
+        with pytest.raises(ValueError, match="unknown normalization 'nope'"):
+            scorer.score_all(paper_set, normalize="nope")
+        with pytest.raises(ValueError, match="unknown normalization 'nope'"):
+            scorer.score_contexts(paper_set, ["met"], normalize="nope")
+
 
 class TestTextPrestige:
     def test_representative_scores_highest(self, tiny_setup):

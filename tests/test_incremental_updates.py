@@ -7,8 +7,8 @@ Covers the delta-aware build layer end to end:
   revision bump -- no stale hits survive a delta;
 - a no-op delta bumps nothing;
 - invalid deltas raise before any mutation;
-- the ``memory`` index backend mutates in place, read-only backends take
-  the documented rebuild-on-mutate fallback;
+- a freshly built index mutates in place; the read-only packed index
+  reopened from a workspace is rebuilt in memory on the first delta;
 - workspace generations: manifest lineage fields, archives, chain
   validation, and the :func:`repro.workspace.ingest_delta` flow;
 - ``POST /admin/ingest`` on the search service.
@@ -149,18 +149,18 @@ class TestIndexMutationCapability:
         assert pipeline.index.n_papers == len(pipeline.corpus)
 
     def test_readonly_backend_takes_rebuild_fallback(self, tmp_path):
-        """An mmap-backed ondisk index cannot mutate in place; a delta
-        replaces it through the backend's registered build hook."""
-        from repro.index import backends
+        """The mmap-backed packed index reopened from a workspace cannot
+        mutate in place: the first delta rebuilds it in memory, and the
+        next one mutates the rebuilt index in place."""
+        from repro.index import open_index
+        from repro.workspace import ARTIFACTS
 
         pipeline = build_demo_pipeline(seed=11, n_papers=40, n_terms=10)
         papers = list(pipeline.corpus)
-        spec = backends.get("ondisk")
-        path = tmp_path / "index.ondisk.json"
-        spec.save(pipeline.index, path)
-        loaded = spec.load(path)
+        pipeline.build_workspace(tmp_path, only=["index"])
+        loaded = open_index(tmp_path / ARTIFACTS["index"].filename)
         try:
-            assert not getattr(loaded, "supports_mutation", False)
+            assert not loaded.supports_mutation
             pipeline.substrates.install_index(loaded)
             report = pipeline.add_papers(
                 [_new_paper("PDELTA31", papers[0].paper_id)]
@@ -168,10 +168,14 @@ class TestIndexMutationCapability:
             assert report.index_rebuilt
             assert pipeline.index is not loaded
             assert pipeline.index.n_papers == len(pipeline.corpus)
+            rebuilt = pipeline.index
+            report = pipeline.add_papers(
+                [_new_paper("PDELTA32", papers[1].paper_id)]
+            )
+            assert not report.index_rebuilt
+            assert pipeline.index is rebuilt
         finally:
-            close = getattr(loaded, "close", None)
-            if callable(close):
-                close()
+            loaded.close()
 
 
 class TestManifestGenerations:

@@ -221,42 +221,37 @@ class TestDeltaParity:
         assert mismatches == []
 
 
-class TestBackendParity:
-    """Every registered index backend must reproduce the golden rankings.
+class TestIndexParity:
+    """The freshly built index and the packed index reopened from the
+    workspace must both reproduce the golden rankings.
 
-    The index artifact is round-tripped through each backend's codec and
-    installed into the serving substrate; rankings for every golden
-    combo/query must stay byte-identical.  This is the acceptance
-    criterion of the backend split: storage layout must never be able to
-    change what a query returns.
+    The reopened form is installed into the serving substrate; rankings
+    for every golden combo/query must stay byte-identical -- the
+    persisted layout must never be able to change what a query returns.
     """
 
-    def test_every_registered_backend_matches_golden(
-        self, golden, pipeline, tmp_path
-    ):
-        from repro.index import backends
+    @pytest.mark.parametrize("form", ["fresh", "reopened"])
+    def test_index_matches_golden(self, golden, pipeline, tmp_path, form):
+        from repro.index import open_index
+        from repro.workspace import ARTIFACTS
 
         source = pipeline.index
-        opened = []
+        installed = source
+        if form == "reopened":
+            pipeline.build_workspace(tmp_path, only=["index"])
+            installed = open_index(tmp_path / ARTIFACTS["index"].filename)
         mismatches = []
         try:
-            for spec in backends.specs():
-                path = tmp_path / f"index_{spec.name}.json"
-                spec.save(source, path)
-                loaded = spec.load(path)
-                opened.append(loaded)
-                pipeline.substrates.install_index(loaded)
-                for combo in _combo_cases(golden):
-                    function, paper_set, strategy = combo.split("/")
-                    engine = pipeline.search_engine(function, paper_set, strategy)
-                    for query, expected in golden["combos"][combo].items():
-                        hits = engine.search(query, limit=10)
-                        if _hit_rows(hits) != expected["search"]:
-                            mismatches.append((spec.name, combo, query))
+            pipeline.substrates.install_index(installed)
+            for combo in _combo_cases(golden):
+                function, paper_set, strategy = combo.split("/")
+                engine = pipeline.search_engine(function, paper_set, strategy)
+                for query, expected in golden["combos"][combo].items():
+                    hits = engine.search(query, limit=10)
+                    if _hit_rows(hits) != expected["search"]:
+                        mismatches.append((combo, query))
         finally:
             pipeline.substrates.install_index(source)
-            for loaded in opened:
-                close = getattr(loaded, "close", None)
-                if callable(close):
-                    close()
+            if installed is not source:
+                installed.close()
         assert mismatches == []

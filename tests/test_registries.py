@@ -1,8 +1,9 @@
-"""The shared :class:`repro.registry.Registry` and the lint over it.
+"""The shared :class:`repro.registry.Registry`, the lint over it, and the
+docs table generated from it.
 
-Both plug-in seams -- score functions and index backends -- are
-instances of one registry class; ``tools/check_registries.py`` checks
-every surface derived from them.
+Score functions are instances of one registry class;
+``tools/check_registries.py`` checks the surfaces derived from it and
+``tools/gen_api_docs.py`` writes its table in ``docs/architecture.md``.
 """
 
 import dataclasses
@@ -12,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro import scoring
-from repro.index import backends
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,9 +25,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
             "text",
             lambda: (scoring.function_names(), scoring.evaluation_arms()),
         ),
-        (backends, "memory", backends.backend_names),
     ],
-    ids=["scoring", "backends"],
+    ids=["scoring"],
 )
 def test_shadowing_block_keeps_registration_order(registry, name, snapshot):
     before = snapshot()
@@ -38,9 +37,9 @@ def test_shadowing_block_keeps_registration_order(registry, name, snapshot):
     assert snapshot() == before
 
 
-def _load_lint():
-    path = REPO_ROOT / "tools" / "check_registries.py"
-    spec = importlib.util.spec_from_file_location("check_registries", path)
+def _load_tool(name):
+    path = REPO_ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -48,19 +47,18 @@ def _load_lint():
 
 class TestCheckRegistries:
     def test_undocumented_registrations_fail_then_clean_tree_passes(self, capsys):
-        lint = _load_lint()
+        lint = _load_tool("check_registries")
+        docs = _load_tool("gen_api_docs")
+        architecture = (REPO_ROOT / "docs" / "architecture.md").read_text(
+            encoding="utf-8"
+        )
         undocumented_function = dataclasses.replace(
             scoring.get("hits"), name="undocumented"
         )
         with scoring.temporary_registration(undocumented_function):
-            assert lint.main() == 1
-        assert "'undocumented' missing from" in capsys.readouterr().out
-        undocumented_backend = dataclasses.replace(
-            backends.get("memory"),
-            name="undocumented",
-            format_tag="repro/undocumented-index/v1",
-        )
-        with backends.temporary_registration(undocumented_backend):
-            assert lint.main() == 1
-        assert "'undocumented' missing from" in capsys.readouterr().out
+            regenerated = docs.with_score_function_table(architecture)
+        assert "| `undocumented` |" in regenerated
+        assert regenerated != architecture
+        assert docs.with_score_function_table(architecture) == architecture
         assert lint.main() == 0
+        assert "agree with the registry" in capsys.readouterr().out

@@ -228,6 +228,78 @@ class TestCorruptArtifacts:
         assert not any((copy / v1_file).exists() for v1_file in v1_files)
         assert all(s.state == "fresh" for s in workspace_status(pipeline, copy))
 
+    def test_v1_json_index_is_stale_and_replaced_by_index_bin(
+        self, built, data_dir, tmp_path
+    ):
+        """A workspace whose index is the schema-1 ``index.json``
+        (``repro/inverted-index/v1``), with the manifest fingerprints such
+        a workspace recorded, rebuilds into ``index.bin``."""
+        from repro.core.io import write_tagged_json
+        from repro.workspace.manifest import entries_from_payload
+
+        pipeline, workspace, _ = built
+        copy = tmp_path / "workspace"
+        shutil.copytree(workspace, copy)
+        (copy / "index.bin").unlink()
+        write_tagged_json(
+            pipeline.index.to_payload(), copy / "index.json",
+            "repro/inverted-index/v1",
+        )
+        manifest = json.loads((copy / "manifest.json").read_text())
+        for name, fingerprint in _v1_index_fingerprints(pipeline).items():
+            manifest["artifacts"][name]["fingerprint"] = fingerprint
+        manifest["artifacts"]["index"].update(
+            file="index.json",
+            schema_version=1,
+            size_bytes=(copy / "index.json").stat().st_size,
+        )
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+
+        dependents = {"index"}
+        for name in topological_order():
+            if dependents & set(ARTIFACTS[name].deps):
+                dependents.add(name)
+        assert "citation_graph" not in dependents
+        reopened = Pipeline.from_directory(data_dir)
+        statuses = {s.name: s for s in workspace_status(reopened, copy)}
+        assert statuses["index"].reason == "schema v1 != v2"
+        for name, status in statuses.items():
+            assert status.state == ("stale" if name in dependents else "fresh"), name
+
+        report = WorkspaceBuilder(reopened, copy).build()
+        assert set(report.built) == dependents
+        assert not (copy / "index.json").exists()
+        entry = entries_from_payload(read_manifest(copy))["index"]
+        assert entry.file == "index.bin"
+        assert entry.size_bytes == (copy / "index.bin").stat().st_size
+        assert all(s.state == "fresh" for s in workspace_status(reopened, copy))
+
+
+def _v1_index_fingerprints(pipeline):
+    """Artifact fingerprints of a workspace whose index artifact was the
+    ``index.json`` of schema 1, fingerprinted with the index-backend
+    name among its config values."""
+    from repro.workspace.fingerprint import InputDigests, digest_json
+
+    inputs = InputDigests.of_pipeline(pipeline).combined
+    fingerprints = {}
+    for name in topological_order():
+        artifact = ARTIFACTS[name]
+        schema_version = artifact.schema_version
+        config = {key: getattr(pipeline, key) for key in artifact.config_keys}
+        if name == "index":
+            schema_version, config = 1, {"index_backend": "memory"}
+        fingerprints[name] = digest_json(
+            {
+                "artifact": name,
+                "schema_version": schema_version,
+                "inputs": inputs,
+                "config": config,
+                "deps": [fingerprints[dep] for dep in artifact.deps],
+            }
+        )
+    return fingerprints
+
 
 class TestManifestCheckTool:
     def test_leftover_temp_file_fails_the_check(self, built, tmp_path, capsys):
@@ -245,9 +317,9 @@ class TestManifestCheckTool:
         shutil.copytree(workspace, copy)
         manifest = str(copy / "manifest.json")
         assert tool.main(["--manifest", manifest]) == 0
-        (copy / ".index.json.0badf00d.tmp").write_bytes(b"half an index")
+        (copy / ".index.bin.0badf00d.tmp").write_bytes(b"half an index")
         assert tool.main(["--manifest", manifest]) == 1
-        assert "leftover temporary file .index.json.0badf00d.tmp" in (
+        assert "leftover temporary file .index.bin.0badf00d.tmp" in (
             capsys.readouterr().out
         )
 
@@ -342,7 +414,7 @@ class TestManifest:
         payload = {
             "format": "repro/workspace-manifest/v1",
             "inputs": {"corpus": "a", "ontology": "b", "training": "c"},
-            "artifacts": {"index": {"file": "index.json"}},
+            "artifacts": {"index": {"file": "index.bin"}},
         }
         with pytest.raises(ValueError, match="missing 'fingerprint'"):
             validate_manifest_payload(payload)
@@ -380,12 +452,11 @@ class TestCodecs:
     """Round-trips of the typed save/load pairs on the tiny testbed."""
 
     def test_inverted_index_round_trip(self, tiny_corpus, tmp_path):
-        from repro.index import backends
-        from repro.index.inverted import InvertedIndex
+        from repro.index import build_index, open_index, save_index
 
-        index = InvertedIndex().index_corpus(tiny_corpus)
-        backends.save_index(index, tmp_path / "index.json")
-        restored = backends.get("memory").load(tmp_path / "index.json")
+        index = build_index(tiny_corpus)
+        save_index(index, tmp_path / "index.bin")
+        restored = open_index(tmp_path / "index.bin")
         assert restored.to_payload() == index.to_payload()
         assert restored.n_papers == index.n_papers
         for term in ("glucose", "kinase", "quasar"):
@@ -445,12 +516,12 @@ class TestCodecs:
         assert read_representatives(tmp_path / "reps.json") == representatives
 
     def test_corrupt_artifact_names_path(self, tmp_path):
-        from repro.index import backends
+        from repro.core.io import read_citation_graph
 
-        path = tmp_path / "index.json"
+        path = tmp_path / "citation_graph.json"
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(ValueError, match="corrupt JSON") as excinfo:
-            backends.get("memory").load(path)
+            read_citation_graph(path)
         assert str(path) in str(excinfo.value)
 
     def test_mismatched_format_tag_names_both_tags(self, tmp_path):

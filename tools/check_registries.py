@@ -1,34 +1,24 @@
 #!/usr/bin/env python3
-"""Lint the score-function and index-backend registries against the
-surfaces derived from them.
+"""Lint the score-function registry and the index protocol boundary.
 
 The registry in ``src/repro/scoring/`` is the single source of truth for
-prestige score functions, the one in ``src/repro/index/backends/`` for
-index storage engines.  This lint (modeled on ``check_metric_names.py``)
-fails CI when any derived surface drifts:
+prestige score functions.  This lint (modeled on
+``check_metric_names.py``) fails CI when a derived surface drifts:
 
 1. CLI: every ``--function`` choice list (``repro search`` / ``repro
-   tune``) equals the registered function names, every ``--paper-set``
-   equals ``scoring.PAPER_SET_NAMES``, and every ``--index-backend``
-   (``repro search`` / ``repro build`` / ``repro workspace status`` ...)
-   equals the registered backends with ``DEFAULT_BACKEND`` as its
-   argparse default;
+   tune``) equals the registered function names, and every
+   ``--paper-set`` equals ``scoring.PAPER_SET_NAMES``;
 2. workspace: exactly one ``scores_<function>_<paper_set>`` artifact per
    evaluation arm, with the dependency chain ``(<paper_set>_paper_set,)
-   + spec.substrates``, and an ``index`` artifact that lists
-   ``index_backend`` among its config keys so switching backends marks
-   it stale;
-3. backend specs: callable ``build``/``save``/``load``, a unique
-   ``format_tag`` each (the workspace load path dispatches on it), and a
-   registered default;
-4. docs: the "Registered score functions" and "Registered index
-   backends" tables of ``docs/architecture.md`` list exactly the
-   registered names;
-5. ``src/``: no literal function-name dispatch ladder
+   + spec.substrates``;
+3. ``src/``: no literal function-name dispatch ladder
    (``function == "citation"``) or hand-rolled choices tuple of function
    names outside ``src/repro/scoring/``, and no concrete index class
-   (``InvertedIndex``, ``PositionalIndex``, ``OndiskPostingsBackend``)
-   outside ``src/repro/index/`` -- derive from the registries instead.
+   (``InvertedIndex``, ``PositionalIndex``, ``PackedIndex``) outside
+   ``src/repro/index/`` -- talk to the ``SearchBackend`` protocol.
+
+The "Registered score functions" table of ``docs/architecture.md`` is
+not linted: ``tools/gen_api_docs.py`` writes it from the registry.
 
 Exit status 1 on any violation; intended for tools/ci.sh.
 """
@@ -43,15 +33,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-DOCS_PATH = "docs/architecture.md"
-#: The registry packages themselves are where literal names belong.
+#: The registry package itself is where literal names belong.
 SCORING_PREFIX = "src/repro/scoring/"
 INDEX_PREFIX = "src/repro/index/"
 #: Subcommands each registry-derived flag must appear on.
-REQUIRED_SUBCOMMANDS = {
-    "--function": {"search", "tune"},
-    "--index-backend": {"search", "build"},
-}
+REQUIRED_SUBCOMMANDS = {"--function": {"search", "tune"}}
 
 
 def cli_flags(parser: argparse.ArgumentParser, flag: str) -> list:
@@ -70,8 +56,8 @@ def cli_flags(parser: argparse.ArgumentParser, flag: str) -> list:
     return found
 
 
-def check_cli(scoring, backends) -> list:
-    """CLI choices (and the backend default) must come from the registries."""
+def check_cli(scoring) -> list:
+    """CLI choices must come from the registry."""
     from repro.cli import build_parser
 
     parser = build_parser()
@@ -79,7 +65,6 @@ def check_cli(scoring, backends) -> list:
     expected = {
         "--function": tuple(scoring.function_names()),
         "--paper-set": scoring.PAPER_SET_NAMES,
-        "--index-backend": tuple(backends.backend_names()),
     }
     for flag, names in expected.items():
         flags = cli_flags(parser, flag)
@@ -90,11 +75,6 @@ def check_cli(scoring, backends) -> list:
                     f"cli: `{subcommand} {flag}` choices {choices} != "
                     f"registry {names}"
                 )
-            if flag == "--index-backend" and action.default != backends.DEFAULT_BACKEND:
-                problems.append(
-                    f"cli: `{subcommand} {flag}` default {action.default!r} != "
-                    f"registry default {backends.DEFAULT_BACKEND!r}"
-                )
         seen = {subcommand.split()[0] for subcommand, _ in flags}
         for subcommand in sorted(REQUIRED_SUBCOMMANDS.get(flag, set()) - seen):
             problems.append(f"cli: `{subcommand}` has no {flag} flag")
@@ -102,7 +82,7 @@ def check_cli(scoring, backends) -> list:
 
 
 def check_workspace(scoring) -> list:
-    """One score artifact per arm with spec deps; index keyed on its backend."""
+    """One score artifact per arm with spec-derived deps."""
     from repro.workspace import ARTIFACTS
 
     problems = []
@@ -125,78 +105,6 @@ def check_workspace(scoring) -> list:
                 f"workspace: {name} deps {actual[name]} != spec-derived "
                 f"{expected[name]}"
             )
-    index_artifact = ARTIFACTS.get("index")
-    if index_artifact is None:
-        problems.append("workspace: no 'index' artifact registered")
-    elif "index_backend" not in index_artifact.config_keys:
-        problems.append(
-            "workspace: the index artifact must list 'index_backend' in "
-            "config_keys (backend switches must fingerprint as stale)"
-        )
-    return problems
-
-
-def check_backend_specs(backends) -> list:
-    """Spec shape, unique format tags, registered default."""
-    problems = []
-    tags = {}
-    for spec in backends.specs():
-        for role in ("build", "save", "load"):
-            if not callable(getattr(spec, role, None)):
-                problems.append(f"registry: backend {spec.name!r} {role} not callable")
-        if spec.format_tag in tags:
-            problems.append(
-                f"registry: backends {tags[spec.format_tag]!r} and "
-                f"{spec.name!r} share format tag {spec.format_tag!r}"
-            )
-        tags[spec.format_tag] = spec.name
-    if backends.DEFAULT_BACKEND not in backends.backend_names():
-        problems.append(
-            f"registry: default backend {backends.DEFAULT_BACKEND!r} "
-            f"is not registered"
-        )
-    return problems
-
-
-#: First cell of a registry table row.
-DOCS_ROW_RE = re.compile(r"^\|\s*`([a-z][a-z0-9_]*)`\s*\|")
-
-
-def docs_table_names(heading: str) -> list:
-    """Names listed in the docs table introduced by ``heading``, in order."""
-    text = (REPO_ROOT / DOCS_PATH).read_text(encoding="utf-8")
-    names = []
-    in_section = False
-    for line in text.splitlines():
-        if line.strip() == heading:
-            in_section = True
-            continue
-        if in_section:
-            row = DOCS_ROW_RE.match(line)
-            if row:
-                names.append(row.group(1))
-            elif names:
-                break  # table ended
-    return names
-
-
-def check_docs(heading: str, kind: str, registered) -> list:
-    """The docs table under ``heading`` lists exactly ``registered``."""
-    documented = docs_table_names(heading)
-    if not documented:
-        return [f"docs: no '{heading.rstrip(':')}' table found in {DOCS_PATH}"]
-    problems = []
-    for name in registered:
-        if name not in documented:
-            problems.append(
-                f"docs: registered {kind} {name!r} missing from the "
-                f"{DOCS_PATH} table"
-            )
-    for name in documented:
-        if name not in registered:
-            problems.append(
-                f"docs: {DOCS_PATH} table lists unregistered {kind} {name!r}"
-            )
     return problems
 
 
@@ -207,9 +115,7 @@ LITERAL_RUN_RE = re.compile(
     r"[\"']([a-z][a-z0-9_]*)[\"'](?:\s*,\s*[\"']([a-z][a-z0-9_]*)[\"'])+"
 )
 #: Concrete index classes that must stay inside src/repro/index/.
-CONCRETE_RE = re.compile(
-    r"\b(InvertedIndex|PositionalIndex|OndiskPostingsBackend)\b"
-)
+CONCRETE_RE = re.compile(r"\b(InvertedIndex|PositionalIndex|PackedIndex)\b")
 COMMENT_RE = re.compile(r"#.*$")
 
 
@@ -249,28 +155,15 @@ def scan_src(scoring) -> list:
                 if match:
                     problems.append(
                         f"{where} concrete index type {match.group(1)} (talk "
-                        f"to the SearchBackend protocol via "
-                        f"repro.index.backends instead)"
+                        f"to the SearchBackend protocol instead)"
                     )
     return problems
 
 
 def main() -> int:
     from repro import scoring
-    from repro.index import backends
 
-    problems = [
-        *check_cli(scoring, backends),
-        *check_workspace(scoring),
-        *check_backend_specs(backends),
-        *check_docs(
-            "Registered score functions:", "function", scoring.function_names()
-        ),
-        *check_docs(
-            "Registered index backends:", "backend", backends.backend_names()
-        ),
-        *scan_src(scoring),
-    ]
+    problems = [*check_cli(scoring), *check_workspace(scoring), *scan_src(scoring)]
     if problems:
         print("registry violations:")
         for problem in problems:
@@ -278,10 +171,8 @@ def main() -> int:
         return 1
     print(
         f"check_registries: {len(scoring.function_names())} functions "
-        f"({len(scoring.evaluation_arms())} arms), "
-        f"{len(backends.backend_names())} backends "
-        f"({', '.join(backends.backend_names())}) -- CLI, workspace, docs "
-        f"and src agree with the registries"
+        f"({len(scoring.evaluation_arms())} arms) -- CLI, workspace and src "
+        f"agree with the registry"
     )
     return 0
 

@@ -13,7 +13,7 @@ echo "== lint: metric name convention =="
 python tools/check_metric_names.py
 
 echo
-echo "== lint: score-function and index-backend registries =="
+echo "== lint: score-function registry and the index protocol boundary =="
 python tools/check_registries.py
 
 echo
@@ -31,9 +31,9 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
 python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
 
 echo
-echo "== docs: docs/api.md is generated from the code =="
+echo "== docs: docs/api.md and the architecture score-function table are generated from the code =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/gen_api_docs.py
-git diff --exit-code docs/api.md
+git diff --exit-code docs/api.md docs/architecture.md
 
 echo
 echo "== smoke: http search service (start, scrape, search, reload, stop) =="

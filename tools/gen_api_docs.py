@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Generate docs/api.md from the package's public surface.
+"""Generate docs/api.md and the score-function table of docs/architecture.md.
 
 Walks every ``repro`` package's ``__all__``, pulls the first docstring
 paragraph of each public item, and renders a compact markdown reference.
-Re-run after changing public APIs:
+Then rewrites the table under "Registered score functions:" in
+docs/architecture.md from the scoring registry.  Re-run after changing
+public APIs or registering a score function:
 
-    python tools/gen_api_docs.py
+    PYTHONPATH=src python tools/gen_api_docs.py
 """
 
 from __future__ import annotations
@@ -72,8 +74,40 @@ def render_package(name: str) -> list:
     return lines
 
 
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+#: The line introducing the generated table in docs/architecture.md.
+SCORE_TABLE_HEADING = "Registered score functions:"
+
+
+def score_function_table() -> list:
+    """Markdown rows describing every registered score function."""
+    from repro import scoring
+
+    lines = [
+        "| function | substrates | paper sets (arms) | description |",
+        "|---|---|---|---|",
+    ]
+    for spec in scoring.specs():
+        substrates = ", ".join(spec.substrates) or "—"
+        paper_sets = ", ".join(spec.paper_sets) or "—"
+        lines.append(
+            f"| `{spec.name}` | {substrates} | {paper_sets} | {spec.description} |"
+        )
+    return lines
+
+
+def with_score_function_table(text: str) -> str:
+    """``text`` with the table after :data:`SCORE_TABLE_HEADING` regenerated."""
+    lines = text.split("\n")
+    start = lines.index(SCORE_TABLE_HEADING) + 2  # the heading, a blank line
+    end = start
+    while end < len(lines) and lines[end].startswith("|"):
+        end += 1
+    return "\n".join(lines[:start] + score_function_table() + lines[end:])
+
+
 def main() -> int:
-    out_path = Path(__file__).resolve().parent.parent / "docs" / "api.md"
+    out_path = DOCS / "api.md"
     lines = [
         "# API reference",
         "",
@@ -86,6 +120,10 @@ def main() -> int:
         lines.extend(render_package(package))
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out_path} ({len(lines)} lines)")
+    architecture = DOCS / "architecture.md"
+    text = architecture.read_text(encoding="utf-8")
+    architecture.write_text(with_score_function_table(text), encoding="utf-8")
+    print(f"wrote the score-function table of {architecture}")
     return 0
 
 
