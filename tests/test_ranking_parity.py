@@ -52,7 +52,7 @@ def _combo_cases(golden):
 class TestRankingParity:
     def test_golden_covers_every_seed_function(self, golden):
         functions = {combo.split("/")[0] for combo in golden["combos"]}
-        assert {"citation", "hits", "text", "pattern"} <= functions
+        assert {"citation", "hits", "text", "pattern", "combined"} <= functions
 
     def test_golden_has_nonempty_rankings(self, golden):
         nonempty = sum(
