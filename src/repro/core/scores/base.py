@@ -370,24 +370,16 @@ class PrestigeScoreFunction(abc.ABC):
         taken -- both live in [0, 1].
         """
         key, normalizer = self._normalizer(normalize)
-        registry = get_registry()
-        # Score-function names are free-form ("citation-xctx"); fold them
-        # into one valid metric segment so the dotted convention holds.
-        metric_name = (
-            _METRIC_SEGMENT_SUB.sub("_", self.name.lower()).lstrip("_0123456789")
-            or "unnamed"
-        )
+        metric_name = self._metric_name()
         with span(
             f"scores.{metric_name}.score_all", normalize=key
-        ) as trace, registry.timer(f"scores.{metric_name}.seconds"):
+        ) as trace, get_registry().timer(f"scores.{metric_name}.seconds"):
             by_context, papers_scored = self._score_each(paper_set, normalizer)
             pre_propagation = None
             if propagate:
                 pre_propagation = by_context
                 by_context = propagate_max_over_descendants(paper_set, by_context)
             trace.set(contexts_scored=len(by_context), papers_scored=papers_scored)
-        registry.counter(f"scores.{metric_name}.contexts_scored").inc(len(by_context))
-        registry.counter(f"scores.{metric_name}.papers_scored").inc(papers_scored)
         return PrestigeScores(self.name, by_context, pre_propagation=pre_propagation)
 
     def score_contexts(
@@ -410,6 +402,13 @@ class PrestigeScoreFunction(abc.ABC):
         contexts = (c for c in paper_set if c.term_id in wanted)
         return self._score_each(contexts, normalizer)[0]
 
+    def _metric_name(self) -> str:
+        """:attr:`name` (free-form: "citation-xctx") as one metric segment."""
+        return (
+            _METRIC_SEGMENT_SUB.sub("_", self.name.lower()).lstrip("_0123456789")
+            or "unnamed"
+        )
+
     def _normalizer(self, normalize: Optional[str]) -> Tuple[str, Callable]:
         """The :data:`NORMALIZERS` key and function (None: the default)."""
         key = normalize if normalize is not None else self.normalization
@@ -426,7 +425,8 @@ class PrestigeScoreFunction(abc.ABC):
     ) -> Tuple[Dict[str, Dict[str, float]], int]:
         """Normalised, decayed scores per context, and papers scored.
 
-        Contexts whose raw scores are empty get no entry.
+        Contexts whose raw scores are empty get no entry.  Both counts
+        go to the ``scores.<function>.*_scored`` counters.
         """
         by_context: Dict[str, Dict[str, float]] = {}
         papers_scored = 0
@@ -439,4 +439,7 @@ class PrestigeScoreFunction(abc.ABC):
             if context.decay != 1.0:
                 scored = {pid: s * context.decay for pid, s in scored.items()}
             by_context[context.term_id] = scored
+        registry, metric_name = get_registry(), self._metric_name()
+        registry.counter(f"scores.{metric_name}.contexts_scored").inc(len(by_context))
+        registry.counter(f"scores.{metric_name}.papers_scored").inc(papers_scored)
         return by_context, papers_scored

@@ -25,12 +25,10 @@ from repro.scoring.registry import (
 # Importing these modules runs their register() calls.
 from repro.scoring import functions as _functions  # noqa: F401  (registers built-ins)
 from repro.scoring import combined as _combined  # noqa: F401  (registers the plugin)
-from repro.scoring.combined import CombinedPrestige
 
 __all__ = [
     "PAPER_SET_NAMES",
     "ScoreFunctionSpec",
-    "CombinedPrestige",
     "evaluation_arms",
     "function_names",
     "get",

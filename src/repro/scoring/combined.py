@@ -4,7 +4,11 @@ A weighted blend of citation and text prestige, in the spirit of the
 related citation-context ranking work (C-Rank, Doslu & Bingol): citation
 links carry endorsement, text similarity carries topicality, and a
 convex combination hedges each one's failure mode (sparse in-context
-subgraphs for citation, representative drift for text).
+subgraphs for citation, representative drift for text).  Like those
+methods it combines evidence that is already computed: the spec declares
+``components`` and the build layer derives the blend from the memoised
+``citation`` and ``text`` scores (each normalised by its own function)
+instead of scoring any paper again.
 
 This module is deliberately *only* a registration: it builds entirely on
 the public plugin API (:class:`~repro.scoring.registry.ScoreFunctionSpec`
@@ -14,89 +18,18 @@ workspace, and every evaluation sweep -- which is the proof that adding
 a ranking function is a one-file change.
 """
 
-from __future__ import annotations
-
-from typing import Dict, Sequence, Tuple
-
-from repro.core.context import Context
-from repro.core.scores import (
-    CitationPrestige,
-    NORMALIZERS,
-    PrestigeScoreFunction,
-    TextPrestige,
-)
 from repro.scoring.registry import ScoreFunctionSpec, register
-
-
-class CombinedPrestige(PrestigeScoreFunction):
-    """Weighted blend of component prestige functions.
-
-    Each component's raw per-context scores are put through that
-    component's *own* normaliser first (PageRank keeps its teleport
-    floor, text similarity stays raw), so the blend mixes commensurable
-    [0, 1] values; the weighted sum is then used as-is.  Hierarchy
-    max-propagation happens once, at the blend level, via the inherited
-    :meth:`~repro.core.scores.base.PrestigeScoreFunction.score_all`.
-    """
-
-    name = "combined"
-    #: Components are normalised individually; the convex blend of [0, 1]
-    #: values needs no second rescale.
-    normalization = "none"
-
-    def __init__(
-        self, components: Sequence[Tuple[PrestigeScoreFunction, float]]
-    ) -> None:
-        if not components:
-            raise ValueError("combined prestige needs at least one component")
-        total = sum(weight for _, weight in components)
-        if total <= 0.0:
-            raise ValueError("component weights must sum to a positive value")
-        # Store convex weights so the blend stays in [0, 1].
-        self.components = tuple(
-            (scorer, weight / total) for scorer, weight in components
-        )
-
-    def score_context(self, context: Context) -> Dict[str, float]:
-        blended: Dict[str, float] = {}
-        for scorer, weight in self.components:
-            raw = scorer.score_context(context)
-            if not raw:
-                continue
-            normalised = NORMALIZERS[scorer.normalization](raw)
-            for paper_id, value in normalised.items():
-                blended[paper_id] = blended.get(paper_id, 0.0) + weight * value
-        return blended
-
 
 #: The blend weights: citation endorsement vs text topicality.
 CITATION_WEIGHT = 0.5
 TEXT_WEIGHT = 0.5
 
-
-def _combined_factory(substrates) -> CombinedPrestige:
-    return CombinedPrestige(
-        [
-            (CitationPrestige(substrates.citation_graph), CITATION_WEIGHT),
-            (
-                TextPrestige(
-                    substrates.corpus,
-                    substrates.vectors,
-                    substrates.citation_graph,
-                    substrates.representatives,
-                ),
-                TEXT_WEIGHT,
-            ),
-        ]
-    )
-
-
 register(
     ScoreFunctionSpec(
         name="combined",
-        factory=_combined_factory,
-        # The union of the citation and text substrate chains.
-        substrates=("citation_graph", "vectors", "representatives"),
+        # Substrates: the union of the citation and text chains,
+        # ("citation_graph", "vectors", "representatives").
+        components=(("citation", CITATION_WEIGHT), ("text", TEXT_WEIGHT)),
         paper_sets=("text",),
         description="rank fusion: convex blend of citation and text prestige",
     )

@@ -10,38 +10,32 @@ sweeps -- derives its list from the registry instead.  Registering one
 spec therefore gets a new ranking function fingerprinted persistence,
 CLI exposure, and inclusion in evaluation sweeps with no edits to core
 modules (see ``docs/architecture.md`` for the worked ``combined``
-example).  The mechanics are the shared :class:`repro.registry.Registry`;
-this module binds its public functions to one instance, ``REGISTRY``.
+example).  :data:`REGISTRY` holds the specs; this module binds its
+methods as the public functions.
 
-A spec declares:
-
-- ``name`` -- the registry key, CLI value, and metric segment;
-- ``factory`` -- builds the scorer from a
-  :class:`~repro.serving.substrate.SubstrateStore` (the build layer that
-  owns index/vectors/graph/paper sets/representatives);
-- ``substrates`` -- the workspace-artifact names the computed scores
-  depend on (beyond the paper-set artifact itself), which become the
-  fingerprint dependency chain of each persisted score artifact;
-- ``paper_sets`` -- the context paper sets the function is persisted and
-  swept on (its evaluation arms); an empty tuple keeps a function
-  searchable but out of the workspace and the experiment sweeps (the
-  ``hits`` road-not-taken);
-- ``in_overlap`` -- whether the function joins the figure-5.3 pairwise
-  overlap grid.
+A spec's ``name`` is the registry key, CLI value, and metric segment;
+its other fields are documented on :class:`ScoreFunctionSpec`.  It
+either builds a scorer (``factory``) or blends registered functions'
+scores (``components``, a *derived* function that scores no paper).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import re
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
-
-from repro.registry import Registry, check_name
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 #: The two context paper sets of section 4.  Paper-set construction is
 #: structural (text assignment vs pattern assignment), not pluggable --
 #: specs may only reference these names.
 PAPER_SET_NAMES: Tuple[str, ...] = ("text", "pattern")
+
+#: Names double as CLI values, file-name segments and metric segments.
+_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
 @dataclass(frozen=True)
@@ -49,14 +43,18 @@ class ScoreFunctionSpec:
     """Declaration of one prestige score function (see module docstring)."""
 
     name: str
-    #: ``factory(substrates) -> PrestigeScoreFunction``; called lazily, at
+    #: ``factory(substrates) -> PrestigeScoreFunction``, given the
+    #: :class:`~repro.serving.substrate.SubstrateStore`; called lazily, at
     #: most once per (function, paper set) thanks to score memoisation.
-    factory: Callable
+    #: Exactly one of ``factory`` and ``components`` is set.
+    factory: Optional[Callable] = None
     #: Workspace-artifact names the scores depend on, e.g.
-    #: ``("citation_graph",)`` -- the paper-set artifact is implicit.
+    #: ``("citation_graph",)`` -- the paper-set artifact is implicit.  For
+    #: a derived spec :func:`register` sets it to the ordered union of its
+    #: components' substrates.
     substrates: Tuple[str, ...] = ()
     #: Paper sets the function is persisted on and swept over in
-    #: evaluation (its arms).  Empty = searchable only.
+    #: evaluation (its arms).  Empty = searchable only (``hits``).
     paper_sets: Tuple[str, ...] = ()
     description: str = ""
     #: Include in the pairwise top-k% overlap experiment (figure 5.3).
@@ -68,14 +66,33 @@ class ScoreFunctionSpec:
     #:   the context's citation subgraph), so contexts whose paper sets
     #:   did not change keep byte-identical scores and only changed
     #:   contexts are re-scored;
-    #: - ``"full"`` (the conservative default) -- scores couple to
-    #:   corpus-global statistics (IDF, coverage, co-authorship), so any
-    #:   delta drops the whole memo and the function recomputes lazily.
+    #: - ``"full"`` (the conservative default, and the only scope of a
+    #:   derived spec) -- scores couple to corpus-global statistics (IDF,
+    #:   coverage, co-authorship), so any delta drops the whole memo and
+    #:   the function recomputes (or re-derives) lazily.
     delta_scope: str = "full"
+    #: ``(function, weight)`` pairs, weights made convex (``w / sum``):
+    #: a paper's pre-propagation score in a context is ``0.0 + w_1*s_1 +
+    #: w_2*s_2 ...`` over the components' pre-propagation scores, in
+    #: order, skipping components that did not score the context; the
+    #: blend is then max-propagated.  Those scores are already normalised
+    #: and decayed, so a decayed context gets ``sum(w * (d * x))``, which
+    #: can differ from ``d * sum(w * x)`` in the last ulp.
+    components: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        check_name("score function", self.name)
-        if not callable(self.factory):
+        if not _NAME_RE.match(self.name):
+            raise ValueError(
+                f"score function name {self.name!r} must match "
+                f"{_NAME_RE.pattern} (it becomes a CLI value, a file-name "
+                f"segment and a metric segment)"
+            )
+        if (self.factory is None) == (not self.components):
+            raise ValueError(
+                f"score function {self.name!r}: declare exactly one of "
+                f"factory and components"
+            )
+        if self.factory is not None and not callable(self.factory):
             raise ValueError(f"score function {self.name!r}: factory not callable")
         for paper_set in self.paper_sets:
             if paper_set not in PAPER_SET_NAMES:
@@ -83,18 +100,155 @@ class ScoreFunctionSpec:
                     f"score function {self.name!r}: unknown paper set "
                     f"{paper_set!r}; expected one of {PAPER_SET_NAMES}"
                 )
-        if self.delta_scope not in ("contexts", "full"):
+        scopes = ("full",) if self.components else ("contexts", "full")
+        if self.delta_scope not in scopes:
             raise ValueError(
-                f"score function {self.name!r}: unknown delta_scope "
-                f"{self.delta_scope!r}; expected 'contexts' or 'full'"
+                f"score function {self.name!r}: unsupported delta_scope "
+                f"{self.delta_scope!r}; expected one of {scopes}"
             )
+        if self.components:
+            total = sum(weight for _, weight in self.components)
+            if not total > 0.0:
+                raise ValueError(
+                    f"score function {self.name!r}: component weights must "
+                    f"sum to a positive value"
+                )
+            convex = tuple((name, w / total) for name, w in self.components)
+            object.__setattr__(self, "components", convex)
 
     def arms(self) -> List[Tuple[str, str]]:
         """The function's evaluation arms as (function, paper_set) pairs."""
         return [(self.name, paper_set) for paper_set in self.paper_sets]
 
 
-REGISTRY: Registry[ScoreFunctionSpec] = Registry("prestige function")
+def _resolve(
+    specs: Dict[str, ScoreFunctionSpec], spec: ScoreFunctionSpec
+) -> ScoreFunctionSpec:
+    """``spec`` with a derived spec's components checked, substrates filled.
+
+    Components must be other registered functions that score papers
+    themselves (a ``factory``), so no chain of components can loop.
+    """
+    if not spec.components:
+        return spec
+    substrates: Dict[str, None] = {}
+    for name, _ in spec.components:
+        component = specs.get(name)
+        if name == spec.name or component is None or component.factory is None:
+            raise ValueError(
+                f"score function {spec.name!r}: component {name!r} must be "
+                f"another registered function with a factory"
+            )
+        missing = set(spec.paper_sets) - set(component.paper_sets)
+        if missing:
+            raise ValueError(
+                f"score function {spec.name!r}: component {name!r} is not "
+                f"declared on paper set(s) {sorted(missing)}"
+            )
+        substrates.update(dict.fromkeys(component.substrates))
+    return dataclasses.replace(spec, substrates=tuple(substrates))
+
+
+class Registry:
+    """Thread-safe specs keyed by ``spec.name``, in registration order.
+
+    The order is the order of CLI choices and evaluation arms;
+    ``revision`` counts mutations so derived views (the workspace
+    artifact graph, memoised CLI parsers) can cheaply detect staleness.
+    """
+
+    def __init__(self) -> None:
+        self._specs: Dict[str, ScoreFunctionSpec] = {}
+        self._lock = threading.Lock()
+        self.revision = 0
+
+    def _add(self, spec: ScoreFunctionSpec, replace: bool) -> ScoreFunctionSpec:
+        # Caller holds self._lock.
+        if spec.name in self._specs and not replace:
+            raise ValueError(
+                f"prestige function {spec.name!r} is already registered "
+                f"(pass replace=True to override)"
+            )
+        spec = _resolve(self._specs, spec)
+        # Assigning an existing key keeps its position in the order.
+        self._specs[spec.name] = spec
+        self.revision += 1
+        return spec
+
+    def register(
+        self, spec: ScoreFunctionSpec, replace: bool = False
+    ) -> ScoreFunctionSpec:
+        """Register ``spec``; the single entry point for built-ins and plugins.
+
+        Raises ``ValueError`` when the name is taken (pass
+        ``replace=True`` to swap a variant in deliberately) or a derived
+        spec's components are invalid.  Returns the registered spec.
+        """
+        with self._lock:
+            return self._add(spec, replace)
+
+    def unregister(self, name: str) -> ScoreFunctionSpec:
+        """Remove a registration (tests and plugin teardown); returns it."""
+        with self._lock:
+            if name not in self._specs:
+                raise ValueError(f"prestige function {name!r} is not registered")
+            self.revision += 1
+            return self._specs.pop(name)
+
+    @contextmanager
+    def temporary_registration(
+        self, spec: ScoreFunctionSpec, replace: bool = False
+    ) -> Iterator[ScoreFunctionSpec]:
+        """Register ``spec`` for the duration of a ``with`` block.
+
+        On exit a shadowed spec is restored *in place*, so registration
+        order (CLI choices, evaluation arms) is the same before and
+        after the block.
+        """
+        with self._lock:
+            shadowed = self._specs.get(spec.name)
+            spec = self._add(spec, replace)
+        try:
+            yield spec
+        finally:
+            with self._lock:
+                if shadowed is None:
+                    self._specs.pop(spec.name, None)
+                else:
+                    self._specs[spec.name] = shadowed
+                self.revision += 1
+
+    def get(self, name: str) -> ScoreFunctionSpec:
+        """The spec registered under ``name``.
+
+        Raises ``ValueError`` naming the registered specs -- the one
+        "unknown prestige function" error every layer shares.
+        """
+        with self._lock:
+            spec = self._specs.get(name)
+            if spec is None:
+                known = ", ".join(sorted(self._specs))
+                raise ValueError(
+                    f"unknown prestige function {name!r}; registered: {known}"
+                )
+            return spec
+
+    def __contains__(self, name: object) -> bool:
+        with self._lock:
+            return name in self._specs
+
+    def specs(self) -> List[ScoreFunctionSpec]:
+        """Every registered spec, in registration order."""
+        with self._lock:
+            return list(self._specs.values())
+
+    def names(self) -> Tuple[str, ...]:
+        """Registered names in registration order (CLI choices)."""
+        with self._lock:
+            return tuple(self._specs)
+
+
+REGISTRY = Registry()
 
 register = REGISTRY.register
 unregister = REGISTRY.unregister
@@ -118,9 +272,7 @@ def evaluation_arms() -> Tuple[Tuple[str, str], ...]:
     ``repro evaluate`` sweep, and the report sections -- one place to
     look when asking "what gets compared?".
     """
-    return tuple(
-        arm for spec in specs() for arm in spec.arms()
-    )
+    return tuple(arm for spec in specs() for arm in spec.arms())
 
 
 def overlap_pairs() -> Tuple[Tuple[str, str], ...]:

@@ -289,10 +289,49 @@ class SubstrateStore:
         get_registry().counter("pipeline.prestige.computed").inc()
         spec = scoring.get(function)
         paper_set = self.paper_set(paper_set_name)
-        scorer = spec.factory(self)
-        scores = scorer.score_all(paper_set)
+        if spec.components:
+            scores = self._derive_scores(spec, paper_set_name, paper_set)
+        else:
+            scores = spec.factory(self).score_all(paper_set)
         self._scores[key] = scores
         return scores
+
+    def _derive_scores(
+        self,
+        spec: "scoring.ScoreFunctionSpec",
+        paper_set_name: str,
+        paper_set: ContextPaperSet,
+    ) -> PrestigeScores:
+        """A derived function's scores from its components' memoised ones.
+
+        Blends the components' pre-propagation scores as
+        ``ScoreFunctionSpec.components`` specifies, then max-propagates;
+        no paper is scored again.
+        """
+        components = [
+            (self.prestige(name, paper_set_name).pre_propagation, weight)
+            for name, weight in spec.components
+        ]
+        with span(f"scores.{spec.name}.derive") as trace:
+            blended_by_context: Dict[str, Dict[str, float]] = {}
+            for context in paper_set:
+                blended: Dict[str, float] = {}
+                for pre, weight in components:
+                    for paper_id, value in pre.get(context.term_id, {}).items():
+                        blended[paper_id] = blended.get(paper_id, 0.0) + weight * value
+                if blended:
+                    blended_by_context[context.term_id] = blended
+            merged = propagate_max_over_descendants(paper_set, blended_by_context)
+            trace.set(
+                contexts=len(blended_by_context),
+                papers=sum(map(len, blended_by_context.values())),
+            )
+        get_registry().counter(f"scores.{spec.name}.contexts_derived").inc(
+            len(blended_by_context)
+        )
+        return PrestigeScores(
+            spec.name, merged, pre_propagation=blended_by_context
+        )
 
     # -- incremental corpus mutation --------------------------------------------------
 

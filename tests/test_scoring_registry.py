@@ -6,6 +6,9 @@ workspace artifact list, and the evaluation sweeps *without modifying
 any core module* -- and unregistering must remove every trace.
 """
 
+import dataclasses
+import importlib.util
+from pathlib import Path
 from typing import Dict
 
 import pytest
@@ -13,15 +16,12 @@ import pytest
 from repro import scoring
 from repro.cli import build_parser
 from repro.core.context import Context
-from repro.core.scores import (
-    CitationPrestige,
-    NORMALIZERS,
-    PrestigeScoreFunction,
-    TextPrestige,
-)
+from repro.core.scores import PrestigeScoreFunction
 from repro.pipeline import build_demo_pipeline
-from repro.scoring import CombinedPrestige, ScoreFunctionSpec
+from repro.scoring import ScoreFunctionSpec
 from repro.workspace import ARTIFACTS
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class ToyPrestige(PrestigeScoreFunction):
@@ -32,6 +32,14 @@ class ToyPrestige(PrestigeScoreFunction):
 
     def score_context(self, context: Context) -> Dict[str, float]:
         return {paper_id: 1.0 for paper_id in context.paper_ids}
+
+
+def _load_tool(name):
+    path = REPO_ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _toy_spec(**overrides) -> ScoreFunctionSpec:
@@ -100,7 +108,7 @@ class TestRegistryBasics:
 
     def test_non_callable_factory_rejected(self):
         with pytest.raises(ValueError, match="not callable"):
-            _toy_spec(factory=None)
+            _toy_spec(factory="toy")
 
 
 class TestTemporaryRegistration:
@@ -122,6 +130,17 @@ class TestTemporaryRegistration:
         with pytest.raises(ValueError, match="already registered"):
             with scoring.temporary_registration(_toy_spec(name="text")):
                 pass  # pragma: no cover
+
+    def test_shadowing_keeps_registration_order(self):
+        def snapshot():
+            return scoring.function_names(), scoring.evaluation_arms()
+
+        before = snapshot()
+        shadow = dataclasses.replace(scoring.get("text"), description="shadow")
+        with scoring.temporary_registration(shadow, replace=True):
+            assert scoring.get("text") is shadow
+            assert snapshot() == before
+        assert snapshot() == before
 
     def test_unregisters_on_exception(self):
         with pytest.raises(RuntimeError):
@@ -200,39 +219,58 @@ class TestCombinedFunction:
 
     def test_blend_is_convex_combination_of_normalised_components(self):
         pipeline = build_demo_pipeline(seed=11, n_papers=80, n_terms=25)
-        store = pipeline.substrates
-        citation = CitationPrestige(store.citation_graph)
-        text = TextPrestige(
-            store.corpus, store.vectors, store.citation_graph,
-            store.representatives,
+        spec = ScoreFunctionSpec(
+            name="blend",
+            components=(("citation", 1.0), ("text", 3.0)),
+            paper_sets=("text",),
         )
-        combined = CombinedPrestige([(citation, 1.0), (text, 3.0)])
-        checked = 0
-        for context in store.paper_set("text"):
-            raw = combined.score_context(context)
-            if not raw:
-                continue
-            c_norm = NORMALIZERS[citation.normalization](
-                citation.score_context(context)
-            )
-            t_norm = NORMALIZERS[text.normalization](text.score_context(context))
-            for paper_id, value in raw.items():
+        assert spec.components == (("citation", 0.25), ("text", 0.75))
+        with scoring.temporary_registration(spec) as registered:
+            assert registered.substrates == scoring.get("combined").substrates
+            blend = pipeline.prestige("blend", "text").pre_propagation
+        citation = pipeline.prestige("citation", "text").pre_propagation
+        text = pipeline.prestige("text", "text").pre_propagation
+        assert blend
+        for context_id, scores in blend.items():
+            c_norm = citation.get(context_id, {})
+            t_norm = text.get(context_id, {})
+            assert set(scores) == set(c_norm) | set(t_norm)
+            for paper_id, value in scores.items():
                 expected = (
                     0.25 * c_norm.get(paper_id, 0.0)
                     + 0.75 * t_norm.get(paper_id, 0.0)
                 )
                 assert value == pytest.approx(expected, abs=1e-12)
                 assert 0.0 <= value <= 1.0
-            checked += 1
-            if checked >= 5:
-                break
-        assert checked > 0
 
     def test_component_validation(self):
-        with pytest.raises(ValueError, match="at least one component"):
-            CombinedPrestige([])
-        with pytest.raises(ValueError, match="positive"):
-            CombinedPrestige([(ToyPrestige(), 0.0)])
+        def derived(**overrides):
+            fields = dict(
+                name="blend",
+                components=(("citation", 0.5), ("text", 0.5)),
+                paper_sets=("text",),
+            )
+            fields.update(overrides)
+            return ScoreFunctionSpec(**fields)
+
+        cases = [
+            (dict(components=(("nope", 1.0),)), "must be another registered"),
+            (dict(components=(("blend", 1.0),)), "must be another registered"),
+            (dict(paper_sets=("pattern",)), "not declared on paper set"),
+            (dict(components=(("text", 0.0),)), "positive"),
+            (dict(components=(("text", 1.0), ("citation", -1.0))), "positive"),
+            (dict(factory=lambda substrates: ToyPrestige()), "exactly one"),
+            (dict(components=()), "exactly one"),
+            (dict(delta_scope="contexts"), "delta_scope"),
+        ]
+        for overrides, message in cases:
+            with pytest.raises(ValueError, match=message):
+                scoring.register(derived(**overrides))
+            assert not scoring.is_registered("blend")
+        # A derived component is refused, so no component chain can loop.
+        with pytest.raises(ValueError, match="with a factory"):
+            scoring.register(derived(components=(("combined", 1.0),)))
+        assert not scoring.is_registered("blend")
 
     def test_combined_searches_end_to_end(self):
         pipeline = build_demo_pipeline(seed=7, n_papers=80, n_terms=25)
@@ -245,3 +283,24 @@ class TestCombinedFunction:
         )
         for hit in hits:
             assert 0.0 <= hit.prestige <= 1.0
+
+
+class TestCheckRegistries:
+    """The registry lint and the docs table generated from the registry."""
+
+    def test_docs_table_follows_registry_and_lint_passes(self, capsys):
+        lint = _load_tool("check_registries")
+        docs = _load_tool("gen_api_docs")
+        architecture = (REPO_ROOT / "docs" / "architecture.md").read_text(
+            encoding="utf-8"
+        )
+        undocumented_function = dataclasses.replace(
+            scoring.get("hits"), name="undocumented"
+        )
+        with scoring.temporary_registration(undocumented_function):
+            regenerated = docs.with_score_function_table(architecture)
+        assert "| `undocumented` |" in regenerated
+        assert regenerated != architecture
+        assert docs.with_score_function_table(architecture) == architecture
+        assert lint.main() == 0
+        assert "agree with the registry" in capsys.readouterr().out
