@@ -3,6 +3,8 @@
 - :mod:`repro.core.context` -- contexts and context paper sets.
 - :mod:`repro.core.vectors` -- per-section TF-IDF vector store shared by
   the text machinery.
+- :mod:`repro.core.cosine` -- CSR vector rows and the batch cosine
+  kernel over them.
 - :mod:`repro.core.representative` -- representative-paper selection.
 - :mod:`repro.core.patterns` -- pattern construction/scoring (section 3.3).
 - :mod:`repro.core.assignment` -- the two context-paper-set builders of

@@ -18,7 +18,10 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.context import Context, ContextPaperSet
+from repro.core.cosine import cosine_pairs
 from repro.core.patterns import (
     AnalyzedPaperCache,
     PatternSet,
@@ -67,6 +70,10 @@ class TextContextAssigner:
         self.candidate_terms = candidate_terms
         #: Representative paper chosen per context, populated by build().
         self.representatives: Dict[str, str] = {}
+        #: ``index.papers_containing`` per term, memoised for one build():
+        #: contexts share candidate terms, and each lookup walks every
+        #: posting of the term.
+        self._papers_containing: Dict[str, List[str]] = {}
 
     def build(self, training_papers: Mapping[str, Sequence[str]]) -> ContextPaperSet:
         """Assign papers to every context that has training evidence."""
@@ -74,6 +81,7 @@ class TextContextAssigner:
         registry = get_registry()
         contexts: List[Context] = []
         self.representatives = {}
+        self._papers_containing = {}
         with span(
             "assignment.text.build", threshold=self.similarity_threshold
         ) as trace, registry.timer("assignment.text.seconds"):
@@ -99,6 +107,7 @@ class TextContextAssigner:
                 )
             papers_assigned = sum(len(c.paper_ids) for c in contexts)
             trace.set(contexts=len(contexts), papers_assigned=papers_assigned)
+        self._papers_containing = {}
         registry.counter("assignment.text.contexts_built").inc(len(contexts))
         registry.counter("assignment.text.papers_assigned").inc(papers_assigned)
         logger.info(
@@ -114,7 +123,9 @@ class TextContextAssigner:
         self, representative: str, training: Sequence[str]
     ) -> List[str]:
         """Papers whose similarity to the representative clears the bar."""
-        rep_vector = self.vectors.full_vector(representative)
+        rows = self.vectors.full_rows
+        rep_row = self.vectors.row_of(representative)
+        rep_ids, rep_weights = rows.row(rep_row)
         candidates: Set[str] = set(training)
         candidates.add(representative)
         # Rank candidate terms by weight with *term string* tie-breaking:
@@ -123,23 +134,32 @@ class TextContextAssigner:
         # incremental corpus deltas, while the strings do not.
         vocabulary = self.vectors.full_model.vocabulary
         ranked = sorted(
-            (
-                (weight, vocabulary.term_of(term_id))
-                for term_id, weight in rep_vector.weights.items()
-            ),
+            zip(rep_weights.tolist(), map(vocabulary.term_of, rep_ids.tolist())),
             key=lambda item: (-item[0], item[1]),
         )
         for _weight, term in ranked[: self.candidate_terms]:
-            candidates.update(self.index.papers_containing(term))
-        members = []
-        for paper_id in sorted(candidates):
-            if paper_id in training or paper_id == representative:
-                members.append(paper_id)
-                continue
-            similarity = self.vectors.full_vector(paper_id).cosine(rep_vector)
-            if similarity >= self.similarity_threshold:
-                members.append(paper_id)
-        return list(dict.fromkeys(members))
+            papers = self._papers_containing.get(term)
+            if papers is None:
+                papers = self.index.papers_containing(term)
+                self._papers_containing[term] = papers
+            candidates.update(papers)
+        fixed = set(training)
+        fixed.add(representative)
+        ordered = sorted(candidates)
+        scored = [paper_id for paper_id in ordered if paper_id not in fixed]
+        similarities = iter(
+            cosine_pairs(
+                rows,
+                self.vectors.rows_of(scored),
+                rows,
+                np.full(len(scored), rep_row, dtype=np.int64),
+            ).tolist()
+        )
+        return [
+            paper_id
+            for paper_id in ordered
+            if paper_id in fixed or next(similarities) >= self.similarity_threshold
+        ]
 
 
 class PatternContextAssigner:

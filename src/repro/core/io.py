@@ -3,8 +3,9 @@
 Context paper sets and prestige scores take minutes to build on large
 corpora; these helpers serialise them so a deployment computes them once
 (the paper's "query independent pre-processing steps") and serves
-searches from disk thereafter.  Prestige scores are stored as arrays in
-an uncompressed ``.npz`` (:func:`write_prestige_scores`); the other
+searches from disk thereafter.  Prestige scores and the vector store are
+stored as arrays in an uncompressed ``.npz`` with a JSON header
+(:func:`write_prestige_scores`, :func:`write_vector_store`); the other
 artefacts are format-tagged JSON.
 
 Every writer goes through :func:`atomic_write`, so a crash mid-write
@@ -43,7 +44,7 @@ TEMP_SUFFIX = ".tmp"
 
 _PAPER_SET_FORMAT = "repro/context-paper-set/v1"
 _SCORES_FORMAT = "repro/prestige-scores/v2"
-_VECTORS_FORMAT = "repro/vector-store/v1"
+_VECTORS_FORMAT = "repro/vector-store/v2"
 _TOKENS_FORMAT = "repro/token-cache/v1"
 _GRAPH_FORMAT = "repro/citation-graph/v1"
 _REPRESENTATIVES_FORMAT = "repro/representatives/v1"
@@ -147,7 +148,36 @@ def read_context_paper_set(path: PathLike, ontology: Ontology) -> ContextPaperSe
     return ContextPaperSet(ontology, contexts)
 
 
-# -- prestige scores (v2: arrays in an uncompressed .npz) ----------------------------
+# -- array artefacts: an uncompressed .npz with a JSON header -------------------------
+
+
+def _write_npz(path: PathLike, header: dict, arrays: Dict[str, np.ndarray]) -> None:
+    """``arrays`` plus ``header`` (uint8 bytes of its JSON) in one ``.npz``."""
+    encoded = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    # Through a handle: given a str path, np.savez appends ".npz".
+    with atomic_write(path) as handle:
+        np.savez(handle, header=encoded, **arrays)
+
+
+def _read_npz(path: PathLike, format_tag: str, what: str):
+    """The header and the other members of a :func:`_write_npz` file.
+
+    The zip CRC-32 of every member is checked; a corrupt file or another
+    format tag raises ``ValueError`` naming ``path``.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+        header = json.loads(members.pop("header").tobytes().decode("utf-8"))
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as error:
+        raise ValueError(f"{path}: not a {what} file ({error})") from error
+    if not isinstance(header, dict) or header.get("format") != format_tag:
+        found = header.get("format") if isinstance(header, dict) else None
+        raise ValueError(f"{path}: not a {what} file (format={found!r})")
+    return header, members
+
+
+# -- prestige scores (v2) ------------------------------------------------------------
 #
 # Members: ``header`` (uint8 bytes of a JSON object: format tag, function
 # name, the sorted paper-id table, the row context ids of each map) and
@@ -175,10 +205,7 @@ def write_prestige_scores(scores: PrestigeScores, path: PathLike) -> None:
     arrays = {"indptr": main.indptr, "rows": main.rows, "values": main.values}
     if pre is not None:
         arrays.update(pre_indptr=pre.indptr, pre_rows=pre.rows, pre_values=pre.values)
-    encoded = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    # Through a handle: given a str path, np.savez appends ".npz".
-    with atomic_write(path) as handle:
-        np.savez(handle, header=encoded, **arrays)
+    _write_npz(path, header, arrays)
 
 
 def read_prestige_scores(path: PathLike) -> PrestigeScores:
@@ -186,15 +213,7 @@ def read_prestige_scores(path: PathLike) -> PrestigeScores:
 
     The result is row-backed: no per-entry Python object is built.
     """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            members = {name: archive[name] for name in archive.files}
-        header = json.loads(members.pop("header").tobytes().decode("utf-8"))
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as error:
-        raise ValueError(f"{path}: not a prestige-scores file ({error})") from error
-    if not isinstance(header, dict) or header.get("format") != _SCORES_FORMAT:
-        found = header.get("format") if isinstance(header, dict) else None
-        raise ValueError(f"{path}: not a prestige-scores file (format={found!r})")
+    header, members = _read_npz(path, _SCORES_FORMAT, "prestige-scores")
     try:
         function_name = str(header["function"])
         paper_ids = tuple(header["paper_ids"])
@@ -236,14 +255,23 @@ def _score_rows(
 
 
 def write_vector_store(vectors: PaperVectorStore, path: PathLike) -> None:
-    write_tagged_json(vectors.to_payload(), path, _VECTORS_FORMAT)
+    """The store's models, count rows and unit rows as ``.npz`` (v2).
+
+    The header holds the paper table and each fitted model's vocabulary;
+    the members are :meth:`PaperVectorStore.to_arrays`' arrays.
+    """
+    header, arrays = vectors.to_arrays()
+    _write_npz(path, {"format": _VECTORS_FORMAT, **header}, arrays)
 
 
 def read_vector_store(
     path: PathLike, corpus: Corpus, analyzer: Optional[Analyzer] = None
 ) -> PaperVectorStore:
-    payload = read_tagged_json(path, _VECTORS_FORMAT)
-    return PaperVectorStore.from_payload(payload, corpus, analyzer=analyzer)
+    header, members = _read_npz(path, _VECTORS_FORMAT, "vector-store")
+    try:
+        return PaperVectorStore.from_arrays(header, members, corpus, analyzer=analyzer)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"{path}: corrupt vector-store file ({error})") from error
 
 
 def write_token_cache(tokens: AnalyzedPaperCache, path: PathLike) -> None:

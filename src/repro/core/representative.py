@@ -9,14 +9,18 @@ Selection rule: among the context's candidate papers (its training /
 annotation-evidence papers when available, otherwise its assigned papers),
 pick the paper whose whole-paper vector is closest to the candidates'
 centroid -- the medoid-by-centroid-proximity rule.  Ties break on paper id
-for determinism.
+for determinism.  Every candidate's cosine to the centroid comes from one
+:func:`~repro.core.cosine.cosine_pairs` call.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence
 
-from repro.core.context import Context, ContextPaperSet
+import numpy as np
+
+from repro.core.context import ContextPaperSet
+from repro.core.cosine import cosine_pairs
 from repro.core.vectors import PaperVectorStore
 
 
@@ -34,11 +38,15 @@ def select_representative(
         return None
     if len(candidates) == 1:
         return candidates[0]
-    center = vectors.centroid_of(candidates)
+    ordered = sorted(candidates)
+    rows = vectors.full_rows
+    center = rows.centroid(vectors.rows_of(candidates))
+    similarities = cosine_pairs(
+        rows, vectors.rows_of(ordered), center, np.zeros(len(ordered), dtype=np.int64)
+    )
     best_id: Optional[str] = None
     best_similarity = -1.0
-    for paper_id in sorted(candidates):
-        similarity = vectors.full_vector(paper_id).cosine(center)
+    for paper_id, similarity in zip(ordered, similarities.tolist()):
         if similarity > best_similarity:
             best_similarity = similarity
             best_id = paper_id

@@ -21,7 +21,7 @@ import abc
 import re
 import threading
 from itertools import chain, repeat
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -351,6 +351,14 @@ class PrestigeScoreFunction(abc.ABC):
         cannot be scored (e.g. no representative paper).
         """
 
+    def score_batch(self, contexts: Iterable[Context]) -> List[Dict[str, float]]:
+        """:meth:`score_context` of each context, in order.
+
+        Functions that score a batch faster than one context at a time
+        (the text function's array kernel) override this.
+        """
+        return [self.score_context(context) for context in contexts]
+
     #: Default per-context normaliser; subclasses override when the raw
     #: scale calls for it (citation scores keep their teleport floor).
     normalization: str = "minmax"
@@ -430,8 +438,8 @@ class PrestigeScoreFunction(abc.ABC):
         """
         by_context: Dict[str, Dict[str, float]] = {}
         papers_scored = 0
-        for context in contexts:
-            raw = self.score_context(context)
+        contexts = list(contexts)
+        for context, raw in zip(contexts, self.score_batch(contexts)):
             if not raw:
                 continue
             papers_scored += len(raw)

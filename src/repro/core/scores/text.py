@@ -12,16 +12,25 @@ representative paper PC across six facets:
       SimAuthors = L0Weight * SimL0 + L1Weight * SimL1
 - references use bibliographic coupling + co-citation:
       SimReferences = BibWeight * Sim_bib + (1 - BibWeight) * Sim_coc
+
+The four cosine facets of every (member, representative) pair of a batch
+of contexts come from one :func:`~repro.core.cosine.cosine_pairs` call
+per section; the author and reference facets stay per pair.  Facets are
+added in the order above, starting from 0.0, exactly as a per-pair loop
+adds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
+
+import numpy as np
 
 from repro.citations.coupling import citation_similarity
 from repro.citations.graph import CitationGraph
 from repro.core.context import Context
+from repro.core.cosine import cosine_pairs
 from repro.core.scores.base import PrestigeScoreFunction
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
@@ -89,43 +98,66 @@ class TextPrestige(PrestigeScoreFunction):
         self._coauthor_cache: Dict[str, frozenset] = {}
 
     def score_context(self, context: Context) -> Dict[str, float]:
-        representative = self.representatives.get(context.term_id)
-        if representative is None or representative not in self.corpus:
-            return {}
-        return {
-            paper_id: self.similarity(paper_id, representative)
-            for paper_id in context.paper_ids
-        }
+        return self.score_batch([context])[0]
+
+    def score_batch(self, contexts: Iterable[Context]) -> List[Dict[str, float]]:
+        """Sim(PX, PC) of every member of every context, in one batch.
+
+        A context without a representative in the corpus scores ``{}``.
+        """
+        contexts = list(contexts)
+        members: List[str] = []
+        representatives: List[str] = []
+        spans = []
+        for context in contexts:
+            representative = self.representatives.get(context.term_id)
+            start = len(members)
+            if representative is not None and representative in self.corpus:
+                members.extend(context.paper_ids)
+                representatives.extend([representative] * len(context.paper_ids))
+            spans.append((start, len(members)))
+        totals = self._similarities(members, representatives)
+        return [
+            dict(zip(members[start:end], totals[start:end]))
+            for start, end in spans
+        ]
 
     # -- the composite similarity --------------------------------------------------
 
-    def similarity(self, paper_id: str, representative: str) -> float:
-        """Sim(PX, PC): the full six-facet weighted similarity."""
+    def _similarities(
+        self, members: List[str], representatives: List[str]
+    ) -> List[float]:
+        """Sim(PX, PC) for each ``(members[i], representatives[i])`` pair."""
         w = self.weights
-        total = 0.0
-        if w.title:
-            total += w.title * self.vectors.section_similarity(
-                paper_id, representative, Section.TITLE
-            )
-        if w.abstract:
-            total += w.abstract * self.vectors.section_similarity(
-                paper_id, representative, Section.ABSTRACT
-            )
-        if w.body:
-            total += w.body * self.vectors.section_similarity(
-                paper_id, representative, Section.BODY
-            )
-        if w.index_terms:
-            total += w.index_terms * self.vectors.section_similarity(
-                paper_id, representative, Section.INDEX_TERMS
-            )
-        if w.authors:
-            total += w.authors * self.author_similarity(paper_id, representative)
-        if w.references:
-            total += w.references * citation_similarity(
-                self.graph, paper_id, representative, bib_weight=w.bibliographic
-            )
-        return total
+        member_rows = self.vectors.rows_of(members)
+        rep_rows = self.vectors.rows_of(representatives)
+        totals = np.zeros(len(members))
+        for weight, section in (
+            (w.title, Section.TITLE),
+            (w.abstract, Section.ABSTRACT),
+            (w.body, Section.BODY),
+            (w.index_terms, Section.INDEX_TERMS),
+        ):
+            if weight:
+                rows = self.vectors.section_rows(section)
+                totals += weight * cosine_pairs(rows, member_rows, rows, rep_rows)
+        result = totals.tolist()
+        if w.authors or w.references:
+            for i, (paper_id, representative) in enumerate(
+                zip(members, representatives)
+            ):
+                total = result[i]
+                if w.authors:
+                    total += w.authors * self.author_similarity(
+                        paper_id, representative
+                    )
+                if w.references:
+                    total += w.references * citation_similarity(
+                        self.graph, paper_id, representative,
+                        bib_weight=w.bibliographic,
+                    )
+                result[i] = total
+        return result
 
     def author_similarity(self, paper_a: str, paper_b: str) -> float:
         """SimAuthors = L0Weight * SimL0 + L1Weight * SimL1.

@@ -55,6 +55,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.context import ContextPaperSet, csr_positions
+from repro.core.cosine import VectorRows, dot_pairs, finish_cosines
 from repro.core.scores.base import PrestigeScores
 from repro.core.vectors import PaperVectorStore
 from repro.index.search import (
@@ -111,6 +112,45 @@ class ContextResultGroup:
 
     def __len__(self) -> int:
         return len(self.hits)
+
+
+@dataclass(frozen=True)
+class _RepresentativeView:
+    """Context representatives' unit rows, and the same entries by term.
+
+    ``context_rows[i]`` is the context row of representative row ``i`` of
+    ``rows`` (contexts in paper-set order, those with a representative).
+    ``term_reps[a:b]`` / ``term_weights[a:b]`` with ``(a, b) =
+    term_span[term]`` list the representative rows holding ``term`` and
+    its weight there.
+    """
+
+    context_rows: np.ndarray
+    rows: VectorRows
+    term_span: Dict[int, Tuple[int, int]]
+    term_reps: np.ndarray
+    term_weights: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        vectors: PaperVectorStore,
+        context_ids: Sequence[str],
+        representatives: Mapping[str, str],
+    ) -> "_RepresentativeView":
+        chosen = [
+            (row, representatives[cid])
+            for row, cid in enumerate(context_ids)
+            if cid in representatives
+        ]
+        context_rows = np.array([row for row, _ in chosen], dtype=np.intp)
+        rows = vectors.full_rows.take(vectors.rows_of(rep for _, rep in chosen))
+        owner = np.repeat(np.arange(len(rows)), rows.lengths)
+        by_term = np.argsort(rows.ids, kind="stable")
+        terms, starts = np.unique(rows.ids[by_term], return_index=True)
+        ends = np.append(starts[1:], len(by_term))
+        term_span = dict(zip(terms.tolist(), zip(starts.tolist(), ends.tolist())))
+        return cls(context_rows, rows, term_span, owner[by_term], rows.weights[by_term])
 
 
 @dataclass(frozen=True)
@@ -199,6 +239,7 @@ class ContextSearchEngine:
         self.representatives = dict(representatives) if representatives else {}
         self._warm_lock = threading.Lock()
         self._warmed = False
+        self._rep_view: Optional[_RepresentativeView] = None
 
     # -- engine warm-up ----------------------------------------------------------------
 
@@ -207,10 +248,12 @@ class ContextSearchEngine:
 
         Every query path calls it, so the first query builds whatever a
         prior call did not: the paper set's :class:`ContextColumns`, the
-        prestige values aligned with them, and the analysed term ->
-        context-rows map of context names.  HTTP handler threads share
-        engines, so the lock makes concurrent first callers run one
-        build between them; afterwards the arrays are only read.
+        prestige values aligned with them, the analysed term ->
+        context-rows map of context names, and for the representative
+        strategy the term-major view of the representatives' rows.  HTTP
+        handler threads share engines, so the lock makes concurrent first
+        callers run one build between them; afterwards the arrays are
+        only read.
         """
         if self._warmed:
             return self
@@ -230,6 +273,10 @@ class ContextSearchEngine:
                 for term, rows in name_rows.items()
             }
             self._columns = columns
+            if self.selection_strategy == "representative":
+                self._rep_view = _RepresentativeView.build(
+                    self.vectors, columns.context_ids, self.representatives
+                )
             self._warmed = True
         return self
 
@@ -349,22 +396,43 @@ class ContextSearchEngine:
         )
 
     def _representative_strengths(self, query: str) -> Dict[str, float]:
-        """Strength by cosine similarity to each context's representative."""
+        """Strength by cosine similarity to each context's representative.
+
+        The query vector (the cosine's ``self``) is usually the shorter
+        one, so the dot product walks its terms in insertion order: each
+        term adds its products into every representative holding it,
+        read from the term-major view :meth:`warm` builds.
+        Representatives shorter than the query are walked instead,
+        through :func:`~repro.core.cosine.dot_pairs`.
+        """
         assert self.vectors is not None
+        self.warm()
         query_vector = self.vectors.query_vector(query)
-        strengths: Dict[str, float] = {}
         if not query_vector:
-            return strengths
-        for context in self.paper_set:
-            representative = self.representatives.get(context.term_id)
-            if representative is None:
-                continue
-            similarity = query_vector.cosine(
-                self.vectors.full_vector(representative)
+            return {}
+        view = self._rep_view
+        dots = np.zeros(len(view.rows))
+        for term, weight in query_vector.weights.items():
+            span = view.term_span.get(term)
+            if span is not None:
+                reps = view.term_reps[span[0]:span[1]]
+                dots[reps] += weight * view.term_weights[span[0]:span[1]]
+        short = np.flatnonzero(view.rows.lengths < len(query_vector))
+        if len(short):
+            dots[short] = dot_pairs(
+                VectorRows.of_vectors([query_vector]),
+                np.zeros(len(short), dtype=np.int64),
+                view.rows,
+                short,
             )
-            if similarity > 0.0:
-                strengths[context.term_id] = similarity
-        return strengths
+        similarities = finish_cosines(
+            dots,
+            np.full(len(dots), query_vector.norm),
+            view.rows.norms,
+            lambda i: query_vector.cosine(view.rows.vector(i)),
+        )
+        positive = np.flatnonzero(similarities > 0.0)
+        return self._by_context_id(view.context_rows[positive], similarities[positive])
 
     # -- tasks 4 & 5: search and rank -------------------------------------------------
 

@@ -1,113 +1,221 @@
 """Per-section TF-IDF vector store.
 
-One shared component builds and caches every paper vector the text
-machinery needs: per-section vectors for the section 3.2 similarity
-facets, and whole-paper vectors for representative selection, context
+One shared component fits and holds every paper vector the text
+machinery needs: per-section rows for the section 3.2 similarity
+facets, and whole-paper rows for representative selection, context
 assignment, and AC-answer-set centroid expansion.
 
 Each textual section gets its *own* TF-IDF model (title term statistics
 differ wildly from body statistics), plus one model over concatenated
-text.  Vectors are computed lazily and memoised -- contexts overlap
-heavily, so most papers are vectorised once but consumed many times.
+text.  A model is fitted on first use by analysing every paper once; the
+analysis survives as each paper's ordered term counts (term ids in
+first-occurrence order), kept as CSR arrays over one corpus-wide paper
+row index.  The unit TF-IDF rows (:class:`~repro.core.cosine.VectorRows`)
+are weighted from those counts on first use, and re-weighted from them
+after a corpus delta: a delta analyses only the papers it adds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.context import csr_positions
+from repro.core.cosine import VectorRows, indptr_of, row_norms
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
 from repro.text.analyze import Analyzer, default_analyzer
-from repro.text.vectorize import SparseVector, TfidfModel, centroid
+from repro.text.vectorize import SparseVector, TfidfModel
+
+#: Name of the whole-paper model; section models go by ``Section.value``.
+FULL = "full"
+#: Every model name, in the order they are persisted.
+MODEL_NAMES: Tuple[str, ...] = (FULL,) + tuple(s.value for s in TEXT_SECTIONS)
+
+
+def _ordered_counts(terms: Iterable[str]) -> Dict[str, int]:
+    """Term counts keyed in first-occurrence order of the stream."""
+    counts: Dict[str, int] = {}
+    for term in terms:
+        counts[term] = counts.get(term, 0) + 1
+    return counts
+
+
+class ModelRows:
+    """One fitted TF-IDF model and every paper's ordered term counts.
+
+    ``ids[indptr[r]:indptr[r + 1]]`` are the term ids of paper row ``r``
+    in first-occurrence order and ``counts`` their frequencies.  Every
+    term of a live paper has document frequency >= 1 (the paper itself
+    holds it), so the weighted rows keep exactly these entries.
+    """
+
+    __slots__ = ("tfidf", "indptr", "ids", "counts", "_rows")
+
+    def __init__(
+        self,
+        tfidf: TfidfModel,
+        indptr: np.ndarray,
+        ids: np.ndarray,
+        counts: np.ndarray,
+        rows: Optional[VectorRows] = None,
+    ) -> None:
+        self.tfidf = tfidf
+        self.indptr = indptr
+        self.ids = ids
+        self.counts = counts
+        self._rows = rows
+
+    @property
+    def rows(self) -> VectorRows:
+        """Unit TF-IDF rows, weighted from the counts on first use.
+
+        Each row equals ``TfidfModel.vectorize`` of the paper's text: raw
+        ``tf * idf`` divided by its :func:`l2_norm`.  The store's models
+        smooth idf, so every raw weight is at least 1 and a non-empty
+        row's norm never takes ``SparseVector.normalized``'s zero or
+        subnormal branches.
+        """
+        if self._rows is None:
+            raw = self.tfidf.term_weights(self.ids, self.counts)
+            unit = raw / np.repeat(row_norms(self.indptr, raw), np.diff(self.indptr))
+            self._rows = VectorRows(
+                self.indptr, self.ids, unit, row_norms(self.indptr, unit)
+            )
+        return self._rows
+
+    @classmethod
+    def of_counts(
+        cls, tfidf: TfidfModel, id_rows: List[List[int]], count_rows: List[List[int]]
+    ) -> "ModelRows":
+        return cls(
+            tfidf,
+            indptr_of([len(row) for row in id_rows]),
+            np.fromiter(chain.from_iterable(id_rows), dtype=np.int32),
+            np.fromiter(chain.from_iterable(count_rows), dtype=np.int32),
+        )
+
+    def row_ids(self, row: int) -> List[int]:
+        return self.ids[self.indptr[row]:self.indptr[row + 1]].tolist()
+
+    def spliced(
+        self, kept: np.ndarray, id_rows: List[List[int]], count_rows: List[List[int]]
+    ) -> "ModelRows":
+        """The ``kept`` rows followed by new rows; weights re-derive lazily."""
+        positions, lengths = csr_positions(self.indptr, kept)
+        added = ModelRows.of_counts(self.tfidf, id_rows, count_rows)
+        return ModelRows(
+            self.tfidf,
+            indptr_of(lengths.tolist() + np.diff(added.indptr).tolist()),
+            np.concatenate([self.ids[positions], added.ids]),
+            np.concatenate([self.counts[positions], added.counts]),
+        )
 
 
 class PaperVectorStore:
-    """Lazy per-section and whole-paper TF-IDF vectors for a corpus."""
+    """Lazy per-section and whole-paper TF-IDF rows for a corpus."""
 
     def __init__(self, corpus: Corpus, analyzer: Optional[Analyzer] = None) -> None:
         self.corpus = corpus
         self.analyzer = analyzer if analyzer is not None else default_analyzer()
-        self._section_models: Dict[Section, TfidfModel] = {}
-        self._full_model: Optional[TfidfModel] = None
-        self._section_vectors: Dict[Section, Dict[str, SparseVector]] = {
-            section: {} for section in TEXT_SECTIONS
-        }
-        self._full_vectors: Dict[str, SparseVector] = {}
-        # Ordered term->count maps of each paper's full text, keyed in
-        # first-occurrence token order.  Analysis is the dominant cost of
-        # (re)vectorisation; after an incremental IDF update every cached
-        # vector is stale but these counts stay valid, so re-weighting a
-        # paper is O(distinct terms) instead of O(tokens).
-        self._full_counts: Dict[str, Dict[str, int]] = {}
+        self._models: Dict[str, ModelRows] = {}
+        #: The paper row index every model's rows share (corpus order).
+        self._paper_ids: Optional[List[str]] = None
+        self._paper_row: Dict[str, int] = {}
+        self._vectors: Dict[str, Dict[str, SparseVector]] = {}
 
-    # -- models -----------------------------------------------------------------
+    # -- the paper row index --------------------------------------------------------
 
-    @staticmethod
-    def _ordered_counts(terms: Iterable[str]) -> Dict[str, int]:
-        """Term counts keyed in first-occurrence order of the stream."""
-        counts: Dict[str, int] = {}
-        for term in terms:
-            counts[term] = counts.get(term, 0) + 1
-        return counts
+    @property
+    def paper_ids(self) -> List[str]:
+        """Paper ids by row: the corpus order the models were fitted in."""
+        if self._paper_ids is None:
+            self._set_paper_ids(self.corpus.paper_ids())
+        return self._paper_ids
 
-    def full_counts(self, paper_id: str) -> Mapping[str, int]:
-        """Cached ordered term counts of one paper's full text."""
-        counts = self._full_counts.get(paper_id)
-        if counts is None:
-            counts = self._ordered_counts(
-                self.analyzer.analyze(self.corpus.paper(paper_id).all_text())
+    def _set_paper_ids(self, paper_ids: List[str]) -> None:
+        self._paper_ids = paper_ids
+        self._paper_row = {pid: row for row, pid in enumerate(paper_ids)}
+
+    def row_of(self, paper_id: str) -> int:
+        """The row of ``paper_id`` (``KeyError`` if it is not in the corpus)."""
+        _ = self.paper_ids
+        return self._paper_row[paper_id]
+
+    def rows_of(self, paper_ids: Iterable[str]) -> np.ndarray:
+        """Rows of ``paper_ids``, in their order."""
+        _ = self.paper_ids
+        return np.array(
+            [self._paper_row[pid] for pid in paper_ids], dtype=np.int64
+        )
+
+    # -- models -----------------------------------------------------------------------
+
+    def _text(self, paper: Paper, name: str) -> str:
+        return paper.all_text() if name == FULL else paper.section_text(Section(name))
+
+    def _analyze(self, tfidf: TfidfModel, paper: Paper, name: str):
+        """Register one paper with ``tfidf``; its ``(term ids, counts)``.
+
+        Fitting from the ordered count map assigns the same term ids and
+        document frequencies as fitting from the raw token stream (ids
+        come from first-occurrence order, frequencies from distinct
+        terms).
+        """
+        counts = _ordered_counts(self.analyzer.analyze(self._text(paper, name)))
+        return tfidf.vocabulary.add_document(counts), list(counts.values())
+
+    def _model(self, name: str) -> ModelRows:
+        model = self._models.get(name)
+        if model is None:
+            tfidf = TfidfModel()
+            analysed = [
+                self._analyze(tfidf, self.corpus.paper(pid), name)
+                for pid in self.paper_ids
+            ]
+            model = ModelRows.of_counts(
+                tfidf, [ids for ids, _ in analysed], [c for _, c in analysed]
             )
-            self._full_counts[paper_id] = counts
-        return counts
+            self._models[name] = model
+        return model
 
     def section_model(self, section: Section) -> TfidfModel:
         """The TF-IDF model fit over one section of every corpus paper."""
-        model = self._section_models.get(section)
-        if model is None:
-            model = TfidfModel()
-            model.fit(
-                self.analyzer.analyze(paper.section_text(section))
-                for paper in self.corpus
-            )
-            self._section_models[section] = model
-        return model
+        return self._model(section.value).tfidf
 
     @property
     def full_model(self) -> TfidfModel:
-        """The TF-IDF model over whole-paper (all sections) text.
+        """The TF-IDF model over whole-paper (all sections) text."""
+        return self._model(FULL).tfidf
 
-        Fitting from the ordered count maps assigns the same term ids and
-        document frequencies as fitting from the raw token streams (ids
-        come from first-occurrence order, frequencies from distinct
-        terms), while caching the counts for cheap re-vectorisation.
-        """
-        if self._full_model is None:
-            model = TfidfModel()
-            for paper in self.corpus:
-                model.vocabulary.add_document(self.full_counts(paper.paper_id))
-            self._full_model = model
-        return self._full_model
+    # -- rows and vectors --------------------------------------------------------------
 
-    # -- vectors ----------------------------------------------------------------
+    def section_rows(self, section: Section) -> VectorRows:
+        """Unit TF-IDF rows of one section, by paper row."""
+        return self._model(section.value).rows
 
-    def section_vector(self, paper_id: str, section: Section) -> SparseVector:
-        """Unit TF-IDF vector of one paper section (empty if no text)."""
-        cache = self._section_vectors[section]
+    @property
+    def full_rows(self) -> VectorRows:
+        """Unit TF-IDF rows of whole-paper text, by paper row."""
+        return self._model(FULL).rows
+
+    def _vector(self, name: str, paper_id: str) -> SparseVector:
+        cache = self._vectors.setdefault(name, {})
         vector = cache.get(paper_id)
         if vector is None:
-            model = self.section_model(section)
-            text = self.corpus.paper(paper_id).section_text(section)
-            vector = model.vectorize(self.analyzer.analyze(text))
+            vector = self._model(name).rows.vector(self.row_of(paper_id))
             cache[paper_id] = vector
         return vector
 
+    def section_vector(self, paper_id: str, section: Section) -> SparseVector:
+        """Unit TF-IDF vector of one paper section (empty if no text)."""
+        return self._vector(section.value, paper_id)
+
     def full_vector(self, paper_id: str) -> SparseVector:
         """Unit TF-IDF vector of the paper's full text."""
-        vector = self._full_vectors.get(paper_id)
-        if vector is None:
-            vector = self.full_model.vectorize_counts(self.full_counts(paper_id))
-            self._full_vectors[paper_id] = vector
-        return vector
+        return self._vector(FULL, paper_id)
 
     def query_vector(self, text: str) -> SparseVector:
         """Vectorise free text against the whole-paper model."""
@@ -115,21 +223,9 @@ class PaperVectorStore:
 
     def centroid_of(self, paper_ids: Iterable[str]) -> SparseVector:
         """Centroid of the whole-paper vectors of ``paper_ids``."""
-        return centroid(self.full_vector(pid) for pid in paper_ids)
+        return self.full_rows.centroid(self.rows_of(paper_ids)).vector(0)
 
-    def section_similarity(
-        self, paper_a: str, paper_b: str, section: Section
-    ) -> float:
-        """Cosine similarity of one section across two papers."""
-        return self.section_vector(paper_a, section).cosine(
-            self.section_vector(paper_b, section)
-        )
-
-    def full_similarity(self, paper_a: str, paper_b: str) -> float:
-        """Cosine similarity of whole-paper vectors."""
-        return self.full_vector(paper_a).cosine(self.full_vector(paper_b))
-
-    # -- incremental updates ------------------------------------------------------
+    # -- incremental updates -----------------------------------------------------------
 
     def apply_delta(
         self, added: Sequence[Paper], removed: Sequence[Paper]
@@ -137,100 +233,148 @@ class PaperVectorStore:
         """Splice a corpus delta into every fitted model.
 
         ``removed`` takes the :class:`Paper` objects (already popped from
-        the corpus) because their text is needed to reverse the document
-        statistics.  Fitted vocabularies are updated exactly -- removal
-        leaves "ghost" terms with zero document frequency which
-        vectorisation skips, so the updated models produce the same
-        vectors as models fitted from scratch on the surviving papers.
-        Every cached vector is dropped (a corpus-wide IDF shift stales
-        them all); whole-paper vectors rebuild cheaply from the retained
-        count maps.  Models not yet fitted stay lazy and simply see the
-        mutated corpus when first requested.
+        the corpus).  Fitted vocabularies are updated exactly from the
+        removed papers' retained counts -- removal leaves "ghost" terms
+        with zero document frequency which vectorisation skips, so the
+        updated models produce the same vectors as models fitted from
+        scratch on the surviving papers.  Only the added papers are
+        analysed; every row re-weights lazily from the retained counts
+        (a corpus-wide IDF shift stales them all).  Models not yet fitted
+        stay lazy and simply see the mutated corpus when first requested.
         """
-        if self._full_model is not None:
-            vocabulary = self._full_model.vocabulary
+        if self._paper_ids is None:
+            return
+        removed_rows = {self._paper_row[paper.paper_id] for paper in removed}
+        kept = np.array(
+            [r for r in range(len(self._paper_ids)) if r not in removed_rows],
+            dtype=np.int64,
+        )
+        for name, model in list(self._models.items()):
+            vocabulary = model.tfidf.vocabulary
             for paper in removed:
-                counts = self._full_counts.pop(paper.paper_id, None)
-                if counts is None:
-                    counts = self._ordered_counts(
-                        self.analyzer.analyze(paper.all_text())
-                    )
-                vocabulary.remove_document(counts)
-            for paper in added:
-                counts = self._ordered_counts(
-                    self.analyzer.analyze(paper.all_text())
-                )
-                self._full_counts[paper.paper_id] = counts
-                vocabulary.add_document(counts)
-        else:
-            for paper in removed:
-                self._full_counts.pop(paper.paper_id, None)
-        for section, model in self._section_models.items():
-            vocabulary = model.vocabulary
-            for paper in removed:
+                row = self._paper_row[paper.paper_id]
                 vocabulary.remove_document(
-                    self.analyzer.analyze(paper.section_text(section))
+                    [vocabulary.term_of(term_id) for term_id in model.row_ids(row)]
                 )
-            for paper in added:
-                vocabulary.add_document(
-                    self.analyzer.analyze(paper.section_text(section))
-                )
-        for cache in self._section_vectors.values():
-            cache.clear()
-        self._full_vectors.clear()
+            analysed = [self._analyze(model.tfidf, paper, name) for paper in added]
+            self._models[name] = model.spliced(
+                kept, [ids for ids, _ in analysed], [c for _, c in analysed]
+            )
+        self._set_paper_ids(
+            [self._paper_ids[r] for r in kept.tolist()]
+            + [paper.paper_id for paper in added]
+        )
+        self._vectors.clear()
 
-    # -- (de)serialisation --------------------------------------------------------
+    # -- (de)serialisation -------------------------------------------------------------
 
     def warm(self) -> None:
-        """Fit every model and vectorise every paper's full text.
+        """Fit every model and weight every row.
 
-        The workspace builder calls this before serialising so a loaded
-        store serves queries (which need the full model) and centroid /
-        representative work (full vectors) without touching the analyzer.
-        Per-section vectors stay lazy: only score *building* reads them.
+        The workspace builder calls this before serialising, so a loaded
+        store serves queries, centroid / representative work, text
+        scores and deltas without touching the analyzer.
         """
-        for section in TEXT_SECTIONS:
-            self.section_model(section)
-        for paper_id in self.corpus.paper_ids():
-            self.full_vector(paper_id)
+        for name in MODEL_NAMES:
+            _ = self._model(name).rows
 
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-able snapshot: fitted models + cached whole-paper vectors."""
-        return {
-            "section_models": {
-                section.value: model.to_payload()
-                for section, model in self._section_models.items()
-            },
-            "full_model": (
-                self._full_model.to_payload()
-                if self._full_model is not None
-                else None
-            ),
-            "full_vectors": {
-                paper_id: {
-                    str(term_id): weight
-                    for term_id, weight in vector.weights.items()
+    def to_arrays(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+        """A JSON-able header and the arrays of every fitted model.
+
+        Array members are ``<model>.<field>`` for ``indptr`` / ``ids`` /
+        ``counts`` (the counts) and ``row_indptr`` / ``row_ids`` /
+        ``weights`` / ``norms`` (the unit rows).
+        """
+        header: Dict[str, object] = {"paper_ids": list(self.paper_ids), "models": {}}
+        arrays: Dict[str, np.ndarray] = {}
+        for name in MODEL_NAMES:
+            model = self._models.get(name)
+            if model is None:
+                continue
+            header["models"][name] = model.tfidf.to_payload()
+            rows = model.rows
+            arrays.update(
+                {
+                    f"{name}.indptr": model.indptr,
+                    f"{name}.ids": model.ids,
+                    f"{name}.counts": model.counts,
+                    f"{name}.row_indptr": rows.indptr,
+                    f"{name}.row_ids": rows.ids,
+                    f"{name}.weights": rows.weights,
+                    f"{name}.norms": rows.norms,
                 }
-                for paper_id, vector in self._full_vectors.items()
-            },
-        }
+            )
+        return header, arrays
 
     @classmethod
-    def from_payload(
-        cls, payload: Dict, corpus: Corpus, analyzer: Optional[Analyzer] = None
+    def from_arrays(
+        cls,
+        header: Dict,
+        arrays: Dict[str, np.ndarray],
+        corpus: Corpus,
+        analyzer: Optional[Analyzer] = None,
     ) -> "PaperVectorStore":
-        """Rebuild a warmed store from :meth:`to_payload` output."""
+        """Rebuild a store from :meth:`to_arrays` output.
+
+        Raises ``ValueError`` when the arrays disagree with each other or
+        with the paper table.
+        """
         store = cls(corpus, analyzer)
-        for section_value, model_payload in payload["section_models"].items():
-            store._section_models[Section(section_value)] = TfidfModel.from_payload(
-                model_payload
+        paper_ids = list(header["paper_ids"])
+        store._set_paper_ids(paper_ids)
+        for name, payload in header["models"].items():
+            if name not in MODEL_NAMES:
+                raise ValueError(f"unknown vector model {name!r}")
+            tfidf = TfidfModel.from_payload(payload)
+            fields = {
+                field: arrays[f"{name}.{field}"]
+                for field in (
+                    "indptr", "ids", "counts", "row_indptr", "row_ids",
+                    "weights", "norms",
+                )
+            }
+            n_terms = len(tfidf.vocabulary)
+            _check_csr(
+                fields["indptr"], fields["ids"], len(paper_ids), n_terms, name
             )
-        if payload.get("full_model") is not None:
-            store._full_model = TfidfModel.from_payload(payload["full_model"])
-        store._full_vectors = {
-            paper_id: SparseVector(
-                {int(term_id): float(w) for term_id, w in weights.items()}
+            _check_csr(
+                fields["row_indptr"], fields["row_ids"], len(paper_ids), n_terms, name
             )
-            for paper_id, weights in payload["full_vectors"].items()
-        }
+            if (
+                fields["counts"].dtype != np.int32
+                or fields["counts"].shape != fields["ids"].shape
+                or fields["weights"].dtype != np.float64
+                or fields["weights"].shape != fields["row_ids"].shape
+                or fields["norms"].dtype != np.float64
+                or fields["norms"].shape != (len(paper_ids),)
+            ):
+                raise ValueError(f"inconsistent {name} count/weight arrays")
+            store._models[name] = ModelRows(
+                tfidf,
+                fields["indptr"],
+                fields["ids"],
+                fields["counts"],
+                VectorRows(
+                    fields["row_indptr"],
+                    fields["row_ids"],
+                    fields["weights"],
+                    fields["norms"],
+                ),
+            )
         return store
+
+
+def _check_csr(
+    indptr: np.ndarray, ids: np.ndarray, n_rows: int, n_terms: int, name: str
+) -> None:
+    if (
+        indptr.dtype != np.int64
+        or ids.dtype != np.int32
+        or indptr.shape != (n_rows + 1,)
+        or indptr[0] != 0
+        or (np.diff(indptr) < 0).any()
+        or ids.shape != (int(indptr[-1]),)
+        or (ids.size and not 0 <= ids.min() <= ids.max() < n_terms)
+    ):
+        raise ValueError(f"inconsistent {name} indptr/ids arrays")
+

@@ -11,7 +11,7 @@ Everything the paper's scoring functions need from classic IR:
   frequencies.
 - :mod:`repro.text.vectorize` -- sparse vectors and the TF-IDF model of
   Salton's *Automatic Text Processing* (paper reference [6]).
-- :mod:`repro.text.similarity` -- cosine, Jaccard, Dice, overlap.
+- :mod:`repro.text.similarity` -- Jaccard, Dice, overlap.
 - :mod:`repro.text.phrases` -- apriori-style frequent phrase mining
   (paper reference [5]) used by pattern construction.
 """
@@ -19,7 +19,6 @@ Everything the paper's scoring functions need from classic IR:
 from repro.text.analyze import Analyzer, default_analyzer
 from repro.text.phrases import FrequentPhraseMiner, Phrase
 from repro.text.similarity import (
-    cosine_similarity,
     dice_coefficient,
     jaccard_similarity,
     overlap_coefficient,
@@ -35,7 +34,6 @@ __all__ = [
     "default_analyzer",
     "FrequentPhraseMiner",
     "Phrase",
-    "cosine_similarity",
     "jaccard_similarity",
     "dice_coefficient",
     "overlap_coefficient",

@@ -1,22 +1,17 @@
 """Set- and vector-based similarity measures.
 
 The text-based prestige function (paper section 3.2) combines cosine TF-IDF
-similarities with set overlaps (authors, references); the overlap measures
-here are also reused by bibliographic coupling and co-citation.
+similarities (``SparseVector.cosine`` and its batch kernel,
+:mod:`repro.core.cosine`) with set overlaps (authors, references); the
+overlap measures here are also reused by bibliographic coupling and
+co-citation.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Set, Union
 
-from repro.text.vectorize import SparseVector
-
 SetLike = Union[Set, frozenset]
-
-
-def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
-    """Cosine similarity of two sparse vectors (0.0 if either is empty)."""
-    return a.cosine(b)
 
 
 def jaccard_similarity(a: Iterable, b: Iterable) -> float:

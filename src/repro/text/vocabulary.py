@@ -7,7 +7,7 @@ vocabulary are directly comparable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class Vocabulary:
@@ -87,6 +87,10 @@ class Vocabulary:
     def doc_freq_by_id(self, term_id: int) -> int:
         """Document frequency for a known term id."""
         return self._doc_freq[term_id]
+
+    def doc_freqs(self) -> Sequence[int]:
+        """Document frequency of every term, indexed by id (read-only)."""
+        return self._doc_freq
 
     @property
     def n_documents(self) -> int:

@@ -125,8 +125,8 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
     ),
     Artifact(
         name="vectors",
-        filename="vectors.json",
-        schema_version=1,
+        filename="vectors.npz",
+        schema_version=2,
         build=_build_vectors,
         save=core_io.write_vector_store,
         load=lambda path, pipeline: core_io.read_vector_store(
@@ -134,7 +134,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         ),
         install=lambda pipeline, vectors: pipeline.substrates.install_vectors(vectors),
         deps=("index",),
-        description="fitted TF-IDF models + whole-paper vectors",
+        description="fitted TF-IDF models, per-paper term counts and unit TF-IDF rows",
     ),
     Artifact(
         name="citation_graph",

@@ -12,10 +12,12 @@ reference's exactly.
 
 from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import Context, ContextPaperSet
+from repro.core.cosine import VectorRows
 from repro.core.scores.base import PrestigeScores
 from repro.core.search import (
     SELECTION_STRATEGIES,
@@ -28,6 +30,7 @@ from repro.index.search import QueryEvaluation
 from repro.obs import reset_registry
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
+from repro.text.vectorize import SparseVector
 
 COUNTERS = tuple(
     f"search.context.{name}"
@@ -63,8 +66,9 @@ class ReferenceSearch:
                     strengths[cid] = len(shared) / len(query)
         elif s.strategy == "representative":
             for cid, _ in s.contexts:
-                if s.similarity.get(cid, 0.0) > 0.0:
-                    strengths[cid] = s.similarity[cid]
+                similarity = QUERY_VECTOR.cosine(representative_vector(s, cid))
+                if similarity > 0.0:
+                    strengths[cid] = similarity
         else:
             ranked = sorted(s.match.items(), key=lambda kv: (-kv[1], kv[0]))
             for pid, score in ranked[:s.probe_depth]:
@@ -171,12 +175,18 @@ def scenarios(draw):
     )
 
 
-class _Vector:
-    def __init__(self, similarity=1.0):
-        self.similarity = similarity
+#: The query's vector under the representative strategy.
+QUERY_VECTOR = SparseVector({0: 1.0, 2: 0.5})
 
-    def cosine(self, other):
-        return other.similarity
+
+def representative_vector(s, cid):
+    """Context ``cid``'s representative vector, from its drawn value.
+
+    Equal values give equal vectors, so strengths tie; a zero value gives
+    a vector shorter than the query, whose dot product walks it instead.
+    """
+    value = s.similarity.get(cid, 0.0)
+    return SparseVector({0: value, 1: 1.0} if value else {1: 1.0})
 
 
 def build_engine(s):
@@ -194,9 +204,13 @@ def build_engine(s):
         evaluate=lambda query: evaluation,
         index=SimpleNamespace(analyzer=SimpleNamespace(analyze=str.split)),
     )
+    rep_row = {cid: row for row, (cid, _) in enumerate(s.contexts)}
     vectors = SimpleNamespace(
-        query_vector=lambda query: _Vector(),
-        full_vector=lambda rep: _Vector(s.similarity.get(rep, 0.0)),
+        query_vector=lambda query: QUERY_VECTOR,
+        full_rows=VectorRows.of_vectors(
+            [representative_vector(s, cid) for cid, _ in s.contexts]
+        ),
+        rows_of=lambda reps: np.array([rep_row[rep] for rep in reps], dtype=np.int64),
     )
     return paper_set, ContextSearchEngine(
         ontology, paper_set, PrestigeScores("reference", s.prestige),

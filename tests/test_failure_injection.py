@@ -11,6 +11,7 @@ import pytest
 from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import Context, ContextPaperSet
+from repro.core.cosine import cosine_pairs
 from repro.core.patterns import AnalyzedPaperCache, PatternSetBuilder
 from repro.core.scores import CitationPrestige, PatternPrestige, TextPrestige
 from repro.core.search import ContextSearchEngine
@@ -73,7 +74,11 @@ class TestDegenerateCorpus:
     def test_vectors_of_empty_paper(self, degenerate_corpus):
         vectors = PaperVectorStore(degenerate_corpus)
         assert len(vectors.full_vector("EMPTY")) == 0
-        assert vectors.full_similarity("EMPTY", "OK") == 0.0
+        assert vectors.full_vector("EMPTY").cosine(vectors.full_vector("OK")) == 0.0
+        rows = vectors.full_rows
+        assert cosine_pairs(
+            rows, vectors.rows_of(["EMPTY"]), rows, vectors.rows_of(["OK"])
+        ).tolist() == [0.0]
 
     def test_citation_graph_drops_dangling(self, degenerate_corpus):
         graph = CitationGraph.from_corpus(degenerate_corpus)

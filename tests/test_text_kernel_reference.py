@@ -1,0 +1,407 @@
+"""Differential test: the batch cosine kernel against the dict loops it replaced.
+
+:class:`ReferenceVector` keeps ``SparseVector``'s former norm, dot and
+cosine code, and the ``reference_*`` functions keep the per-pair loops
+of ``TextPrestige.similarity``, ``select_representative``,
+``TextContextAssigner._assign_by_similarity`` and
+``ContextSearchEngine._representative_strengths``.  Reference vectors
+come from ``TfidfModel.vectorize`` of freshly analysed text, never from
+the store's rows.  Every kernel answer must equal the reference's with
+``==``, and dicts must keep the reference's key order.
+
+Hypothesis draws sparse vectors with equal-length pairs (``dot`` walks
+``self`` on a tie), shared terms in different insertion orders, rows of
+more than eight shared terms (where pairwise summation would round
+differently), empty rows, and subnormal or huge weights (``cosine``'s
+rescaling fallback), and demo pipelines before and after add/remove
+deltas.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.citations.coupling import citation_similarity
+from repro.core.assignment import TextContextAssigner
+from repro.core.cosine import VectorRows, cosine_pairs
+from repro.core.representative import select_representative
+from repro.core.search import ContextSearchEngine
+from repro.corpus.paper import Section, TEXT_SECTIONS
+from repro.obs import get_registry
+from repro.pipeline import Pipeline, build_demo_pipeline
+from repro.text.vectorize import SparseVector, centroid
+
+
+class ReferenceVector:
+    """``SparseVector``'s norm / dot / cosine as the dict loops computed them."""
+
+    def __init__(self, weights):
+        self.weights = dict(weights)
+
+    @property
+    def norm(self):
+        peak = max((abs(w) for w in self.weights.values()), default=0.0)
+        if peak == 0.0:
+            return 0.0
+        return peak * math.sqrt(sum((w / peak) ** 2 for w in self.weights.values()))
+
+    def dot(self, other):
+        a, b = self.weights, other.weights
+        if len(a) > len(b):
+            a, b = b, a
+        return sum(weight * b[term] for term, weight in a.items() if term in b)
+
+    def normalized(self):
+        n = self.norm
+        if n == 0.0:
+            return ReferenceVector({})
+        if n < sys.float_info.min:
+            peak = max(abs(w) for w in self.weights.values())
+            scaled = {t: w / peak for t, w in self.weights.items()}
+            m = math.sqrt(sum(v * v for v in scaled.values()))
+            return ReferenceVector({t: v / m for t, v in scaled.items()})
+        return ReferenceVector({t: w / n for t, w in self.weights.items()})
+
+    def cosine(self, other):
+        na, nb = self.norm, other.norm
+        if na == 0.0 or nb == 0.0:
+            return 0.0
+        denominator = na * nb
+        if denominator < sys.float_info.min or math.isinf(denominator):
+            value = self.normalized().dot(other.normalized())
+        else:
+            value = self.dot(other) / denominator
+        return min(max(value, 0.0), 1.0)
+
+
+def needs_fallback(a, b):
+    na, nb = a.norm, b.norm
+    product = na * nb
+    return (
+        na != 0.0 and nb != 0.0
+        and (product < sys.float_info.min or math.isinf(product))
+    )
+
+
+# -- the kernel on drawn vectors ---------------------------------------------------
+
+NORMAL = st.one_of(
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.sampled_from((0.0, 0.1, 0.2, 0.3, 1.0, 1 / 3)),
+)
+SUBNORMAL = st.floats(min_value=5e-324, max_value=2e-308)
+HUGE = st.floats(min_value=1e300, max_value=1e307)
+#: A vector's weights are all normal, all subnormal, all huge, or mixed.
+WEIGHTS = st.sampled_from(
+    (NORMAL, NORMAL, SUBNORMAL, HUGE, st.one_of(NORMAL, SUBNORMAL, HUGE))
+)
+
+
+@st.composite
+def vector_pools(draw):
+    """Vectors over a small vocabulary: many share terms, some are empty."""
+    pool = []
+    for _ in range(draw(st.integers(1, 7))):
+        weights = draw(WEIGHTS)
+        terms = draw(st.lists(st.integers(0, 24), unique=True, max_size=20))
+        pool.append({term: draw(weights) for term in terms})
+    return pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_pools(), vector_pools(), st.data())
+def test_cosine_pairs_equal_dict_cosine(left_pool, right_pool, data):
+    pairs = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, len(left_pool) - 1), st.integers(0, len(right_pool) - 1)
+        ),
+        max_size=25,
+    ))
+    if data.draw(st.booleans()):  # one hub row, as the scorers call it
+        pairs = [(left, pairs[0][1]) for left, _ in pairs] if pairs else pairs
+    left = VectorRows.of_vectors([SparseVector(v) for v in left_pool])
+    right = VectorRows.of_vectors([SparseVector(v) for v in right_pool])
+    left_rows = np.array([a for a, _ in pairs], dtype=np.int64)
+    right_rows = np.array([b for _, b in pairs], dtype=np.int64)
+    registry = get_registry()
+    before = dict(registry.snapshot()["counters"])
+
+    got = cosine_pairs(left, left_rows, right, right_rows).tolist()
+
+    references = [
+        (ReferenceVector(left_pool[a]), ReferenceVector(right_pool[b]))
+        for a, b in pairs
+    ]
+    assert got == [a.cosine(b) for a, b in references]
+    assert got == [
+        SparseVector(left_pool[a]).cosine(SparseVector(right_pool[b]))
+        for a, b in pairs
+    ]
+    assert left.norms.tolist() == [ReferenceVector(v).norm for v in left_pool]
+    after = registry.snapshot()["counters"]
+    assert after.get("text.kernel.pairs", 0) - before.get("text.kernel.pairs", 0) == (
+        len(pairs)
+    )
+    assert after.get("text.kernel.fallbacks", 0) - before.get(
+        "text.kernel.fallbacks", 0
+    ) == sum(needs_fallback(a, b) for a, b in references)
+
+
+def test_long_rows_sum_left_to_right():
+    """Forty shared terms: a pairwise sum would round differently."""
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        terms = rng.permutation(60)[:40].tolist()
+        a = dict(zip(terms, rng.random(40).tolist()))
+        b = dict(zip(rng.permutation(terms).tolist(), rng.random(40).tolist()))
+        got = cosine_pairs(
+            VectorRows.of_vectors([SparseVector(a)]), np.zeros(1, dtype=np.int64),
+            VectorRows.of_vectors([SparseVector(b)]), np.zeros(1, dtype=np.int64),
+        )
+        assert got.tolist() == [ReferenceVector(a).cosine(ReferenceVector(b))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_pools(), st.data())
+def test_centroid_equals_dict_centroid(pool, data):
+    rows = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    vectors = VectorRows.of_vectors([SparseVector(v) for v in pool])
+    got = vectors.centroid(np.array(rows, dtype=np.int64)).vector(0)
+    expected = centroid(SparseVector(pool[row]) for row in rows)
+    assert list(got.weights.items()) == list(expected.weights.items())
+    assert got.norm == ReferenceVector(expected.weights).norm
+
+
+# -- the scorers on demo pipelines ----------------------------------------------------
+
+
+class ReferenceVectors:
+    """Each paper's vectors from ``TfidfModel.vectorize`` of fresh analysis.
+
+    Never read from the store's rows; memoised for one state of the
+    store (build a new one after a delta).
+    """
+
+    def __init__(self, store):
+        self.store = store
+        self._memo = {}
+
+    def __call__(self, paper_id, section=None):
+        key = (paper_id, section)
+        if key not in self._memo:
+            paper = self.store.corpus.paper(paper_id)
+            if section is None:
+                model, text = self.store.full_model, paper.all_text()
+            else:
+                model = self.store.section_model(section)
+                text = paper.section_text(section)
+            vector = model.vectorize(self.store.analyzer.analyze(text))
+            self._memo[key] = ReferenceVector(vector.weights)
+        return self._memo[key]
+
+
+def reference_similarity(reference, prestige, paper_id, representative):
+    """``TextPrestige.similarity``: the six facets summed per pair."""
+    w = prestige.weights
+
+    def section_cosine(section):
+        return reference(paper_id, section).cosine(reference(representative, section))
+
+    total = 0.0
+    if w.title:
+        total += w.title * section_cosine(Section.TITLE)
+    if w.abstract:
+        total += w.abstract * section_cosine(Section.ABSTRACT)
+    if w.body:
+        total += w.body * section_cosine(Section.BODY)
+    if w.index_terms:
+        total += w.index_terms * section_cosine(Section.INDEX_TERMS)
+    if w.authors:
+        total += w.authors * prestige.author_similarity(paper_id, representative)
+    if w.references:
+        total += w.references * citation_similarity(
+            prestige.graph, paper_id, representative, bib_weight=w.bibliographic
+        )
+    return total
+
+
+def reference_select_representative(reference, candidate_ids):
+    candidates = list(dict.fromkeys(candidate_ids))
+    if not candidates:
+        return None
+    if len(candidates) == 1:
+        return candidates[0]
+    center = ReferenceVector(
+        centroid(SparseVector(reference(pid).weights) for pid in candidates).weights
+    )
+    best_id, best_similarity = None, -1.0
+    for paper_id in sorted(candidates):
+        similarity = reference(paper_id).cosine(center)
+        if similarity > best_similarity:
+            best_similarity, best_id = similarity, paper_id
+    return best_id
+
+
+def reference_assign(reference, assigner, representative, training):
+    store = assigner.vectors
+    rep_vector = reference(representative)
+    candidates = set(training) | {representative}
+    vocabulary = store.full_model.vocabulary
+    ranked = sorted(
+        ((w, vocabulary.term_of(t)) for t, w in rep_vector.weights.items()),
+        key=lambda item: (-item[0], item[1]),
+    )
+    for _weight, term in ranked[: assigner.candidate_terms]:
+        candidates.update(assigner.index.papers_containing(term))
+    members = []
+    for paper_id in sorted(candidates):
+        if paper_id in training or paper_id == representative:
+            members.append(paper_id)
+            continue
+        if reference(paper_id).cosine(rep_vector) >= assigner.similarity_threshold:
+            members.append(paper_id)
+    return list(dict.fromkeys(members))
+
+
+def reference_representative_strengths(
+    reference, paper_set, representatives, query
+):
+    query_vector = ReferenceVector(reference.store.query_vector(query).weights)
+    strengths = {}
+    if not query_vector.weights:
+        return strengths
+    for context in paper_set:
+        representative = representatives.get(context.term_id)
+        if representative is None:
+            continue
+        similarity = query_vector.cosine(reference(representative))
+        if similarity > 0.0:
+            strengths[context.term_id] = similarity
+    return strengths
+
+
+def assert_kernel_matches_reference(pipeline):
+    store = pipeline.substrates
+    vectors = store.vectors
+    reference = ReferenceVectors(vectors)
+    for paper_id in pipeline.corpus.paper_ids():
+        assert list(vectors.full_vector(paper_id).weights.items()) == list(
+            reference(paper_id).weights.items()
+        )
+        for section in TEXT_SECTIONS:
+            assert list(vectors.section_vector(paper_id, section).weights.items()) == (
+                list(reference(paper_id, section).weights.items())
+            )
+
+    paper_set = store.text_paper_set
+    representatives = store.representatives
+    scores = store.prestige("text", "text")
+    prestige = scores_function(store)
+    for context in paper_set:
+        representative = representatives.get(context.term_id)
+        expected = {
+            pid: reference_similarity(reference, prestige, pid, representative)
+            for pid in context.paper_ids
+        }
+        got = scores.pre_propagation.get(context.term_id, {})
+        assert list(got.items()) == list(expected.items())
+
+    assigner = TextContextAssigner(
+        store.corpus, store.ontology, vectors, store.index,
+        similarity_threshold=store.text_similarity_threshold,
+    )
+    for context in paper_set:
+        training = list(context.training_paper_ids)
+        assert select_representative(vectors, training) == (
+            reference_select_representative(reference, training)
+        )
+        representative = representatives[context.term_id]
+        assert list(context.paper_ids) == reference_assign(
+            reference, assigner, representative, training
+        )
+
+    engine = ContextSearchEngine(
+        store.ontology, paper_set, scores, store.keyword_engine,
+        selection_strategy="representative", vectors=vectors,
+        representatives=representatives,
+    )
+    names = [term.name for term in store.ontology][:6]
+    first_paper = pipeline.corpus.paper(pipeline.corpus.paper_ids()[0])
+    long_query = " ".join(first_paper.body.split()[:400])
+    for query in names + [long_query, "zzzz unknown"]:
+        got = engine._representative_strengths(query)
+        expected = reference_representative_strengths(
+            reference, paper_set, representatives, query
+        )
+        assert list(got.items()) == list(expected.items())
+
+
+def scores_function(store):
+    from repro import scoring
+
+    return scoring.get("text").factory(store)
+
+
+def delta_pipeline(seed, n_add, n_remove):
+    """A demo pipeline minus its last ``n_add`` papers, warmed, then the
+    delta that adds them back and removes ``n_remove`` others."""
+    demo = build_demo_pipeline(seed=seed, n_papers=50, n_terms=12)
+    papers = list(demo.corpus)
+    held_out = papers[len(papers) - n_add:] if n_add else []
+    base = papers[: len(papers) - n_add]
+    pipeline = Pipeline(
+        corpus=type(demo.corpus)(),
+        ontology=demo.ontology,
+        training_papers=demo.training_papers,
+    )
+    for paper in base:
+        pipeline.corpus.add(paper)
+    pipeline.prestige("text", "text")
+    removed = [paper.paper_id for paper in base[::7][:n_remove]]
+    pipeline.substrates.apply_delta(added_papers=held_out, removed_ids=removed)
+    return pipeline
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 40),
+    n_add=st.integers(0, 3),
+    n_remove=st.integers(0, 3),
+)
+def test_scorers_equal_reference_after_delta(seed, n_add, n_remove):
+    assume(n_add + n_remove > 0)
+    assert_kernel_matches_reference(delta_pipeline(seed, n_add, n_remove))
+
+
+def test_scorers_equal_reference_on_a_fresh_pipeline():
+    pipeline = build_demo_pipeline(seed=7, n_papers=120, n_terms=30)
+    assert_kernel_matches_reference(pipeline)
+
+
+@pytest.fixture(scope="module")
+def golden_pipeline():
+    import json
+    from pathlib import Path
+
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "golden_rankings.json").read_text()
+    )
+    demo = golden["demo"]
+    return build_demo_pipeline(
+        seed=demo["seed"], n_papers=demo["n_papers"], n_terms=demo["n_terms"]
+    )
+
+
+def test_no_fallbacks_on_the_golden_corpus(golden_pipeline):
+    """The golden corpus never needs ``cosine``'s scalar rescaling path."""
+    pipeline = golden_pipeline
+    pipeline.prestige("text", "text")
+    for query in ("immune repair process", "cell signaling"):
+        pipeline.search(query, selection_strategy="representative", use_cache=False)
+    counters = get_registry().snapshot()["counters"]
+    assert counters.get("text.kernel.pairs", 0) > 0
+    assert counters.get("text.kernel.fallbacks", 0) == 0

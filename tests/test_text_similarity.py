@@ -3,12 +3,10 @@
 import pytest
 
 from repro.text.similarity import (
-    cosine_similarity,
     dice_coefficient,
     jaccard_similarity,
     overlap_coefficient,
 )
-from repro.text.vectorize import SparseVector
 
 
 class TestJaccard:
@@ -48,10 +46,3 @@ class TestOverlapCoefficient:
 
     def test_partial(self):
         assert overlap_coefficient({"a", "b"}, {"b", "c"}) == pytest.approx(0.5)
-
-
-class TestCosineSimilarityWrapper:
-    def test_delegates_to_sparse_vector(self):
-        a = SparseVector({0: 1.0})
-        b = SparseVector({0: 2.0})
-        assert cosine_similarity(a, b) == pytest.approx(1.0)

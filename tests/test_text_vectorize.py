@@ -62,6 +62,11 @@ class TestSparseVector:
         v = SparseVector({0: 2.0, 3: 1.0})
         assert v.cosine(v) == pytest.approx(1.0)
 
+    def test_cosine_of_parallel_vectors(self):
+        a = SparseVector({0: 1.0})
+        b = SparseVector({0: 2.0})
+        assert a.cosine(b) == pytest.approx(1.0)
+
     def test_cosine_orthogonal(self):
         assert SparseVector({0: 1.0}).cosine(SparseVector({1: 1.0})) == 0.0
 

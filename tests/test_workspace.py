@@ -246,7 +246,8 @@ class TestCorruptArtifacts:
             "repro/inverted-index/v1",
         )
         manifest = json.loads((copy / "manifest.json").read_text())
-        for name, fingerprint in _v1_index_fingerprints(pipeline).items():
+        old = {"index": (1, {"index_backend": "memory"})}
+        for name, fingerprint in _v1_fingerprints(pipeline, old).items():
             manifest["artifacts"][name]["fingerprint"] = fingerprint
         manifest["artifacts"]["index"].update(
             file="index.json",
@@ -255,10 +256,7 @@ class TestCorruptArtifacts:
         )
         (copy / "manifest.json").write_text(json.dumps(manifest))
 
-        dependents = {"index"}
-        for name in topological_order():
-            if dependents & set(ARTIFACTS[name].deps):
-                dependents.add(name)
+        dependents = _dependents("index")
         assert "citation_graph" not in dependents
         reopened = Pipeline.from_directory(data_dir)
         statuses = {s.name: s for s in workspace_status(reopened, copy)}
@@ -274,11 +272,59 @@ class TestCorruptArtifacts:
         assert entry.size_bytes == (copy / "index.bin").stat().st_size
         assert all(s.state == "fresh" for s in workspace_status(reopened, copy))
 
+    def test_v1_json_vectors_are_stale_and_replaced_by_vectors_npz(
+        self, built, data_dir, tmp_path
+    ):
+        """A workspace whose vector store is the schema-1 ``vectors.json``
+        (``repro/vector-store/v1``) rebuilds it, and everything built on
+        it, into ``vectors.npz``."""
+        from repro.core.io import write_tagged_json
+        from repro.workspace.manifest import entries_from_payload
 
-def _v1_index_fingerprints(pipeline):
-    """Artifact fingerprints of a workspace whose index artifact was the
-    ``index.json`` of schema 1, fingerprinted with the index-backend
-    name among its config values."""
+        pipeline, workspace, _ = built
+        copy = tmp_path / "workspace"
+        shutil.copytree(workspace, copy)
+        (copy / "vectors.npz").unlink()
+        write_tagged_json(
+            {"section_models": {}, "full_model": None, "full_vectors": {}},
+            copy / "vectors.json",
+            "repro/vector-store/v1",
+        )
+        manifest = json.loads((copy / "manifest.json").read_text())
+        old = {"vectors": (1, {})}
+        for name, fingerprint in _v1_fingerprints(pipeline, old).items():
+            manifest["artifacts"][name]["fingerprint"] = fingerprint
+        manifest["artifacts"]["vectors"].update(
+            file="vectors.json",
+            schema_version=1,
+            size_bytes=(copy / "vectors.json").stat().st_size,
+        )
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+
+        dependents = _dependents("vectors")
+        assert {"text_paper_set", "representatives", "scores_text_text"} <= dependents
+        assert "index" not in dependents and "pattern_paper_set" not in dependents
+        reopened = Pipeline.from_directory(data_dir)
+        statuses = {s.name: s for s in workspace_status(reopened, copy)}
+        assert statuses["vectors"].reason == "schema v1 != v2"
+        for name, status in statuses.items():
+            assert status.state == ("stale" if name in dependents else "fresh"), name
+
+        report = WorkspaceBuilder(reopened, copy).build()
+        assert set(report.built) == dependents
+        assert not (copy / "vectors.json").exists()
+        entry = entries_from_payload(read_manifest(copy))["vectors"]
+        assert entry.file == "vectors.npz"
+        assert all(s.state == "fresh" for s in workspace_status(reopened, copy))
+        for name in dependents - {"vectors"}:
+            file = ARTIFACTS[name].filename
+            assert (copy / file).read_bytes() == (workspace / file).read_bytes(), name
+
+
+def _v1_fingerprints(pipeline, old):
+    """Artifact fingerprints of a workspace built when the artifacts in
+    ``old`` (name -> ``(schema_version, config)``) had that schema and
+    those config values."""
     from repro.workspace.fingerprint import InputDigests, digest_json
 
     inputs = InputDigests.of_pipeline(pipeline).combined
@@ -287,8 +333,8 @@ def _v1_index_fingerprints(pipeline):
         artifact = ARTIFACTS[name]
         schema_version = artifact.schema_version
         config = {key: getattr(pipeline, key) for key in artifact.config_keys}
-        if name == "index":
-            schema_version, config = 1, {"index_backend": "memory"}
+        if name in old:
+            schema_version, config = old[name]
         fingerprints[name] = digest_json(
             {
                 "artifact": name,
@@ -299,6 +345,15 @@ def _v1_index_fingerprints(pipeline):
             }
         )
     return fingerprints
+
+
+def _dependents(name):
+    """``name`` and every artifact built on it."""
+    dependents = {name}
+    for other in topological_order():
+        if dependents & set(ARTIFACTS[other].deps):
+            dependents.add(other)
+    return dependents
 
 
 class TestManifestCheckTool:
@@ -325,6 +380,33 @@ class TestManifestCheckTool:
 
 
 class TestIncremental:
+    def test_first_delta_after_open_analyses_only_added_papers(self, built, data_dir):
+        """The vectors artifact carries every paper's term counts, so the
+        first delta after an open re-weights the surviving papers' rows
+        instead of analysing their text again -- for the whole-paper
+        model and for each section model the text scores read."""
+        from repro.corpus.paper import TEXT_SECTIONS, Paper
+
+        pipeline = Pipeline.open_workspace(data_dir)
+        store = pipeline.substrates
+        vectors = store.vectors
+        analyzer = vectors.analyzer
+        analysed = []
+
+        class RecordingAnalyzer:
+            def analyze(self, text):
+                analysed.append(text)
+                return analyzer.analyze(text)
+
+        vectors.analyzer = RecordingAnalyzer()
+        source = pipeline.corpus.paper(pipeline.corpus.paper_ids()[5])
+        added = Paper.from_dict({**source.to_dict(), "paper_id": "ADDED-1"})
+        removed = pipeline.corpus.paper_ids()[0]
+        store.apply_delta(added_papers=[added], removed_ids=[removed])
+        pipeline.prestige("text", "text")
+
+        texts = [added.all_text()] + [added.section_text(s) for s in TEXT_SECTIONS]
+        assert sorted(analysed) == sorted(texts)
     def test_search_weights_do_not_invalidate(self, built, data_dir):
         _, workspace, _ = built
         pipeline = Pipeline.from_directory(data_dir, w_prestige=0.9, w_matching=0.1)
@@ -472,9 +554,9 @@ class TestCodecs:
         index = InvertedIndex().index_corpus(tiny_corpus)
         vectors = PaperVectorStore(tiny_corpus, index.analyzer)
         vectors.warm()
-        write_vector_store(vectors, tmp_path / "vectors.json")
+        write_vector_store(vectors, tmp_path / "vectors.npz")
         restored = read_vector_store(
-            tmp_path / "vectors.json", tiny_corpus, index.analyzer
+            tmp_path / "vectors.npz", tiny_corpus, index.analyzer
         )
         for paper_id in tiny_corpus.paper_ids():
             assert restored.full_vector(paper_id).weights == pytest.approx(

@@ -21,13 +21,26 @@ echo "== lint: workspace artifact registry =="
 python tools/check_workspace_manifest.py
 
 echo
-echo "== lint: a freshly built workspace passes the manifest check =="
+echo "== lint: a freshly built workspace, and its first delta generation, pass the manifest check =="
 WORKSPACE_DATA="$(mktemp -d)"
 trap 'rm -rf "$WORKSPACE_DATA"' EXIT
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli generate \
     --papers 60 --terms 15 --seed 8 --out "$WORKSPACE_DATA" > /dev/null
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
     --data "$WORKSPACE_DATA" > /dev/null
+python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
+# ... and so does the next generation a one-paper delta writes (the
+# delta path rewrites vectors.npz from the retained term counts).
+python - "$WORKSPACE_DATA" <<'PY'
+import json, sys
+from pathlib import Path
+data = Path(sys.argv[1])
+paper = json.loads((data / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+paper["paper_id"] = "CI-DELTA-1"
+(data / "delta.jsonl").write_text(json.dumps(paper) + "\n", encoding="utf-8")
+PY
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli ingest-delta \
+    --data "$WORKSPACE_DATA" --add "$WORKSPACE_DATA/delta.jsonl" > /dev/null
 python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
 
 echo
