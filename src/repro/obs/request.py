@@ -13,8 +13,9 @@ to the bounded slow-query log when it was **head-sampled** (probability
 ``sample_rate``), **slow** (duration >= ``slow_ms``), or **errored** --
 so the tail is never lost to sampling, and the log keeps only the N
 slowest either way.  Each completed request also appends one
-:class:`~repro.obs.slo.QueryEvent` to a bounded rolling window, the
-substrate SLO evaluation and the ``/slo`` endpoint read.
+:class:`~repro.obs.slo.QueryEvent` to a bounded rolling window and
+bumps the ``search.analytics.*`` counters; that window is the one
+per-request store ``/slo`` and ``/analytics`` both read.
 
 While telemetry is *disabled* (the default) the request context is a
 hair above free: one sentinel check, two monotonic-clock reads, one
@@ -73,7 +74,8 @@ _FALLBACK_LATENCY_METRIC = "search.request.latency"
 #: Queries longer than this are truncated in records (ids stay unique).
 _MAX_QUERY_CHARS = 200
 
-#: Hard cap on the rolling SLO event window (deque maxlen).
+#: Hard cap on the rolling event window (deque maxlen) ``/slo`` and
+#: ``/analytics`` read.
 _MAX_WINDOW_EVENTS = 65536
 
 
@@ -177,11 +179,13 @@ _NULL_REQUEST = _NullRequest()
 
 
 class QueryTelemetry:
-    """Per-query request contexts, sampling, slow-query log, SLO window.
+    """Per-query request contexts, sampling, slow-query log, event window.
 
-    Thread-safe: id allocation and the sampling RNG share one small lock,
-    the slow-query log locks internally, and the event window is a
-    bounded deque (appends are atomic; pruning locks).
+    Thread-safe: id allocation, the sampling RNG and appends to the event
+    window share one small lock, and the slow-query log locks
+    internally.  The window is a bounded deque; nothing prunes it,
+    readers filter by timestamp.  ``dropped_ts`` is the timestamp of the
+    newest event the cap evicted (-inf until the window first overflows).
     """
 
     def __init__(
@@ -208,7 +212,7 @@ class QueryTelemetry:
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._events: deque = deque(maxlen=_MAX_WINDOW_EVENTS)
-        self._listeners: List = []
+        self.dropped_ts = float("-inf")
         self._owned_tracer = None
         if enabled:
             self._ensure_tracer()
@@ -225,28 +229,6 @@ class QueryTelemetry:
         """
         if current_tracer() is None:
             self._owned_tracer = start_tracing()
-
-    def add_listener(self, listener) -> None:
-        """Register a finish-hook called with every completed QueryRecord.
-
-        The hook for stream consumers such as the query-analytics
-        aggregator (:class:`repro.serving.analytics.QueryAnalytics`).
-        Listeners run on the request thread *after* the latency
-        observation, only while telemetry is enabled (the disabled fast
-        path never builds a record); exceptions are swallowed per
-        listener so a broken consumer cannot fail live queries.
-        """
-        with self._lock:
-            if listener not in self._listeners:
-                self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        """Deregister a finish-hook (missing listeners are ignored)."""
-        with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
 
     def disable(self) -> None:
         """Turn request capture off and drop a telemetry-owned tracer."""
@@ -330,24 +312,33 @@ class QueryTelemetry:
         if record.sampled or record.slow or record.error is not None:
             if self.slowlog.offer(record):
                 registry.counter("telemetry.slowlog.captured").inc()
-        self._events.append(
-            QueryEvent(
-                ts=time.monotonic(),
-                kind=record.kind,
-                duration_s=record.duration_s / max(record.queries, 1),
-                queries=record.queries,
-                error=record.error is not None,
-                cache_hits=record.cache_hits,
-                cache_lookups=record.cache_lookups,
-            )
+        attrs = record.attrs
+        hits = attrs.get("hits")
+        top_score = attrs.get("top_score")
+        event = QueryEvent(
+            ts=time.monotonic(),
+            kind=record.kind,
+            duration_s=record.duration_s / max(record.queries, 1),
+            queries=record.queries,
+            error=record.error is not None,
+            cache_hits=record.cache_hits,
+            cache_lookups=record.cache_lookups,
+            function=attrs.get("function", "unknown"),
+            query=record.query,
+            hits=hits,
+            top_score=top_score,
         )
-        with self._lock:
-            listeners = tuple(self._listeners)
-        for listener in listeners:
-            try:
-                listener(record)
-            except Exception:
-                registry.counter("telemetry.listener.errors").inc()
+        with self._lock:  # the eviction check and the append are one step
+            if len(self._events) == self._events.maxlen:
+                self.dropped_ts = self._events[0].ts
+            self._events.append(event)
+        registry.counter("search.analytics.queries").inc()
+        if hits is not None:
+            registry.histogram("search.analytics.results").observe(hits)
+            if hits == 0:
+                registry.counter("search.analytics.zero_results").inc()
+        if top_score is not None:
+            registry.histogram("search.analytics.top_score").observe(top_score)
 
     # -- SLO evaluation --------------------------------------------------------------
 
@@ -359,7 +350,7 @@ class QueryTelemetry:
         """Every declared SLO evaluated over the current window."""
         if now is None:
             now = time.monotonic()
-        return evaluate_slos(self.slos, self.events(), now)
+        return evaluate_slos(self.slos, self.events(), now, self.dropped_ts)
 
     # -- export ----------------------------------------------------------------------
 

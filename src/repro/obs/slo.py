@@ -50,12 +50,15 @@ SLO_KINDS = ("latency", "error_rate", "cache_hit_rate")
 
 @dataclass(frozen=True)
 class QueryEvent:
-    """One telemetry event: the SLO-relevant residue of a request.
+    """One telemetry event: what ``/slo`` and ``/analytics`` read of a request.
 
     ``duration_s`` is per-query latency; a ``search_many`` batch records
     one event with ``queries`` > 1 and the batch's average per-query
     latency (individual worker timings live in the slow-query log's span
-    trees).  ``ts`` is monotonic-clock seconds.
+    trees).  ``ts`` is monotonic-clock seconds.  ``function`` is the
+    score function the request ran under and ``query`` its (truncated)
+    text; ``hits`` and ``top_score`` are the result count and top-hit
+    relevancy of a ``search`` request (None where the request set none).
     """
 
     ts: float
@@ -65,6 +68,10 @@ class QueryEvent:
     error: bool = False
     cache_hits: int = 0
     cache_lookups: int = 0
+    function: str = "unknown"
+    query: str = ""
+    hits: Optional[int] = None
+    top_score: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -202,6 +209,8 @@ class SLOStatus:
     allowed_bad: float
     #: Unspent fraction of the error budget, clamped to [0, 1].
     budget_remaining: float
+    #: True when the event cap evicted events inside the window.
+    truncated: bool
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -218,6 +227,7 @@ class SLOStatus:
             "met": self.met,
             "allowed_bad": self.allowed_bad,
             "budget_remaining": self.budget_remaining,
+            "truncated": self.truncated,
         }
 
 
@@ -238,9 +248,16 @@ def _tally(slo: SLO, events: Sequence[QueryEvent]) -> tuple:
 
 
 def evaluate_slo(
-    slo: SLO, events: Sequence[QueryEvent], now: float
+    slo: SLO,
+    events: Sequence[QueryEvent],
+    now: float,
+    dropped_ts: float = float("-inf"),
 ) -> SLOStatus:
-    """Evaluate one objective over the events inside its window."""
+    """Evaluate one objective over the events inside its window.
+
+    ``dropped_ts`` is the timestamp of the newest event the window cap
+    evicted; at or after the window start, the status is ``truncated``.
+    """
     cutoff = now - slo.window_s
     windowed = [event for event in events if event.ts >= cutoff]
     good, total = _tally(slo, windowed)
@@ -260,13 +277,17 @@ def evaluate_slo(
     return SLOStatus(
         slo=slo, total=total, good=good, bad=bad, sli=sli, met=met,
         allowed_bad=allowed_bad, budget_remaining=budget_remaining,
+        truncated=dropped_ts >= cutoff,
     )
 
 
 def evaluate_slos(
-    slos: Sequence[SLO], events: Sequence[QueryEvent], now: float
+    slos: Sequence[SLO],
+    events: Sequence[QueryEvent],
+    now: float,
+    dropped_ts: float = float("-inf"),
 ) -> List[SLOStatus]:
-    return [evaluate_slo(slo, events, now) for slo in slos]
+    return [evaluate_slo(slo, events, now, dropped_ts) for slo in slos]
 
 
 def format_slo_report(statuses: Sequence[Dict[str, Any]]) -> str:
@@ -282,6 +303,8 @@ def format_slo_report(statuses: Sequence[Dict[str, Any]]) -> str:
         sli = status.get("sli")
         met = status.get("met")
         state = "no data" if met is None else ("OK" if met else "VIOLATED")
+        if status.get("truncated"):
+            state += " (truncated)"
         lines.append(
             f"{status.get('name', '?'):<22} "
             f"{status.get('kind', '?'):<15} "

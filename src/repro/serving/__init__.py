@@ -8,7 +8,7 @@ atomically; :class:`~repro.serving.service.SearchService` puts the view
 behind HTTP search endpoints with admission control (``repro serve``).
 """
 
-from repro.serving.analytics import QueryAnalytics, ShadowScorer
+from repro.serving.analytics import ShadowScorer, summarize_queries
 from repro.serving.service import (
     AdmissionController,
     AdmissionRejected,
@@ -20,10 +20,10 @@ from repro.serving.view import SearchResultCache, ServingView
 __all__ = [
     "AdmissionController",
     "AdmissionRejected",
-    "QueryAnalytics",
     "SearchService",
     "ShadowScorer",
     "SubstrateStore",
     "SearchResultCache",
     "ServingView",
+    "summarize_queries",
 ]

@@ -1,15 +1,16 @@
 """Online ranking-quality observability: query analytics + shadow scoring.
 
-Two serving-side consumers of the request-telemetry stream
-(:mod:`repro.obs.request`), both surfaced by the search service's
-``GET /analytics`` endpoint and the ``repro obs analytics`` CLI:
+Two serving-side views of live traffic, both surfaced by the search
+service's ``GET /analytics`` endpoint and the ``repro obs analytics`` CLI:
 
-- :class:`QueryAnalytics` -- a rolling-window aggregator fed from the
-  telemetry finish hook (:meth:`QueryTelemetry.add_listener`): query
-  volume per endpoint kind and score function, zero-result rate, top
-  query terms, result-count and top-score distributions.  Exported as
-  ``search.analytics.*`` metrics (counters at observe time, windowed
-  gauges from the scrape-time collector hook).
+- :func:`summarize_queries` -- a pure function over the request-telemetry
+  event window (:meth:`repro.obs.request.QueryTelemetry.events`, the same
+  window ``/slo`` reads): query volume per endpoint kind and score
+  function, zero-result rate, top query terms, result-count and top-score
+  distributions over the last :data:`WINDOW_S` seconds.
+  :func:`export_query_gauges` is the scrape-time collector that exports
+  the window's volumes as ``search.analytics.*`` gauges; the matching
+  counters and histograms are recorded by the telemetry itself.
 
 - :class:`ShadowScorer` -- samples a configurable fraction of live
   ``/search`` traffic and re-scores it *off-thread* under one or more
@@ -35,16 +36,28 @@ import random
 import re
 import threading
 import time
-from collections import Counter as TermCounter, deque
+from collections import Counter, deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.quality import compare_rankings
+from repro.obs.slo import QueryEvent
 
-__all__ = ["QueryAnalytics", "ShadowScorer", "render_analytics"]
+__all__ = [
+    "ShadowScorer",
+    "export_query_gauges",
+    "render_analytics",
+    "summarize_queries",
+]
 
 _log = get_logger("serving.analytics")
+
+#: Seconds of telemetry events ``/analytics`` and its gauges look back.
+WINDOW_S = 300.0
+
+#: Most frequent query terms ``/analytics`` reports.
+TOP_TERMS = 10
 
 #: Metric name segments allow ``[a-z0-9_]`` only; anything else in a
 #: score-function name is flattened (mirrors scores.<function>.* idiom).
@@ -70,168 +83,98 @@ def _metric_segment(name: str) -> str:
     return segment
 
 
-class _WindowEntry:
-    __slots__ = ("ts", "kind", "function", "terms", "hits", "top_score")
-
-    def __init__(self, ts, kind, function, terms, hits, top_score):
-        self.ts = ts
-        self.kind = kind
-        self.function = function
-        self.terms = terms
-        self.hits = hits
-        self.top_score = top_score
+def _windowed(events: Sequence[QueryEvent], now: float) -> List[QueryEvent]:
+    cutoff = now - WINDOW_S
+    return [event for event in events if event.ts >= cutoff]
 
 
-class QueryAnalytics:
-    """Rolling-window query analytics over finished telemetry records.
+def summarize_queries(
+    events: Sequence[QueryEvent],
+    now: float,
+    dropped_ts: float = float("-inf"),
+) -> Dict[str, Any]:
+    """The ``/analytics`` payload over the events of the last ``WINDOW_S``.
 
-    Registered as a telemetry listener (so it only ever sees traffic
-    while telemetry is enabled -- the serve CLI always enables it) and
-    as a scrape-time collector for the windowed gauges.  Thread-safe:
-    the window is a bounded deque behind one small lock.
+    ``events`` are oldest first, as :meth:`QueryTelemetry.events` returns
+    them; ``dropped_ts`` is the timestamp of the newest event the window
+    cap evicted, which sets ``truncated`` when it falls in the window.
     """
-
-    def __init__(
-        self,
-        window_s: float = 300.0,
-        max_events: int = 8192,
-        top_terms: int = 10,
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.window_s = window_s
-        self.top_terms = top_terms
-        self._entries: Deque[_WindowEntry] = deque(maxlen=max_events)
-        self._lock = threading.Lock()
-
-    # -- ingestion (telemetry listener) ----------------------------------------------
-
-    def observe(self, record) -> None:
-        """Telemetry finish-hook: fold one QueryRecord into the window."""
-        registry = get_registry()
-        attrs = record.attrs
-        hits = attrs.get("hits")
-        if not isinstance(hits, int):
-            hits = None
-        top_score = attrs.get("top_score")
-        if not isinstance(top_score, (int, float)):
-            top_score = None
-        entry = _WindowEntry(
-            ts=time.monotonic(),
-            kind=record.kind,
-            function=str(attrs.get("function", "unknown")),
-            terms=tuple(_TERM_RE.findall(record.query.lower())),
-            hits=hits,
-            top_score=None if top_score is None else float(top_score),
-        )
-        with self._lock:
-            self._entries.append(entry)
-        registry.counter("search.analytics.queries").inc()
-        if hits is not None:
-            registry.histogram("search.analytics.results").observe(hits)
-            if hits == 0:
-                registry.counter("search.analytics.zero_results").inc()
+    entries = _windowed(events, now)
+    by_kind: Dict[str, int] = {}
+    by_function: Dict[str, int] = {}
+    queries: Counter = Counter()
+    counted = zero = 0
+    result_buckets = {label: 0 for label, _, _ in _RESULT_BUCKETS}
+    scores: List[float] = []
+    for entry in entries:
+        by_kind[entry.kind] = by_kind.get(entry.kind, 0) + 1
+        by_function[entry.function] = by_function.get(entry.function, 0) + 1
+        queries[entry.query] += 1
+        if entry.hits is not None:
+            counted += 1
+            if entry.hits == 0:
+                zero += 1
+            for label, low, high in _RESULT_BUCKETS:
+                if low <= entry.hits <= high:
+                    result_buckets[label] += 1
+                    break
         if entry.top_score is not None:
-            registry.histogram("search.analytics.top_score").observe(
-                entry.top_score
-            )
+            scores.append(entry.top_score)
+    # Terms of each distinct query once, weighted by its repeats: the
+    # same counts, in the same first-seen order, as a pass per event.
+    terms: Counter = Counter()
+    for query, count in queries.items():
+        for term in _TERM_RE.findall(query.lower()):
+            terms[term] += count
+    span_s = (now - entries[0].ts) if entries else 0.0
+    scores.sort()
 
-    # -- windowed aggregation --------------------------------------------------------
+    def _pct(p: float) -> Optional[float]:
+        if not scores:
+            return None
+        rank = max(int(-(-p * len(scores) // 100)), 1)
+        return round(scores[rank - 1], 6)
 
-    def _window(self, now: Optional[float] = None) -> List[_WindowEntry]:
-        if now is None:
-            now = time.monotonic()
-        horizon = now - self.window_s
-        with self._lock:
-            while self._entries and self._entries[0].ts < horizon:
-                self._entries.popleft()
-            return list(self._entries)
+    return {
+        "window_s": WINDOW_S,
+        "truncated": dropped_ts >= now - WINDOW_S,
+        "queries": len(entries),
+        "qps": round(len(entries) / span_s, 3) if span_s > 0 else None,
+        "by_kind": by_kind,
+        "by_function": by_function,
+        "zero_result_rate": round(zero / counted, 6) if counted else None,
+        "zero_results": zero,
+        "counted_results": counted,
+        "top_terms": [
+            {"term": term, "count": count}
+            for term, count in terms.most_common(TOP_TERMS)
+        ],
+        "result_counts": result_buckets,
+        "top_score": {
+            "samples": len(scores),
+            "p50": _pct(50),
+            "p95": _pct(95),
+            "min": round(scores[0], 6) if scores else None,
+            "max": round(scores[-1], 6) if scores else None,
+        },
+    }
 
-    def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """Everything the ``/analytics`` endpoint reports for the window."""
-        if now is None:
-            now = time.monotonic()
-        entries = self._window(now)
-        by_kind: Dict[str, int] = {}
-        by_function: Dict[str, int] = {}
-        terms: TermCounter = TermCounter()
-        counted = zero = 0
-        result_buckets = {label: 0 for label, _, _ in _RESULT_BUCKETS}
-        scores: List[float] = []
-        for entry in entries:
-            by_kind[entry.kind] = by_kind.get(entry.kind, 0) + 1
-            by_function[entry.function] = (
-                by_function.get(entry.function, 0) + 1
-            )
-            terms.update(entry.terms)
-            if entry.hits is not None:
-                counted += 1
-                if entry.hits == 0:
-                    zero += 1
-                for label, low, high in _RESULT_BUCKETS:
-                    if low <= entry.hits <= high:
-                        result_buckets[label] += 1
-                        break
-            if entry.top_score is not None:
-                scores.append(entry.top_score)
-        span_s = (now - entries[0].ts) if entries else 0.0
-        scores.sort()
 
-        def _pct(p: float) -> Optional[float]:
-            if not scores:
-                return None
-            rank = max(int(-(-p * len(scores) // 100)), 1)
-            return round(scores[rank - 1], 6)
-
-        return {
-            "window_s": self.window_s,
-            "queries": len(entries),
-            "qps": (
-                round(len(entries) / span_s, 3) if span_s > 0 else None
-            ),
-            "by_kind": by_kind,
-            "by_function": by_function,
-            "zero_result_rate": (
-                round(zero / counted, 6) if counted else None
-            ),
-            "zero_results": zero,
-            "counted_results": counted,
-            "top_terms": [
-                {"term": term, "count": count}
-                for term, count in terms.most_common(self.top_terms)
-            ],
-            "result_counts": result_buckets,
-            "top_score": {
-                "samples": len(scores),
-                "p50": _pct(50),
-                "p95": _pct(95),
-                "min": round(scores[0], 6) if scores else None,
-                "max": round(scores[-1], 6) if scores else None,
-            },
-        }
-
-    def export_gauges(self, now: Optional[float] = None) -> None:
-        """Scrape-time collector: windowed volumes as gauges."""
-        entries = self._window(now)
-        registry = get_registry()
-        registry.gauge("search.analytics.window_queries").set(len(entries))
-        counted = sum(1 for entry in entries if entry.hits is not None)
-        zero = sum(1 for entry in entries if entry.hits == 0)
-        if counted:
-            registry.gauge("search.analytics.zero_result_rate").set(
-                zero / counted
-            )
-        by_function: Dict[str, int] = {}
-        for entry in entries:
-            by_function[entry.function] = (
-                by_function.get(entry.function, 0) + 1
-            )
-        for function, count in by_function.items():
-            registry.gauge(
-                f"search.analytics.{_metric_segment(function)}.queries"
-            ).set(count)
+def export_query_gauges(events: Sequence[QueryEvent], now: float) -> None:
+    """Scrape-time collector: the window's volumes as gauges."""
+    entries = _windowed(events, now)
+    registry = get_registry()
+    registry.gauge("search.analytics.window_queries").set(len(entries))
+    counted = [entry.hits for entry in entries if entry.hits is not None]
+    if counted:
+        registry.gauge("search.analytics.zero_result_rate").set(
+            counted.count(0) / len(counted)
+        )
+    by_function = Counter(entry.function for entry in entries)
+    for function, count in by_function.items():
+        registry.gauge(
+            f"search.analytics.{_metric_segment(function)}.queries"
+        ).set(count)
 
 
 class _ShadowTask:
@@ -495,6 +438,8 @@ def render_analytics(payload: Dict[str, Any]) -> str:
         f"window                 {window:g}s" if window is not None
         else "window                 -"
     )
+    if analytics.get("truncated"):
+        lines[-1] += " (truncated: the event cap dropped newer events)"
     lines.append(f"queries                {analytics.get('queries', 0)}")
     qps = analytics.get("qps")
     lines.append(

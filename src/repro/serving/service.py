@@ -62,7 +62,7 @@ from repro.core.search import (
 from repro.obs import get_registry, get_telemetry
 from repro.obs.quality import DriftExceeded
 from repro.obs.server import ExpositionServer, Response, json_response
-from repro.serving.analytics import QueryAnalytics, ShadowScorer
+from repro.serving.analytics import ShadowScorer, export_query_gauges, summarize_queries
 
 __all__ = [
     "AdmissionController",
@@ -304,7 +304,6 @@ class SearchService(ExpositionServer):
         retry_after_s: float = 1.0,
         collectors: Optional[Sequence[Callable[[], Any]]] = None,
         health_info: Optional[Callable[[], Dict[str, Any]]] = None,
-        analytics: Optional[QueryAnalytics] = None,
         shadow_functions: Sequence[str] = (),
         shadow_sample_rate: float = 0.1,
         shadow_k: int = 10,
@@ -316,9 +315,6 @@ class SearchService(ExpositionServer):
             max_in_flight=max_in_flight,
             queue_depth=queue_depth,
             retry_after_s=retry_after_s,
-        )
-        self.analytics = (
-            analytics if analytics is not None else QueryAnalytics()
         )
         self.shadow: Optional[ShadowScorer] = (
             ShadowScorer(
@@ -334,7 +330,7 @@ class SearchService(ExpositionServer):
         if collectors is None:
             collectors = [
                 lambda: pipeline.serving_view.export_gauges(),
-                self.analytics.export_gauges,
+                lambda: export_query_gauges(get_telemetry().events(), time.monotonic()),
             ]
         if health_info is None:
             health_info = self._default_health_info
@@ -356,15 +352,11 @@ class SearchService(ExpositionServer):
 
     def start(self) -> "SearchService":
         super().start()
-        # Feed the analytics window from the telemetry finish hook; the
-        # listener is idempotent to add and detached again on stop.
-        get_telemetry().add_listener(self.analytics.observe)
         if self.shadow is not None:
             self.shadow.start()
         return self
 
     def stop(self) -> None:
-        get_telemetry().remove_listener(self.analytics.observe)
         if self.shadow is not None:
             self.shadow.stop()
         super().stop()
@@ -557,9 +549,12 @@ class SearchService(ExpositionServer):
     def _handle_analytics(self, params: Dict[str, List[str]]) -> Response:
         """Windowed query analytics + shadow agreement + last reload drift."""
         report = self.pipeline.last_drift_report
+        telemetry = get_telemetry()
         return json_response(
             {
-                "analytics": self.analytics.snapshot(),
+                "analytics": summarize_queries(
+                    telemetry.events(), time.monotonic(), telemetry.dropped_ts
+                ),
                 "shadow": (
                     None if self.shadow is None else self.shadow.snapshot()
                 ),

@@ -2,9 +2,10 @@
 
 Three layers:
 
-- ``QueryAnalytics`` folds finished telemetry records into a rolling
-  window and reports volumes / zero-result rate / term and score
-  distributions, both as a JSON snapshot and as scrape-time gauges;
+- ``summarize_queries`` reports volumes / zero-result rate / term and
+  score distributions over the request-telemetry event window (the one
+  ``/slo`` reads), and ``export_query_gauges`` exports its volumes as
+  scrape-time gauges;
 - ``ShadowScorer`` samples live requests onto a worker thread and
   records rank agreement between the primary ranking and every other
   registered score function, without touching the hot path's caches;
@@ -12,26 +13,106 @@ Three layers:
   ``refresh()`` on the churn of the candidate view against them.
 """
 
+import json
+import math
 import queue
+import re
+import time
+from collections import Counter
 
 import pytest
 
+import repro.obs.request as request_module
 from repro.core.scores import PrestigeScores
-from repro.obs import configure_telemetry, get_registry, get_telemetry
+from repro.obs import configure_telemetry, get_registry
 from repro.obs.quality import DriftExceeded
+from repro.obs.slo import QueryEvent, SLO, evaluate_slo, format_slo_report
 from repro.pipeline import build_demo_pipeline
-from repro.serving.analytics import QueryAnalytics, ShadowScorer
+from repro.serving.analytics import (
+    WINDOW_S,
+    ShadowScorer,
+    export_query_gauges,
+    render_analytics,
+    summarize_queries,
+)
+from repro.serving.service import SearchService
 
 QUERY = "gene expression regulation"
 
+NOW = 1000.0
 
-class _Record:
-    """Duck-typed stand-in for a finished telemetry QueryRecord."""
 
-    def __init__(self, kind="search", query="", **attrs):
-        self.kind = kind
-        self.query = query
-        self.attrs = attrs
+def _event(kind="search", query="", ts=NOW, **fields):
+    """A hand-made telemetry event, as ``QueryTelemetry`` appends them."""
+    return QueryEvent(ts=ts, kind=kind, duration_s=0.001, query=query, **fields)
+
+
+def _live_summary(telemetry):
+    return summarize_queries(
+        telemetry.events(), time.monotonic(), telemetry.dropped_ts
+    )
+
+
+def _fill_window(monkeypatch, requests, cap=4):
+    """Telemetry with a ``cap``-event window after ``requests`` searches."""
+    monkeypatch.setattr(request_module, "_MAX_WINDOW_EVENTS", cap)
+    telemetry = configure_telemetry(enabled=True, sample_rate=0.0)
+    for index in range(requests):
+        with telemetry.request("search", query=f"q{index}") as request:
+            request.set(hits=1)
+    return telemetry
+
+
+def _recount(events, now):
+    """Brute-force reference for ``summarize_queries`` (no dropped events)."""
+    window = [event for event in events if event.ts >= now - WINDOW_S]
+    counted = [event.hits for event in window if event.hits is not None]
+    scores = sorted(
+        event.top_score for event in window if event.top_score is not None
+    )
+    terms = Counter(
+        term
+        for event in window
+        for term in re.findall(r"[a-z0-9]+", event.query.lower())
+    )
+    span_s = now - min(event.ts for event in window) if window else 0.0
+
+    def nearest_rank(p):
+        if not scores:
+            return None
+        return round(scores[max(math.ceil(p * len(scores) / 100), 1) - 1], 6)
+
+    return {
+        "window_s": WINDOW_S,
+        "truncated": False,
+        "queries": len(window),
+        "qps": round(len(window) / span_s, 3) if span_s > 0 else None,
+        "by_kind": dict(Counter(event.kind for event in window)),
+        "by_function": dict(Counter(event.function for event in window)),
+        "zero_result_rate": (
+            round(counted.count(0) / len(counted), 6) if counted else None
+        ),
+        "zero_results": counted.count(0),
+        "counted_results": len(counted),
+        "top_terms": [
+            {"term": term, "count": count}
+            for term, count in terms.most_common(10)
+        ],
+        "result_counts": {
+            "0": counted.count(0),
+            "1-2": sum(1 <= hits <= 2 for hits in counted),
+            "3-5": sum(3 <= hits <= 5 for hits in counted),
+            "6-10": sum(6 <= hits <= 10 for hits in counted),
+            "11+": sum(hits >= 11 for hits in counted),
+        },
+        "top_score": {
+            "samples": len(scores),
+            "p50": nearest_rank(50),
+            "p95": nearest_rank(95),
+            "min": round(scores[0], 6) if scores else None,
+            "max": round(scores[-1], 6) if scores else None,
+        },
+    }
 
 
 @pytest.fixture(scope="module")
@@ -63,16 +144,17 @@ def _invert_text_scores(pipeline, query, top_n=5):
 
 class TestQueryAnalytics:
     def test_snapshot_aggregates_the_window(self):
-        analytics = QueryAnalytics(window_s=60.0)
-        analytics.observe(
-            _Record("search", "gene expression", hits=7, top_score=0.9,
-                    function="text")
+        snap = summarize_queries(
+            [
+                _event("search", "gene expression", hits=7, top_score=0.9,
+                       function="text"),
+                _event("search", "gene therapy", hits=0, function="citation"),
+                _event("explain", "dna", function="text"),
+            ],
+            NOW,
         )
-        analytics.observe(
-            _Record("search", "gene therapy", hits=0, function="citation")
-        )
-        analytics.observe(_Record("explain", "dna", function="text"))
-        snap = analytics.snapshot()
+        assert snap["window_s"] == WINDOW_S
+        assert snap["truncated"] is False
         assert snap["queries"] == 3
         assert snap["by_kind"] == {"search": 2, "explain": 1}
         assert snap["by_function"] == {"text": 2, "citation": 1}
@@ -86,37 +168,51 @@ class TestQueryAnalytics:
         assert snap["top_score"]["max"] == 0.9
 
     def test_zero_result_rate_none_without_counted_results(self):
-        analytics = QueryAnalytics()
-        analytics.observe(_Record("explain", "dna"))
-        assert analytics.snapshot()["zero_result_rate"] is None
+        snap = summarize_queries([_event("explain", "dna")], NOW)
+        assert snap["zero_result_rate"] is None
 
     def test_window_prunes_old_entries(self):
-        analytics = QueryAnalytics(window_s=10.0)
-        analytics.observe(_Record("search", "old", hits=1))
-        stale_at = analytics._entries[0].ts + 11.0
-        assert analytics.snapshot(now=stale_at)["queries"] == 0
+        events = [
+            _event("search", "old", hits=1, ts=NOW - WINDOW_S - 1.0),
+            _event("search", "new", hits=1, ts=NOW - WINDOW_S),
+        ]
+        snap = summarize_queries(events, NOW)
+        assert snap["queries"] == 1
+        assert snap["top_terms"] == [{"term": "new", "count": 1}]
+        assert summarize_queries(events, NOW + 1.0)["queries"] == 0
 
-    def test_bounded_event_buffer(self):
-        analytics = QueryAnalytics(max_events=4)
-        for index in range(10):
-            analytics.observe(_Record("search", f"q{index}", hits=1))
-        assert analytics.snapshot()["queries"] == 4
+    def test_bounded_event_buffer(self, monkeypatch):
+        # The cap /slo and /analytics share is the telemetry window's.
+        snap = _live_summary(_fill_window(monkeypatch, 10))
+        assert snap["queries"] == 4
+        assert [item["term"] for item in snap["top_terms"]] == [
+            "q6", "q7", "q8", "q9",
+        ]
 
     def test_counters_and_histograms_recorded(self):
-        analytics = QueryAnalytics()
-        analytics.observe(_Record("search", "a", hits=0))
-        analytics.observe(_Record("search", "b", hits=3, top_score=0.5))
-        counters = get_registry().snapshot()["counters"]
-        assert counters["search.analytics.queries"] == 2
-        assert counters["search.analytics.zero_results"] == 1
+        telemetry = configure_telemetry(enabled=True, sample_rate=0.0)
+        with telemetry.request("search", query="a") as request:
+            request.set(hits=0)
+        with telemetry.request("search", query="b") as request:
+            request.set(hits=3, top_score=0.5)
+        with telemetry.request("explain", query="c"):
+            pass
+        snapshot = get_registry().snapshot()
+        assert snapshot["counters"]["search.analytics.queries"] == 3
+        assert snapshot["counters"]["search.analytics.zero_results"] == 1
+        assert snapshot["histograms"]["search.analytics.results"]["count"] == 2
+        assert snapshot["histograms"]["search.analytics.top_score"]["count"] == 1
 
     def test_export_gauges(self):
-        analytics = QueryAnalytics()
-        analytics.observe(_Record("search", "a", hits=0, function="text"))
-        analytics.observe(
-            _Record("search", "b", hits=2, function="Weird Fn!")
+        export_query_gauges(
+            [
+                _event("search", "old", hits=5, function="text",
+                       ts=NOW - WINDOW_S - 1.0),
+                _event("search", "a", hits=0, function="text"),
+                _event("search", "b", hits=2, function="Weird Fn!"),
+            ],
+            NOW,
         )
-        analytics.export_gauges()
         gauges = get_registry().snapshot()["gauges"]
         assert gauges["search.analytics.window_queries"] == 2
         assert gauges["search.analytics.zero_result_rate"] == 0.5
@@ -125,49 +221,73 @@ class TestQueryAnalytics:
         assert gauges["search.analytics.weird_fn.queries"] == 1
 
     def test_zero_result_gauge_absent_without_counted(self):
-        analytics = QueryAnalytics()
-        analytics.observe(_Record("explain", "dna"))
-        analytics.export_gauges()
+        export_query_gauges([_event("explain", "dna")], NOW)
         gauges = get_registry().snapshot()["gauges"]
         assert "search.analytics.zero_result_rate" not in gauges
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="window_s"):
-            QueryAnalytics(window_s=0.0)
-        with pytest.raises(ValueError, match="max_events"):
-            QueryAnalytics(max_events=0)
 
-
-class TestTelemetryListener:
-    def test_listener_sees_finished_searches_including_cache_hits(
-        self, pipeline
-    ):
+class TestAnalyticsOverTelemetry:
+    def test_cache_hits_reach_analytics(self, pipeline):
         configure_telemetry(enabled=True, sample_rate=0.0, seed=3)
-        analytics = QueryAnalytics()
-        get_telemetry().add_listener(analytics.observe)
         pipeline.search(QUERY, limit=5)
         pipeline.search(QUERY, limit=5)  # result-cache hit
-        snap = analytics.snapshot()
+        service = SearchService(pipeline, port=0).start()
+        try:
+            response = service.dispatch("GET", "/analytics", {})
+        finally:
+            service.stop()
+        snap = json.loads(response.body)["analytics"]
         assert snap["queries"] == 2
         assert snap["counted_results"] == 2
         assert snap["zero_result_rate"] == 0.0
 
-    def test_listener_exception_is_swallowed_and_counted(self, pipeline):
-        configure_telemetry(enabled=True, sample_rate=0.0, seed=3)
+    def test_summary_equals_a_recount_of_mixed_traffic(self, fresh_pipeline):
+        telemetry = configure_telemetry(enabled=True, sample_rate=0.0, seed=3)
+        hits = fresh_pipeline.search(QUERY, limit=5)  # miss
+        fresh_pipeline.search(QUERY, limit=5)  # result-cache hit
+        assert fresh_pipeline.search("zzzz qqqq vvvv", limit=5) == []
+        fresh_pipeline.explain(QUERY, hits[0].paper_id)
+        fresh_pipeline.search_many([QUERY, "dna repair mechanism"], limit=5)
+        with pytest.raises(ValueError):
+            fresh_pipeline.search(QUERY, function="no-such-function")
+        events = telemetry.events()
+        assert [event.kind for event in events] == [
+            "search", "search", "search", "explain", "search_many", "search",
+        ]
+        assert events[-1].error and events[-1].hits is None
+        now = time.monotonic()
+        assert summarize_queries(events, now) == _recount(events, now)
+        assert _live_summary(telemetry)["queries"] == len(events)
 
-        def bad_listener(record):
-            raise RuntimeError("boom")
 
-        get_telemetry().add_listener(bad_listener)
-        pipeline.search(QUERY, limit=5)  # must not raise
-        counters = get_registry().snapshot()["counters"]
-        assert counters["telemetry.listener.errors"] >= 1
+class TestWindowTruncation:
+    @pytest.mark.parametrize("requests", [3, 4])
+    def test_full_but_undropped_window_is_not_truncated(
+        self, monkeypatch, requests
+    ):
+        telemetry = _fill_window(monkeypatch, requests)
+        assert telemetry.dropped_ts == float("-inf")
+        assert _live_summary(telemetry)["truncated"] is False
+        assert not any(status.truncated for status in telemetry.slo_statuses())
 
-    def test_disabled_telemetry_never_calls_listeners(self, pipeline):
-        calls = []
-        get_telemetry().add_listener(lambda record: calls.append(record))
-        pipeline.search(QUERY, limit=5)
-        assert calls == []
+    def test_cap_inside_the_window_flags_slo_and_analytics(self, monkeypatch):
+        telemetry = _fill_window(monkeypatch, 10)
+        assert telemetry.dropped_ts > float("-inf")
+        payload = {"analytics": _live_summary(telemetry)}
+        assert payload["analytics"]["truncated"] is True
+        statuses = [status.to_dict() for status in telemetry.slo_statuses()]
+        assert statuses and all(status["truncated"] for status in statuses)
+        assert "truncated" in render_analytics(payload)
+        assert "(truncated)" in format_slo_report(statuses)
+
+    def test_eviction_before_the_window_start_is_not_truncation(self):
+        events = [_event("search", "q", hits=1)]
+        slo = SLO("errors", "error_rate", target=0.99, window_s=60.0)
+        before = NOW - WINDOW_S - 1.0
+        assert not summarize_queries(events, NOW, dropped_ts=before)["truncated"]
+        assert summarize_queries(events, NOW, dropped_ts=NOW - 1.0)["truncated"]
+        assert not evaluate_slo(slo, events, NOW, dropped_ts=NOW - 61.0).truncated
+        assert evaluate_slo(slo, events, NOW, dropped_ts=NOW - 60.0).truncated
 
 
 class TestShadowScorer:

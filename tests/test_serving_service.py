@@ -415,8 +415,6 @@ class TestAnalyticsEndpoint:
     def test_analytics_reports_live_traffic_and_shadow_agreement(
         self, pipeline
     ):
-        # Telemetry must be on before start(): the analytics listener
-        # registers against the telemetry instance live at start time.
         configure_telemetry(enabled=True, sample_rate=0.0, seed=3)
         live = SearchService(
             pipeline, port=0,
@@ -440,6 +438,21 @@ class TestAnalyticsEndpoint:
         assert agreement["samples"] >= 1
         assert 0.0 <= agreement["mean_jaccard"] <= 1.0
         assert payload["drift"] is None  # drift never configured here
+
+    def test_analytics_follows_telemetry_reconfigured_after_start(
+        self, service
+    ):
+        # /analytics reads the live telemetry window, so it counts the
+        # same requests /slo counts, whenever telemetry was configured.
+        configure_telemetry(enabled=True, sample_rate=0.0, seed=3)
+        for query in QUERIES[:3]:
+            assert _request(service, "/search", q=query)[0] == 200
+        analytics = json.loads(_request(service, "/analytics")[2])["analytics"]
+        slo = json.loads(_request(service, "/slo")[2])["slo"]
+        errors = next(status for status in slo if status["name"] == "search-errors")
+        assert errors["total"] == 3
+        assert analytics["queries"] == errors["total"]
+        assert analytics["truncated"] is False
 
     def test_analytics_without_shadow_or_traffic(self, service):
         status, _, body = _request(service, "/analytics")
@@ -594,12 +607,16 @@ class TestBatchParity:
         )
         assert batch[0] == single[0]  # rankings
 
-        # Counters: identical search work; the request count differs by
-        # shape (one batch request against n single ones).
+        # Counters: identical search work; the request counts differ by
+        # shape (one batch request against n single ones), and only a
+        # single search reports its hits to the query analytics.
         batch_counters, single_counters = dict(batch[1]), dict(single[1])
+        empty = sum(not hits for hits in single[0])
         assert batch_counters.pop("search.batch.queries") == n
-        assert batch_counters.pop("search.request.queries") == 1
-        assert single_counters.pop("search.request.queries") == n
+        for counters, requests in ((batch_counters, 1), (single_counters, n)):
+            assert counters.pop("search.request.queries") == requests
+            assert counters.pop("search.analytics.queries") == requests
+        assert single_counters.pop("search.analytics.zero_results", 0) == empty
         assert batch_counters == single_counters
 
         # SLO events: one batch event carrying all n queries.
@@ -612,6 +629,8 @@ class TestBatchParity:
         assert batch_histograms.pop("search.batch.latency") == 1
         assert batch_histograms.pop("search.batch.seconds") == 1
         assert single_histograms.pop("search.run.latency") == n
+        assert single_histograms.pop("search.analytics.results") == n
+        assert single_histograms.pop("search.analytics.top_score", 0) == n - empty
         assert batch_histograms == single_histograms
 
         # Spans: every query's search.run hangs under the batch span.

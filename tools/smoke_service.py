@@ -15,7 +15,8 @@ once over real HTTP:
 6. ``GET /analytics``     -- must report the live zero-result rate and
    shadow rank agreement for the non-primary ``citation`` function
    (the service runs with ``shadow_functions=["citation"]`` at a 100%
-   sample rate so the scrape is deterministic);
+   sample rate so the scrape is deterministic), count exactly the
+   requests in the telemetry event window, and not be truncated;
 7. ``POST /admin/reload`` -- must swap the serving view (revision
    bumps); with drift probes armed, an identical-substrate reload must
    report zero drift, an injected ranking regression must be refused
@@ -42,7 +43,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.scores import PrestigeScores  # noqa: E402
 from repro.datagen import CorpusGenerator, OntologyGenerator  # noqa: E402
-from repro.obs import configure_telemetry, reset_telemetry  # noqa: E402
+from repro.obs import (  # noqa: E402
+    configure_telemetry,
+    get_telemetry,
+    reset_telemetry,
+)
 from repro.pipeline import Pipeline  # noqa: E402
 from repro.serving.service import hit_to_dict  # noqa: E402
 from repro.serving import SearchService  # noqa: E402
@@ -82,7 +87,7 @@ def main() -> int:
     ).generate(seed=7)
     pipeline = Pipeline.from_dataset(dataset, min_context_size=5)
 
-    # Analytics listens to finished telemetry records, so the smoke runs
+    # /analytics summarises the telemetry event window, so the smoke runs
     # with telemetry on (the serve CLI does the same); 100% shadow
     # sampling makes the /analytics scrape deterministic.
     configure_telemetry(enabled=True, sample_rate=0.0, seed=7)
@@ -154,6 +159,13 @@ def main() -> int:
             "/analytics reports zero-result rate "
             f"({window.get('zero_result_rate')}) and citation shadow "
             f"agreement over {citation.get('samples')} samples",
+        )
+        recorded = len(get_telemetry().events())
+        _check(
+            window.get("queries") == recorded
+            and window.get("truncated") is False,
+            f"/analytics counts the {recorded} requests of the telemetry "
+            "window, untruncated",
         )
 
         view_before = pipeline.serving_view
