@@ -24,6 +24,7 @@ from repro.core.context import Context, ContextPaperSet
 from repro.core.cosine import cosine_pairs
 from repro.core.patterns import (
     AnalyzedPaperCache,
+    Extractions,
     PatternSet,
     PatternSetBuilder,
     find_occurrences,
@@ -163,7 +164,12 @@ class TextContextAssigner:
 
 
 class PatternContextAssigner:
-    """Builds the (simplified) pattern-based context paper set."""
+    """Builds the (simplified) pattern-based context paper set.
+
+    ``extractions`` is the extraction cache handed to the default
+    :class:`PatternSetBuilder` (see its ``extractions`` parameter); a
+    caller passing its own ``pattern_builder`` gives it the cache there.
+    """
 
     def __init__(
         self,
@@ -173,11 +179,14 @@ class PatternContextAssigner:
         token_cache: Optional[AnalyzedPaperCache] = None,
         pattern_builder: Optional[PatternSetBuilder] = None,
         max_middle_coverage: float = 0.08,
+        extractions: Optional[Extractions] = None,
     ) -> None:
         if not max_middle_coverage >= 0:  # also rejects NaN
             raise ValueError(
                 f"max_middle_coverage must be >= 0, got {max_middle_coverage}"
             )
+        if pattern_builder is not None and extractions is not None:
+            raise ValueError("pass extractions to the pattern_builder instead")
         #: Middles occurring in more than this fraction of the corpus are
         #: too unselective to define context membership ("process" alone
         #: must not pull every paper into a context).  Their patterns still
@@ -202,6 +211,7 @@ class PatternContextAssigner:
                 index,
                 token_cache=self.tokens,
                 build_extended=False,
+                extractions=extractions,
             )
         )
         #: PatternSet per context, populated by build() (reused by the

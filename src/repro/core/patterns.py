@@ -36,11 +36,12 @@ choice preserves the scoring semantics the evaluation relies on.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section, TEXT_SECTIONS
@@ -182,6 +183,127 @@ def find_occurrences(tokens: Sequence[str], phrase: Terms) -> List[int]:
     return hits
 
 
+def _scan(
+    training_tokens: Sequence[Terms], middles: Sequence[Terms]
+) -> Tuple[List[int], List[int], List[int]]:
+    """Every occurrence of a middle in the training papers.
+
+    Returns each occurrence's start within its paper and its index into
+    ``middles``, paper by paper, and the number of occurrences per paper.
+    Each paper is scanned once; at each token only the phrases starting
+    with it are tried, one lookup per phrase length, so nested phrases
+    ("rna polymerase" and "rna") both count.
+    """
+    index_of = {phrase: index for index, phrase in enumerate(middles)}
+    # Per first word: the middle index of the word itself (or None), and
+    # the ascending lengths of the longer phrases starting with it.
+    by_first: Dict[str, Tuple[Optional[int], List[int]]] = {}
+    for phrase in middles:
+        single, lengths = by_first.get(phrase[0], (None, []))
+        if len(phrase) == 1:
+            single = index_of[phrase]
+        elif len(phrase) not in lengths:
+            lengths = sorted(lengths + [len(phrase)])
+        by_first[phrase[0]] = (single, lengths)
+    starts: List[int] = []
+    hit_middles: List[int] = []
+    add_start, add_middle = starts.append, hit_middles.append
+    hits_per_paper: List[int] = []
+    for tokens in training_tokens:
+        before = len(starts)
+        n_tokens = len(tokens)
+        for start, token in enumerate(tokens):
+            entry = by_first.get(token)
+            if entry is None:
+                continue
+            single, lengths = entry
+            if single is not None:
+                add_start(start)
+                add_middle(single)
+            for length in lengths:
+                # A slice running off the end would be a shorter phrase.
+                if start + length > n_tokens:
+                    break
+                index = index_of.get(tokens[start : start + length])
+                if index is not None:
+                    add_start(start)
+                    add_middle(index)
+        hits_per_paper.append(len(starts) - before)
+    return starts, hit_middles, hits_per_paper
+
+
+def _compact_dtype(bound: int) -> np.dtype:
+    """``uint16`` when every value is at most ``bound``, else ``uint32``."""
+    return np.dtype(np.uint16 if bound <= 0xFFFF else np.uint32)
+
+
+@dataclass(frozen=True)
+class PatternExtraction:
+    """One context's regular-pattern occurrences, as sorted int columns.
+
+    Row ``i`` is the pattern key ``(left, middle, right)`` with
+    ``count[i]`` occurrences in the training papers.  ``left`` and
+    ``right`` hold ``window`` token ids per row: id ``k`` is
+    ``vocabulary[k - 1]``, and 0 pads a tuple a paper edge cut short.
+    ``middle[i]`` indexes ``middles``.  ``vocabulary`` and ``middles``
+    are sorted and the pad sorts first, so row order is the
+    ``(left, middle, right)`` string-tuple order.
+
+    Per middle, ``middle_base`` is the fixed part of the score
+    (``MiddleTypeScore + TotalTermScore``) and ``middle_papers`` the
+    number of distinct (key, training paper) pairs, the numerator of
+    ``PatternPaperFreq``.  Nothing here reads the corpus beyond the
+    training papers, so a record stays valid until one of them changes;
+    ``settings`` are the extraction knobs that made it.
+    """
+
+    settings: Tuple[int, int, int]
+    n_training: int
+    vocabulary: Tuple[str, ...]
+    middles: Tuple[Terms, ...]
+    middle_base: np.ndarray
+    middle_papers: np.ndarray
+    left: np.ndarray
+    middle: np.ndarray
+    right: np.ndarray
+    count: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the column arrays."""
+        return sum(
+            column.nbytes
+            for column in (
+                self.middle_base,
+                self.middle_papers,
+                self.left,
+                self.middle,
+                self.right,
+                self.count,
+            )
+        )
+
+    def _decode(self, ids: np.ndarray) -> Terms:
+        vocabulary = self.vocabulary
+        return tuple(vocabulary[i - 1] for i in ids.tolist() if i)
+
+    def key(self, row: int) -> Tuple[Terms, Terms, Terms]:
+        """The ``(left, middle, right)`` string tuples of ``row``."""
+        return (
+            self._decode(self.left[row]),
+            self.middles[int(self.middle[row])],
+            self._decode(self.right[row]),
+        )
+
+
+#: ``term_id -> (training paper ids, extraction)``: the extraction cache a
+#: :class:`PatternSetBuilder` reads and fills.
+Extractions = Dict[str, Tuple[Tuple[str, ...], PatternExtraction]]
+
+
 class PatternSetBuilder:
     """Builds the scored :class:`PatternSet` of each context.
 
@@ -202,6 +324,12 @@ class PatternSetBuilder:
     build_extended:
         The simplified builder of section 4 sets this False ("extended
         patterns were not used").
+    extractions:
+        The extraction cache to read and fill (default: a private one).
+        :meth:`build` reuses a context's :class:`PatternExtraction` while
+        its training paper ids and this builder's extraction knobs are
+        unchanged; whoever changes a training paper's text must drop the
+        entries listing it (``SubstrateStore.apply_delta`` does).
 
     Raises ``ValueError`` for a negative ``window``,
     ``max_regular_patterns`` or ``max_joined_pairs`` and for a non-finite
@@ -222,6 +350,7 @@ class PatternSetBuilder:
         coverage_exponent: float = 0.35,
         frequency_coefficient: float = 1.0,
         build_extended: bool = True,
+        extractions: Optional[Extractions] = None,
     ) -> None:
         for name, count in (
             ("window", window),
@@ -252,8 +381,13 @@ class PatternSetBuilder:
         self.coverage_exponent = coverage_exponent
         self.frequency_coefficient = frequency_coefficient
         self.build_extended = build_extended
+        self.extractions: Extractions = extractions if extractions is not None else {}
+        self._settings = (window, min_phrase_support, max_phrase_length)
         self._term_word_df: Optional[Dict[str, int]] = None
         self._word_paper_cache: Dict[str, frozenset] = {}
+        # Contexts share middles; like the word cache, this lives as long
+        # as the builder, which sees one corpus.
+        self._middle_paper_counts: Dict[Terms, int] = {}
         self._miner = FrequentPhraseMiner(
             min_support=min_phrase_support, max_length=max_phrase_length
         )
@@ -263,22 +397,12 @@ class PatternSetBuilder:
     def build(self, term_id: str, training_paper_ids: Sequence[str]) -> PatternSet:
         """Construct, join, and score the pattern set of one context."""
         registry = get_registry()
-        context_words = self._context_term_words(term_id)
-        training_tokens = [
-            self.tokens.all_tokens(pid) for pid in training_paper_ids
-        ]
-        significant = self._significant_terms(context_words, training_tokens)
-        if not significant:
+        extraction = self._extraction(term_id, training_paper_ids)
+        if not len(extraction):
             return PatternSet(term_id=term_id)
 
-        occ, papers = self._extract_regular(training_tokens, significant)
-        if not occ:
-            return PatternSet(term_id=term_id)
-
-        registry.counter("patterns.builder.mined").inc(len(occ))
-        patterns = self._score_regular(
-            occ, papers, context_words, significant, len(training_tokens)
-        )
+        registry.counter("patterns.builder.mined").inc(len(extraction))
+        patterns = self._score_regular(extraction)
         if self.build_extended:
             patterns.extend(self._side_joined(patterns))
             patterns.extend(self._middle_joined(patterns))
@@ -288,6 +412,34 @@ class PatternSetBuilder:
             self.tokens.cache_misses
         )
         return PatternSet(term_id=term_id, patterns=patterns)
+
+    def _extraction(
+        self, term_id: str, training_paper_ids: Sequence[str]
+    ) -> PatternExtraction:
+        """The context's :class:`PatternExtraction`, cached in ``extractions``.
+
+        A cached record is reused while it was extracted from the same
+        training paper ids with this builder's extraction knobs.
+        """
+        training = tuple(training_paper_ids)
+        cached = self.extractions.get(term_id)
+        if (
+            cached is not None
+            and cached[0] == training
+            and cached[1].settings == self._settings
+        ):
+            get_registry().counter("patterns.extraction.reused").inc()
+            return cached[1]
+        get_registry().counter("patterns.extraction.computed").inc()
+        context_words = self._context_term_words(term_id)
+        training_tokens = [self.tokens.all_tokens(pid) for pid in training]
+        extraction = self._extract(
+            context_words,
+            training_tokens,
+            self._significant_terms(context_words, training_tokens),
+        )
+        self.extractions[term_id] = (training, extraction)
+        return extraction
 
     # -- significant terms -------------------------------------------------------
 
@@ -320,93 +472,144 @@ class PatternSetBuilder:
 
     # -- regular pattern extraction ---------------------------------------------
 
-    def _extract_regular(
+    def _extract(
         self,
+        context_words: Terms,
         training_tokens: Sequence[Terms],
         significant: Mapping[Terms, str],
-    ) -> Tuple[Counter, Counter]:
+    ) -> PatternExtraction:
         """Occurrences of <left, middle, right> windows around significant terms.
 
-        Returns two counters over the same pattern keys: total occurrences,
-        and distinct training papers containing the pattern.  Each paper is
-        scanned once; at each token only the phrases starting with it are
-        tried, so nested phrases ("rna polymerase" and "rna") both count.
+        :func:`_scan` records each occurrence's start and middle; the
+        surrounding token ids are then gathered as arrays, and one
+        ``np.lexsort`` over string ranks orders and groups the rows by
+        key, counting occurrences per key and (key, paper) pairs per
+        middle.
         """
-        by_first: Dict[str, List[Tuple[Terms, int]]] = {}
-        for phrase in significant:
-            if phrase:
-                by_first.setdefault(phrase[0], []).append((phrase, len(phrase)))
+        middles = sorted(phrase for phrase in significant if phrase)
+        starts, hit_middles, hits_per_paper = _scan(training_tokens, middles)
+
         window = self.window
-        occ: Counter = Counter()
-        papers: Counter = Counter()
-        for tokens in training_tokens:
-            keys = []
-            for start, token in enumerate(tokens):
-                phrases = by_first.get(token)
-                if phrases is None:
-                    continue
-                left = tokens[max(start - window, 0) : start]
-                for phrase, length in phrases:
-                    end = start + length
-                    # A slice running off the end is shorter, so never equal.
-                    if length == 1 or tokens[start:end] == phrase:
-                        keys.append((left, phrase, tokens[end : end + window]))
-            occ.update(keys)
-            papers.update(set(keys))
-        return occ, papers
+        vocabulary = sorted(set(chain.from_iterable(training_tokens)))
+        rank = {token: i for i, token in enumerate(vocabulary, 1)}
+        bounds = np.cumsum([0] + [len(tokens) for tokens in training_tokens])
+        n_tokens = int(bounds[-1])
+        # Token ids of every training token in paper order, then one pad
+        # per window position so gathers past the last paper stay in range.
+        ids = np.zeros(n_tokens + window, dtype=np.int64)
+        ids[:n_tokens] = np.fromiter(
+            map(rank.__getitem__, chain.from_iterable(training_tokens)),
+            dtype=np.int64,
+            count=n_tokens,
+        )
+        paper = np.repeat(
+            np.arange(len(training_tokens), dtype=np.int64), hits_per_paper
+        )
+        local_start = np.array(starts, dtype=np.int64)
+        start = local_start + bounds[paper]
+        middle = np.array(hit_middles, dtype=np.int64)
+        lengths = np.array([len(phrase) for phrase in middles], dtype=np.int64)
+        end = start + lengths[middle]
+        n_left = np.minimum(local_start, window)
+        paper_end = bounds[paper + 1]
+        left = np.zeros((len(start), window), dtype=np.int64)
+        right = np.zeros((len(start), window), dtype=np.int64)
+        for k in range(window):
+            left[:, k] = np.where(k < n_left, ids[start - n_left + k], 0)
+            right[:, k] = np.where(end + k < paper_end, ids[end + k], 0)
+
+        # Sort by (left, middle, right, paper); lexsort's last key is primary.
+        order = np.lexsort(
+            (paper,) + tuple(right.T[::-1]) + (middle,) + tuple(left.T[::-1])
+        )
+        left, middle = left[order], middle[order]
+        right, paper = right[order], paper[order]
+        new_key = np.ones(len(order), dtype=bool)
+        new_key[1:] = (
+            (middle[1:] != middle[:-1])
+            | (left[1:] != left[:-1]).any(axis=1)
+            | (right[1:] != right[:-1]).any(axis=1)
+        )
+        new_pair = new_key.copy()
+        new_pair[1:] |= paper[1:] != paper[:-1]
+        first = np.flatnonzero(new_key)
+        count = np.diff(np.append(first, len(order)))
+        middle_papers = np.bincount(middle[new_pair], minlength=len(middles))
+
+        # Keep only the middles and tokens that occur: both maps are
+        # monotone, so row order is unchanged.
+        kept_middles = np.flatnonzero(middle_papers)
+        middle_row = np.zeros(len(middles), dtype=np.int64)
+        middle_row[kept_middles] = np.arange(len(kept_middles))
+        kept_ids = np.union1d([0], np.concatenate((left.ravel(), right.ravel())))
+        id_row = np.zeros(len(vocabulary) + 1, dtype=np.int64)
+        id_row[kept_ids] = np.arange(len(kept_ids))
+
+        context_word_set = set(context_words)
+        occurring = [middles[i] for i in kept_middles.tolist()]
+        token_dtype = _compact_dtype(len(kept_ids))
+        return PatternExtraction(
+            settings=self._settings,
+            n_training=len(training_tokens),
+            vocabulary=tuple(vocabulary[i - 1] for i in kept_ids[1:].tolist()),
+            middles=tuple(occurring),
+            middle_base=np.array(
+                [
+                    self._middle_type_score(middle, context_word_set, significant)
+                    + sum(
+                        self._word_selectivity(word)
+                        for word in middle
+                        if word in context_word_set
+                    )
+                    for middle in occurring
+                ],
+                dtype=np.float64,
+            ),
+            middle_papers=middle_papers[kept_middles].astype(
+                _compact_dtype(int(middle_papers.max(initial=0)))
+            ),
+            left=id_row[left[first]].astype(token_dtype),
+            middle=middle_row[middle[first]].astype(_compact_dtype(len(occurring))),
+            right=id_row[right[first]].astype(token_dtype),
+            count=count.astype(_compact_dtype(int(count.max(initial=0)))),
+        )
 
     # -- scoring -------------------------------------------------------------------
 
-    def _score_regular(
-        self,
-        occ: Mapping[Tuple[Terms, Terms, Terms], int],
-        papers: Mapping[Tuple[Terms, Terms, Terms], int],
-        context_words: Terms,
-        significant: Mapping[Terms, str],
-        n_training: int,
-    ) -> List[Pattern]:
+    def _score_regular(self, extraction: PatternExtraction) -> List[Pattern]:
         """The ``max_regular_patterns`` best regular patterns, best first.
 
         Every term but the occurrence frequency depends on the middle
-        alone, so it is computed once per distinct middle.  Those terms are
-        the formula's left-most summands and its last factor, so hoisting
-        them leaves every score bit-identical.  Keys are unique, so
-        ``(-score, key)`` orders them totally and only the kept ones
-        become :class:`Pattern` objects.
+        alone, so it is computed once per distinct middle, the coverage
+        factor fresh from the index on every call.  The array expression
+        keeps the formula's operation order, so every score is the float
+        a per-key loop computes.  Rows are in key order, so sorting by
+        ``(-score, row)`` orders them by ``(-score, key)``, and only the
+        kept rows become :class:`Pattern` objects.
         """
-        context_word_set = set(context_words)
-        n = max(n_training, 1)
-        papers_by_middle: Dict[Terms, int] = {}
-        for (_, middle, __), count in papers.items():
-            papers_by_middle[middle] = papers_by_middle.get(middle, 0) + count
-        per_middle: Dict[Terms, Tuple[float, float, float]] = {}
-        for middle, paper_count in papers_by_middle.items():
-            type_and_terms = self._middle_type_score(
-                middle, context_word_set, significant
-            ) + sum(
-                self._word_selectivity(word)
-                for word in middle
-                if word in context_word_set
-            )
-            coverage_factor = (
-                1.0 / self._paper_coverage(middle)
-            ) ** self.coverage_exponent
-            per_middle[middle] = (
-                type_and_terms,
-                min(paper_count / n, 1.0),
-                coverage_factor,
-            )
+        n = max(extraction.n_training, 1)
+        coverage_factor = np.array(
+            [
+                (1.0 / self._paper_coverage(middle)) ** self.coverage_exponent
+                for middle in extraction.middles
+            ],
+            dtype=np.float64,
+        )
+        paper_freq = np.minimum(extraction.middle_papers / n, 1.0)
+        middle = extraction.middle.astype(np.intp)
         c = self.frequency_coefficient
-        scored = []
-        for key, count in occ.items():
-            type_and_terms, paper_freq, coverage_factor = per_middle[key[1]]
-            base = type_and_terms + c * (count / n + paper_freq)
-            scored.append((-(base * coverage_factor), key))
-        return [
-            Pattern(left, middle, right, PatternKind.REGULAR, -neg_score)
-            for neg_score, (left, middle, right) in heapq.nsmallest(
-                self.max_regular_patterns, scored
+        neg_score = -(
+            (
+                extraction.middle_base[middle]
+                + c * (extraction.count / n + paper_freq[middle])
             )
+            * coverage_factor[middle]
+        )
+        rows = np.lexsort((np.arange(len(neg_score)), neg_score))
+        kept = rows[: self.max_regular_patterns]
+        return [
+            Pattern(*extraction.key(row), PatternKind.REGULAR, score)
+            for row, score in zip(kept.tolist(), (-neg_score[kept]).tolist())
         ]
 
     @staticmethod
@@ -452,7 +655,11 @@ class PatternSetBuilder:
         Floors at one paper so the factor stays finite.
         """
         n_papers = max(self.index.n_papers, 1)
-        return max(len(self.papers_containing_all(middle)), 1) / n_papers
+        count = self._middle_paper_counts.get(middle)
+        if count is None:
+            count = len(self.papers_containing_all(middle))
+            self._middle_paper_counts[middle] = count
+        return max(count, 1) / n_papers
 
     def papers_containing_all(self, words: Terms) -> frozenset:
         """Corpus papers containing every word of ``words`` (cached lookups)."""

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import scoring
 from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import ContextPaperSet
-from repro.core.patterns import AnalyzedPaperCache
+from repro.core.patterns import AnalyzedPaperCache, Extractions
 from repro.core.scores import PrestigeScores
 from repro.core.scores.base import propagate_max_over_descendants
 from repro.core.vectors import PaperVectorStore
@@ -45,8 +45,9 @@ class DeltaReport:
     #: Paper ids added / removed, in application order.
     added: Tuple[str, ...]
     removed: Tuple[str, ...]
-    #: Per paper-set name, the context ids whose paper sets changed
-    #: (only paper sets that were built and diffed appear here).
+    #: Per paper-set name, the context ids whose paper sets changed or
+    #: hold an added or removed paper (only paper sets that were built
+    #: and diffed appear here).
     changed_contexts: Dict[str, Tuple[str, ...]]
     #: Memoised score keys patched in place vs dropped for lazy recompute.
     scores_patched: Tuple[str, ...]
@@ -104,6 +105,9 @@ class SubstrateStore:
         self._pattern_assigner: Optional[PatternContextAssigner] = None
         self._text_paper_set: Optional[ContextPaperSet] = None
         self._pattern_paper_set: Optional[ContextPaperSet] = None
+        #: Per-context pattern extractions, kept across deltas: one only
+        #: goes stale when a training paper of its context changes.
+        self._pattern_extractions: Extractions = {}
         self._representatives: Optional[Dict[str, str]] = None
         self._scores: Dict[str, PrestigeScores] = {}
         self._build_lock = threading.RLock()
@@ -235,6 +239,7 @@ class SubstrateStore:
                         self.ontology,
                         self.index,
                         token_cache=self.tokens,
+                        extractions=self._pattern_extractions,
                     )
                     built = assigner.build(self.training_papers)
                     if self._pattern_paper_set is None:
@@ -361,9 +366,15 @@ class SubstrateStore:
         - **citation graph** -- spliced canonically (byte-identical to a
           rebuild from the final corpus);
         - **text paper set** -- reassigned with warm substrates, then
-          diffed context-by-context against the previous assignment;
+          diffed context-by-context against the previous assignment: a
+          context changed when its paper ids differ or include a
+          *touched* id (added or removed, so a paper replaced in one
+          delta counts even when the ids stay the same);
         - **pattern paper set** -- invalidated for lazy rebuild (pattern
-          statistics couple to corpus-global coverage);
+          scores read corpus-global coverage).  The cached per-context
+          pattern extractions survive, except those whose training ids
+          include a touched id, so the rebuild re-extracts only those
+          contexts and re-scores and re-matches every context;
         - **prestige memos** -- functions whose spec declares
           ``delta_scope="contexts"`` are re-scored only for changed
           contexts and re-propagated; everything else is dropped for
@@ -401,6 +412,7 @@ class SubstrateStore:
                 for paper in added:
                     self.corpus.add(paper)
                 added_ids = [paper.paper_id for paper in added]
+                touched = removed_set | seen_added
 
                 index_rebuilt = False
                 if self._index is not None:
@@ -443,13 +455,18 @@ class SubstrateStore:
                         self._text_paper_set = new_set
                         self._representatives = dict(assigner.representatives)
                         changed_contexts["text"] = self._diff_contexts(
-                            old_set, new_set
+                            old_set, new_set, touched
                         )
+                for term_id, (training, _) in list(
+                    self._pattern_extractions.items()
+                ):
+                    if not touched.isdisjoint(training):
+                        del self._pattern_extractions[term_id]
                 if (
                     self._pattern_paper_set is not None
                     or self._pattern_assigner is not None
                 ):
-                    # Pattern mining reads corpus-global statistics (paper
+                    # Pattern scores read corpus-global statistics (paper
                     # coverage, cached index lookups); rebuild lazily.
                     self._pattern_paper_set = None
                     self._pattern_assigner = None
@@ -507,12 +524,21 @@ class SubstrateStore:
 
     @staticmethod
     def _diff_contexts(
-        old_set: ContextPaperSet, new_set: ContextPaperSet
+        old_set: ContextPaperSet, new_set: ContextPaperSet, touched: Set[str]
     ) -> Tuple[str, ...]:
-        """Context ids whose paper sets differ between two assignments."""
+        """Context ids whose paper sets differ or hold a ``touched`` paper.
+
+        A paper removed and re-added in one delta keeps its id but may
+        change its text or references, so a context holding it changed
+        even when its ids did not.
+        """
         old = {context.term_id: context.paper_ids for context in old_set}
         new = {context.term_id: context.paper_ids for context in new_set}
-        changed = [cid for cid in new if old.get(cid) != new[cid]]
+        changed = [
+            cid
+            for cid, ids in new.items()
+            if old.get(cid) != ids or not touched.isdisjoint(ids)
+        ]
         changed.extend(cid for cid in old if cid not in new)
         return tuple(changed)
 

@@ -1,0 +1,134 @@
+"""Stateful delta parity: any add/remove/replace sequence equals a scratch build.
+
+A hypothesis ``RuleBasedStateMachine`` drives one small demo pipeline
+through random corpus deltas -- adding held-out papers, removing papers,
+and replacing a paper in one delta with changed references and text --
+while every arm's prestige stays memoised, so each delta takes the
+incremental paths (patched citation scores, cached pattern extractions).
+After every step, every mined pattern set, both context paper sets and
+every evaluation arm's scores must equal, with ``==``, those of a
+pipeline built from scratch on the same corpus.
+"""
+
+import dataclasses
+from functools import lru_cache
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from repro import scoring
+from repro.corpus.corpus import Corpus
+from repro.datagen.corpus_gen import CorpusGenerator
+from repro.datagen.ontology_gen import OntologyGenerator
+from repro.pipeline import Pipeline
+
+#: Papers held out of the starting corpus, available to add.
+HELD_OUT = 6
+
+
+@lru_cache(maxsize=1)
+def _dataset():
+    generator = CorpusGenerator(
+        n_papers=40, ontology_generator=OntologyGenerator(n_terms=10, max_depth=6)
+    )
+    return generator.generate(seed=11)
+
+
+def _pattern_sets(pipeline):
+    return {
+        term_id: [(p.key(), p.kind, p.score) for p in pattern_set.patterns]
+        for term_id, pattern_set in pipeline.pattern_assigner.pattern_sets.items()
+    }
+
+
+def _contexts(paper_set):
+    return [
+        (
+            c.term_id,
+            c.paper_ids,
+            c.training_paper_ids,
+            c.inherited_from,
+            c.decay,
+        )
+        for c in paper_set
+    ]
+
+
+def _scores(scores):
+    by_context = {cid: scores.of(cid) for cid in scores.context_ids()}
+    return by_context, scores.pre_propagation
+
+
+class DeltaParity(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        dataset = _dataset()
+        papers = list(dataset.corpus)
+        self.outside = {paper.paper_id: paper for paper in papers[-HELD_OUT:]}
+        self.pipeline = Pipeline(
+            Corpus(papers[:-HELD_OUT]), dataset.ontology, dataset.training_papers
+        )
+
+    def _apply(self, added=(), removed=()):
+        for paper_id in removed:
+            self.outside[paper_id] = self.pipeline.corpus.paper(paper_id)
+        for paper in added:
+            self.outside.pop(paper.paper_id, None)
+        self.pipeline.substrates.apply_delta(added_papers=added, removed_ids=removed)
+
+    @precondition(lambda self: self.outside)
+    @rule(data=st.data())
+    def add(self, data):
+        pool = st.sampled_from(sorted(self.outside))
+        ids = data.draw(st.lists(pool, min_size=1, max_size=2, unique=True))
+        self._apply(added=[self.outside[pid] for pid in ids])
+
+    @precondition(lambda self: len(self.pipeline.corpus) > 30)
+    @rule(data=st.data())
+    def remove(self, data):
+        pool = st.sampled_from(self.pipeline.corpus.paper_ids())
+        ids = data.draw(st.lists(pool, min_size=1, max_size=2, unique=True))
+        self._apply(removed=ids)
+
+    @rule(data=st.data(), retitle=st.booleans())
+    def replace(self, data, retitle):
+        """Remove and re-add one id in one delta with changed content."""
+        paper_ids = self.pipeline.corpus.paper_ids()
+        old = self.pipeline.corpus.paper(data.draw(st.sampled_from(paper_ids)))
+        cited = data.draw(st.lists(st.sampled_from(paper_ids), max_size=3, unique=True))
+        new = dataclasses.replace(
+            old,
+            references=tuple(pid for pid in cited if pid != old.paper_id),
+            title=f"{old.body} {old.title}" if retitle else old.title,
+        )
+        self.pipeline.substrates.apply_delta(
+            added_papers=[new], removed_ids=[old.paper_id]
+        )
+
+    @invariant()
+    def equals_scratch_build(self):
+        pipeline = self.pipeline
+        scratch = Pipeline(
+            Corpus(list(pipeline.corpus)),
+            pipeline.ontology,
+            pipeline.training_papers,
+        )
+        for function, paper_set in scoring.evaluation_arms():
+            assert _scores(pipeline.prestige(function, paper_set)) == _scores(
+                scratch.prestige(function, paper_set)
+            ), (function, paper_set)
+        for name in scoring.PAPER_SET_NAMES:
+            assert _contexts(pipeline.paper_set(name)) == _contexts(
+                scratch.paper_set(name)
+            ), name
+        assert _pattern_sets(pipeline) == _pattern_sets(scratch)
+
+
+DeltaParity.TestCase.settings = settings(
+    max_examples=6,
+    stateful_step_count=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestDeltaParity = DeltaParity.TestCase

@@ -14,12 +14,15 @@ Covers the delta-aware build layer end to end:
 - ``POST /admin/ingest`` on the search service.
 """
 
+import dataclasses
 import json
+import random
 
 import pytest
 
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper
+from repro.obs import get_registry
 from repro.pipeline import Pipeline, build_demo_pipeline
 
 
@@ -136,6 +139,102 @@ class TestDeltaSemantics:
         assert pipeline.corpus.paper(papers[0].paper_id).title.startswith(
             "revised edition"
         )
+
+    def test_replaced_references_rescore_every_context_holding_the_paper(
+        self, pipeline
+    ):
+        """Same id, same context membership, new references: the contexts
+        holding the paper count as changed, so the patched citation scores
+        (and ``combined``, which blends them) equal a scratch build's."""
+        arms = (("citation", "text"), ("text", "text"), ("combined", "text"))
+        for function, paper_set in arms:
+            pipeline.prestige(function, paper_set)
+        papers = list(pipeline.corpus)
+        victim = papers[5]
+        others = [p.paper_id for p in papers if p.paper_id != victim.paper_id]
+        replacement = dataclasses.replace(victim, references=tuple(others[10:14]))
+        report = pipeline.substrates.apply_delta(
+            added_papers=[replacement], removed_ids=[victim.paper_id]
+        )
+        holding = [
+            c.term_id for c in pipeline.text_paper_set if victim.paper_id in c.paper_ids
+        ]
+        assert holding and set(holding) <= set(report.changed_contexts["text"])
+        assert "citation/text" in report.scores_patched
+        scratch = Pipeline(
+            Corpus(list(pipeline.corpus)),
+            pipeline.ontology,
+            pipeline.training_papers,
+        )
+        for function, paper_set in arms:
+            ours = pipeline.prestige(function, paper_set)
+            theirs = scratch.prestige(function, paper_set)
+            assert [ours.of(cid) for cid in theirs.context_ids()] == [
+                theirs.of(cid) for cid in theirs.context_ids()
+            ], function
+
+
+def _extraction_counts():
+    registry = get_registry()
+    return (
+        registry.counter("patterns.extraction.computed").value,
+        registry.counter("patterns.extraction.reused").value,
+    )
+
+
+class TestPatternExtractionScoping:
+    """A delta re-extracts only the contexts whose training papers it touched."""
+
+    def test_two_paper_delta_reextracts_exactly_the_touched_contexts(
+        self, pipeline
+    ):
+        store = pipeline.substrates
+        _ = store.pattern_paper_set
+        extractions = store.pattern_assigner.pattern_builder.extractions
+        n_contexts = len(pipeline.ontology.term_ids())
+        assert _extraction_counts() == (n_contexts, 0)
+        before = {tid: record for tid, (_, record) in extractions.items()}
+        training_ids = [
+            pid for tid in sorted(extractions) for pid in extractions[tid][0]
+        ]
+        touched = {training_ids[0], training_ids[-1]}
+        expected = {
+            tid for tid, (ids, _) in extractions.items() if touched & set(ids)
+        }
+        assert 0 < len(expected) < n_contexts
+        replacements = [
+            dataclasses.replace(
+                pipeline.corpus.paper(pid), title="revised " + pid
+            )
+            for pid in sorted(touched)
+        ]
+        store.apply_delta(added_papers=replacements, removed_ids=sorted(touched))
+        _ = store.pattern_paper_set
+        computed, reused = _extraction_counts()
+        assert (computed - n_contexts, reused) == (
+            len(expected),
+            n_contexts - len(expected),
+        )
+        assert store.pattern_assigner.pattern_builder.extractions is extractions
+        fresh = {
+            tid for tid, (_, record) in extractions.items() if record is not before[tid]
+        }
+        assert fresh == expected
+
+    def test_cache_holds_one_record_per_context_across_deltas(self, pipeline):
+        store = pipeline.substrates
+        _ = store.pattern_paper_set
+        term_ids = set(pipeline.ontology.term_ids())
+        rng = random.Random(4)
+        removed = []
+        for _step in range(20):
+            gone = rng.sample(pipeline.corpus.paper_ids(), 1)
+            readd, removed = removed, [pipeline.corpus.paper(pid) for pid in gone]
+            store.apply_delta(added_papers=readd, removed_ids=gone)
+            _ = store.pattern_paper_set
+            extractions = store.pattern_assigner.pattern_builder.extractions
+            assert set(extractions) <= term_ids
+        assert sum(record.nbytes for _, record in extractions.values()) > 0
 
 
 class TestIndexMutationCapability:

@@ -6,7 +6,8 @@ per training paper, then a :class:`Pattern` for every raw key, scored one
 by one and fully sorted before the ``max_regular_patterns`` cut.
 Hypothesis generates token documents over a five-word vocabulary
 (repeated, overlapping and nested phrases, phrases longer than a
-document) and the builder's counts and pattern lists -- scores compared
+document) and the builder's counts, decoded from its
+:class:`PatternExtraction` columns, and pattern lists -- scores compared
 with ``==`` -- must equal the reference's.
 
 ``TestGoldenPatternSets`` pins every pattern the demo pipeline mines
@@ -19,6 +20,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +126,13 @@ names = st.lists(
 )
 
 
+def decode(extraction):
+    """The columns as reference-shaped counts: key -> occ, middle -> papers."""
+    occ = {extraction.key(row): int(n) for row, n in enumerate(extraction.count)}
+    papers = dict(zip(extraction.middles, extraction.middle_papers.tolist()))
+    return occ, papers
+
+
 class TestExtractRegular:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -139,10 +148,19 @@ class TestExtractRegular:
         builder = make_builder({}, ["a"], window=window)
         training = [tuple(doc) for doc in docs]
         phrases = dict.fromkeys(significant, "frequent")
-        occ, papers = builder._extract_regular(training, phrases)
+        extraction = builder._extract(("a",), training, phrases)
         expected = reference_extract(training, phrases, window)
-        assert dict(occ) == {key: e["occ"] for key, e in expected.items()}
-        assert dict(papers) == {key: e["papers"] for key, e in expected.items()}
+        occ, papers = decode(extraction)
+        assert occ == {key: e["occ"] for key, e in expected.items()}
+        papers_by_middle = {}
+        for (_, middle, __), e in expected.items():
+            papers_by_middle[middle] = papers_by_middle.get(middle, 0) + e["papers"]
+        assert papers == papers_by_middle
+        # Rows are the keys in string-tuple order, each once.
+        keys = list(occ)
+        assert len(keys) == len(extraction) and keys == sorted(set(keys))
+        assert extraction.left.shape == extraction.right.shape == (len(keys), window)
+        assert extraction.count.dtype == np.uint16
 
 
 class TestBuild:
@@ -154,9 +172,17 @@ class TestBuild:
         window=st.sampled_from((0, 1, 3)),
         max_regular_patterns=st.sampled_from((0, 1, 40)),
         build_extended=st.booleans(),
+        frequency_coefficient=st.sampled_from((1.0, -0.75)),
     )
     def test_patterns_equal_reference(
-        self, docs, names, n_training, window, max_regular_patterns, build_extended
+        self,
+        docs,
+        names,
+        n_training,
+        window,
+        max_regular_patterns,
+        build_extended,
+        frequency_coefficient,
     ):
         corpus = {f"P{i}": tuple(doc) for i, doc in enumerate(docs)}
         builder = make_builder(
@@ -165,6 +191,7 @@ class TestBuild:
             window=window,
             max_regular_patterns=max_regular_patterns,
             build_extended=build_extended,
+            frequency_coefficient=frequency_coefficient,
         )
         training = sorted(corpus)[:n_training]
         for term_id in ("T0", f"T{len(names) - 1}"):
@@ -172,6 +199,30 @@ class TestBuild:
             expected = reference_build(builder, term_id, training)
             assert [(p.key(), p.kind, p.score) for p in built] == [
                 (p.key(), p.kind, p.score) for p in expected
+            ]
+
+    def test_score_ties_are_cut_by_key_order(self):
+        # The three keys around the context word "a" occur once each, so
+        # they tie; the cut keeps the two smallest (left, middle, right).
+        corpus = {"P0": ("c", "a", "e", "d", "a", "b"), "P1": ("b", "a", "d")}
+        for coefficient in (1.0, -0.75):
+            builder = make_builder(
+                corpus,
+                ["a"],
+                window=1,
+                max_regular_patterns=2,
+                build_extended=False,
+                frequency_coefficient=coefficient,
+            )
+            built = builder.build("T0", ["P0", "P1"]).patterns
+            assert [p.key() for p in built] == [
+                (("b",), ("a",), ("d",)),
+                (("c",), ("a",), ("e",)),
+            ]
+            assert built[0].score == built[1].score
+            expected = reference_build(builder, "T0", ["P0", "P1"])
+            assert [(p.key(), p.score) for p in built] == [
+                (p.key(), p.score) for p in expected
             ]
 
 

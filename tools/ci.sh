@@ -21,9 +21,10 @@ echo "== lint: workspace artifact registry =="
 python tools/check_workspace_manifest.py
 
 echo
-echo "== lint: a freshly built workspace, and its first delta generation, pass the manifest check =="
+echo "== lint: a freshly built workspace and its delta generations pass the manifest check =="
 WORKSPACE_DATA="$(mktemp -d)"
-trap 'rm -rf "$WORKSPACE_DATA"' EXIT
+FRESH_DATA="$(mktemp -d)"
+trap 'rm -rf "$WORKSPACE_DATA" "$FRESH_DATA"' EXIT
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli generate \
     --papers 60 --terms 15 --seed 8 --out "$WORKSPACE_DATA" > /dev/null
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
@@ -42,6 +43,42 @@ PY
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli ingest-delta \
     --data "$WORKSPACE_DATA" --add "$WORKSPACE_DATA/delta.jsonl" > /dev/null
 python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
+# A second generation replaces CI-DELTA-1 with changed references (same
+# id, same text): the reopened workspace must rank like a fresh build of
+# the final corpus.
+python - "$WORKSPACE_DATA" <<'PY'
+import json, sys
+from pathlib import Path
+data = Path(sys.argv[1])
+papers = [json.loads(line) for line in (data / "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+paper = next(p for p in papers if p["paper_id"] == "CI-DELTA-1")
+cited = [p["paper_id"] for p in papers if p["paper_id"] not in paper["references"]]
+paper["references"] = [pid for pid in cited if pid != "CI-DELTA-1"][:4]
+(data / "delta.jsonl").write_text(json.dumps(paper) + "\n", encoding="utf-8")
+PY
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli ingest-delta \
+    --data "$WORKSPACE_DATA" --add "$WORKSPACE_DATA/delta.jsonl" --remove CI-DELTA-1 > /dev/null
+python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
+cp "$WORKSPACE_DATA"/corpus.jsonl "$WORKSPACE_DATA"/ontology.obo "$WORKSPACE_DATA"/training.json "$FRESH_DATA"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build --data "$FRESH_DATA" > /dev/null
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$WORKSPACE_DATA" "$FRESH_DATA" <<'PY'
+import json, sys
+from pathlib import Path
+from repro.pipeline import Pipeline
+reopened, fresh = (Pipeline.open_workspace(path) for path in sys.argv[1:])
+lines = (Path(sys.argv[1]) / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+queries = [json.loads(line)["title"] for line in lines[:3]]
+for function in ("citation", "text"):
+    for query in queries:
+        rows = [
+            [(h.paper_id, h.context_id, h.relevancy, h.prestige) for h in
+             pipeline.search(query, function=function, paper_set_name="text", limit=10)]
+            for pipeline in (reopened, fresh)
+        ]
+        assert rows[0], (function, query, "no hits")
+        assert rows[0] == rows[1], (function, query, rows)
+print(f"reopened generation 2 ranks like a fresh build ({len(queries)} queries)")
+PY
 
 echo
 echo "== docs: docs/api.md and the architecture score-function table are generated from the code =="
