@@ -17,8 +17,8 @@ import time
 from conftest import write_result
 
 from repro.core.patterns import PatternSetBuilder
-from repro.core.scores import PatternPrestige
 from repro.eval.experiments import SeparabilityExperiment
+from repro.scoring import PatternPrestige
 
 
 def test_ablation_pattern_matching(benchmark, pipeline, dataset, results_dir):

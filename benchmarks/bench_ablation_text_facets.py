@@ -8,9 +8,9 @@ the social facets (authors, references) add on top of content cosine.
 
 from conftest import write_result
 
-from repro.core.scores.text import FacetWeights, TextPrestige
 from repro.core.search import ContextSearchEngine
 from repro.eval.metrics import precision
+from repro.scoring.text import FacetWeights, TextPrestige
 
 VARIANTS = {
     "full": FacetWeights(),

@@ -40,11 +40,9 @@ from repro.core import (
     Context,
     ContextPaperSet,
     ContextSearchEngine,
-    CitationPrestige,
-    PatternPrestige,
-    TextPrestige,
     SearchHit,
 )
+from repro.scoring import CitationPrestige, PatternPrestige, TextPrestige
 from repro.pipeline import Pipeline, build_demo_pipeline
 
 __version__ = "1.0.0"

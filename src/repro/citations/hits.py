@@ -9,7 +9,7 @@ completeness and to reproduce that correlation claim as an ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -27,12 +27,6 @@ class HitsResult:
     hubs: Dict[str, float]
     iterations: int
     converged: bool
-
-    def top_authorities(self, k: int) -> List[str]:
-        ranked = sorted(
-            self.authorities.items(), key=lambda item: (-item[1], item[0])
-        )
-        return [node for node, _ in ranked[:k]]
 
 
 def hits_scores(

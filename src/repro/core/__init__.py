@@ -9,24 +9,18 @@
 - :mod:`repro.core.patterns` -- pattern construction/scoring (section 3.3).
 - :mod:`repro.core.assignment` -- the two context-paper-set builders of
   section 4 (text-based and simplified pattern-based).
-- :mod:`repro.core.scores` -- the three prestige score functions.
 - :mod:`repro.core.search` -- the context-based search engine (tasks 3-5
   of the paradigm).
 - :mod:`repro.core.extensions` -- the section-7 future-work extension
   (weighted cross-context relationships).
+
+The prestige score functions of section 3 live in :mod:`repro.scoring`.
 """
 
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import Context, ContextPaperSet
 from repro.core.patterns import Pattern, PatternKind, PatternSet, PatternSetBuilder
 from repro.core.representative import select_representatives
-from repro.core.scores import (
-    CitationPrestige,
-    PatternPrestige,
-    PrestigeScoreFunction,
-    PrestigeScores,
-    TextPrestige,
-)
 from repro.core.query_expansion import ContextQueryExpander, PseudoRelevanceExpander
 from repro.core.recommend import RelatedWorkRecommender
 from repro.core.search import (
@@ -49,11 +43,6 @@ __all__ = [
     "PatternSetBuilder",
     "TextContextAssigner",
     "PatternContextAssigner",
-    "PrestigeScoreFunction",
-    "PrestigeScores",
-    "CitationPrestige",
-    "TextPrestige",
-    "PatternPrestige",
     "ContextSearchEngine",
     "SearchHit",
     "ContextResultGroup",

@@ -242,13 +242,6 @@ class ContextPaperSet:
             if tid in self._contexts
         ]
 
-    def size_histogram(self) -> Dict[int, int]:
-        """Context count by paper-set size (diagnostics)."""
-        histogram: Dict[int, int] = {}
-        for context in self._contexts.values():
-            histogram[context.size] = histogram.get(context.size, 0) + 1
-        return histogram
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         sizes = [c.size for c in self._contexts.values()]
         mean = sum(sizes) / len(sizes) if sizes else 0.0

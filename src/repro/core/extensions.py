@@ -23,9 +23,9 @@ import numpy as np
 
 from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
-from repro.core.scores.base import PrestigeScoreFunction
 from repro.ontology.ontology import Ontology
 from repro.ontology.semantic import lin_similarity
+from repro.scoring.base import PrestigeScoreFunction
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,10 @@ import numpy as np
 from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
 from repro.core.patterns import AnalyzedPaperCache
-from repro.core.scores.base import PrestigeScores, ScoreRows
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.ontology.ontology import Ontology
+from repro.scoring.base import PrestigeScores, ScoreRows
 from repro.text.analyze import Analyzer
 
 PathLike = Union[str, Path]

@@ -136,11 +136,6 @@ class AnalyzedPaperCache:
             for section in TEXT_SECTIONS:
                 self.tokens(paper_id, section)
 
-    def warm_paper(self, paper_id: str) -> None:
-        """Analyse one paper's sections (incremental counterpart of warm)."""
-        for section in TEXT_SECTIONS:
-            self.tokens(paper_id, section)
-
     def evict_paper(self, paper_id: str) -> None:
         """Drop one paper's cached token sequences (idempotent).
 

@@ -16,11 +16,11 @@ merge, best context per paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.core.context import ContextPaperSet
-from repro.core.scores.base import PrestigeScores
 from repro.core.vectors import PaperVectorStore
+from repro.scoring.base import PrestigeScores
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ import numpy as np
 
 from repro.core.context import ContextPaperSet, csr_positions
 from repro.core.cosine import VectorRows, dot_pairs, finish_cosines
-from repro.core.scores.base import PrestigeScores
 from repro.core.vectors import PaperVectorStore
 from repro.index.search import (
     KeywordSearchEngine,
@@ -65,6 +64,7 @@ from repro.index.search import (
 )
 from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology
+from repro.scoring.base import PrestigeScores
 
 #: Available context-selection strategies (task 3 of the paradigm):
 #: - "probe": rank contexts by how strongly their papers respond to a

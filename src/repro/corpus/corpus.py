@@ -98,15 +98,6 @@ class Corpus:
         assert self._incoming is not None
         return self._incoming.get(paper_id, ())
 
-    def dangling_references(self) -> Dict[str, Tuple[str, ...]]:
-        """References pointing outside the corpus, per paper (diagnostics)."""
-        result: Dict[str, Tuple[str, ...]] = {}
-        for paper in self:
-            missing = tuple(r for r in paper.references if r not in self._papers)
-            if missing:
-                result[paper.paper_id] = missing
-        return result
-
     def _ensure_citation_maps(self) -> None:
         if self._outgoing is not None:
             return
@@ -125,12 +116,6 @@ class Corpus:
         self._incoming = {pid: tuple(v) for pid, v in incoming_lists.items()}
 
     # -- author structure -------------------------------------------------------------
-
-    def papers_by_author(self, author: str) -> Tuple[str, ...]:
-        """Ids of papers with ``author`` in their author list."""
-        self._ensure_author_index()
-        assert self._by_author is not None
-        return self._by_author.get(author, ())
 
     def authors(self) -> List[str]:
         """All distinct author names, sorted."""

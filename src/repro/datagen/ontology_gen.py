@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.datagen.lexicon import TERM_HEADS, TERM_MODIFIERS
+from repro.datagen.lexicon import TERM_MODIFIERS
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 
@@ -140,8 +140,3 @@ class OntologyGenerator:
         if not candidates:
             return None
         return rng.choice(candidates)
-
-
-def default_head_for_depth(rng: random.Random) -> str:
-    """Uniform draw over term heads (exposed for tests/extensions)."""
-    return rng.choice(TERM_HEADS)

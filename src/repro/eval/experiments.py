@@ -7,12 +7,10 @@ the benchmark harness can print the same rows the paper plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import ContextPaperSet
-from repro.core.scores.base import PrestigeScores
-from repro.core.search import ContextSearchEngine
 from repro.eval.ac_answer import ACAnswerBuilder, ACAnswerConfig
 from repro.eval.metrics import (
     median,
@@ -23,6 +21,7 @@ from repro.eval.metrics import (
 )
 from repro.obs import get_registry, span
 from repro.pipeline import Pipeline
+from repro.scoring.base import PrestigeScores
 
 
 # ---------------------------------------------------------------------------
@@ -98,19 +97,6 @@ class PrecisionExperiment:
             "eval.precision.run", function=function, paper_set=paper_set_name
         ), get_registry().timer("eval.precision.seconds"):
             return self._run(function, paper_set_name)
-
-    def run_all(self) -> Dict[Tuple[str, str], PrecisionCurve]:
-        """Precision curves for every registry-declared evaluation arm.
-
-        The sweep is driven by :func:`repro.scoring.evaluation_arms`, so
-        a newly registered score function joins it automatically.
-        """
-        from repro import scoring
-
-        return {
-            (function, paper_set): self.run(function, paper_set)
-            for function, paper_set in scoring.evaluation_arms()
-        }
 
     def _run(self, function: str, paper_set_name: str) -> PrecisionCurve:
         engine = self.pipeline.search_engine(function, paper_set_name)

@@ -30,7 +30,6 @@ from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner
 from repro.core.context import ContextPaperSet
 from repro.core.patterns import AnalyzedPaperCache
-from repro.core.scores import PrestigeScores
 from repro.core.search import ContextSearchEngine, RankingExplanation, SearchHit
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
@@ -46,6 +45,7 @@ from repro.obs.quality import (
     export_drift_gauges,
 )
 from repro.ontology.ontology import Ontology
+from repro.scoring import PrestigeScores
 from repro.serving import SearchResultCache, ServingView, SubstrateStore
 
 __all__ = ["Pipeline", "SearchResultCache", "build_demo_pipeline"]

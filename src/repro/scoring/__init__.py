@@ -1,12 +1,35 @@
-"""Pluggable score-function registry (see ``docs/architecture.md``).
+"""The prestige score functions of section 3 and their registry.
 
-Importing this package registers the built-in functions (``text``,
-``citation``, ``pattern``, ``hits``) and the ``combined`` rank-fusion
-plugin.  Everything downstream -- prestige dispatch, CLI choices,
-workspace score artifacts, evaluation sweeps -- derives its function
-lists from here.
+- :mod:`repro.scoring.base` -- the common interface, min-max
+  normalisation, and hierarchy max-propagation.
+- :mod:`repro.scoring.citation` -- per-context PageRank (section 3.1).
+- :mod:`repro.scoring.hits_prestige` -- per-context HITS authority, the
+  section-3.1 alternative.
+- :mod:`repro.scoring.text` -- representative-paper multi-facet
+  similarity (section 3.2).
+- :mod:`repro.scoring.pattern` -- pattern matching scores (section 3.3).
+- :mod:`repro.scoring.registry` -- :class:`ScoreFunctionSpec` and the
+  registry (see ``docs/architecture.md``).
+- :mod:`repro.scoring.functions` -- the registrations: ``text``,
+  ``citation``, ``pattern``, ``hits`` and the ``combined`` rank fusion.
+
+Importing this package registers those functions.  Everything
+downstream -- prestige dispatch, CLI choices, workspace score artifacts,
+evaluation sweeps -- derives its function lists from the registry.
 """
 
+from repro.scoring.base import (
+    NORMALIZERS,
+    PrestigeScoreFunction,
+    PrestigeScores,
+    max_normalize,
+    min_max_normalize,
+    propagate_max_over_descendants,
+)
+from repro.scoring.citation import CitationPrestige
+from repro.scoring.hits_prestige import HitsPrestige
+from repro.scoring.pattern import PatternPrestige
+from repro.scoring.text import FacetWeights, TextPrestige
 from repro.scoring.registry import (
     PAPER_SET_NAMES,
     ScoreFunctionSpec,
@@ -22,11 +45,21 @@ from repro.scoring.registry import (
     unregister,
 )
 
-# Importing these modules runs their register() calls.
+# Importing the module runs its register() calls.
 from repro.scoring import functions as _functions  # noqa: F401  (registers built-ins)
-from repro.scoring import combined as _combined  # noqa: F401  (registers the plugin)
 
 __all__ = [
+    "PrestigeScoreFunction",
+    "PrestigeScores",
+    "NORMALIZERS",
+    "max_normalize",
+    "min_max_normalize",
+    "propagate_max_over_descendants",
+    "CitationPrestige",
+    "HitsPrestige",
+    "TextPrestige",
+    "FacetWeights",
+    "PatternPrestige",
     "PAPER_SET_NAMES",
     "ScoreFunctionSpec",
     "evaluation_arms",

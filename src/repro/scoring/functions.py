@@ -1,9 +1,10 @@
-"""Registrations of the paper's score functions (sections 3.1-3.3).
+"""Registrations of the score functions, in CLI and evaluation-arm order.
 
 Importing this module (which :mod:`repro.scoring` does on package
-import) registers the built-in functions.  Each factory receives the
+import) registers every built-in function: ``text``, ``citation``,
+``pattern``, ``hits`` and ``combined``.  Each factory receives the
 pipeline's :class:`~repro.serving.substrate.SubstrateStore` and returns
-a ready :class:`~repro.core.scores.base.PrestigeScoreFunction`; the
+a ready :class:`~repro.scoring.base.PrestigeScoreFunction`; the
 ``substrates`` tuples name the workspace artifacts the computed scores
 depend on, which is exactly the fingerprint chain each persisted
 ``scores_<function>_<paper_set>.npz`` artifact declares.
@@ -17,18 +18,28 @@ The declared ``paper_sets`` reproduce the paper's experiment arms:
   mined pattern sets);
 - ``hits`` is the section-3.1 road-not-taken: registered so it stays
   searchable and tunable, but with no arms -- it joins no sweep and is
-  not persisted, matching the paper's choice of PageRank.
+  not persisted, matching the paper's choice of PageRank;
+- ``combined`` is a rank-fusion blend of citation and text prestige, in
+  the spirit of C-Rank (Doslu & Bingol): citation links carry
+  endorsement, text similarity carries topicality.  It declares
+  ``components`` instead of a factory, so the build layer derives the
+  blend from the memoised ``citation`` and ``text`` scores and scores no
+  paper again.  It uses only the public plugin API: deleting its
+  registration removes it from the CLI, the workspace and every
+  evaluation sweep.
 """
 
 from __future__ import annotations
 
-from repro.core.scores import (
-    CitationPrestige,
-    HitsPrestige,
-    PatternPrestige,
-    TextPrestige,
-)
+from repro.scoring.citation import CitationPrestige
+from repro.scoring.hits_prestige import HitsPrestige
+from repro.scoring.pattern import PatternPrestige
 from repro.scoring.registry import ScoreFunctionSpec, register
+from repro.scoring.text import TextPrestige
+
+#: The ``combined`` blend weights: citation endorsement vs text topicality.
+CITATION_WEIGHT = 0.5
+TEXT_WEIGHT = 0.5
 
 
 def _citation_factory(substrates) -> CitationPrestige:
@@ -102,5 +113,16 @@ register(
         description="per-context HITS authority (3.1 alternative; searchable only)",
         # Like citation: HITS sees only the context-induced subgraph.
         delta_scope="contexts",
+    )
+)
+
+register(
+    ScoreFunctionSpec(
+        name="combined",
+        # Substrates: the union of the citation and text chains,
+        # ("citation_graph", "vectors", "representatives").
+        components=(("citation", CITATION_WEIGHT), ("text", TEXT_WEIGHT)),
+        paper_sets=("text",),
+        description="rank fusion: convex blend of citation and text prestige",
     )
 )

@@ -152,9 +152,10 @@ def _resolve(
 class Registry:
     """Thread-safe specs keyed by ``spec.name``, in registration order.
 
-    The order is the order of CLI choices and evaluation arms;
-    ``revision`` counts mutations so derived views (the workspace
-    artifact graph, memoised CLI parsers) can cheaply detect staleness.
+    The order is the order of CLI choices and evaluation arms.
+    ``revision`` counts mutations; the workspace artifact graph compares
+    it to re-derive its score artifacts.  The CLI needs no such check:
+    ``repro.cli.build_parser`` builds a fresh parser on every call.
     """
 
     def __init__(self) -> None:
@@ -234,6 +235,7 @@ class Registry:
             return spec
 
     def __contains__(self, name: object) -> bool:
+        """Whether a function is registered under ``name``."""
         with self._lock:
             return name in self._specs
 
@@ -261,7 +263,7 @@ function_names = REGISTRY.names
 
 
 def registry_revision() -> int:
-    """Mutation counter; derived views compare it to detect staleness."""
+    """Mutation counter; the workspace artifact graph compares it."""
     return REGISTRY.revision
 
 

@@ -26,8 +26,6 @@ from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import ContextPaperSet
 from repro.core.patterns import AnalyzedPaperCache, Extractions
-from repro.core.scores import PrestigeScores
-from repro.core.scores.base import propagate_max_over_descendants
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper
@@ -36,6 +34,7 @@ from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology
+from repro.scoring.base import PrestigeScores, propagate_max_over_descendants
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ intact.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:[-'][A-Za-z0-9]+)*")
 
@@ -65,28 +65,3 @@ def ngrams(tokens: Sequence[str], n: int) -> List[Tuple[str, ...]]:
     if len(tokens) < n:
         return []
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
-def sliding_windows(
-    tokens: Sequence[str], size: int, step: int = 1
-) -> Iterator[Tuple[int, Sequence[str]]]:
-    """Yield ``(start, window)`` pairs of length-``size`` windows.
-
-    Used by pattern matching to scan paper sections with their left/right
-    surround.  The final shorter window is *not* emitted; callers that need
-    tail coverage should pad or lower ``size``.
-    """
-    if size <= 0:
-        raise ValueError(f"window size must be positive, got {size}")
-    if step <= 0:
-        raise ValueError(f"window step must be positive, got {step}")
-    for start in range(0, max(len(tokens) - size + 1, 0), step):
-        yield start, tokens[start : start + size]
-
-
-def token_counts(tokens: Iterable[str]) -> dict:
-    """Count occurrences of each token (a tiny convenience wrapper)."""
-    counts: dict = {}
-    for token in tokens:
-        counts[token] = counts.get(token, 0) + 1
-    return counts

@@ -29,9 +29,9 @@ from hypothesis import strategies as st
 
 from repro import scoring
 from repro.core.context import Context
-from repro.core.scores import NORMALIZERS, PrestigeScoreFunction
 from repro.obs import get_registry
 from repro.pipeline import Pipeline, build_demo_pipeline
+from repro.scoring import NORMALIZERS, PrestigeScoreFunction
 from repro.workspace import ARTIFACTS, workspace_status
 
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core.context import Context, ContextPaperSet
 from repro.core.cosine import VectorRows
-from repro.core.scores.base import PrestigeScores
 from repro.core.search import (
     SELECTION_STRATEGIES,
     ContextResultGroup,
@@ -30,6 +29,7 @@ from repro.index.search import QueryEvaluation
 from repro.obs import reset_registry
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
+from repro.scoring.base import PrestigeScores
 from repro.text.vectorize import SparseVector
 
 COUNTERS = tuple(

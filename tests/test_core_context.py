@@ -84,9 +84,3 @@ class TestContextPaperSet:
         ) == {"a", "a1", "b"}
         assert paper_set.descendants_in_set("a") == ["a1"]
         assert paper_set.descendants_in_set("a1") == []
-
-    def test_size_histogram(self, paper_set):
-        histogram = paper_set.size_histogram()
-        assert histogram[1] == 2  # a1 and b
-        assert histogram[2] == 1
-        assert histogram[4] == 1

@@ -9,7 +9,7 @@ from repro.core.extensions import (
     CrossContextWeights,
     weighted_pagerank,
 )
-from repro.core.scores import CitationPrestige
+from repro.scoring import CitationPrestige
 
 
 class TestWeightedPagerank:

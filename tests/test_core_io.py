@@ -22,9 +22,9 @@ from repro.core.io import (
     write_context_paper_set,
     write_prestige_scores,
 )
-from repro.core.scores.base import PrestigeScores
 from repro.ontology import Ontology
 from repro.ontology.term import Term
+from repro.scoring.base import PrestigeScores
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -5,9 +5,9 @@ import pytest
 from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
 from repro.core.recommend import RelatedWorkRecommender
-from repro.core.scores import TextPrestige
 from repro.core.vectors import PaperVectorStore
 from repro.index.inverted import InvertedIndex
+from repro.scoring import TextPrestige
 
 
 @pytest.fixture(scope="module")

@@ -6,18 +6,18 @@ from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner
 from repro.core.context import Context, ContextPaperSet
 from repro.core.patterns import AnalyzedPaperCache
-from repro.core.scores import (
+from repro.core.vectors import PaperVectorStore
+from repro.index.inverted import InvertedIndex
+from repro.ontology.ontology import Ontology
+from repro.ontology.term import Term
+from repro.scoring import (
     CitationPrestige,
+    FacetWeights,
     PatternPrestige,
     TextPrestige,
     min_max_normalize,
     propagate_max_over_descendants,
 )
-from repro.core.scores.text import FacetWeights
-from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import InvertedIndex
-from repro.ontology.ontology import Ontology
-from repro.ontology.term import Term
 
 
 class TestMinMaxNormalize:
@@ -126,11 +126,6 @@ class TestCitationPrestige:
     def test_empty_context(self, tiny_setup):
         scorer = CitationPrestige(tiny_setup["graph"])
         assert scorer.score_context(Context("met", ())) == {}
-
-    def test_subgraph_density(self, tiny_setup):
-        scorer = CitationPrestige(tiny_setup["graph"])
-        context = tiny_setup["paper_set"].context("met")
-        assert scorer.subgraph_density(context) == pytest.approx(3 / 6)
 
     def test_unknown_normalization_rejected_on_both_paths(self, tiny_setup):
         scorer = CitationPrestige(tiny_setup["graph"])

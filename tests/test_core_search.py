@@ -4,11 +4,11 @@ import pytest
 
 from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
-from repro.core.scores import CitationPrestige, TextPrestige
 from repro.core.search import ContextSearchEngine
 from repro.core.vectors import PaperVectorStore
 from repro.index.inverted import InvertedIndex
 from repro.index.search import KeywordSearchEngine
+from repro.scoring import TextPrestige
 
 
 @pytest.fixture(scope="module")

@@ -88,13 +88,6 @@ class TestCorpus:
         assert set(corpus.citations_of("P2")) == {"P1", "P3"}
         assert corpus.citations_of("P3") == ()
 
-    def test_dangling_references_reported(self, corpus):
-        assert corpus.dangling_references() == {"P1": ("P_EXTERNAL",)}
-
-    def test_papers_by_author(self, corpus):
-        assert corpus.papers_by_author("Bob") == ("P1", "P2")
-        assert corpus.papers_by_author("Nobody") == ()
-
     def test_authors_sorted(self, corpus):
         assert corpus.authors() == ["Alice", "Bob", "Carol", "Dave"]
 

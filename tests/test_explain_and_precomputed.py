@@ -4,13 +4,13 @@ import pytest
 
 from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
-from repro.core.scores import TextPrestige
 from repro.core.search import ContextSearchEngine
 from repro.core.vectors import PaperVectorStore
 from repro.index.inverted import InvertedIndex
 from repro.index.search import KeywordSearchEngine
 from repro.ontology.ontology import Ontology, OntologyError
 from repro.ontology.term import Term
+from repro.scoring import TextPrestige
 
 
 @pytest.fixture(scope="module")

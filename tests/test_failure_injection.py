@@ -13,7 +13,6 @@ from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import Context, ContextPaperSet
 from repro.core.cosine import cosine_pairs
 from repro.core.patterns import AnalyzedPaperCache, PatternSetBuilder
-from repro.core.scores import CitationPrestige, PatternPrestige, TextPrestige
 from repro.core.search import ContextSearchEngine
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
@@ -24,6 +23,7 @@ from repro.index.search import KeywordSearchEngine
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 from repro.pipeline import Pipeline
+from repro.scoring import CitationPrestige, PatternPrestige, TextPrestige
 
 
 @pytest.fixture
@@ -157,7 +157,7 @@ class TestDegenerateContexts:
 
 class TestDegenerateSearch:
     def test_search_with_empty_prestige(self, degenerate_corpus, flat_ontology):
-        from repro.core.scores.base import PrestigeScores
+        from repro.scoring.base import PrestigeScores
 
         index = InvertedIndex().index_corpus(degenerate_corpus)
         paper_set = ContextPaperSet(flat_ontology, [Context("t1", ("OK",))])

@@ -10,7 +10,7 @@ class TestHits:
     def test_star_authority(self):
         g = CitationGraph(edges=[("A", "HUB"), ("B", "HUB"), ("C", "HUB")])
         result = hits_scores(g)
-        assert result.top_authorities(1) == ["HUB"]
+        assert max(result.authorities, key=result.authorities.get) == "HUB"
         # Citing papers are pure hubs.
         assert result.hubs["A"] > result.hubs["HUB"]
 

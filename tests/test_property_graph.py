@@ -9,7 +9,7 @@ from repro.citations.coupling import bibliographic_coupling, cocitation
 from repro.citations.graph import CitationGraph
 from repro.citations.hits import hits_scores
 from repro.citations.pagerank import TeleportKind, pagerank
-from repro.core.scores.base import max_normalize, min_max_normalize
+from repro.scoring.base import max_normalize, min_max_normalize
 
 node_ids = st.integers(min_value=0, max_value=12).map(lambda i: f"N{i}")
 edge_lists = st.lists(st.tuples(node_ids, node_ids), max_size=40)

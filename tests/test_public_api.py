@@ -8,13 +8,13 @@ import repro
 import repro.baselines
 import repro.citations
 import repro.core
-import repro.core.scores
 import repro.corpus
 import repro.datagen
 import repro.eval
 import repro.index
 import repro.ingest
 import repro.ontology
+import repro.scoring
 import repro.text
 
 
@@ -27,7 +27,7 @@ PACKAGES = [
     repro.index,
     repro.datagen,
     repro.core,
-    repro.core.scores,
+    repro.scoring,
     repro.eval,
     repro.baselines,
     repro.ingest,
@@ -68,6 +68,7 @@ DOCTEST_MODULES = [
     "repro.text.analyze",
     "repro.ontology.term",
     "repro.eval.ascii_plot",
+    "repro.scoring.base",
 ]
 
 

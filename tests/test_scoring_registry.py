@@ -16,9 +16,8 @@ import pytest
 from repro import scoring
 from repro.cli import build_parser
 from repro.core.context import Context
-from repro.core.scores import PrestigeScoreFunction
 from repro.pipeline import build_demo_pipeline
-from repro.scoring import ScoreFunctionSpec
+from repro.scoring import PrestigeScoreFunction, ScoreFunctionSpec
 from repro.workspace import ARTIFACTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

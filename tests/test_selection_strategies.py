@@ -4,11 +4,11 @@ import pytest
 
 from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
-from repro.core.scores import HitsPrestige, TextPrestige
 from repro.core.search import SELECTION_STRATEGIES, ContextSearchEngine
 from repro.core.vectors import PaperVectorStore
 from repro.index.inverted import InvertedIndex
 from repro.index.search import KeywordSearchEngine
+from repro.scoring import HitsPrestige, TextPrestige
 
 
 @pytest.fixture(scope="module")

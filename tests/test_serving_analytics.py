@@ -23,11 +23,11 @@ from collections import Counter
 import pytest
 
 import repro.obs.request as request_module
-from repro.core.scores import PrestigeScores
 from repro.obs import configure_telemetry, get_registry
 from repro.obs.quality import DriftExceeded
 from repro.obs.slo import QueryEvent, SLO, evaluate_slo, format_slo_report
 from repro.pipeline import build_demo_pipeline
+from repro.scoring import PrestigeScores
 from repro.serving.analytics import (
     WINDOW_S,
     ShadowScorer,

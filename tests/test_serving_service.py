@@ -467,7 +467,7 @@ class TestDriftGatedReload:
 
     @staticmethod
     def _invert_text_scores(target, query):
-        from repro.core.scores import PrestigeScores
+        from repro.scoring import PrestigeScores
 
         store = target._store
         engine = target.serving_view.engine("text", "text", "probe")

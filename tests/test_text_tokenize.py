@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.text.tokenize import (
-    ngrams,
-    sentences,
-    sliding_windows,
-    token_counts,
-    tokenize,
-)
+from repro.text.tokenize import ngrams, sentences, tokenize
 
 
 class TestTokenize:
@@ -85,32 +79,3 @@ class TestNgrams:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             ngrams(["a"], 0)
-
-
-class TestSlidingWindows:
-    def test_windows_with_positions(self):
-        result = list(sliding_windows(["a", "b", "c", "d"], size=2))
-        assert result == [(0, ["a", "b"]), (1, ["b", "c"]), (2, ["c", "d"])]
-
-    def test_step(self):
-        result = list(sliding_windows(["a", "b", "c", "d", "e"], size=2, step=2))
-        assert [start for start, _ in result] == [0, 2]
-
-    def test_too_short_input(self):
-        assert list(sliding_windows(["a"], size=3)) == []
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            list(sliding_windows(["a"], size=0))
-
-    def test_invalid_step(self):
-        with pytest.raises(ValueError):
-            list(sliding_windows(["a", "b"], size=1, step=0))
-
-
-class TestTokenCounts:
-    def test_counts(self):
-        assert token_counts(["a", "b", "a"]) == {"a": 2, "b": 1}
-
-    def test_empty(self):
-        assert token_counts([]) == {}

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI: static lints + the tier-1 test suite.
+# Local CI: static lints, smoke runs (service, README examples, e2e
+# benchmark) and the tier-1 test suite.
 #
 #   tools/ci.sh            run everything
 #
@@ -88,6 +89,13 @@ git diff --exit-code docs/api.md docs/architecture.md
 echo
 echo "== smoke: http search service (start, scrape, search, reload, stop) =="
 python tools/smoke_service.py
+
+echo
+echo "== examples: every README example runs to completion =="
+for example in examples/*.py; do
+    echo "-- $example"
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python "$example" > /dev/null
+done
 
 echo
 echo "== bench: figure and ablation harness collects =="

@@ -41,7 +41,6 @@ import urllib.request
 REPO_ROOT = __import__("pathlib").Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.scores import PrestigeScores  # noqa: E402
 from repro.datagen import CorpusGenerator, OntologyGenerator  # noqa: E402
 from repro.obs import (  # noqa: E402
     configure_telemetry,
@@ -49,6 +48,7 @@ from repro.obs import (  # noqa: E402
     reset_telemetry,
 )
 from repro.pipeline import Pipeline  # noqa: E402
+from repro.scoring import PrestigeScores  # noqa: E402
 from repro.serving.service import hit_to_dict  # noqa: E402
 from repro.serving import SearchService  # noqa: E402
 
