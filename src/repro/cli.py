@@ -12,15 +12,15 @@ Subcommands mirror a deployment's life cycle:
   (hydrates from ``<data>/workspace`` when one is built);
 - ``repro serve``     -- run the HTTP search service (``/search``,
   ``/search_grouped``, ``/explain``, ``POST /admin/reload`` with
-  admission control, plus the observability routes below);
+  admission control, plus ``/metrics`` in Prometheus text format,
+  ``/health``, ``/slo`` and ``/slowlog``);
 - ``repro evaluate``  -- run the accuracy/separability evaluation and
   print a summary;
 - ``repro obs report`` -- render saved trace/metrics dumps as ASCII;
 - ``repro obs slowlog`` -- render the slow-query log of a telemetry dump
   (span trees, cache attribution);
 - ``repro obs slo``   -- render the SLO/error-budget report of a dump;
-- ``repro obs serve`` -- run the HTTP exposition endpoint (``/metrics``
-  in Prometheus text format, ``/health``, ``/slo``, ``/slowlog``).
+- ``repro obs analytics`` -- render a service's ``/analytics`` payload.
 
 Every subcommand additionally accepts the observability flags
 ``--trace-out PATH`` (write the run's span tree as JSON lines),
@@ -550,62 +550,6 @@ def _parse_slo_args(specs) -> list:
     return slos
 
 
-def _cmd_obs_serve(args: argparse.Namespace) -> int:
-    """Run the HTTP exposition endpoint over a loaded pipeline."""
-    import time
-
-    from repro.obs.server import ExpositionServer
-
-    configure_telemetry(
-        enabled=True,
-        sample_rate=args.sample_rate,
-        slow_ms=args.slow_ms,
-        slos=_parse_slo_args(args.slo) or None,
-    )
-    pipeline = _load_pipeline(args.data, use_workspace=not args.no_workspace)
-    if args.warmup:
-        queries = _derive_queries(pipeline, args.warmup)
-        if queries:
-            # Exercise both request kinds so /metrics exposes the
-            # search.run.latency and search.batch.latency histograms from
-            # the first scrape; the second pass hits the result cache.
-            for query in queries:
-                pipeline.search(query)
-            pipeline.search_many(queries)
-            print(f"warmed up with {len(queries)} queries")
-
-    def health_info() -> dict:
-        view = pipeline.serving_view
-        return {
-            "view_revision": view.revision,
-            "view_age_s": round(view.age_seconds, 3),
-            "papers": len(pipeline.corpus),
-        }
-
-    server = ExpositionServer(
-        host=args.host,
-        port=args.port,
-        collectors=[lambda: pipeline.serving_view.export_gauges()],
-        health_info=health_info,
-    ).start()
-    print(
-        f"serving /metrics /health /slo /slowlog on "
-        f"http://{server.host}:{server.port} (ctrl-c to stop)"
-    )
-    try:
-        if args.for_seconds is not None:
-            time.sleep(args.for_seconds)
-        else:
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        reset_telemetry()
-    return 0
-
-
 def _split_function_args(specs) -> tuple:
     """Flatten repeatable, comma-separable score-function flags."""
     return tuple(
@@ -636,6 +580,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.warmup:
         queries = _derive_queries(pipeline, args.warmup)
         if queries:
+            # Exercise both request kinds so /metrics exposes the
+            # search.run.latency and search.batch.latency histograms from
+            # the first scrape; the second pass hits the result cache.
             for query in queries:
                 pipeline.search(query)
             pipeline.search_many(queries)
@@ -1097,39 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: %(default)s)",
     )
     obs_analytics.set_defaults(func=_cmd_obs_analytics)
-
-    obs_serve = obs_sub.add_parser(
-        "serve",
-        help="HTTP exposition endpoint: /metrics /health /slo /slowlog",
-        parents=[data_common],
-    )
-    obs_serve.add_argument("--data", default="data")
-    obs_serve.add_argument("--host", default="127.0.0.1")
-    obs_serve.add_argument(
-        "--port", type=int, default=9188, help="0 binds an ephemeral port"
-    )
-    obs_serve.add_argument(
-        "--sample-rate", type=float, default=0.05, metavar="FRACTION",
-        help="head-sampling rate for query telemetry (default: %(default)s)",
-    )
-    obs_serve.add_argument(
-        "--slow-ms", type=float, default=100.0, metavar="MS",
-        help="slow-query threshold (default: %(default)s)",
-    )
-    obs_serve.add_argument(
-        "--slo", action="append", metavar="SPEC",
-        help="declare an SLO, e.g. 'search-p95:latency:250ms:95%%:300s' "
-        "(repeatable; default objectives otherwise)",
-    )
-    obs_serve.add_argument(
-        "--warmup", type=int, default=0, metavar="N",
-        help="run N derived queries through the pipeline before serving",
-    )
-    obs_serve.add_argument(
-        "--for-seconds", type=float, default=None, metavar="S",
-        help="serve for S seconds then exit (default: run until ctrl-c)",
-    )
-    obs_serve.set_defaults(func=_cmd_obs_serve)
 
     return parser
 

@@ -18,14 +18,12 @@ search with a high threshold", section 2).
 from repro.index.backend import SearchBackend
 from repro.index.inverted import InvertedIndex, Posting, build_index
 from repro.index.packed import PackedIndex, open_index, save_index
-from repro.index.positional import PositionalIndex
 from repro.index.search import KeywordHit, KeywordSearchEngine, QueryEvaluation
 from repro.index.snippets import Snippet, best_snippet
 
 __all__ = [
     "InvertedIndex",
     "PackedIndex",
-    "PositionalIndex",
     "Posting",
     "SearchBackend",
     "build_index",

@@ -24,12 +24,6 @@ Contracts that keep rankings byte-identical across the two forms:
   change to the index's contents bumps it; derived caches (per-term
   contribution caches, BM25 length tables) key on it.  The read-only
   form reports the revision frozen into its file.
-
-Positional data (term positions, phrase queries) is an *optional
-capability*: indexes without it simply do not grow the
-``positions``/``phrase_frequency``/``papers_containing_phrase`` methods,
-and the search engine degrades phrase handling accordingly (it already
-feature-detects via ``getattr``).
 """
 
 from __future__ import annotations
@@ -55,7 +49,7 @@ class SearchBackend(abc.ABC):
     analyzer: "Analyzer"
 
     #: Document-level mutation is an *optional capability*.  Indexes that
-    #: set this True grow ``add_document(paper)`` / ``remove_document
+    #: set this True grow ``index_paper(paper)`` / ``remove_paper
     #: (paper_id)`` which update postings in place while preserving the
     #: postings-order contract and bumping :attr:`revision`.  Indexes
     #: that leave it False (the mmap-backed packed index) are rebuilt

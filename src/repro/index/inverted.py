@@ -37,7 +37,7 @@ class InvertedIndex(SearchBackend):
     :func:`repro.index.packed.save_index`.
     """
 
-    #: Mutates in place (see :meth:`add_document`/:meth:`remove_document`).
+    #: Mutates in place (see :meth:`index_paper`/:meth:`remove_paper`).
     supports_mutation = True
 
     def __init__(self, analyzer: Optional[Analyzer] = None) -> None:
@@ -94,6 +94,9 @@ class InvertedIndex(SearchBackend):
     def remove_paper(self, paper_id: str) -> None:
         """Remove one paper from the index (ValueError if not indexed).
 
+        Surviving postings keep their relative order, so the index is
+        byte-equivalent to one that never contained the paper.
+
         Cost is proportional to the paper's vocabulary times those terms'
         posting-list lengths -- fine for incremental maintenance of a
         living corpus; rebuild from scratch for bulk deletions.
@@ -120,25 +123,6 @@ class InvertedIndex(SearchBackend):
         self._n_papers -= 1
         self._revision += 1
         self._invalidate_views()
-
-    def add_document(self, paper: Paper) -> None:
-        """Mutation-capability alias of :meth:`index_paper`.
-
-        The :class:`~repro.index.backend.SearchBackend` mutation
-        contract (``supports_mutation``) names the operations
-        ``add_document``/``remove_document``; new postings land at the end
-        of each term's list, preserving the postings-order contract, and
-        the mutation revision is bumped.
-        """
-        self.index_paper(paper)
-
-    def remove_document(self, paper_id: str) -> None:
-        """Mutation-capability alias of :meth:`remove_paper`.
-
-        Surviving postings keep their relative order, so the index is
-        byte-equivalent to one that never contained the paper.
-        """
-        self.remove_paper(paper_id)
 
     # -- access --------------------------------------------------------------------
 

@@ -12,9 +12,6 @@ paper:
   introduction criticises: every paper containing all query terms, listed
   in descending year/id order with *no* relevance score.
 
-Quoted segments (``'"gene expression" yeast'``) are exact-phrase filters
-when the engine runs over a :class:`~repro.index.positional.PositionalIndex`.
-
 The serving fast path is :meth:`KeywordSearchEngine.evaluate`: one
 postings scan produces a :class:`QueryEvaluation` holding every paper's
 normalised match score, which ranked retrieval, per-paper match scoring,
@@ -26,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -37,8 +33,6 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section
 from repro.index.backend import SearchBackend
 from repro.obs import get_registry
-
-_PHRASE_RE = re.compile(r'"([^"]*)"')
 
 #: Default per-section match weights: a title hit is worth more than a body
 #: hit, mirroring standard digital-library ranking practice.
@@ -94,16 +88,13 @@ class QueryEvaluation:
     request never rescans the index.
 
     ``scores`` are normalised to [0, 1] by the query's maximum achievable
-    self-score and already respect any quoted-phrase filter.
+    self-score.
     """
 
     query: str
     #: Distinct analysed scoring terms, in query order.
     terms: Tuple[str, ...]
-    #: Analysed quoted phrases (each a term tuple); applied as filters.
-    phrases: Tuple[Tuple[str, ...], ...]
-    #: Normalised match score per paper (papers cut by a phrase filter
-    #: or scoring 0 are absent).
+    #: Normalised match score per paper (papers scoring 0 are absent).
     scores: Mapping[str, float]
     #: Distinct query terms matched per paper (same key set as scores).
     matched_terms: Mapping[str, int]
@@ -212,7 +203,7 @@ class KeywordSearchEngine:
         question about the query -- ranked hits, per-paper match scores,
         probe selection -- without touching the index again.
         """
-        distinct_terms, phrases = self._parse_query(query)
+        distinct_terms = list(dict.fromkeys(self.index.analyzer.analyze(query)))
         lengths = averages = None
         if self.scoring == "bm25" and distinct_terms:
             # Fetch the section-length state once per query, not once per
@@ -238,13 +229,10 @@ class KeywordSearchEngine:
             registry.counter("index.keyword.queries").inc()
             registry.counter("index.keyword.postings_scanned").inc(postings_scanned)
 
-        allowed = self._phrase_filter(phrases)
         max_score = self._max_possible_score(distinct_terms)
         normalised: Dict[str, float] = {}
         matched: Dict[str, int] = {}
         for paper_id, raw in scores.items():
-            if allowed is not None and paper_id not in allowed:
-                continue
             value = min(raw / max_score, 1.0) if max_score > 0 else 0.0
             if value <= 0.0:
                 continue
@@ -253,7 +241,6 @@ class KeywordSearchEngine:
         return QueryEvaluation(
             query=query,
             terms=tuple(distinct_terms),
-            phrases=tuple(tuple(p) for p in phrases),
             scores=normalised,
             matched_terms=matched,
             max_score=max_score,
@@ -289,40 +276,6 @@ class KeywordSearchEngine:
         return evaluation.hits(
             limit=limit, threshold=threshold, require_all_terms=require_all_terms
         )
-
-    def _parse_query(self, query: str) -> Tuple[List[str], List[List[str]]]:
-        """Split a query into distinct scoring terms + quoted phrase filters."""
-        phrases = []
-        for raw_phrase in _PHRASE_RE.findall(query):
-            terms = self.index.analyzer.analyze(raw_phrase)
-            if terms:
-                phrases.append(terms)
-        unquoted = _PHRASE_RE.sub(" ", query)
-        terms = self.index.analyzer.analyze(unquoted)
-        for phrase in phrases:
-            terms.extend(phrase)  # phrase words still contribute to scoring
-        return list(dict.fromkeys(terms)), phrases
-
-    def _phrase_filter(self, phrases: Sequence[Sequence[str]]) -> Optional[set]:
-        """Papers containing every quoted phrase (None = no phrase filter)."""
-        if not phrases:
-            return None
-        papers_containing_phrase = getattr(
-            self.index, "papers_containing_phrase", None
-        )
-        if papers_containing_phrase is None:
-            raise TypeError(
-                "quoted-phrase queries need a PositionalIndex "
-                "(repro.index.positional); this engine's index has no "
-                "positional data"
-            )
-        allowed: Optional[set] = None
-        for phrase in phrases:
-            containing = set(papers_containing_phrase(list(phrase)))
-            allowed = containing if allowed is None else allowed & containing
-            if not allowed:
-                break
-        return allowed if allowed is not None else set()
 
     # -- scoring components ----------------------------------------------------------
 
@@ -424,7 +377,7 @@ class KeywordSearchEngine:
         This is the ``text_matching_score(p, q)`` component of the
         relevancy formula in section 3.  Identical by construction to the
         score :meth:`search` would give the paper (both read the same
-        :class:`QueryEvaluation`), including quoted-phrase filters.
+        :class:`QueryEvaluation`).
         """
         return self.evaluate(query).score(paper_id)
 

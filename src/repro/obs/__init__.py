@@ -15,9 +15,8 @@ The cross-cutting layer every stage of the pipeline records into:
   full span trees (``repro obs slowlog``);
 - :mod:`repro.obs.slo` -- SLO declarations, rolling-window evaluation,
   error budgets (``repro obs slo``);
-- :mod:`repro.obs.prom` -- Prometheus text exposition rendering;
-- :mod:`repro.obs.server` -- stdlib HTTP endpoint publishing
-  ``/metrics``, ``/health``, ``/slo`` (``repro obs serve``).
+- :mod:`repro.obs.prom` -- Prometheus text exposition rendering
+  (``GET /metrics`` on ``repro serve``).
 
 Stdlib only, no hard dependencies; disabled-by-default tracing keeps the
 instrumented hot paths at their uninstrumented speed.  Metric and span

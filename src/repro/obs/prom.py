@@ -2,9 +2,9 @@
 
 Pure rendering: :func:`render_prometheus` turns the plain-dict snapshot
 from :meth:`repro.obs.metrics.MetricsRegistry.snapshot` into the text
-format a Prometheus scraper ingests, so the HTTP endpoint
-(:mod:`repro.obs.server`), the CLI, and the tests all share one code
-path.
+format a Prometheus scraper ingests, so the ``/metrics`` route of
+:class:`repro.serving.service.SearchService` and the tests share one
+code path.
 
 Mapping choices, documented in ``docs/observability.md``:
 

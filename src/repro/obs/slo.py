@@ -110,7 +110,7 @@ class SLO:
         return f"{self.name}:{self.kind}:{target}:{window}"
 
 
-#: The objectives ``repro obs serve`` tracks when none are declared.
+#: The objectives telemetry tracks when none are declared.
 DEFAULT_SLOS = (
     SLO("search-latency-p95", "latency", target=0.95, threshold_s=0.5),
     SLO("search-errors", "error_rate", target=0.999),

@@ -1,10 +1,8 @@
 """The HTTP search service: ranking-as-a-service over a ServingView.
 
-:class:`SearchService` mounts the query endpoints on the same listener
-as the observability routes it inherits from
-:class:`~repro.obs.server.ExpositionServer` (``/metrics``, ``/health``,
-``/slo``, ``/slowlog``), so one ``repro serve`` process is scrapeable
-and searchable at once:
+:class:`SearchService` is the one HTTP server: the query endpoints and
+the observability routes share one listener, so one ``repro serve``
+process is scrapeable and searchable at once:
 
 - ``GET /search``          -- merged context-based rankings
   (``q``, ``score_function``, ``paper_set``, ``top_k``, ``threshold``,
@@ -14,6 +12,15 @@ and searchable at once:
   ``max_contexts``, ``threshold``);
 - ``GET /explain``         -- relevancy decomposition for one
   (``q``, ``paper_id``) pair;
+- ``GET /metrics``         -- Prometheus text exposition of the
+  process-wide registry (:mod:`repro.obs.prom`);
+- ``GET /health``          -- JSON liveness: status, uptime, serving-view
+  revision/age, corpus size, in-flight count;
+- ``GET /slo``             -- declared objectives evaluated over the
+  rolling window (:mod:`repro.obs.slo`), with error budgets;
+- ``GET /slowlog``         -- the slow-query log (slowest first);
+- ``GET /ready``, ``GET /analytics`` -- readiness probe and windowed
+  query analytics;
 - ``POST /admin/reload``   -- zero-downtime serving-view swap via
   :meth:`~repro.pipeline.Pipeline.refresh`; searches racing the swap
   keep serving from the snapshot they grabbed;
@@ -26,6 +33,12 @@ Every search endpoint answers through the *pipeline* (result cache,
 request telemetry, SLO events included), so an HTTP ranking is
 byte-identical to the same :meth:`Pipeline.search` call in process --
 the property ``tests/test_serving_service.py`` pins.
+
+Built on :class:`http.server.ThreadingHTTPServer` so a slow scraper
+cannot block a health probe.  The scrape-time gauges (view age, cache
+hit rate, query volumes) are exported at the top of every ``/metrics``
+and ``/health`` request, so they stay current without a background
+refresher thread.
 
 **Admission control.**  ``ThreadingHTTPServer`` spawns one thread per
 connection; unbounded, a traffic spike turns into unbounded threads all
@@ -49,8 +62,11 @@ import json
 import math
 import threading
 import time
+import urllib.parse
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import scoring
 from repro.core.search import (
@@ -59,20 +75,45 @@ from repro.core.search import (
     SearchHit,
     SELECTION_STRATEGIES,
 )
-from repro.obs import get_registry, get_telemetry
+from repro.obs import get_logger, get_registry, get_telemetry, render_prometheus
 from repro.obs.quality import DriftExceeded
-from repro.obs.server import ExpositionServer, Response, json_response
 from repro.serving.analytics import ShadowScorer, export_query_gauges, summarize_queries
 
 __all__ = [
     "AdmissionController",
     "AdmissionRejected",
     "BadRequest",
+    "Response",
     "SearchService",
     "explanation_to_dict",
     "group_to_dict",
     "hit_to_dict",
+    "json_response",
 ]
+
+_log = get_logger("serving.service")
+
+
+@dataclass(frozen=True)
+class Response:
+    """One HTTP response as the dispatch layer produces it."""
+
+    status: int
+    content_type: str
+    body: str
+    headers: Dict[str, str] = field(default_factory=dict)
+
+
+def json_response(
+    payload: Dict[str, Any], status: int = 200, **headers: str
+) -> Response:
+    """A sorted-key JSON response (the service's canonical encoding)."""
+    return Response(
+        status=status,
+        content_type="application/json",
+        body=json.dumps(payload, sort_keys=True) + "\n",
+        headers={key.replace("_", "-"): value for key, value in headers.items()},
+    )
 
 
 class AdmissionRejected(Exception):
@@ -267,25 +308,75 @@ def _float(
     return value
 
 
-class SearchService(ExpositionServer):
-    """HTTP search endpoints + admission control over one Pipeline.
+class _Handler(BaseHTTPRequestHandler):
+    server_version = "repro-obs/1"
 
-    The observability routes of the base class stay mounted (and stay
-    *outside* admission control, so health probes and scrapes answer
-    even under shed-everything load).  Unless overridden, the gauge
-    collector exports the current serving view at every scrape and
-    ``/health`` reports the view revision/age and corpus size.
+    def _handle(self, method: str) -> None:
+        service = self.server.service  # type: ignore[attr-defined]
+        parsed = urllib.parse.urlsplit(self.path)
+        path = parsed.path.rstrip("/") or "/"
+        params = urllib.parse.parse_qs(parsed.query)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            body = self.rfile.read(length).decode("utf-8") if length > 0 else None
+            response = service.dispatch(method, path, params, body)
+            if response is None:
+                response = json_response(
+                    {"error": f"no route {method} {path!r}"}, status=404
+                )
+        except Exception as error:  # surface handler bugs to the client
+            response = json_response(
+                {"error": f"{type(error).__name__}: {error}"}, status=500
+            )
+        self._respond(response)
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        self._handle("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        self._handle("POST")
+
+    def _respond(self, response: Response) -> None:
+        payload = response.body.encode("utf-8")
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        for name, value in response.headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format: str, *args: Any) -> None:
+        _log.debug("http.request", detail=format % args)
+
+
+class SearchService:
+    """The HTTP server: search endpoints + admission control over one Pipeline.
+
+    The observability routes stay *outside* admission control, so health
+    probes and scrapes answer even under shed-everything load.
+
+    ``port=0`` binds an ephemeral port (tests); the socket is bound in
+    the constructor, so :attr:`port` reflects the *actual* bound port
+    from construction on -- never the ``0`` that was asked for.
+    ``allow_reuse_address`` is set before the bind, so a stop/start
+    cycle on the same port cannot intermittently fail with
+    ``EADDRINUSE`` while the old socket lingers in ``TIME_WAIT``.
     """
 
     #: (method, path) -> (endpoint label, admission-controlled?).
-    #: ``/ready`` and ``/analytics`` are observability routes: exempt
-    #: from admission like the inherited scrape endpoints.
+    #: The observability routes (``/ready`` through ``/slowlog``) are
+    #: exempt from admission.
     ROUTES: Dict[Tuple[str, str], Tuple[str, bool]] = {
         ("GET", "/search"): ("search", True),
         ("GET", "/search_grouped"): ("search_grouped", True),
         ("GET", "/explain"): ("explain", True),
         ("GET", "/ready"): ("ready", False),
         ("GET", "/analytics"): ("analytics", False),
+        ("GET", "/metrics"): ("metrics", False),
+        ("GET", "/health"): ("health", False),
+        ("GET", "/slo"): ("slo", False),
+        ("GET", "/slowlog"): ("slowlog", False),
         ("POST", "/admin/reload"): ("reload", False),
         ("POST", "/admin/ingest"): ("ingest", False),
     }
@@ -302,8 +393,6 @@ class SearchService(ExpositionServer):
         max_in_flight: int = 8,
         queue_depth: int = 16,
         retry_after_s: float = 1.0,
-        collectors: Optional[Sequence[Callable[[], Any]]] = None,
-        health_info: Optional[Callable[[], Dict[str, Any]]] = None,
         shadow_functions: Sequence[str] = (),
         shadow_sample_rate: float = 0.1,
         shadow_k: int = 10,
@@ -327,39 +416,73 @@ class SearchService(ExpositionServer):
             if shadow_functions else None
         )
         self.ready_max_age_s = ready_max_age_s
-        if collectors is None:
-            collectors = [
-                lambda: pipeline.serving_view.export_gauges(),
-                lambda: export_query_gauges(get_telemetry().events(), time.monotonic()),
-            ]
-        if health_info is None:
-            health_info = self._default_health_info
-        super().__init__(
-            host=host, port=port, collectors=collectors,
-            health_info=health_info,
+        self.started_at = time.monotonic()
+        # Bind in two steps so socket options are set *before* bind():
+        # with bind_and_activate=True the option would land too late to
+        # matter for the rebind race.
+        self._httpd = ThreadingHTTPServer(
+            (host, port), _Handler, bind_and_activate=False
         )
+        self._httpd.allow_reuse_address = True
+        self._httpd.daemon_threads = True
+        self._httpd.service = self  # type: ignore[attr-defined]
+        try:
+            self._httpd.server_bind()
+            self._httpd.server_activate()
+        except OSError:
+            self._httpd.server_close()
+            raise
+        self._thread: Optional[threading.Thread] = None
 
-    def _default_health_info(self) -> Dict[str, Any]:
-        view = self.pipeline.serving_view
-        return {
-            "view_revision": view.revision,
-            "view_age_s": round(view.age_seconds, 3),
-            "papers": len(self.pipeline.corpus),
-            "in_flight": self.admission.in_flight,
-        }
+    @property
+    def host(self) -> str:
+        return self._httpd.server_address[0]
+
+    @property
+    def port(self) -> int:
+        """The actually-bound port (resolved even when asked for 0)."""
+        return self._httpd.server_address[1]
 
     # -- lifecycle -------------------------------------------------------------------
 
     def start(self) -> "SearchService":
-        super().start()
+        """Serve in a daemon thread; returns self for chaining."""
+        if self._thread is not None:
+            raise RuntimeError("search service already started")
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            name="repro-http",
+            daemon=True,
+        )
+        self._thread.start()
+        _log.info("serving", host=self.host, port=self.port)
         if self.shadow is not None:
             self.shadow.start()
         return self
 
     def stop(self) -> None:
+        """Stop serving and release the port (safe before ``start`` too).
+
+        ``shutdown()`` blocks until ``serve_forever`` acknowledges, so it
+        must only run when the serve thread exists -- the socket is bound
+        at construction, and a constructed-but-never-started service
+        still needs ``stop()`` to release it.
+        """
         if self.shadow is not None:
             self.shadow.stop()
-        super().stop()
+        if self._thread is not None:
+            self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
+
+    def __enter__(self) -> "SearchService":
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.stop()
+        return False
 
     # -- routing ---------------------------------------------------------------------
 
@@ -370,9 +493,14 @@ class SearchService(ExpositionServer):
         params: Dict[str, List[str]],
         body: Optional[str] = None,
     ) -> Optional[Response]:
+        """Map one request to a :class:`Response`; None means 404.
+
+        ``body`` carries the decoded request body of a POST (None when
+        absent); only :attr:`BODY_ENDPOINTS` read it.
+        """
         route = self.ROUTES.get((method, path))
         if route is None:
-            return super().dispatch(method, path, params, body)
+            return None
         endpoint, admitted = route
         registry = get_registry()
         registry.counter("serving.http.requests").inc()
@@ -520,10 +648,66 @@ class SearchService(ExpositionServer):
         payload["paper_set"] = paper_set
         return json_response(payload)
 
+    def _collect(self) -> None:
+        """Export the scrape-time gauges; a failing collector is logged, not raised."""
+        collectors = (
+            ("view_gauges", lambda: self.pipeline.serving_view.export_gauges()),
+            (
+                "query_gauges",
+                lambda: export_query_gauges(
+                    get_telemetry().events(), time.monotonic()
+                ),
+            ),
+        )
+        for name, collect in collectors:
+            try:
+                collect()
+            except Exception as error:
+                _log.warning("collector.failed", collector=name, error=str(error))
+
+    def _health_info(self) -> Dict[str, Any]:
+        view = self.pipeline.serving_view
+        return {
+            "view_revision": view.revision,
+            "view_age_s": round(view.age_seconds, 3),
+            "papers": len(self.pipeline.corpus),
+            "in_flight": self.admission.in_flight,
+        }
+
+    def _handle_metrics(self, params: Dict[str, List[str]]) -> Response:
+        self._collect()
+        return Response(
+            status=200,
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+            body=render_prometheus(get_registry().snapshot()),
+        )
+
+    def _handle_health(self, params: Dict[str, List[str]]) -> Response:
+        """Liveness: answers 200 while the process runs, ``degraded`` on a
+        failed view lookup."""
+        self._collect()
+        info: Dict[str, Any] = {
+            "status": "ok",
+            "uptime_s": round(time.monotonic() - self.started_at, 3),
+        }
+        try:
+            info.update(self._health_info())
+        except Exception as error:
+            info["status"] = "degraded"
+            info["error"] = f"{type(error).__name__}: {error}"
+        return json_response(info)
+
+    def _handle_slo(self, params: Dict[str, List[str]]) -> Response:
+        statuses = [status.to_dict() for status in get_telemetry().slo_statuses()]
+        return json_response({"slo": statuses})
+
+    def _handle_slowlog(self, params: Dict[str, List[str]]) -> Response:
+        return json_response({"slowlog": get_telemetry().slowlog.to_dicts()})
+
     def _handle_ready(self, params: Dict[str, List[str]]) -> Response:
         """Readiness probe: can this process answer searches *right now*?
 
-        Distinct from the inherited ``/health`` liveness route (which
+        Distinct from the ``/health`` liveness route (which
         answers 200 while the process runs): readiness checks that a
         serving view is present and -- when ``ready_max_age_s`` is set
         -- young enough, and reports the substrate revision so a rollout

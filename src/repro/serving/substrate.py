@@ -418,9 +418,9 @@ class SubstrateStore:
                     with span("substrate.delta.index"):
                         if self._index.supports_mutation:
                             for paper in removed_papers:
-                                self._index.remove_document(paper.paper_id)
+                                self._index.remove_paper(paper.paper_id)
                             for paper in added:
-                                self._index.add_document(paper)
+                                self._index.index_paper(paper)
                         else:
                             self._index = build_index(self.corpus)
                             index_rebuilt = True

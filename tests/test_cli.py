@@ -509,17 +509,17 @@ class TestObsTelemetry:
         with pytest.raises(SystemExit, match="not found"):
             main(["obs", "slowlog", "--file", str(tmp_path / "absent.json")])
 
-    def test_obs_serve_smoke(self, data_dir, capsys):
+    def test_serve_warmup_smoke(self, data_dir, capsys):
         from repro.obs import get_registry
 
         code = main([
-            "obs", "serve", "--data", str(data_dir),
+            "serve", "--data", str(data_dir),
             "--port", "0", "--warmup", "3", "--for-seconds", "0",
         ])
         output = capsys.readouterr().out
         assert code == 0
         assert "warmed up with 3 queries" in output
-        assert "serving /metrics /health /slo /slowlog on http://" in output
+        assert "/metrics /health /slo /slowlog on http://" in output
         # Warmup exercised both request kinds, so a scrape would expose
         # both latency histograms (routes themselves are covered by
         # tests/test_obs_server.py).

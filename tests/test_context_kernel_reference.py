@@ -196,7 +196,7 @@ def build_engine(s):
         ontology, [Context(cid, members) for cid, members in s.contexts]
     )
     evaluation = QueryEvaluation(
-        query=" ".join(s.terms), terms=s.terms, phrases=(), scores=s.match,
+        query=" ".join(s.terms), terms=s.terms, scores=s.match,
         matched_terms=dict.fromkeys(s.match, 1), max_score=1.0,
         postings_scanned=0,
     )

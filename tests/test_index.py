@@ -117,15 +117,6 @@ class TestRemovePaper:
         assert index.n_papers == 3
         assert index.document_frequency("express") == 1
 
-    def test_positional_index_removal(self, corpus):
-        from repro.corpus.paper import Section
-        from repro.index.positional import PositionalIndex
-
-        index = PositionalIndex().index_corpus(corpus)
-        index.remove_paper("P1")
-        assert index.positions("P1", "gene", Section.TITLE) == []
-        assert index.papers_containing_phrase(["gene", "express"]) == []
-
     def test_search_consistent_after_removal(self, corpus):
         from repro.index.search import KeywordSearchEngine
 

@@ -84,6 +84,16 @@ class TestRankedSearch:
         assert hits == engine.search("gene")
 
 
+    def test_quoted_query_ranks_like_unquoted(self, engine):
+        # Quotes are punctuation to the tokenizer: no phrase syntax.
+        quoted = engine.evaluate('"gene expression" regulation')
+        assert quoted.terms == engine.evaluate("gene expression regulation").terms
+        assert engine.search('"gene expression" regulation') == engine.search(
+            "gene expression regulation"
+        )
+        assert engine.search('"gene') == engine.search("gene")
+
+
 class TestMatchScore:
     def test_match_score_bounds(self, engine):
         assert 0.0 <= engine.match_score("gene expression", "P1") <= 1.0
@@ -192,3 +202,53 @@ class TestBm25LengthCacheInvalidation:
         engine.search("protein")
         assert counters() == 2  # one increment per cached query, not per posting
         reset_registry()
+
+
+class TestBm25:
+    @pytest.fixture
+    def index(self, corpus):
+        return InvertedIndex().index_corpus(corpus)
+
+    @pytest.fixture
+    def bm25(self, index):
+        return KeywordSearchEngine(index, scoring="bm25")
+
+    def test_scores_in_unit_interval(self, bm25):
+        for hit in bm25.search("gene expression yeast"):
+            assert 0.0 <= hit.score <= 1.0
+
+    def test_relevance_ordering_sensible(self, bm25):
+        hits = bm25.search("gene expression")
+        ids = [h.paper_id for h in hits]
+        assert ids[0] in {"P1", "P2"}
+        assert "P3" not in ids
+
+    def test_match_score_agrees_with_search(self, bm25):
+        hits = {h.paper_id: h.score for h in bm25.search("gene expression")}
+        assert bm25.match_score("gene expression", "P1") == pytest.approx(
+            hits["P1"]
+        )
+
+    def test_differs_from_tfidf(self, index):
+        tfidf = KeywordSearchEngine(index).search("gene expression")
+        bm25 = KeywordSearchEngine(index, scoring="bm25").search("gene expression")
+        tfidf_scores = {h.paper_id: h.score for h in tfidf}
+        bm25_scores = {h.paper_id: h.score for h in bm25}
+        assert tfidf_scores != bm25_scores
+
+    def test_bm25_length_cache_invalidated_on_removal(self, index, bm25):
+        bm25.search("gene")  # populate the length cache
+        index.remove_paper("P2")
+        hits = bm25.search("gene")
+        assert all(h.paper_id != "P2" for h in hits)
+        # Lengths were recomputed for the shrunken index.
+        lengths, _, _ = bm25._lengths_state()
+        assert all(pid != "P2" for pid, _section in lengths)
+
+    def test_validation(self, index):
+        with pytest.raises(ValueError, match="scoring"):
+            KeywordSearchEngine(index, scoring="lucene")
+        with pytest.raises(ValueError, match="k1"):
+            KeywordSearchEngine(index, scoring="bm25", k1=0.0)
+        with pytest.raises(ValueError, match="k1"):
+            KeywordSearchEngine(index, scoring="bm25", b=1.5)

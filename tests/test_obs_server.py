@@ -1,9 +1,9 @@
-"""Exposition endpoint: Prometheus text rendering and the HTTP routes.
+"""Exposition routes: Prometheus text rendering and the scrape endpoints.
 
 Unit coverage of :mod:`repro.obs.prom` (name flattening, the text
-format) plus a live :class:`~repro.obs.server.ExpositionServer` bound to
-an ephemeral port and scraped with urllib -- no third-party client, the
-same way Prometheus itself would hit it.
+format) plus a live :class:`~repro.serving.service.SearchService` bound
+to an ephemeral port and scraped with urllib -- no third-party client,
+the same way Prometheus itself would hit it.
 """
 
 import json
@@ -13,7 +13,10 @@ import urllib.request
 import pytest
 
 from repro.obs import configure_telemetry, get_registry, prom_name, render_prometheus
-from repro.obs.server import ExpositionServer
+from repro.pipeline import build_demo_pipeline
+from repro.serving import service as service_module
+from repro.serving.service import SearchService
+from repro.serving.view import ServingView
 
 
 class TestPromName:
@@ -118,9 +121,14 @@ def _get(server, path):
         return response.status, response.headers, response.read().decode()
 
 
+@pytest.fixture(scope="module")
+def pipeline():
+    return build_demo_pipeline(seed=7, n_papers=120, n_terms=30)
+
+
 @pytest.fixture
-def server():
-    with ExpositionServer(port=0) as live:
+def server(pipeline):
+    with SearchService(pipeline, port=0) as live:
         yield live
 
 
@@ -171,69 +179,73 @@ class TestRoutes:
 
 
 class TestCollectorsAndHealthInfo:
-    def test_collectors_run_on_every_scrape(self):
+    def test_collectors_run_on_every_scrape(self, server, monkeypatch):
         calls = []
+        export = service_module.export_query_gauges
 
-        def collector():
+        def collector(events, now):
             calls.append(True)
-            get_registry().gauge("serving.view.age_seconds").set(1.0)
+            get_registry().gauge("test.collector.calls").set(len(calls))
+            return export(events, now)
 
-        with ExpositionServer(port=0, collectors=[collector]) as server:
-            _, _, body = _get(server, "/metrics")
-            _get(server, "/health")
+        monkeypatch.setattr(service_module, "export_query_gauges", collector)
+        _, _, body = _get(server, "/metrics")
+        _get(server, "/health")
         assert len(calls) == 2
-        assert "serving_view_age_seconds 1" in body
+        assert "test_collector_calls 1" in body
+        assert "serving_view_revision" in body
 
-    def test_failing_collector_does_not_break_scrapes(self):
-        def bad():
+    def test_failing_collector_does_not_break_scrapes(self, server, monkeypatch):
+        def bad(view):
             raise RuntimeError("collector exploded")
 
-        with ExpositionServer(port=0, collectors=[bad]) as server:
-            status, _, _ = _get(server, "/metrics")
+        monkeypatch.setattr(ServingView, "export_gauges", bad)
+        status, _, body = _get(server, "/metrics")
         assert status == 200
+        # The other collector still ran.
+        assert "search_analytics" in body
 
-    def test_health_info_merged_and_degraded_on_failure(self):
-        with ExpositionServer(
-            port=0, health_info=lambda: {"papers": 42}
-        ) as server:
-            payload = json.loads(_get(server, "/health")[2])
-        assert payload["papers"] == 42 and payload["status"] == "ok"
+    def test_health_info_merged_and_degraded_on_failure(
+        self, pipeline, server, monkeypatch
+    ):
+        payload = json.loads(_get(server, "/health")[2])
+        assert payload["papers"] == len(pipeline.corpus)
+        assert payload["status"] == "ok"
 
-        def broken():
+        def broken(service):
             raise KeyError("view gone")
 
-        with ExpositionServer(port=0, health_info=broken) as server:
-            payload = json.loads(_get(server, "/health")[2])
+        monkeypatch.setattr(SearchService, "_health_info", broken)
+        payload = json.loads(_get(server, "/health")[2])
         assert payload["status"] == "degraded"
         assert "KeyError" in payload["error"]
 
 
 class TestLifecycle:
-    def test_ephemeral_port_bound_and_stop_releases(self):
-        server = ExpositionServer(port=0).start()
+    def test_ephemeral_port_bound_and_stop_releases(self, pipeline):
+        server = SearchService(pipeline, port=0).start()
         port = server.port
         assert port != 0
         server.stop()
         # The port is released: a fresh server can bind it immediately.
-        rebound = ExpositionServer(port=port).start()
+        rebound = SearchService(pipeline, port=port).start()
         assert rebound.port == port
         rebound.stop()
 
-    def test_double_start_rejected(self):
-        with ExpositionServer(port=0) as server:
-            with pytest.raises(RuntimeError, match="already started"):
-                server.start()
+    def test_double_start_rejected(self, server):
+        with pytest.raises(RuntimeError, match="already started"):
+            server.start()
 
-    def test_stop_start_cycles_on_a_fixed_port_never_eaddrinuse(self):
+    def test_stop_start_cycles_on_a_fixed_port_never_eaddrinuse(self, pipeline):
         """Repeated restarts on one port must not trip over the previous
         listener's TIME_WAIT socket -- allow_reuse_address is applied
         before bind (regression: a restart used to be able to fail with
         EADDRINUSE depending on close timing)."""
-        first = ExpositionServer(port=0).start()
+        first = SearchService(pipeline, port=0).start()
         port = first.port
         first.stop()
         for _ in range(5):
-            server = ExpositionServer(port=port).start()
+            server = SearchService(pipeline, port=port).start()
             try:
                 status, _, _ = _get(server, "/health")
                 assert status == 200
@@ -241,22 +253,21 @@ class TestLifecycle:
             finally:
                 server.stop()
 
-    def test_port_zero_resolved_before_start(self):
+    def test_port_zero_resolved_before_start(self, pipeline):
         """The bound port is readable from construction on -- callers
         (CLI banner, tests) never see the literal 0 they asked for."""
-        server = ExpositionServer(port=0)
+        server = SearchService(pipeline, port=0)
         try:
             assert server.port != 0
             assert server.host == "127.0.0.1"
         finally:
             server.stop()
 
-    def test_bind_failure_raises_and_releases(self):
-        with ExpositionServer(port=0) as server:
-            # The same (host, port) with SO_REUSEADDR still refuses a
-            # second *live* listener; construction must raise OSError
-            # (not hang or half-bind) and close its socket.
-            with pytest.raises(OSError):
-                ExpositionServer(port=server.port)
-            status, _, _ = _get(server, "/health")
-            assert status == 200  # the original listener is unharmed
+    def test_bind_failure_raises_and_releases(self, pipeline, server):
+        # The same (host, port) with SO_REUSEADDR still refuses a
+        # second *live* listener; construction must raise OSError
+        # (not hang or half-bind) and close its socket.
+        with pytest.raises(OSError):
+            SearchService(pipeline, port=server.port)
+        status, _, _ = _get(server, "/health")
+        assert status == 200  # the original listener is unharmed

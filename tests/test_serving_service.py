@@ -263,6 +263,8 @@ class TestAdmission:
                 health_status, _, health_body = _request(service, "/health")
                 assert health_status == 200
                 assert json.loads(health_body)["in_flight"] == 1
+                for path in ("/metrics", "/slo", "/slowlog"):
+                    assert _request(service, path)[0] == 200
                 shed = get_registry().counter("serving.http.shed").value
                 assert shed == 1
                 release.set()
@@ -550,9 +552,10 @@ class TestMetricsExposition:
         _request(service, "/search", q=QUERIES[0])
         _request(service, "/search_grouped", q=QUERIES[0])
         _request(service, "/explain", q=QUERIES[0])  # 400: missing paper_id
+        _request(service, "/metrics")  # scrapes count too
         registry = get_registry()
-        assert registry.counter("serving.http.requests").value == 3
-        for endpoint in ("search", "search_grouped", "explain"):
+        assert registry.counter("serving.http.requests").value == 4
+        for endpoint in ("search", "search_grouped", "explain", "metrics"):
             assert (
                 registry.histogram(f"serving.http.{endpoint}.latency").count
                 == 1

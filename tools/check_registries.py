@@ -14,7 +14,7 @@ prestige score functions.  This lint (modeled on
 3. ``src/``: no literal function-name dispatch ladder
    (``function == "citation"``) or hand-rolled choices tuple of function
    names outside ``src/repro/scoring/``, and no concrete index class
-   (``InvertedIndex``, ``PositionalIndex``, ``PackedIndex``) outside
+   (``InvertedIndex``, ``PackedIndex``) outside
    ``src/repro/index/`` -- talk to the ``SearchBackend`` protocol.
 
 The "Registered score functions" table of ``docs/architecture.md`` is
@@ -115,7 +115,7 @@ LITERAL_RUN_RE = re.compile(
     r"[\"']([a-z][a-z0-9_]*)[\"'](?:\s*,\s*[\"']([a-z][a-z0-9_]*)[\"'])+"
 )
 #: Concrete index classes that must stay inside src/repro/index/.
-CONCRETE_RE = re.compile(r"\b(InvertedIndex|PositionalIndex|PackedIndex)\b")
+CONCRETE_RE = re.compile(r"\b(InvertedIndex|PackedIndex)\b")
 COMMENT_RE = re.compile(r"#.*$")
 
 

@@ -8,21 +8,23 @@ once over real HTTP:
 1. ``GET /health``        -- must answer ``{"status": "ok", ...}``;
 2. ``GET /ready``         -- readiness probe must report the view;
 3. ``GET /metrics``       -- must expose the serving gauges;
-4. ``GET /search``        -- body hits must match the same
+4. ``GET /slo``, ``GET /slowlog`` -- must answer 200 JSON;
+5. ``GET /search``        -- body hits must match the same
    ``Pipeline.search`` call serialized with the same helpers
-   (the byte-identical acceptance property, end to end);
-5. ``GET /search`` (bad)  -- an unknown score function must be a 400;
-6. ``GET /analytics``     -- must report the live zero-result rate and
+   (the byte-identical acceptance property, end to end), and the
+   quoted query must answer the same hits;
+6. ``GET /search`` (bad)  -- an unknown score function must be a 400;
+7. ``GET /analytics``     -- must report the live zero-result rate and
    shadow rank agreement for the non-primary ``citation`` function
    (the service runs with ``shadow_functions=["citation"]`` at a 100%
    sample rate so the scrape is deterministic), count exactly the
    requests in the telemetry event window, and not be truncated;
-7. ``POST /admin/reload`` -- must swap the serving view (revision
+8. ``POST /admin/reload`` -- must swap the serving view (revision
    bumps); with drift probes armed, an identical-substrate reload must
    report zero drift, an injected ranking regression must be refused
    with a 409 (the old view keeps serving), and ``?force=1`` must push
    the swap through;
-8. stop, then restart on the same port -- the rebind path must not
+9. stop, then restart on the same port -- the rebind path must not
    raise ``EADDRINUSE``.
 
 Seconds, not minutes: this is the "does the service even serve" check
@@ -119,6 +121,14 @@ def main() -> int:
             "/metrics scrapes the serving-view gauges",
         )
 
+        for path, key in (("/slo", "slo"), ("/slowlog", "slowlog")):
+            status, body = _fetch(base_url, path)
+            _check(
+                status == 200 and isinstance(body, dict)
+                and isinstance(body.get(key), list),
+                f"{path} answers 200 JSON",
+            )
+
         status, body = _fetch(
             base_url, "/search", q=QUERY, top_k=5, score_function="text"
         )
@@ -129,6 +139,14 @@ def main() -> int:
         _check(
             status == 200 and body["hits"] == expected,
             f"/search matches Pipeline.search ({len(expected)} hits)",
+        )
+
+        status, body = _fetch(
+            base_url, "/search", q=f'"{QUERY}"', top_k=5, score_function="text"
+        )
+        _check(
+            status == 200 and body["hits"] == expected,
+            "quoted /search answers the unquoted query's hits",
         )
 
         status, body = _fetch(
