@@ -54,11 +54,12 @@ def test_ablation_pattern_matching(benchmark, pipeline, dataset, results_dir):
         )
         timings = {}
         separability = {}
-        for label, middle_only, sets in (
-            ("simplified", True, simple_sets),
-            ("full", False, full_sets),
+        simple_builder = pipeline.pattern_assigner.pattern_builder
+        for label, middle_only, sets, builder in (
+            ("simplified", True, simple_sets, simple_builder),
+            ("full", False, full_sets, full_builder),
         ):
-            scorer = PatternPrestige(sets, pipeline.tokens, middle_only=middle_only)
+            scorer = PatternPrestige(sets, builder, middle_only=middle_only)
             started = time.perf_counter()
             scores = scorer.score_all(sampled_view)
             timings[label] = time.perf_counter() - started

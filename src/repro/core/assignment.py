@@ -24,7 +24,7 @@ from repro.core.context import Context, ContextPaperSet
 from repro.core.cosine import cosine_pairs
 from repro.core.patterns import (
     AnalyzedPaperCache,
-    Extractions,
+    PatternMemo,
     PatternSet,
     PatternSetBuilder,
     find_occurrences,
@@ -166,9 +166,9 @@ class TextContextAssigner:
 class PatternContextAssigner:
     """Builds the (simplified) pattern-based context paper set.
 
-    ``extractions`` is the extraction cache handed to the default
-    :class:`PatternSetBuilder` (see its ``extractions`` parameter); a
-    caller passing its own ``pattern_builder`` gives it the cache there.
+    ``memo`` is the :class:`PatternMemo` handed to the default
+    :class:`PatternSetBuilder` (see its ``memo`` parameter); a caller
+    passing its own ``pattern_builder`` gives it the memo there.
     """
 
     def __init__(
@@ -179,14 +179,14 @@ class PatternContextAssigner:
         token_cache: Optional[AnalyzedPaperCache] = None,
         pattern_builder: Optional[PatternSetBuilder] = None,
         max_middle_coverage: float = 0.08,
-        extractions: Optional[Extractions] = None,
+        memo: Optional[PatternMemo] = None,
     ) -> None:
         if not max_middle_coverage >= 0:  # also rejects NaN
             raise ValueError(
                 f"max_middle_coverage must be >= 0, got {max_middle_coverage}"
             )
-        if pattern_builder is not None and extractions is not None:
-            raise ValueError("pass extractions to the pattern_builder instead")
+        if pattern_builder is not None and memo is not None:
+            raise ValueError("pass the memo to the pattern_builder instead")
         #: Middles occurring in more than this fraction of the corpus are
         #: too unselective to define context membership ("process" alone
         #: must not pull every paper into a context).  Their patterns still
@@ -211,7 +211,7 @@ class PatternContextAssigner:
                 index,
                 token_cache=self.tokens,
                 build_extended=False,
-                extractions=extractions,
+                memo=memo,
             )
         )
         #: PatternSet per context, populated by build() (reused by the
@@ -301,17 +301,19 @@ class PatternContextAssigner:
 
         Candidates come from conjunctive index lookups per middle, then
         each candidate is verified against its analysed token stream, so
-        the result is exact phrase matching at index-lookup cost.
+        the result is exact phrase matching at index-lookup cost.  The
+        stream is all sections joined, so a middle may straddle two of
+        them here, although such an occurrence scores nothing.  A middle
+        is cut by its kept coverage count before any lookup.
         """
         matched: Set[str] = set()
         n_papers = max(self.index.n_papers, 1)
         max_candidates = self.max_middle_coverage * n_papers
+        builder = self.pattern_builder
         for middle in pattern_set.middles():
-            if not middle:
+            if not middle or builder.coverage_count(middle) > max_candidates:
                 continue
-            candidates = self.pattern_builder.papers_containing_all(middle)
-            if len(candidates) > max_candidates:
-                continue
+            candidates = builder.papers_containing_all(middle)
             for paper_id in candidates - matched:
                 if len(middle) == 1:
                     matched.add(paper_id)

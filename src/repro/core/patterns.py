@@ -43,6 +43,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.cosine import ordered_sums
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section, TEXT_SECTIONS
 from repro.index.backend import SearchBackend
@@ -87,14 +88,6 @@ class PatternSet:
     def middles(self) -> Set[Terms]:
         """Distinct middle tuples (the simplified-matching alphabet)."""
         return {p.middle for p in self.patterns}
-
-    def by_first_middle_word(self) -> Dict[str, List[Pattern]]:
-        """Index patterns by the first word of their middle, for scanning."""
-        result: Dict[str, List[Pattern]] = {}
-        for pattern in self.patterns:
-            if pattern.middle:
-                result.setdefault(pattern.middle[0], []).append(pattern)
-        return result
 
 
 class AnalyzedPaperCache:
@@ -298,6 +291,193 @@ class PatternExtraction:
 #: :class:`PatternSetBuilder` reads and fills.
 Extractions = Dict[str, Tuple[Tuple[str, ...], PatternExtraction]]
 
+#: One paper's analysed token sequences, one per section of ``TEXT_SECTIONS``.
+Sections = Sequence[Terms]
+
+
+def find_hits(
+    papers: Sequence[Tuple[int, Sections]], middles: Sequence[Terms]
+) -> Dict[Terms, "MiddleHits"]:
+    """Every occurrence of each of ``middles`` in ``papers``' sections.
+
+    ``papers`` pairs a paper key with its sections; ``middles`` are
+    distinct and non-empty.  One :func:`_scan` walks each section once
+    for all middles, so occurrences never straddle two sections and
+    nested or overlapping ones all count.  Middles that occur nowhere
+    get no entry.
+    """
+    sequences = [tokens for _, sections in papers for tokens in sections]
+    starts, hit_middles, hits_per_sequence = _scan(sequences, middles)
+    if not starts:
+        return {}
+    n_sections = len(TEXT_SECTIONS)
+    sequence = np.repeat(np.arange(len(sequences)), hits_per_sequence)
+    keys = np.array([key for key, _ in papers], dtype=np.int64)
+    middle = np.array(hit_middles, dtype=np.int64)
+    # A stable sort keeps each middle's rows in (paper, section, start) order.
+    order = np.argsort(middle, kind="stable")
+    paper = keys[sequence // n_sections][order]
+    section = (sequence % n_sections)[order]
+    position = np.array(starts, dtype=np.int64)[order]
+    bounds = np.searchsorted(middle[order], np.arange(len(middles) + 1))
+    return {
+        middles[i]: MiddleHits.from_arrays(
+            paper[lo:hi], section[lo:hi], position[lo:hi]
+        )
+        for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        if hi > lo
+    }
+
+
+@dataclass(frozen=True)
+class MiddleHits:
+    """Every occurrence of one middle in the corpus, as int columns.
+
+    Row ``i`` is an occurrence starting at token ``position[i]`` of
+    section ``TEXT_SECTIONS[section[i]]`` of the paper whose
+    :class:`PatternMemo` key is ``paper[i]``.  One paper's rows are
+    contiguous and in (section, position) order.
+    """
+
+    paper: np.ndarray
+    section: np.ndarray
+    position: np.ndarray
+
+    @classmethod
+    def from_arrays(
+        cls, paper: np.ndarray, section: np.ndarray, position: np.ndarray
+    ) -> "MiddleHits":
+        """The columns in their most compact dtypes."""
+        return cls(
+            paper.astype(_compact_dtype(int(paper.max(initial=0)))),
+            section.astype(np.uint8),
+            position.astype(_compact_dtype(int(position.max(initial=0)))),
+        )
+
+    def __len__(self) -> int:
+        return len(self.paper)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the column arrays."""
+        return self.paper.nbytes + self.section.nbytes + self.position.nbytes
+
+    def without(self, key: int) -> "MiddleHits":
+        """These hits less the rows of paper ``key``."""
+        keep = self.paper != key
+        return MiddleHits(self.paper[keep], self.section[keep], self.position[keep])
+
+    @classmethod
+    def concat(cls, pieces: Sequence["MiddleHits"]) -> "MiddleHits":
+        """The rows of ``pieces``, in order."""
+        if len(pieces) == 1:
+            return pieces[0]
+        return cls.from_arrays(
+            *(
+                np.concatenate([getattr(piece, name) for piece in pieces])
+                if pieces
+                else np.zeros(0, dtype=np.int64)
+                for name in ("paper", "section", "position")
+            )
+        )
+
+
+class PatternMemo:
+    """Pattern state kept across corpus deltas, read and filled by builds.
+
+    - ``extractions``: per context, the :class:`PatternExtraction` of
+      its training papers, valid while their ids and text are unchanged;
+    - ``coverage``: per middle, the number of corpus papers containing
+      all of its words (the ``PaperCoverage`` numerator);
+    - ``hits``: per middle, its :class:`MiddleHits` over the corpus.
+
+    The last two describe the whole corpus, so whoever changes it calls
+    :meth:`apply_delta` with the old text of every removed paper and the
+    new text of every added one (``SubstrateStore.apply_delta`` does).
+    """
+
+    def __init__(self) -> None:
+        self.extractions: Extractions = {}
+        self.coverage: Dict[Terms, int] = {}
+        self.hits: Dict[Terms, MiddleHits] = {}
+        #: Paper id per key (the key of a removed paper stays reserved).
+        self.paper_ids: List[str] = []
+        self._keys: Dict[str, int] = {}
+
+    def __bool__(self) -> bool:
+        return bool(self.extractions or self.coverage or self.hits)
+
+    def key_of(self, paper_id: str) -> Optional[int]:
+        return self._keys.get(paper_id)
+
+    def paper_key(self, paper_id: str) -> int:
+        """The int key ``hits`` columns use for ``paper_id``."""
+        key = self._keys.get(paper_id)
+        if key is None:
+            key = self._keys[paper_id] = len(self.paper_ids)
+            self.paper_ids.append(paper_id)
+        return key
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the extraction and hit columns."""
+        return sum(record.nbytes for _, record in self.extractions.values()) + sum(
+            hits.nbytes for hits in self.hits.values()
+        )
+
+    def apply_delta(
+        self, removed: Mapping[str, Sections], added: Mapping[str, Sections]
+    ) -> None:
+        """Patch the memo for papers leaving and joining the corpus.
+
+        ``removed`` maps each removed paper id to its old sections and
+        ``added`` each added id to its new ones; an id in both is a paper
+        replaced in place.  Extractions listing a touched id are dropped.
+        Coverage and hits are kept only for middles of the surviving
+        extractions; for each of those, a touched paper containing all of
+        the middle's words moves its count by one and has its hit rows
+        dropped (removed) or scanned (added), so both stay exact.
+        """
+        touched = set(removed) | set(added)
+        for term_id, (training, _) in list(self.extractions.items()):
+            if not touched.isdisjoint(training):
+                del self.extractions[term_id]
+        live = set(
+            chain.from_iterable(
+                record.middles for _, record in self.extractions.values()
+            )
+        )
+        self.coverage = {m: n for m, n in self.coverage.items() if m in live}
+        self.hits = {m: h for m, h in self.hits.items() if m in live}
+        by_first: Dict[str, List[Terms]] = {}
+        for middle in self.coverage.keys() | self.hits.keys():
+            by_first.setdefault(middle[0], []).append(middle)
+        patched = 0
+        for sign, papers in ((-1, removed), (1, added)):
+            for paper_id, sections in papers.items():
+                words = set(chain.from_iterable(sections))
+                held: List[Terms] = []
+                for word in words:
+                    for middle in by_first.get(word, ()):
+                        if not words.issuperset(middle):
+                            continue
+                        if middle in self.coverage:
+                            self.coverage[middle] += sign
+                            patched += 1
+                        if middle in self.hits:
+                            held.append(middle)
+                if sign > 0:
+                    found = find_hits([(self.paper_key(paper_id), sections)], held)
+                    for middle, rows in found.items():
+                        self.hits[middle] = MiddleHits.concat([self.hits[middle], rows])
+                elif paper_id in self._keys:
+                    key = self._keys[paper_id]
+                    for middle in held:
+                        self.hits[middle] = self.hits[middle].without(key)
+        registry = get_registry()
+        registry.counter("patterns.coverage.patched").inc(patched)
+        registry.gauge("patterns.memo.bytes").set(self.nbytes)
+
 
 class PatternSetBuilder:
     """Builds the scored :class:`PatternSet` of each context.
@@ -319,12 +499,13 @@ class PatternSetBuilder:
     build_extended:
         The simplified builder of section 4 sets this False ("extended
         patterns were not used").
-    extractions:
-        The extraction cache to read and fill (default: a private one).
-        :meth:`build` reuses a context's :class:`PatternExtraction` while
-        its training paper ids and this builder's extraction knobs are
-        unchanged; whoever changes a training paper's text must drop the
-        entries listing it (``SubstrateStore.apply_delta`` does).
+    memo:
+        The :class:`PatternMemo` to read and fill (default: a private
+        one).  :meth:`build` reuses a context's :class:`PatternExtraction`
+        while its training paper ids and this builder's extraction knobs
+        are unchanged; coverage counts and middle hits are reused while
+        the corpus is unchanged, so whoever changes it must patch the
+        memo (``SubstrateStore.apply_delta`` does).
 
     Raises ``ValueError`` for a negative ``window``,
     ``max_regular_patterns`` or ``max_joined_pairs`` and for a non-finite
@@ -345,7 +526,7 @@ class PatternSetBuilder:
         coverage_exponent: float = 0.35,
         frequency_coefficient: float = 1.0,
         build_extended: bool = True,
-        extractions: Optional[Extractions] = None,
+        memo: Optional[PatternMemo] = None,
     ) -> None:
         for name, count in (
             ("window", window),
@@ -376,13 +557,10 @@ class PatternSetBuilder:
         self.coverage_exponent = coverage_exponent
         self.frequency_coefficient = frequency_coefficient
         self.build_extended = build_extended
-        self.extractions: Extractions = extractions if extractions is not None else {}
+        self.memo = memo if memo is not None else PatternMemo()
         self._settings = (window, min_phrase_support, max_phrase_length)
         self._term_word_df: Optional[Dict[str, int]] = None
         self._word_paper_cache: Dict[str, frozenset] = {}
-        # Contexts share middles; like the word cache, this lives as long
-        # as the builder, which sees one corpus.
-        self._middle_paper_counts: Dict[Terms, int] = {}
         self._miner = FrequentPhraseMiner(
             min_support=min_phrase_support, max_length=max_phrase_length
         )
@@ -411,13 +589,14 @@ class PatternSetBuilder:
     def _extraction(
         self, term_id: str, training_paper_ids: Sequence[str]
     ) -> PatternExtraction:
-        """The context's :class:`PatternExtraction`, cached in ``extractions``.
+        """The context's :class:`PatternExtraction`, cached in the memo.
 
         A cached record is reused while it was extracted from the same
         training paper ids with this builder's extraction knobs.
         """
         training = tuple(training_paper_ids)
-        cached = self.extractions.get(term_id)
+        extractions = self.memo.extractions
+        cached = extractions.get(term_id)
         if (
             cached is not None
             and cached[0] == training
@@ -433,7 +612,7 @@ class PatternSetBuilder:
             training_tokens,
             self._significant_terms(context_words, training_tokens),
         )
-        self.extractions[term_id] = (training, extraction)
+        extractions[term_id] = (training, extraction)
         return extraction
 
     # -- significant terms -------------------------------------------------------
@@ -576,7 +755,8 @@ class PatternSetBuilder:
 
         Every term but the occurrence frequency depends on the middle
         alone, so it is computed once per distinct middle, the coverage
-        factor fresh from the index on every call.  The array expression
+        factor from the memo's count over the index's current paper
+        count.  The array expression
         keeps the formula's operation order, so every score is the float
         a per-key loop computes.  Rows are in key order, so sorting by
         ``(-score, row)`` orders them by ``(-score, key)``, and only the
@@ -644,17 +824,22 @@ class PatternSetBuilder:
     def _paper_coverage(self, middle: Terms) -> float:
         """Fraction of all corpus papers containing the middle tuple.
 
-        Computed conjunctively from the inverted index (papers containing
-        *all* middle words) -- an upper bound on exact phrase coverage
-        that is cheap and order-preserving for the (1/coverage)^t factor.
-        Floors at one paper so the factor stays finite.
+        Computed conjunctively (papers containing *all* middle words, see
+        :meth:`coverage_count`) -- an upper bound on exact phrase
+        coverage that is cheap and order-preserving for the
+        (1/coverage)^t factor.  Floors at one paper so the factor stays
+        finite.
         """
         n_papers = max(self.index.n_papers, 1)
-        count = self._middle_paper_counts.get(middle)
+        return max(self.coverage_count(middle), 1) / n_papers
+
+    def coverage_count(self, middle: Terms) -> int:
+        """Corpus papers containing every word of ``middle``, kept in the memo."""
+        count = self.memo.coverage.get(middle)
         if count is None:
             count = len(self.papers_containing_all(middle))
-            self._middle_paper_counts[middle] = count
-        return max(count, 1) / n_papers
+            self.memo.coverage[middle] = count
+        return count
 
     def papers_containing_all(self, words: Terms) -> frozenset:
         """Corpus papers containing every word of ``words`` (cached lookups)."""
@@ -674,6 +859,134 @@ class PatternSetBuilder:
             if not result:
                 break
         return frozenset(result)
+
+    # -- matching -------------------------------------------------------------------
+
+    def middle_hits(self, middles: Iterable[Terms]) -> Dict[Terms, MiddleHits]:
+        """Where each of ``middles`` occurs in the corpus, kept in the memo.
+
+        Middles new to the memo are found by one scan of the papers
+        holding all the words of one of them
+        (:meth:`papers_containing_all`): the index analyses the same
+        sections with the same analyser as the token cache, so no other
+        paper can hold one.
+        """
+        kept = self.memo.hits
+        result = {middle: kept.get(middle) for middle in middles if middle}
+        cold = [middle for middle, hits in result.items() if hits is None]
+        if cold:
+            candidates = sorted(
+                set(chain.from_iterable(map(self.papers_containing_all, cold)))
+            )
+            pieces: Dict[Terms, List[MiddleHits]] = {middle: [] for middle in cold}
+            # A few papers at a time bound the scan's Python int lists.
+            for lo in range(0, len(candidates), _SCAN_PAPERS):
+                papers = [
+                    (
+                        self.memo.paper_key(paper_id),
+                        [self.tokens.tokens(paper_id, s) for s in TEXT_SECTIONS],
+                    )
+                    for paper_id in candidates[lo : lo + _SCAN_PAPERS]
+                ]
+                for middle, rows in find_hits(papers, cold).items():
+                    pieces[middle].append(rows)
+            for middle in cold:
+                result[middle] = kept[middle] = MiddleHits.concat(pieces[middle])
+            get_registry().counter("patterns.hits.computed").inc(len(cold))
+        return result
+
+    def score_papers(
+        self,
+        pattern_set: PatternSet,
+        paper_ids: Iterable[str],
+        middle_only: bool = False,
+    ) -> Dict[str, float]:
+        """Score(P) = sum over matching patterns of Score(pt) * M(P, pt), per paper.
+
+        With ``middle_only`` (the simplified variant of section 4), matching
+        strength reduces to the section weight of each middle-tuple hit.
+
+        Each paper's terms are summed left to right in the order of a
+        scan of its sections, token by token, trying the patterns at each
+        token in pattern order -- (section, position, pattern index) --
+        so every total is the float that scan computes
+        (:func:`~repro.core.cosine.ordered_sums`).  The hits come from
+        :meth:`middle_hits`; papers without one score 0.0.  Papers are
+        summed a group of about :data:`_CHUNK_TERMS` terms at a time.
+        """
+        ids = list(dict.fromkeys(paper_ids))
+        patterns = [pattern for pattern in pattern_set.patterns if pattern.middle]
+        if not patterns or not ids:
+            return dict.fromkeys(ids, 0.0)
+        memo = self.memo
+        middles = list(dict.fromkeys(pattern.middle for pattern in patterns))
+        get_registry().counter("patterns.hits.reused").inc(
+            sum(map(memo.hits.__contains__, middles))
+        )
+        kept = self.middle_hits(middles)
+        hits = [kept[middle] for middle in middles]
+        # Each paper's position in ``ids``, by memo key (-1: not scored).
+        rank = np.full(len(memo.paper_ids), -1, dtype=np.int64)
+        for i, paper_id in enumerate(ids):
+            key = memo.key_of(paper_id)
+            if key is not None:
+                rank[key] = i
+        owner = rank[np.concatenate([h.paper for h in hits])]
+        keep = np.flatnonzero(owner >= 0)
+        keep = keep[np.argsort(owner[keep], kind="stable")]
+        owner = owner[keep]
+        slot = np.repeat(np.arange(len(middles)), [len(h) for h in hits])[keep]
+        section = np.concatenate([h.section for h in hits])[keep]
+        position = np.concatenate([h.position for h in hits])[keep]
+        # A hit of a middle is one term of every pattern with that middle:
+        # the k-th copy of a row takes the k-th such pattern.
+        slot_of = {middle: i for i, middle in enumerate(middles)}
+        pattern_slot = np.array([slot_of[p.middle] for p in patterns])
+        by_slot = np.argsort(pattern_slot, kind="stable")
+        uses = np.bincount(pattern_slot, minlength=len(middles))
+        first_use = np.cumsum(uses) - uses
+        terms_of = np.bincount(owner, weights=uses[slot], minlength=len(ids))
+        group = ((np.cumsum(terms_of) - terms_of) // _CHUNK_TERMS).astype(np.int64)
+        cuts = np.flatnonzero(np.diff(group[owner])) + 1
+        pattern_scores = np.array([pattern.score for pattern in patterns])
+        totals = np.zeros(len(ids))
+        for rows in np.split(np.arange(len(owner)), cuts):
+            if not len(rows):
+                continue
+            copies = uses[slot[rows]]
+            row = np.repeat(rows, copies)
+            copy = np.arange(len(row)) - np.repeat(np.cumsum(copies) - copies, copies)
+            index = by_slot[first_use[slot[row]] + copy]
+            terms = (owner[row], section[row], position[row], index)
+            order = np.lexsort(terms[::-1])
+            term_owner, term_section, term_position, index = (
+                column[order] for column in terms
+            )
+            if middle_only:
+                values = pattern_scores[index] * _SECTION_WEIGHTS[term_section]
+            else:
+                values = np.array(
+                    [
+                        patterns[i].score
+                        * match_strength(
+                            patterns[i],
+                            self.tokens.tokens(ids[o], TEXT_SECTIONS[s]),
+                            start,
+                            TEXT_SECTIONS[s],
+                        )
+                        for o, s, start, i in zip(
+                            term_owner.tolist(),
+                            term_section.tolist(),
+                            term_position.tolist(),
+                            index.tolist(),
+                        )
+                    ]
+                )
+            lo, hi = int(term_owner[0]), int(term_owner[-1]) + 1
+            totals[lo:hi] = ordered_sums(term_owner - lo, values, hi - lo)
+        # A scan's total starts at 0.0, so it is never -0.0; adding 0.0
+        # makes an all-(-0.0) sum agree.
+        return dict(zip(ids, (totals + 0.0).tolist()))
 
     # -- extended patterns ------------------------------------------------------------
 
@@ -772,6 +1085,19 @@ MATCH_SECTION_WEIGHTS: Mapping[Section, float] = {
 }
 
 
+#: Terms :meth:`PatternSetBuilder.score_papers` expands at once: about
+#: 60 bytes of index and value columns each, so a few MB in all.
+_CHUNK_TERMS = 1 << 15
+
+#: Papers :meth:`PatternSetBuilder.middle_hits` scans at once.
+_SCAN_PAPERS = 64
+
+#: ``MATCH_SECTION_WEIGHTS`` per ``TEXT_SECTIONS`` index.
+_SECTION_WEIGHTS = np.array(
+    [MATCH_SECTION_WEIGHTS.get(section, 0.6) for section in TEXT_SECTIONS]
+)
+
+
 def match_strength(
     pattern: Pattern,
     tokens: Sequence[str],
@@ -806,42 +1132,3 @@ def match_strength(
         )
     surround = side_similarity / sides if sides else 0.0
     return weight * (0.5 + 0.5 * surround)
-
-
-def score_papers_against_patterns(
-    pattern_set: PatternSet,
-    token_cache: AnalyzedPaperCache,
-    paper_ids: Iterable[str],
-    middle_only: bool = False,
-) -> Dict[str, float]:
-    """Score(P) = sum over matching patterns of Score(pt) * M(P, pt), per paper.
-
-    With ``middle_only`` (the simplified variant of section 4), matching
-    strength reduces to the section weight of each middle-tuple hit.  The
-    first-middle-word index of ``pattern_set`` is built once and shared by
-    every paper.
-    """
-    by_first = pattern_set.by_first_middle_word()
-    if not by_first:
-        return dict.fromkeys(paper_ids, 0.0)
-    scores: Dict[str, float] = {}
-    for paper_id in paper_ids:
-        total = 0.0
-        for section in TEXT_SECTIONS:
-            tokens = token_cache.tokens(paper_id, section)
-            if not tokens:
-                continue
-            section_weight = MATCH_SECTION_WEIGHTS.get(section, 0.6)
-            for i, token in enumerate(tokens):
-                for pattern in by_first.get(token, ()):
-                    n = len(pattern.middle)
-                    if tuple(tokens[i : i + n]) != pattern.middle:
-                        continue
-                    if middle_only:
-                        total += pattern.score * section_weight
-                    else:
-                        total += pattern.score * match_strength(
-                            pattern, tokens, i, section
-                        )
-        scores[paper_id] = total
-    return scores

@@ -60,10 +60,9 @@ def _text_factory(substrates) -> TextPrestige:
 
 
 def _pattern_factory(substrates) -> PatternPrestige:
+    assigner = substrates.pattern_assigner
     return PatternPrestige(
-        substrates.pattern_assigner.pattern_sets,
-        substrates.tokens,
-        middle_only=True,
+        assigner.pattern_sets, assigner.pattern_builder, middle_only=True
     )
 
 

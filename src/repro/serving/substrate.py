@@ -25,10 +25,10 @@ from repro import scoring
 from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import ContextPaperSet
-from repro.core.patterns import AnalyzedPaperCache, Extractions
+from repro.core.patterns import AnalyzedPaperCache, PatternMemo, Sections
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus, CorpusError
-from repro.corpus.paper import Paper
+from repro.corpus.paper import Paper, TEXT_SECTIONS
 from repro.index.backend import SearchBackend
 from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
@@ -104,9 +104,9 @@ class SubstrateStore:
         self._pattern_assigner: Optional[PatternContextAssigner] = None
         self._text_paper_set: Optional[ContextPaperSet] = None
         self._pattern_paper_set: Optional[ContextPaperSet] = None
-        #: Per-context pattern extractions, kept across deltas: one only
-        #: goes stale when a training paper of its context changes.
-        self._pattern_extractions: Extractions = {}
+        #: Pattern extractions, coverage counts and middle hits, kept
+        #: across deltas and patched from the papers each one touches.
+        self._pattern_memo = PatternMemo()
         self._representatives: Optional[Dict[str, str]] = None
         self._scores: Dict[str, PrestigeScores] = {}
         self._build_lock = threading.RLock()
@@ -238,7 +238,7 @@ class SubstrateStore:
                         self.ontology,
                         self.index,
                         token_cache=self.tokens,
-                        extractions=self._pattern_extractions,
+                        memo=self._pattern_memo,
                     )
                     built = assigner.build(self.training_papers)
                     if self._pattern_paper_set is None:
@@ -369,11 +369,15 @@ class SubstrateStore:
           context changed when its paper ids differ or include a
           *touched* id (added or removed, so a paper replaced in one
           delta counts even when the ids stay the same);
-        - **pattern paper set** -- invalidated for lazy rebuild (pattern
-          scores read corpus-global coverage).  The cached per-context
-          pattern extractions survive, except those whose training ids
-          include a touched id, so the rebuild re-extracts only those
-          contexts and re-scores and re-matches every context;
+        - **pattern paper set** -- invalidated for lazy rebuild (every
+          pattern score reads the corpus size).  The pattern memo is
+          patched instead: extractions whose training ids include a
+          touched id are dropped, and each kept coverage count and
+          middle's hit list moves by the touched papers containing all
+          of the middle's words, read before removal and after addition.
+          The rebuild then re-extracts only the dropped contexts; every
+          context is re-scored and re-matched from the kept counts and
+          hits, with nothing re-counted or re-scanned;
         - **prestige memos** -- functions whose spec declares
           ``delta_scope="contexts"`` are re-scored only for changed
           contexts and re-propagated; everything else is dropped for
@@ -404,9 +408,15 @@ class SubstrateStore:
             if not added and not removed:
                 return DeltaReport((), (), {}, (), (), False, self._revision)
             registry = get_registry()
+            memo = self._pattern_memo
             with span(
                 "substrate.delta.apply", added=len(added), removed=len(removed)
             ):
+                # The memo needs a removed paper's words, read while the
+                # corpus and token cache still hold them.
+                old_sections = (
+                    {pid: self._sections(pid) for pid in removed} if memo else {}
+                )
                 removed_papers = [self.corpus.remove(pid) for pid in removed]
                 for paper in added:
                     self.corpus.add(paper)
@@ -456,17 +466,18 @@ class SubstrateStore:
                         changed_contexts["text"] = self._diff_contexts(
                             old_set, new_set, touched
                         )
-                for term_id, (training, _) in list(
-                    self._pattern_extractions.items()
-                ):
-                    if not touched.isdisjoint(training):
-                        del self._pattern_extractions[term_id]
+                if memo:
+                    with span("substrate.delta.patterns"):
+                        memo.apply_delta(
+                            old_sections,
+                            {pid: self._sections(pid) for pid in added_ids},
+                        )
                 if (
                     self._pattern_paper_set is not None
                     or self._pattern_assigner is not None
                 ):
-                    # Pattern scores read corpus-global statistics (paper
-                    # coverage, cached index lookups); rebuild lazily.
+                    # Pattern scores read the corpus size and the
+                    # assigner's index lookups; rebuild lazily.
                     self._pattern_paper_set = None
                     self._pattern_assigner = None
 
@@ -520,6 +531,10 @@ class SubstrateStore:
             index_rebuilt=index_rebuilt,
             revision=self.revision,
         )
+
+    def _sections(self, paper_id: str) -> Sections:
+        """``paper_id``'s analysed tokens, one tuple per text section."""
+        return tuple(self.tokens.tokens(paper_id, s) for s in TEXT_SECTIONS)
 
     @staticmethod
     def _diff_contexts(

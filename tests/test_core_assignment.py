@@ -3,8 +3,13 @@
 import pytest
 
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
+from repro.core.patterns import Pattern, PatternKind, PatternSet
 from repro.core.vectors import PaperVectorStore
+from repro.corpus.corpus import Corpus
+from repro.corpus.paper import Paper
 from repro.index.inverted import InvertedIndex
+from repro.ontology.ontology import Ontology
+from repro.ontology.term import Term
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +139,46 @@ class TestPatternContextAssigner:
         # With no matches anywhere, fallback finds no non-empty ancestor
         # either, so the set is empty.
         assert len(paper_set) == 0
+
+
+class TestMembershipAcrossSections:
+    """Membership scans a paper's sections joined; scoring scans each alone."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        corpus = Corpus(
+            [
+                # "liver kinase" only across the title|abstract boundary.
+                Paper("STR", title="zebrafish liver", abstract="kinase activity"),
+                Paper("IN", title="liver kinase", abstract="zebrafish"),
+                Paper("OFF", title="yeast growth", abstract="budding"),
+            ]
+        )
+        index = InvertedIndex().index_corpus(corpus)
+        middle = tuple(index.analyzer.analyze("liver kinase"))
+        pattern_set = PatternSet(
+            "t", [Pattern((), middle, (), PatternKind.REGULAR, 1.0)]
+        )
+        return corpus, index, pattern_set
+
+    def _assigner(self, setup, max_middle_coverage):
+        corpus, index, _ = setup
+        ontology = Ontology([Term("t", "liver kinase")])
+        return PatternContextAssigner(
+            corpus, ontology, index, max_middle_coverage=max_middle_coverage
+        )
+
+    def test_straddling_middle_makes_a_member(self, setup):
+        assigner = self._assigner(setup, 1.0)
+        assert assigner._match_corpus(setup[2]) == {"STR", "IN"}
+
+    def test_straddling_middle_scores_zero(self, setup):
+        builder = self._assigner(setup, 1.0).pattern_builder
+        scores = builder.score_papers(setup[2], ["STR", "IN", "OFF"], middle_only=True)
+        assert scores == {"STR": 0.0, "IN": 1.0, "OFF": 0.0}
+
+    def test_coverage_cut_counts_papers_with_all_words(self, setup):
+        # Two of three papers hold both words: over a 0.5 cut, under 0.7.
+        assert self._assigner(setup, 0.5)._match_corpus(setup[2]) == set()
+        assert self._assigner(setup, 0.7)._match_corpus(setup[2]) == {"STR", "IN"}
+

@@ -13,7 +13,6 @@ from repro.core.patterns import (
     PatternSetBuilder,
     find_occurrences,
     match_strength,
-    score_papers_against_patterns,
 )
 from repro.corpus.paper import Section
 from repro.index.inverted import InvertedIndex
@@ -218,11 +217,6 @@ class TestExtendedPatterns:
 
 
 class TestMatching:
-    @pytest.fixture(scope="class")
-    def cache(self, request):
-        corpus = request.getfixturevalue("tiny_corpus")
-        return AnalyzedPaperCache(corpus)
-
     def test_match_strength_full_surround(self):
         pattern = Pattern(("x",), ("m",), ("y",), PatternKind.REGULAR, 1.0)
         tokens = ["x", "m", "y"]
@@ -241,25 +235,25 @@ class TestMatching:
         body = match_strength(pattern, ["m"], 0, Section.BODY)
         assert title > body
 
-    def test_score_paper_positive_for_topical_paper(self, builder, cache):
+    def test_score_paper_positive_for_topical_paper(self, builder):
         pattern_set = builder.build("met", ["M1", "M2", "M3"])
-        scores = score_papers_against_patterns(pattern_set, cache, ["M1", "X1"])
+        scores = builder.score_papers(pattern_set, ["M1", "X1"])
         score_topical, score_off = scores["M1"], scores["X1"]
         assert score_topical > score_off
         assert score_off == 0.0
 
-    def test_middle_only_mode(self, builder, cache):
+    def test_middle_only_mode(self, builder):
         pattern_set = builder.build("met", ["M1", "M2", "M3"])
-        (full,) = score_papers_against_patterns(pattern_set, cache, ["M1"]).values()
-        (simplified,) = score_papers_against_patterns(
-            pattern_set, cache, ["M1"], middle_only=True
+        (full,) = builder.score_papers(pattern_set, ["M1"]).values()
+        (simplified,) = builder.score_papers(
+            pattern_set, ["M1"], middle_only=True
         ).values()
         assert simplified > 0
         assert full > 0
 
-    def test_empty_pattern_set_scores_zero(self, cache):
+    def test_empty_pattern_set_scores_zero(self, builder):
         empty = PatternSet(term_id="met")
-        assert score_papers_against_patterns(empty, cache, ["M1", "X1"]) == {
+        assert builder.score_papers(empty, ["M1", "X1"]) == {
             "M1": 0.0,
             "X1": 0.0,
         }

@@ -5,7 +5,6 @@ import pytest
 from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner
 from repro.core.context import Context, ContextPaperSet
-from repro.core.patterns import AnalyzedPaperCache
 from repro.core.vectors import PaperVectorStore
 from repro.index.inverted import InvertedIndex
 from repro.ontology.ontology import Ontology
@@ -223,8 +222,9 @@ class TestPatternPrestige:
         )
         training = request.getfixturevalue("tiny_training")
         paper_set = assigner.build(training)
-        cache = AnalyzedPaperCache(tiny_setup["corpus"], tiny_setup["index"].analyzer)
-        scorer = PatternPrestige(assigner.pattern_sets, cache, middle_only=True)
+        scorer = PatternPrestige(
+            assigner.pattern_sets, assigner.pattern_builder, middle_only=True
+        )
         return scorer, paper_set
 
     def test_scores_topical_papers_higher(self, prestige_setup):
@@ -237,7 +237,7 @@ class TestPatternPrestige:
 
     def test_unknown_context_empty(self, prestige_setup, tiny_setup):
         scorer, _ = prestige_setup
-        scorer_missing = PatternPrestige({}, AnalyzedPaperCache(tiny_setup["corpus"]))
+        scorer_missing = PatternPrestige({}, scorer.builder)
         assert scorer_missing.score_context(Context("met", ("M1",))) == {}
 
     def test_decay_applied_via_score_all(self, prestige_setup, tiny_setup):

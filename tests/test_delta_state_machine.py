@@ -4,8 +4,10 @@ A hypothesis ``RuleBasedStateMachine`` drives one small demo pipeline
 through random corpus deltas -- adding held-out papers, removing papers,
 and replacing a paper in one delta with changed references and text --
 while every arm's prestige stays memoised, so each delta takes the
-incremental paths (patched citation scores, cached pattern extractions).
-After every step, every mined pattern set, both context paper sets and
+incremental paths (patched citation scores, cached pattern extractions,
+patched coverage counts and middle hits).  After every step, every kept
+coverage count and middle hit list must equal a fresh count and scan of
+the corpus, and every mined pattern set, both context paper sets and
 every evaluation arm's scores must equal, with ``==``, those of a
 pipeline built from scratch on the same corpus.
 """
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro import scoring
+from repro.core.patterns import PatternSetBuilder
 from repro.corpus.corpus import Corpus
 from repro.datagen.corpus_gen import CorpusGenerator
 from repro.datagen.ontology_gen import OntologyGenerator
@@ -53,6 +56,15 @@ def _contexts(paper_set):
         )
         for c in paper_set
     ]
+
+
+def _hit_rows(memo, hits):
+    """Paper id -> (section, position) rows of one middle's hits."""
+    rows = {}
+    columns = (hits.paper.tolist(), hits.section.tolist(), hits.position.tolist())
+    for key, section, position in zip(*columns):
+        rows.setdefault(memo.paper_ids[key], []).append((section, position))
+    return rows
 
 
 def _scores(scores):
@@ -114,6 +126,21 @@ class DeltaParity(RuleBasedStateMachine):
             pipeline.ontology,
             pipeline.training_papers,
         )
+        # The rebuild this triggers adds entries but reuses the kept ones.
+        memo = pipeline.pattern_assigner.pattern_builder.memo
+        fresh = PatternSetBuilder(
+            scratch.ontology,
+            scratch.corpus,
+            scratch.index,
+            token_cache=scratch.substrates.tokens,
+        )
+        for middle, count in memo.coverage.items():
+            assert count == len(fresh.papers_containing_all(middle)), middle
+        fresh_hits = fresh.middle_hits(list(memo.hits))
+        for middle, hits in memo.hits.items():
+            assert _hit_rows(memo, hits) == _hit_rows(
+                fresh.memo, fresh_hits[middle]
+            ), middle
         for function, paper_set in scoring.evaluation_arms():
             assert _scores(pipeline.prestige(function, paper_set)) == _scores(
                 scratch.prestige(function, paper_set)

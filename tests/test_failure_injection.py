@@ -12,7 +12,7 @@ from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import Context, ContextPaperSet
 from repro.core.cosine import cosine_pairs
-from repro.core.patterns import AnalyzedPaperCache, PatternSetBuilder
+from repro.core.patterns import PatternSetBuilder
 from repro.core.search import ContextSearchEngine
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
@@ -138,9 +138,12 @@ class TestDegenerateContexts:
         assert "t1" not in scores
         assert "root" in scores
 
-    def test_pattern_prestige_with_empty_pattern_sets(self, degenerate_corpus):
-        cache = AnalyzedPaperCache(degenerate_corpus)
-        scorer = PatternPrestige({}, cache)
+    def test_pattern_prestige_with_empty_pattern_sets(
+        self, degenerate_corpus, flat_ontology
+    ):
+        index = InvertedIndex().index_corpus(degenerate_corpus)
+        builder = PatternSetBuilder(flat_ontology, degenerate_corpus, index)
+        scorer = PatternPrestige({}, builder)
         assert scorer.score_context(Context("root", ("OK",))) == {}
 
     def test_text_prestige_representative_missing_from_corpus(

@@ -190,7 +190,7 @@ class TestPatternExtractionScoping:
     ):
         store = pipeline.substrates
         _ = store.pattern_paper_set
-        extractions = store.pattern_assigner.pattern_builder.extractions
+        extractions = store.pattern_assigner.pattern_builder.memo.extractions
         n_contexts = len(pipeline.ontology.term_ids())
         assert _extraction_counts() == (n_contexts, 0)
         before = {tid: record for tid, (_, record) in extractions.items()}
@@ -215,7 +215,7 @@ class TestPatternExtractionScoping:
             len(expected),
             n_contexts - len(expected),
         )
-        assert store.pattern_assigner.pattern_builder.extractions is extractions
+        assert store.pattern_assigner.pattern_builder.memo.extractions is extractions
         fresh = {
             tid for tid, (_, record) in extractions.items() if record is not before[tid]
         }
@@ -232,7 +232,7 @@ class TestPatternExtractionScoping:
             readd, removed = removed, [pipeline.corpus.paper(pid) for pid in gone]
             store.apply_delta(added_papers=readd, removed_ids=gone)
             _ = store.pattern_paper_set
-            extractions = store.pattern_assigner.pattern_builder.extractions
+            extractions = store.pattern_assigner.pattern_builder.memo.extractions
             assert set(extractions) <= term_ids
         assert sum(record.nbytes for _, record in extractions.values()) > 0
 

@@ -99,14 +99,3 @@ class TestPatternSetProperties:
     def test_middles_is_set_of_all_middles(self, patterns):
         pattern_set = PatternSet(term_id="t", patterns=patterns)
         assert pattern_set.middles() == {p.middle for p in patterns}
-
-    @given(pattern_lists)
-    def test_first_word_index_complete(self, patterns):
-        pattern_set = PatternSet(term_id="t", patterns=patterns)
-        indexed = pattern_set.by_first_middle_word()
-        total_indexed = sum(len(group) for group in indexed.values())
-        with_middle = [p for p in patterns if p.middle]
-        assert total_indexed == len(with_middle)
-        for first_word, group in indexed.items():
-            for pattern in group:
-                assert pattern.middle[0] == first_word

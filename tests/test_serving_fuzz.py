@@ -10,9 +10,10 @@ numeric and id parameters from a mix of valid and invalid strings.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.corpus.corpus import Corpus
 from repro.datagen.presets import get_preset
 from repro.pipeline import Pipeline
 from repro.serving.service import SearchService
@@ -96,3 +97,85 @@ def test_quoted_query_ranks_like_unquoted(service):
 def test_malformed_ingest_bodies_are_400(service, body):
     response = service.dispatch("POST", "/admin/ingest", {}, body)
     assert response.status == 400, response.body
+
+
+#: Paper ids an ``add`` list draws from: fresh, blank, and already present.
+NEW_IDS = ["FZ1", "FZ2", "FZ3", "", "  ", "\t"]
+WRONG_TYPES = st.sampled_from([None, 7, 1.5, True, ["x"], {"k": "v"}])
+
+
+@pytest.fixture(scope="module")
+def ingest_pipeline():
+    pipeline = Pipeline.from_dataset(
+        TINY.generate(seed=0), min_context_size=TINY.min_context_size
+    )
+    pipeline.prestige("pattern", "pattern")  # the delta patches a warm memo
+    return pipeline
+
+
+@pytest.fixture(scope="module")
+def ingest_service(ingest_pipeline):
+    live = SearchService(ingest_pipeline, port=0)  # dispatch only; never started
+    yield live
+    live.stop()
+
+
+@st.composite
+def paper_objects(draw, pipeline):
+    """One ``add`` entry: mostly well-formed, sometimes not."""
+    corpus_ids = pipeline.corpus.paper_ids()[:5]
+    paper_id = draw(st.sampled_from(NEW_IDS + corpus_ids) | WRONG_TYPES)
+    texts = st.sampled_from(
+        ["", "   ", "the of and with"]
+        + [pipeline.corpus.paper(pid).title for pid in corpus_ids]
+    )
+    # Duplicates, unknown ids and (for a string id) self-citations.
+    cited = corpus_ids + ["UNKNOWN"] + ([paper_id] if isinstance(paper_id, str) else [])
+    references = st.lists(st.sampled_from(cited), max_size=4)
+    fields = {
+        "title": texts,
+        "abstract": texts,
+        "body": texts,
+        "index_terms": st.lists(texts, max_size=2),
+        "references": references,
+        "year": st.integers(min_value=1990, max_value=2010),
+    }
+    paper = {"paper_id": paper_id}
+    for name, valid in fields.items():
+        value = draw(st.none() | st.just(valid) | st.just(WRONG_TYPES))
+        if value is not None:
+            paper[name] = draw(value)
+    return paper
+
+
+def _pattern_scores(pipeline):
+    scores = pipeline.prestige("pattern", "pattern")
+    return {cid: scores.of(cid) for cid in scores.context_ids()}, scores.pre_propagation
+
+
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_ingest_add_lists_never_500(ingest_pipeline, ingest_service, data):
+    """Fuzzed ``add`` lists: 200, 400 or 409; the corpus moves only on a
+    delta that applied, and pattern prestige then equals a scratch build."""
+    add = data.draw(st.lists(paper_objects(ingest_pipeline), max_size=3), label="add")
+    remove = data.draw(
+        st.lists(st.sampled_from(ingest_pipeline.corpus.paper_ids()[:5]), max_size=1),
+        label="remove",
+    )
+    before = ingest_pipeline.corpus.paper_ids()
+    response = ingest_service.dispatch(
+        "POST", "/admin/ingest", {}, json.dumps({"add": add, "remove": remove})
+    )
+    assert response.status in (200, 400, 409), response.body
+    event(f"status {response.status}")
+    if response.status == 400:
+        assert ingest_pipeline.corpus.paper_ids() == before
+        return
+    scratch = Pipeline(
+        Corpus(list(ingest_pipeline.corpus)),
+        ingest_pipeline.ontology,
+        ingest_pipeline.training_papers,
+        min_context_size=TINY.min_context_size,
+    )
+    assert _pattern_scores(ingest_pipeline) == _pattern_scores(scratch)

@@ -69,16 +69,17 @@ from repro.pipeline import Pipeline
 reopened, fresh = (Pipeline.open_workspace(path) for path in sys.argv[1:])
 lines = (Path(sys.argv[1]) / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
 queries = [json.loads(line)["title"] for line in lines[:3]]
-for function in ("citation", "text"):
+arms = [("citation", "text"), ("text", "text"), ("pattern", "pattern"), ("citation", "pattern")]
+for function, paper_set in arms:
     for query in queries:
         rows = [
             [(h.paper_id, h.context_id, h.relevancy, h.prestige) for h in
-             pipeline.search(query, function=function, paper_set_name="text", limit=10)]
+             pipeline.search(query, function=function, paper_set_name=paper_set, limit=10)]
             for pipeline in (reopened, fresh)
         ]
-        assert rows[0], (function, query, "no hits")
-        assert rows[0] == rows[1], (function, query, rows)
-print(f"reopened generation 2 ranks like a fresh build ({len(queries)} queries)")
+        assert rows[0], (function, paper_set, query, "no hits")
+        assert rows[0] == rows[1], (function, paper_set, query, rows)
+print(f"reopened generation 2 ranks like a fresh build ({len(arms)} arms, {len(queries)} queries)")
 PY
 
 echo
