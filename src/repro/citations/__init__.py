@@ -6,16 +6,11 @@
   (``P_{i+1} = (1-d) M^T P_i + E`` with teleport options E1/E2).
 - :mod:`repro.citations.hits` -- Kleinberg's HITS (authorities/hubs),
   used by the correlation ablation.
-- :mod:`repro.citations.coupling` -- bibliographic coupling (Kessler 1963)
-  and co-citation (Small 1973) similarities for the text-based score's
-  reference facet.
+
+Bibliographic coupling and co-citation, the text-based score's reference
+facet, are counted for many pairs at once in :mod:`repro.scoring.text`.
 """
 
-from repro.citations.coupling import (
-    bibliographic_coupling,
-    citation_similarity,
-    cocitation,
-)
 from repro.citations.graph import CitationGraph
 from repro.citations.hits import HitsResult, hits_scores
 from repro.citations.pagerank import PageRankResult, TeleportKind, pagerank
@@ -27,7 +22,4 @@ __all__ = [
     "TeleportKind",
     "hits_scores",
     "HitsResult",
-    "bibliographic_coupling",
-    "cocitation",
-    "citation_similarity",
 ]

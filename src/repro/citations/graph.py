@@ -9,7 +9,10 @@ means *u cites v*.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.corpus.corpus import Corpus
 
@@ -161,6 +164,28 @@ class CitationGraph:
     def in_degree(self, node: str) -> int:
         return len(self._in.get(node, ()))
 
+    def out_rows(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """``(nodes, indptr, targets)``: the out-lists as CSR rows.
+
+        ``targets[indptr[i]:indptr[i + 1]]`` are the positions in
+        ``nodes`` (insertion order) of the papers ``nodes[i]`` cites, in
+        out-list order.
+        """
+        nodes = list(self._out)
+        position = {node: i for i, node in enumerate(nodes)}
+        lists = self._out.values()
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, lists), dtype=np.int64, count=len(nodes)),
+            out=indptr[1:],
+        )
+        targets = np.fromiter(
+            map(position.__getitem__, chain.from_iterable(lists)),
+            dtype=np.int64,
+            count=int(indptr[-1]),
+        )
+        return nodes, indptr, targets
+
     def density(self) -> float:
         """Edge density |E| / (|V| (|V|-1)); 0.0 for graphs with < 2 nodes.
 
@@ -179,15 +204,18 @@ class CitationGraph:
 
         This is the "only citations between papers in the given context"
         restriction of section 3.1: edges with either endpoint outside the
-        context are dropped.
+        context are dropped.  Nodes keep this graph's order; unknown ids
+        follow, once each, in ``nodes`` order.
         """
-        keep: Set[str] = set(nodes)
+        wanted = list(dict.fromkeys(nodes))
+        keep: Set[str] = set(wanted)
         result = CitationGraph()
         for node in self._out:
             if node in keep:
                 result.add_node(node)
-        for node in keep - set(self._out):
-            result.add_node(node)
+        for node in wanted:
+            if node not in self._out:
+                result.add_node(node)
         for source in result.nodes():
             for target in self._out.get(source, ()):
                 if target in keep:

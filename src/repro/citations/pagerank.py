@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,35 +85,65 @@ def pagerank(
         can verify invariance to the starting point.
 
     An empty graph yields an empty score map; a single node gets score 1.
+    The edges go to :func:`pagerank_arrays` grouped by destination in node
+    order, each destination's sources in in-list order.
+    """
+    nodes = graph.nodes()
+    index = {node: position for position, node in enumerate(nodes)}
+    edges = [
+        (index[u], v)
+        for v, node in enumerate(nodes)
+        for u in graph.in_neighbors(node)
+    ]
+    edge_src, edge_dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    start = None
+    if initial is not None:
+        start = np.array([float(initial.get(node, 0.0)) for node in nodes])
+    p, iterations, converged, residual = pagerank_arrays(
+        len(nodes), edge_src, edge_dst,
+        teleport=teleport, d=d, max_iterations=max_iterations,
+        tolerance=tolerance, initial=start,
+    )
+    return PageRankResult(
+        scores=dict(zip(nodes, p.tolist())),
+        iterations=iterations,
+        converged=converged,
+        residual=residual,
+    )
+
+
+def pagerank_arrays(
+    n: int,
+    edge_src: np.ndarray,
+    edge_dst: np.ndarray,
+    teleport: TeleportKind = TeleportKind.E2_UNIFORM,
+    d: float = 0.15,
+    max_iterations: int = 200,
+    tolerance: float = 1e-10,
+    initial: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, int, bool, float]:
+    """:func:`pagerank` over nodes ``0 .. n-1`` and edges ``src -> dst``.
+
+    Returns ``(scores, iterations, converged, residual)``.  Each step sums
+    the score flowing into a node in the order its edges appear, and the
+    dangling mass in node order, so the floats depend on both orders.
+    ``initial`` (length ``n``) is rescaled to sum to 1.
     """
     if not 0.0 < d < 1.0:
         raise ValueError(f"teleport probability d must be in (0, 1), got {d}")
-    nodes = graph.nodes()
-    n = len(nodes)
     if n == 0:
-        return PageRankResult(scores={}, iterations=0, converged=True, residual=0.0)
-    index = {node: position for position, node in enumerate(nodes)}
+        return np.zeros(0), 0, True, 0.0
 
     # Column-stochastic transition built from M^T: entry [v, u] = 1/outdeg(u)
-    # for each edge u -> v.  Stored in CSR-style edge arrays so each
-    # iteration is one gather plus one scatter-add instead of a Python
-    # loop over adjacency lists.
-    out_degree = np.array([graph.out_degree(node) for node in nodes], dtype=float)
+    # for each edge u -> v, applied as one gather plus one scatter-add.
+    out_degree = np.bincount(edge_src, minlength=n).astype(float)
     dangling = out_degree == 0.0
-    edge_src_list: List[int] = []
-    edge_dst_list: List[int] = []
-    for node in nodes:
-        v = index[node]
-        for u in graph.in_neighbors(node):
-            edge_src_list.append(index[u])
-            edge_dst_list.append(v)
-    edge_src = np.array(edge_src_list, dtype=np.intp)
-    edge_dst = np.array(edge_dst_list, dtype=np.intp)
+    divisor = np.maximum(out_degree, 1.0)
 
     if initial is None:
         p = np.full(n, 1.0 / n)
     else:
-        p = np.array([float(initial.get(node, 0.0)) for node in nodes])
+        p = initial
         total = p.sum()
         if total <= 0.0:
             raise ValueError("initial vector must have positive mass")
@@ -123,7 +153,7 @@ def pagerank(
     iterations = 0
     residual = float("inf")
     for iterations in range(1, max_iterations + 1):
-        spread = np.where(dangling, 0.0, p / np.maximum(out_degree, 1.0))
+        spread = np.where(dangling, 0.0, p / divisor)
         flowed = np.bincount(
             edge_dst, weights=spread[edge_src], minlength=n
         ).astype(float, copy=False)
@@ -162,9 +192,4 @@ def pagerank(
             nodes=n,
             teleport=teleport.value,
         )
-    return PageRankResult(
-        scores={node: float(p[index[node]]) for node in nodes},
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-    )
+    return p, iterations, converged, residual

@@ -88,7 +88,9 @@ def write_tagged_json(payload: dict, path: PathLike, format_tag: str) -> None:
     """Write ``payload`` with a ``format`` tag for load-time validation."""
     payload = {"format": format_tag, **payload}
     with atomic_write(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        # ``json.dump`` always runs the pure-Python encoder; ``dumps``
+        # takes the C one and yields the same text.
+        handle.write(json.dumps(payload))
 
 
 def read_tagged_json(path: PathLike, format_tag: str) -> dict:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.corpus.paper import Paper
 
@@ -122,21 +122,6 @@ class Corpus:
         self._ensure_author_index()
         assert self._by_author is not None
         return sorted(self._by_author)
-
-    def coauthors_of(self, paper_id: str) -> Set[str]:
-        """Authors who co-wrote *any* paper with any author of ``paper_id``.
-
-        This is the "third paper" relation behind Level-1 author overlap
-        (section 3.2): authors(p) ∪-expanded one co-authorship hop.
-        """
-        self._ensure_author_index()
-        assert self._by_author is not None
-        result: Set[str] = set()
-        for author in self.paper(paper_id).authors:
-            for other_id in self._by_author.get(author, ()):
-                result.update(self._papers[other_id].authors)
-        result.difference_update(self.paper(paper_id).authors)
-        return result
 
     def _ensure_author_index(self) -> None:
         if self._by_author is not None:

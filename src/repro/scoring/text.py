@@ -15,9 +15,12 @@ representative paper PC across six facets:
 
 The four cosine facets of every (member, representative) pair of a batch
 of contexts come from one :func:`~repro.core.cosine.cosine_pairs` call
-per section; the author and reference facets stay per pair.  Facets are
-added in the order above, starting from 0.0, exactly as a per-pair loop
-adds them.
+per section.  The author and reference facets are set overlaps, counted
+for every pair at once over integer set rows (:class:`SetRows`): each
+paper's authors, their co-author expansion, its references and its
+citers.  Facets are added in the order above, starting from 0.0, with
+each pair's arithmetic in the order a per-pair loop does it, so every
+score is the per-pair float.
 """
 
 from __future__ import annotations
@@ -27,15 +30,14 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
-from repro.citations.coupling import citation_similarity
 from repro.citations.graph import CitationGraph
-from repro.core.context import Context
+from repro.core.context import Context, csr_positions
 from repro.core.cosine import cosine_pairs
+from repro.obs import get_registry
 from repro.scoring.base import PrestigeScoreFunction
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section
-from repro.text.similarity import overlap_coefficient
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class TextPrestige(PrestigeScoreFunction):
         self.representatives = dict(representatives)
         self.weights = weights if weights is not None else FacetWeights()
         self.weights.validate()
-        self._coauthor_cache: Dict[str, frozenset] = {}
+        self._facet_sets: Optional[_FacetSets] = None
 
     def score_context(self, context: Context) -> Dict[str, float]:
         return self.score_batch([context])[0]
@@ -141,47 +143,209 @@ class TextPrestige(PrestigeScoreFunction):
             if weight:
                 rows = self.vectors.section_rows(section)
                 totals += weight * cosine_pairs(rows, member_rows, rows, rep_rows)
-        result = totals.tolist()
         if w.authors or w.references:
-            for i, (paper_id, representative) in enumerate(
-                zip(members, representatives)
-            ):
-                total = result[i]
-                if w.authors:
-                    total += w.authors * self.author_similarity(
-                        paper_id, representative
-                    )
-                if w.references:
-                    total += w.references * citation_similarity(
-                        self.graph, paper_id, representative,
-                        bib_weight=w.bibliographic,
-                    )
-                result[i] = total
-        return result
+            facets = self._facets()
+            member_rows = facets.rows_of(members)
+            rep_rows = facets.rows_of(representatives)
+            if w.authors:
+                totals += w.authors * facets.author_similarity(
+                    member_rows, rep_rows, w
+                )
+            if w.references:
+                totals += w.references * facets.reference_similarity(
+                    member_rows, rep_rows, w.bibliographic
+                )
+            get_registry().counter("text.facets.pairs").inc(len(members))
+        return totals.tolist()
 
-    def author_similarity(self, paper_a: str, paper_b: str) -> float:
-        """SimAuthors = L0Weight * SimL0 + L1Weight * SimL1.
+    def _facets(self) -> "_FacetSets":
+        if self._facet_sets is None:
+            self._facet_sets = _FacetSets(self.corpus, self.graph)
+        return self._facet_sets
 
-        Level-0: overlap of the two author lists.  Level-1: overlap
-        between each paper's authors and the *co-author expansion* of the
-        other's (authors who share a third paper with them).
+
+class SetRows:
+    """Sets of small integers as sorted CSR rows.
+
+    Row ``r`` is ``keys[indptr[r]:indptr[r + 1]] - r * bound``: each entry
+    is stored as the key ``r * bound + item``, so the keys of all rows
+    form one sorted array that a probe for ``(row, item)`` can
+    ``searchsorted``.  ``items`` must lie in ``[0, bound)``.
+    """
+
+    def __init__(
+        self, rows: np.ndarray, items: np.ndarray, n_rows: int, bound: int
+    ) -> None:
+        self.bound = max(bound, 1)
+        self.keys = np.unique(rows * self.bound + items)
+        self.sizes = np.bincount(self.keys // self.bound, minlength=n_rows)
+        self.indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(self.sizes, out=self.indptr[1:])
+
+    def intersections(
+        self, rows: np.ndarray, other: "SetRows", other_rows: np.ndarray
+    ) -> np.ndarray:
+        """``|self[rows[i]] & other[other_rows[i]]|`` for each ``i``.
+
+        The two families must share an item space (equal ``bound``).
         """
-        authors_a = set(self.corpus.paper(paper_a).authors)
-        authors_b = set(self.corpus.paper(paper_b).authors)
-        w = self.weights
-        level0 = overlap_coefficient(authors_a, authors_b)
-        level1 = 0.0
+        if not len(other.keys):
+            return np.zeros(len(rows), dtype=np.int64)
+        positions, counts = csr_positions(self.indptr, rows)
+        pair = np.repeat(np.arange(len(rows)), counts)
+        probes = other_rows[pair] * other.bound + self.keys[positions] % self.bound
+        at = np.searchsorted(other.keys, probes)
+        found = other.keys[np.minimum(at, len(other.keys) - 1)] == probes
+        return np.bincount(pair[found], minlength=len(rows))
+
+
+def _overlap_coefficient(
+    inter: np.ndarray, size_a: np.ndarray, size_b: np.ndarray
+) -> np.ndarray:
+    """|A & B| / min(|A|, |B|); 0.0 when either set is empty."""
+    smaller = np.minimum(size_a, size_b)
+    result = np.zeros(len(inter))
+    np.divide(inter, smaller, out=result, where=smaller > 0)
+    return result
+
+
+def _cosine_overlap(
+    inter: np.ndarray, size_a: np.ndarray, size_b: np.ndarray, same: np.ndarray
+) -> np.ndarray:
+    """|A & B| / sqrt(|A| |B|), 0.0 when either set is empty.
+
+    A paper paired with itself scores 1.0 if its set is non-empty.
+    """
+    product = size_a * size_b
+    result = np.zeros(len(inter))
+    np.divide(inter, np.sqrt(product), out=result, where=product > 0)
+    result[same] = (size_a[same] > 0).astype(float)
+    return result
+
+
+class _FacetSets:
+    """The author and reference facets' sets, as :class:`SetRows` families.
+
+    Rows follow ``corpus.paper_ids()``.  Authors are interned to integers
+    in first-seen order; references and citers are positions in the
+    graph's node order (a paper the graph lacks has neither).
+    """
+
+    def __init__(self, corpus: Corpus, graph: CitationGraph) -> None:
+        paper_ids = corpus.paper_ids()
+        n = len(paper_ids)
+        self.paper_row = {pid: row for row, pid in enumerate(paper_ids)}
+
+        author_id: Dict[str, int] = {}
+        lists = [
+            [author_id.setdefault(a, len(author_id)) for a in paper.authors]
+            for paper in corpus
+        ]
+        sizes = np.fromiter(map(len, lists), dtype=np.int64, count=n)
+        rows = np.repeat(np.arange(n, dtype=np.int64), sizes)
+        items = np.fromiter(
+            (a for ids in lists for a in ids), dtype=np.int64, count=int(sizes.sum())
+        )
+        n_authors = len(author_id)
+        self.authors = SetRows(rows, items, n, n_authors)
+        self.coauthors = self._expand(self.authors, n, n_authors)
+
+        nodes, indptr, targets = graph.out_rows()
+        corpus_row = np.fromiter(
+            map(self.paper_row.get, nodes, [-1] * len(nodes)),
+            dtype=np.int64,
+            count=len(nodes),
+        )
+        sources = np.repeat(np.arange(len(nodes), dtype=np.int64), np.diff(indptr))
+        cites = corpus_row[sources] >= 0
+        cited = corpus_row[targets] >= 0
+        self.references = SetRows(
+            corpus_row[sources[cites]], targets[cites], n, len(nodes)
+        )
+        self.citers = SetRows(
+            corpus_row[targets[cited]], sources[cited], n, len(nodes)
+        )
+
+    @staticmethod
+    def _expand(authors: SetRows, n: int, n_authors: int) -> SetRows:
+        """Each paper's co-author expansion, Level-1's "third paper" relation.
+
+        The authors of every paper sharing an author with it, less its
+        own authors.
+        """
+        paper_of = np.repeat(np.arange(n, dtype=np.int64), authors.sizes)
+        author_of = authors.keys % authors.bound
+        by_author = np.argsort(author_of, kind="stable")
+        author_indptr = np.zeros(n_authors + 1, dtype=np.int64)
+        np.cumsum(np.bincount(author_of, minlength=n_authors), out=author_indptr[1:])
+        # (paper, author) -> (paper, paper sharing that author), deduplicated.
+        positions, counts = csr_positions(author_indptr, author_of)
+        shared = np.unique(
+            np.repeat(paper_of, counts) * max(n, 1) + paper_of[by_author][positions]
+        )
+        papers, others = np.divmod(shared, max(n, 1))
+        # -> (paper, author of the sharing paper).
+        positions, counts = csr_positions(authors.indptr, others)
+        expanded = SetRows(
+            np.repeat(papers, counts), author_of[positions], n, n_authors
+        )
+        own = np.isin(expanded.keys, authors.keys, assume_unique=True)
+        keys = expanded.keys[~own]
+        return SetRows(keys // expanded.bound, keys % expanded.bound, n, n_authors)
+
+    def rows_of(self, paper_ids: List[str]) -> np.ndarray:
+        return np.fromiter(
+            map(self.paper_row.__getitem__, paper_ids),
+            dtype=np.int64,
+            count=len(paper_ids),
+        )
+
+    def author_similarity(
+        self, rows_a: np.ndarray, rows_b: np.ndarray, w: FacetWeights
+    ) -> np.ndarray:
+        """SimAuthors = L0Weight * SimL0 + L1Weight * SimL1, per pair.
+
+        Level-0: overlap of the two author sets.  Level-1: the mean of
+        each paper's author overlap with the other's co-author expansion
+        (authors who share a third paper with them).
+        """
+        authors, coauthors = self.authors, self.coauthors
+        size_a, size_b = authors.sizes[rows_a], authors.sizes[rows_b]
+        level0 = _overlap_coefficient(
+            authors.intersections(rows_a, authors, rows_b), size_a, size_b
+        )
+        level1 = np.zeros(len(rows_a))
         if w.level1_author:
-            expanded_a = self._coauthors(paper_a)
-            expanded_b = self._coauthors(paper_b)
-            forward = overlap_coefficient(authors_a, expanded_b)
-            backward = overlap_coefficient(authors_b, expanded_a)
+            forward = _overlap_coefficient(
+                authors.intersections(rows_a, coauthors, rows_b),
+                size_a,
+                coauthors.sizes[rows_b],
+            )
+            backward = _overlap_coefficient(
+                authors.intersections(rows_b, coauthors, rows_a),
+                size_b,
+                coauthors.sizes[rows_a],
+            )
             level1 = (forward + backward) / 2.0
         return w.level0_author * level0 + w.level1_author * level1
 
-    def _coauthors(self, paper_id: str) -> frozenset:
-        cached = self._coauthor_cache.get(paper_id)
-        if cached is None:
-            cached = frozenset(self.corpus.coauthors_of(paper_id))
-            self._coauthor_cache[paper_id] = cached
-        return cached
+    def reference_similarity(
+        self, rows_a: np.ndarray, rows_b: np.ndarray, bib_weight: float
+    ) -> np.ndarray:
+        """SimReferences = BibWeight * Sim_bib + (1 - BibWeight) * Sim_coc.
+
+        Bibliographic coupling (Kessler) is the cosine overlap of the two
+        papers' reference sets; co-citation (Small) that of their citer
+        sets.
+        """
+        same = rows_a == rows_b
+        bib, coc = (
+            _cosine_overlap(
+                family.intersections(rows_a, family, rows_b),
+                family.sizes[rows_a],
+                family.sizes[rows_b],
+                same,
+            )
+            for family in (self.references, self.citers)
+        )
+        return bib_weight * bib + (1.0 - bib_weight) * coc

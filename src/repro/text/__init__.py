@@ -1,4 +1,4 @@
-"""Text-processing substrate: tokenisation, stemming, TF-IDF, similarity.
+"""Text-processing substrate: tokenisation, stemming, TF-IDF.
 
 Everything the paper's scoring functions need from classic IR:
 
@@ -11,18 +11,12 @@ Everything the paper's scoring functions need from classic IR:
   frequencies.
 - :mod:`repro.text.vectorize` -- sparse vectors and the TF-IDF model of
   Salton's *Automatic Text Processing* (paper reference [6]).
-- :mod:`repro.text.similarity` -- Jaccard, Dice, overlap.
 - :mod:`repro.text.phrases` -- apriori-style frequent phrase mining
   (paper reference [5]) used by pattern construction.
 """
 
 from repro.text.analyze import Analyzer, default_analyzer
 from repro.text.phrases import FrequentPhraseMiner, Phrase
-from repro.text.similarity import (
-    dice_coefficient,
-    jaccard_similarity,
-    overlap_coefficient,
-)
 from repro.text.stem import PorterStemmer, stem
 from repro.text.stopwords import STOPWORDS, is_stopword
 from repro.text.tokenize import ngrams, sentences, tokenize
@@ -34,9 +28,6 @@ __all__ = [
     "default_analyzer",
     "FrequentPhraseMiner",
     "Phrase",
-    "jaccard_similarity",
-    "dice_coefficient",
-    "overlap_coefficient",
     "PorterStemmer",
     "stem",
     "STOPWORDS",

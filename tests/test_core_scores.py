@@ -155,30 +155,34 @@ class TestTextPrestige:
         )
         assert scorer.score_context(tiny_setup["paper_set"].context("met")) == {}
 
-    def test_author_similarity_level0(self, tiny_setup):
+    @staticmethod
+    def author_facet(tiny_setup, representative, paper_ids):
+        """SimAuthors of each paper against ``representative``."""
         scorer = TextPrestige(
             tiny_setup["corpus"],
             tiny_setup["vectors"],
             tiny_setup["graph"],
-            {"met": "M1"},
+            {"met": representative},
+            weights=FacetWeights(
+                title=0.0, abstract=0.0, body=0.0, index_terms=0.0,
+                authors=1.0, references=0.0,
+            ),
         )
+        return scorer.score_context(Context("met", tuple(paper_ids)))
+
+    def test_author_similarity_level0(self, tiny_setup):
+        sims = self.author_facet(tiny_setup, "M1", ("M2", "S1"))
         # M1 {Alpha, Beta} vs M2 {Beta, Gamma}: L0 overlap = 1/2.
-        sim_shared = scorer.author_similarity("M1", "M2")
+        sim_shared = sims["M2"]
         # M1 vs S1: disjoint author sets, no co-authorship bridge.
-        sim_disjoint = scorer.author_similarity("M1", "S1")
+        sim_disjoint = sims["S1"]
         assert sim_shared > sim_disjoint
 
     def test_author_similarity_level1_bridge(self, tiny_setup):
         """M1 and M3 share no authors, but Beta (M1, M2) and Delta... no
         bridge; M1-M3 relies on nothing.  Use M2 vs M1: direct overlap, and
         check the level-1 term is bounded."""
-        scorer = TextPrestige(
-            tiny_setup["corpus"],
-            tiny_setup["vectors"],
-            tiny_setup["graph"],
-            {"met": "M1"},
-        )
-        value = scorer.author_similarity("M1", "M2")
+        value = self.author_facet(tiny_setup, "M1", ("M2",))["M2"]
         assert 0.0 <= value <= 1.0
 
     def test_facet_weights_validation(self):

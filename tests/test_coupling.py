@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.citations.coupling import (
+from facet_reference import (
     bibliographic_coupling,
     citation_similarity,
     cocitation,

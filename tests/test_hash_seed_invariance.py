@@ -46,6 +46,11 @@ artefacts = {
         c: {k: round(v, 12) for k, v in pipeline.prestige("text", "text").of(c).items()}
         for c in pipeline.prestige("text", "text").context_ids()
     },
+    # Unrounded, in key order: the exact floats a workspace stores.
+    "citation_text": {
+        c: list(pipeline.prestige("citation", "text").of(c).items())
+        for c in pipeline.prestige("citation", "text").context_ids()
+    },
     "ac": {q: sorted(builder.build(q).papers) for q in queries},
     "search": {
         q: [(h.paper_id, round(h.relevancy, 12)) for h in engine.search(q)]
@@ -59,21 +64,46 @@ print(digest)
 """
 
 
-@pytest.mark.slow
-def test_results_invariant_to_hash_seed():
-    digests = []
+#: PageRank of contexts holding papers the citation graph lacks: they
+#: join the subgraph as isolated nodes, whose order reaches the scores.
+_ABSENT_PROBE = """
+from repro.citations.graph import CitationGraph
+from repro.citations.pagerank import pagerank
+from repro.core.context import Context
+from repro.scoring.citation import CitationPrestige
+
+graph = CitationGraph(edges=[("A", "B"), ("C", "B"), ("B", "D")])
+members = ("Q7", "B", "absent-x", "A", "Z0", "Q7", "m12", "D")
+print(list(pagerank(graph.subgraph(members)).scores.items()))
+print(CitationPrestige(graph).score_context(Context("T", members)))
+"""
+
+
+def _run_under_hash_seeds(probe):
+    outputs = []
     for hash_seed in ("1", "987654321"):
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = hash_seed
         result = subprocess.run(
-            [sys.executable, "-c", _PROBE],
+            [sys.executable, "-c", probe],
             capture_output=True,
             text=True,
             env=env,
             timeout=300,
         )
         assert result.returncode == 0, result.stderr[-2000:]
-        digests.append(result.stdout.strip())
+        outputs.append(result.stdout.strip())
+    return outputs
+
+
+def test_absent_members_pagerank_invariant_to_hash_seed():
+    outputs = _run_under_hash_seeds(_ABSENT_PROBE)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.slow
+def test_results_invariant_to_hash_seed():
+    digests = _run_under_hash_seeds(_PROBE)
     assert digests[0] == digests[1], (
         "pipeline artefacts drift with PYTHONHASHSEED: a set's iteration "
         "order is leaking into results somewhere"

@@ -5,7 +5,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.citations.coupling import bibliographic_coupling, cocitation
+from facet_reference import bibliographic_coupling, cocitation
+
 from repro.citations.graph import CitationGraph
 from repro.citations.hits import hits_scores
 from repro.citations.pagerank import TeleportKind, pagerank

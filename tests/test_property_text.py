@@ -6,8 +6,9 @@ import string
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from facet_reference import dice_coefficient, jaccard_similarity
+
 from repro.text.analyze import Analyzer
-from repro.text.similarity import dice_coefficient, jaccard_similarity
 from repro.text.stem import PorterStemmer
 from repro.text.tokenize import ngrams, tokenize
 from repro.text.vectorize import SparseVector, TfidfModel, centroid

@@ -64,7 +64,6 @@ DOCTEST_MODULES = [
     "repro.text.tokenize",
     "repro.text.stem",
     "repro.text.stopwords",
-    "repro.text.similarity",
     "repro.text.analyze",
     "repro.ontology.term",
     "repro.eval.ascii_plot",

@@ -25,7 +25,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.citations.coupling import citation_similarity
+from facet_reference import facet_similarity
+
 from repro.core.assignment import TextContextAssigner
 from repro.core.cosine import VectorRows, cosine_pairs
 from repro.core.representative import select_representative
@@ -220,13 +221,7 @@ def reference_similarity(reference, prestige, paper_id, representative):
         total += w.body * section_cosine(Section.BODY)
     if w.index_terms:
         total += w.index_terms * section_cosine(Section.INDEX_TERMS)
-    if w.authors:
-        total += w.authors * prestige.author_similarity(paper_id, representative)
-    if w.references:
-        total += w.references * citation_similarity(
-            prestige.graph, paper_id, representative, bib_weight=w.bibliographic
-        )
-    return total
+    return facet_similarity(prestige, total, paper_id, representative)
 
 
 def reference_select_representative(reference, candidate_ids):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text.similarity import (
+from facet_reference import (
     dice_coefficient,
     jaccard_similarity,
     overlap_coefficient,

@@ -69,7 +69,8 @@ from repro.pipeline import Pipeline
 reopened, fresh = (Pipeline.open_workspace(path) for path in sys.argv[1:])
 lines = (Path(sys.argv[1]) / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
 queries = [json.loads(line)["title"] for line in lines[:3]]
-arms = [("citation", "text"), ("text", "text"), ("pattern", "pattern"), ("citation", "pattern")]
+arms = [("citation", "text"), ("text", "text"), ("pattern", "pattern"), ("citation", "pattern"),
+        ("combined", "text")]
 for function, paper_set in arms:
     for query in queries:
         rows = [
