@@ -21,18 +21,17 @@ Contracts that keep rankings byte-identical across the two forms:
   therefore materialise the term list (e.g. a tuple) rather than hand
   out ``dict.keys()``.
 - :attr:`revision` is a monotonic mutation counter.  Every observable
-  change to the index's contents bumps it; derived caches (per-term
-  contribution caches, BM25 length tables) key on it.  The read-only
-  form reports the revision frozen into its file.
+  change to the index's contents bumps it; the search engine's
+  per-term contribution cache keys on it.  The read-only form reports
+  the revision frozen into its file.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.corpus.paper import Section
     from repro.index.inverted import Posting
     from repro.text.analyze import Analyzer
 
@@ -68,11 +67,6 @@ class SearchBackend(abc.ABC):
     def revision(self) -> int:
         """Monotonic mutation counter (see module docstring)."""
 
-    @property
-    @abc.abstractmethod
-    def n_terms(self) -> int:
-        """Number of distinct indexed terms."""
-
     # -- postings ------------------------------------------------------------------
 
     @abc.abstractmethod
@@ -90,20 +84,6 @@ class SearchBackend(abc.ABC):
     @abc.abstractmethod
     def papers_containing(self, term: str) -> List[str]:
         """Distinct paper ids containing ``term``, in indexing order."""
-
-    # -- forward index -------------------------------------------------------------
-
-    @abc.abstractmethod
-    def term_frequency(
-        self, paper_id: str, term: str, section: Optional["Section"] = None
-    ) -> int:
-        """Frequency of ``term`` in ``paper_id`` (one section or summed)."""
-
-    @abc.abstractmethod
-    def paper_section_terms(
-        self, paper_id: str, section: "Section"
-    ) -> Mapping[str, int]:
-        """Term-count map of one paper section (empty if absent)."""
 
     # -- vocabulary ----------------------------------------------------------------
 

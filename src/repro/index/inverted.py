@@ -8,9 +8,8 @@ context search engine reuses for its text-matching component.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
@@ -31,9 +30,9 @@ class InvertedIndex(SearchBackend):
     """Section-aware inverted index over a corpus.
 
     Build once with :meth:`index_corpus` (or incrementally with
-    :meth:`index_paper`); the index also tracks per-section document
-    frequencies and paper lengths needed for TF-IDF scoring.  This is
-    the build form and the mutation form; a workspace persists it with
+    :meth:`index_paper`); the index also tracks the document
+    frequencies TF-IDF scoring needs.  This is the build form and the
+    mutation form; a workspace persists it with
     :func:`repro.index.packed.save_index`.
     """
 
@@ -44,7 +43,8 @@ class InvertedIndex(SearchBackend):
         self.analyzer = analyzer if analyzer is not None else default_analyzer()
         self._postings: Dict[str, List[Posting]] = {}
         self._document_frequency: Dict[str, int] = {}
-        self._paper_terms: Dict[str, Dict[Section, Dict[str, int]]] = {}
+        # Each paper's distinct terms: what remove_paper must visit.
+        self._paper_terms: Dict[str, Tuple[str, ...]] = {}
         self._n_papers = 0
         self._revision = 0
         # Read-path snapshots handed out by postings()/vocabulary();
@@ -69,8 +69,7 @@ class InvertedIndex(SearchBackend):
         """Index one paper across all textual sections."""
         if paper.paper_id in self._paper_terms:
             raise ValueError(f"paper {paper.paper_id!r} is already indexed")
-        per_section: Dict[Section, Dict[str, int]] = {}
-        seen_terms = set()
+        seen_terms: Dict[str, None] = {}
         for section in TEXT_SECTIONS:
             terms = self.analyzer.analyze(paper.section_text(section))
             if not terms:
@@ -78,15 +77,14 @@ class InvertedIndex(SearchBackend):
             counts: Dict[str, int] = {}
             for term in terms:
                 counts[term] = counts.get(term, 0) + 1
-            per_section[section] = counts
             for term, frequency in counts.items():
                 self._postings.setdefault(term, []).append(
                     Posting(paper.paper_id, section, frequency)
                 )
-                seen_terms.add(term)
+                seen_terms[term] = None
         for term in seen_terms:
             self._document_frequency[term] = self._document_frequency.get(term, 0) + 1
-        self._paper_terms[paper.paper_id] = per_section
+        self._paper_terms[paper.paper_id] = tuple(seen_terms)
         self._n_papers += 1
         self._revision += 1
         self._invalidate_views()
@@ -101,10 +99,9 @@ class InvertedIndex(SearchBackend):
         posting-list lengths -- fine for incremental maintenance of a
         living corpus; rebuild from scratch for bulk deletions.
         """
-        sections = self._paper_terms.pop(paper_id, None)
-        if sections is None:
+        terms = self._paper_terms.pop(paper_id, None)
+        if terms is None:
             raise ValueError(f"paper {paper_id!r} is not indexed")
-        terms = {term for counts in sections.values() for term in counts}
         for term in terms:
             remaining = [
                 posting
@@ -134,15 +131,11 @@ class InvertedIndex(SearchBackend):
     def revision(self) -> int:
         """Mutation counter: bumped by every paper add/remove.
 
-        Derived caches (e.g. the BM25 section-length cache in the search
-        engine) key on this rather than ``n_papers``, so replacing a paper
-        without changing the count still invalidates them.
+        The search engine's contribution cache keys on this rather than
+        ``n_papers``, so replacing a paper without changing the count
+        still invalidates it.
         """
         return self._revision
-
-    @property
-    def n_terms(self) -> int:
-        return len(self._postings)
 
     def postings(self, term: str) -> Sequence[Posting]:
         """All postings of ``term``, in indexing order (empty if unseen).
@@ -172,23 +165,6 @@ class InvertedIndex(SearchBackend):
             seen.setdefault(posting.paper_id, None)
         return list(seen)
 
-    def term_frequency(
-        self, paper_id: str, term: str, section: Optional[Section] = None
-    ) -> int:
-        """Frequency of ``term`` in ``paper_id`` (one section or summed)."""
-        sections = self._paper_terms.get(paper_id)
-        if sections is None:
-            return 0
-        if section is not None:
-            return sections.get(section, {}).get(term, 0)
-        return sum(counts.get(term, 0) for counts in sections.values())
-
-    def paper_section_terms(
-        self, paper_id: str, section: Section
-    ) -> Mapping[str, int]:
-        """Term-count map of one paper section (empty if absent)."""
-        return dict(self._paper_terms.get(paper_id, {}).get(section, {}))
-
     def vocabulary(self) -> Sequence[str]:
         """All indexed terms, as a stable snapshot in indexing order.
 
@@ -204,43 +180,8 @@ class InvertedIndex(SearchBackend):
     def __contains__(self, term: str) -> bool:
         return term in self._postings
 
-    # -- observability -------------------------------------------------------------
-
-    def resident_postings_bytes(self) -> int:
-        """Heap bytes held by the materialised postings structures.
-
-        Bench/observability aid: the in-memory index pays this for the
-        whole corpus up front, the packed index only for its cached
-        working set.
-        """
-        total = 0
-        for entries in self._postings.values():
-            total += sys.getsizeof(entries)
-            for posting in entries:
-                total += sys.getsizeof(posting) + sys.getsizeof(posting.__dict__)
-        return total
-
-    # -- (de)serialisation -----------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Dict[str, Dict[str, int]]]:
-        """Per-paper per-section term counts, in indexing order.
-
-        Postings and document frequencies are fully derivable from the
-        per-paper counts; :func:`repro.index.packed.save_index` replays
-        them in this order to write postings in indexing order.
-        """
-        return {
-            "papers": {
-                paper_id: {
-                    section.value: dict(counts)
-                    for section, counts in sections.items()
-                }
-                for paper_id, sections in self._paper_terms.items()
-            }
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"InvertedIndex({self._n_papers} papers, {self.n_terms} terms)"
+        return f"InvertedIndex({self._n_papers} papers, {len(self._postings)} terms)"
 
 
 def build_index(corpus: Corpus, analyzer: Optional[Analyzer] = None) -> InvertedIndex:

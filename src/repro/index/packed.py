@@ -10,14 +10,14 @@ not the indexed one.
 File layout (``index.bin``): ``magic | u64 header_len | header JSON |
 data``:
 
-- header: paper-id table, section table, per-term
-  ``(df, offset, count)`` directory, per-(paper, section) forward
-  directory, ``n_papers``, ``revision``;
+- header: paper-id table (papers in first-posting order), section
+  table, per-term ``(df, offset, count)`` directory, ``n_papers``,
+  ``revision``, ``data_bytes``;
 - data: per-term postings runs of packed ``(paper_idx u32,
   section_idx u8, tf u32)`` records **in indexing order** (scoring
   sums floats in postings order, so preserving it keeps rankings
-  byte-identical with the in-memory index), then per-(paper, section)
-  forward runs of ``(term_idx u32, tf u32)``.
+  byte-identical with the in-memory index).  The runs tile the data
+  region in directory order; opening checks that they do.
 
 Metrics: ``index.backend.term_loads`` / ``index.backend.cache_hit`` /
 ``index.backend.cache_evict`` counters on the term cache, and an
@@ -30,11 +30,10 @@ import json
 import mmap
 import os
 import struct
-import sys
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.corpus.paper import Section
 from repro.index.backend import SearchBackend
@@ -42,80 +41,51 @@ from repro.index.inverted import Posting
 from repro.obs import get_registry
 from repro.text.analyze import Analyzer, default_analyzer
 
-_MAGIC = b"RPROIDX1"
+_MAGIC = b"RPROIDX2"
 _LEN = struct.Struct("<Q")
 _POSTING = struct.Struct("<IBI")   # paper_idx, section_idx, term_frequency
-_FORWARD = struct.Struct("<II")    # term_idx, term_frequency
 _PREAMBLE = len(_MAGIC) + _LEN.size
 
-#: Default bound on decoded-term residency.  Sized for query serving --
-#: far above any realistic per-query term count, far below a large
-#: corpus vocabulary.
-DEFAULT_TERM_CACHE_SIZE = 1024
+#: Bound on decoded-term residency.  Sized for query serving -- far
+#: above any realistic per-query term count, far below a large corpus
+#: vocabulary.
+TERM_CACHE_SIZE = 1024
 
 
-def save_index(index, path) -> None:
-    """Pack any index exposing ``to_payload`` into one file at ``path``.
+def save_index(index: SearchBackend, path) -> None:
+    """Pack the postings of either index form into one file at ``path``.
 
-    Replays the per-paper per-section counts in stored order -- the
-    order the in-memory index indexed them -- so the packed postings
-    order, and therefore every downstream score sum, matches the index
-    that was saved.
+    Writes ``index.vocabulary()`` x ``index.postings(term)`` as they
+    stand, so the packed postings order, and therefore every downstream
+    score sum, matches the index that was saved.
     """
-    papers: Mapping[str, Mapping[str, Mapping[str, int]]]
-    papers = index.to_payload()["papers"]
-
-    paper_ids: List[str] = []
-    section_values: List[str] = []
-    section_idx_of: Dict[str, int] = {}
-    term_idx_of: Dict[str, int] = {}
-    term_postings: Dict[int, List[Tuple[int, int, int]]] = {}
-    term_df: Dict[int, int] = {}
-    forward_runs: List[Tuple[int, int, List[Tuple[int, int]]]] = []
-
-    for paper_idx, (paper_id, sections) in enumerate(papers.items()):
-        paper_ids.append(paper_id)
-        seen_terms = set()
-        for section_value, counts in sections.items():
-            section_idx = section_idx_of.setdefault(
-                section_value, len(section_idx_of)
-            )
-            if section_idx == len(section_values):
-                section_values.append(section_value)
-            run: List[Tuple[int, int]] = []
-            for term, tf in counts.items():
-                term_idx = term_idx_of.setdefault(term, len(term_idx_of))
-                term_postings.setdefault(term_idx, []).append(
-                    (paper_idx, section_idx, int(tf))
-                )
-                run.append((term_idx, int(tf)))
-                seen_terms.add(term_idx)
-            forward_runs.append((paper_idx, section_idx, run))
-        for term_idx in seen_terms:
-            term_df[term_idx] = term_df.get(term_idx, 0) + 1
-
-    data = bytearray()
+    paper_idx_of: Dict[str, int] = {}
+    section_idx_of: Dict[Section, int] = {}
     terms_header: List[Tuple[str, int, int, int]] = []
-    for term, term_idx in term_idx_of.items():
-        run = term_postings.get(term_idx, [])
-        terms_header.append((term, term_df.get(term_idx, 0), len(data), len(run)))
-        for record in run:
-            data += _POSTING.pack(*record)
-    forward_header: List[Tuple[int, int, int, int]] = []
-    for paper_idx, section_idx, run in forward_runs:
-        forward_header.append((paper_idx, section_idx, len(data), len(run)))
-        for record in run:
-            data += _FORWARD.pack(*record)
+    records: List[bytes] = []
+    offset = 0
+    pack = _POSTING.pack
+    for term in index.vocabulary():
+        run = index.postings(term)
+        terms_header.append((term, index.document_frequency(term), offset, len(run)))
+        offset += len(run) * _POSTING.size
+        for posting in run:
+            paper_idx = paper_idx_of.get(posting.paper_id)
+            if paper_idx is None:
+                paper_idx = paper_idx_of[posting.paper_id] = len(paper_idx_of)
+            section_idx = section_idx_of.get(posting.section)
+            if section_idx is None:
+                section_idx = section_idx_of[posting.section] = len(section_idx_of)
+            records.append(pack(paper_idx, section_idx, posting.term_frequency))
 
     header = json.dumps(
         {
-            "n_papers": len(paper_ids),
-            "revision": len(paper_ids),
-            "paper_ids": paper_ids,
-            "sections": section_values,
+            "n_papers": index.n_papers,
+            "revision": index.n_papers,
+            "paper_ids": list(paper_idx_of),
+            "sections": [section.value for section in section_idx_of],
             "terms": terms_header,
-            "forward": forward_header,
-            "data_bytes": len(data),
+            "data_bytes": offset,
         }
     ).encode("utf-8")
 
@@ -126,11 +96,17 @@ def save_index(index, path) -> None:
         handle.write(_MAGIC)
         handle.write(_LEN.pack(len(header)))
         handle.write(header)
-        handle.write(bytes(data))
+        handle.write(b"".join(records))
 
 
 def _parse_header(buffer, path) -> Tuple[dict, int]:
-    """Validate a mapped file's framing; returns ``(header, data_start)``."""
+    """Validate a mapped file's framing; returns ``(header, data_start)``.
+
+    Beyond the magic and the data length, the term directory must tile
+    the data region: each run starts where the previous one ended, the
+    last ends at ``data_bytes``, and ``1 <= df <= count``.  A file that
+    breaks this fails here, not at the first query touching the term.
+    """
     if buffer[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path}: not a packed index (bad magic)")
     (header_len,) = _LEN.unpack_from(buffer, len(_MAGIC))
@@ -142,6 +118,19 @@ def _parse_header(buffer, path) -> Tuple[dict, int]:
     if len(buffer) != data_start + header["data_bytes"]:
         raise ValueError(
             f"{path}: truncated packed index ({len(buffer) - data_start} of "
+            f"{header['data_bytes']} data bytes)"
+        )
+    end = 0
+    for term, df, offset, count in header["terms"]:
+        if offset != end or not 1 <= df <= count:
+            raise ValueError(
+                f"{path}: corrupt term directory at {term!r} (df {df}, "
+                f"offset {offset}, count {count}; expected offset {end})"
+            )
+        end = offset + count * _POSTING.size
+    if end != header["data_bytes"]:
+        raise ValueError(
+            f"{path}: corrupt term directory (runs end at {end} of "
             f"{header['data_bytes']} data bytes)"
         )
     return header, data_start
@@ -157,12 +146,7 @@ class PackedIndex(SearchBackend):
     :attr:`revision` is the value frozen into the file.
     """
 
-    def __init__(
-        self,
-        path,
-        analyzer: Optional[Analyzer] = None,
-        term_cache_size: int = DEFAULT_TERM_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, path, analyzer: Optional[Analyzer] = None) -> None:
         self.analyzer = analyzer if analyzer is not None else default_analyzer()
         self._path = Path(path)
         self._mmap = None
@@ -179,25 +163,17 @@ class PackedIndex(SearchBackend):
         self._n_papers = int(header["n_papers"])
         self._revision = int(header["revision"])
         self._paper_ids: Tuple[str, ...] = tuple(header["paper_ids"])
-        self._paper_index = {pid: i for i, pid in enumerate(self._paper_ids)}
         self._sections: Tuple[Section, ...] = tuple(
             Section(value) for value in header["sections"]
         )
-        self._section_index = {s: i for i, s in enumerate(self._sections)}
         self._terms: Dict[str, Tuple[int, int, int]] = {
             term: (int(df), int(offset), int(count))
             for term, df, offset, count in header["terms"]
         }
         self._term_list: Tuple[str, ...] = tuple(self._terms)
-        # Forward directory grouped per paper, in stored (= indexing) order.
-        self._forward: Dict[int, List[Tuple[int, int, int]]] = {}
-        for paper_idx, section_idx, offset, count in header["forward"]:
-            self._forward.setdefault(int(paper_idx), []).append(
-                (int(section_idx), int(offset), int(count))
-            )
 
         self._term_cache: "OrderedDict[str, Tuple[Posting, ...]]" = OrderedDict()
-        self._term_cache_size = max(0, int(term_cache_size))
+        self._term_cache_size = TERM_CACHE_SIZE
         self._cache_lock = threading.Lock()
         get_registry().gauge("index.backend.mapped_bytes").set(len(self._mmap))
 
@@ -237,10 +213,6 @@ class PackedIndex(SearchBackend):
     @property
     def revision(self) -> int:
         return self._revision
-
-    @property
-    def n_terms(self) -> int:
-        return len(self._terms)
 
     # -- postings ------------------------------------------------------------------
 
@@ -287,49 +259,6 @@ class PackedIndex(SearchBackend):
             seen.setdefault(posting.paper_id, None)
         return list(seen)
 
-    # -- forward index -------------------------------------------------------------
-
-    def _decode_forward(self, offset: int, count: int) -> Dict[str, int]:
-        start = self._data_start + offset
-        chunk = self._mmap[start : start + count * _FORWARD.size]
-        term_list = self._term_list
-        return {
-            term_list[term_idx]: tf
-            for term_idx, tf in _FORWARD.iter_unpack(chunk)
-        }
-
-    def term_frequency(
-        self, paper_id: str, term: str, section: Optional[Section] = None
-    ) -> int:
-        paper_idx = self._paper_index.get(paper_id)
-        if paper_idx is None:
-            return 0
-        runs = self._forward.get(paper_idx, ())
-        if section is not None:
-            section_idx = self._section_index.get(section)
-            if section_idx is None:
-                return 0
-            for run_section, offset, count in runs:
-                if run_section == section_idx:
-                    return self._decode_forward(offset, count).get(term, 0)
-            return 0
-        return sum(
-            self._decode_forward(offset, count).get(term, 0)
-            for _, offset, count in runs
-        )
-
-    def paper_section_terms(
-        self, paper_id: str, section: Section
-    ) -> Mapping[str, int]:
-        paper_idx = self._paper_index.get(paper_id)
-        section_idx = self._section_index.get(section)
-        if paper_idx is None or section_idx is None:
-            return {}
-        for run_section, offset, count in self._forward.get(paper_idx, ()):
-            if run_section == section_idx:
-                return self._decode_forward(offset, count)
-        return {}
-
     # -- vocabulary ----------------------------------------------------------------
 
     def vocabulary(self) -> Sequence[str]:
@@ -348,35 +277,6 @@ class PackedIndex(SearchBackend):
             "mapped_bytes": float(len(self._mmap)) if self._mmap else 0.0,
             "cached_terms": float(cached_terms),
         }
-
-    def resident_postings_bytes(self) -> int:
-        """Heap bytes held by decoded (cached) postings right now."""
-        with self._cache_lock:
-            cached = list(self._term_cache.values())
-        total = 0
-        for run in cached:
-            total += sys.getsizeof(run)
-            for posting in run:
-                total += sys.getsizeof(posting) + sys.getsizeof(posting.__dict__)
-        return total
-
-    # -- (de)serialisation ---------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Dict[str, Dict[str, int]]]:
-        """Reconstruct the canonical per-paper snapshot (repack path).
-
-        Decodes the full forward region -- the repack path of
-        :func:`save_index`, not a serving-path operation.
-        """
-        papers: Dict[str, Dict[str, Dict[str, int]]] = {}
-        for paper_idx, paper_id in enumerate(self._paper_ids):
-            sections: Dict[str, Dict[str, int]] = {}
-            for section_idx, offset, count in self._forward.get(paper_idx, ()):
-                sections[self._sections[section_idx].value] = self._decode_forward(
-                    offset, count
-                )
-            papers[paper_id] = sections
-        return {"papers": papers}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

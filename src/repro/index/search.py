@@ -3,11 +3,11 @@
 Two retrieval modes, matching the two roles the baseline plays in the
 paper:
 
-- :meth:`KeywordSearchEngine.search` -- ranked retrieval (TF-IDF by
-  default, BM25 optionally) with section weighting and optional score
-  threshold.  Scores are normalised to [0, 1] by the maximum achievable
-  self-score of the query, so the "high threshold" seed step of
-  AC-answer-set construction has an absolute scale to cut against.
+- :meth:`KeywordSearchEngine.search` -- ranked TF-IDF retrieval with
+  section weighting (:data:`DEFAULT_SECTION_WEIGHTS`) and an optional
+  score threshold.  Scores are normalised to [0, 1] by the maximum
+  achievable self-score of the query, so the "high threshold" seed step
+  of AC-answer-set construction has an absolute scale to cut against.
 - :meth:`KeywordSearchEngine.search_unranked` -- the PubMed behaviour the
   introduction criticises: every paper containing all query terms, listed
   in descending year/id order with *no* relevance score.
@@ -34,7 +34,7 @@ from repro.corpus.paper import Section
 from repro.index.backend import SearchBackend
 from repro.obs import get_registry
 
-#: Default per-section match weights: a title hit is worth more than a body
+#: Per-section match weights: a title hit is worth more than a body
 #: hit, mirroring standard digital-library ranking practice.
 DEFAULT_SECTION_WEIGHTS: Mapping[Section, float] = {
     Section.TITLE: 3.0,
@@ -147,42 +147,12 @@ class QueryEvaluation:
 class KeywordSearchEngine:
     """Ranked keyword search over any :class:`SearchBackend`.
 
-    Parameters
-    ----------
-    scoring:
-        ``"tfidf"`` (sublinear tf x smoothed idf, the default used by the
-        reproduction experiments) or ``"bm25"`` (Okapi BM25 with
-        per-section length normalisation).
-    k1, b:
-        BM25 saturation and length-normalisation constants (ignored for
-        TF-IDF).
+    Scores are sublinear tf x smoothed idf, weighted per section by
+    :data:`DEFAULT_SECTION_WEIGHTS`.
     """
 
-    def __init__(
-        self,
-        index: SearchBackend,
-        section_weights: Optional[Mapping[Section, float]] = None,
-        scoring: str = "tfidf",
-        k1: float = 1.5,
-        b: float = 0.75,
-    ) -> None:
-        if scoring not in ("tfidf", "bm25"):
-            raise ValueError(f"scoring must be 'tfidf' or 'bm25', got {scoring!r}")
-        if k1 <= 0 or not 0.0 <= b <= 1.0:
-            raise ValueError(f"need k1 > 0 and 0 <= b <= 1, got k1={k1}, b={b}")
+    def __init__(self, index: SearchBackend) -> None:
         self.index = index
-        self.section_weights = (
-            dict(section_weights)
-            if section_weights is not None
-            else dict(DEFAULT_SECTION_WEIGHTS)
-        )
-        self.scoring = scoring
-        self.k1 = k1
-        self.b = b
-        self._section_lengths: Optional[Dict[Tuple[str, Section], int]] = None
-        self._avg_section_length: Optional[Dict[Section, float]] = None
-        self._lengths_revision: Optional[int] = None
-        self._lengths_lock = threading.Lock()
         # Per-term contribution cache: ``weight * tf_component * idf`` is
         # query-independent, so the per-posting contributions of a term
         # (and its distinct matched papers) are computed once per index
@@ -204,18 +174,11 @@ class KeywordSearchEngine:
         probe selection -- without touching the index again.
         """
         distinct_terms = list(dict.fromkeys(self.index.analyzer.analyze(query)))
-        lengths = averages = None
-        if self.scoring == "bm25" and distinct_terms:
-            # Fetch the section-length state once per query, not once per
-            # posting; the cache-hit counter therefore counts queries.
-            lengths, averages, was_cached = self._lengths_state()
-            if was_cached:
-                get_registry().counter("index.keyword.lengths_cache_hits").inc()
         scores: Dict[str, float] = {}
         matches: Dict[str, int] = {}
         postings_scanned = 0
         for term in distinct_terms:
-            entry = self._term_contributions(term, lengths, averages)
+            entry = self._term_contributions(term)
             if entry is None:
                 continue
             contributions, matched_papers = entry
@@ -280,7 +243,7 @@ class KeywordSearchEngine:
     # -- scoring components ----------------------------------------------------------
 
     def _term_contributions(
-        self, term, lengths=None, averages=None
+        self, term: str
     ) -> Optional[Tuple[List[Tuple[str, float]], List[str]]]:
         """Cached per-posting score contributions of one term.
 
@@ -307,8 +270,8 @@ class KeywordSearchEngine:
             matched_papers: List[str] = []
             seen: set = set()
             for posting in self.index.postings(term):
-                weight = self.section_weights.get(posting.section, 1.0)
-                tf_component = self._tf_component(posting, lengths, averages)
+                weight = DEFAULT_SECTION_WEIGHTS.get(posting.section, 1.0)
+                tf_component = 1.0 + math.log(posting.term_frequency)
                 paper_id = posting.paper_id
                 contributions.append(
                     (paper_id, weight * tf_component * idf)
@@ -321,55 +284,6 @@ class KeywordSearchEngine:
             if self._contrib_revision == revision:
                 self._contrib_cache[term] = entry
         return entry
-
-    def _tf_component(self, posting, lengths=None, averages=None) -> float:
-        """Per-posting term-frequency factor under the active scheme."""
-        if self.scoring == "tfidf":
-            return 1.0 + math.log(posting.term_frequency)
-        # BM25 with per-section length normalisation.
-        if lengths is None:
-            lengths, averages, _ = self._lengths_state()
-        length = lengths.get((posting.paper_id, posting.section), 0)
-        average = averages.get(posting.section, 0.0)
-        denominator_norm = 1.0 - self.b + (
-            self.b * (length / average) if average > 0 else 0.0
-        )
-        tf = posting.term_frequency
-        return tf * (self.k1 + 1.0) / (tf + self.k1 * denominator_norm)
-
-    def _lengths_state(self):
-        """The BM25 section-length tables plus whether they were cached.
-
-        The cache keys on the index's mutation *revision*, not its paper
-        count: replacing a paper (remove + add) keeps ``n_papers`` stable
-        but must still invalidate the stored lengths.
-        """
-        with self._lengths_lock:
-            if (
-                self._section_lengths is not None
-                and self._lengths_revision
-                != getattr(self.index, "revision", None)
-            ):
-                self._section_lengths = None
-                self._avg_section_length = None
-            if self._section_lengths is not None:
-                return self._section_lengths, self._avg_section_length, True
-            lengths: Dict[Tuple[str, Section], int] = {}
-            totals: Dict[Section, int] = {}
-            counts: Dict[Section, int] = {}
-            for term in self.index.vocabulary():
-                for posting in self.index.postings(term):
-                    key = (posting.paper_id, posting.section)
-                    lengths[key] = lengths.get(key, 0) + posting.term_frequency
-            for (_, section), length in lengths.items():
-                totals[section] = totals.get(section, 0) + length
-                counts[section] = counts.get(section, 0) + 1
-            self._section_lengths = lengths
-            self._avg_section_length = {
-                section: totals[section] / counts[section] for section in totals
-            }
-            self._lengths_revision = getattr(self.index, "revision", None)
-            return self._section_lengths, self._avg_section_length, False
 
     def match_score(self, query: str, paper_id: str) -> float:
         """Text-matching score of one (query, paper) pair in [0, 1].
@@ -410,23 +324,18 @@ class KeywordSearchEngine:
         df = self.index.document_frequency(term)
         if df == 0:
             return 0.0
-        if self.scoring == "bm25":
-            n = self.index.n_papers
-            return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         return math.log((1.0 + self.index.n_papers) / (1.0 + df)) + 1.0
 
     def _max_possible_score(self, distinct_terms: Sequence[str]) -> float:
         """Upper bound: every term matched in every section at a saturating tf.
 
         Using a shared bound for all papers keeps scores comparable across
-        papers and bounded by 1 without per-paper renormalisation.  For
-        TF-IDF a tf of e^2 (~7 occurrences) is treated as saturation; for
-        BM25 the tf component saturates at k1 + 1 by construction.
+        papers and bounded by 1 without per-paper renormalisation.  A tf
+        of e^2 (~7 occurrences) is treated as saturation.
         """
-        total_weight = sum(self.section_weights.values())
-        saturating_tf = (self.k1 + 1.0) if self.scoring == "bm25" else 3.0
+        total_weight = sum(DEFAULT_SECTION_WEIGHTS.values())
         return sum(
-            total_weight * saturating_tf * self._idf(term)
+            total_weight * 3.0 * self._idf(term)
             for term in distinct_terms
             if self._idf(term) > 0.0
         )

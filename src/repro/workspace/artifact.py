@@ -102,7 +102,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
     Artifact(
         name="index",
         filename="index.bin",
-        schema_version=2,
+        schema_version=3,
         build=lambda pipeline: pipeline.index,
         save=save_index,
         # Opened read-only behind mmap; a delta rebuilds it in memory.

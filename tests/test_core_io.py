@@ -265,7 +265,8 @@ class TestAtomicWrite:
             pipeline = build_demo_pipeline(seed=11, n_papers=60, n_terms=20)
             full = pipeline.index
             save_index(full, path)
-            live = PackedIndex(path, term_cache_size=0)
+            live = PackedIndex(path)
+            live._term_cache_size = 0
             small = build_index(Corpus(list(pipeline.corpus)[:3]))
             save_index(small, path)
             assert open_index(path).n_papers == 3

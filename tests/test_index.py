@@ -33,6 +33,17 @@ def index(corpus):
     return InvertedIndex().index_corpus(corpus)
 
 
+def _tf(index, paper_id, term, section=None):
+    """Frequency of ``term`` in one paper (one section or summed), read
+    off the postings."""
+    return sum(
+        posting.term_frequency
+        for posting in index.postings(term)
+        if posting.paper_id == paper_id
+        and (section is None or posting.section == section)
+    )
+
+
 class TestIndexing:
     def test_n_papers(self, index):
         assert index.n_papers == 3
@@ -48,31 +59,36 @@ class TestIndexing:
     def test_stemming_unifies_forms(self, index):
         # 'genes' and 'gene' both stem to 'gene'.
         assert index.document_frequency("gene") == 1
-        assert index.term_frequency("P1", "gene") >= 2
+        assert _tf(index, "P1", "gene") >= 2
 
     def test_papers_containing(self, index):
         assert index.papers_containing("fold") == ["P2"]
         assert index.papers_containing("nothing") == []
 
     def test_term_frequency_per_section(self, index):
-        assert index.term_frequency("P1", "express", Section.BODY) == 2
-        assert index.term_frequency("P1", "express", Section.TITLE) == 1
+        assert _tf(index, "P1", "express", Section.BODY) == 2
+        assert _tf(index, "P1", "express", Section.TITLE) == 1
 
     def test_term_frequency_summed(self, index):
-        assert index.term_frequency("P1", "express") == 4
+        assert _tf(index, "P1", "express") == 4
 
     def test_term_frequency_unknown_paper(self, index):
-        assert index.term_frequency("NOPE", "gene") == 0
+        assert _tf(index, "NOPE", "gene") == 0
 
     def test_empty_paper_indexed(self, index):
-        assert index.paper_section_terms("P3", Section.TITLE) == {}
+        assert index.n_papers == 3
+        assert all(
+            posting.paper_id != "P3"
+            for term in index.vocabulary()
+            for posting in index.postings(term)
+        )
 
     def test_duplicate_indexing_rejected(self, index, corpus):
         with pytest.raises(ValueError, match="already indexed"):
             index.index_paper(corpus.paper("P1"))
 
     def test_index_terms_section(self, index):
-        assert index.term_frequency("P1", "yeast", Section.INDEX_TERMS) == 1
+        assert _tf(index, "P1", "yeast", Section.INDEX_TERMS) == 1
 
     def test_contains(self, index):
         assert "gene" in index
@@ -93,7 +109,7 @@ class TestRemovePaper:
         index.remove_paper("P1")
         assert index.n_papers == 2
         assert index.papers_containing("gene") == []
-        assert index.term_frequency("P1", "express") == 0
+        assert _tf(index, "P1", "express") == 0
         assert index.document_frequency("express") == 0
 
     def test_shared_terms_survive_for_other_papers(self, corpus):

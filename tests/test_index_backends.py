@@ -1,20 +1,29 @@
 """Tests for the two index forms behind the ``SearchBackend`` protocol.
 
-Covers the packed index's equivalence with the in-memory index over
-every read API and engine ranking (the reference check for the persisted
-format), its bounded term cache, its framing checks, and the in-memory
-index's postings-view and vocabulary-snapshot contracts.
+Covers the packed index's equivalence with the in-memory index it was
+saved from -- fresh or mutated by paper removals, replacements and
+additions -- over every read API and engine score (the reference check
+for the one writer), its bounded term cache, its framing and
+term-directory checks, the ``index.backend.*`` gauges across a delta,
+and the in-memory index's postings-view and vocabulary-snapshot
+contracts.
 """
 
+import dataclasses
+import json
 import tracemalloc
 
 import pytest
 
-from repro.index import open_index, save_index
+from repro.corpus.corpus import Corpus
+from repro.corpus.paper import Paper
+from repro.index import build_index, open_index, save_index
 from repro.index.inverted import InvertedIndex
+from repro.index.packed import _LEN, _MAGIC, _PREAMBLE, PackedIndex
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, reset_registry
 from repro.pipeline import build_demo_pipeline
+from repro.workspace import ingest_delta, open_workspace
 
 QUERIES = (
     "gene expression regulation",
@@ -49,49 +58,94 @@ def packed_index(packed_path):
     index.close()
 
 
+def _mutated(pipeline):
+    """An index mutated in place, and the corpus it ends up indexing.
+
+    Removes the first paper (so some surviving terms lose their first
+    posting), replaces the second with different text under the same
+    id, and adds a new paper and a text-less one.
+    """
+    papers = list(pipeline.corpus)
+    corpus = Corpus(papers)
+    index = build_index(corpus)
+    first, second, donor = papers[0], papers[1], papers[-1]
+    replacement = dataclasses.replace(
+        second, title=donor.title, abstract=first.abstract, body=""
+    )
+    added = [
+        dataclasses.replace(first, paper_id="NEW-1"),
+        Paper(paper_id="NEW-TEXTLESS", title=""),
+    ]
+    for paper_id in (first.paper_id, second.paper_id):
+        index.remove_paper(paper_id)
+        corpus.remove(paper_id)
+    for paper in [replacement, *added]:
+        index.index_paper(paper)
+        corpus.add(paper)
+    moved = [
+        term
+        for term in index.vocabulary()
+        if pipeline.index.postings(term)[0].paper_id == first.paper_id
+        and index.postings(term)[0].paper_id != "NEW-1"
+    ]
+    assert moved, "no term lost its first posting paper"
+    return index, corpus
+
+
+@pytest.fixture(scope="module", params=["fresh", "mutated"])
+def saved(request, pipeline, tmp_path_factory):
+    """``(source index, corpus it indexes, packed file saved from it)``."""
+    if request.param == "fresh":
+        source, corpus = pipeline.index, pipeline.corpus
+    else:
+        source, corpus = _mutated(pipeline)
+    path = tmp_path_factory.mktemp(f"saved-{request.param}") / "index.bin"
+    save_index(source, path)
+    return source, corpus, path
+
+
 class TestOndiskEquivalence:
     """The packed index answers every read exactly as the in-memory index
-    it was saved from."""
+    it was saved from, fresh or mutated."""
 
-    def test_every_read_api_matches_memory(self, pipeline, packed_index):
-        source = pipeline.index
-        assert packed_index.n_papers == source.n_papers
-        assert packed_index.n_terms == source.n_terms
-        assert tuple(packed_index.vocabulary()) == tuple(source.vocabulary())
-        papers = [p.paper_id for p in pipeline.corpus][:10]
-        for term in source.vocabulary():
-            assert tuple(packed_index.postings(term)) == tuple(
-                source.postings(term)
-            ), term
-            assert packed_index.document_frequency(
-                term
-            ) == source.document_frequency(term)
-            assert packed_index.papers_containing(
-                term
-            ) == source.papers_containing(term)
-            assert (term in packed_index) == (term in source)
-        probe_terms = list(source.vocabulary())[:5]
-        from repro.corpus.paper import Section
+    def test_every_read_api_matches_memory(self, saved):
+        source, _, path = saved
+        packed_index = open_index(path)
+        try:
+            assert packed_index.n_papers == source.n_papers
+            assert tuple(packed_index.vocabulary()) == tuple(source.vocabulary())
+            for term in source.vocabulary():
+                assert tuple(packed_index.postings(term)) == tuple(
+                    source.postings(term)
+                ), term
+                assert packed_index.document_frequency(
+                    term
+                ) == source.document_frequency(term)
+                assert packed_index.papers_containing(
+                    term
+                ) == source.papers_containing(term)
+                assert term in packed_index
+        finally:
+            packed_index.close()
 
-        for paper_id in papers:
-            for term in probe_terms:
-                assert packed_index.term_frequency(
-                    paper_id, term
-                ) == source.term_frequency(paper_id, term)
-            for section in Section:
-                assert dict(
-                    packed_index.paper_section_terms(paper_id, section)
-                ) == dict(source.paper_section_terms(paper_id, section))
-        assert packed_index.to_payload() == source.to_payload()
-
-    @pytest.mark.parametrize("scoring", ["tfidf", "bm25"])
-    def test_engine_rankings_identical(self, pipeline, packed_index, scoring):
-        memory_engine = KeywordSearchEngine(pipeline.index, scoring=scoring)
-        packed_engine = KeywordSearchEngine(packed_index, scoring=scoring)
-        for query in QUERIES:
-            assert packed_engine.search(query, limit=10) == memory_engine.search(
-                query, limit=10
-            )
+    def test_engine_rankings_identical(self, saved):
+        """Scores off the file ``==`` a fresh build of the final corpus."""
+        source, corpus, path = saved
+        packed_index = open_index(path)
+        fresh_engine = KeywordSearchEngine(build_index(corpus))
+        packed_engine = KeywordSearchEngine(packed_index)
+        queries = list(QUERIES) + [paper.title for paper in list(corpus)[::5]]
+        try:
+            for query in queries:
+                assert (
+                    packed_engine.evaluate(query).scores
+                    == fresh_engine.evaluate(query).scores
+                ), query
+                assert packed_engine.search(query, limit=10) == KeywordSearchEngine(
+                    source
+                ).search(query, limit=10)
+        finally:
+            packed_index.close()
 
     def test_out_of_vocabulary_term(self, packed_index):
         assert packed_index.postings("zzz_not_a_term") == ()
@@ -118,6 +172,58 @@ class TestOndiskEquivalence:
         path = tmp_path / "index.bin"
         path.write_bytes(packed_path.read_bytes()[:-1])
         with pytest.raises(ValueError, match="truncated packed index"):
+            open_index(path)
+
+    def test_parent_format_rejected(self, packed_path, tmp_path):
+        """A file of the earlier layout (with a forward region) fails on
+        its magic rather than being read as postings."""
+        path = tmp_path / "index.bin"
+        path.write_bytes(b"RPROIDX1" + packed_path.read_bytes()[len(_MAGIC):])
+        with pytest.raises(ValueError, match="bad magic"):
+            open_index(path)
+
+
+def _rewrite_header(source, target, edit):
+    """Copy a packed file, applying ``edit`` to its header JSON; the
+    header keeps its length so the framing stays valid."""
+    raw = source.read_bytes()
+    (header_len,) = _LEN.unpack_from(raw, len(_MAGIC))
+    header = json.loads(raw[_PREAMBLE : _PREAMBLE + header_len])
+    edit(header)
+    encoded = json.dumps(header).encode("utf-8")
+    assert len(encoded) == header_len
+    target.write_bytes(raw[:_PREAMBLE] + encoded + raw[_PREAMBLE + header_len :])
+
+
+class TestTermDirectoryCheck:
+    """Opening rejects a term directory whose runs do not tile the data."""
+
+    def _term_with_count(self, header, low, high):
+        for position, (_, _, _, count) in enumerate(header["terms"][:-1]):
+            if low <= count <= high:
+                return position
+        raise AssertionError("no term with a suitable run count")
+
+    def test_overrunning_run_count_rejected(self, packed_path, tmp_path):
+        path = tmp_path / "index.bin"
+
+        def grow_one_run(header):
+            position = self._term_with_count(header, 1, 8)
+            header["terms"][position][3] += 1
+
+        _rewrite_header(packed_path, path, grow_one_run)
+        with pytest.raises(ValueError, match="corrupt term directory"):
+            open_index(path)
+
+    def test_df_above_run_count_rejected(self, packed_path, tmp_path):
+        path = tmp_path / "index.bin"
+
+        def raise_one_df(header):
+            position = self._term_with_count(header, 1, 8)
+            header["terms"][position][1] = header["terms"][position][3] + 1
+
+        _rewrite_header(packed_path, path, raise_one_df)
+        with pytest.raises(ValueError, match="corrupt term directory"):
             open_index(path)
 
 
@@ -156,19 +262,46 @@ class TestTermCache:
         finally:
             index.close()
 
-    def test_backend_stats_and_resident_bytes(self, pipeline, packed_index):
+    def test_backend_stats_count_cached_terms(self, packed_path, packed_index):
         stats = packed_index.backend_stats()
-        assert stats["mapped_bytes"] > 0
+        assert stats["mapped_bytes"] == packed_path.stat().st_size
         assert stats["cached_terms"] == 0
-        assert packed_index.resident_postings_bytes() == 0
-        packed_index.postings(packed_index.vocabulary()[0])
+        vocabulary = packed_index.vocabulary()
+        packed_index.postings(vocabulary[0])
         assert packed_index.backend_stats()["cached_terms"] == 1
-        assert packed_index.resident_postings_bytes() > 0
-        # Lazy decode holds only the touched slice, never the whole index.
-        assert (
-            packed_index.resident_postings_bytes()
-            < pipeline.index.resident_postings_bytes()
+        packed_index.postings(vocabulary[0])
+        packed_index.postings(vocabulary[1])
+        # Lazy decode holds only the touched terms, never the whole index.
+        assert packed_index.backend_stats()["cached_terms"] == 2
+        assert len(vocabulary) > 2
+
+
+class TestBackendGauges:
+    def test_delta_zeroes_the_packed_index_gauges(self, tmp_path):
+        """Once a delta swaps the opened file for an in-memory index,
+        ``/metrics`` must stop reporting the closed file's figures."""
+        build_demo_pipeline(seed=11, n_papers=40, n_terms=10).build_workspace(
+            tmp_path
         )
+        pipeline = build_demo_pipeline(seed=11, n_papers=40, n_terms=10)
+        open_workspace(pipeline, tmp_path)
+        pipeline.search("gene expression regulation")
+        def mapped_and_cached():
+            pipeline.serving_view.export_gauges()
+            gauges = get_registry().snapshot()["gauges"]
+            return (
+                gauges["index.backend.mapped_bytes"],
+                gauges["index.backend.cached_terms"],
+            )
+
+        assert isinstance(pipeline.substrates._index, PackedIndex)
+        size = (tmp_path / "index.bin").stat().st_size
+        assert mapped_and_cached()[0] == size
+
+        paper_id = next(iter(pipeline.corpus)).paper_id
+        ingest_delta(pipeline, tmp_path, removed_ids=[paper_id])
+        assert isinstance(pipeline.substrates._index, InvertedIndex)
+        assert mapped_and_cached() == (0.0, 0.0)
 
 
 class TestFormatDispatch:

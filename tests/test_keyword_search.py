@@ -3,7 +3,7 @@
 import pytest
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.paper import Paper, Section
+from repro.corpus.paper import Paper
 from repro.index.inverted import InvertedIndex
 from repro.index.search import KeywordSearchEngine
 
@@ -131,16 +131,6 @@ class TestUnrankedSearch:
         assert engine.search_unranked("", corpus) == []
 
 
-class TestSectionWeights:
-    def test_title_weight_dominates(self, corpus):
-        index = InvertedIndex().index_corpus(corpus)
-        title_heavy = KeywordSearchEngine(
-            index, section_weights={Section.TITLE: 10.0}
-        )
-        hits = title_heavy.search("structures")
-        assert hits[0].paper_id == "P2"
-
-
 class TestSameYearTieBreak:
     @pytest.fixture
     def same_year_corpus(self):
@@ -163,92 +153,28 @@ class TestSameYearTieBreak:
         assert result == ["P30", "P20", "P10", "P05"]
 
 
-class TestBm25LengthCacheInvalidation:
-    def test_replacing_a_paper_invalidates_cached_lengths(self, corpus):
+class TestContributionCache:
+    def test_replacing_a_paper_invalidates_contributions(self, corpus):
         # remove + add keeps n_papers stable, so a count-keyed cache would
-        # serve stale section lengths; the revision counter must not.
+        # replay the old paper's contributions; the revision counter must
+        # not.
         index = InvertedIndex().index_corpus(corpus)
-        engine = KeywordSearchEngine(index, scoring="bm25")
-        before = {h.paper_id: h.score for h in engine.search("gene")}
-        index.remove_paper("P2")
-        index.index_paper(
-            Paper(
-                paper_id="P2",
-                title="Gene gene gene gene gene",
-                abstract="gene gene gene gene gene gene",
-                year=2004,
-            )
+        engine = KeywordSearchEngine(index)
+        before = engine.evaluate("gene").scores
+        assert engine._contrib_cache
+        replacement = Paper(
+            paper_id="P2",
+            title="Gene gene gene gene gene",
+            abstract="gene gene gene gene gene gene",
+            year=2004,
         )
+        index.remove_paper("P2")
+        index.index_paper(replacement)
         assert index.n_papers == 3  # same count, different content
-        after = {h.paper_id: h.score for h in engine.search("gene")}
+        after = engine.evaluate("gene").scores
         assert after != before
-        # The fresh lengths must reflect the replacement exactly.
-        rebuilt = KeywordSearchEngine(index, scoring="bm25")
-        assert {h.paper_id: h.score for h in rebuilt.search("gene")} == after
-
-    def test_lengths_cache_hits_counts_cached_queries(self, corpus):
-        from repro.obs import reset_registry
-
-        registry = reset_registry()
-        engine = KeywordSearchEngine(
-            InvertedIndex().index_corpus(corpus), scoring="bm25"
+        # The fresh contributions must reflect the replacement exactly.
+        fresh = InvertedIndex().index_corpus(
+            Corpus([corpus.paper("P1"), corpus.paper("P3"), replacement])
         )
-        counters = lambda: registry.snapshot()["counters"].get(
-            "index.keyword.lengths_cache_hits", 0
-        )
-        engine.search("gene")  # builds the tables: a miss
-        assert counters() == 0
-        engine.search("gene expression")
-        engine.search("protein")
-        assert counters() == 2  # one increment per cached query, not per posting
-        reset_registry()
-
-
-class TestBm25:
-    @pytest.fixture
-    def index(self, corpus):
-        return InvertedIndex().index_corpus(corpus)
-
-    @pytest.fixture
-    def bm25(self, index):
-        return KeywordSearchEngine(index, scoring="bm25")
-
-    def test_scores_in_unit_interval(self, bm25):
-        for hit in bm25.search("gene expression yeast"):
-            assert 0.0 <= hit.score <= 1.0
-
-    def test_relevance_ordering_sensible(self, bm25):
-        hits = bm25.search("gene expression")
-        ids = [h.paper_id for h in hits]
-        assert ids[0] in {"P1", "P2"}
-        assert "P3" not in ids
-
-    def test_match_score_agrees_with_search(self, bm25):
-        hits = {h.paper_id: h.score for h in bm25.search("gene expression")}
-        assert bm25.match_score("gene expression", "P1") == pytest.approx(
-            hits["P1"]
-        )
-
-    def test_differs_from_tfidf(self, index):
-        tfidf = KeywordSearchEngine(index).search("gene expression")
-        bm25 = KeywordSearchEngine(index, scoring="bm25").search("gene expression")
-        tfidf_scores = {h.paper_id: h.score for h in tfidf}
-        bm25_scores = {h.paper_id: h.score for h in bm25}
-        assert tfidf_scores != bm25_scores
-
-    def test_bm25_length_cache_invalidated_on_removal(self, index, bm25):
-        bm25.search("gene")  # populate the length cache
-        index.remove_paper("P2")
-        hits = bm25.search("gene")
-        assert all(h.paper_id != "P2" for h in hits)
-        # Lengths were recomputed for the shrunken index.
-        lengths, _, _ = bm25._lengths_state()
-        assert all(pid != "P2" for pid, _section in lengths)
-
-    def test_validation(self, index):
-        with pytest.raises(ValueError, match="scoring"):
-            KeywordSearchEngine(index, scoring="lucene")
-        with pytest.raises(ValueError, match="k1"):
-            KeywordSearchEngine(index, scoring="bm25", k1=0.0)
-        with pytest.raises(ValueError, match="k1"):
-            KeywordSearchEngine(index, scoring="bm25", b=1.5)
+        assert KeywordSearchEngine(fresh).evaluate("gene").scores == after

@@ -242,7 +242,7 @@ class TestCorruptArtifacts:
         shutil.copytree(workspace, copy)
         (copy / "index.bin").unlink()
         write_tagged_json(
-            pipeline.index.to_payload(), copy / "index.json",
+            _v1_index_payload(pipeline.index), copy / "index.json",
             "repro/inverted-index/v1",
         )
         manifest = json.loads((copy / "manifest.json").read_text())
@@ -260,7 +260,7 @@ class TestCorruptArtifacts:
         assert "citation_graph" not in dependents
         reopened = Pipeline.from_directory(data_dir)
         statuses = {s.name: s for s in workspace_status(reopened, copy)}
-        assert statuses["index"].reason == "schema v1 != v2"
+        assert statuses["index"].reason == "schema v1 != v3"
         for name, status in statuses.items():
             assert status.state == ("stale" if name in dependents else "fresh"), name
 
@@ -321,6 +321,18 @@ class TestCorruptArtifacts:
             assert (copy / file).read_bytes() == (workspace / file).read_bytes(), name
 
 
+def _v1_index_payload(index):
+    """The schema-1 ``index.json`` payload: per-paper, per-section term
+    counts, rebuilt from the postings."""
+    papers = {}
+    for term in index.vocabulary():
+        for posting in index.postings(term):
+            sections = papers.setdefault(posting.paper_id, {})
+            counts = sections.setdefault(posting.section.value, {})
+            counts[term] = posting.term_frequency
+    return {"papers": papers}
+
+
 def _v1_fingerprints(pipeline, old):
     """Artifact fingerprints of a workspace built when the artifacts in
     ``old`` (name -> ``(schema_version, config)``) had that schema and
@@ -357,7 +369,8 @@ def _dependents(name):
 
 
 class TestManifestCheckTool:
-    def test_leftover_temp_file_fails_the_check(self, built, tmp_path, capsys):
+    @pytest.fixture()
+    def tool(self):
         import importlib.util
         from pathlib import Path
 
@@ -367,9 +380,20 @@ class TestManifestCheckTool:
         )
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
+        return tool
+
+    @pytest.fixture()
+    def copy(self, built, data_dir, tmp_path):
+        """A copy of the data directory with its built workspace (the
+        tool loads the artifacts with a pipeline from the data)."""
         _, workspace, _ = built
+        for name in ("corpus.jsonl", "ontology.obo", "training.json"):
+            shutil.copy(data_dir / name, tmp_path / name)
         copy = tmp_path / "workspace"
         shutil.copytree(workspace, copy)
+        return copy
+
+    def test_leftover_temp_file_fails_the_check(self, tool, copy, capsys):
         manifest = str(copy / "manifest.json")
         assert tool.main(["--manifest", manifest]) == 0
         (copy / ".index.bin.0badf00d.tmp").write_bytes(b"half an index")
@@ -377,6 +401,24 @@ class TestManifestCheckTool:
         assert "leftover temporary file .index.bin.0badf00d.tmp" in (
             capsys.readouterr().out
         )
+
+    def test_unloadable_artifact_fails_the_check(self, tool, copy, capsys):
+        manifest = str(copy / "manifest.json")
+        raw = (copy / "index.bin").read_bytes()
+        (copy / "index.bin").write_bytes(raw[:-1])
+        assert tool.main(["--manifest", manifest]) == 1
+        out = capsys.readouterr().out
+        assert "index: index.bin does not load" in out
+        assert "truncated packed index" in out
+
+    def test_missing_data_directory_fails_the_check(
+        self, built, tmp_path, tool, capsys
+    ):
+        _, workspace, _ = built
+        copy = tmp_path / "workspace"
+        shutil.copytree(workspace, copy)
+        assert tool.main(["--manifest", str(copy / "manifest.json")]) == 1
+        assert "cannot open the data directory" in capsys.readouterr().out
 
 
 class TestIncremental:
@@ -539,12 +581,13 @@ class TestCodecs:
         index = build_index(tiny_corpus)
         save_index(index, tmp_path / "index.bin")
         restored = open_index(tmp_path / "index.bin")
-        assert restored.to_payload() == index.to_payload()
-        assert restored.n_papers == index.n_papers
-        for term in ("glucose", "kinase", "quasar"):
+        assert restored.vocabulary() == index.vocabulary()
+        for term in index.vocabulary():
+            assert restored.postings(term) == index.postings(term), term
             assert restored.document_frequency(term) == index.document_frequency(
                 term
             )
+        assert restored.n_papers == index.n_papers
 
     def test_vector_store_round_trip(self, tiny_corpus, tmp_path):
         from repro.core.io import read_vector_store, write_vector_store

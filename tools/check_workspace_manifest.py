@@ -16,10 +16,14 @@ With ``--manifest PATH`` it additionally validates a built workspace's
 entry names a registered artifact, recorded schema versions and
 dependency edges match the registry, every referenced artifact file
 exists on disk, no temporary file of an interrupted write is left in
-the workspace directory, and -- when the workspace carries generations
--- the lineage chain is sound: each archived ``manifest.gen-<N>.json``
-hashes to the ``parent`` fingerprint its child recorded and generation
-numbers descend monotonically by one (via ``read_generation_chain``).
+the workspace directory, every artifact file loads through its
+registered ``load`` codec (with a pipeline opened from the data
+directory holding the workspace, so codec checks such as the packed
+index's term directory run on real files), and -- when the workspace
+carries generations -- the lineage chain is sound: each archived
+``manifest.gen-<N>.json`` hashes to the ``parent`` fingerprint its
+child recorded and generation numbers descend monotonically by one
+(via ``read_generation_chain``).
 
 Exit status 1 when any violation is found; intended for tools/ci.sh.
 """
@@ -118,7 +122,40 @@ def check_manifest(path: Path) -> list:
             f"{path}: leftover temporary file {leftover.name} "
             f"(a write was interrupted)"
         )
+    problems += check_loads(path, payload)
     problems += check_generation_chain(workspace, payload)
+    return problems
+
+
+def check_loads(path: Path, payload: dict) -> list:
+    """Load every listed artifact file through its registered codec.
+
+    The pipeline comes from the workspace's data directory (the
+    workspace's parent, the layout ``repro build`` writes).  Artifacts
+    load in build order and each loaded object is installed, so a codec
+    that reads an upstream substrate (the token cache reads the index's
+    analyzer) gets the loaded one instead of building it.  Any exception
+    is a violation.
+    """
+    workspace = path.parent
+    try:
+        pipeline = Pipeline.from_directory(workspace.parent)
+    except Exception as error:
+        return [f"{path}: cannot open the data directory ({error})"]
+    problems = []
+    for name in topological_order():
+        entry = payload["artifacts"].get(name)
+        if entry is None or not (workspace / entry["file"]).exists():
+            continue
+        artifact = ARTIFACTS[name]
+        try:
+            loaded = artifact.load(workspace / entry["file"], pipeline)
+            artifact.install(pipeline, loaded)
+        except Exception as error:
+            problems.append(
+                f"{path}: {name}: {entry['file']} does not load "
+                f"({type(error).__name__}: {error})"
+            )
     return problems
 
 
