@@ -10,7 +10,7 @@ means *u cites v*.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -64,69 +64,6 @@ class CitationGraph:
         if target not in self._out[source]:
             self._out[source].append(target)
             self._in[target].append(source)
-
-    def remove_node(self, node: str) -> None:
-        """Remove ``node`` and every incident edge; unknown nodes are an error.
-
-        Neighbour adjacency lists keep their relative order, so removal is
-        indistinguishable from the node never having been added.
-        """
-        if node not in self._out:
-            raise KeyError(f"unknown node {node!r}")
-        for target in self._out.pop(node):
-            self._in[target].remove(node)
-        for source in self._in.pop(node):
-            self._out[source].remove(node)
-
-    def apply_corpus_delta(
-        self,
-        corpus: Corpus,
-        added_ids: Sequence[str],
-        removed_ids: Sequence[str],
-    ) -> None:
-        """Splice a corpus delta into the graph, canonically.
-
-        ``corpus`` must be the *final* corpus (removals and additions
-        already applied); ``added_ids``/``removed_ids`` list the papers
-        that changed, with added papers appended at the end of corpus
-        insertion order.  The result is byte-identical -- node order,
-        adjacency-list order, everything -- to ``from_corpus(corpus)``:
-
-        - removed nodes disappear from neighbour lists in place (relative
-          order of survivors is unchanged, as if never added);
-        - new nodes land at the end of the node map, matching their
-          position in corpus order;
-        - old papers whose previously-dangling references now resolve get
-          their out-lists recomputed from the corpus so the new targets
-          sit at their canonical reference-order positions;
-        - in-lists of touched targets are rebuilt in corpus-order of the
-          citing papers, which is exactly the order ``from_corpus``
-          produces.
-        """
-        added = [pid for pid in added_ids if pid in corpus]
-        added_set = set(added)
-        for node in removed_ids:
-            if node in self._out:
-                self.remove_node(node)
-        for node in added:
-            self.add_node(node)
-        # Old citers whose dangling references now resolve to a new paper:
-        # recompute their out-lists from the corpus so the resurrected
-        # targets appear at reference-order positions, not appended.
-        old_citers: Dict[str, None] = {}
-        for pid in added:
-            for citer in corpus.citations_of(pid):
-                if citer not in added_set:
-                    old_citers.setdefault(citer)
-        for citer in old_citers:
-            self._out[citer] = list(dict.fromkeys(corpus.references_of(citer)))
-        for pid in added:
-            self._out[pid] = list(dict.fromkeys(corpus.references_of(pid)))
-            for target in self._out[pid]:
-                if target not in added_set and pid not in self._in[target]:
-                    self._in[target].append(pid)
-        for pid in added:
-            self._in[pid] = list(dict.fromkeys(corpus.citations_of(pid)))
 
     # -- access --------------------------------------------------------------------
 
@@ -248,23 +185,6 @@ class CitationGraph:
             reached |= next_frontier
             frontier = next_frontier
         return reached
-
-    # -- (de)serialisation ----------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, List]:
-        """JSON-able snapshot: node list (insertion order) + edge list."""
-        return {
-            "nodes": self.nodes(),
-            "edges": [[source, target] for source, target in self.edges()],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "CitationGraph":
-        """Rebuild from :meth:`to_payload` output (orders preserved)."""
-        return cls(
-            nodes=payload["nodes"],
-            edges=[(source, target) for source, target in payload["edges"]],
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CitationGraph({len(self)} nodes, {self.n_edges} edges)"

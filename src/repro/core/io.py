@@ -27,7 +27,6 @@ from typing import IO, Dict, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
 from repro.core.patterns import AnalyzedPaperCache
 from repro.core.vectors import PaperVectorStore
@@ -46,7 +45,6 @@ _PAPER_SET_FORMAT = "repro/context-paper-set/v1"
 _SCORES_FORMAT = "repro/prestige-scores/v2"
 _VECTORS_FORMAT = "repro/vector-store/v2"
 _TOKENS_FORMAT = "repro/token-cache/v1"
-_GRAPH_FORMAT = "repro/citation-graph/v1"
 _REPRESENTATIVES_FORMAT = "repro/representatives/v1"
 
 
@@ -285,15 +283,6 @@ def read_token_cache(
 ) -> AnalyzedPaperCache:
     payload = read_tagged_json(path, _TOKENS_FORMAT)
     return AnalyzedPaperCache.from_payload(payload, corpus, analyzer=analyzer)
-
-
-def write_citation_graph(graph: CitationGraph, path: PathLike) -> None:
-    write_tagged_json(graph.to_payload(), path, _GRAPH_FORMAT)
-
-
-def read_citation_graph(path: PathLike) -> CitationGraph:
-    payload = read_tagged_json(path, _GRAPH_FORMAT)
-    return CitationGraph.from_payload(payload)
 
 
 def write_representatives(representatives: Dict[str, str], path: PathLike) -> None:

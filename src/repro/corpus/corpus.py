@@ -23,7 +23,6 @@ class Corpus:
     def __init__(self, papers: Optional[Iterable[Paper]] = None) -> None:
         self._papers: Dict[str, Paper] = {}
         self._outgoing: Optional[Dict[str, Tuple[str, ...]]] = None
-        self._incoming: Optional[Dict[str, Tuple[str, ...]]] = None
         self._by_author: Optional[Dict[str, Tuple[str, ...]]] = None
         if papers is not None:
             for paper in papers:
@@ -54,7 +53,6 @@ class Corpus:
 
     def _invalidate(self) -> None:
         self._outgoing = None
-        self._incoming = None
         self._by_author = None
 
     # -- basic access -------------------------------------------------------------
@@ -92,28 +90,17 @@ class Corpus:
         assert self._outgoing is not None
         return self._outgoing.get(paper_id, ())
 
-    def citations_of(self, paper_id: str) -> Tuple[str, ...]:
-        """Ids of corpus papers citing ``paper_id``."""
-        self._ensure_citation_maps()
-        assert self._incoming is not None
-        return self._incoming.get(paper_id, ())
-
     def _ensure_citation_maps(self) -> None:
         if self._outgoing is not None:
             return
-        outgoing: Dict[str, Tuple[str, ...]] = {}
-        incoming_lists: Dict[str, List[str]] = {pid: [] for pid in self._papers}
-        for paper in self._papers.values():
-            resolvable = tuple(
+        self._outgoing = {
+            paper.paper_id: tuple(
                 ref
                 for ref in paper.references
                 if ref in self._papers and ref != paper.paper_id
             )
-            outgoing[paper.paper_id] = resolvable
-            for ref in resolvable:
-                incoming_lists[ref].append(paper.paper_id)
-        self._outgoing = outgoing
-        self._incoming = {pid: tuple(v) for pid, v in incoming_lists.items()}
+            for paper in self._papers.values()
+        }
 
     # -- author structure -------------------------------------------------------------
 

@@ -325,8 +325,8 @@ class Pipeline:
         """Add papers to the corpus, delta-updating every built substrate.
 
         The incremental counterpart of rebuilding the pipeline on an
-        extended corpus: the index, vectors, citation graph, and context
-        assignments update in place (see
+        extended corpus: the index, vectors and context assignments
+        update in place, the citation graph rebuilds on its next read (see
         :meth:`~repro.serving.substrate.SubstrateStore.apply_delta`), and
         prestige is recomputed only for contexts whose paper sets
         changed.  Returns the
@@ -381,6 +381,7 @@ class Pipeline:
 
     @property
     def citation_graph(self) -> CitationGraph:
+        """The corpus-wide graph; a snapshot, so read it again after a delta."""
         return self._store.citation_graph
 
     @property
@@ -424,8 +425,9 @@ class Pipeline:
 
         A workspace built by ``repro build`` (see :mod:`repro.workspace`)
         holds *all* heavy substrates -- index, vectors, token cache,
-        citation graph, paper sets, representatives, prestige scores --
-        so a fully-built workspace opens with zero rebuilds.
+        paper sets, representatives, prestige scores -- so a fully-built
+        workspace opens with zero rebuilds.  The citation graph is not
+        persisted: it derives from the corpus on first read.
 
         ``workspace_dir`` defaults to ``<data_dir>/workspace``.  With
         ``strict=True`` any missing or stale artifact raises

@@ -70,7 +70,7 @@ register(
     ScoreFunctionSpec(
         name="text",
         factory=_text_factory,
-        substrates=("vectors", "citation_graph", "representatives"),
+        substrates=("vectors", "representatives"),
         paper_sets=("text",),
         description="multi-facet similarity to the context representative (3.2)",
         in_overlap=True,
@@ -81,7 +81,6 @@ register(
     ScoreFunctionSpec(
         name="citation",
         factory=_citation_factory,
-        substrates=("citation_graph",),
         paper_sets=("text", "pattern"),
         description="per-context PageRank over the induced citation subgraph (3.1)",
         in_overlap=True,
@@ -107,7 +106,6 @@ register(
     ScoreFunctionSpec(
         name="hits",
         factory=_hits_factory,
-        substrates=("citation_graph",),
         paper_sets=(),
         description="per-context HITS authority (3.1 alternative; searchable only)",
         # Like citation: HITS sees only the context-induced subgraph.
@@ -119,7 +117,7 @@ register(
     ScoreFunctionSpec(
         name="combined",
         # Substrates: the union of the citation and text chains,
-        # ("citation_graph", "vectors", "representatives").
+        # ("vectors", "representatives").
         components=(("citation", CITATION_WEIGHT), ("text", TEXT_WEIGHT)),
         paper_sets=("text",),
         description="rank fusion: convex blend of citation and text prestige",

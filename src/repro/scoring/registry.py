@@ -49,9 +49,10 @@ class ScoreFunctionSpec:
     #: Exactly one of ``factory`` and ``components`` is set.
     factory: Optional[Callable] = None
     #: Workspace-artifact names the scores depend on, e.g.
-    #: ``("citation_graph",)`` -- the paper-set artifact is implicit.  For
-    #: a derived spec :func:`register` sets it to the ordered union of its
-    #: components' substrates.
+    #: ``("vectors", "representatives")`` -- the paper-set artifact is
+    #: implicit, and so is the corpus (the citation graph derives from
+    #: it).  For a derived spec :func:`register` sets it to the ordered
+    #: union of its components' substrates.
     substrates: Tuple[str, ...] = ()
     #: Paper sets the function is persisted on and swept over in
     #: evaluation (its arms).  Empty = searchable only (``hits``).

@@ -157,11 +157,18 @@ class SubstrateStore:
 
     @property
     def citation_graph(self) -> CitationGraph:
-        if self._graph is None:
+        """Derived from the corpus, never persisted; a delta drops it.
+
+        A graph once returned is never mutated, so a caller holding one
+        keeps a snapshot of the corpus it was built from.
+        """
+        graph = self._graph
+        if graph is None:
             with self._build_lock:
                 if self._graph is None:
                     self._graph = CitationGraph.from_corpus(self.corpus)
-        return self._graph
+                graph = self._graph
+        return graph
 
     @property
     def keyword_engine(self) -> KeywordSearchEngine:
@@ -362,8 +369,8 @@ class SubstrateStore:
         - **vectors** -- fitted TF-IDF models are delta-updated exactly
           (ghost terms keep df=0); cached vectors re-weight from retained
           count maps;
-        - **citation graph** -- spliced canonically (byte-identical to a
-          rebuild from the final corpus);
+        - **citation graph** -- dropped; the next read rebuilds it from
+          the final corpus, so a graph a caller holds stays a snapshot;
         - **text paper set** -- reassigned with warm substrates, then
           diffed context-by-context against the previous assignment: a
           context changed when its paper ids differ or include a
@@ -442,11 +449,7 @@ class SubstrateStore:
                 if self._vectors is not None:
                     with span("substrate.delta.vectors"):
                         self._vectors.apply_delta(added, removed_papers)
-                if self._graph is not None:
-                    with span("substrate.delta.graph"):
-                        self._graph.apply_corpus_delta(
-                            self.corpus, added_ids, removed
-                        )
+                self._graph = None  # derived: rebuilt from the corpus on read
 
                 changed_contexts: Dict[str, Tuple[str, ...]] = {}
                 if self._text_paper_set is not None:
@@ -607,11 +610,6 @@ class SubstrateStore:
             self._tokens = tokens
         self._bump()
 
-    def install_citation_graph(self, graph: Optional[CitationGraph]) -> None:
-        with self._build_lock:
-            self._graph = graph
-        self._bump()
-
     def install_text_paper_set(self, paper_set: Optional[ContextPaperSet]) -> None:
         with self._build_lock:
             self._text_paper_set = paper_set
@@ -641,7 +639,6 @@ class SubstrateStore:
         "index": "_index",
         "tokens": "_tokens",
         "vectors": "_vectors",
-        "citation_graph": "_graph",
         "text_paper_set": "_text_paper_set",
         "pattern_paper_set": "_pattern_paper_set",
         "representatives": "_representatives",
@@ -650,7 +647,7 @@ class SubstrateStore:
     def has(self, slot: str) -> bool:
         """Is ``slot`` built or installed?  Never triggers a lazy build.
 
-        ``slot`` is a substrate name (``"index"``, ``"citation_graph"``,
+        ``slot`` is a substrate name (``"index"``, ``"vectors"``,
         ...) or a ``<function>/<paper_set>`` score key.
         """
         if "/" in slot:

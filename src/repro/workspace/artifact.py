@@ -137,18 +137,6 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         description="fitted TF-IDF models, per-paper term counts and unit TF-IDF rows",
     ),
     Artifact(
-        name="citation_graph",
-        filename="citation_graph.json",
-        schema_version=1,
-        build=lambda pipeline: pipeline.citation_graph,
-        save=core_io.write_citation_graph,
-        load=lambda path, pipeline: core_io.read_citation_graph(path),
-        install=lambda pipeline, graph: (
-            pipeline.substrates.install_citation_graph(graph)
-        ),
-        description="corpus-wide directed citation graph",
-    ),
-    Artifact(
         name="text_paper_set",
         filename="text_paper_set.json",
         schema_version=1,
@@ -260,9 +248,10 @@ def artifact_names() -> List[str]:
 def topological_order(targets: Optional[Iterable[str]] = None) -> List[str]:
     """Dependency-closed build order for ``targets`` (default: everything).
 
-    Raises ``KeyError`` for unknown names and ``ValueError`` on a
-    dependency cycle (cannot happen with the shipped registry; guards
-    future edits).
+    Raises ``KeyError`` for unknown names, and ``ValueError`` on a
+    dependency that names no artifact (a score function's ``substrates``
+    typo) or a dependency cycle (neither can happen with the shipped
+    registry; both guard future edits and plugins).
     """
     requested = list(targets) if targets is not None else artifact_names()
     for name in requested:
@@ -281,6 +270,11 @@ def topological_order(targets: Optional[Iterable[str]] = None) -> List[str]:
             raise ValueError(f"artifact dependency cycle through {name!r}")
         visiting.add(name)
         for dep in ARTIFACTS[name].deps:
+            if dep not in ARTIFACTS:
+                raise ValueError(
+                    f"artifact {name!r} depends on unknown artifact {dep!r}; "
+                    f"known: {', '.join(ARTIFACTS)}"
+                )
             visit(dep)
         visiting.discard(name)
         done.add(name)

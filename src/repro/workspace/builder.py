@@ -169,8 +169,10 @@ class WorkspaceBuilder:
 
         Fresh artifacts are left on disk untouched; the ones a stale node
         needs are hydrated into the pipeline first so the stale build
-        reuses them.  Returns a :class:`BuildReport`; re-running on an
-        unchanged workspace is a no-op for every artifact.
+        reuses them.  Entries and files of artifacts that are no longer
+        registered are dropped.  Returns a :class:`BuildReport`;
+        re-running on an unchanged workspace is a no-op for every
+        artifact.
         """
         registry = get_registry()
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -201,9 +203,12 @@ class WorkspaceBuilder:
         payload = read_manifest(self.directory)
         entries = entries_from_payload(payload) if payload else {}
         actions: List[BuildAction] = []
-        #: Files of rebuilt artifacts whose file name changed (a schema
-        #: bump); removed once the new manifest no longer names them.
-        superseded: List[str] = []
+        #: Files the new manifest no longer names: those of rebuilt
+        #: artifacts whose file name changed (a schema bump) and those of
+        #: retired artifacts (no longer registered, so their entries go).
+        superseded: List[str] = [
+            entries.pop(name).file for name in list(entries) if name not in ARTIFACTS
+        ]
         with span("workspace.build.run", directory=str(self.directory)):
             for name in closure:
                 artifact = ARTIFACTS[name]

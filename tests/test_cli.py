@@ -171,12 +171,12 @@ class TestBuild:
              "--seed", "8", "--out", str(tmp_path)]
         )
         code = main(
-            ["build", "--data", str(tmp_path), "--only", "citation_graph"]
+            ["build", "--data", str(tmp_path), "--only", "index"]
         )
         assert code == 0
         workspace = tmp_path / "workspace"
-        assert (workspace / "citation_graph.json").exists()
-        assert not (workspace / "index.bin").exists()
+        assert (workspace / "index.bin").exists()
+        assert not (workspace / "vectors.npz").exists()
 
 
 class TestWorkspaceStatus:

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.citations.graph import CitationGraph
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper
 from repro.obs import get_registry
@@ -139,6 +140,29 @@ class TestDeltaSemantics:
         assert pipeline.corpus.paper(papers[0].paper_id).title.startswith(
             "revised edition"
         )
+
+    def test_held_citation_graph_is_a_snapshot(self, pipeline):
+        """A delta never mutates a built graph: the one read before a
+        replace keeps its nodes and edges, and the next read derives the
+        final corpus's graph, in the same node and edge order."""
+        held = pipeline.citation_graph
+        nodes, edges = held.nodes(), list(held.edges())
+        papers = list(pipeline.corpus)
+        victim = papers[5]
+        others = [p.paper_id for p in papers if p.paper_id != victim.paper_id]
+        replacement = dataclasses.replace(victim, references=tuple(others[10:14]))
+        assert set(replacement.references) != set(held.out_neighbors(victim.paper_id))
+        pipeline.substrates.apply_delta(
+            added_papers=[replacement], removed_ids=[victim.paper_id]
+        )
+        assert held.nodes() == nodes
+        assert list(held.edges()) == edges
+        graph = pipeline.citation_graph
+        expected = CitationGraph.from_corpus(pipeline.corpus)
+        assert graph is not held
+        assert graph.nodes() == expected.nodes()
+        assert list(graph.edges()) == list(expected.edges())
+        assert graph.out_neighbors(victim.paper_id) == list(replacement.references)
 
     def test_replaced_references_rescore_every_context_holding_the_paper(
         self, pipeline

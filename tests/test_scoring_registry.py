@@ -18,7 +18,7 @@ from repro.cli import build_parser
 from repro.core.context import Context
 from repro.pipeline import build_demo_pipeline
 from repro.scoring import PrestigeScoreFunction, ScoreFunctionSpec
-from repro.workspace import ARTIFACTS
+from repro.workspace import ARTIFACTS, topological_order
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -180,12 +180,23 @@ class TestPluginSeam:
             )
 
     def test_substrates_become_artifact_deps(self):
-        spec = _toy_spec(substrates=("citation_graph", "vectors"))
+        spec = _toy_spec(substrates=("tokens", "vectors"))
         with scoring.temporary_registration(spec):
             artifact = ARTIFACTS["scores_toy_text"]
-            assert artifact.deps == (
-                "text_paper_set", "citation_graph", "vectors",
-            )
+            assert artifact.deps == ("text_paper_set", "tokens", "vectors")
+
+    # ``citation_graph`` was an artifact once: the graph now derives from
+    # the corpus, so a spec still naming it must learn that clearly.
+    @pytest.mark.parametrize("unknown", ["graph", "citation_graph"])
+    def test_unknown_substrate_is_named(self, unknown):
+        spec = _toy_spec(substrates=(unknown,))
+        with scoring.temporary_registration(spec):
+            with pytest.raises(ValueError) as excinfo:
+                topological_order()
+        message = str(excinfo.value)
+        assert "'scores_toy_text'" in message
+        assert f"unknown artifact {unknown!r}" in message
+        assert "representatives" in message  # the known names
 
     def test_toy_function_searches_end_to_end(self):
         pipeline = build_demo_pipeline(seed=11, n_papers=60, n_terms=20)
@@ -206,15 +217,13 @@ class TestCombinedFunction:
 
     def test_registered_with_union_substrates(self):
         spec = scoring.get("combined")
-        assert spec.substrates == ("citation_graph", "vectors", "representatives")
+        assert spec.substrates == ("vectors", "representatives")
         assert spec.paper_sets == ("text",)
         assert not spec.in_overlap
 
     def test_workspace_artifact_derived(self):
         artifact = ARTIFACTS["scores_combined_text"]
-        assert artifact.deps == (
-            "text_paper_set", "citation_graph", "vectors", "representatives",
-        )
+        assert artifact.deps == ("text_paper_set", "vectors", "representatives")
 
     def test_blend_is_convex_combination_of_normalised_components(self):
         pipeline = build_demo_pipeline(seed=11, n_papers=80, n_terms=25)
@@ -296,10 +305,20 @@ class TestCheckRegistries:
         undocumented_function = dataclasses.replace(
             scoring.get("hits"), name="undocumented"
         )
+        def score_table(text):
+            return docs.with_table(
+                text, docs.SCORE_TABLE_HEADING, docs.score_function_table()
+            )
+
         with scoring.temporary_registration(undocumented_function):
-            regenerated = docs.with_score_function_table(architecture)
+            regenerated = score_table(architecture)
         assert "| `undocumented` |" in regenerated
         assert regenerated != architecture
-        assert docs.with_score_function_table(architecture) == architecture
+        assert score_table(architecture) == architecture
+        assert docs.with_table(
+            architecture,
+            docs.ARTIFACT_TABLE_HEADING,
+            docs.structural_artifact_table(),
+        ) == architecture
         assert lint.main() == 0
         assert "agree with the registry" in capsys.readouterr().out

@@ -177,14 +177,14 @@ class TestOpenWorkspace:
         _, workspace, _ = built
         partial = tmp_path / "partial"
         shutil.copytree(workspace, partial)
-        (partial / ARTIFACTS["citation_graph"].filename).unlink()
+        (partial / ARTIFACTS["representatives"].filename).unlink()
         pipeline = Pipeline.from_directory(data_dir)
-        with pytest.raises(StaleWorkspaceError, match="citation_graph"):
+        with pytest.raises(StaleWorkspaceError, match="representatives"):
             open_workspace(pipeline, partial)
         pipeline = Pipeline.from_directory(data_dir)
         loaded = open_workspace(pipeline, partial, strict=False)
         assert loaded == len(ARTIFACTS) - 1
-        assert not pipeline.substrates.has("citation_graph")  # lazy rebuild
+        assert not pipeline.substrates.has("representatives")  # lazy rebuild
 
 
 class TestCorruptArtifacts:
@@ -411,6 +411,25 @@ class TestManifestCheckTool:
         assert "index: index.bin does not load" in out
         assert "truncated packed index" in out
 
+    def test_build_drops_retired_artifacts(self, tool, copy):
+        """A score function that is no longer registered leaves neither a
+        manifest entry nor a file behind after the next build."""
+        import dataclasses
+
+        from repro import scoring
+
+        toy = dataclasses.replace(scoring.get("citation"), name="toy")
+        with scoring.temporary_registration(toy):
+            assert Pipeline.from_directory(copy.parent).build_workspace(
+                copy
+            ).built == ["scores_toy_text", "scores_toy_pattern"]
+        assert (copy / "scores_toy_text.npz").exists()
+        assert Pipeline.from_directory(copy.parent).build_workspace(copy).is_noop()
+        assert not set(read_manifest(copy)["artifacts"]) - set(ARTIFACTS)
+        assert not (copy / "scores_toy_text.npz").exists()
+        assert not (copy / "scores_toy_pattern.npz").exists()
+        assert tool.main(["--manifest", str(copy / "manifest.json")]) == 0
+
     def test_missing_data_directory_fails_the_check(
         self, built, tmp_path, tool, capsys
     ):
@@ -492,11 +511,11 @@ class TestIncremental:
     def test_only_builds_requested_closure(self, data_dir, tmp_path):
         pipeline = Pipeline.from_directory(data_dir)
         workspace = tmp_path / "ws"
-        report = pipeline.build_workspace(workspace, only=["citation_graph"])
-        assert report.built == ["citation_graph"]
+        report = pipeline.build_workspace(workspace, only=["index"])
+        assert report.built == ["index"]
         states = {s.name: s.state for s in workspace_status(pipeline, workspace)}
-        assert states["citation_graph"] == "fresh"
-        assert states["index"] == "missing"
+        assert states["index"] == "fresh"
+        assert states["vectors"] == "missing"
 
     def test_force_rebuilds_only_the_requested(self, built, data_dir, tmp_path):
         _, workspace, _ = built
@@ -624,15 +643,6 @@ class TestCodecs:
                 paper_id, Section.ABSTRACT
             )
 
-    def test_citation_graph_round_trip(self, tiny_corpus, tmp_path):
-        from repro.citations.graph import CitationGraph
-        from repro.core.io import read_citation_graph, write_citation_graph
-
-        graph = CitationGraph.from_corpus(tiny_corpus)
-        write_citation_graph(graph, tmp_path / "graph.json")
-        restored = read_citation_graph(tmp_path / "graph.json")
-        assert restored.to_payload() == graph.to_payload()
-
     def test_representatives_round_trip(self, tmp_path):
         from repro.core.io import read_representatives, write_representatives
 
@@ -641,18 +651,20 @@ class TestCodecs:
         assert read_representatives(tmp_path / "reps.json") == representatives
 
     def test_corrupt_artifact_names_path(self, tmp_path):
-        from repro.core.io import read_citation_graph
+        from repro.core.io import read_representatives
 
-        path = tmp_path / "citation_graph.json"
+        path = tmp_path / "representatives.json"
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(ValueError, match="corrupt JSON") as excinfo:
-            read_citation_graph(path)
+            read_representatives(path)
         assert str(path) in str(excinfo.value)
 
     def test_mismatched_format_tag_names_both_tags(self, tmp_path):
-        from repro.core.io import read_citation_graph, write_representatives
+        from repro.core.io import read_representatives, write_tagged_json
 
         path = tmp_path / "artifact.json"
-        write_representatives({"a": "b"}, path)
-        with pytest.raises(ValueError, match="expected format"):
-            read_citation_graph(path)
+        write_tagged_json({"nodes": []}, path, "repro/citation-graph/v1")
+        with pytest.raises(ValueError, match="expected format") as excinfo:
+            read_representatives(path)
+        assert "repro/representatives/v1" in str(excinfo.value)
+        assert "repro/citation-graph/v1" in str(excinfo.value)

@@ -22,7 +22,7 @@ echo "== lint: workspace artifact registry =="
 python tools/check_workspace_manifest.py
 
 echo
-echo "== lint: a freshly built workspace and its delta generations pass the manifest check =="
+echo "== lint: a fresh workspace, its upgrade from a stale manifest, and its delta generations pass the manifest check =="
 WORKSPACE_DATA="$(mktemp -d)"
 FRESH_DATA="$(mktemp -d)"
 trap 'rm -rf "$WORKSPACE_DATA" "$FRESH_DATA"' EXIT
@@ -31,6 +31,23 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli generate \
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
     --data "$WORKSPACE_DATA" > /dev/null
 python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
+# A workspace built while the citation graph was an artifact lists a
+# `citation_graph` entry and file; the next build must drop both.
+python - "$WORKSPACE_DATA/workspace" <<'PY'
+import json, sys
+from pathlib import Path
+workspace = Path(sys.argv[1])
+manifest = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
+entry = dict(manifest["artifacts"]["representatives"], file="citation_graph.json", deps=[])
+manifest["artifacts"]["citation_graph"] = entry
+(workspace / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+graph = {"format": "repro/citation-graph/v1", "nodes": [], "edges": []}
+(workspace / "citation_graph.json").write_text(json.dumps(graph), encoding="utf-8")
+PY
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
+    --data "$WORKSPACE_DATA" > /dev/null
+python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
+test ! -e "$WORKSPACE_DATA/workspace/citation_graph.json"
 # ... and so does the next generation a one-paper delta writes (the
 # delta path rewrites vectors.npz from the retained term counts).
 python - "$WORKSPACE_DATA" <<'PY'
@@ -84,7 +101,7 @@ print(f"reopened generation 2 ranks like a fresh build ({len(arms)} arms, {len(q
 PY
 
 echo
-echo "== docs: docs/api.md and the architecture score-function table are generated from the code =="
+echo "== docs: docs/api.md and the architecture score-function and artifact tables are generated from the code =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/gen_api_docs.py
 git diff --exit-code docs/api.md docs/architecture.md
 
