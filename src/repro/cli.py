@@ -5,8 +5,8 @@ Subcommands mirror a deployment's life cycle:
 - ``repro generate``  -- synthesise a corpus + ontology + training map to
   a data directory (the stand-in for parsing PubMed);
 - ``repro build``     -- incrementally build the artifact workspace
-  (index, vectors, tokens, paper sets, representatives, prestige
-  scores -- the paper's query-independent pre-processing);
+  (index, vectors, paper sets, representatives, prestige scores --
+  the paper's query-independent pre-processing);
 - ``repro workspace status`` -- per-artifact freshness of a workspace;
 - ``repro search``    -- run a context-based search against a data dir
   (hydrates from ``<data>/workspace`` when one is built);

@@ -49,9 +49,9 @@ class TextContextAssigner:
         paper to join the context.
     candidate_terms:
         Candidate pruning width: papers are only scored if they share one
-        of the representative vector's top-``candidate_terms`` terms
-        (exact for any threshold > 0 given TF-IDF weighting of short
-        queries; keeps the builder linear instead of contexts x corpus).
+        of the representative vector's top-``candidate_terms`` terms.  A
+        heuristic, not exact: a paper that shares only lower-weighted
+        terms is never scored, even when its cosine clears the threshold.
     """
 
     def __init__(

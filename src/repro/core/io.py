@@ -28,7 +28,6 @@ from typing import IO, Dict, Iterator, Optional, Union
 import numpy as np
 
 from repro.core.context import Context, ContextPaperSet
-from repro.core.patterns import AnalyzedPaperCache
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.ontology.ontology import Ontology
@@ -44,7 +43,6 @@ TEMP_SUFFIX = ".tmp"
 _PAPER_SET_FORMAT = "repro/context-paper-set/v1"
 _SCORES_FORMAT = "repro/prestige-scores/v2"
 _VECTORS_FORMAT = "repro/vector-store/v2"
-_TOKENS_FORMAT = "repro/token-cache/v1"
 _REPRESENTATIVES_FORMAT = "repro/representatives/v1"
 
 
@@ -248,10 +246,9 @@ def _score_rows(
 
 # -- workspace substrate codecs ---------------------------------------------------
 #
-# Each heavy pipeline substrate gets a symmetric (write_*, read_*) pair
-# over its in-place ``to_payload``/``from_payload`` snapshot.  Readers
-# take the live objects the artefact cannot embed (corpus, analyzer) --
-# the same convention as :func:`read_context_paper_set`'s ontology.
+# Readers take the live objects the artefact cannot embed (corpus,
+# analyzer) -- the same convention as :func:`read_context_paper_set`'s
+# ontology.
 
 
 def write_vector_store(vectors: PaperVectorStore, path: PathLike) -> None:
@@ -272,17 +269,6 @@ def read_vector_store(
         return PaperVectorStore.from_arrays(header, members, corpus, analyzer=analyzer)
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"{path}: corrupt vector-store file ({error})") from error
-
-
-def write_token_cache(tokens: AnalyzedPaperCache, path: PathLike) -> None:
-    write_tagged_json(tokens.to_payload(), path, _TOKENS_FORMAT)
-
-
-def read_token_cache(
-    path: PathLike, corpus: Corpus, analyzer: Optional[Analyzer] = None
-) -> AnalyzedPaperCache:
-    payload = read_tagged_json(path, _TOKENS_FORMAT)
-    return AnalyzedPaperCache.from_payload(payload, corpus, analyzer=analyzer)
 
 
 def write_representatives(representatives: Dict[str, str], path: PathLike) -> None:

@@ -121,14 +121,6 @@ class AnalyzedPaperCache:
             parts.extend(self.tokens(paper_id, section))
         return tuple(parts)
 
-    # -- (de)serialisation ------------------------------------------------------
-
-    def warm(self) -> None:
-        """Analyse every (paper, section) pair once, filling the cache."""
-        for paper_id in self.corpus.paper_ids():
-            for section in TEXT_SECTIONS:
-                self.tokens(paper_id, section)
-
     def evict_paper(self, paper_id: str) -> None:
         """Drop one paper's cached token sequences (idempotent).
 
@@ -138,24 +130,6 @@ class AnalyzedPaperCache:
         """
         for section in TEXT_SECTIONS:
             self._cache.pop((paper_id, section), None)
-
-    def to_payload(self) -> Dict[str, Dict[str, List[str]]]:
-        """JSON-able snapshot of every cached token sequence."""
-        papers: Dict[str, Dict[str, List[str]]] = {}
-        for (paper_id, section), tokens in self._cache.items():
-            papers.setdefault(paper_id, {})[section.value] = list(tokens)
-        return {"papers": papers}
-
-    @classmethod
-    def from_payload(
-        cls, payload: Mapping, corpus: Corpus, analyzer: Optional[Analyzer] = None
-    ) -> "AnalyzedPaperCache":
-        """Rebuild a warmed cache from :meth:`to_payload` output."""
-        cache = cls(corpus, analyzer)
-        for paper_id, sections in payload["papers"].items():
-            for section_value, tokens in sections.items():
-                cache._cache[(paper_id, Section(section_value))] = tuple(tokens)
-        return cache
 
 
 def find_occurrences(tokens: Sequence[str], phrase: Terms) -> List[int]:

@@ -424,10 +424,12 @@ class Pipeline:
         """Open a data directory and hydrate every cache from its workspace.
 
         A workspace built by ``repro build`` (see :mod:`repro.workspace`)
-        holds *all* heavy substrates -- index, vectors, token cache,
-        paper sets, representatives, prestige scores -- so a fully-built
-        workspace opens with zero rebuilds.  The citation graph is not
-        persisted: it derives from the corpus on first read.
+        holds every substrate a query reads -- index, vectors, paper
+        sets, representatives, prestige scores -- so a fully-built
+        workspace serves searches with zero rebuilds.  The citation
+        graph and the token cache are not persisted: they derive from
+        the corpus on first read (the token cache only for a pattern
+        rebuild or a delta).
 
         ``workspace_dir`` defaults to ``<data_dir>/workspace``.  With
         ``strict=True`` any missing or stale artifact raises

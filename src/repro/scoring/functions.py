@@ -95,7 +95,6 @@ register(
     ScoreFunctionSpec(
         name="pattern",
         factory=_pattern_factory,
-        substrates=("tokens",),
         paper_sets=("pattern",),
         description="pattern-matching prestige over mined patterns (3.3)",
         in_overlap=True,

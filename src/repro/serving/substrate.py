@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro import scoring
 from repro.citations.graph import CitationGraph
@@ -130,30 +132,46 @@ class SubstrateStore:
 
     # -- lazily built substrates ----------------------------------------------------
 
+    def _lazy(self, slot: str, build: Callable[[], object]):
+        """``slot``'s value, built by ``build`` under the build lock if unset.
+
+        The slot is read into a local, outside the lock and then inside
+        it, and the local is returned: :meth:`apply_delta` clears slots
+        under the same lock, so a second unlocked read could see ``None``.
+        """
+        value = getattr(self, slot)
+        if value is None:
+            with self._build_lock:
+                value = getattr(self, slot)
+                if value is None:
+                    value = build()
+                    setattr(self, slot, value)
+        return value
+
     @property
     def index(self) -> SearchBackend:
-        if self._index is None:
-            with self._build_lock:
-                if self._index is None:
-                    with span("substrate.index.build"):
-                        self._index = build_index(self.corpus)
-        return self._index
+        def build() -> SearchBackend:
+            with span("substrate.index.build"):
+                return build_index(self.corpus)
+
+        return self._lazy("_index", build)
 
     @property
     def vectors(self) -> PaperVectorStore:
-        if self._vectors is None:
-            with self._build_lock:
-                if self._vectors is None:
-                    self._vectors = PaperVectorStore(self.corpus, self.index.analyzer)
-        return self._vectors
+        return self._lazy(
+            "_vectors", lambda: PaperVectorStore(self.corpus, self.index.analyzer)
+        )
 
     @property
     def tokens(self) -> AnalyzedPaperCache:
-        if self._tokens is None:
-            with self._build_lock:
-                if self._tokens is None:
-                    self._tokens = AnalyzedPaperCache(self.corpus, self.index.analyzer)
-        return self._tokens
+        """Analysed token sequences, derived from the corpus, never persisted.
+
+        Only pattern construction and :meth:`apply_delta` (a removed
+        paper's words) read it; no query does.
+        """
+        return self._lazy(
+            "_tokens", lambda: AnalyzedPaperCache(self.corpus, self.index.analyzer)
+        )
 
     @property
     def citation_graph(self) -> CitationGraph:
@@ -162,40 +180,28 @@ class SubstrateStore:
         A graph once returned is never mutated, so a caller holding one
         keeps a snapshot of the corpus it was built from.
         """
-        graph = self._graph
-        if graph is None:
-            with self._build_lock:
-                if self._graph is None:
-                    self._graph = CitationGraph.from_corpus(self.corpus)
-                graph = self._graph
-        return graph
+        return self._lazy("_graph", lambda: CitationGraph.from_corpus(self.corpus))
 
     @property
     def keyword_engine(self) -> KeywordSearchEngine:
         """The PubMed-style baseline search engine."""
-        if self._keyword_engine is None:
-            with self._build_lock:
-                if self._keyword_engine is None:
-                    self._keyword_engine = KeywordSearchEngine(self.index)
-        return self._keyword_engine
+        return self._lazy("_keyword_engine", lambda: KeywordSearchEngine(self.index))
 
     @property
     def text_paper_set(self) -> ContextPaperSet:
         """The text-based context paper set (section 4, first builder)."""
-        if self._text_paper_set is None:
-            with self._build_lock:
-                if self._text_paper_set is None:
-                    self._text_assigner = TextContextAssigner(
-                        self.corpus,
-                        self.ontology,
-                        self.vectors,
-                        self.index,
-                        similarity_threshold=self.text_similarity_threshold,
-                    )
-                    self._text_paper_set = self._text_assigner.build(
-                        self.training_papers
-                    )
-        return self._text_paper_set
+
+        def build() -> ContextPaperSet:
+            self._text_assigner = TextContextAssigner(
+                self.corpus,
+                self.ontology,
+                self.vectors,
+                self.index,
+                similarity_threshold=self.text_similarity_threshold,
+            )
+            return self._text_assigner.build(self.training_papers)
+
+        return self._lazy("_text_paper_set", build)
 
     @property
     def representatives(self) -> Dict[str, str]:
@@ -206,28 +212,26 @@ class SubstrateStore:
         training papers -- the selection is deterministic, so this
         reproduces the original choice.
         """
-        if self._representatives is None:
-            with self._build_lock:
-                if self._representatives is None:
-                    paper_set = self.text_paper_set
-                    if self._text_assigner is not None:
-                        self._representatives = dict(
-                            self._text_assigner.representatives
-                        )
-                    else:
-                        from repro.core.representative import select_representatives
 
-                        self._representatives = select_representatives(
-                            self.vectors, paper_set
-                        )
-        return dict(self._representatives)
+        def build() -> Dict[str, str]:
+            paper_set = self.text_paper_set
+            if self._text_assigner is not None:
+                return dict(self._text_assigner.representatives)
+            from repro.core.representative import select_representatives
+
+            return select_representatives(self.vectors, paper_set)
+
+        return dict(self._lazy("_representatives", build))
 
     @property
     def pattern_paper_set(self) -> ContextPaperSet:
         """The pattern-based context paper set (section 4, second builder)."""
-        if self._pattern_paper_set is None:
-            _ = self.pattern_assigner  # runs the build, which installs the set
-        return self._pattern_paper_set
+        paper_set = self._pattern_paper_set
+        if paper_set is None:
+            with self._build_lock:
+                _ = self.pattern_assigner  # runs the build, which installs the set
+                paper_set = self._pattern_paper_set
+        return paper_set
 
     @property
     def pattern_assigner(self) -> PatternContextAssigner:
@@ -237,21 +241,21 @@ class SubstrateStore:
         assigner has not run; accessing it (only pattern-*score* builds
         do) re-runs pattern construction while keeping the loaded set.
         """
-        if self._pattern_assigner is None:
-            with self._build_lock:
-                if self._pattern_assigner is None:
-                    assigner = PatternContextAssigner(
-                        self.corpus,
-                        self.ontology,
-                        self.index,
-                        token_cache=self.tokens,
-                        memo=self._pattern_memo,
-                    )
-                    built = assigner.build(self.training_papers)
-                    if self._pattern_paper_set is None:
-                        self._pattern_paper_set = built
-                    self._pattern_assigner = assigner
-        return self._pattern_assigner
+
+        def build() -> PatternContextAssigner:
+            assigner = PatternContextAssigner(
+                self.corpus,
+                self.ontology,
+                self.index,
+                token_cache=self.tokens,
+                memo=self._pattern_memo,
+            )
+            built = assigner.build(self.training_papers)
+            if self._pattern_paper_set is None:
+                self._pattern_paper_set = built
+            return assigner
+
+        return self._lazy("_pattern_assigner", build)
 
     def paper_set(self, paper_set_name: str) -> ContextPaperSet:
         """The context paper set registered under ``paper_set_name``."""
@@ -605,11 +609,6 @@ class SubstrateStore:
             self._vectors = vectors
         self._bump()
 
-    def install_tokens(self, tokens: Optional[AnalyzedPaperCache]) -> None:
-        with self._build_lock:
-            self._tokens = tokens
-        self._bump()
-
     def install_text_paper_set(self, paper_set: Optional[ContextPaperSet]) -> None:
         with self._build_lock:
             self._text_paper_set = paper_set
@@ -637,7 +636,6 @@ class SubstrateStore:
     #: Substrate name (as in the workspace artifact graph) -> raw slot.
     _SLOTS = {
         "index": "_index",
-        "tokens": "_tokens",
         "vectors": "_vectors",
         "text_paper_set": "_text_paper_set",
         "pattern_paper_set": "_pattern_paper_set",

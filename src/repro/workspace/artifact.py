@@ -83,12 +83,6 @@ def _score_artifact(function: str, paper_set_name: str, deps: Tuple[str, ...]) -
     )
 
 
-def _build_tokens(pipeline):
-    tokens = pipeline.tokens
-    tokens.warm()
-    return tokens
-
-
 def _build_vectors(pipeline):
     vectors = pipeline.vectors
     vectors.warm()
@@ -109,19 +103,6 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         load=lambda path, pipeline: open_index(path),
         install=lambda pipeline, index: pipeline.substrates.install_index(index),
         description="section-aware inverted index over the corpus (packed postings)",
-    ),
-    Artifact(
-        name="tokens",
-        filename="tokens.json",
-        schema_version=1,
-        build=_build_tokens,
-        save=core_io.write_token_cache,
-        load=lambda path, pipeline: core_io.read_token_cache(
-            path, pipeline.corpus, pipeline.index.analyzer
-        ),
-        install=lambda pipeline, tokens: pipeline.substrates.install_tokens(tokens),
-        deps=("index",),
-        description="analysed token sequences per (paper, section)",
     ),
     Artifact(
         name="vectors",
@@ -164,7 +145,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         install=lambda pipeline, paper_set: (
             pipeline.substrates.install_pattern_paper_set(paper_set)
         ),
-        deps=("index", "tokens"),
+        deps=("index",),
         description="pattern-based context paper set (section 4)",
     ),
     Artifact(

@@ -9,6 +9,9 @@ Two properties the ServingView swap must guarantee:
    computation runs exactly once (observed via the
    ``pipeline.prestige.computed`` counter), and every caller gets the
    same object.
+
+A lazy substrate getter also returns the value it read, even when a
+delta clears the slot before it returns.
 """
 
 import threading
@@ -221,3 +224,34 @@ class TestEngineWarmRace:
 
         assert all(rows == baseline[query] for query, rows in results)
         assert len(built) == 1
+
+
+class _ClearedAfterRead:
+    """A store slot that a delta clears right after each read of it."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, store, owner=None):
+        value = store.__dict__[self.name]
+        store.__dict__[self.name] = None
+        return value
+
+    def __set__(self, store, value):
+        store.__dict__[self.name] = value
+
+
+class TestSlotReadRace:
+    @pytest.mark.parametrize(
+        "name", ["keyword_engine", "pattern_paper_set", "pattern_assigner"]
+    )
+    def test_getter_returns_the_slot_it_read(self, name):
+        """``apply_delta`` clears these slots under the build lock; a
+        getter that tests the slot and then reads it again could return
+        None (a view built on a None keyword engine answers 500)."""
+        store = build_demo_pipeline(seed=5, n_papers=60, n_terms=20).substrates
+        built = getattr(store, name)
+        assert built is not None
+        slot = {f"_{name}": _ClearedAfterRead()}
+        store.__class__ = type("RacingStore", (type(store),), slot)
+        assert getattr(store, name) is built

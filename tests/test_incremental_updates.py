@@ -446,6 +446,26 @@ class TestWorkspaceIngestDelta:
         papers = list(fresh.corpus)
         report = fresh.add_papers([_new_paper("PGEN02", papers[0].paper_id)])
         assert "citation/text" in report.scores_patched
+        # The pattern arms rebuild from a token cache derived on demand
+        # (a workspace persists none) and rank like a scratch build.
+        scratch = Pipeline(
+            corpus=_copy_corpus(fresh.corpus),
+            ontology=pipeline.ontology,
+            training_papers=pipeline.training_papers,
+        )
+
+        def ranking(target, function, query):
+            hits = target.search(
+                query, function=function, paper_set_name="pattern",
+                limit=10, use_cache=False,
+            )
+            return [(hit.paper_id, hit.context_id, hit.relevancy) for hit in hits]
+
+        for function in ("pattern", "citation"):
+            for query in (paper.title for paper in papers[:3]):
+                got = ranking(fresh, function, query)
+                assert got == ranking(scratch, function, query), (function, query)
+                assert got, (function, query)
 
 
 def _copy_corpus(corpus: Corpus) -> Corpus:

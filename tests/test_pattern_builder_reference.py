@@ -31,7 +31,8 @@ from repro.core.patterns import (
     PatternSetBuilder,
     find_occurrences,
 )
-from repro.corpus.paper import TEXT_SECTIONS
+from repro.corpus.corpus import Corpus
+from repro.corpus.paper import Paper
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 
@@ -96,19 +97,10 @@ def reference_build(builder, term_id, training_ids):
 
 
 def make_builder(docs, names, **knobs):
-    """A builder over ``docs`` (paper id -> tokens) with a stub index."""
+    """A builder over ``docs`` (paper id -> title tokens) with a stub index."""
     ontology = Ontology([Term(f"T{i}", name) for i, name in enumerate(names)])
-    analyzer = SimpleNamespace(analyze=str.split)
-    payload = {
-        "papers": {
-            pid: {
-                section.value: list(tokens) if section is TEXT_SECTIONS[0] else []
-                for section in TEXT_SECTIONS
-            }
-            for pid, tokens in docs.items()
-        }
-    }
-    cache = AnalyzedPaperCache.from_payload(payload, corpus=None, analyzer=analyzer)
+    corpus = Corpus(Paper(pid, title=" ".join(tokens)) for pid, tokens in docs.items())
+    cache = AnalyzedPaperCache(corpus, SimpleNamespace(analyze=str.split))
     index = SimpleNamespace(
         n_papers=len(docs),
         papers_containing=lambda word: {

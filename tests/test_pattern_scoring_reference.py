@@ -30,7 +30,8 @@ from repro.core.patterns import (
     PatternSetBuilder,
     match_strength,
 )
-from repro.corpus.paper import TEXT_SECTIONS
+from repro.corpus.corpus import Corpus
+from repro.corpus.paper import TEXT_SECTIONS, Paper
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 
@@ -77,15 +78,11 @@ def reference_score(pattern_set, token_cache, paper_ids, middle_only=False):
 def make_builder(docs, names, **knobs):
     """A builder over ``docs`` (paper id -> one token tuple per section)."""
     ontology = Ontology([Term(f"T{i}", name) for i, name in enumerate(names)])
-    payload = {
-        "papers": {
-            pid: {s.value: list(tokens) for s, tokens in zip(TEXT_SECTIONS, sections)}
-            for pid, sections in docs.items()
-        }
-    }
-    cache = AnalyzedPaperCache.from_payload(
-        payload, corpus=None, analyzer=SimpleNamespace(analyze=str.split)
+    corpus = Corpus(
+        Paper(pid, " ".join(title), " ".join(abstract), " ".join(body), index_terms)
+        for pid, (title, abstract, body, index_terms) in docs.items()
     )
+    cache = AnalyzedPaperCache(corpus, SimpleNamespace(analyze=str.split))
     index = SimpleNamespace(
         n_papers=len(docs),
         papers_containing=lambda word: {

@@ -167,6 +167,7 @@ class TestOpenWorkspace:
         ]
         assert len(loaded) == len(arms) > 0
         assert all(scores._by_context is None for scores in loaded)
+        assert hydrated.substrates._tokens is None  # no query reads tokens
 
     def test_strict_open_of_unbuilt_raises(self, data_dir, tmp_path):
         pipeline = Pipeline.from_directory(data_dir)
@@ -623,24 +624,6 @@ class TestCodecs:
         for paper_id in tiny_corpus.paper_ids():
             assert restored.full_vector(paper_id).weights == pytest.approx(
                 vectors.full_vector(paper_id).weights
-            )
-
-    def test_token_cache_round_trip(self, tiny_corpus, tmp_path):
-        from repro.core.io import read_token_cache, write_token_cache
-        from repro.core.patterns import AnalyzedPaperCache
-        from repro.corpus.paper import Section
-        from repro.index.inverted import InvertedIndex
-
-        index = InvertedIndex().index_corpus(tiny_corpus)
-        tokens = AnalyzedPaperCache(tiny_corpus, index.analyzer)
-        tokens.warm()
-        write_token_cache(tokens, tmp_path / "tokens.json")
-        restored = read_token_cache(
-            tmp_path / "tokens.json", tiny_corpus, index.analyzer
-        )
-        for paper_id in tiny_corpus.paper_ids():
-            assert restored.tokens(paper_id, Section.ABSTRACT) == tokens.tokens(
-                paper_id, Section.ABSTRACT
             )
 
     def test_representatives_round_trip(self, tmp_path):

@@ -48,6 +48,41 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
     --data "$WORKSPACE_DATA" > /dev/null
 python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
 test ! -e "$WORKSPACE_DATA/workspace/citation_graph.json"
+# A workspace built while the token cache was an artifact lists a
+# `tokens` entry and file, and `pattern_paper_set` depends on it, so it
+# and its two score artifacts carry other fingerprints.  The next build
+# must drop the entry and file and rebuild those 3 to the same bytes.
+UPGRADE_SUMS="$(python - "$WORKSPACE_DATA/workspace" <<'PY'
+import hashlib, json, sys
+from pathlib import Path
+workspace = Path(sys.argv[1])
+manifest = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
+artifacts = manifest["artifacts"]
+sums = {e["file"]: hashlib.sha256((workspace / e["file"]).read_bytes()).hexdigest()
+        for e in artifacts.values()}
+artifacts["tokens"] = dict(artifacts["index"], file="tokens.json", deps=["index"])
+artifacts["pattern_paper_set"]["deps"] = ["index", "tokens"]
+for name in ("pattern_paper_set", "scores_pattern_pattern", "scores_citation_pattern"):
+    artifacts[name]["fingerprint"] = "0" * 64
+(workspace / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+tokens = {"format": "repro/token-cache/v1", "papers": {}}
+(workspace / "tokens.json").write_text(json.dumps(tokens), encoding="utf-8")
+print(json.dumps(sums))
+PY
+)"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
+    --data "$WORKSPACE_DATA" | grep -q "built 3, fresh 7 of 10 artifacts"
+python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
+test ! -e "$WORKSPACE_DATA/workspace/tokens.json"
+python - "$WORKSPACE_DATA/workspace" "$UPGRADE_SUMS" <<'PY'
+import hashlib, json, sys
+from pathlib import Path
+workspace, before = Path(sys.argv[1]), json.loads(sys.argv[2])
+after = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+         for path in workspace.iterdir() if path.name != "manifest.json"}
+assert after == before, sorted(set(after.items()) ^ set(before.items()))
+print(f"upgrade kept the sha256 of all {len(after)} artifact files")
+PY
 # ... and so does the next generation a one-paper delta writes (the
 # delta path rewrites vectors.npz from the retained term counts).
 python - "$WORKSPACE_DATA" <<'PY'
