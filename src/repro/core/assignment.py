@@ -16,12 +16,13 @@ scores.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.context import Context, ContextPaperSet
-from repro.core.cosine import cosine_pairs
+from repro.core.cosine import cosines_at_least, indptr_of
 from repro.core.patterns import (
     AnalyzedPaperCache,
     PatternMemo,
@@ -29,7 +30,7 @@ from repro.core.patterns import (
     PatternSetBuilder,
     find_occurrences,
 )
-from repro.core.representative import select_representative
+from repro.core.representative import representatives_of
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.index.backend import SearchBackend
@@ -39,19 +40,30 @@ from repro.ontology.ontology import Ontology
 logger = get_logger(__name__)
 
 
+def check_similarity_threshold(threshold: float) -> float:
+    """``threshold`` if it is in (0, 1], else a ``ValueError``.
+
+    Every paper's cosine to a representative is at least 0, so a
+    threshold <= 0 would put every paper in every context.
+    """
+    if not 0.0 < threshold <= 1.0:  # also rejects NaN
+        raise ValueError(
+            f"text similarity threshold must be in (0, 1], got {threshold!r}"
+        )
+    return threshold
+
+
 class TextContextAssigner:
     """Builds the text-based context paper set.
 
-    Parameters
-    ----------
-    similarity_threshold:
-        Minimum whole-paper cosine similarity to the representative for a
-        paper to join the context.
-    candidate_terms:
-        Candidate pruning width: papers are only scored if they share one
-        of the representative vector's top-``candidate_terms`` terms.  A
-        heuristic, not exact: a paper that shares only lower-weighted
-        terms is never scored, even when its cosine clears the threshold.
+    A context's papers are its training papers, its representative and
+    every paper whose whole-paper cosine to the representative is at
+    least ``similarity_threshold`` (in (0, 1]).  Every context's
+    representative comes from one batched
+    :func:`~repro.core.representative.representatives_of` call, and
+    every (context, paper) pair is decided by one
+    :func:`~repro.core.cosine.cosines_at_least` pass, exactly as the
+    per-pair ``SparseVector.cosine`` would decide it.
     """
 
     def __init__(
@@ -59,58 +71,79 @@ class TextContextAssigner:
         corpus: Corpus,
         ontology: Ontology,
         vectors: PaperVectorStore,
-        index: SearchBackend,
-        similarity_threshold: float = 0.18,
-        candidate_terms: int = 30,
+        similarity_threshold: float,
     ) -> None:
         self.corpus = corpus
         self.ontology = ontology
         self.vectors = vectors
-        self.index = index
-        self.similarity_threshold = similarity_threshold
-        self.candidate_terms = candidate_terms
+        self.similarity_threshold = check_similarity_threshold(similarity_threshold)
         #: Representative paper chosen per context, populated by build().
         self.representatives: Dict[str, str] = {}
-        #: ``index.papers_containing`` per term, memoised for one build():
-        #: contexts share candidate terms, and each lookup walks every
-        #: posting of the term.
-        self._papers_containing: Dict[str, List[str]] = {}
 
     def build(self, training_papers: Mapping[str, Sequence[str]]) -> ContextPaperSet:
         """Assign papers to every context that has training evidence."""
         started = time.perf_counter()
         registry = get_registry()
-        contexts: List[Context] = []
-        self.representatives = {}
-        self._papers_containing = {}
         with span(
             "assignment.text.build", threshold=self.similarity_threshold
         ) as trace, registry.timer("assignment.text.seconds"):
+            trained: List[Tuple[str, List[str]]] = []
             for term_id in self.ontology.term_ids():
                 training = [
                     pid
                     for pid in training_papers.get(term_id, ())
                     if pid in self.corpus
                 ]
-                if not training:
-                    continue
-                representative = select_representative(self.vectors, training)
-                if representative is None:
-                    continue
-                self.representatives[term_id] = representative
-                members = self._assign_by_similarity(representative, training)
-                contexts.append(
-                    Context(
-                        term_id=term_id,
-                        paper_ids=tuple(members),
-                        training_paper_ids=tuple(training),
-                    )
+                if training:
+                    trained.append((term_id, training))
+            chosen = representatives_of(
+                self.vectors, [training for _, training in trained]
+            )
+            self.representatives = {
+                term_id: representative
+                for (term_id, _), representative in zip(trained, chosen)
+            }
+            paper_ids = self.vectors.paper_ids
+            n = len(paper_ids)
+            hubs, members, borderline = cosines_at_least(
+                self.vectors.full_rows,
+                self.vectors.rows_of(chosen),
+                self.similarity_threshold,
+            )
+            # Training papers and the representative always belong; list
+            # every context's members in paper-id order.
+            fixed = [training + [rep] for (_, training), rep in zip(trained, chosen)]
+            hubs = np.concatenate(
+                [hubs, np.repeat(np.arange(len(fixed)), [len(f) for f in fixed])]
+            )
+            members = np.concatenate(
+                [members, self.vectors.rows_of(chain.from_iterable(fixed))]
+            )
+            by_id = sorted(range(n), key=paper_ids.__getitem__)
+            rank = np.empty(n, dtype=np.int64)
+            rank[by_id] = np.arange(n)
+            keys = np.unique(hubs * n + rank[members])
+            bounds = indptr_of(np.bincount(keys // n, minlength=len(fixed))).tolist()
+            ranked = (keys % n).tolist()
+            sorted_ids = [paper_ids[row] for row in by_id]
+            contexts = [
+                Context(
+                    term_id=term_id,
+                    paper_ids=tuple(map(sorted_ids.__getitem__, ranked[a:b])),
+                    training_paper_ids=tuple(training),
                 )
+                for (term_id, training), a, b in zip(trained, bounds, bounds[1:])
+            ]
             papers_assigned = sum(len(c.paper_ids) for c in contexts)
-            trace.set(contexts=len(contexts), papers_assigned=papers_assigned)
-        self._papers_containing = {}
+            trace.set(
+                contexts=len(contexts),
+                papers_assigned=papers_assigned,
+                pairs_scored=len(trained) * n,
+                borderline_pairs=borderline,
+            )
         registry.counter("assignment.text.contexts_built").inc(len(contexts))
         registry.counter("assignment.text.papers_assigned").inc(papers_assigned)
+        registry.counter("assignment.text.borderline_pairs").inc(borderline)
         logger.info(
             "text context paper set built",
             contexts=len(contexts),
@@ -119,48 +152,6 @@ class TextContextAssigner:
             threshold=self.similarity_threshold,
         )
         return ContextPaperSet(self.ontology, contexts)
-
-    def _assign_by_similarity(
-        self, representative: str, training: Sequence[str]
-    ) -> List[str]:
-        """Papers whose similarity to the representative clears the bar."""
-        rows = self.vectors.full_rows
-        rep_row = self.vectors.row_of(representative)
-        rep_ids, rep_weights = rows.row(rep_row)
-        candidates: Set[str] = set(training)
-        candidates.add(representative)
-        # Rank candidate terms by weight with *term string* tie-breaking:
-        # integer term ids depend on vocabulary fit order, which differs
-        # between a model fitted from scratch and one reached through
-        # incremental corpus deltas, while the strings do not.
-        vocabulary = self.vectors.full_model.vocabulary
-        ranked = sorted(
-            zip(rep_weights.tolist(), map(vocabulary.term_of, rep_ids.tolist())),
-            key=lambda item: (-item[0], item[1]),
-        )
-        for _weight, term in ranked[: self.candidate_terms]:
-            papers = self._papers_containing.get(term)
-            if papers is None:
-                papers = self.index.papers_containing(term)
-                self._papers_containing[term] = papers
-            candidates.update(papers)
-        fixed = set(training)
-        fixed.add(representative)
-        ordered = sorted(candidates)
-        scored = [paper_id for paper_id in ordered if paper_id not in fixed]
-        similarities = iter(
-            cosine_pairs(
-                rows,
-                self.vectors.rows_of(scored),
-                rows,
-                np.full(len(scored), rep_row, dtype=np.int64),
-            ).tolist()
-        )
-        return [
-            paper_id
-            for paper_id in ordered
-            if paper_id in fixed or next(similarities) >= self.similarity_threshold
-        ]
 
 
 class PatternContextAssigner:

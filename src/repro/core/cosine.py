@@ -26,12 +26,19 @@ bit, which is what keeps golden rankings byte-identical:
 
 The kernel counts the pairs it scores (``text.kernel.pairs``) and the
 pairs sent to the scalar fallback (``text.kernel.fallbacks``).
+
+:func:`cosines_at_least` answers a different question exactly: which
+``(hub, row)`` pairs have a cosine of at least a threshold, over *every*
+row.  It sums each pair's shared products in one ``np.bincount`` over
+the rows' term-major transpose (:meth:`VectorRows.by_term`), whose sum
+order differs from ``dot``'s, and sends every pair that lands within
+:data:`BORDERLINE` of the threshold back to :func:`cosine_pairs`.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,12 +49,37 @@ from repro.text.vectorize import SparseVector, l2_norm
 #: Cells per zero-padded block of shared-term products.
 CHUNK_CELLS = 1 << 18
 
+#: Cells per batch of :func:`cosines_at_least`: gathered products, and
+#: hub x row cells.  Small enough that a batch's arrays stay near one
+#: megabyte in all.
+BATCH_CELLS = 1 << 14
+
+#: :func:`cosines_at_least` re-scores a pair with :func:`cosine_pairs`
+#: when its batched cosine lies this close to the threshold.  Summing
+#: ``k`` products in another order moves a cosine by at most about
+#: ``k * 2.2e-16``, far below this for any row of fewer than millions
+#: of terms.
+BORDERLINE = 1e-9
+
 
 def indptr_of(lengths: Sequence[int]) -> np.ndarray:
     """CSR row bounds (int64) of rows with ``lengths`` entries."""
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     return indptr
+
+
+class TermMajor(NamedTuple):
+    """The entries of a :class:`VectorRows`, grouped by term.
+
+    ``rows[indptr[t]:indptr[t + 1]]`` are the rows holding term ``t``, in
+    ascending order, and ``weights[indptr[t]:indptr[t + 1]]`` its weight
+    in each.  ``indptr`` has ``id_bound + 1`` entries.
+    """
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
 
 
 class VectorRows:
@@ -118,26 +150,48 @@ class VectorRows:
         )
 
     def centroid(self, rows: np.ndarray) -> "VectorRows":
-        """One row: the arithmetic mean of ``rows``, as ``centroid()`` builds it.
+        """One row: the arithmetic mean of ``rows``, as ``centroid()`` builds it."""
+        return self.centroids(rows, [len(rows)])
 
-        Terms keep their first-occurrence order over ``rows``; each
-        term's weights are summed left to right in ``rows`` order, then
-        divided by the row count.
+    def centroids(self, rows: np.ndarray, counts: Sequence[int]) -> "VectorRows":
+        """One mean row per group, as ``centroid()`` builds each.
+
+        ``rows`` lists every group's rows back to back, ``counts[g]`` of
+        them for group ``g``.  A group's terms keep their first-occurrence
+        order over its rows; each term's weights are summed left to right
+        in row order, then divided by the group's row count.
         """
-        positions, _ = csr_positions(self.indptr, np.asarray(rows, dtype=np.int64))
-        ids = self.ids[positions]
-        terms, first, term_of = np.unique(ids, return_index=True, return_inverse=True)
-        by_term = np.argsort(term_of, kind="stable")
-        sums = ordered_sums(
-            term_of[by_term], self.weights[positions][by_term], len(terms)
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        positions, lengths = csr_positions(self.indptr, rows)
+        bound = max(self.id_bound, 1)
+        group = np.repeat(np.repeat(np.arange(len(counts)), counts), lengths)
+        keys, first, key_of = np.unique(
+            group * bound + self.ids[positions], return_index=True, return_inverse=True
         )
+        by_key = np.argsort(key_of, kind="stable")
+        sums = ordered_sums(key_of[by_key], self.weights[positions][by_key], len(keys))
+        # Positions run group by group, so first-occurrence order is
+        # group-major too.
         order = np.argsort(first)
-        mean = sums[order] / len(rows) if len(rows) else sums
+        owner = keys[order] // bound
+        mean = sums[order] / counts[owner]
+        indptr = indptr_of(np.bincount(owner, minlength=len(counts)))
         return VectorRows(
-            np.array([0, len(terms)], dtype=np.int64),
-            terms[order].astype(np.int32),
+            indptr,
+            (keys[order] % bound).astype(np.int32),
             mean,
-            np.array([l2_norm(mean.tolist())]),
+            row_norms(indptr, mean),
+        )
+
+    def by_term(self) -> TermMajor:
+        """The same entries, term-major (see :class:`TermMajor`)."""
+        owner = np.repeat(np.arange(len(self), dtype=np.int64), self.lengths)
+        order = np.argsort(self.ids, kind="stable")
+        return TermMajor(
+            indptr_of(np.bincount(self.ids, minlength=self.id_bound)),
+            owner[order],
+            self.weights[order],
         )
 
     @property
@@ -167,6 +221,81 @@ def cosine_pairs(
         right.norms[right_rows],
         lambda i: left.vector(left_rows[i]).cosine(right.vector(right_rows[i])),
     )
+
+
+def cosines_at_least(
+    rows: VectorRows, hub_rows: np.ndarray, threshold: float
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Every pair whose ``cosine_pairs(rows, [r], rows, [hub_rows[h]])``
+    is at least ``threshold``, over every row ``r``.
+
+    Returns ``(hubs, members, borderline)``: parallel arrays of hub
+    positions ``h`` and rows ``r``, ordered by hub then row, and the
+    number of pairs re-scored by :func:`cosine_pairs`.
+
+    Hubs go in batches of at most :data:`BATCH_CELLS` gathered products
+    and :data:`BATCH_CELLS` hub x row cells (a hub alone may exceed
+    them).  A batch sums each pair's shared products with one
+    ``np.bincount`` over ``hub * len(rows) + row`` keys and divides by
+    the norms through :func:`finish_cosines` (zero norms give 0.0, a
+    subnormal or infinite norm product the exact scalar path).  Pairs
+    within :data:`BORDERLINE` of ``threshold`` take
+    :func:`cosine_pairs`, so every decision is the exact kernel's.
+    """
+    hub_rows = np.asarray(hub_rows, dtype=np.int64)
+    if not len(hub_rows):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, 0
+    n = len(rows)
+    terms = rows.by_term()
+    hub_entries = rows.take(hub_rows)
+    hub_ids = hub_entries.ids.astype(np.int64)
+    hub_of = np.repeat(np.arange(len(hub_rows)), hub_entries.lengths)
+    # A hub gathers one product per posting of each of its terms.
+    work = np.bincount(
+        hub_of, weights=np.diff(terms.indptr)[hub_ids], minlength=len(hub_rows)
+    ).tolist()
+    per_batch = max(1, BATCH_CELLS // n)
+    hubs, members = [], []
+    borderline = 0
+    lo = 0
+    while lo < len(hub_rows):
+        hi, gathered = lo + 1, work[lo]
+        while (
+            hi < len(hub_rows)
+            and hi - lo < per_batch
+            and gathered + work[hi] <= BATCH_CELLS
+        ):
+            gathered += work[hi]
+            hi += 1
+        a, b = hub_entries.indptr[lo], hub_entries.indptr[hi]
+        positions, counts = csr_positions(terms.indptr, hub_ids[a:b])
+        # Huge weights may overflow a product; such a pair's norm product
+        # overflows too, so finish_cosines sends it to the scalar path.
+        with np.errstate(over="ignore"):
+            dots = np.bincount(
+                np.repeat((hub_of[a:b] - lo) * n, counts) + terms.rows[positions],
+                weights=np.repeat(hub_entries.weights[a:b], counts)
+                * terms.weights[positions],
+                minlength=(hi - lo) * n,
+            )
+        pair_rows = np.tile(np.arange(n), hi - lo)
+        pair_hubs = np.repeat(hub_rows[lo:hi], n)
+        values = finish_cosines(
+            dots,
+            rows.norms[pair_rows],
+            rows.norms[pair_hubs],
+            lambda i: rows.vector(pair_rows[i]).cosine(rows.vector(pair_hubs[i])),
+        )
+        near = np.flatnonzero(np.abs(values - threshold) <= BORDERLINE)
+        if len(near):
+            values[near] = cosine_pairs(rows, pair_rows[near], rows, pair_hubs[near])
+            borderline += len(near)
+        kept = np.flatnonzero(values >= threshold)
+        hubs.append(lo + kept // n)
+        members.append(pair_rows[kept])
+        lo = hi
+    return np.concatenate(hubs), np.concatenate(members), borderline
 
 
 def dot_pairs(

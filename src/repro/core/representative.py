@@ -9,13 +9,16 @@ Selection rule: among the context's candidate papers (its training /
 annotation-evidence papers when available, otherwise its assigned papers),
 pick the paper whose whole-paper vector is closest to the candidates'
 centroid -- the medoid-by-centroid-proximity rule.  Ties break on paper id
-for determinism.  Every candidate's cosine to the centroid comes from one
+for determinism.  Every context's centroid is one row of a batched
+:meth:`~repro.core.cosine.VectorRows.centroids`, and every candidate's
+cosine to its centroid comes from one
 :func:`~repro.core.cosine.cosine_pairs` call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from itertools import chain
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,33 +27,43 @@ from repro.core.cosine import cosine_pairs
 from repro.core.vectors import PaperVectorStore
 
 
+def representatives_of(
+    vectors: PaperVectorStore, candidate_lists: Sequence[Sequence[str]]
+) -> List[Optional[str]]:
+    """:func:`select_representative` of every candidate list, batched.
+
+    Candidates with empty vectors (no analysable text) lose against any
+    candidate with text, but a lone text-less candidate is still chosen:
+    a degenerate representative beats none for downstream bookkeeping.
+    """
+    groups = [list(dict.fromkeys(ids)) for ids in candidate_lists]
+    chosen: List[Optional[str]] = [
+        group[0] if len(group) == 1 else None for group in groups
+    ]
+    scored = [i for i, group in enumerate(groups) if len(group) > 1]
+    if not scored:
+        return chosen
+    rows = vectors.full_rows
+    sizes = [len(groups[i]) for i in scored]
+    centers = rows.centroids(
+        vectors.rows_of(chain.from_iterable(groups[i] for i in scored)), sizes
+    )
+    ordered = [pid for i in scored for pid in sorted(groups[i])]
+    owner = np.repeat(np.arange(len(scored)), sizes)
+    similarities = cosine_pairs(rows, vectors.rows_of(ordered), centers, owner)
+    # Per group, the highest similarity, the first in paper-id order on a tie.
+    best = np.lexsort((np.arange(len(ordered)), -similarities, owner))
+    firsts = best[np.flatnonzero(np.diff(owner[best], prepend=-1))]
+    for i, first in zip(scored, firsts.tolist()):
+        chosen[i] = ordered[first]
+    return chosen
+
+
 def select_representative(
     vectors: PaperVectorStore, candidate_ids: Sequence[str]
 ) -> Optional[str]:
-    """The candidate closest to the candidates' centroid (None if empty).
-
-    Candidates with empty vectors (no analysable text) lose against any
-    candidate with text, but a lone text-less candidate is still returned:
-    a degenerate representative beats none for downstream bookkeeping.
-    """
-    candidates = list(dict.fromkeys(candidate_ids))
-    if not candidates:
-        return None
-    if len(candidates) == 1:
-        return candidates[0]
-    ordered = sorted(candidates)
-    rows = vectors.full_rows
-    center = rows.centroid(vectors.rows_of(candidates))
-    similarities = cosine_pairs(
-        rows, vectors.rows_of(ordered), center, np.zeros(len(ordered), dtype=np.int64)
-    )
-    best_id: Optional[str] = None
-    best_similarity = -1.0
-    for paper_id, similarity in zip(ordered, similarities.tolist()):
-        if similarity > best_similarity:
-            best_similarity = similarity
-            best_id = paper_id
-    return best_id
+    """The candidate closest to the candidates' centroid (None if empty)."""
+    return representatives_of(vectors, [candidate_ids])[0]
 
 
 def select_representatives(
@@ -66,14 +79,18 @@ def select_representatives(
     where text scores were only assigned to the 5,632 contexts that had a
     representative).
     """
-    representatives: Dict[str, str] = {}
-    for context in paper_set:
-        candidates: Iterable[str] = (
+    contexts = list(paper_set)
+    chosen = representatives_of(
+        vectors,
+        [
             context.training_paper_ids
             if prefer_training and context.training_paper_ids
             else context.paper_ids
-        )
-        chosen = select_representative(vectors, list(candidates))
-        if chosen is not None:
-            representatives[context.term_id] = chosen
-    return representatives
+            for context in contexts
+        ],
+    )
+    return {
+        context.term_id: representative
+        for context, representative in zip(contexts, chosen)
+        if representative is not None
+    }

@@ -55,7 +55,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.context import ContextPaperSet, csr_positions
-from repro.core.cosine import VectorRows, dot_pairs, finish_cosines
+from repro.core.cosine import TermMajor, VectorRows, dot_pairs, finish_cosines
 from repro.core.vectors import PaperVectorStore
 from repro.index.search import (
     KeywordSearchEngine,
@@ -120,16 +120,14 @@ class _RepresentativeView:
 
     ``context_rows[i]`` is the context row of representative row ``i`` of
     ``rows`` (contexts in paper-set order, those with a representative).
-    ``term_reps[a:b]`` / ``term_weights[a:b]`` with ``(a, b) =
-    term_span[term]`` list the representative rows holding ``term`` and
-    its weight there.
+    ``terms`` is ``rows.by_term()``; ``term_bounds`` is its ``indptr`` as
+    a list, so a query term's lookup costs two list reads.
     """
 
     context_rows: np.ndarray
     rows: VectorRows
-    term_span: Dict[int, Tuple[int, int]]
-    term_reps: np.ndarray
-    term_weights: np.ndarray
+    terms: TermMajor
+    term_bounds: List[int]
 
     @classmethod
     def build(
@@ -145,12 +143,8 @@ class _RepresentativeView:
         ]
         context_rows = np.array([row for row, _ in chosen], dtype=np.intp)
         rows = vectors.full_rows.take(vectors.rows_of(rep for _, rep in chosen))
-        owner = np.repeat(np.arange(len(rows)), rows.lengths)
-        by_term = np.argsort(rows.ids, kind="stable")
-        terms, starts = np.unique(rows.ids[by_term], return_index=True)
-        ends = np.append(starts[1:], len(by_term))
-        term_span = dict(zip(terms.tolist(), zip(starts.tolist(), ends.tolist())))
-        return cls(context_rows, rows, term_span, owner[by_term], rows.weights[by_term])
+        terms = rows.by_term()
+        return cls(context_rows, rows, terms, terms.indptr.tolist())
 
 
 @dataclass(frozen=True)
@@ -412,11 +406,14 @@ class ContextSearchEngine:
             return {}
         view = self._rep_view
         dots = np.zeros(len(view.rows))
+        bounds = view.term_bounds
+        last = len(bounds) - 1
+        reps, weights = view.terms.rows, view.terms.weights
         for term, weight in query_vector.weights.items():
-            span = view.term_span.get(term)
-            if span is not None:
-                reps = view.term_reps[span[0]:span[1]]
-                dots[reps] += weight * view.term_weights[span[0]:span[1]]
+            if term < last:
+                a, b = bounds[term], bounds[term + 1]
+                if a != b:
+                    dots[reps[a:b]] += weight * weights[a:b]
         short = np.flatnonzero(view.rows.lengths < len(query_vector))
         if len(short):
             dots[short] = dot_pairs(

@@ -25,7 +25,11 @@ from typing import (
 
 from repro import scoring
 from repro.citations.graph import CitationGraph
-from repro.core.assignment import PatternContextAssigner, TextContextAssigner
+from repro.core.assignment import (
+    PatternContextAssigner,
+    TextContextAssigner,
+    check_similarity_threshold,
+)
 from repro.core.context import ContextPaperSet
 from repro.core.patterns import AnalyzedPaperCache, PatternMemo, Sections
 from repro.core.vectors import PaperVectorStore
@@ -81,8 +85,8 @@ class SubstrateStore:
     """Mutable build-layer state shared by every serving view.
 
     Thread safety: lazy builds are serialised by a reentrant build lock
-    (substrate builds nest -- e.g. the text paper set needs vectors and
-    the index); prestige computation single-flights per key; installs
+    (substrate builds nest -- e.g. the text paper set needs vectors, which
+    need the index's analyzer); prestige computation single-flights per key; installs
     and the revision counter share a small mutation lock.
     """
 
@@ -96,7 +100,9 @@ class SubstrateStore:
         self.corpus = corpus
         self.ontology = ontology
         self.training_papers = {k: list(v) for k, v in training_papers.items()}
-        self.text_similarity_threshold = text_similarity_threshold
+        self.text_similarity_threshold = check_similarity_threshold(
+            text_similarity_threshold
+        )
         self._index: Optional[SearchBackend] = None
         self._vectors: Optional[PaperVectorStore] = None
         self._tokens: Optional[AnalyzedPaperCache] = None
@@ -196,7 +202,6 @@ class SubstrateStore:
                 self.corpus,
                 self.ontology,
                 self.vectors,
-                self.index,
                 similarity_threshold=self.text_similarity_threshold,
             )
             return self._text_assigner.build(self.training_papers)
@@ -463,7 +468,6 @@ class SubstrateStore:
                             self.corpus,
                             self.ontology,
                             self.vectors,
-                            self.index,
                             similarity_threshold=self.text_similarity_threshold,
                         )
                         new_set = assigner.build(self.training_papers)

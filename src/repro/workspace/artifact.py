@@ -129,7 +129,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         install=lambda pipeline, paper_set: (
             pipeline.substrates.install_text_paper_set(paper_set)
         ),
-        deps=("index", "vectors"),
+        deps=("vectors",),
         config_keys=("text_similarity_threshold",),
         description="text-based context paper set (section 4)",
     ),

@@ -24,12 +24,11 @@ def vectors(request, index):
 
 class TestTextContextAssigner:
     @pytest.fixture(scope="class")
-    def paper_set(self, request, index, vectors):
+    def paper_set(self, request, vectors):
         assigner = TextContextAssigner(
             request.getfixturevalue("tiny_corpus"),
             request.getfixturevalue("tiny_ontology"),
             vectors,
-            index,
             similarity_threshold=0.15,
         )
         built = assigner.build(request.getfixturevalue("tiny_training"))
@@ -59,12 +58,11 @@ class TestTextContextAssigner:
         assert reps["glu"] == "M1"
         assert reps["sig"] == "S1"
 
-    def test_high_threshold_shrinks_contexts(self, request, index, vectors):
+    def test_high_threshold_shrinks_contexts(self, request, vectors):
         strict = TextContextAssigner(
             request.getfixturevalue("tiny_corpus"),
             request.getfixturevalue("tiny_ontology"),
             vectors,
-            index,
             similarity_threshold=0.99,
         )
         built = strict.build(request.getfixturevalue("tiny_training"))

@@ -91,7 +91,7 @@ class TestDegenerateCorpus:
         index = InvertedIndex().index_corpus(degenerate_corpus)
         vectors = PaperVectorStore(degenerate_corpus, index.analyzer)
         assigner = TextContextAssigner(
-            degenerate_corpus, flat_ontology, vectors, index
+            degenerate_corpus, flat_ontology, vectors, similarity_threshold=0.18
         )
         # Training paper has no text: context still built, membership is
         # just the training paper itself.

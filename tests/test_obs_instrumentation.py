@@ -39,6 +39,21 @@ def _spans_named(tracer, name):
     return found
 
 
+class TestTextAssignmentSpan:
+    def test_build_reports_pairs_scored_and_borderline_pairs(self):
+        pipeline = build_demo_pipeline(seed=5, n_papers=60, n_terms=12)
+        tracer = start_tracing()
+        paper_set = pipeline.text_paper_set
+        stop_tracing()
+
+        (build,) = _spans_named(tracer, "assignment.text.build")
+        assert build.attrs["contexts"] == len(paper_set) > 0
+        assert build.attrs["pairs_scored"] == len(paper_set) * len(pipeline.corpus)
+        assert build.attrs["borderline_pairs"] == 0
+        counters = get_registry().snapshot()["counters"]
+        assert counters["assignment.text.borderline_pairs"] == 0
+
+
 class TestPipelineSearchSpans:
     @pytest.fixture(scope="class")
     def pipeline(self):

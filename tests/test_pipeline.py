@@ -39,6 +39,20 @@ class TestArtifacts:
             pipeline.prestige("bogus")
 
 
+class TestTextSimilarityThreshold:
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -0.1, 1.5, float("inf")])
+    def test_out_of_range_rejected(self, small_dataset, threshold):
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\]"):
+            Pipeline.from_dataset(small_dataset, text_similarity_threshold=threshold)
+
+    def test_unit_threshold_keeps_training_papers(self, small_dataset):
+        pipeline = Pipeline.from_dataset(small_dataset, text_similarity_threshold=1.0)
+        for context in pipeline.text_paper_set:
+            representative = pipeline.representatives[context.term_id]
+            assert set(context.paper_ids) >= set(context.training_paper_ids)
+            assert representative in context.paper_ids
+
+
 class TestPrestigeScores:
     @pytest.mark.parametrize("function", ["citation", "text", "pattern"])
     def test_scores_in_unit_interval(self, pipeline, function):

@@ -2,9 +2,9 @@
 
 :class:`ReferenceVector` keeps ``SparseVector``'s former norm, dot and
 cosine code, and the ``reference_*`` functions keep the per-pair loops
-of ``TextPrestige.similarity``, ``select_representative``,
-``TextContextAssigner._assign_by_similarity`` and
-``ContextSearchEngine._representative_strengths``.  Reference vectors
+of ``TextPrestige.similarity``, ``select_representative``, text
+assignment (every paper scored against the representative, one pair at
+a time) and ``ContextSearchEngine._representative_strengths``.  Reference vectors
 come from ``TfidfModel.vectorize`` of freshly analysed text, never from
 the store's rows.  Every kernel answer must equal the reference's with
 ``==``, and dicts must keep the reference's key order.
@@ -14,7 +14,10 @@ Hypothesis draws sparse vectors with equal-length pairs (``dot`` walks
 more than eight shared terms (where pairwise summation would round
 differently), empty rows, and subnormal or huge weights (``cosine``'s
 rescaling fallback), and demo pipelines before and after add/remove
-deltas.
+deltas.  Text assignment is also drawn on small generated corpora:
+representatives of more than 30 terms, papers that share only
+low-weight terms with them, empty papers, and thresholds equal to a
+pair's exact cosine.
 """
 
 import math
@@ -29,10 +32,14 @@ from facet_reference import facet_similarity
 
 from repro.core.assignment import TextContextAssigner
 from repro.core.cosine import VectorRows, cosine_pairs
-from repro.core.representative import select_representative
+from repro.core.representative import select_representative, select_representatives
 from repro.core.search import ContextSearchEngine
-from repro.corpus.paper import Section, TEXT_SECTIONS
+from repro.core.vectors import PaperVectorStore
+from repro.corpus.corpus import Corpus
+from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
 from repro.obs import get_registry
+from repro.ontology.ontology import Ontology
+from repro.ontology.term import Term
 from repro.pipeline import Pipeline, build_demo_pipeline
 from repro.text.vectorize import SparseVector, centroid
 
@@ -241,25 +248,17 @@ def reference_select_representative(reference, candidate_ids):
     return best_id
 
 
-def reference_assign(reference, assigner, representative, training):
-    store = assigner.vectors
+def reference_assign(reference, corpus, threshold, representative, training):
+    """Every corpus paper, in id order, that is a training paper, the
+    representative, or at least ``threshold`` similar to it."""
     rep_vector = reference(representative)
-    candidates = set(training) | {representative}
-    vocabulary = store.full_model.vocabulary
-    ranked = sorted(
-        ((w, vocabulary.term_of(t)) for t, w in rep_vector.weights.items()),
-        key=lambda item: (-item[0], item[1]),
-    )
-    for _weight, term in ranked[: assigner.candidate_terms]:
-        candidates.update(assigner.index.papers_containing(term))
-    members = []
-    for paper_id in sorted(candidates):
-        if paper_id in training or paper_id == representative:
-            members.append(paper_id)
-            continue
-        if reference(paper_id).cosine(rep_vector) >= assigner.similarity_threshold:
-            members.append(paper_id)
-    return list(dict.fromkeys(members))
+    return [
+        paper_id
+        for paper_id in sorted(corpus.paper_ids())
+        if paper_id in training
+        or paper_id == representative
+        or reference(paper_id).cosine(rep_vector) >= threshold
+    ]
 
 
 def reference_representative_strengths(
@@ -305,10 +304,6 @@ def assert_kernel_matches_reference(pipeline):
         got = scores.pre_propagation.get(context.term_id, {})
         assert list(got.items()) == list(expected.items())
 
-    assigner = TextContextAssigner(
-        store.corpus, store.ontology, vectors, store.index,
-        similarity_threshold=store.text_similarity_threshold,
-    )
     for context in paper_set:
         training = list(context.training_paper_ids)
         assert select_representative(vectors, training) == (
@@ -316,8 +311,26 @@ def assert_kernel_matches_reference(pipeline):
         )
         representative = representatives[context.term_id]
         assert list(context.paper_ids) == reference_assign(
-            reference, assigner, representative, training
+            reference,
+            store.corpus,
+            store.text_similarity_threshold,
+            representative,
+            training,
         )
+    for prefer_training in (True, False):
+        expected = {}
+        for context in paper_set:
+            candidates = (
+                context.training_paper_ids
+                if prefer_training and context.training_paper_ids
+                else context.paper_ids
+            )
+            expected[context.term_id] = reference_select_representative(
+                reference, candidates
+            )
+        got = select_representatives(vectors, paper_set, prefer_training)
+        assert list(got.items()) == list(expected.items())
+    assert representatives == select_representatives(vectors, paper_set)
 
     engine = ContextSearchEngine(
         store.ontology, paper_set, scores, store.keyword_engine,
@@ -400,3 +413,125 @@ def test_no_fallbacks_on_the_golden_corpus(golden_pipeline):
     counters = get_registry().snapshot()["counters"]
     assert counters.get("text.kernel.pairs", 0) > 0
     assert counters.get("text.kernel.fallbacks", 0) == 0
+
+
+# -- text assignment on generated corpora ----------------------------------------------
+
+#: Words the analyzer keeps as they are (no stop words, no stemming).
+WORDS = ["zq" + a + b for a in "bcdfghjklm" for b in "bcdfghjklm"]
+
+
+def assignment_inputs(bodies, training):
+    """A corpus of one body per paper and a flat ontology of the training keys."""
+    corpus = Corpus(
+        [Paper(paper_id=pid, title="", body=body) for pid, body in bodies.items()]
+    )
+    terms = [Term("root", "process")] + [
+        Term(term_id, f"context {term_id}", parent_ids=("root",))
+        for term_id in training
+    ]
+    return corpus, Ontology(terms), PaperVectorStore(corpus)
+
+
+def assert_assigner_matches_reference(corpus, ontology, vectors, training, threshold):
+    assigner = TextContextAssigner(
+        corpus, ontology, vectors, similarity_threshold=threshold
+    )
+    paper_set = assigner.build(training)
+    reference = ReferenceVectors(vectors)
+    expected_ids = []
+    for term_id in ontology.term_ids():
+        kept = [pid for pid in training.get(term_id, ()) if pid in corpus]
+        if not kept:
+            continue
+        expected_ids.append(term_id)
+        representative = reference_select_representative(reference, kept)
+        assert assigner.representatives[term_id] == representative
+        context = paper_set.context(term_id)
+        assert context.training_paper_ids == tuple(kept)
+        assert list(context.paper_ids) == reference_assign(
+            reference, corpus, threshold, representative, kept
+        )
+    assert paper_set.context_ids() == expected_ids
+    return paper_set
+
+
+@st.composite
+def assignment_cases(draw):
+    """Papers over a small vocabulary (some long, some empty), training
+    lists per context (some naming unknown papers), and a threshold."""
+    vocabulary = WORDS[: draw(st.integers(5, len(WORDS)))]
+    bodies = {}
+    for i in range(draw(st.integers(2, 12))):
+        length = draw(st.sampled_from((0, 3, 12, 40, 90)))
+        words = draw(st.lists(st.sampled_from(vocabulary), min_size=length, max_size=length))
+        bodies[f"P{i:02d}"] = " ".join(words)
+    paper_ids = sorted(bodies) + ["MISSING"]
+    training = {
+        f"t{j}": draw(st.lists(st.sampled_from(paper_ids), max_size=4))
+        for j in range(draw(st.integers(1, 5)))
+    }
+    threshold = draw(
+        st.one_of(
+            st.sampled_from((0.05, 0.1, 0.18, 0.5, 1.0)),
+            st.floats(min_value=1e-6, max_value=1.0),
+        )
+    )
+    return bodies, training, threshold
+
+
+@settings(max_examples=150, deadline=None)
+@given(assignment_cases())
+def test_assigner_equals_per_pair_reference(case):
+    bodies, training, threshold = case
+    corpus, ontology, vectors = assignment_inputs(bodies, training)
+    assert_assigner_matches_reference(corpus, ontology, vectors, training, threshold)
+
+
+def pruned_away_inputs():
+    """``REP`` holds 31 heavy terms and 20 light ones, ``LIGHT`` only the
+    light ones: no top-30 term of ``REP`` is in ``LIGHT``, yet their
+    cosine is about 0.37."""
+    heavy, light = WORDS[:31], WORDS[31:51]
+    bodies = {
+        "REP": " ".join(heavy * 2 + light),
+        "LIGHT": " ".join(light),
+        "OTHER": " ".join(WORDS[60:80]),
+    }
+    return assignment_inputs(bodies, {"t0": ["REP"]})
+
+
+def test_a_paper_sharing_only_low_weight_terms_joins():
+    corpus, ontology, vectors = pruned_away_inputs()
+    rows = vectors.full_rows
+    similarity = cosine_pairs(
+        rows, vectors.rows_of(["LIGHT"]), rows, vectors.rows_of(["REP"])
+    )[0]
+    assert 0.3 < similarity < 0.4
+    paper_set = assert_assigner_matches_reference(
+        corpus, ontology, vectors, {"t0": ["REP"]}, 0.1
+    )
+    assert paper_set.context("t0").paper_ids == ("LIGHT", "REP")
+
+
+def test_threshold_equal_to_an_exact_cosine():
+    corpus, ontology, vectors = pruned_away_inputs()
+    rows = vectors.full_rows
+    similarity = float(
+        cosine_pairs(rows, vectors.rows_of(["LIGHT"]), rows, vectors.rows_of(["REP"]))[0]
+    )
+    for threshold, members in (
+        (similarity, ("LIGHT", "REP")),
+        (math.nextafter(similarity, 1.0), ("REP",)),
+        (math.nextafter(similarity, 0.0), ("LIGHT", "REP")),
+    ):
+        registry = get_registry()
+        before = registry.snapshot()["counters"].get(
+            "assignment.text.borderline_pairs", 0
+        )
+        paper_set = assert_assigner_matches_reference(
+            corpus, ontology, vectors, {"t0": ["REP"]}, threshold
+        )
+        assert paper_set.context("t0").paper_ids == members
+        after = registry.snapshot()["counters"]["assignment.text.borderline_pairs"]
+        assert after - before >= 1  # LIGHT went back to cosine_pairs

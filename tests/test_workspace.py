@@ -98,7 +98,7 @@ class TestBuild:
         validate_manifest_payload(payload)
         assert sorted(payload["artifacts"]) == sorted(artifact_names())
         entry = payload["artifacts"]["text_paper_set"]
-        assert entry["deps"] == ["index", "vectors"]
+        assert entry["deps"] == ["vectors"]
         assert entry["size_bytes"] > 0
 
     def test_rebuild_is_noop(self, built):

@@ -83,6 +83,41 @@ after = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
 assert after == before, sorted(set(after.items()) ^ set(before.items()))
 print(f"upgrade kept the sha256 of all {len(after)} artifact files")
 PY
+# A workspace built while text assignment read the index lists
+# `text_paper_set` with deps index and vectors, so it and its four
+# dependents carry other fingerprints.  The next build must rebuild
+# those 5 to the same bytes: the CI corpus has no paper that only the
+# exact assigner admits.
+UPGRADE_SUMS="$(python - "$WORKSPACE_DATA/workspace" <<'PY'
+import hashlib, json, sys
+from pathlib import Path
+workspace = Path(sys.argv[1])
+manifest = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
+artifacts = manifest["artifacts"]
+sums = {e["file"]: hashlib.sha256((workspace / e["file"]).read_bytes()).hexdigest()
+        for e in artifacts.values()}
+artifacts["text_paper_set"]["deps"] = ["index", "vectors"]
+for name in ("text_paper_set", "representatives", "scores_text_text",
+             "scores_citation_text", "scores_combined_text"):
+    artifacts[name]["fingerprint"] = "0" * 64
+(workspace / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+print(json.dumps(sums))
+PY
+)"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
+    --data "$WORKSPACE_DATA" | grep -q "built 5, fresh 5 of 10 artifacts"
+python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
+python - "$WORKSPACE_DATA/workspace" "$UPGRADE_SUMS" <<'PY'
+import hashlib, json, sys
+from pathlib import Path
+workspace, before = Path(sys.argv[1]), json.loads(sys.argv[2])
+manifest = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
+assert manifest["artifacts"]["text_paper_set"]["deps"] == ["vectors"], manifest
+after = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+         for path in workspace.iterdir() if path.name != "manifest.json"}
+assert after == before, sorted(set(after.items()) ^ set(before.items()))
+print(f"text_paper_set upgrade kept the sha256 of all {len(after)} artifact files")
+PY
 # ... and so does the next generation a one-paper delta writes (the
 # delta path rewrites vectors.npz from the retained term counts).
 python - "$WORKSPACE_DATA" <<'PY'
