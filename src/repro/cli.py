@@ -5,8 +5,8 @@ Subcommands mirror a deployment's life cycle:
 - ``repro generate``  -- synthesise a corpus + ontology + training map to
   a data directory (the stand-in for parsing PubMed);
 - ``repro build``     -- incrementally build the artifact workspace
-  (index, vectors, paper sets, representatives, prestige scores --
-  the paper's query-independent pre-processing);
+  (index, vectors, paper sets with their representatives, prestige
+  scores -- the paper's query-independent pre-processing);
 - ``repro workspace status`` -- per-artifact freshness of a workspace;
 - ``repro search``    -- run a context-based search against a data dir
   (hydrates from ``<data>/workspace`` when one is built);
@@ -331,6 +331,13 @@ def _derive_queries(pipeline: Pipeline, n_queries: int) -> List[str]:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     """Incrementally build the artifact workspace."""
+    from repro.workspace import topological_order
+
+    try:
+        topological_order(args.only or None)
+    except KeyError as error:  # an unknown --only name
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return 1
     pipeline = _load_pipeline(args.data, use_workspace=False)
     report = pipeline.build_workspace(
         _workspace_dir(args.data), only=args.only or None, force=args.force

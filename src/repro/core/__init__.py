@@ -20,7 +20,6 @@ The prestige score functions of section 3 live in :mod:`repro.scoring`.
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import Context, ContextPaperSet
 from repro.core.patterns import Pattern, PatternKind, PatternSet, PatternSetBuilder
-from repro.core.representative import select_representatives
 from repro.core.query_expansion import ContextQueryExpander, PseudoRelevanceExpander
 from repro.core.recommend import RelatedWorkRecommender
 from repro.core.search import (
@@ -36,7 +35,6 @@ __all__ = [
     "Context",
     "ContextPaperSet",
     "PaperVectorStore",
-    "select_representatives",
     "Pattern",
     "PatternKind",
     "PatternSet",

@@ -59,7 +59,8 @@ class TextContextAssigner:
     A context's papers are its training papers, its representative and
     every paper whose whole-paper cosine to the representative is at
     least ``similarity_threshold`` (in (0, 1]).  Every context's
-    representative comes from one batched
+    :attr:`~repro.core.context.Context.representative` comes from one
+    batched
     :func:`~repro.core.representative.representatives_of` call, and
     every (context, paper) pair is decided by one
     :func:`~repro.core.cosine.cosines_at_least` pass, exactly as the
@@ -77,8 +78,6 @@ class TextContextAssigner:
         self.ontology = ontology
         self.vectors = vectors
         self.similarity_threshold = check_similarity_threshold(similarity_threshold)
-        #: Representative paper chosen per context, populated by build().
-        self.representatives: Dict[str, str] = {}
 
     def build(self, training_papers: Mapping[str, Sequence[str]]) -> ContextPaperSet:
         """Assign papers to every context that has training evidence."""
@@ -99,10 +98,6 @@ class TextContextAssigner:
             chosen = representatives_of(
                 self.vectors, [training for _, training in trained]
             )
-            self.representatives = {
-                term_id: representative
-                for (term_id, _), representative in zip(trained, chosen)
-            }
             paper_ids = self.vectors.paper_ids
             n = len(paper_ids)
             hubs, members, borderline = cosines_at_least(
@@ -131,8 +126,11 @@ class TextContextAssigner:
                     term_id=term_id,
                     paper_ids=tuple(map(sorted_ids.__getitem__, ranked[a:b])),
                     training_paper_ids=tuple(training),
+                    representative=representative,
                 )
-                for (term_id, training), a, b in zip(trained, bounds, bounds[1:])
+                for (term_id, training), representative, a, b in zip(
+                    trained, chosen, bounds, bounds[1:]
+                )
             ]
             papers_assigned = sum(len(c.paper_ids) for c in contexts)
             trace.set(

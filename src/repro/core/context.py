@@ -43,6 +43,9 @@ class Context:
     decay:
         RateOfDecay applied to scores of inherited papers (1.0 when not
         inherited).
+    representative:
+        The paper that stands in for the context term (section 3.2),
+        chosen by the text-based builder; None for pattern contexts.
     """
 
     term_id: str
@@ -50,6 +53,7 @@ class Context:
     training_paper_ids: Tuple[str, ...] = ()
     inherited_from: Optional[str] = None
     decay: float = 1.0
+    representative: Optional[str] = None
 
     @property
     def size(self) -> int:

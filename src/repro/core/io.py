@@ -3,10 +3,10 @@
 Context paper sets and prestige scores take minutes to build on large
 corpora; these helpers serialise them so a deployment computes them once
 (the paper's "query independent pre-processing steps") and serves
-searches from disk thereafter.  Prestige scores and the vector store are
-stored as arrays in an uncompressed ``.npz`` with a JSON header
-(:func:`write_prestige_scores`, :func:`write_vector_store`); the other
-artefacts are format-tagged JSON.
+searches from disk thereafter.  Each artefact is stored as arrays in an
+uncompressed ``.npz`` with a format-tagged JSON header
+(:func:`write_context_paper_set`, :func:`write_prestige_scores`,
+:func:`write_vector_store`).
 
 Every writer goes through :func:`atomic_write`, so a crash mid-write
 leaves the previous file intact and a reader that has a file open or
@@ -22,8 +22,9 @@ import os
 import secrets
 import zipfile
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import IO, Dict, Iterator, Optional, Union
+from typing import IO, Dict, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -40,10 +41,9 @@ PathLike = Union[str, Path]
 #: a workspace means a writer died before it could clean up.
 TEMP_SUFFIX = ".tmp"
 
-_PAPER_SET_FORMAT = "repro/context-paper-set/v1"
+_PAPER_SET_FORMAT = "repro/context-paper-set/v2"
 _SCORES_FORMAT = "repro/prestige-scores/v2"
 _VECTORS_FORMAT = "repro/vector-store/v2"
-_REPRESENTATIVES_FORMAT = "repro/representatives/v1"
 
 
 @contextmanager
@@ -72,80 +72,6 @@ def atomic_write(
         raise
 
 
-def _read_json(path: PathLike):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise ValueError(f"{path}: corrupt JSON ({error})") from error
-
-
-def write_tagged_json(payload: dict, path: PathLike, format_tag: str) -> None:
-    """Write ``payload`` with a ``format`` tag for load-time validation."""
-    payload = {"format": format_tag, **payload}
-    with atomic_write(path, "w", encoding="utf-8") as handle:
-        # ``json.dump`` always runs the pure-Python encoder; ``dumps``
-        # takes the C one and yields the same text.
-        handle.write(json.dumps(payload))
-
-
-def read_tagged_json(path: PathLike, format_tag: str) -> dict:
-    """Read a JSON artefact, refusing mismatched or corrupt files.
-
-    Both failure modes raise ``ValueError`` naming the offending path, so
-    a broken workspace points at the file to rebuild.
-    """
-    payload = _read_json(path)
-    if not isinstance(payload, dict) or payload.get("format") != format_tag:
-        found = payload.get("format") if isinstance(payload, dict) else None
-        raise ValueError(
-            f"{path}: expected format {format_tag!r}, found {found!r}"
-        )
-    return payload
-
-
-def write_context_paper_set(paper_set: ContextPaperSet, path: PathLike) -> None:
-    """Serialise a context paper set (ontology is *not* embedded)."""
-    payload = {
-        "contexts": [
-            {
-                "term_id": context.term_id,
-                "paper_ids": list(context.paper_ids),
-                "training_paper_ids": list(context.training_paper_ids),
-                "inherited_from": context.inherited_from,
-                "decay": context.decay,
-            }
-            for context in paper_set
-        ],
-    }
-    write_tagged_json(payload, path, _PAPER_SET_FORMAT)
-
-
-def read_context_paper_set(path: PathLike, ontology: Ontology) -> ContextPaperSet:
-    """Load a context paper set against the ontology it was built on.
-
-    Terms missing from ``ontology`` raise (a paper set only makes sense
-    with its ontology; silently dropping contexts would skew experiments).
-    """
-    payload = _read_json(path)
-    if not isinstance(payload, dict) or payload.get("format") != _PAPER_SET_FORMAT:
-        found = payload.get("format") if isinstance(payload, dict) else None
-        raise ValueError(
-            f"{path}: not a context paper set file (format={found!r})"
-        )
-    contexts = [
-        Context(
-            term_id=raw["term_id"],
-            paper_ids=tuple(raw["paper_ids"]),
-            training_paper_ids=tuple(raw.get("training_paper_ids", ())),
-            inherited_from=raw.get("inherited_from"),
-            decay=float(raw.get("decay", 1.0)),
-        )
-        for raw in payload["contexts"]
-    ]
-    return ContextPaperSet(ontology, contexts)
-
-
 # -- array artefacts: an uncompressed .npz with a JSON header -------------------------
 
 
@@ -171,8 +97,120 @@ def _read_npz(path: PathLike, format_tag: str, what: str):
         raise ValueError(f"{path}: not a {what} file ({error})") from error
     if not isinstance(header, dict) or header.get("format") != format_tag:
         found = header.get("format") if isinstance(header, dict) else None
-        raise ValueError(f"{path}: not a {what} file (format={found!r})")
+        raise ValueError(
+            f"{path}: not a {what} file (expected format {format_tag!r}, "
+            f"found {found!r})"
+        )
     return header, members
+
+
+def _check_csr(
+    indptr: np.ndarray, rows: np.ndarray, n_rows: int, n_table: int, what: str
+) -> None:
+    """``ValueError`` unless ``indptr`` (int64) and ``rows`` (int32) are a
+    CSR of ``n_rows`` rows whose entries index a table of ``n_table``."""
+    if (
+        indptr.dtype != np.int64 or rows.dtype != np.int32
+        or indptr.shape != (n_rows + 1,)
+        or indptr[0] != 0 or (np.diff(indptr) < 0).any()
+        or rows.shape != (int(indptr[-1]),)
+        or (rows.size and not 0 <= rows.min() <= rows.max() < n_table)
+    ):
+        raise ValueError(f"inconsistent {what} arrays")
+
+
+# -- context paper sets (v2) ---------------------------------------------------------
+#
+# Members: ``header`` (uint8 bytes of a JSON object: format tag, the
+# sorted table of every paper id a context names, and per context its
+# term id, training rows, representative row or null, ``inherited_from``
+# and ``decay``) and the membership CSR: ``indptr`` (int64) / ``members``
+# (int32 into the paper table, each context's papers in assignment
+# order).  The per-context fields stay in the header: every array member
+# costs a fixed read overhead that small lists do not repay.
+
+
+def write_context_paper_set(paper_set: ContextPaperSet, path: PathLike) -> None:
+    """Serialise a context paper set (its ontology is *not* embedded)."""
+    contexts = list(paper_set)
+    named = set()
+    for context in contexts:
+        named.update(context.paper_ids, context.training_paper_ids)
+        if context.representative is not None:
+            named.add(context.representative)
+    paper_ids = sorted(named)
+    row = {pid: i for i, pid in enumerate(paper_ids)}
+    indptr = np.zeros(len(contexts) + 1, dtype=np.int64)
+    np.cumsum([context.size for context in contexts], out=indptr[1:])
+    members = np.fromiter(
+        (row[pid] for context in contexts for pid in context.paper_ids),
+        dtype=np.int32,
+        count=int(indptr[-1]),
+    )
+    header = {
+        "format": _PAPER_SET_FORMAT,
+        "paper_ids": paper_ids,
+        "contexts": [context.term_id for context in contexts],
+        "training": [
+            [row[pid] for pid in context.training_paper_ids] for context in contexts
+        ],
+        "representatives": [
+            None if context.representative is None else row[context.representative]
+            for context in contexts
+        ],
+        "inherited_from": [context.inherited_from for context in contexts],
+        "decay": [context.decay for context in contexts],
+    }
+    _write_npz(path, header, {"indptr": indptr, "members": members})
+
+
+def read_context_paper_set(path: PathLike, ontology: Ontology) -> ContextPaperSet:
+    """Load a context paper set against the ontology it was built on.
+
+    Terms missing from ``ontology`` raise (a paper set only makes sense
+    with its ontology; silently dropping contexts would skew experiments).
+    """
+    header, members = _read_npz(path, _PAPER_SET_FORMAT, "context paper set")
+    try:
+        paper_ids = header["paper_ids"]
+        term_ids = header["contexts"]
+        training, representatives, inherited, decays = (header[key] for key in (
+            "training", "representatives", "inherited_from", "decay"
+        ))
+        if {len(training), len(representatives), len(inherited), len(decays)} != {
+            len(term_ids)
+        }:
+            raise ValueError("per-context header lists differ in length")
+        indptr, rows = members["indptr"], members["members"]
+        _check_csr(indptr, rows, len(term_ids), len(paper_ids), "indptr/members")
+        _check_rows(chain.from_iterable(training), len(paper_ids))
+        _check_rows((r for r in representatives if r is not None), len(paper_ids))
+        # Object-array indexing maps every member row to its id in C.
+        ids = np.array(paper_ids, dtype=object)[rows].tolist()
+        bounds = indptr.tolist()
+        contexts = [
+            Context(
+                term_id=term_id,
+                paper_ids=tuple(ids[start:end]),
+                training_paper_ids=tuple(paper_ids[r] for r in train),
+                inherited_from=parent,
+                decay=float(decay),
+                representative=None if rep is None else paper_ids[rep],
+            )
+            for term_id, start, end, train, rep, parent, decay in zip(
+                term_ids, bounds, bounds[1:], training, representatives,
+                inherited, decays,
+            )
+        ]
+        return ContextPaperSet(ontology, contexts)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"{path}: corrupt context paper set file ({error})") from error
+
+
+def _check_rows(rows: Iterable, n_table: int) -> None:
+    """``ValueError`` unless every row is an int in ``[0, n_table)``."""
+    if not all(type(row) is int and 0 <= row < n_table for row in rows):
+        raise ValueError(f"row outside the {n_table}-paper table")
 
 
 # -- prestige scores (v2) ------------------------------------------------------------
@@ -232,21 +270,16 @@ def _score_rows(
     indptr = members[prefix + "indptr"]
     rows = members[prefix + "rows"]
     values = members[prefix + "values"]
-    if (
-        indptr.dtype != np.int64 or rows.dtype != np.int32
-        or values.dtype != np.float64
-        or indptr.shape != (len(context_ids) + 1,)
-        or indptr[0] != 0 or (np.diff(indptr) < 0).any()
-        or rows.shape != (int(indptr[-1]),) or values.shape != rows.shape
-        or (rows.size and not 0 <= rows.min() <= rows.max() < n_papers)
-    ):
-        raise ValueError(f"inconsistent {prefix}indptr/rows/values arrays")
+    what = f"{prefix}indptr/rows/values"
+    _check_csr(indptr, rows, len(context_ids), n_papers, what)
+    if values.dtype != np.float64 or values.shape != rows.shape:
+        raise ValueError(f"inconsistent {what} arrays")
     return ScoreRows(context_ids, indptr, rows, values)
 
 
-# -- workspace substrate codecs ---------------------------------------------------
+# -- the vector store (v2) -----------------------------------------------------------
 #
-# Readers take the live objects the artefact cannot embed (corpus,
+# The reader takes the live objects the artefact cannot embed (corpus,
 # analyzer) -- the same convention as :func:`read_context_paper_set`'s
 # ontology.
 
@@ -270,12 +303,3 @@ def read_vector_store(
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"{path}: corrupt vector-store file ({error})") from error
 
-
-def write_representatives(representatives: Dict[str, str], path: PathLike) -> None:
-    write_tagged_json({"by_context": dict(representatives)}, path,
-                      _REPRESENTATIVES_FORMAT)
-
-
-def read_representatives(path: PathLike) -> Dict[str, str]:
-    payload = read_tagged_json(path, _REPRESENTATIVES_FORMAT)
-    return dict(payload["by_context"])

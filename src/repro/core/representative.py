@@ -6,10 +6,12 @@ short for TF-IDF comparison against full papers, so the representative
 stands in for the context term.
 
 Selection rule: among the context's candidate papers (its training /
-annotation-evidence papers when available, otherwise its assigned papers),
-pick the paper whose whole-paper vector is closest to the candidates'
-centroid -- the medoid-by-centroid-proximity rule.  Ties break on paper id
-for determinism.  Every context's centroid is one row of a batched
+annotation-evidence papers), pick the paper whose whole-paper vector is
+closest to the candidates' centroid -- the medoid-by-centroid-proximity
+rule.  Ties break on paper id for determinism.  The text-based builder
+stores the choice on each context
+(:attr:`~repro.core.context.Context.representative`).  Every context's
+centroid is one row of a batched
 :meth:`~repro.core.cosine.VectorRows.centroids`, and every candidate's
 cosine to its centroid comes from one
 :func:`~repro.core.cosine.cosine_pairs` call.
@@ -18,11 +20,10 @@ cosine to its centroid comes from one
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.context import ContextPaperSet
 from repro.core.cosine import cosine_pairs
 from repro.core.vectors import PaperVectorStore
 
@@ -64,33 +65,3 @@ def select_representative(
 ) -> Optional[str]:
     """The candidate closest to the candidates' centroid (None if empty)."""
     return representatives_of(vectors, [candidate_ids])[0]
-
-
-def select_representatives(
-    vectors: PaperVectorStore,
-    paper_set: ContextPaperSet,
-    prefer_training: bool = True,
-) -> Dict[str, str]:
-    """Representative paper per context id.
-
-    Contexts with no candidates at all are omitted from the result (the
-    text-based score function cannot be evaluated for them -- exactly the
-    situation section 4 describes for the pattern-based context paper set,
-    where text scores were only assigned to the 5,632 contexts that had a
-    representative).
-    """
-    contexts = list(paper_set)
-    chosen = representatives_of(
-        vectors,
-        [
-            context.training_paper_ids
-            if prefer_training and context.training_paper_ids
-            else context.paper_ids
-            for context in contexts
-        ],
-    )
-    return {
-        context.term_id: representative
-        for context, representative in zip(contexts, chosen)
-        if representative is not None
-    }

@@ -7,7 +7,8 @@
    score function, declared once, driving dispatch/CLI/workspace/sweeps;
 2. the **build layer** (:class:`~repro.serving.substrate.SubstrateStore`)
    -- index, vectors, token cache, citation graph, the two context paper
-   sets, representatives, memoised scores, and a mutation revision;
+   sets (text contexts carry their representatives), memoised scores,
+   and a mutation revision;
 3. the **serve layer** (:class:`~repro.serving.view.ServingView`) -- an
    immutable-per-refresh snapshot of memoised search engines plus the
    LRU result cache, swapped atomically by :meth:`Pipeline.refresh` so
@@ -398,7 +399,8 @@ class Pipeline:
 
     @property
     def representatives(self) -> Dict[str, str]:
-        """Representative paper per context of the text paper set."""
+        """Representative paper per context of the text paper set (a view
+        of its contexts' ``representative`` fields)."""
         return self._store.representatives
 
     @property
@@ -425,11 +427,11 @@ class Pipeline:
 
         A workspace built by ``repro build`` (see :mod:`repro.workspace`)
         holds every substrate a query reads -- index, vectors, paper
-        sets, representatives, prestige scores -- so a fully-built
-        workspace serves searches with zero rebuilds.  The citation
-        graph and the token cache are not persisted: they derive from
-        the corpus on first read (the token cache only for a pattern
-        rebuild or a delta).
+        sets (whose text contexts carry their representatives),
+        prestige scores -- so a fully-built workspace serves searches
+        with zero rebuilds.  The citation graph and the token cache are
+        not persisted: they derive from the corpus on first read (the
+        token cache only for a pattern rebuild or a delta).
 
         ``workspace_dir`` defaults to ``<data_dir>/workspace``.  With
         ``strict=True`` any missing or stale artifact raises

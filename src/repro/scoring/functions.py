@@ -12,7 +12,7 @@ depend on, which is exactly the fingerprint chain each persisted
 The declared ``paper_sets`` reproduce the paper's experiment arms:
 
 - ``text`` scores on the text-based paper set (3.2 needs the
-  representatives only the text set has);
+  representatives only its contexts carry);
 - ``citation`` scores on both paper sets (3.1 is set-agnostic);
 - ``pattern`` scores on the pattern-based paper set (3.3 needs the
   mined pattern sets);
@@ -70,7 +70,7 @@ register(
     ScoreFunctionSpec(
         name="text",
         factory=_text_factory,
-        substrates=("vectors", "representatives"),
+        substrates=("vectors",),
         paper_sets=("text",),
         description="multi-facet similarity to the context representative (3.2)",
         in_overlap=True,
@@ -116,7 +116,7 @@ register(
     ScoreFunctionSpec(
         name="combined",
         # Substrates: the union of the citation and text chains,
-        # ("vectors", "representatives").
+        # ("vectors",).
         components=(("citation", CITATION_WEIGHT), ("text", TEXT_WEIGHT)),
         paper_sets=("text",),
         description="rank fusion: convex blend of citation and text prestige",

@@ -49,9 +49,9 @@ class ScoreFunctionSpec:
     #: Exactly one of ``factory`` and ``components`` is set.
     factory: Optional[Callable] = None
     #: Workspace-artifact names the scores depend on, e.g.
-    #: ``("vectors", "representatives")`` -- the paper-set artifact is
-    #: implicit, and so is the corpus (the citation graph derives from
-    #: it).  For a derived spec :func:`register` sets it to the ordered
+    #: ``("vectors",)`` -- the paper-set artifact is implicit (it
+    #: carries the representatives), and so is the corpus (the citation
+    #: graph derives from it).  For a derived spec :func:`register` sets it to the ordered
     #: union of its components' substrates.
     substrates: Tuple[str, ...] = ()
     #: Paper sets the function is persisted on and swept over in

@@ -2,10 +2,11 @@
 
 The store holds the raw inputs (corpus, ontology, training papers) and
 the substrates derived from them -- inverted index, vector store, token
-cache, citation graph, the two context paper sets, representatives, and
-memoised prestige scores.  Substrates build lazily on first access and
-can be *installed* directly (workspace hydration); every installation
-bumps a monotonically increasing **revision**, which the serving layer
+cache, citation graph, the two context paper sets (the text set's
+contexts carry their representatives) and memoised prestige scores.
+Substrates build lazily on first access and can be *installed* directly
+(workspace hydration); every installation bumps a monotonically
+increasing **revision**, which the serving layer
 (:class:`~repro.serving.view.ServingView`) compares against to know
 when its memoised engines and result cache are stale.
 
@@ -108,14 +109,12 @@ class SubstrateStore:
         self._tokens: Optional[AnalyzedPaperCache] = None
         self._graph: Optional[CitationGraph] = None
         self._keyword_engine: Optional[KeywordSearchEngine] = None
-        self._text_assigner: Optional[TextContextAssigner] = None
         self._pattern_assigner: Optional[PatternContextAssigner] = None
         self._text_paper_set: Optional[ContextPaperSet] = None
         self._pattern_paper_set: Optional[ContextPaperSet] = None
         #: Pattern extractions, coverage counts and middle hits, kept
         #: across deltas and patched from the papers each one touches.
         self._pattern_memo = PatternMemo()
-        self._representatives: Optional[Dict[str, str]] = None
         self._scores: Dict[str, PrestigeScores] = {}
         self._build_lock = threading.RLock()
         self._mutation_lock = threading.Lock()
@@ -197,36 +196,28 @@ class SubstrateStore:
     def text_paper_set(self) -> ContextPaperSet:
         """The text-based context paper set (section 4, first builder)."""
 
-        def build() -> ContextPaperSet:
-            self._text_assigner = TextContextAssigner(
-                self.corpus,
-                self.ontology,
-                self.vectors,
-                similarity_threshold=self.text_similarity_threshold,
-            )
-            return self._text_assigner.build(self.training_papers)
+        return self._lazy("_text_paper_set", self._assign_text)
 
-        return self._lazy("_text_paper_set", build)
+    def _assign_text(self) -> ContextPaperSet:
+        return TextContextAssigner(
+            self.corpus,
+            self.ontology,
+            self.vectors,
+            similarity_threshold=self.text_similarity_threshold,
+        ).build(self.training_papers)
 
     @property
     def representatives(self) -> Dict[str, str]:
         """Representative paper per context of the text paper set.
 
-        When the paper set was loaded from a precomputed artefact (no
-        assigner ran), representatives are re-derived from the stored
-        training papers -- the selection is deterministic, so this
-        reproduces the original choice.
+        A view of the contexts' own ``representative`` fields, so a
+        fresh build, a workspace open and a delta agree by construction.
         """
-
-        def build() -> Dict[str, str]:
-            paper_set = self.text_paper_set
-            if self._text_assigner is not None:
-                return dict(self._text_assigner.representatives)
-            from repro.core.representative import select_representatives
-
-            return select_representatives(self.vectors, paper_set)
-
-        return dict(self._lazy("_representatives", build))
+        return {
+            context.term_id: context.representative
+            for context in self.text_paper_set
+            if context.representative
+        }
 
     @property
     def pattern_paper_set(self) -> ContextPaperSet:
@@ -464,16 +455,7 @@ class SubstrateStore:
                 if self._text_paper_set is not None:
                     with span("substrate.delta.assign", paper_set="text"):
                         old_set = self._text_paper_set
-                        assigner = TextContextAssigner(
-                            self.corpus,
-                            self.ontology,
-                            self.vectors,
-                            similarity_threshold=self.text_similarity_threshold,
-                        )
-                        new_set = assigner.build(self.training_papers)
-                        self._text_assigner = assigner
-                        self._text_paper_set = new_set
-                        self._representatives = dict(assigner.representatives)
+                        new_set = self._text_paper_set = self._assign_text()
                         changed_contexts["text"] = self._diff_contexts(
                             old_set, new_set, touched
                         )
@@ -623,15 +605,6 @@ class SubstrateStore:
             self._pattern_paper_set = paper_set
         self._bump()
 
-    def install_representatives(
-        self, representatives: Optional[Mapping[str, str]]
-    ) -> None:
-        with self._build_lock:
-            self._representatives = (
-                dict(representatives) if representatives is not None else None
-            )
-        self._bump()
-
     def install_scores(self, key: str, scores: PrestigeScores) -> None:
         with self._build_lock:
             self._scores[key] = scores
@@ -643,7 +616,6 @@ class SubstrateStore:
         "vectors": "_vectors",
         "text_paper_set": "_text_paper_set",
         "pattern_paper_set": "_pattern_paper_set",
-        "representatives": "_representatives",
     }
 
     def has(self, slot: str) -> bool:

@@ -119,8 +119,8 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
     ),
     Artifact(
         name="text_paper_set",
-        filename="text_paper_set.json",
-        schema_version=1,
+        filename="text_paper_set.npz",
+        schema_version=2,
         build=lambda pipeline: pipeline.text_paper_set,
         save=core_io.write_context_paper_set,
         load=lambda path, pipeline: core_io.read_context_paper_set(
@@ -131,12 +131,12 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         ),
         deps=("vectors",),
         config_keys=("text_similarity_threshold",),
-        description="text-based context paper set (section 4)",
+        description="text-based context paper set and representatives (section 4)",
     ),
     Artifact(
         name="pattern_paper_set",
-        filename="pattern_paper_set.json",
-        schema_version=1,
+        filename="pattern_paper_set.npz",
+        schema_version=2,
         build=lambda pipeline: pipeline.pattern_paper_set,
         save=core_io.write_context_paper_set,
         load=lambda path, pipeline: core_io.read_context_paper_set(
@@ -147,19 +147,6 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         ),
         deps=("index",),
         description="pattern-based context paper set (section 4)",
-    ),
-    Artifact(
-        name="representatives",
-        filename="representatives.json",
-        schema_version=1,
-        build=lambda pipeline: pipeline.representatives,
-        save=core_io.write_representatives,
-        load=lambda path, pipeline: core_io.read_representatives(path),
-        install=lambda pipeline, representatives: (
-            pipeline.substrates.install_representatives(representatives)
-        ),
-        deps=("text_paper_set", "vectors"),
-        description="representative paper per text-set context",
     ),
 )
 

@@ -145,8 +145,9 @@ class TestBuild:
         assert f"built {len(ARTIFACTS)}" in output
         workspace = data_dir / "workspace"
         assert (workspace / "manifest.json").exists()
-        assert (workspace / "text_paper_set.json").exists()
-        assert (workspace / "pattern_paper_set.json").exists()
+        assert (workspace / "text_paper_set.npz").exists()
+        assert (workspace / "pattern_paper_set.npz").exists()
+        assert sorted(p.name for p in workspace.glob("*.json")) == ["manifest.json"]
         assert (workspace / "scores_text_text.npz").exists()
         assert (workspace / "scores_citation_pattern.npz").exists()
 
@@ -177,6 +178,17 @@ class TestBuild:
         workspace = tmp_path / "workspace"
         assert (workspace / "index.bin").exists()
         assert not (workspace / "vectors.npz").exists()
+
+    @pytest.mark.parametrize("name", ["nope", "representatives"])
+    def test_unknown_only_name_is_an_error(self, tmp_path, capsys, name):
+        """An unknown ``--only`` name -- including the retired
+        ``representatives`` artifact -- names the known artifacts and
+        exits non-zero instead of raising."""
+        code = main(["build", "--data", str(tmp_path), "--only", name])
+        assert code != 0
+        err = capsys.readouterr().err
+        assert f"error: unknown artifact {name!r}; known: index, vectors" in err
+        assert not (tmp_path / "workspace").exists()
 
 
 class TestWorkspaceStatus:

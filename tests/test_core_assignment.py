@@ -31,10 +31,7 @@ class TestTextContextAssigner:
             vectors,
             similarity_threshold=0.15,
         )
-        built = assigner.build(request.getfixturevalue("tiny_training"))
-        # stash the assigner for representative checks
-        request.cls._assigner = assigner
-        return built
+        return assigner.build(request.getfixturevalue("tiny_training"))
 
     def test_only_contexts_with_training(self, paper_set):
         assert set(paper_set.context_ids()) == {"met", "sig", "glu"}
@@ -53,7 +50,7 @@ class TestTextContextAssigner:
         assert "X1" not in paper_set.context("sig")
 
     def test_representatives_recorded(self, paper_set):
-        reps = self._assigner.representatives
+        reps = {c.term_id: c.representative for c in paper_set}
         assert set(reps) == {"met", "sig", "glu"}
         assert reps["glu"] == "M1"
         assert reps["sig"] == "S1"

@@ -2,6 +2,7 @@
 atomic writes)."""
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -36,8 +37,9 @@ def paper_set(tiny_ontology):
         [
             Context(
                 "met",
-                ("M1", "M2", "M3"),
-                training_paper_ids=("M1",),
+                ("M3", "M1", "M2"),
+                training_paper_ids=("M1", "X1"),  # X1 is not a member
+                representative="M1",
             ),
             Context(
                 "glu",
@@ -45,22 +47,62 @@ def paper_set(tiny_ontology):
                 inherited_from="met",
                 decay=0.37,
             ),
+            Context("sig", ()),
         ],
     )
 
 
+def _fields(paper_set):
+    return [
+        (c.term_id, c.paper_ids, c.training_paper_ids, c.inherited_from,
+         c.decay, c.representative)
+        for c in paper_set
+    ]
+
+
+def _rewrite(path, header=None, **arrays):
+    """Rewrite a paper-set file with ``header`` keys and ``arrays`` replaced."""
+    import json
+
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    old = json.loads(members["header"].tobytes())
+    members["header"] = np.frombuffer(
+        json.dumps({**old, **(header or {})}).encode(), dtype=np.uint8
+    )
+    members.update(arrays)
+    with open(path, "wb") as handle:
+        np.savez(handle, **members)
+
+
 class TestContextPaperSetRoundTrip:
     def test_round_trip(self, paper_set, tiny_ontology, tmp_path):
-        path = tmp_path / "set.json"
+        path = tmp_path / "set.npz"
         write_context_paper_set(paper_set, path)
         loaded = read_context_paper_set(path, tiny_ontology)
-        assert len(loaded) == 2
-        met = loaded.context("met")
-        assert met.paper_ids == ("M1", "M2", "M3")
-        assert met.training_paper_ids == ("M1",)
-        glu = loaded.context("glu")
-        assert glu.inherited_from == "met"
-        assert glu.decay == pytest.approx(0.37)
+        assert _fields(loaded) == _fields(paper_set)
+        assert [c for c in loaded] == [c for c in paper_set]
+
+    def test_demo_pipeline_sets_round_trip(self, tmp_path):
+        """Both paper sets of a demo pipeline load back equal in every
+        field, representatives included."""
+        from repro.pipeline import build_demo_pipeline
+
+        pipeline = build_demo_pipeline(seed=1, n_papers=120, n_terms=30)
+        for name in ("text", "pattern"):
+            original = pipeline.paper_set(name)
+            path = tmp_path / f"{name}.npz"
+            write_context_paper_set(original, path)
+            loaded = read_context_paper_set(path, pipeline.ontology)
+            assert _fields(loaded) == _fields(original)
+        text = pipeline.paper_set("text")
+        assert all(c.representative for c in text)
+        assert pipeline.representatives == {
+            c.term_id: c.representative for c in text
+        }
+        pattern = pipeline.paper_set("pattern")
+        assert any(c.inherited_from and c.decay != 1.0 for c in pattern)
+        assert any(not set(c.training_paper_ids) <= c.paper_id_set for c in pattern)
 
     def test_wrong_format_rejected(self, tiny_ontology, tmp_path):
         path = tmp_path / "junk.json"
@@ -72,11 +114,50 @@ class TestContextPaperSetRoundTrip:
         from repro.ontology import Ontology
         from repro.ontology.term import Term
 
-        path = tmp_path / "set.json"
+        path = tmp_path / "set.npz"
         write_context_paper_set(paper_set, path)
         other_ontology = Ontology([Term("different", "thing")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not an ontology term") as excinfo:
             read_context_paper_set(path, other_ontology)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("truncated", "not a context paper set file"),
+            ("format", "found 'repro/context-paper-set/v1'"),
+            ("member_row", "inconsistent indptr/members"),
+            ("training_row", "row outside the 4-paper table"),
+            ("representative_row", "row outside the 4-paper table"),
+            ("indptr", "inconsistent indptr/members"),
+            ("indptr_dtype", "inconsistent indptr/members"),
+            ("short_list", "header lists differ in length"),
+        ],
+    )
+    def test_damaged_file_names_path(
+        self, paper_set, tiny_ontology, tmp_path, damage, message
+    ):
+        path = tmp_path / "set.npz"
+        write_context_paper_set(paper_set, path)  # paper table M1 M2 M3 X1
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif damage == "format":
+            _rewrite(path, {"format": "repro/context-paper-set/v1"})
+        elif damage == "member_row":
+            _rewrite(path, members=np.array([0, 1, 9, 0, 1], dtype=np.int32))
+        elif damage == "training_row":
+            _rewrite(path, {"training": [[0, 4], [], []]})
+        elif damage == "representative_row":
+            _rewrite(path, {"representatives": [-1, None, None]})
+        elif damage == "indptr":  # not monotone
+            _rewrite(path, indptr=np.array([0, 3, 2, 5], dtype=np.int64))
+        elif damage == "indptr_dtype":
+            _rewrite(path, indptr=np.array([0, 3, 5, 5], dtype=np.int32))
+        else:
+            _rewrite(path, {"decay": [1.0]})
+        with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+            read_context_paper_set(path, tiny_ontology)
+        assert str(path) in str(excinfo.value)
 
 
 class TestPrestigeScoresRoundTrip:

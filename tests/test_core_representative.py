@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.context import Context, ContextPaperSet
-from repro.core.representative import select_representative, select_representatives
+from repro.core.assignment import TextContextAssigner
+from repro.core.representative import representatives_of, select_representative
 from repro.core.vectors import PaperVectorStore
+from repro.serving.substrate import SubstrateStore
 
 
 @pytest.fixture(scope="module")
@@ -39,27 +40,26 @@ class TestSelectRepresentative:
 
 
 class TestSelectRepresentatives:
+    """Every text context carries its representative, and the store's
+    ``representatives`` map is a view of those fields."""
+
     def test_prefers_training_papers(self, store, tiny_ontology):
-        paper_set = ContextPaperSet(
-            tiny_ontology,
-            [
-                Context(
-                    "met",
-                    ("M1", "M2", "M3", "X1"),
-                    training_paper_ids=("M1",),
-                )
-            ],
+        assigner = TextContextAssigner(
+            store.corpus, tiny_ontology, store, similarity_threshold=0.15
         )
-        reps = select_representatives(store, paper_set)
-        assert reps == {"met": "M1"}
+        paper_set = assigner.build({"met": ["M1"]})
+        assert paper_set.context("met").representative == "M1"
+        assert set(paper_set.context("met").paper_ids) > {"M1"}
 
-    def test_falls_back_to_members(self, store, tiny_ontology):
-        paper_set = ContextPaperSet(
-            tiny_ontology, [Context("sig", ("S1", "S2"))]
-        )
-        reps = select_representatives(store, paper_set)
-        assert reps["sig"] in {"S1", "S2"}
+    def test_batch_equals_one_at_a_time(self, store):
+        lists = [["M1", "M2", "M3"], ["S1", "S2"], [], ["X1"], ["M3", "X1"]]
+        assert representatives_of(store, lists) == [
+            select_representative(store, ids) for ids in lists
+        ]
 
-    def test_contextless_contexts_omitted(self, store, tiny_ontology):
-        paper_set = ContextPaperSet(tiny_ontology, [Context("glu", ())])
-        assert select_representatives(store, paper_set) == {}
+    def test_contextless_contexts_omitted(self, tiny_corpus, tiny_ontology):
+        store = SubstrateStore(tiny_corpus, tiny_ontology, {"met": ["M1", "M2"]})
+        contexts = list(store.text_paper_set)
+        assert [c.term_id for c in contexts] == ["met"]
+        assert representatives_of(store.vectors, [[]]) == [None]
+        assert store.representatives == {"met": contexts[0].representative}

@@ -150,7 +150,9 @@ class TestLoadPrecomputed:
         source.build_workspace(tmp_path, only=["text_paper_set"])
         fresh = Pipeline.from_dataset(small_dataset, min_context_size=3)
         open_workspace(fresh, tmp_path, strict=False)
-        assert not fresh.substrates.has("representatives")
+        # The loaded contexts carry them: nothing re-derives them.
+        assert fresh.substrates.has("text_paper_set")
+        assert all(c.representative for c in fresh.text_paper_set)
         assert fresh.representatives == source.representatives
 
     def test_empty_directory_loads_nothing(self, small_dataset, tmp_path):

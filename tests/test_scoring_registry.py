@@ -185,9 +185,11 @@ class TestPluginSeam:
             artifact = ARTIFACTS["scores_toy_text"]
             assert artifact.deps == ("text_paper_set", "tokens", "vectors")
 
-    # ``citation_graph`` was an artifact once: the graph now derives from
-    # the corpus, so a spec still naming it must learn that clearly.
-    @pytest.mark.parametrize("unknown", ["graph", "citation_graph"])
+    # ``citation_graph`` and ``representatives`` were artifacts once: the
+    # graph now derives from the corpus and the text paper set carries
+    # the representatives, so a spec still naming either must learn that
+    # clearly.
+    @pytest.mark.parametrize("unknown", ["graph", "citation_graph", "representatives"])
     def test_unknown_substrate_is_named(self, unknown):
         spec = _toy_spec(substrates=(unknown,))
         with scoring.temporary_registration(spec):
@@ -196,7 +198,7 @@ class TestPluginSeam:
         message = str(excinfo.value)
         assert "'scores_toy_text'" in message
         assert f"unknown artifact {unknown!r}" in message
-        assert "representatives" in message  # the known names
+        assert "known: index, vectors, text_paper_set" in message
 
     def test_toy_function_searches_end_to_end(self):
         pipeline = build_demo_pipeline(seed=11, n_papers=60, n_terms=20)
@@ -217,13 +219,13 @@ class TestCombinedFunction:
 
     def test_registered_with_union_substrates(self):
         spec = scoring.get("combined")
-        assert spec.substrates == ("vectors", "representatives")
+        assert spec.substrates == ("vectors",)
         assert spec.paper_sets == ("text",)
         assert not spec.in_overlap
 
     def test_workspace_artifact_derived(self):
         artifact = ARTIFACTS["scores_combined_text"]
-        assert artifact.deps == ("text_paper_set", "vectors", "representatives")
+        assert artifact.deps == ("text_paper_set", "vectors")
 
     def test_blend_is_convex_combination_of_normalised_components(self):
         pipeline = build_demo_pipeline(seed=11, n_papers=80, n_terms=25)

@@ -32,7 +32,7 @@ from facet_reference import facet_similarity
 
 from repro.core.assignment import TextContextAssigner
 from repro.core.cosine import VectorRows, cosine_pairs
-from repro.core.representative import select_representative, select_representatives
+from repro.core.representative import select_representative
 from repro.core.search import ContextSearchEngine
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
@@ -317,20 +317,11 @@ def assert_kernel_matches_reference(pipeline):
             representative,
             training,
         )
-    for prefer_training in (True, False):
-        expected = {}
-        for context in paper_set:
-            candidates = (
-                context.training_paper_ids
-                if prefer_training and context.training_paper_ids
-                else context.paper_ids
-            )
-            expected[context.term_id] = reference_select_representative(
-                reference, candidates
-            )
-        got = select_representatives(vectors, paper_set, prefer_training)
-        assert list(got.items()) == list(expected.items())
-    assert representatives == select_representatives(vectors, paper_set)
+    for context in paper_set:
+        assert context.representative == reference_select_representative(
+            reference, context.training_paper_ids
+        )
+    assert representatives == {c.term_id: c.representative for c in paper_set}
 
     engine = ContextSearchEngine(
         store.ontology, paper_set, scores, store.keyword_engine,
@@ -446,8 +437,8 @@ def assert_assigner_matches_reference(corpus, ontology, vectors, training, thres
             continue
         expected_ids.append(term_id)
         representative = reference_select_representative(reference, kept)
-        assert assigner.representatives[term_id] == representative
         context = paper_set.context(term_id)
+        assert context.representative == representative
         assert context.training_paper_ids == tuple(kept)
         assert list(context.paper_ids) == reference_assign(
             reference, corpus, threshold, representative, kept

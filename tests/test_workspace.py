@@ -178,14 +178,14 @@ class TestOpenWorkspace:
         _, workspace, _ = built
         partial = tmp_path / "partial"
         shutil.copytree(workspace, partial)
-        (partial / ARTIFACTS["representatives"].filename).unlink()
+        (partial / ARTIFACTS["scores_combined_text"].filename).unlink()
         pipeline = Pipeline.from_directory(data_dir)
-        with pytest.raises(StaleWorkspaceError, match="representatives"):
+        with pytest.raises(StaleWorkspaceError, match="scores_combined_text"):
             open_workspace(pipeline, partial)
         pipeline = Pipeline.from_directory(data_dir)
         loaded = open_workspace(pipeline, partial, strict=False)
         assert loaded == len(ARTIFACTS) - 1
-        assert not pipeline.substrates.has("representatives")  # lazy rebuild
+        assert not pipeline.substrates.has("combined/text")  # lazy rebuild
 
 
 class TestCorruptArtifacts:
@@ -235,14 +235,13 @@ class TestCorruptArtifacts:
         """A workspace whose index is the schema-1 ``index.json``
         (``repro/inverted-index/v1``), with the manifest fingerprints such
         a workspace recorded, rebuilds into ``index.bin``."""
-        from repro.core.io import write_tagged_json
         from repro.workspace.manifest import entries_from_payload
 
         pipeline, workspace, _ = built
         copy = tmp_path / "workspace"
         shutil.copytree(workspace, copy)
         (copy / "index.bin").unlink()
-        write_tagged_json(
+        _write_tagged_json(
             _v1_index_payload(pipeline.index), copy / "index.json",
             "repro/inverted-index/v1",
         )
@@ -279,14 +278,13 @@ class TestCorruptArtifacts:
         """A workspace whose vector store is the schema-1 ``vectors.json``
         (``repro/vector-store/v1``) rebuilds it, and everything built on
         it, into ``vectors.npz``."""
-        from repro.core.io import write_tagged_json
         from repro.workspace.manifest import entries_from_payload
 
         pipeline, workspace, _ = built
         copy = tmp_path / "workspace"
         shutil.copytree(workspace, copy)
         (copy / "vectors.npz").unlink()
-        write_tagged_json(
+        _write_tagged_json(
             {"section_models": {}, "full_model": None, "full_vectors": {}},
             copy / "vectors.json",
             "repro/vector-store/v1",
@@ -303,7 +301,7 @@ class TestCorruptArtifacts:
         (copy / "manifest.json").write_text(json.dumps(manifest))
 
         dependents = _dependents("vectors")
-        assert {"text_paper_set", "representatives", "scores_text_text"} <= dependents
+        assert {"text_paper_set", "scores_text_text"} <= dependents
         assert "index" not in dependents and "pattern_paper_set" not in dependents
         reopened = Pipeline.from_directory(data_dir)
         statuses = {s.name: s for s in workspace_status(reopened, copy)}
@@ -321,6 +319,89 @@ class TestCorruptArtifacts:
             file = ARTIFACTS[name].filename
             assert (copy / file).read_bytes() == (workspace / file).read_bytes(), name
 
+    def test_json_era_paper_sets_and_representatives_are_rebuilt_into_npz(
+        self, built, data_dir, tmp_path
+    ):
+        """A workspace whose paper sets are v1 JSON and whose
+        representatives are the ``representatives.json`` artifact, with
+        the fingerprints such a workspace recorded, rebuilds the two
+        paper sets as ``.npz`` and the five score artifacts to the same
+        bytes, and drops the JSON files and the retired entry."""
+        from repro.workspace.manifest import entries_from_payload
+
+        pipeline, workspace, _ = built
+        copy = tmp_path / "workspace"
+        shutil.copytree(workspace, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        artifacts = manifest["artifacts"]
+        paper_sets = ("text_paper_set", "pattern_paper_set")
+        for name in paper_sets:
+            (copy / f"{name}.npz").unlink()
+            contexts = [
+                {
+                    "term_id": c.term_id,
+                    "paper_ids": list(c.paper_ids),
+                    "training_paper_ids": list(c.training_paper_ids),
+                    "inherited_from": c.inherited_from,
+                    "decay": c.decay,
+                }
+                for c in getattr(pipeline, name)
+            ]
+            _write_tagged_json(
+                {"contexts": contexts}, copy / f"{name}.json",
+                "repro/context-paper-set/v1",
+            )
+            artifacts[name].update(file=f"{name}.json", schema_version=1)
+        _write_tagged_json(
+            {"by_context": pipeline.representatives},
+            copy / "representatives.json", "repro/representatives/v1",
+        )
+        artifacts["representatives"] = dict(
+            artifacts["vectors"], file="representatives.json", schema_version=1
+        )
+        graph = _json_era_graph()
+        old = {
+            "text_paper_set": (
+                1, {"text_similarity_threshold": pipeline.text_similarity_threshold}
+            ),
+            "pattern_paper_set": (1, {}),
+            "representatives": (1, {}),
+        }
+        for name, fingerprint in _v1_fingerprints(pipeline, old, graph).items():
+            artifacts[name].update(
+                fingerprint=fingerprint,
+                deps=list(graph[name]),
+                size_bytes=(copy / artifacts[name]["file"]).stat().st_size,
+            )
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+
+        scores = {name for name in ARTIFACTS if name.startswith("scores_")}
+        assert len(scores) == 5
+        reopened = Pipeline.from_directory(data_dir)
+        statuses = {s.name: s for s in workspace_status(reopened, copy)}
+        assert set(statuses) == set(ARTIFACTS)
+        for name in paper_sets:
+            assert statuses[name].reason == "schema v1 != v2"
+        for name in scores:
+            assert statuses[name].reason == "fingerprint changed", name
+        assert {n for n, s in statuses.items() if s.state == "fresh"} == {
+            "index", "vectors",
+        }
+
+        report = WorkspaceBuilder(reopened, copy).build()
+        assert set(report.built) == set(paper_sets) | scores
+        assert sorted(p.name for p in copy.glob("*.json")) == ["manifest.json"]
+        entries = entries_from_payload(read_manifest(copy))
+        assert set(entries) == set(ARTIFACTS)
+        assert entries["scores_text_text"].deps == ["text_paper_set", "vectors"]
+        for artifact in ARTIFACTS.values():
+            file = artifact.filename
+            assert (copy / file).read_bytes() == (workspace / file).read_bytes(), file
+        assert all(s.state == "fresh" for s in workspace_status(reopened, copy))
+        opened = Pipeline.from_directory(data_dir)
+        open_workspace(opened, copy)
+        assert opened.representatives == pipeline.representatives
+
 
 def _v1_index_payload(index):
     """The schema-1 ``index.json`` payload: per-paper, per-section term
@@ -334,30 +415,49 @@ def _v1_index_payload(index):
     return {"papers": papers}
 
 
-def _v1_fingerprints(pipeline, old):
+def _write_tagged_json(payload, path, format_tag):
+    """A JSON artifact file of the kind older workspaces held."""
+    path.write_text(json.dumps({"format": format_tag, **payload}), encoding="utf-8")
+
+
+def _v1_fingerprints(pipeline, old, graph=None):
     """Artifact fingerprints of a workspace built when the artifacts in
     ``old`` (name -> ``(schema_version, config)``) had that schema and
-    those config values."""
+    those config values, and the artifact graph was ``graph`` (name ->
+    deps, in build order; default: the registry's)."""
     from repro.workspace.fingerprint import InputDigests, digest_json
 
+    if graph is None:
+        graph = {name: ARTIFACTS[name].deps for name in topological_order()}
     inputs = InputDigests.of_pipeline(pipeline).combined
     fingerprints = {}
-    for name in topological_order():
-        artifact = ARTIFACTS[name]
-        schema_version = artifact.schema_version
-        config = {key: getattr(pipeline, key) for key in artifact.config_keys}
+    for name, deps in graph.items():
         if name in old:
             schema_version, config = old[name]
+        else:
+            artifact = ARTIFACTS[name]
+            schema_version = artifact.schema_version
+            config = {key: getattr(pipeline, key) for key in artifact.config_keys}
         fingerprints[name] = digest_json(
             {
                 "artifact": name,
                 "schema_version": schema_version,
                 "inputs": inputs,
                 "config": config,
-                "deps": [fingerprints[dep] for dep in artifact.deps],
+                "deps": [fingerprints[dep] for dep in deps],
             }
         )
     return fingerprints
+
+
+def _json_era_graph():
+    """The artifact graph of a workspace whose representatives were an
+    artifact of their own, which the text-set scores depended on."""
+    graph = {name: ARTIFACTS[name].deps for name in topological_order()}
+    graph["representatives"] = ("text_paper_set", "vectors")
+    for name in ("scores_text_text", "scores_combined_text"):
+        graph[name] = graph.pop(name) + ("representatives",)
+    return graph
 
 
 def _dependents(name):
@@ -469,6 +569,43 @@ class TestIncremental:
 
         texts = [added.all_text()] + [added.section_text(s) for s in TEXT_SECTIONS]
         assert sorted(analysed) == sorted(texts)
+    def test_representatives_equal_a_fresh_pipeline_across_a_delta(
+        self, built, data_dir, tmp_path
+    ):
+        """The representatives a workspace open loads, and those a
+        persisted add/remove delta leaves, equal a fresh build's."""
+        from repro.corpus.paper import Paper
+        from repro.workspace import ingest_delta
+
+        _, workspace, _ = built
+        for name in ("corpus.jsonl", "ontology.obo", "training.json"):
+            shutil.copy(data_dir / name, tmp_path / name)
+        shutil.copytree(workspace, tmp_path / "workspace")
+        opened = Pipeline.open_workspace(tmp_path)
+        fresh = Pipeline.from_directory(data_dir)
+        assert opened.representatives == fresh.representatives
+        assert opened.representatives
+
+        corpus = opened.corpus
+        source = corpus.paper(corpus.paper_ids()[3])
+        added = Paper.from_dict({**source.to_dict(), "paper_id": "ADDED-REP"})
+        removed = next(
+            iter(opened.representatives.values())
+        )  # the delta removes a representative
+        ingest_delta(
+            opened, tmp_path / "workspace",
+            added_papers=[added], removed_ids=[removed],
+        )
+        write_corpus_jsonl(opened.corpus, tmp_path / "corpus.jsonl")
+        fresh = Pipeline.from_directory(tmp_path)
+        assert removed not in fresh.representatives.values()
+        assert opened.representatives == fresh.representatives
+        reopened = Pipeline.open_workspace(tmp_path)
+        assert reopened.representatives == fresh.representatives
+        assert reopened.text_paper_set.context_ids() == (
+            fresh.text_paper_set.context_ids()
+        )
+
     def test_search_weights_do_not_invalidate(self, built, data_dir):
         _, workspace, _ = built
         pipeline = Pipeline.from_directory(data_dir, w_prestige=0.9, w_matching=0.1)
@@ -485,7 +622,6 @@ class TestIncremental:
         }
         assert stale == {
             "text_paper_set",
-            "representatives",
             "scores_text_text",
             "scores_citation_text",
             "scores_combined_text",
@@ -498,7 +634,6 @@ class TestIncremental:
         pipeline = Pipeline.from_directory(data_dir, text_similarity_threshold=0.2)
         report = pipeline.build_workspace(copy)
         assert sorted(report.built) == [
-            "representatives",
             "scores_citation_text",
             "scores_combined_text",
             "scores_text_text",
@@ -532,12 +667,12 @@ class TestIncremental:
         _, workspace, _ = built
         copy = tmp_path / "ws"
         shutil.copytree(workspace, copy)
-        (copy / "representatives.json").unlink()
+        (copy / "scores_combined_text.npz").unlink()
         pipeline = Pipeline.from_directory(data_dir)
         statuses = {s.name: s for s in workspace_status(pipeline, copy)}
-        assert statuses["representatives"].state == "missing"
+        assert statuses["scores_combined_text"].state == "missing"
         report = pipeline.build_workspace(copy)
-        assert report.built == ["representatives"]
+        assert report.built == ["scores_combined_text"]
 
 
 class TestManifest:
@@ -585,7 +720,6 @@ class TestFingerprints:
         differing = {name for name in base if base[name] != changed[name]}
         assert differing == {
             "text_paper_set",
-            "representatives",
             "scores_text_text",
             "scores_citation_text",
             "scores_combined_text",
@@ -626,28 +760,22 @@ class TestCodecs:
                 vectors.full_vector(paper_id).weights
             )
 
-    def test_representatives_round_trip(self, tmp_path):
-        from repro.core.io import read_representatives, write_representatives
-
-        representatives = {"met": "M1", "sig": "S1"}
-        write_representatives(representatives, tmp_path / "reps.json")
-        assert read_representatives(tmp_path / "reps.json") == representatives
-
     def test_corrupt_artifact_names_path(self, tmp_path):
-        from repro.core.io import read_representatives
+        from repro.core.io import read_context_paper_set
 
-        path = tmp_path / "representatives.json"
+        path = tmp_path / "text_paper_set.npz"
         path.write_text("{broken", encoding="utf-8")
-        with pytest.raises(ValueError, match="corrupt JSON") as excinfo:
-            read_representatives(path)
+        with pytest.raises(ValueError, match="not a context paper set") as excinfo:
+            read_context_paper_set(path, None)
         assert str(path) in str(excinfo.value)
 
-    def test_mismatched_format_tag_names_both_tags(self, tmp_path):
-        from repro.core.io import read_representatives, write_tagged_json
+    def test_mismatched_format_tag_names_both_tags(self, tiny_ontology, tmp_path):
+        from repro.core.io import read_context_paper_set, write_prestige_scores
+        from repro.scoring.base import PrestigeScores
 
-        path = tmp_path / "artifact.json"
-        write_tagged_json({"nodes": []}, path, "repro/citation-graph/v1")
+        path = tmp_path / "artifact.npz"
+        write_prestige_scores(PrestigeScores("text", {"met": {"M1": 1.0}}), path)
         with pytest.raises(ValueError, match="expected format") as excinfo:
-            read_representatives(path)
-        assert "repro/representatives/v1" in str(excinfo.value)
-        assert "repro/citation-graph/v1" in str(excinfo.value)
+            read_context_paper_set(path, tiny_ontology)
+        assert "repro/context-paper-set/v2" in str(excinfo.value)
+        assert "repro/prestige-scores/v2" in str(excinfo.value)

@@ -31,93 +31,13 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli generate \
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
     --data "$WORKSPACE_DATA" > /dev/null
 python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
-# A workspace built while the citation graph was an artifact lists a
-# `citation_graph` entry and file; the next build must drop both.
-python - "$WORKSPACE_DATA/workspace" <<'PY'
-import json, sys
-from pathlib import Path
-workspace = Path(sys.argv[1])
-manifest = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
-entry = dict(manifest["artifacts"]["representatives"], file="citation_graph.json", deps=[])
-manifest["artifacts"]["citation_graph"] = entry
-(workspace / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-graph = {"format": "repro/citation-graph/v1", "nodes": [], "edges": []}
-(workspace / "citation_graph.json").write_text(json.dumps(graph), encoding="utf-8")
-PY
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
-    --data "$WORKSPACE_DATA" > /dev/null
-python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
-test ! -e "$WORKSPACE_DATA/workspace/citation_graph.json"
-# A workspace built while the token cache was an artifact lists a
-# `tokens` entry and file, and `pattern_paper_set` depends on it, so it
-# and its two score artifacts carry other fingerprints.  The next build
-# must drop the entry and file and rebuild those 3 to the same bytes.
-UPGRADE_SUMS="$(python - "$WORKSPACE_DATA/workspace" <<'PY'
-import hashlib, json, sys
-from pathlib import Path
-workspace = Path(sys.argv[1])
-manifest = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
-artifacts = manifest["artifacts"]
-sums = {e["file"]: hashlib.sha256((workspace / e["file"]).read_bytes()).hexdigest()
-        for e in artifacts.values()}
-artifacts["tokens"] = dict(artifacts["index"], file="tokens.json", deps=["index"])
-artifacts["pattern_paper_set"]["deps"] = ["index", "tokens"]
-for name in ("pattern_paper_set", "scores_pattern_pattern", "scores_citation_pattern"):
-    artifacts[name]["fingerprint"] = "0" * 64
-(workspace / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-tokens = {"format": "repro/token-cache/v1", "papers": {}}
-(workspace / "tokens.json").write_text(json.dumps(tokens), encoding="utf-8")
-print(json.dumps(sums))
-PY
-)"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
-    --data "$WORKSPACE_DATA" | grep -q "built 3, fresh 7 of 10 artifacts"
-python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
-test ! -e "$WORKSPACE_DATA/workspace/tokens.json"
-python - "$WORKSPACE_DATA/workspace" "$UPGRADE_SUMS" <<'PY'
-import hashlib, json, sys
-from pathlib import Path
-workspace, before = Path(sys.argv[1]), json.loads(sys.argv[2])
-after = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-         for path in workspace.iterdir() if path.name != "manifest.json"}
-assert after == before, sorted(set(after.items()) ^ set(before.items()))
-print(f"upgrade kept the sha256 of all {len(after)} artifact files")
-PY
-# A workspace built while text assignment read the index lists
-# `text_paper_set` with deps index and vectors, so it and its four
-# dependents carry other fingerprints.  The next build must rebuild
-# those 5 to the same bytes: the CI corpus has no paper that only the
-# exact assigner admits.
-UPGRADE_SUMS="$(python - "$WORKSPACE_DATA/workspace" <<'PY'
-import hashlib, json, sys
-from pathlib import Path
-workspace = Path(sys.argv[1])
-manifest = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
-artifacts = manifest["artifacts"]
-sums = {e["file"]: hashlib.sha256((workspace / e["file"]).read_bytes()).hexdigest()
-        for e in artifacts.values()}
-artifacts["text_paper_set"]["deps"] = ["index", "vectors"]
-for name in ("text_paper_set", "representatives", "scores_text_text",
-             "scores_citation_text", "scores_combined_text"):
-    artifacts[name]["fingerprint"] = "0" * 64
-(workspace / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-print(json.dumps(sums))
-PY
-)"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build \
-    --data "$WORKSPACE_DATA" | grep -q "built 5, fresh 5 of 10 artifacts"
-python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
-python - "$WORKSPACE_DATA/workspace" "$UPGRADE_SUMS" <<'PY'
-import hashlib, json, sys
-from pathlib import Path
-workspace, before = Path(sys.argv[1]), json.loads(sys.argv[2])
-manifest = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
-assert manifest["artifacts"]["text_paper_set"]["deps"] == ["vectors"], manifest
-after = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-         for path in workspace.iterdir() if path.name != "manifest.json"}
-assert after == before, sorted(set(after.items()) ^ set(before.items()))
-print(f"text_paper_set upgrade kept the sha256 of all {len(after)} artifact files")
-PY
+# Workspaces built by earlier layouts: each scenario edits the manifest
+# and files the way that layout left them, runs `repro build`, and checks
+# the number rebuilt, that the retired files are gone, the manifest check,
+# and that every artifact file keeps its sha256 (see the tool's
+# docstring for what each scenario models).
+python tools/check_workspace_upgrade.py "$WORKSPACE_DATA" \
+    citation_graph tokens text_index_dep json_paper_sets
 # ... and so does the next generation a one-paper delta writes (the
 # delta path rewrites vectors.npz from the retained term counts).
 python - "$WORKSPACE_DATA" <<'PY'
@@ -158,16 +78,21 @@ lines = (Path(sys.argv[1]) / "corpus.jsonl").read_text(encoding="utf-8").splitli
 queries = [json.loads(line)["title"] for line in lines[:3]]
 arms = [("citation", "text"), ("text", "text"), ("pattern", "pattern"), ("citation", "pattern"),
         ("combined", "text")]
+strategies = ("probe", "name", "representative")
+assert reopened.representatives == fresh.representatives
 for function, paper_set in arms:
-    for query in queries:
-        rows = [
-            [(h.paper_id, h.context_id, h.relevancy, h.prestige) for h in
-             pipeline.search(query, function=function, paper_set_name=paper_set, limit=10)]
-            for pipeline in (reopened, fresh)
-        ]
-        assert rows[0], (function, paper_set, query, "no hits")
-        assert rows[0] == rows[1], (function, paper_set, query, rows)
-print(f"reopened generation 2 ranks like a fresh build ({len(arms)} arms, {len(queries)} queries)")
+    for strategy in strategies:
+        for query in queries:
+            rows = [
+                [(h.paper_id, h.context_id, h.relevancy, h.prestige) for h in
+                 pipeline.search(query, function=function, paper_set_name=paper_set,
+                                 selection_strategy=strategy, limit=10)]
+                for pipeline in (reopened, fresh)
+            ]
+            assert rows[0], (function, paper_set, strategy, query, "no hits")
+            assert rows[0] == rows[1], (function, paper_set, strategy, query, rows)
+print(f"reopened generation 2 ranks like a fresh build ({len(arms)} arms, "
+      f"{len(strategies)} strategies, {len(queries)} queries)")
 PY
 
 echo
