@@ -29,9 +29,8 @@ def test_ablation_pattern_matching(benchmark, pipeline, dataset, results_dir):
     def run():
         full_builder = PatternSetBuilder(
             pipeline.ontology,
-            pipeline.corpus,
             pipeline.index,
-            token_cache=pipeline.tokens,
+            pipeline.tokens,
             build_extended=True,
         )
         simple_sets = pipeline.pattern_assigner.pattern_sets

@@ -31,7 +31,7 @@ def _consistent(ontology, assigned_terms, true_terms):
 
 def test_baseline_gopubmed(benchmark, pipeline, dataset, results_dir):
     classifier = GoPubMedClassifier(
-        pipeline.corpus, pipeline.ontology, pipeline.keyword_engine
+        pipeline.tokens, pipeline.ontology, pipeline.keyword_engine
     )
 
     def run():

@@ -20,14 +20,13 @@ any GO term words -- is measurable here via :meth:`coverage`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.patterns import find_occurrences
-from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section
 from repro.index.search import KeywordSearchEngine
 from repro.ontology.ontology import Ontology
-from repro.text.analyze import Analyzer, default_analyzer
+from repro.text.analyze import AnalyzedPaperCache
 
 
 class GoPubMedClassifier:
@@ -35,19 +34,17 @@ class GoPubMedClassifier:
 
     def __init__(
         self,
-        corpus: Corpus,
+        tokens: AnalyzedPaperCache,
         ontology: Ontology,
         keyword_engine: KeywordSearchEngine,
-        analyzer: Optional[Analyzer] = None,
         include_title: bool = False,
     ) -> None:
-        self.corpus = corpus
+        self.tokens = tokens
+        self.corpus = tokens.corpus
         self.ontology = ontology
         self.keyword_engine = keyword_engine
-        self.analyzer = analyzer if analyzer is not None else default_analyzer()
         self.include_title = include_title
         self._term_phrases: Optional[List[Tuple[str, Tuple[str, ...]]]] = None
-        self._abstract_tokens: Dict[str, Tuple[str, ...]] = {}
 
     # -- classification ---------------------------------------------------------------
 
@@ -102,7 +99,7 @@ class GoPubMedClassifier:
             phrases = []
             for term_id in self.ontology.term_ids():
                 analysed = tuple(
-                    self.analyzer.analyze(self.ontology.term(term_id).name)
+                    self.tokens.analyzer.analyze(self.ontology.term(term_id).name)
                 )
                 if analysed:
                     phrases.append((term_id, analysed))
@@ -110,12 +107,7 @@ class GoPubMedClassifier:
         return self._term_phrases
 
     def _tokens(self, paper_id: str) -> Tuple[str, ...]:
-        cached = self._abstract_tokens.get(paper_id)
-        if cached is None:
-            paper = self.corpus.paper(paper_id)
-            text = paper.section_text(Section.ABSTRACT)
-            if self.include_title:
-                text = f"{paper.title} {text}"
-            cached = tuple(self.analyzer.analyze(text))
-            self._abstract_tokens[paper_id] = cached
-        return cached
+        abstract = self.tokens.tokens(paper_id, Section.ABSTRACT)
+        if self.include_title:
+            return self.tokens.tokens(paper_id, Section.TITLE) + abstract
+        return abstract

@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.context import Context, ContextPaperSet
 from repro.core.cosine import cosines_at_least, indptr_of
 from repro.core.patterns import (
-    AnalyzedPaperCache,
     PatternMemo,
     PatternSet,
     PatternSetBuilder,
@@ -36,6 +35,7 @@ from repro.corpus.corpus import Corpus
 from repro.index.backend import SearchBackend
 from repro.obs import get_logger, get_registry, span
 from repro.ontology.ontology import Ontology
+from repro.text.analyze import AnalyzedPaperCache
 
 logger = get_logger(__name__)
 
@@ -165,7 +165,7 @@ class PatternContextAssigner:
         corpus: Corpus,
         ontology: Ontology,
         index: SearchBackend,
-        token_cache: Optional[AnalyzedPaperCache] = None,
+        token_cache: AnalyzedPaperCache,
         pattern_builder: Optional[PatternSetBuilder] = None,
         max_middle_coverage: float = 0.08,
         memo: Optional[PatternMemo] = None,
@@ -185,20 +185,15 @@ class PatternContextAssigner:
         self.corpus = corpus
         self.ontology = ontology
         self.index = index
-        self.tokens = (
-            token_cache
-            if token_cache is not None
-            else AnalyzedPaperCache(corpus, index.analyzer)
-        )
+        self.tokens = token_cache
         # Simplified variant: no extended patterns (section 4).
         self.pattern_builder = (
             pattern_builder
             if pattern_builder is not None
             else PatternSetBuilder(
                 ontology,
-                corpus,
                 index,
-                token_cache=self.tokens,
+                token_cache,
                 build_extended=False,
                 memo=memo,
             )

@@ -30,10 +30,9 @@ import numpy as np
 
 from repro.core.context import Context, ContextPaperSet
 from repro.core.vectors import PaperVectorStore
-from repro.corpus.corpus import Corpus
 from repro.ontology.ontology import Ontology
 from repro.scoring.base import PrestigeScores, ScoreRows
-from repro.text.analyze import Analyzer
+from repro.text.analyze import AnalyzedPaperCache
 
 PathLike = Union[str, Path]
 
@@ -279,9 +278,9 @@ def _score_rows(
 
 # -- the vector store (v2) -----------------------------------------------------------
 #
-# The reader takes the live objects the artefact cannot embed (corpus,
-# analyzer) -- the same convention as :func:`read_context_paper_set`'s
-# ontology.
+# The reader takes the live object the artefact cannot embed (the
+# corpus's token cache) -- the same convention as
+# :func:`read_context_paper_set`'s ontology.
 
 
 def write_vector_store(vectors: PaperVectorStore, path: PathLike) -> None:
@@ -294,12 +293,10 @@ def write_vector_store(vectors: PaperVectorStore, path: PathLike) -> None:
     _write_npz(path, {"format": _VECTORS_FORMAT, **header}, arrays)
 
 
-def read_vector_store(
-    path: PathLike, corpus: Corpus, analyzer: Optional[Analyzer] = None
-) -> PaperVectorStore:
+def read_vector_store(path: PathLike, tokens: AnalyzedPaperCache) -> PaperVectorStore:
     header, members = _read_npz(path, _VECTORS_FORMAT, "vector-store")
     try:
-        return PaperVectorStore.from_arrays(header, members, corpus, analyzer=analyzer)
+        return PaperVectorStore.from_arrays(header, members, tokens)
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"{path}: corrupt vector-store file ({error})") from error
 

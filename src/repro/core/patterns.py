@@ -44,12 +44,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.cosine import ordered_sums
-from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section, TEXT_SECTIONS
 from repro.index.backend import SearchBackend
 from repro.obs import get_registry
 from repro.ontology.ontology import Ontology
-from repro.text.analyze import Analyzer, default_analyzer
+from repro.text.analyze import AnalyzedPaperCache
 from repro.text.phrases import FrequentPhraseMiner
 
 Terms = Tuple[str, ...]
@@ -88,48 +87,6 @@ class PatternSet:
     def middles(self) -> Set[Terms]:
         """Distinct middle tuples (the simplified-matching alphabet)."""
         return {p.middle for p in self.patterns}
-
-
-class AnalyzedPaperCache:
-    """Analysed token sequences per (paper, section), computed once."""
-
-    def __init__(self, corpus: Corpus, analyzer: Optional[Analyzer] = None) -> None:
-        self.corpus = corpus
-        self.analyzer = analyzer if analyzer is not None else default_analyzer()
-        self._cache: Dict[Tuple[str, Section], Terms] = {}
-        # Plain ints (not registry counters): tokens() is too hot for a
-        # lock per lookup.  PatternSetBuilder.build publishes them.
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def tokens(self, paper_id: str, section: Section) -> Terms:
-        key = (paper_id, section)
-        cached = self._cache.get(key)
-        if cached is None:
-            self.cache_misses += 1
-            text = self.corpus.paper(paper_id).section_text(section)
-            cached = tuple(self.analyzer.analyze(text))
-            self._cache[key] = cached
-        else:
-            self.cache_hits += 1
-        return cached
-
-    def all_tokens(self, paper_id: str) -> Terms:
-        """Concatenation over textual sections, in section order."""
-        parts: List[str] = []
-        for section in TEXT_SECTIONS:
-            parts.extend(self.tokens(paper_id, section))
-        return tuple(parts)
-
-    def evict_paper(self, paper_id: str) -> None:
-        """Drop one paper's cached token sequences (idempotent).
-
-        Used when a paper leaves the corpus: its entries would otherwise
-        pin dead token tuples and could mask a later re-add with changed
-        text under the same id.
-        """
-        for section in TEXT_SECTIONS:
-            self._cache.pop((paper_id, section), None)
 
 
 def find_occurrences(tokens: Sequence[str], phrase: Terms) -> List[int]:
@@ -458,6 +415,9 @@ class PatternSetBuilder:
 
     Parameters
     ----------
+    token_cache:
+        The corpus's analysed token sequences; every paper the builder
+        reads comes from here.
     window:
         Width (in analysed terms) of the left/right surround captured
         around each significant-term occurrence.
@@ -489,9 +449,8 @@ class PatternSetBuilder:
     def __init__(
         self,
         ontology: Ontology,
-        corpus: Corpus,
         index: SearchBackend,
-        token_cache: Optional[AnalyzedPaperCache] = None,
+        token_cache: AnalyzedPaperCache,
         window: int = 2,
         min_phrase_support: int = 2,
         max_phrase_length: int = 3,
@@ -516,13 +475,8 @@ class PatternSetBuilder:
             if not math.isfinite(constant):
                 raise ValueError(f"{name} must be finite, got {constant}")
         self.ontology = ontology
-        self.corpus = corpus
         self.index = index
-        self.tokens = (
-            token_cache
-            if token_cache is not None
-            else AnalyzedPaperCache(corpus, index.analyzer)
-        )
+        self.tokens = token_cache
         self.window = window
         self.min_phrase_support = min_phrase_support
         self.max_phrase_length = max_phrase_length
@@ -554,8 +508,8 @@ class PatternSetBuilder:
             patterns.extend(self._side_joined(patterns))
             patterns.extend(self._middle_joined(patterns))
         registry.counter("patterns.builder.kept").inc(len(patterns))
-        registry.gauge("patterns.tokens.cache_hits").set(self.tokens.cache_hits)
-        registry.gauge("patterns.tokens.cache_misses").set(
+        registry.gauge("text.tokens.cache_hits").set(self.tokens.cache_hits)
+        registry.gauge("text.tokens.cache_misses").set(
             self.tokens.cache_misses
         )
         return PatternSet(term_id=term_id, patterns=patterns)

@@ -79,7 +79,7 @@ class ContextQueryExpander:
         expansion_vector = centroid(
             self.vectors.full_vector(pid) for pid in representative_ids
         )
-        query_terms = self.vectors.analyzer.analyze(query)
+        query_terms = self.vectors.tokens.analyzer.analyze(query)
         added = _strongest_new_terms(
             expansion_vector, self.vectors, query_terms, self.max_added_terms
         )
@@ -120,7 +120,7 @@ class PseudoRelevanceExpander:
         feedback_vector = centroid(
             self.vectors.full_vector(hit.paper_id) for hit in hits
         )
-        query_terms = self.vectors.analyzer.analyze(query)
+        query_terms = self.vectors.tokens.analyzer.analyze(query)
         added = _strongest_new_terms(
             feedback_vector, self.vectors, query_terms, self.max_added_terms
         )

@@ -7,12 +7,14 @@ assignment, and AC-answer-set centroid expansion.
 
 Each textual section gets its *own* TF-IDF model (title term statistics
 differ wildly from body statistics), plus one model over concatenated
-text.  A model is fitted on first use by analysing every paper once; the
-analysis survives as each paper's ordered term counts (term ids in
-first-occurrence order), kept as CSR arrays over one corpus-wide paper
-row index.  The unit TF-IDF rows (:class:`~repro.core.cosine.VectorRows`)
-are weighted from those counts on first use, and re-weighted from them
-after a corpus delta: a delta analyses only the papers it adds.
+text.  A model is fitted on first use from every paper's analysed terms,
+read from the corpus's token cache
+(:class:`~repro.text.analyze.AnalyzedPaperCache`); the terms survive as
+each paper's ordered term counts (term ids in first-occurrence order),
+kept as CSR arrays over one corpus-wide paper row index.  The unit
+TF-IDF rows (:class:`~repro.core.cosine.VectorRows`) are weighted from
+those counts on first use, and re-weighted from them after a corpus
+delta: a delta reads only the papers it adds.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import numpy as np
 
 from repro.core.context import csr_positions
 from repro.core.cosine import VectorRows, indptr_of, row_norms
-from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
-from repro.text.analyze import Analyzer, default_analyzer
+from repro.text.analyze import AnalyzedPaperCache
 from repro.text.vectorize import SparseVector, TfidfModel
 
 #: Name of the whole-paper model; section models go by ``Section.value``.
@@ -117,9 +118,9 @@ class ModelRows:
 class PaperVectorStore:
     """Lazy per-section and whole-paper TF-IDF rows for a corpus."""
 
-    def __init__(self, corpus: Corpus, analyzer: Optional[Analyzer] = None) -> None:
-        self.corpus = corpus
-        self.analyzer = analyzer if analyzer is not None else default_analyzer()
+    def __init__(self, tokens: AnalyzedPaperCache) -> None:
+        self.tokens = tokens
+        self.corpus = tokens.corpus
         self._models: Dict[str, ModelRows] = {}
         #: The paper row index every model's rows share (corpus order).
         self._paper_ids: Optional[List[str]] = None
@@ -153,10 +154,7 @@ class PaperVectorStore:
 
     # -- models -----------------------------------------------------------------------
 
-    def _text(self, paper: Paper, name: str) -> str:
-        return paper.all_text() if name == FULL else paper.section_text(Section(name))
-
-    def _analyze(self, tfidf: TfidfModel, paper: Paper, name: str):
+    def _analyze(self, tfidf: TfidfModel, paper_id: str, name: str):
         """Register one paper with ``tfidf``; its ``(term ids, counts)``.
 
         Fitting from the ordered count map assigns the same term ids and
@@ -164,17 +162,19 @@ class PaperVectorStore:
         come from first-occurrence order, frequencies from distinct
         terms).
         """
-        counts = _ordered_counts(self.analyzer.analyze(self._text(paper, name)))
+        terms = (
+            self.tokens.all_tokens(paper_id)
+            if name == FULL
+            else self.tokens.tokens(paper_id, Section(name))
+        )
+        counts = _ordered_counts(terms)
         return tfidf.vocabulary.add_document(counts), list(counts.values())
 
     def _model(self, name: str) -> ModelRows:
         model = self._models.get(name)
         if model is None:
             tfidf = TfidfModel()
-            analysed = [
-                self._analyze(tfidf, self.corpus.paper(pid), name)
-                for pid in self.paper_ids
-            ]
+            analysed = [self._analyze(tfidf, pid, name) for pid in self.paper_ids]
             model = ModelRows.of_counts(
                 tfidf, [ids for ids, _ in analysed], [c for _, c in analysed]
             )
@@ -219,7 +219,7 @@ class PaperVectorStore:
 
     def query_vector(self, text: str) -> SparseVector:
         """Vectorise free text against the whole-paper model."""
-        return self.full_model.vectorize(self.analyzer.analyze(text))
+        return self.full_model.vectorize(self.tokens.analyzer.analyze(text))
 
     def centroid_of(self, paper_ids: Iterable[str]) -> SparseVector:
         """Centroid of the whole-paper vectors of ``paper_ids``."""
@@ -256,7 +256,9 @@ class PaperVectorStore:
                 vocabulary.remove_document(
                     [vocabulary.term_of(term_id) for term_id in model.row_ids(row)]
                 )
-            analysed = [self._analyze(model.tfidf, paper, name) for paper in added]
+            analysed = [
+                self._analyze(model.tfidf, paper.paper_id, name) for paper in added
+            ]
             self._models[name] = model.spliced(
                 kept, [ids for ids, _ in analysed], [c for _, c in analysed]
             )
@@ -273,7 +275,7 @@ class PaperVectorStore:
 
         The workspace builder calls this before serialising, so a loaded
         store serves queries, centroid / representative work, text
-        scores and deltas without touching the analyzer.
+        scores and deltas without reading the token cache.
         """
         for name in MODEL_NAMES:
             _ = self._model(name).rows
@@ -311,15 +313,14 @@ class PaperVectorStore:
         cls,
         header: Dict,
         arrays: Dict[str, np.ndarray],
-        corpus: Corpus,
-        analyzer: Optional[Analyzer] = None,
+        tokens: AnalyzedPaperCache,
     ) -> "PaperVectorStore":
         """Rebuild a store from :meth:`to_arrays` output.
 
         Raises ``ValueError`` when the arrays disagree with each other or
         with the paper table.
         """
-        store = cls(corpus, analyzer)
+        store = cls(tokens)
         paper_ids = list(header["paper_ids"])
         store._set_paper_ids(paper_ids)
         for name, payload in header["models"].items():

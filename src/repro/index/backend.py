@@ -48,11 +48,12 @@ class SearchBackend(abc.ABC):
     analyzer: "Analyzer"
 
     #: Document-level mutation is an *optional capability*.  Indexes that
-    #: set this True grow ``index_paper(paper)`` / ``remove_paper
+    #: set this True grow ``index_paper(paper_id)`` / ``remove_paper
     #: (paper_id)`` which update postings in place while preserving the
     #: postings-order contract and bumping :attr:`revision`.  Indexes
     #: that leave it False (the mmap-backed packed index) are rebuilt
-    #: from the mutated corpus with ``build_index`` when a delta lands.
+    #: from the mutated corpus's token cache with ``build_index`` when a
+    #: delta lands.
     supports_mutation: bool = False
 
     # -- corpus-level facts --------------------------------------------------------

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.corpus.corpus import Corpus
-from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
+from repro.corpus.paper import Section, TEXT_SECTIONS
 from repro.index.backend import SearchBackend
-from repro.text.analyze import Analyzer, default_analyzer
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @dataclass(frozen=True)
@@ -29,18 +28,20 @@ class Posting:
 class InvertedIndex(SearchBackend):
     """Section-aware inverted index over a corpus.
 
-    Build once with :meth:`index_corpus` (or incrementally with
-    :meth:`index_paper`); the index also tracks the document
-    frequencies TF-IDF scoring needs.  This is the build form and the
-    mutation form; a workspace persists it with
+    Build once with :func:`build_index` (or incrementally with
+    :meth:`index_paper`); the index reads each paper's terms from the
+    corpus's token cache and also tracks the document frequencies
+    TF-IDF scoring needs.  This is the build form and the mutation
+    form; a workspace persists it with
     :func:`repro.index.packed.save_index`.
     """
 
     #: Mutates in place (see :meth:`index_paper`/:meth:`remove_paper`).
     supports_mutation = True
 
-    def __init__(self, analyzer: Optional[Analyzer] = None) -> None:
-        self.analyzer = analyzer if analyzer is not None else default_analyzer()
+    def __init__(self, tokens: AnalyzedPaperCache) -> None:
+        self.tokens = tokens
+        self.analyzer = tokens.analyzer
         self._postings: Dict[str, List[Posting]] = {}
         self._document_frequency: Dict[str, int] = {}
         # Each paper's distinct terms: what remove_paper must visit.
@@ -59,19 +60,13 @@ class InvertedIndex(SearchBackend):
 
     # -- construction -------------------------------------------------------------
 
-    def index_corpus(self, corpus: Corpus) -> "InvertedIndex":
-        """Index every paper in ``corpus``; returns self for chaining."""
-        for paper in corpus:
-            self.index_paper(paper)
-        return self
-
-    def index_paper(self, paper: Paper) -> None:
-        """Index one paper across all textual sections."""
-        if paper.paper_id in self._paper_terms:
-            raise ValueError(f"paper {paper.paper_id!r} is already indexed")
+    def index_paper(self, paper_id: str) -> None:
+        """Index one corpus paper across all textual sections."""
+        if paper_id in self._paper_terms:
+            raise ValueError(f"paper {paper_id!r} is already indexed")
         seen_terms: Dict[str, None] = {}
         for section in TEXT_SECTIONS:
-            terms = self.analyzer.analyze(paper.section_text(section))
+            terms = self.tokens.tokens(paper_id, section)
             if not terms:
                 continue
             counts: Dict[str, int] = {}
@@ -79,12 +74,12 @@ class InvertedIndex(SearchBackend):
                 counts[term] = counts.get(term, 0) + 1
             for term, frequency in counts.items():
                 self._postings.setdefault(term, []).append(
-                    Posting(paper.paper_id, section, frequency)
+                    Posting(paper_id, section, frequency)
                 )
                 seen_terms[term] = None
         for term in seen_terms:
             self._document_frequency[term] = self._document_frequency.get(term, 0) + 1
-        self._paper_terms[paper.paper_id] = tuple(seen_terms)
+        self._paper_terms[paper_id] = tuple(seen_terms)
         self._n_papers += 1
         self._revision += 1
         self._invalidate_views()
@@ -184,6 +179,9 @@ class InvertedIndex(SearchBackend):
         return f"InvertedIndex({self._n_papers} papers, {len(self._postings)} terms)"
 
 
-def build_index(corpus: Corpus, analyzer: Optional[Analyzer] = None) -> InvertedIndex:
-    """Full analyse-and-index pass over ``corpus``."""
-    return InvertedIndex(analyzer=analyzer).index_corpus(corpus)
+def build_index(tokens: AnalyzedPaperCache) -> InvertedIndex:
+    """Index every paper of the token cache's corpus, in corpus order."""
+    index = InvertedIndex(tokens)
+    for paper_id in tokens.corpus.paper_ids():
+        index.index_paper(paper_id)
+    return index

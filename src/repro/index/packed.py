@@ -33,13 +33,13 @@ import struct
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.corpus.paper import Section
 from repro.index.backend import SearchBackend
 from repro.index.inverted import Posting
 from repro.obs import get_registry
-from repro.text.analyze import Analyzer, default_analyzer
+from repro.text.analyze import default_analyzer
 
 _MAGIC = b"RPROIDX2"
 _LEN = struct.Struct("<Q")
@@ -146,8 +146,8 @@ class PackedIndex(SearchBackend):
     :attr:`revision` is the value frozen into the file.
     """
 
-    def __init__(self, path, analyzer: Optional[Analyzer] = None) -> None:
-        self.analyzer = analyzer if analyzer is not None else default_analyzer()
+    def __init__(self, path) -> None:
+        self.analyzer = default_analyzer()
         self._path = Path(path)
         self._mmap = None
         self._file = open(self._path, "rb")
@@ -202,7 +202,7 @@ class PackedIndex(SearchBackend):
             "to change the corpus"
         )
 
-    index_corpus = index_paper = remove_paper = _read_only
+    index_paper = remove_paper = _read_only
 
     # -- corpus-level facts --------------------------------------------------------
 
@@ -285,6 +285,6 @@ class PackedIndex(SearchBackend):
         )
 
 
-def open_index(path, analyzer: Optional[Analyzer] = None) -> PackedIndex:
+def open_index(path) -> PackedIndex:
     """Open a packed index file: mmap + header parse, no postings decode."""
-    return PackedIndex(path, analyzer=analyzer)
+    return PackedIndex(path)

@@ -30,7 +30,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner
 from repro.core.context import ContextPaperSet
-from repro.core.patterns import AnalyzedPaperCache
 from repro.core.search import ContextSearchEngine, RankingExplanation, SearchHit
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
@@ -48,6 +47,7 @@ from repro.obs.quality import (
 from repro.ontology.ontology import Ontology
 from repro.scoring import PrestigeScores
 from repro.serving import SearchResultCache, ServingView, SubstrateStore
+from repro.text.analyze import AnalyzedPaperCache
 
 __all__ = ["Pipeline", "SearchResultCache", "build_demo_pipeline"]
 
@@ -430,8 +430,9 @@ class Pipeline:
         sets (whose text contexts carry their representatives),
         prestige scores -- so a fully-built workspace serves searches
         with zero rebuilds.  The citation graph and the token cache are
-        not persisted: they derive from the corpus on first read (the
-        token cache only for a pattern rebuild or a delta).
+        not persisted: they derive from the corpus on first read.  No
+        query reads the token cache; a pattern rebuild or a delta fills
+        it, and the index a delta rebuilds in memory reads it too.
 
         ``workspace_dir`` defaults to ``<data_dir>/workspace``.  With
         ``strict=True`` any missing or stale artifact raises

@@ -1,8 +1,9 @@
 """The build layer: a :class:`SubstrateStore` owning every heavy artefact.
 
 The store holds the raw inputs (corpus, ontology, training papers) and
-the substrates derived from them -- inverted index, vector store, token
-cache, citation graph, the two context paper sets (the text set's
+the substrates derived from them -- the token cache (the corpus's one
+text analysis), the inverted index and vector store read from it,
+citation graph, the two context paper sets (the text set's
 contexts carry their representatives) and memoised prestige scores.
 Substrates build lazily on first access and can be *installed* directly
 (workspace hydration); every installation bumps a monotonically
@@ -32,7 +33,7 @@ from repro.core.assignment import (
     check_similarity_threshold,
 )
 from repro.core.context import ContextPaperSet
-from repro.core.patterns import AnalyzedPaperCache, PatternMemo, Sections
+from repro.core.patterns import PatternMemo, Sections
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper, TEXT_SECTIONS
@@ -42,6 +43,7 @@ from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology
 from repro.scoring.base import PrestigeScores, propagate_max_over_descendants
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class SubstrateStore:
 
     Thread safety: lazy builds are serialised by a reentrant build lock
     (substrate builds nest -- e.g. the text paper set needs vectors, which
-    need the index's analyzer); prestige computation single-flights per key; installs
-    and the revision counter share a small mutation lock.
+    read the token cache); prestige computation single-flights per key;
+    installs and the revision counter share a small mutation lock.
     """
 
     def __init__(
@@ -157,26 +159,24 @@ class SubstrateStore:
     def index(self) -> SearchBackend:
         def build() -> SearchBackend:
             with span("substrate.index.build"):
-                return build_index(self.corpus)
+                return build_index(self.tokens)
 
         return self._lazy("_index", build)
 
     @property
     def vectors(self) -> PaperVectorStore:
-        return self._lazy(
-            "_vectors", lambda: PaperVectorStore(self.corpus, self.index.analyzer)
-        )
+        return self._lazy("_vectors", lambda: PaperVectorStore(self.tokens))
 
     @property
     def tokens(self) -> AnalyzedPaperCache:
         """Analysed token sequences, derived from the corpus, never persisted.
 
-        Only pattern construction and :meth:`apply_delta` (a removed
-        paper's words) read it; no query does.
+        The corpus's only text analysis: the index build, the vector
+        fit, pattern construction and :meth:`apply_delta` (a removed
+        paper's words) all read it, so each section is analysed once.
+        No query does; a workspace open leaves it empty.
         """
-        return self._lazy(
-            "_tokens", lambda: AnalyzedPaperCache(self.corpus, self.index.analyzer)
-        )
+        return self._lazy("_tokens", lambda: AnalyzedPaperCache(self.corpus))
 
     @property
     def citation_graph(self) -> CitationGraph:
@@ -363,9 +363,9 @@ class SubstrateStore:
 
         - **index** -- mutated in place when it declares
           ``supports_mutation`` (the in-memory index), otherwise rebuilt
-          in memory from the corpus with ``build_index`` (the read-only
-          packed index a workspace opens; later deltas then mutate the
-          rebuilt index in place);
+          in memory from the token cache with ``build_index`` (the
+          read-only packed index a workspace opens; later deltas then
+          mutate the rebuilt index in place);
         - **vectors** -- fitted TF-IDF models are delta-updated exactly
           (ghost terms keep df=0); cached vectors re-weight from retained
           count maps;
@@ -424,6 +424,11 @@ class SubstrateStore:
                 old_sections = (
                     {pid: self._sections(pid) for pid in removed} if memo else {}
                 )
+                # Evict before anything reads the added papers: a paper
+                # replaced in this delta keeps its id.
+                if self._tokens is not None:
+                    for pid in removed:
+                        self._tokens.evict_paper(pid)
                 removed_papers = [self.corpus.remove(pid) for pid in removed]
                 for paper in added:
                     self.corpus.add(paper)
@@ -436,16 +441,13 @@ class SubstrateStore:
                         if self._index.supports_mutation:
                             for paper in removed_papers:
                                 self._index.remove_paper(paper.paper_id)
-                            for paper in added:
-                                self._index.index_paper(paper)
+                            for paper_id in added_ids:
+                                self._index.index_paper(paper_id)
                         else:
-                            self._index = build_index(self.corpus)
+                            self._index = build_index(self.tokens)
                             index_rebuilt = True
                             registry.counter("substrate.delta.index_rebuilds").inc()
                     self._keyword_engine = None
-                if self._tokens is not None:
-                    for paper in removed_papers:
-                        self._tokens.evict_paper(paper.paper_id)
                 if self._vectors is not None:
                     with span("substrate.delta.vectors"):
                         self._vectors.apply_delta(added, removed_papers)

@@ -110,10 +110,10 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         schema_version=2,
         build=_build_vectors,
         save=core_io.write_vector_store,
-        load=lambda path, pipeline: core_io.read_vector_store(
-            path, pipeline.corpus, pipeline.index.analyzer
-        ),
+        load=lambda path, pipeline: core_io.read_vector_store(path, pipeline.tokens),
         install=lambda pipeline, vectors: pipeline.substrates.install_vectors(vectors),
+        # A fingerprint edge only: the vectors read the token cache, not
+        # the index.  Dropping it would move every workspace fingerprint.
         deps=("index",),
         description="fitted TF-IDF models, per-paper term counts and unit TF-IDF rows",
     ),

@@ -3,16 +3,17 @@
 import pytest
 
 from repro.baselines.gopubmed import GoPubMedClassifier
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
 def classifier(request):
     corpus = request.getfixturevalue("tiny_corpus")
     ontology = request.getfixturevalue("tiny_ontology")
-    engine = KeywordSearchEngine(InvertedIndex().index_corpus(corpus))
-    return GoPubMedClassifier(corpus, ontology, engine)
+    engine = KeywordSearchEngine(build_index(AnalyzedPaperCache(corpus)))
+    return GoPubMedClassifier(engine.index.tokens, ontology, engine)
 
 
 class TestClassifyPaper:
@@ -28,12 +29,11 @@ class TestClassifyPaper:
     def test_title_not_used_by_default(self, request, classifier):
         """A phrase only in the title does not classify (GoPubMed reads
         abstracts)."""
-        corpus = request.getfixturevalue("tiny_corpus")
         # S1's abstract has 'signaling process'; check a paper where only
         # title matches would fail -- all tiny papers repeat phrases, so
         # assert the flag wiring instead:
         with_title = GoPubMedClassifier(
-            corpus,
+            classifier.tokens,
             request.getfixturevalue("tiny_ontology"),
             classifier.keyword_engine,
             include_title=True,
@@ -75,8 +75,10 @@ class TestCoverage:
     def test_coverage_empty_corpus(self, request):
         from repro.corpus.corpus import Corpus
 
-        engine = KeywordSearchEngine(InvertedIndex())
+        tokens = AnalyzedPaperCache(Corpus())
         empty = GoPubMedClassifier(
-            Corpus(), request.getfixturevalue("tiny_ontology"), engine
+            tokens,
+            request.getfixturevalue("tiny_ontology"),
+            KeywordSearchEngine(build_index(tokens)),
         )
         assert empty.coverage() == 0.0

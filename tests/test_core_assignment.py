@@ -7,19 +7,20 @@ from repro.core.patterns import Pattern, PatternKind, PatternSet
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
 def index(request):
-    return InvertedIndex().index_corpus(request.getfixturevalue("tiny_corpus"))
+    return build_index(AnalyzedPaperCache(request.getfixturevalue("tiny_corpus")))
 
 
 @pytest.fixture(scope="module")
 def vectors(request, index):
-    return PaperVectorStore(request.getfixturevalue("tiny_corpus"), index.analyzer)
+    return PaperVectorStore(index.tokens)
 
 
 class TestTextContextAssigner:
@@ -74,6 +75,7 @@ class TestPatternContextAssigner:
             request.getfixturevalue("tiny_corpus"),
             request.getfixturevalue("tiny_ontology"),
             index,
+            index.tokens,
             max_middle_coverage=0.5,
         )
 
@@ -110,6 +112,7 @@ class TestPatternContextAssigner:
             request.getfixturevalue("tiny_corpus"),
             request.getfixturevalue("tiny_ontology"),
             index,
+            index.tokens,
             max_middle_coverage=0.5,
         )
         # Only 'met' gets training; 'glu' (child of met) has none.
@@ -128,6 +131,7 @@ class TestPatternContextAssigner:
             request.getfixturevalue("tiny_corpus"),
             request.getfixturevalue("tiny_ontology"),
             index,
+            index.tokens,
             max_middle_coverage=0.01,  # nothing passes
         )
         paper_set = strict.build(request.getfixturevalue("tiny_training"))
@@ -149,7 +153,7 @@ class TestMembershipAcrossSections:
                 Paper("OFF", title="yeast growth", abstract="budding"),
             ]
         )
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         middle = tuple(index.analyzer.analyze("liver kinase"))
         pattern_set = PatternSet(
             "t", [Pattern((), middle, (), PatternKind.REGULAR, 1.0)]
@@ -160,7 +164,8 @@ class TestMembershipAcrossSections:
         corpus, index, _ = setup
         ontology = Ontology([Term("t", "liver kinase")])
         return PatternContextAssigner(
-            corpus, ontology, index, max_middle_coverage=max_middle_coverage
+            corpus, ontology, index, index.tokens,
+            max_middle_coverage=max_middle_coverage,
         )
 
     def test_straddling_middle_makes_a_member(self, setup):

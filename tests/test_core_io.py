@@ -341,6 +341,7 @@ class TestAtomicWrite:
             from repro.index import build_index, open_index, save_index
             from repro.index.packed import PackedIndex
             from repro.pipeline import build_demo_pipeline
+            from repro.text.analyze import AnalyzedPaperCache
 
             path = sys.argv[1]
             pipeline = build_demo_pipeline(seed=11, n_papers=60, n_terms=20)
@@ -348,7 +349,7 @@ class TestAtomicWrite:
             save_index(full, path)
             live = PackedIndex(path)
             live._term_cache_size = 0
-            small = build_index(Corpus(list(pipeline.corpus)[:3]))
+            small = build_index(AnalyzedPaperCache(Corpus(list(pipeline.corpus)[:3])))
             save_index(small, path)
             assert open_index(path).n_papers == 3
             for term in full.vocabulary():

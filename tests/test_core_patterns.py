@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.assignment import PatternContextAssigner
 from repro.core.patterns import (
-    AnalyzedPaperCache,
     Pattern,
     PatternKind,
     PatternSet,
@@ -15,15 +14,16 @@ from repro.core.patterns import (
     match_strength,
 )
 from repro.corpus.paper import Section
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
 def builder(request):
     corpus = request.getfixturevalue("tiny_corpus")
     ontology = request.getfixturevalue("tiny_ontology")
-    index = InvertedIndex().index_corpus(corpus)
-    return PatternSetBuilder(ontology, corpus, index, min_phrase_support=2)
+    index = build_index(AnalyzedPaperCache(corpus))
+    return PatternSetBuilder(ontology, index, index.tokens, min_phrase_support=2)
 
 
 class TestFindOccurrences:
@@ -63,28 +63,28 @@ class TestKnobValidation:
     def test_builder_rejects_nonsense(self, request, knob, value):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         with pytest.raises(ValueError, match=knob):
-            PatternSetBuilder(ontology, corpus, index, **{knob: value})
+            PatternSetBuilder(ontology, index, index.tokens, **{knob: value})
 
     @pytest.mark.parametrize("value", [-0.1, math.nan])
     def test_assigner_rejects_nonsense_coverage_cut(self, request, value):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         with pytest.raises(ValueError, match="max_middle_coverage"):
             PatternContextAssigner(
-                corpus, ontology, index, max_middle_coverage=value
+                corpus, ontology, index, index.tokens, max_middle_coverage=value
             )
 
     def test_zero_knobs_are_accepted(self, request):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         builder = PatternSetBuilder(
             ontology,
-            corpus,
             index,
+            index.tokens,
             window=0,
             max_regular_patterns=0,
             max_joined_pairs=0,
@@ -116,9 +116,9 @@ class TestPatternConstruction:
     def test_regular_pattern_cap(self, request, builder):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         capped = PatternSetBuilder(
-            ontology, corpus, index, max_regular_patterns=3, build_extended=False
+            ontology, index, index.tokens, max_regular_patterns=3, build_extended=False
         )
         pattern_set = capped.build("met", ["M1", "M2", "M3"])
         assert len(pattern_set) <= 3
@@ -126,9 +126,9 @@ class TestPatternConstruction:
     def test_simplified_builder_only_regular(self, request):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         simplified = PatternSetBuilder(
-            ontology, corpus, index, build_extended=False
+            ontology, index, index.tokens, build_extended=False
         )
         pattern_set = simplified.build("met", ["M1", "M2", "M3"])
         assert all(p.kind is PatternKind.REGULAR for p in pattern_set.patterns)

@@ -6,11 +6,12 @@ from repro.core.assignment import TextContextAssigner
 from repro.core.representative import representatives_of, select_representative
 from repro.core.vectors import PaperVectorStore
 from repro.serving.substrate import SubstrateStore
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
 def store(request):
-    return PaperVectorStore(request.getfixturevalue("tiny_corpus"))
+    return PaperVectorStore(AnalyzedPaperCache(request.getfixturevalue("tiny_corpus")))
 
 
 class TestSelectRepresentative:

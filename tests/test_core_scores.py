@@ -6,7 +6,7 @@ from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner
 from repro.core.context import Context, ContextPaperSet
 from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 from repro.scoring import (
@@ -17,6 +17,7 @@ from repro.scoring import (
     min_max_normalize,
     propagate_max_over_descendants,
 )
+from repro.text.analyze import AnalyzedPaperCache
 
 
 class TestMinMaxNormalize:
@@ -79,8 +80,8 @@ class TestPropagation:
 def tiny_setup(request):
     corpus = request.getfixturevalue("tiny_corpus")
     ontology = request.getfixturevalue("tiny_ontology")
-    index = InvertedIndex().index_corpus(corpus)
-    vectors = PaperVectorStore(corpus, index.analyzer)
+    index = build_index(AnalyzedPaperCache(corpus))
+    vectors = PaperVectorStore(index.tokens)
     graph = CitationGraph.from_corpus(corpus)
     paper_set = ContextPaperSet(
         ontology,
@@ -222,6 +223,7 @@ class TestPatternPrestige:
             tiny_setup["corpus"],
             tiny_setup["ontology"],
             tiny_setup["index"],
+            tiny_setup["index"].tokens,
             max_middle_coverage=0.5,
         )
         training = request.getfixturevalue("tiny_training")

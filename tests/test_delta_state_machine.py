@@ -7,9 +7,10 @@ while every arm's prestige stays memoised, so each delta takes the
 incremental paths (patched citation scores, cached pattern extractions,
 patched coverage counts and middle hits).  After every step, every kept
 coverage count and middle hit list must equal a fresh count and scan of
-the corpus, and every mined pattern set, both context paper sets and
-every evaluation arm's scores must equal, with ``==``, those of a
-pipeline built from scratch on the same corpus.
+the corpus, and the keyword index (paper count, and every term's
+document frequency and postings), every mined pattern set, both context
+paper sets and every evaluation arm's scores must equal, with ``==``,
+those of a pipeline built from scratch on the same corpus.
 """
 
 import dataclasses
@@ -128,12 +129,7 @@ class DeltaParity(RuleBasedStateMachine):
         )
         # The rebuild this triggers adds entries but reuses the kept ones.
         memo = pipeline.pattern_assigner.pattern_builder.memo
-        fresh = PatternSetBuilder(
-            scratch.ontology,
-            scratch.corpus,
-            scratch.index,
-            token_cache=scratch.substrates.tokens,
-        )
+        fresh = PatternSetBuilder(scratch.ontology, scratch.index, scratch.tokens)
         for middle, count in memo.coverage.items():
             assert count == len(fresh.papers_containing_all(middle)), middle
         fresh_hits = fresh.middle_hits(list(memo.hits))
@@ -141,6 +137,14 @@ class DeltaParity(RuleBasedStateMachine):
             assert _hit_rows(memo, hits) == _hit_rows(
                 fresh.memo, fresh_hits[middle]
             ), middle
+        index, fresh_index = pipeline.index, scratch.index
+        assert index.n_papers == fresh_index.n_papers
+        assert set(index.vocabulary()) == set(fresh_index.vocabulary())
+        for term in fresh_index.vocabulary():
+            assert index.document_frequency(term) == fresh_index.document_frequency(
+                term
+            ), term
+            assert index.postings(term) == fresh_index.postings(term), term
         for function, paper_set in scoring.evaluation_arms():
             assert _scores(pipeline.prestige(function, paper_set)) == _scores(
                 scratch.prestige(function, paper_set)

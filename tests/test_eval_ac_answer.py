@@ -5,17 +5,18 @@ import pytest
 from repro.citations.graph import CitationGraph
 from repro.core.vectors import PaperVectorStore
 from repro.eval.ac_answer import ACAnswerBuilder, ACAnswerConfig
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
 def builder(request):
     corpus = request.getfixturevalue("tiny_corpus")
-    index = InvertedIndex().index_corpus(corpus)
+    index = build_index(AnalyzedPaperCache(corpus))
     return ACAnswerBuilder(
         KeywordSearchEngine(index),
-        PaperVectorStore(corpus, index.analyzer),
+        PaperVectorStore(index.tokens),
         CitationGraph.from_corpus(corpus),
         config=ACAnswerConfig(
             seed_threshold=0.2, centroid_similarity=0.2, citation_percentile=0.5
@@ -57,10 +58,10 @@ class TestACAnswerBuilder:
 
     def test_citation_expansion_respects_hops(self, request):
         corpus = request.getfixturevalue("tiny_corpus")
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         no_hops = ACAnswerBuilder(
             KeywordSearchEngine(index),
-            PaperVectorStore(corpus, index.analyzer),
+            PaperVectorStore(index.tokens),
             CitationGraph.from_corpus(corpus),
             config=ACAnswerConfig(
                 seed_threshold=0.2,
@@ -73,11 +74,11 @@ class TestACAnswerBuilder:
 
     def test_citation_percentile_zero_takes_all_reachable(self, request):
         corpus = request.getfixturevalue("tiny_corpus")
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         graph = CitationGraph.from_corpus(corpus)
         greedy = ACAnswerBuilder(
             KeywordSearchEngine(index),
-            PaperVectorStore(corpus, index.analyzer),
+            PaperVectorStore(index.tokens),
             graph,
             config=ACAnswerConfig(
                 seed_threshold=0.2,
@@ -113,10 +114,10 @@ class TestACAgainstGroundTruth:
 
     def test_ac_set_enriched_for_true_context(self, small_dataset):
         corpus = small_dataset.corpus
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         builder = ACAnswerBuilder(
             KeywordSearchEngine(index),
-            PaperVectorStore(corpus, index.analyzer),
+            PaperVectorStore(index.tokens),
             CitationGraph.from_corpus(corpus),
         )
         # Query drawn from a term's jargon; its true-context papers should

@@ -6,19 +6,20 @@ from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
 from repro.core.search import ContextSearchEngine
 from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
 from repro.ontology.ontology import Ontology, OntologyError
 from repro.ontology.term import Term
 from repro.scoring import TextPrestige
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
 def engine(request):
     corpus = request.getfixturevalue("tiny_corpus")
     ontology = request.getfixturevalue("tiny_ontology")
-    index = InvertedIndex().index_corpus(corpus)
-    vectors = PaperVectorStore(corpus, index.analyzer)
+    index = build_index(AnalyzedPaperCache(corpus))
+    vectors = PaperVectorStore(index.tokens)
     graph = CitationGraph.from_corpus(corpus)
     paper_set = ContextPaperSet(
         ontology,

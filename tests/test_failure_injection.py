@@ -18,12 +18,13 @@ from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
 from repro.eval.ac_answer import ACAnswerBuilder
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 from repro.pipeline import Pipeline
 from repro.scoring import CitationPrestige, PatternPrestige, TextPrestige
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture
@@ -62,17 +63,17 @@ def flat_ontology():
 
 class TestDegenerateCorpus:
     def test_indexing_survives_empty_papers(self, degenerate_corpus):
-        index = InvertedIndex().index_corpus(degenerate_corpus)
+        index = build_index(AnalyzedPaperCache(degenerate_corpus))
         assert index.n_papers == 4
         assert index.papers_containing("glucos") == ["OK"]
 
     def test_search_over_degenerate_corpus(self, degenerate_corpus):
-        engine = KeywordSearchEngine(InvertedIndex().index_corpus(degenerate_corpus))
+        engine = KeywordSearchEngine(build_index(AnalyzedPaperCache(degenerate_corpus)))
         hits = engine.search("glucose")
         assert [h.paper_id for h in hits] == ["OK"]
 
     def test_vectors_of_empty_paper(self, degenerate_corpus):
-        vectors = PaperVectorStore(degenerate_corpus)
+        vectors = PaperVectorStore(AnalyzedPaperCache(degenerate_corpus))
         assert len(vectors.full_vector("EMPTY")) == 0
         assert vectors.full_vector("EMPTY").cosine(vectors.full_vector("OK")) == 0.0
         rows = vectors.full_rows
@@ -88,8 +89,8 @@ class TestDegenerateCorpus:
     def test_text_assignment_with_textless_training(
         self, degenerate_corpus, flat_ontology
     ):
-        index = InvertedIndex().index_corpus(degenerate_corpus)
-        vectors = PaperVectorStore(degenerate_corpus, index.analyzer)
+        index = build_index(AnalyzedPaperCache(degenerate_corpus))
+        vectors = PaperVectorStore(index.tokens)
         assigner = TextContextAssigner(
             degenerate_corpus, flat_ontology, vectors, similarity_threshold=0.18
         )
@@ -101,19 +102,23 @@ class TestDegenerateCorpus:
     def test_pattern_assignment_with_textless_training(
         self, degenerate_corpus, flat_ontology
     ):
-        index = InvertedIndex().index_corpus(degenerate_corpus)
+        index = build_index(AnalyzedPaperCache(degenerate_corpus))
         assigner = PatternContextAssigner(
-            degenerate_corpus, flat_ontology, index, max_middle_coverage=1.0
+            degenerate_corpus,
+            flat_ontology,
+            index,
+            index.tokens,
+            max_middle_coverage=1.0,
         )
         paper_set = assigner.build({"t1": ["EMPTY", "PUNCT"]})
         # Patterns from textless papers may be empty; builder must not crash.
         assert isinstance(len(paper_set), int)
 
     def test_ac_answer_for_unanswerable_query(self, degenerate_corpus):
-        index = InvertedIndex().index_corpus(degenerate_corpus)
+        index = build_index(AnalyzedPaperCache(degenerate_corpus))
         builder = ACAnswerBuilder(
             KeywordSearchEngine(index),
-            PaperVectorStore(degenerate_corpus, index.analyzer),
+            PaperVectorStore(index.tokens),
             CitationGraph.from_corpus(degenerate_corpus),
         )
         answer = builder.build("nonexistent vocabulary entirely")
@@ -141,16 +146,16 @@ class TestDegenerateContexts:
     def test_pattern_prestige_with_empty_pattern_sets(
         self, degenerate_corpus, flat_ontology
     ):
-        index = InvertedIndex().index_corpus(degenerate_corpus)
-        builder = PatternSetBuilder(flat_ontology, degenerate_corpus, index)
+        index = build_index(AnalyzedPaperCache(degenerate_corpus))
+        builder = PatternSetBuilder(flat_ontology, index, index.tokens)
         scorer = PatternPrestige({}, builder)
         assert scorer.score_context(Context("root", ("OK",))) == {}
 
     def test_text_prestige_representative_missing_from_corpus(
         self, degenerate_corpus, flat_ontology
     ):
-        index = InvertedIndex().index_corpus(degenerate_corpus)
-        vectors = PaperVectorStore(degenerate_corpus, index.analyzer)
+        index = build_index(AnalyzedPaperCache(degenerate_corpus))
+        vectors = PaperVectorStore(index.tokens)
         graph = CitationGraph.from_corpus(degenerate_corpus)
         scorer = TextPrestige(
             degenerate_corpus, vectors, graph, {"t1": "NOT_IN_CORPUS"}
@@ -162,7 +167,7 @@ class TestDegenerateSearch:
     def test_search_with_empty_prestige(self, degenerate_corpus, flat_ontology):
         from repro.scoring.base import PrestigeScores
 
-        index = InvertedIndex().index_corpus(degenerate_corpus)
+        index = build_index(AnalyzedPaperCache(degenerate_corpus))
         paper_set = ContextPaperSet(flat_ontology, [Context("t1", ("OK",))])
         engine = ContextSearchEngine(
             flat_ontology,
@@ -196,9 +201,9 @@ class TestDegenerateSearch:
         assert [h.paper_id for h in hits] == ["ONLY"]
 
     def test_pattern_builder_window_zero(self, degenerate_corpus, flat_ontology):
-        index = InvertedIndex().index_corpus(degenerate_corpus)
+        index = build_index(AnalyzedPaperCache(degenerate_corpus))
         builder = PatternSetBuilder(
-            flat_ontology, degenerate_corpus, index, window=0
+            flat_ontology, index, index.tokens, window=0
         )
         pattern_set = builder.build("t1", ["OK"])
         for pattern in pattern_set.patterns:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper, Section
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture
@@ -30,7 +31,7 @@ def corpus():
 
 @pytest.fixture
 def index(corpus):
-    return InvertedIndex().index_corpus(corpus)
+    return build_index(AnalyzedPaperCache(corpus))
 
 
 def _tf(index, paper_id, term, section=None):
@@ -85,7 +86,7 @@ class TestIndexing:
 
     def test_duplicate_indexing_rejected(self, index, corpus):
         with pytest.raises(ValueError, match="already indexed"):
-            index.index_paper(corpus.paper("P1"))
+            index.index_paper("P1")
 
     def test_index_terms_section(self, index):
         assert _tf(index, "P1", "yeast", Section.INDEX_TERMS) == 1
@@ -103,7 +104,7 @@ class TestRemovePaper:
     @pytest.fixture
     def index(self, corpus):
         # Function-scoped: removal mutates.
-        return InvertedIndex().index_corpus(corpus)
+        return build_index(AnalyzedPaperCache(corpus))
 
     def test_removed_paper_gone_everywhere(self, index):
         index.remove_paper("P1")
@@ -117,7 +118,7 @@ class TestRemovePaper:
 
         corpus2 = Corpus(list(corpus))
         corpus2.add(Paper(paper_id="P4", title="gene studies"))
-        index = InvertedIndex().index_corpus(corpus2)
+        index = build_index(AnalyzedPaperCache(corpus2))
         assert index.document_frequency("gene") == 2
         index.remove_paper("P1")
         assert index.document_frequency("gene") == 1
@@ -129,14 +130,14 @@ class TestRemovePaper:
 
     def test_reindex_after_removal(self, index, corpus):
         index.remove_paper("P1")
-        index.index_paper(corpus.paper("P1"))
+        index.index_paper("P1")
         assert index.n_papers == 3
         assert index.document_frequency("express") == 1
 
     def test_search_consistent_after_removal(self, corpus):
         from repro.index.search import KeywordSearchEngine
 
-        index = InvertedIndex().index_corpus(corpus)
+        index = build_index(AnalyzedPaperCache(corpus))
         engine = KeywordSearchEngine(index)
         assert any(h.paper_id == "P1" for h in engine.search("gene"))
         index.remove_paper("P1")

@@ -23,6 +23,7 @@ from repro.index.packed import _LEN, _MAGIC, _PREAMBLE, PackedIndex
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, reset_registry
 from repro.pipeline import build_demo_pipeline
+from repro.text.analyze import AnalyzedPaperCache
 from repro.workspace import ingest_delta, open_workspace
 
 QUERIES = (
@@ -67,7 +68,8 @@ def _mutated(pipeline):
     """
     papers = list(pipeline.corpus)
     corpus = Corpus(papers)
-    index = build_index(corpus)
+    tokens = AnalyzedPaperCache(corpus)
+    index = build_index(tokens)
     first, second, donor = papers[0], papers[1], papers[-1]
     replacement = dataclasses.replace(
         second, title=donor.title, abstract=first.abstract, body=""
@@ -79,9 +81,10 @@ def _mutated(pipeline):
     for paper_id in (first.paper_id, second.paper_id):
         index.remove_paper(paper_id)
         corpus.remove(paper_id)
+        tokens.evict_paper(paper_id)
     for paper in [replacement, *added]:
-        index.index_paper(paper)
         corpus.add(paper)
+        index.index_paper(paper.paper_id)
     moved = [
         term
         for term in index.vocabulary()
@@ -132,7 +135,7 @@ class TestOndiskEquivalence:
         """Scores off the file ``==`` a fresh build of the final corpus."""
         source, corpus, path = saved
         packed_index = open_index(path)
-        fresh_engine = KeywordSearchEngine(build_index(corpus))
+        fresh_engine = KeywordSearchEngine(build_index(AnalyzedPaperCache(corpus)))
         packed_engine = KeywordSearchEngine(packed_index)
         queries = list(QUERIES) + [paper.title for paper in list(corpus)[::5]]
         try:
@@ -156,9 +159,7 @@ class TestOndiskEquivalence:
     def test_read_only(self, pipeline, packed_index):
         paper = next(iter(pipeline.corpus))
         with pytest.raises(TypeError, match="read-only"):
-            packed_index.index_corpus(pipeline.corpus)
-        with pytest.raises(TypeError, match="read-only"):
-            packed_index.index_paper(paper)
+            packed_index.index_paper(paper.paper_id)
         with pytest.raises(TypeError, match="read-only"):
             packed_index.remove_paper(paper.paper_id)
 
@@ -325,8 +326,8 @@ class TestMemoryViewSatellites:
 
     def test_postings_view_is_cached_and_immutable(self, pipeline):
         first_paper, second_paper = self._two_papers(pipeline)
-        index = InvertedIndex()
-        index.index_paper(first_paper)
+        index = InvertedIndex(AnalyzedPaperCache(pipeline.corpus))
+        index.index_paper(first_paper.paper_id)
         term = index.vocabulary()[0]
         view = index.postings(term)
         assert isinstance(view, tuple)
@@ -343,11 +344,11 @@ class TestMemoryViewSatellites:
 
     def test_postings_view_invalidated_by_mutation(self, pipeline):
         first_paper, second_paper = self._two_papers(pipeline)
-        index = InvertedIndex()
-        index.index_paper(first_paper)
+        index = InvertedIndex(AnalyzedPaperCache(pipeline.corpus))
+        index.index_paper(first_paper.paper_id)
         term = index.vocabulary()[0]
         before = index.postings(term)
-        index.index_paper(second_paper)
+        index.index_paper(second_paper.paper_id)
         after = index.postings(term)
         assert after is not before  # stale view dropped, not mutated
         assert tuple(before) == tuple(after)[: len(before)]
@@ -356,15 +357,15 @@ class TestMemoryViewSatellites:
 
     def test_vocabulary_is_a_stable_snapshot(self, pipeline):
         first_paper, second_paper = self._two_papers(pipeline)
-        index = InvertedIndex()
-        index.index_paper(first_paper)
+        index = InvertedIndex(AnalyzedPaperCache(pipeline.corpus))
+        index.index_paper(first_paper.paper_id)
         snapshot = index.vocabulary()
         assert isinstance(snapshot, tuple)
         # Mutating mid-iteration must not raise or change the snapshot.
         seen = []
         for i, term in enumerate(snapshot):
             if i == 0:
-                index.index_paper(second_paper)
+                index.index_paper(second_paper.paper_id)
             seen.append(term)
         assert tuple(seen) == snapshot
         fresh = index.vocabulary()

@@ -4,8 +4,9 @@ import pytest
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ def corpus():
 
 @pytest.fixture
 def engine(corpus):
-    return KeywordSearchEngine(InvertedIndex().index_corpus(corpus))
+    return KeywordSearchEngine(build_index(AnalyzedPaperCache(corpus)))
 
 
 class TestRankedSearch:
@@ -147,7 +148,7 @@ class TestSameYearTieBreak:
         # Regression: the docstring promises "latest first"; within a year
         # that means descending paper id, not ascending.
         engine = KeywordSearchEngine(
-            InvertedIndex().index_corpus(same_year_corpus)
+            build_index(AnalyzedPaperCache(same_year_corpus))
         )
         result = engine.search_unranked("gene", same_year_corpus)
         assert result == ["P30", "P20", "P10", "P05"]
@@ -158,7 +159,9 @@ class TestContributionCache:
         # remove + add keeps n_papers stable, so a count-keyed cache would
         # replay the old paper's contributions; the revision counter must
         # not.
-        index = InvertedIndex().index_corpus(corpus)
+        corpus = Corpus(list(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         engine = KeywordSearchEngine(index)
         before = engine.evaluate("gene").scores
         assert engine._contrib_cache
@@ -169,12 +172,15 @@ class TestContributionCache:
             year=2004,
         )
         index.remove_paper("P2")
-        index.index_paper(replacement)
+        corpus.remove("P2")
+        tokens.evict_paper("P2")
+        corpus.add(replacement)
+        index.index_paper("P2")
         assert index.n_papers == 3  # same count, different content
         after = engine.evaluate("gene").scores
         assert after != before
         # The fresh contributions must reflect the replacement exactly.
-        fresh = InvertedIndex().index_corpus(
+        fresh = build_index(AnalyzedPaperCache(
             Corpus([corpus.paper("P1"), corpus.paper("P3"), replacement])
-        )
+        ))
         assert KeywordSearchEngine(fresh).evaluate("gene").scores == after

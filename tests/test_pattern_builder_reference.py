@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.patterns import (
-    AnalyzedPaperCache,
     Pattern,
     PatternKind,
     PatternSetBuilder,
@@ -35,6 +34,7 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
+from repro.text.analyze import AnalyzedPaperCache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO_ROOT / "tests" / "data" / "golden_pattern_sets.json"
@@ -107,7 +107,7 @@ def make_builder(docs, names, **knobs):
             pid for pid, tokens in docs.items() if word in tokens
         },
     )
-    return PatternSetBuilder(ontology, None, index, token_cache=cache, **knobs)
+    return PatternSetBuilder(ontology, index, cache, **knobs)
 
 
 documents = st.lists(st.sampled_from(WORDS), min_size=0, max_size=14)

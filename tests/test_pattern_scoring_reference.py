@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.core import patterns
 from repro.core.patterns import (
     MATCH_SECTION_WEIGHTS,
-    AnalyzedPaperCache,
     Pattern,
     PatternKind,
     PatternSet,
@@ -34,6 +33,7 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.paper import TEXT_SECTIONS, Paper
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
+from repro.text.analyze import AnalyzedPaperCache
 
 WORDS = ("a", "b", "c", "d", "e")
 
@@ -89,7 +89,7 @@ def make_builder(docs, names, **knobs):
             pid for pid, sections in docs.items() if any(word in s for s in sections)
         },
     )
-    return PatternSetBuilder(ontology, None, index, token_cache=cache, **knobs)
+    return PatternSetBuilder(ontology, index, cache, **knobs)
 
 
 sections = st.lists(st.sampled_from(WORDS), max_size=10).map(tuple)

@@ -4,16 +4,17 @@ import pytest
 
 from repro.core.query_expansion import ContextQueryExpander, PseudoRelevanceExpander
 from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
 def setup(request):
     corpus = request.getfixturevalue("tiny_corpus")
-    index = InvertedIndex().index_corpus(corpus)
+    index = build_index(AnalyzedPaperCache(corpus))
     return {
-        "vectors": PaperVectorStore(corpus, index.analyzer),
+        "vectors": PaperVectorStore(index.tokens),
         "keyword": KeywordSearchEngine(index),
     }
 
@@ -29,7 +30,7 @@ class TestContextQueryExpander:
         assert 1 <= len(added) <= 2
         # Added terms come from M1's vocabulary, analysed form.
         m1_terms = set(
-            setup["vectors"].analyzer.analyze(
+            setup["vectors"].tokens.analyzer.analyze(
                 "glucose metabolic process flux yeast glycolysis pathway "
                 "measured rates cells stress metabolism"
             )
@@ -41,7 +42,7 @@ class TestContextQueryExpander:
             setup["vectors"], {"met": "M1"}, max_added_terms=5
         )
         expanded = expander.expand("glucose glycolysis", ["met"])
-        terms = setup["vectors"].analyzer.analyze(expanded)
+        terms = setup["vectors"].tokens.analyzer.analyze(expanded)
         assert len(terms) == len(set(terms))
 
     def test_unknown_context_unchanged(self, setup):

@@ -324,3 +324,29 @@ class TestCheckRegistries:
         ) == architecture
         assert lint.main() == 0
         assert "agree with the registry" in capsys.readouterr().out
+
+    def test_raw_paper_text_only_in_the_token_cache_and_raw_readers(
+        self, tmp_path, monkeypatch
+    ):
+        """Outside the token cache, only snippets and corpus validation
+        may read raw section text; anywhere else it is a second analysis."""
+        lint = _load_tool("check_registries")
+        read = "words = paper.section_text(section) + paper.all_text()\n"
+        for relative in (
+            "src/repro/text/analyze.py",
+            "src/repro/index/snippets.py",
+            "src/repro/corpus/validate.py",
+            "src/repro/core/vectors.py",
+        ):
+            (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / relative).write_text(read, encoding="utf-8")
+        (tmp_path / "src/repro/corpus/paper.py").write_text(
+            "def section_text(self, section):\n"
+            "    return self.title  # paper.all_text() is fine in a comment\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(lint, "REPO_ROOT", tmp_path)
+        assert lint.scan_src(scoring) == [
+            "src: src/repro/core/vectors.py:1: raw paper text .section_text() "
+            "(read analysed terms from AnalyzedPaperCache instead)"
+        ]

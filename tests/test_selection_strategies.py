@@ -6,17 +6,18 @@ from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
 from repro.core.search import SELECTION_STRATEGIES, ContextSearchEngine
 from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
 from repro.scoring import HitsPrestige, TextPrestige
+from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
 def setup(request):
     corpus = request.getfixturevalue("tiny_corpus")
     ontology = request.getfixturevalue("tiny_ontology")
-    index = InvertedIndex().index_corpus(corpus)
-    vectors = PaperVectorStore(corpus, index.analyzer)
+    index = build_index(AnalyzedPaperCache(corpus))
+    vectors = PaperVectorStore(index.tokens)
     graph = CitationGraph.from_corpus(corpus)
     paper_set = ContextPaperSet(
         ontology,

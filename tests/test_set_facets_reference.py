@@ -24,6 +24,7 @@ from repro.corpus.paper import Paper
 from repro.obs import get_registry
 from repro.scoring.citation import CitationPrestige
 from repro.scoring.text import FacetWeights, TextPrestige
+from repro.text.analyze import AnalyzedPaperCache
 
 WORDS = ("glucose", "kinase", "signal", "yeast", "membrane", "repair")
 AUTHORS = ("Ann", "Bo", "Cy", "Di", "Ed")
@@ -87,7 +88,7 @@ def corpora(draw):
 @settings(max_examples=150, deadline=None)
 def test_text_batch_matches_per_pair_reference(case, weights):
     corpus, graph, contexts, representatives = case
-    vectors = PaperVectorStore(corpus)
+    vectors = PaperVectorStore(AnalyzedPaperCache(corpus))
     prestige = TextPrestige(corpus, vectors, graph, representatives, weights)
     cosine_only = TextPrestige(
         corpus, vectors, graph, representatives,
@@ -112,7 +113,9 @@ def test_facet_pairs_counted():
         ]
     )
     prestige = TextPrestige(
-        corpus, PaperVectorStore(corpus), CitationGraph.from_corpus(corpus),
+        corpus,
+        PaperVectorStore(AnalyzedPaperCache(corpus)),
+        CitationGraph.from_corpus(corpus),
         {"T": "A"},
     )
     counter = get_registry().counter("text.facets.pairs")

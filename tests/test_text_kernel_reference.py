@@ -41,6 +41,7 @@ from repro.obs import get_registry
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 from repro.pipeline import Pipeline, build_demo_pipeline
+from repro.text.analyze import AnalyzedPaperCache
 from repro.text.vectorize import SparseVector, centroid
 
 
@@ -207,7 +208,7 @@ class ReferenceVectors:
             else:
                 model = self.store.section_model(section)
                 text = paper.section_text(section)
-            vector = model.vectorize(self.store.analyzer.analyze(text))
+            vector = model.vectorize(self.store.tokens.analyzer.analyze(text))
             self._memo[key] = ReferenceVector(vector.weights)
         return self._memo[key]
 
@@ -421,7 +422,7 @@ def assignment_inputs(bodies, training):
         Term(term_id, f"context {term_id}", parent_ids=("root",))
         for term_id in training
     ]
-    return corpus, Ontology(terms), PaperVectorStore(corpus)
+    return corpus, Ontology(terms), PaperVectorStore(AnalyzedPaperCache(corpus))
 
 
 def assert_assigner_matches_reference(corpus, ontology, vectors, training, threshold):

@@ -7,17 +7,21 @@ latter asserted through the ``workspace.load.*`` / ``workspace.build.*``
 observability counters, not just timing.
 """
 
+import dataclasses
 import json
 import re
 import shutil
+from collections import Counter
 
 import pytest
 
 from repro.corpus import write_corpus_jsonl
+from repro.corpus.paper import TEXT_SECTIONS
 from repro.datagen import CorpusGenerator, OntologyGenerator
 from repro.obs.metrics import reset_registry
 from repro.ontology import write_obo
 from repro.pipeline import Pipeline
+from repro.text.analyze import AnalyzedPaperCache, Analyzer
 from repro.workspace import (
     ARTIFACTS,
     StaleWorkspaceError,
@@ -167,7 +171,9 @@ class TestOpenWorkspace:
         ]
         assert len(loaded) == len(arms) > 0
         assert all(scores._by_context is None for scores in loaded)
-        assert hydrated.substrates._tokens is None  # no query reads tokens
+        # The loaded vector store holds the token cache; no query reads it.
+        tokens = hydrated.substrates.tokens
+        assert tokens.cache_hits == tokens.cache_misses == 0
 
     def test_strict_open_of_unbuilt_raises(self, data_dir, tmp_path):
         pipeline = Pipeline.from_directory(data_dir)
@@ -541,34 +547,85 @@ class TestManifestCheckTool:
         assert "cannot open the data directory" in capsys.readouterr().out
 
 
-class TestIncremental:
-    def test_first_delta_after_open_analyses_only_added_papers(self, built, data_dir):
-        """The vectors artifact carries every paper's term counts, so the
-        first delta after an open re-weights the surviving papers' rows
-        instead of analysing their text again -- for the whole-paper
-        model and for each section model the text scores read."""
-        from repro.corpus.paper import TEXT_SECTIONS, Paper
+def _record_analysis(monkeypatch):
+    """Every text any :class:`Analyzer` analyses from now on, in order."""
+    analysed = []
+    analyze = Analyzer.analyze
 
+    def recording(self, text):
+        analysed.append(text)
+        return analyze(self, text)
+
+    monkeypatch.setattr(Analyzer, "analyze", recording)
+    return analysed
+
+
+def _term_names(ontology):
+    """Ontology term names: pattern construction analyses these too."""
+    return {ontology.term(term_id).name for term_id in ontology.term_ids()}
+
+
+class TestIncremental:
+    def test_fresh_build_analyses_each_section_once(self, data_dir, monkeypatch):
+        """The index, the vector fit and both paper sets read one token
+        cache, so a fresh pipeline analyses each (paper, section) text
+        exactly once -- for the whole-paper model too."""
+        pipeline = Pipeline.from_directory(data_dir)
+        analysed = _record_analysis(monkeypatch)
+        _ = pipeline.index
+        pipeline.vectors.warm()
+        for name in ("text", "pattern"):
+            pipeline.paper_set(name)
+
+        names = _term_names(pipeline.ontology)
+        sections = Counter(
+            paper.section_text(section)
+            for paper in pipeline.corpus
+            for section in TEXT_SECTIONS
+        )
+        assert Counter(text for text in analysed if text not in names) == Counter(
+            {text: n for text, n in sections.items() if text not in names}
+        )
+
+    def test_first_delta_after_open_analyses_each_section_at_most_once(
+        self, built, data_dir, monkeypatch
+    ):
+        """The first delta after an open rebuilds the index in memory and
+        the pattern paper set, both from one token cache: each surviving
+        section is analysed at most once and each of the added paper's
+        sections once.  The vector update reads the same cache, so no
+        whole-paper text is analysed."""
         pipeline = Pipeline.open_workspace(data_dir)
         store = pipeline.substrates
-        vectors = store.vectors
-        analyzer = vectors.analyzer
-        analysed = []
-
-        class RecordingAnalyzer:
-            def analyze(self, text):
-                analysed.append(text)
-                return analyzer.analyze(text)
-
-        vectors.analyzer = RecordingAnalyzer()
-        source = pipeline.corpus.paper(pipeline.corpus.paper_ids()[5])
-        added = Paper.from_dict({**source.to_dict(), "paper_id": "ADDED-1"})
-        removed = pipeline.corpus.paper_ids()[0]
-        store.apply_delta(added_papers=[added], removed_ids=[removed])
+        corpus = pipeline.corpus
+        source = corpus.paper(corpus.paper_ids()[5])
+        added = dataclasses.replace(
+            source,
+            paper_id="ADDED-1",
+            title=f"added {source.title}",
+            abstract=f"added {source.abstract}",
+            body=f"added {source.body}",
+            index_terms=source.index_terms + ("added",),
+        )
+        removed = corpus.paper_ids()[0]
+        analysed = _record_analysis(monkeypatch)
+        report = store.apply_delta(added_papers=[added], removed_ids=[removed])
         pipeline.prestige("text", "text")
+        pipeline.paper_set("pattern")
 
-        texts = [added.all_text()] + [added.section_text(s) for s in TEXT_SECTIONS]
-        assert sorted(analysed) == sorted(texts)
+        assert report.index_rebuilt
+        names = _term_names(pipeline.ontology)
+        counts = Counter(text for text in analysed if text not in names)
+        added_texts = [added.section_text(section) for section in TEXT_SECTIONS]
+        assert [counts.pop(text, 0) for text in added_texts] == [1] * len(added_texts)
+        survivors = Counter(
+            corpus.paper(pid).section_text(section)
+            for pid in corpus.paper_ids()
+            if pid != added.paper_id
+            for section in TEXT_SECTIONS
+        )
+        assert not counts - survivors
+
     def test_representatives_equal_a_fresh_pipeline_across_a_delta(
         self, built, data_dir, tmp_path
     ):
@@ -732,7 +789,7 @@ class TestCodecs:
     def test_inverted_index_round_trip(self, tiny_corpus, tmp_path):
         from repro.index import build_index, open_index, save_index
 
-        index = build_index(tiny_corpus)
+        index = build_index(AnalyzedPaperCache(tiny_corpus))
         save_index(index, tmp_path / "index.bin")
         restored = open_index(tmp_path / "index.bin")
         assert restored.vocabulary() == index.vocabulary()
@@ -746,15 +803,12 @@ class TestCodecs:
     def test_vector_store_round_trip(self, tiny_corpus, tmp_path):
         from repro.core.io import read_vector_store, write_vector_store
         from repro.core.vectors import PaperVectorStore
-        from repro.index.inverted import InvertedIndex
 
-        index = InvertedIndex().index_corpus(tiny_corpus)
-        vectors = PaperVectorStore(tiny_corpus, index.analyzer)
+        tokens = AnalyzedPaperCache(tiny_corpus)
+        vectors = PaperVectorStore(tokens)
         vectors.warm()
         write_vector_store(vectors, tmp_path / "vectors.npz")
-        restored = read_vector_store(
-            tmp_path / "vectors.npz", tiny_corpus, index.analyzer
-        )
+        restored = read_vector_store(tmp_path / "vectors.npz", tokens)
         for paper_id in tiny_corpus.paper_ids():
             assert restored.full_vector(paper_id).weights == pytest.approx(
                 vectors.full_vector(paper_id).weights

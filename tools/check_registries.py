@@ -13,9 +13,13 @@ prestige score functions.  This lint (modeled on
    + spec.substrates``;
 3. ``src/``: no literal function-name dispatch ladder
    (``function == "citation"``) or hand-rolled choices tuple of function
-   names outside ``src/repro/scoring/``, and no concrete index class
+   names outside ``src/repro/scoring/``, no concrete index class
    (``InvertedIndex``, ``PackedIndex``) outside
-   ``src/repro/index/`` -- talk to the ``SearchBackend`` protocol.
+   ``src/repro/index/`` -- talk to the ``SearchBackend`` protocol --
+   and no raw paper text (``.section_text(``, ``.all_text(``) outside
+   the token-cache module and the two raw-text readers in
+   ``RAW_TEXT_ALLOWED``: every analysed term comes from the one
+   ``AnalyzedPaperCache``.
 
 The "Registered score functions" table of ``docs/architecture.md`` is
 not linted: ``tools/gen_api_docs.py`` writes it from the registry.
@@ -36,6 +40,15 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 #: The registry package itself is where literal names belong.
 SCORING_PREFIX = "src/repro/scoring/"
 INDEX_PREFIX = "src/repro/index/"
+#: The token-cache module, and the readers that need raw words: snippets
+#: display them, corpus validation checks that a paper has any text.
+RAW_TEXT_ALLOWED = frozenset(
+    {
+        "src/repro/text/analyze.py",
+        "src/repro/index/snippets.py",
+        "src/repro/corpus/validate.py",
+    }
+)
 #: Subcommands each registry-derived flag must appear on.
 REQUIRED_SUBCOMMANDS = {"--function": {"search", "tune"}}
 
@@ -116,11 +129,14 @@ LITERAL_RUN_RE = re.compile(
 )
 #: Concrete index classes that must stay inside src/repro/index/.
 CONCRETE_RE = re.compile(r"\b(InvertedIndex|PackedIndex)\b")
+#: A read of a paper's raw text.
+RAW_TEXT_RE = re.compile(r"\.(section_text|all_text)\(")
 COMMENT_RE = re.compile(r"#.*$")
 
 
 def scan_src(scoring) -> list:
-    """No literal function dispatch and no concrete index types in src/."""
+    """No literal function dispatch, concrete index types or raw paper
+    text outside their modules in src/."""
     names = set(scoring.function_names())
     paper_sets = set(scoring.PAPER_SET_NAMES)
     problems = []
@@ -156,6 +172,13 @@ def scan_src(scoring) -> list:
                     problems.append(
                         f"{where} concrete index type {match.group(1)} (talk "
                         f"to the SearchBackend protocol instead)"
+                    )
+            if relative not in RAW_TEXT_ALLOWED:
+                match = RAW_TEXT_RE.search(line)
+                if match:
+                    problems.append(
+                        f"{where} raw paper text .{match.group(1)}() (read "
+                        f"analysed terms from AnalyzedPaperCache instead)"
                     )
     return problems
 

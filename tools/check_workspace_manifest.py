@@ -132,10 +132,10 @@ def check_loads(path: Path, payload: dict) -> list:
 
     The pipeline comes from the workspace's data directory (the
     workspace's parent, the layout ``repro build`` writes).  Artifacts
-    load in build order and each loaded object is installed, so a codec
-    that reads an upstream substrate (the token cache reads the index's
-    analyzer) gets the loaded one instead of building it.  Any exception
-    is a violation.
+    load in build order and each loaded object is installed, as a
+    workspace open does.  No codec reads another artifact: the vector
+    store takes the token cache, which derives from the corpus and
+    analyses nothing until read.  Any exception is a violation.
     """
     workspace = path.parent
     try:

@@ -66,9 +66,8 @@ def golden_pattern_sets(pipeline):
     simplified = pipeline.pattern_assigner.pattern_sets
     extended = PatternSetBuilder(
         pipeline.ontology,
-        pipeline.corpus,
         pipeline.index,
-        token_cache=pipeline.tokens,
+        pipeline.tokens,
         build_extended=True,
     )
     corpus = pipeline.corpus
