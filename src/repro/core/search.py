@@ -21,13 +21,18 @@ scanned twice for one request.
 
 Selection, scoring and merging run as array operations over the paper
 set's :class:`~repro.core.context.ContextColumns` (CSR rows over a dense
-paper index sorted by id) and the prestige values aligned with them:
+paper index sorted by id) and the prestige values aligned with them.
+The evaluation is itself arrays over the index's paper rows; one
+index-row -> columns-row gather array, cached per paper table, carries
+them into the columns' row space without a paper-id lookup:
 
-- probe selection sums the top hits' scores into the contexts of their
-  reverse-CSR rows with ``np.add.at``, in probe order;
-- scoring gathers the selected rows, masks the members the query
-  matched, and computes ``w_prestige * p + w_matching * m`` with the
-  same float64 operations a scalar loop performs;
+- probe selection takes the evaluation's top rows with one ``lexsort``,
+  gathers their columns rows, and sums their scores into the contexts
+  of their reverse-CSR rows with ``np.add.at``, in probe order;
+- scoring scatters the evaluation into a match vector, gathers the
+  selected rows, masks the members the query matched, and computes
+  ``w_prestige * p + w_matching * m`` with the same float64 operations
+  a scalar loop performs;
 - merging keeps each paper's best relevancy (the earliest selected
   context on a tie) and ranks by ``(-relevancy, paper_id)`` with
   ``lexsort``; :class:`SearchHit` objects are built only for the
@@ -42,14 +47,14 @@ on shared engines.  The arrays are built once per engine under its lock
 (:meth:`ContextSearchEngine.warm`) and only read afterwards; every
 per-query array is local to the call.  Paper sets and prestige scores
 are immutable -- a corpus delta builds new ones -- so nothing is ever
-invalidated.
+invalidated.  The gather array is stored with its paper table as one
+tuple, so a racing first build costs a duplicate, never a mismatch.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +62,7 @@ import numpy as np
 from repro.core.context import ContextPaperSet, csr_positions
 from repro.core.cosine import TermMajor, VectorRows, dot_pairs, finish_cosines
 from repro.core.vectors import PaperVectorStore
+from repro.index.backend import PaperTable
 from repro.index.search import (
     KeywordSearchEngine,
     QueryEvaluation,
@@ -234,6 +240,7 @@ class ContextSearchEngine:
         self._warm_lock = threading.Lock()
         self._warmed = False
         self._rep_view: Optional[_RepresentativeView] = None
+        self._gather: Optional[Tuple[PaperTable, np.ndarray]] = None
 
     # -- engine warm-up ----------------------------------------------------------------
 
@@ -338,21 +345,16 @@ class ContextSearchEngine:
         """
         self.warm()
         columns = self._columns
-        probe = evaluation.top_scores(self.probe_depth)
-        if not probe:
+        probe = evaluation.ranked(self.probe_depth)
+        if not len(probe):
             return {}
-        paper_ids, scores = zip(*probe)
-        rows = np.fromiter(
-            map(columns.paper_row.get, paper_ids, repeat(-1)),
-            dtype=np.int64,
-            count=len(probe),
-        )
+        rows = self._member_rows(evaluation)[probe]
         inside = rows >= 0
         positions, counts = csr_positions(columns.paper_indptr, rows[inside])
         reached = columns.paper_contexts[positions]
         totals = np.zeros(len(columns))
         np.add.at(
-            totals, reached, np.repeat(np.array(scores)[inside], counts)
+            totals, reached, np.repeat(evaluation.scores[probe][inside], counts)
         )
         touched = np.flatnonzero(np.bincount(reached, minlength=len(columns)))
         # Normalise by context size so huge contexts don't always win.
@@ -363,6 +365,26 @@ class ContextSearchEngine:
                 query_terms
             )[touched]
         return self._by_context_id(touched, strengths)
+
+    def _member_rows(self, evaluation: QueryEvaluation) -> np.ndarray:
+        """Each matched paper's ``ContextColumns`` row (-1 outside the set).
+
+        One gather through an index-row -> columns-row array, built on
+        first use per paper table.  The array is cached with the table
+        object it was built from, so an index revision (a new table)
+        never reads it with rows of another table.
+        """
+        table = evaluation.table
+        cached = self._gather
+        if cached is None or cached[0] is not table:
+            row_of = self._columns.paper_row
+            gather = np.fromiter(
+                (row_of.get(paper_id, -1) for paper_id in table.ids),
+                dtype=np.intp,
+                count=len(table.ids),
+            )
+            cached = self._gather = (table, gather)
+        return cached[1][evaluation.papers]
 
     def _name_strengths(self, query: str) -> Dict[str, float]:
         """Strength by query-term overlap with context term names only.
@@ -465,7 +487,7 @@ class ContextSearchEngine:
                 return []
             with span("search.score", contexts=len(selected)) as score_trace:
                 scored, papers_scored = self._score(
-                    selected, evaluation.scores, threshold
+                    selected, evaluation, threshold
                 )
                 papers_dropped = papers_scored - len(scored)
                 score_trace.set(
@@ -499,7 +521,7 @@ class ContextSearchEngine:
     def _score(
         self,
         selected: Sequence[str],
-        match_scores: Mapping[str, float],
+        evaluation: QueryEvaluation,
         threshold: float,
     ) -> Tuple[_Scored, int]:
         """Score the selected contexts; ``(rows at or above threshold, scored)``.
@@ -519,7 +541,7 @@ class ContextSearchEngine:
         )
         positions, counts = csr_positions(columns.indptr, rows)
         papers = columns.members[positions]
-        matching = self._match_vector(match_scores)[papers]
+        matching = self._match_vector(evaluation)[papers]
         matched = matching > 0.0
         positions = positions[matched]
         matching = matching[matched]
@@ -535,20 +557,12 @@ class ContextSearchEngine:
         # is what drops a pair.
         return scored.take(~(scored.relevancy < threshold)), len(scored)
 
-    def _match_vector(self, match_scores: Mapping[str, float]) -> np.ndarray:
+    def _match_vector(self, evaluation: QueryEvaluation) -> np.ndarray:
         """Match score by paper row; 0.0 for members the query missed."""
-        columns = self._columns
-        rows = np.fromiter(
-            map(columns.paper_row.get, match_scores, repeat(-1)),
-            dtype=np.int64,
-            count=len(match_scores),
-        )
-        values = np.fromiter(
-            match_scores.values(), dtype=np.float64, count=len(match_scores)
-        )
+        rows = self._member_rows(evaluation)
         inside = rows >= 0
-        vector = np.zeros(len(columns.paper_ids))
-        vector[rows[inside]] = values[inside]
+        vector = np.zeros(len(self._columns.paper_ids))
+        vector[rows[inside]] = evaluation.scores[inside]
         return vector
 
     def _hits(self, scored: _Scored, selected: Sequence[str]) -> List[SearchHit]:
@@ -623,7 +637,7 @@ class ContextSearchEngine:
         if not selections:
             return []
         selected = [selection.context_id for selection in selections]
-        scored, _ = self._score(selected, evaluation.scores, threshold)
+        scored, _ = self._score(selected, evaluation, threshold)
         # Selection order first, then the per-context ranking.
         scored = scored.take(
             np.lexsort((scored.papers, -scored.relevancy, scored.order))

@@ -15,7 +15,7 @@ search with a high threshold", section 2).
   TF-IDF ranking, threshold retrieval, and PubMed-style unranked listing.
 """
 
-from repro.index.backend import SearchBackend
+from repro.index.backend import PaperTable, SearchBackend
 from repro.index.inverted import InvertedIndex, Posting, build_index
 from repro.index.packed import PackedIndex, open_index, save_index
 from repro.index.search import KeywordHit, KeywordSearchEngine, QueryEvaluation
@@ -24,6 +24,7 @@ from repro.index.snippets import Snippet, best_snippet
 __all__ = [
     "InvertedIndex",
     "PackedIndex",
+    "PaperTable",
     "Posting",
     "SearchBackend",
     "build_index",

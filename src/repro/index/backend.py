@@ -22,18 +22,58 @@ Contracts that keep rankings byte-identical across the two forms:
   out ``dict.keys()``.
 - :attr:`revision` is a monotonic mutation counter.  Every observable
   change to the index's contents bumps it; the search engine's
-  per-term contribution cache keys on it.  The read-only form reports
-  the revision frozen into its file.
+  per-term cache keys on it.  The read-only form reports the revision
+  frozen into its file.
+- :meth:`term_run` is :meth:`postings` as columns: the same postings in
+  the same order, with each paper as a row of the revision's
+  :meth:`paper_table`.  The query path reads only this form, so it
+  builds no :class:`~repro.index.inverted.Posting`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
+
+from repro.corpus.paper import Section
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.index.inverted import Posting
     from repro.text.analyze import Analyzer
+
+
+class PaperTable:
+    """The dense paper rows of one index revision.
+
+    ``ids[row]`` is a row's paper and ``row_of`` the inverse;
+    ``rank[row]`` is the row's position in ascending paper-id order, so
+    a ``(-score, paper_id)`` ranking over rows is one ``lexsort``.  A
+    table is never mutated: an index whose papers change hands out a new
+    one, so holding a table pins the row space it describes.
+    """
+
+    __slots__ = ("ids", "row_of", "rank")
+
+    def __init__(self, ids: Sequence[str]) -> None:
+        self.ids: Tuple[str, ...] = tuple(ids)
+        self.row_of = {paper_id: row for row, paper_id in enumerate(self.ids)}
+        self.rank = np.empty(len(self.ids), dtype=np.intp)
+        self.rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = (
+            np.arange(len(self.ids))
+        )
+
+
+class TermRun(NamedTuple):
+    """One term's postings as parallel columns, in indexing order."""
+
+    #: Each posting's paper, as a row of the index's :class:`PaperTable`.
+    rows: np.ndarray
+    #: Each posting's section, as a position in ``section_table``.
+    sections: np.ndarray
+    term_frequency: np.ndarray
+    section_table: Tuple[Section, ...]
 
 
 class SearchBackend(abc.ABC):
@@ -77,6 +117,14 @@ class SearchBackend(abc.ABC):
         The result is an immutable snapshot the index may share across
         calls; callers must not mutate it.
         """
+
+    @abc.abstractmethod
+    def paper_table(self) -> PaperTable:
+        """The current revision's paper rows (the same object until it changes)."""
+
+    @abc.abstractmethod
+    def term_run(self, term: str) -> TermRun:
+        """:meth:`postings` of ``term`` as columns over :meth:`paper_table`."""
 
     @abc.abstractmethod
     def document_frequency(self, term: str) -> int:

@@ -11,9 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.corpus.paper import Section, TEXT_SECTIONS
-from repro.index.backend import SearchBackend
+from repro.index.backend import PaperTable, SearchBackend, TermRun
 from repro.text.analyze import AnalyzedPaperCache
+
+#: The section codes of :meth:`InvertedIndex.term_run`.
+_SECTIONS: Tuple[Section, ...] = tuple(Section)
+_SECTION_CODE: Dict[Section, int] = {
+    section: code for code, section in enumerate(_SECTIONS)
+}
 
 
 @dataclass(frozen=True)
@@ -48,15 +56,16 @@ class InvertedIndex(SearchBackend):
         self._paper_terms: Dict[str, Tuple[str, ...]] = {}
         self._n_papers = 0
         self._revision = 0
-        # Read-path snapshots handed out by postings()/vocabulary();
-        # dropped wholesale on every mutation.  Sharing one immutable
-        # tuple per term keeps the query hot path allocation-free.
+        # Read-path snapshots handed out by postings()/vocabulary()/
+        # paper_table(); dropped wholesale on every mutation.
         self._postings_views: Dict[str, Tuple[Posting, ...]] = {}
         self._vocabulary_view: Optional[Tuple[str, ...]] = None
+        self._paper_table: Optional[PaperTable] = None
 
     def _invalidate_views(self) -> None:
         self._postings_views.clear()
         self._vocabulary_view = None
+        self._paper_table = None
 
     # -- construction -------------------------------------------------------------
 
@@ -126,19 +135,19 @@ class InvertedIndex(SearchBackend):
     def revision(self) -> int:
         """Mutation counter: bumped by every paper add/remove.
 
-        The search engine's contribution cache keys on this rather than
+        The search engine's term cache keys on this rather than
         ``n_papers``, so replacing a paper without changing the count
-        still invalidates it.
+        still invalidates it; :meth:`paper_table` is rebuilt after each
+        bump.
         """
         return self._revision
 
     def postings(self, term: str) -> Sequence[Posting]:
         """All postings of ``term``, in indexing order (empty if unseen).
 
-        Returns a cached immutable tuple shared across calls -- the
-        query hot path touches every query term once per search, and
-        copying the hottest posting lists per call dominated its
-        allocations.  The snapshot is invalidated by paper add/remove.
+        Returns a cached immutable tuple shared across calls; the
+        snapshot is invalidated by paper add/remove.  The query path
+        reads :meth:`term_run` instead.
         """
         view = self._postings_views.get(term)
         if view is None:
@@ -148,6 +157,33 @@ class InvertedIndex(SearchBackend):
             view = tuple(entries)
             self._postings_views[term] = view
         return view
+
+    def paper_table(self) -> PaperTable:
+        """Indexed papers in indexing order; built once per revision."""
+        table = self._paper_table
+        if table is None:
+            table = self._paper_table = PaperTable(self._paper_terms)
+        return table
+
+    def term_run(self, term: str) -> TermRun:
+        """:meth:`postings` of ``term`` as columns over :meth:`paper_table`."""
+        row_of = self.paper_table().row_of
+        postings = self._postings.get(term, ())
+        count = len(postings)
+        return TermRun(
+            np.fromiter(
+                (row_of[posting.paper_id] for posting in postings), np.intp, count
+            ),
+            np.fromiter(
+                (_SECTION_CODE[posting.section] for posting in postings),
+                np.uint8,
+                count,
+            ),
+            np.fromiter(
+                (posting.term_frequency for posting in postings), np.int64, count
+            ),
+            _SECTIONS,
+        )
 
     def document_frequency(self, term: str) -> int:
         """Number of papers containing ``term`` in any section."""

@@ -2,10 +2,8 @@
 
 A workspace stores its inverted index as one packed binary file.
 Opening it maps the file (``mmap``) and parses only a small header;
-each term's postings are decoded on first touch into a bounded LRU
-cache.  Open cost is proportional to the vocabulary header, not the
-corpus; resident memory is proportional to the *queried* vocabulary,
-not the indexed one.
+a term's postings are decoded only when something asks for that term.
+Open cost is proportional to the vocabulary header, not the corpus.
 
 File layout (``index.bin``): ``magic | u64 header_len | header JSON |
 data``:
@@ -19,9 +17,15 @@ data``:
   byte-identical with the in-memory index).  The runs tile the data
   region in directory order; opening checks that they do.
 
-Metrics: ``index.backend.term_loads`` / ``index.backend.cache_hit`` /
-``index.backend.cache_evict`` counters on the term cache, and an
-``index.backend.mapped_bytes`` gauge set when a file is mapped.
+One decoder reads a run: a single ``np.frombuffer`` over the records.
+The header's paper-id table is the :class:`~repro.index.backend.PaperTable`
+its rows index, so :meth:`PackedIndex.term_run` (the query path) and
+:meth:`PackedIndex.papers_containing` build no ``Posting``; only
+:meth:`PackedIndex.postings` does.  The index caches nothing: the
+keyword search engine keeps each queried term's decoded contributions.
+
+Metrics: an ``index.backend.mapped_bytes`` gauge set when a file is
+mapped.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ import json
 import mmap
 import os
 import struct
-import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.corpus.paper import Section
-from repro.index.backend import SearchBackend
+from repro.index.backend import PaperTable, SearchBackend, TermRun
 from repro.index.inverted import Posting
 from repro.obs import get_registry
 from repro.text.analyze import default_analyzer
@@ -44,12 +48,9 @@ from repro.text.analyze import default_analyzer
 _MAGIC = b"RPROIDX2"
 _LEN = struct.Struct("<Q")
 _POSTING = struct.Struct("<IBI")   # paper_idx, section_idx, term_frequency
+#: ``_POSTING`` as an (unpadded) numpy record, for decoding whole runs.
+_RECORD = np.dtype([("paper", "<u4"), ("section", "u1"), ("tf", "<u4")])
 _PREAMBLE = len(_MAGIC) + _LEN.size
-
-#: Bound on decoded-term residency.  Sized for query serving -- far
-#: above any realistic per-query term count, far below a large corpus
-#: vocabulary.
-TERM_CACHE_SIZE = 1024
 
 
 def save_index(index: SearchBackend, path) -> None:
@@ -140,10 +141,9 @@ class PackedIndex(SearchBackend):
     """Read-only :class:`SearchBackend` over a packed, mmapped postings file.
 
     Construction maps the file and parses only its header -- no posting
-    is decoded until a query asks for its term.  Decoded terms live in a
-    bounded LRU so resident memory tracks the working set.  The index
-    is immutable: ``index_paper``/``remove_paper`` raise, and
-    :attr:`revision` is the value frozen into the file.
+    is decoded until a caller asks for its term, and nothing decoded is
+    kept.  The index is immutable: ``index_paper``/``remove_paper``
+    raise, and :attr:`revision` is the value frozen into the file.
     """
 
     def __init__(self, path) -> None:
@@ -162,7 +162,7 @@ class PackedIndex(SearchBackend):
 
         self._n_papers = int(header["n_papers"])
         self._revision = int(header["revision"])
-        self._paper_ids: Tuple[str, ...] = tuple(header["paper_ids"])
+        self._paper_table = PaperTable(header["paper_ids"])
         self._sections: Tuple[Section, ...] = tuple(
             Section(value) for value in header["sections"]
         )
@@ -171,10 +171,6 @@ class PackedIndex(SearchBackend):
             for term, df, offset, count in header["terms"]
         }
         self._term_list: Tuple[str, ...] = tuple(self._terms)
-
-        self._term_cache: "OrderedDict[str, Tuple[Posting, ...]]" = OrderedDict()
-        self._term_cache_size = TERM_CACHE_SIZE
-        self._cache_lock = threading.Lock()
         get_registry().gauge("index.backend.mapped_bytes").set(len(self._mmap))
 
     # -- lifecycle -----------------------------------------------------------------
@@ -216,37 +212,40 @@ class PackedIndex(SearchBackend):
 
     # -- postings ------------------------------------------------------------------
 
-    def postings(self, term: str) -> Sequence[Posting]:
+    def _records(self, term: str) -> np.ndarray:
+        """The term's packed records, decoded with one ``np.frombuffer``.
+
+        The slice copies the run out of the mapping, so no array keeps
+        the mapping exported and :meth:`close` always succeeds.
+        """
         entry = self._terms.get(term)
         if entry is None:
-            return ()
-        registry = get_registry()
-        with self._cache_lock:
-            cached = self._term_cache.get(term)
-            if cached is not None:
-                self._term_cache.move_to_end(term)
-                registry.counter("index.backend.cache_hit").inc()
-                return cached
+            return np.empty(0, dtype=_RECORD)
         _, offset, count = entry
-        decoded = self._decode_postings(offset, count)
-        registry.counter("index.backend.term_loads").inc()
-        if self._term_cache_size:
-            with self._cache_lock:
-                self._term_cache[term] = decoded
-                self._term_cache.move_to_end(term)
-                while len(self._term_cache) > self._term_cache_size:
-                    self._term_cache.popitem(last=False)
-                    registry.counter("index.backend.cache_evict").inc()
-        return decoded
-
-    def _decode_postings(self, offset: int, count: int) -> Tuple[Posting, ...]:
         start = self._data_start + offset
-        chunk = self._mmap[start : start + count * _POSTING.size]
-        paper_ids = self._paper_ids
+        return np.frombuffer(
+            self._mmap[start : start + count * _POSTING.size], dtype=_RECORD
+        )
+
+    def paper_table(self) -> PaperTable:
+        return self._paper_table
+
+    def term_run(self, term: str) -> TermRun:
+        records = self._records(term)
+        return TermRun(
+            records["paper"].astype(np.intp),
+            records["section"],
+            records["tf"],
+            self._sections,
+        )
+
+    def postings(self, term: str) -> Sequence[Posting]:
+        records = self._records(term)
+        paper_ids = self._paper_table.ids
         sections = self._sections
         return tuple(
             Posting(paper_ids[paper_idx], sections[section_idx], tf)
-            for paper_idx, section_idx, tf in _POSTING.iter_unpack(chunk)
+            for paper_idx, section_idx, tf in records.tolist()
         )
 
     def document_frequency(self, term: str) -> int:
@@ -254,10 +253,10 @@ class PackedIndex(SearchBackend):
         return entry[0] if entry is not None else 0
 
     def papers_containing(self, term: str) -> List[str]:
-        seen: Dict[str, None] = {}
-        for posting in self.postings(term):
-            seen.setdefault(posting.paper_id, None)
-        return list(seen)
+        rows = self._records(term)["paper"]
+        _, first = np.unique(rows, return_index=True)
+        paper_ids = self._paper_table.ids
+        return [paper_ids[row] for row in rows[np.sort(first)].tolist()]
 
     # -- vocabulary ----------------------------------------------------------------
 
@@ -271,12 +270,7 @@ class PackedIndex(SearchBackend):
 
     def backend_stats(self) -> Dict[str, float]:
         """Point-in-time stats exported as ``index.backend.*`` gauges."""
-        with self._cache_lock:
-            cached_terms = len(self._term_cache)
-        return {
-            "mapped_bytes": float(len(self._mmap)) if self._mmap else 0.0,
-            "cached_terms": float(cached_terms),
-        }
+        return {"mapped_bytes": float(len(self._mmap)) if self._mmap else 0.0}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

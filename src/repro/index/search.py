@@ -17,21 +17,30 @@ postings scan produces a :class:`QueryEvaluation` holding every paper's
 normalised match score, which ranked retrieval, per-paper match scoring,
 context selection, and explain all share.  A single context-based search
 therefore touches each posting list exactly once.
+
+The scan is columnar.  Per index revision, the engine caches each
+queried term's paper rows (over the backend's
+:class:`~repro.index.backend.PaperTable`), its per-posting
+contributions ``weight * (1 + log tf) * idf``, its distinct rows and
+its idf.  A query concatenates its terms' arrays and sums them with one
+``np.bincount``, which adds in postings order from 0.0 -- the float
+sums of a per-posting dict loop (``tests/test_query_evaluation_reference.py``
+keeps that loop as the reference).  The evaluation is arrays over the
+table's rows, so its consumers index them and never map paper ids.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section
-from repro.index.backend import SearchBackend
+from repro.index.backend import PaperTable, SearchBackend
 from repro.obs import get_registry
 
 #: Per-section match weights: a title hit is worth more than a body
@@ -77,7 +86,7 @@ class KeywordHit:
     matched_terms: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryEvaluation:
     """Everything one postings scan learns about a query.
 
@@ -87,17 +96,23 @@ class QueryEvaluation:
     search engine's selection/scoring/explain stages, so a single search
     request never rescans the index.
 
-    ``scores`` are normalised to [0, 1] by the query's maximum achievable
-    self-score.
+    Columnar: ``papers`` are the matched rows of ``table`` (the index
+    revision's :class:`~repro.index.backend.PaperTable`), ascending, and
+    ``scores``/``matched_terms`` are parallel to them.  ``scores`` are
+    normalised to [0, 1] by the query's maximum achievable self-score.
     """
 
     query: str
     #: Distinct analysed scoring terms, in query order.
     terms: Tuple[str, ...]
-    #: Normalised match score per paper (papers scoring 0 are absent).
-    scores: Mapping[str, float]
-    #: Distinct query terms matched per paper (same key set as scores).
-    matched_terms: Mapping[str, int]
+    #: The paper rows ``papers`` index.
+    table: PaperTable
+    #: Matched paper rows, ascending (papers scoring 0 are absent).
+    papers: np.ndarray
+    #: Normalised match score per matched row (float64).
+    scores: np.ndarray
+    #: Distinct query terms matched per matched row.
+    matched_terms: np.ndarray
     #: The normalisation bound (0.0 when no term is in the vocabulary).
     max_score: float
     #: Postings touched by the scan (observability).
@@ -105,7 +120,33 @@ class QueryEvaluation:
 
     def score(self, paper_id: str) -> float:
         """Normalised match score of one paper (0.0 when not matched)."""
-        return self.scores.get(paper_id, 0.0)
+        row = self.table.row_of.get(paper_id, -1)
+        at = int(np.searchsorted(self.papers, row))
+        if at < len(self.papers) and self.papers[at] == row:
+            return float(self.scores[at])
+        return 0.0
+
+    def ranked(self, limit: Optional[int] = None) -> np.ndarray:
+        """Positions in ``papers``, best first by ``(-score, paper_id)``.
+
+        With a ``limit`` below the match count, a partition finds the
+        ``limit``-th best score, so only the positions at or above it
+        are sorted -- the same positions, in the same order, as a full
+        sort cut to ``limit``.
+        """
+        negated = -self.scores
+        positions = np.arange(len(negated))
+        if limit is not None:
+            limit = max(limit, 0)
+            if limit < len(negated):
+                if limit == 0:
+                    return positions[:0]
+                cut = np.partition(negated, limit - 1)[limit - 1]
+                positions = np.flatnonzero(negated <= cut)
+        order = positions[
+            np.lexsort((self.table.rank[self.papers[positions]], negated[positions]))
+        ]
+        return order[:limit]
 
     def hits(
         self,
@@ -114,34 +155,63 @@ class QueryEvaluation:
         require_all_terms: bool = False,
     ) -> List[KeywordHit]:
         """Materialise ranked :class:`KeywordHit` rows from the scan."""
-        n_terms = len(self.terms)
-        hits = [
-            KeywordHit(
-                paper_id=paper_id,
-                score=score,
-                matched_terms=self.matched_terms[paper_id],
+        keep = self.scores >= threshold
+        if require_all_terms:
+            keep &= self.matched_terms >= len(self.terms)
+        kept = replace(
+            self,
+            papers=self.papers[keep],
+            scores=self.scores[keep],
+            matched_terms=self.matched_terms[keep],
+        )
+        positions = kept.ranked(limit)
+        paper_ids = self.table.ids
+        return [
+            KeywordHit(paper_id=paper_ids[row], score=score, matched_terms=matched)
+            for row, score, matched in zip(
+                kept.papers[positions].tolist(),
+                kept.scores[positions].tolist(),
+                kept.matched_terms[positions].tolist(),
             )
-            for paper_id, score in self.scores.items()
-            if score >= threshold
-            and (not require_all_terms or self.matched_terms[paper_id] >= n_terms)
         ]
-        if limit is not None and limit < len(hits):
-            # Partial selection beats sorting every match when only the
-            # head of the ranking is wanted (probe selection, top-k UIs).
-            return heapq.nsmallest(
-                limit, hits, key=lambda hit: (-hit.score, hit.paper_id)
-            )
-        hits.sort(key=lambda hit: (-hit.score, hit.paper_id))
-        return hits
 
     def top_scores(self, limit: int) -> List[Tuple[str, float]]:
         """The ``limit`` best ``(paper_id, score)`` pairs, best first.
 
         Same ranking as :meth:`hits` without materialising a
-        :class:`KeywordHit` per matched paper -- the cheap form consumers
-        on the hot path (probe selection) want.
+        :class:`KeywordHit` per matched paper.
         """
-        return top_items(self.scores, limit)
+        positions = self.ranked(limit)
+        paper_ids = self.table.ids
+        return [
+            (paper_ids[row], score)
+            for row, score in zip(
+                self.papers[positions].tolist(), self.scores[positions].tolist()
+            )
+        ]
+
+
+@dataclass(frozen=True)
+class _TermEntry:
+    """One term's query-independent share of every evaluation.
+
+    ``contributions[i]`` is ``weight * (1 + log tf) * idf`` of posting
+    ``i``, over paper ``rows[i]``; ``matched`` holds the distinct rows.
+    """
+
+    idf: float
+    rows: np.ndarray
+    contributions: np.ndarray
+    matched: np.ndarray
+
+
+@dataclass(frozen=True)
+class _RevisionCache:
+    """The per-term entries of one index revision, over its paper table."""
+
+    revision: int
+    table: PaperTable
+    terms: Dict[str, Optional[_TermEntry]]
 
 
 class KeywordSearchEngine:
@@ -153,58 +223,66 @@ class KeywordSearchEngine:
 
     def __init__(self, index: SearchBackend) -> None:
         self.index = index
-        # Per-term contribution cache: ``weight * tf_component * idf`` is
-        # query-independent, so the per-posting contributions of a term
-        # (and its distinct matched papers) are computed once per index
-        # revision and replayed on later queries in the same order --
-        # scores stay bitwise identical to a fresh scan.
-        self._contrib_cache: Dict[
-            str, Optional[Tuple[List[Tuple[str, float]], List[str]]]
-        ] = {}
-        self._contrib_revision: Optional[int] = None
-        self._contrib_lock = threading.Lock()
+        # Per-term cache: a term's contributions are query-independent,
+        # so each is computed once per index revision and replayed on
+        # later queries in the same order -- scores stay bitwise
+        # identical to a fresh scan.
+        self._cache: Optional[_RevisionCache] = None
+        self._cache_lock = threading.Lock()
 
     # -- the single-scan evaluation ------------------------------------------------
 
     def evaluate(self, query: str) -> QueryEvaluation:
         """Scan the postings of every query term exactly once.
 
-        The returned :class:`QueryEvaluation` answers every downstream
-        question about the query -- ranked hits, per-paper match scores,
-        probe selection -- without touching the index again.
+        The query's term runs, concatenated in term order, feed one
+        ``np.bincount``: it adds each paper's contributions one by one
+        from 0.0, in postings order, so every score is the float sum a
+        per-posting loop computes.  The returned :class:`QueryEvaluation`
+        answers every downstream question about the query -- ranked hits,
+        per-paper match scores, probe selection -- without touching the
+        index again.
         """
         distinct_terms = list(dict.fromkeys(self.index.analyzer.analyze(query)))
-        scores: Dict[str, float] = {}
-        matches: Dict[str, int] = {}
-        postings_scanned = 0
-        for term in distinct_terms:
-            entry = self._term_contributions(term)
-            if entry is None:
-                continue
-            contributions, matched_papers = entry
-            postings_scanned += len(contributions)
-            for paper_id, contribution in contributions:
-                scores[paper_id] = scores.get(paper_id, 0.0) + contribution
-            for paper_id in matched_papers:
-                matches[paper_id] = matches.get(paper_id, 0) + 1
+        cache = self._revision_cache()
+        entries = [
+            entry
+            for entry in (self._term_entry(cache, term) for term in distinct_terms)
+            if entry is not None
+        ]
+        postings_scanned = sum(len(entry.rows) for entry in entries)
         if distinct_terms:
             registry = get_registry()
             registry.counter("index.keyword.queries").inc()
             registry.counter("index.keyword.postings_scanned").inc(postings_scanned)
 
-        max_score = self._max_possible_score(distinct_terms)
-        normalised: Dict[str, float] = {}
-        matched: Dict[str, int] = {}
-        for paper_id, raw in scores.items():
-            value = min(raw / max_score, 1.0) if max_score > 0 else 0.0
-            if value <= 0.0:
-                continue
-            normalised[paper_id] = value
-            matched[paper_id] = matches[paper_id]
+        max_score = self._max_possible_score(entries)
+        papers = np.empty(0, dtype=np.intp)
+        scores = np.empty(0, dtype=np.float64)
+        matched = np.empty(0, dtype=np.intp)
+        if entries:
+            n_rows = len(cache.table.ids)
+            raw = np.bincount(
+                np.concatenate([entry.rows for entry in entries]),
+                weights=np.concatenate([entry.contributions for entry in entries]),
+                minlength=n_rows,
+            )
+            counts = np.bincount(
+                np.concatenate([entry.matched for entry in entries]),
+                minlength=n_rows,
+            )
+            papers = np.flatnonzero(counts)
+            scores = np.minimum(raw[papers] / max_score, 1.0)
+            # Not ``> 0.0``: a NaN score is kept, as ``<= 0.0`` drops one.
+            keep = ~(scores <= 0.0)
+            papers, scores = papers[keep], scores[keep]
+            matched = counts[papers]
         return QueryEvaluation(
             query=query,
             terms=tuple(distinct_terms),
-            scores=normalised,
+            table=cache.table,
+            papers=papers,
+            scores=scores,
             matched_terms=matched,
             max_score=max_score,
             postings_scanned=postings_scanned,
@@ -242,48 +320,49 @@ class KeywordSearchEngine:
 
     # -- scoring components ----------------------------------------------------------
 
-    def _term_contributions(
-        self, term: str
-    ) -> Optional[Tuple[List[Tuple[str, float]], List[str]]]:
-        """Cached per-posting score contributions of one term.
+    def _revision_cache(self) -> _RevisionCache:
+        """The current revision's cache; a revision bump starts a new one."""
+        revision = self.index.revision
+        cache = self._cache
+        if cache is None or cache.revision != revision:
+            with self._cache_lock:
+                cache = self._cache
+                if cache is None or cache.revision != revision:
+                    cache = self._cache = _RevisionCache(
+                        revision, self.index.paper_table(), {}
+                    )
+        return cache
 
-        Returns ``(contributions, matched_papers)`` where
-        ``contributions`` holds one ``(paper_id, weight * tf * idf)`` pair
-        per posting in postings order and ``matched_papers`` the distinct
-        paper ids in first-posting order; ``None`` when the term is out of
-        vocabulary (idf 0).  Cached per index revision, so repeat queries
-        replay the same float additions a fresh scan would perform.
+    def _term_entry(self, cache: _RevisionCache, term: str) -> Optional[_TermEntry]:
+        """Cached :class:`_TermEntry` of one term; None out of vocabulary.
+
+        Each contribution is the scalar expression a per-posting loop
+        evaluates, ``weight * (1 + log tf) * idf``, as float64 products
+        in that order (``math.log`` once per distinct tf).
         """
-        revision = getattr(self.index, "revision", None)
-        with self._contrib_lock:
-            if self._contrib_revision != revision:
-                self._contrib_cache = {}
-                self._contrib_revision = revision
-            cached = self._contrib_cache.get(term, False)
-        if cached is not False:
-            return cached
+        try:
+            return cache.terms[term]
+        except KeyError:
+            pass
         idf = self._idf(term)
-        if idf == 0.0:
-            entry = None
-        else:
-            contributions: List[Tuple[str, float]] = []
-            matched_papers: List[str] = []
-            seen: set = set()
-            for posting in self.index.postings(term):
-                weight = DEFAULT_SECTION_WEIGHTS.get(posting.section, 1.0)
-                tf_component = 1.0 + math.log(posting.term_frequency)
-                paper_id = posting.paper_id
-                contributions.append(
-                    (paper_id, weight * tf_component * idf)
-                )
-                if paper_id not in seen:
-                    seen.add(paper_id)
-                    matched_papers.append(paper_id)
-            entry = (contributions, matched_papers)
-        with self._contrib_lock:
-            if self._contrib_revision == revision:
-                self._contrib_cache[term] = entry
-        return entry
+        entry = None
+        if idf != 0.0:
+            run = self.index.term_run(term)
+            weights = np.array(
+                [DEFAULT_SECTION_WEIGHTS.get(s, 1.0) for s in run.section_table]
+            )[run.sections]
+            tfs, tf_of = np.unique(run.term_frequency, return_inverse=True)
+            tf_components = np.array(
+                [1.0 + math.log(tf) for tf in tfs.tolist()]
+            )[tf_of]
+            entry = _TermEntry(
+                idf=idf,
+                rows=run.rows,
+                contributions=weights * tf_components * idf,
+                matched=np.unique(run.rows),
+            )
+        # setdefault: racing first callers all keep the first entry stored.
+        return cache.terms.setdefault(term, entry)
 
     def match_score(self, query: str, paper_id: str) -> float:
         """Text-matching score of one (query, paper) pair in [0, 1].
@@ -326,16 +405,14 @@ class KeywordSearchEngine:
             return 0.0
         return math.log((1.0 + self.index.n_papers) / (1.0 + df)) + 1.0
 
-    def _max_possible_score(self, distinct_terms: Sequence[str]) -> float:
+    @staticmethod
+    def _max_possible_score(entries: Sequence[_TermEntry]) -> float:
         """Upper bound: every term matched in every section at a saturating tf.
 
         Using a shared bound for all papers keeps scores comparable across
         papers and bounded by 1 without per-paper renormalisation.  A tf
-        of e^2 (~7 occurrences) is treated as saturation.
+        of e^2 (~7 occurrences) is treated as saturation.  ``entries``
+        are the in-vocabulary query terms, in query order.
         """
         total_weight = sum(DEFAULT_SECTION_WEIGHTS.values())
-        return sum(
-            total_weight * 3.0 * self._idf(term)
-            for term in distinct_terms
-            if self._idf(term) > 0.0
-        )
+        return sum(total_weight * 3.0 * entry.idf for entry in entries)

@@ -197,7 +197,7 @@ class ServingView:
         hit_rate = self.result_cache.hit_rate
         if hit_rate is not None:
             registry.gauge("search.cache.hit_rate").set(hit_rate)
-        # The packed index exposes cache/mmap stats; only the raw slot
+        # The packed index exposes its mmap stats; only the raw slot
         # is inspected so a scrape never triggers a substrate build.  An
         # index that maps nothing (in memory after a delta, or not built
         # yet) exports zeros, never the last packed file's figures.
@@ -205,7 +205,7 @@ class ServingView:
         stats = (
             backend_stats()
             if callable(backend_stats)
-            else {"mapped_bytes": 0.0, "cached_terms": 0.0}
+            else {"mapped_bytes": 0.0}
         )
         for stat, value in stats.items():
             registry.gauge(f"index.backend.{stat}").set(value)

@@ -25,6 +25,7 @@ from repro.core.search import (
     ContextSelection,
     SearchHit,
 )
+from repro.index.backend import PaperTable
 from repro.index.search import QueryEvaluation
 from repro.obs import reset_registry
 from repro.ontology.ontology import Ontology
@@ -195,9 +196,13 @@ def build_engine(s):
     paper_set = ContextPaperSet(
         ontology, [Context(cid, members) for cid, members in s.contexts]
     )
+    # Rows in the drawn (not id) order, so ranking must go by paper id.
+    table = PaperTable(s.match)
     evaluation = QueryEvaluation(
-        query=" ".join(s.terms), terms=s.terms, scores=s.match,
-        matched_terms=dict.fromkeys(s.match, 1), max_score=1.0,
+        query=" ".join(s.terms), terms=s.terms, table=table,
+        papers=np.arange(len(table.ids)),
+        scores=np.array(list(s.match.values()), dtype=np.float64),
+        matched_terms=np.ones(len(table.ids), dtype=np.intp), max_score=1.0,
         postings_scanned=0,
     )
     keyword_engine = SimpleNamespace(

@@ -2,8 +2,9 @@
 
 Covers the packed index's equivalence with the in-memory index it was
 saved from -- fresh or mutated by paper removals, replacements and
-additions -- over every read API and engine score (the reference check
-for the one writer), its bounded term cache, its framing and
+additions -- over every read API (postings and their columnar runs) and
+engine score (the reference check for the one writer), its on-demand
+run decode, its framing and
 term-directory checks, the ``index.backend.*`` gauges across a delta,
 and the in-memory index's postings-view and vocabulary-snapshot
 contracts.
@@ -18,7 +19,7 @@ import pytest
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
 from repro.index import build_index, open_index, save_index
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, Posting
 from repro.index.packed import _LEN, _MAGIC, _PREAMBLE, PackedIndex
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, reset_registry
@@ -107,6 +108,18 @@ def saved(request, pipeline, tmp_path_factory):
     return source, corpus, path
 
 
+def _run_postings(index, term):
+    """``index.term_run(term)`` mapped back to postings through its tables."""
+    run = index.term_run(term)
+    paper_ids = index.paper_table().ids
+    return tuple(
+        Posting(paper_ids[row], run.section_table[section], tf)
+        for row, section, tf in zip(
+            run.rows.tolist(), run.sections.tolist(), run.term_frequency.tolist()
+        )
+    )
+
+
 class TestOndiskEquivalence:
     """The packed index answers every read exactly as the in-memory index
     it was saved from, fresh or mutated."""
@@ -127,6 +140,10 @@ class TestOndiskEquivalence:
                 assert packed_index.papers_containing(
                     term
                 ) == source.papers_containing(term)
+                assert _run_postings(packed_index, term) == tuple(
+                    source.postings(term)
+                ), term
+                assert _run_postings(source, term) == tuple(source.postings(term))
                 assert term in packed_index
         finally:
             packed_index.close()
@@ -140,9 +157,10 @@ class TestOndiskEquivalence:
         queries = list(QUERIES) + [paper.title for paper in list(corpus)[::5]]
         try:
             for query in queries:
+                # Every matched paper, its score and its matched-term count.
                 assert (
-                    packed_engine.evaluate(query).scores
-                    == fresh_engine.evaluate(query).scores
+                    packed_engine.evaluate(query).hits()
+                    == fresh_engine.evaluate(query).hits()
                 ), query
                 assert packed_engine.search(query, limit=10) == KeywordSearchEngine(
                     source
@@ -228,53 +246,29 @@ class TestTermDirectoryCheck:
             open_index(path)
 
 
-class TestTermCache:
-    def test_warm_postings_are_the_cached_tuple(self, packed_index):
-        term = packed_index.vocabulary()[0]
-        first = packed_index.postings(term)
-        assert isinstance(first, tuple)
-        assert packed_index.postings(term) is first
+class TestRunDecode:
+    """The packed index decodes runs on demand and keeps nothing mapped."""
 
-    def test_load_and_hit_counters(self, packed_index):
-        term = packed_index.vocabulary()[0]
-        loads = get_registry().counter("index.backend.term_loads")
-        hits = get_registry().counter("index.backend.cache_hit")
-        before_loads, before_hits = loads.value, hits.value
-        packed_index.postings(term)
-        assert loads.value == before_loads + 1
-        packed_index.postings(term)
-        assert hits.value == before_hits + 1
-        assert loads.value == before_loads + 1
-
-    def test_lru_eviction_is_bounded(self, packed_path):
+    def test_decoded_runs_outlive_close(self, packed_path):
         index = open_index(packed_path)
-        index._term_cache_size = 2
-        terms = list(index.vocabulary())[:3]
-        try:
-            for term in terms:
-                index.postings(term)
-            assert len(index._term_cache) == 2
-            assert get_registry().counter("index.backend.cache_evict").value == 1
-            # The evicted (oldest) term decodes again, equal to the source.
-            again = index.postings(terms[0])
-            assert tuple(again) == tuple(
-                open_index(packed_path).postings(terms[0])
-            )
-        finally:
-            index.close()
+        term = index.vocabulary()[0]
+        run = index.term_run(term)
+        expected = _run_postings(index, term)
+        # No decoded array is a view of the mapping, so closing succeeds.
+        index.close()
+        assert len(run.rows) == len(expected)
+        assert run.rows.tolist() == [
+            index.paper_table().row_of[posting.paper_id] for posting in expected
+        ]
 
-    def test_backend_stats_count_cached_terms(self, packed_path, packed_index):
-        stats = packed_index.backend_stats()
-        assert stats["mapped_bytes"] == packed_path.stat().st_size
-        assert stats["cached_terms"] == 0
-        vocabulary = packed_index.vocabulary()
-        packed_index.postings(vocabulary[0])
-        assert packed_index.backend_stats()["cached_terms"] == 1
-        packed_index.postings(vocabulary[0])
-        packed_index.postings(vocabulary[1])
-        # Lazy decode holds only the touched terms, never the whole index.
-        assert packed_index.backend_stats()["cached_terms"] == 2
-        assert len(vocabulary) > 2
+    def test_backend_stats_report_mapped_bytes(self, packed_path):
+        index = open_index(packed_path)
+        index.postings(index.vocabulary()[0])
+        assert index.backend_stats() == {
+            "mapped_bytes": float(packed_path.stat().st_size)
+        }
+        index.close()
+        assert index.backend_stats() == {"mapped_bytes": 0.0}
 
 
 class TestBackendGauges:
@@ -287,22 +281,18 @@ class TestBackendGauges:
         pipeline = build_demo_pipeline(seed=11, n_papers=40, n_terms=10)
         open_workspace(pipeline, tmp_path)
         pipeline.search("gene expression regulation")
-        def mapped_and_cached():
+        def mapped():
             pipeline.serving_view.export_gauges()
-            gauges = get_registry().snapshot()["gauges"]
-            return (
-                gauges["index.backend.mapped_bytes"],
-                gauges["index.backend.cached_terms"],
-            )
+            return get_registry().snapshot()["gauges"]["index.backend.mapped_bytes"]
 
         assert isinstance(pipeline.substrates._index, PackedIndex)
         size = (tmp_path / "index.bin").stat().st_size
-        assert mapped_and_cached()[0] == size
+        assert mapped() == size
 
         paper_id = next(iter(pipeline.corpus)).paper_id
         ingest_delta(pipeline, tmp_path, removed_ids=[paper_id])
         assert isinstance(pipeline.substrates._index, InvertedIndex)
-        assert mapped_and_cached() == (0.0, 0.0)
+        assert mapped() == 0.0
 
 
 class TestFormatDispatch:

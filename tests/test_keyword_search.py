@@ -163,8 +163,11 @@ class TestContributionCache:
         tokens = AnalyzedPaperCache(corpus)
         index = build_index(tokens)
         engine = KeywordSearchEngine(index)
-        before = engine.evaluate("gene").scores
-        assert engine._contrib_cache
+
+        def scores(engine):
+            return dict(engine.evaluate("gene").top_scores(index.n_papers))
+
+        before = scores(engine)
         replacement = Paper(
             paper_id="P2",
             title="Gene gene gene gene gene",
@@ -177,10 +180,10 @@ class TestContributionCache:
         corpus.add(replacement)
         index.index_paper("P2")
         assert index.n_papers == 3  # same count, different content
-        after = engine.evaluate("gene").scores
+        after = scores(engine)
         assert after != before
         # The fresh contributions must reflect the replacement exactly.
         fresh = build_index(AnalyzedPaperCache(
             Corpus([corpus.paper("P1"), corpus.paper("P3"), replacement])
         ))
-        assert KeywordSearchEngine(fresh).evaluate("gene").scores == after
+        assert scores(KeywordSearchEngine(fresh)) == after

@@ -1,0 +1,301 @@
+"""Differential test: columnar query evaluation against the dict loop it replaced.
+
+:func:`reference_evaluate` is ``KeywordSearchEngine.evaluate`` as it
+used to run: one ``(paper_id, weight * (1 + log tf) * idf)`` pair per
+posting, summed into a per-paper dict in postings order, normalised by
+a bound that calls ``_idf`` per term, and ranked with ``sorted``.
+Hypothesis draws micro corpora (identical papers, so scores tie; terms
+repeated within a section, so tf > 1), queries with duplicate and
+out-of-vocabulary terms (and empty ones), and remove/replace/add deltas
+applied in place to an in-memory index whose engine already cached the
+old revision.  Every answer of the engine -- on the in-memory index and
+on the same index saved and reopened packed -- must equal the
+reference's by paper id with ``==``: scores, matched-term counts,
+``postings_scanned``, ``max_score``, ``hits`` and the ``top_scores``
+order, including ties that straddle the cut.
+
+The concurrency tests run cold engines (the term cache and the context
+engine's row gather fill on first use) from eight threads.
+"""
+
+import math
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.search import ContextSearchEngine
+from repro.corpus.corpus import Corpus
+from repro.corpus.paper import Paper
+from repro.index import build_index, open_index, save_index
+from repro.index.search import DEFAULT_SECTION_WEIGHTS, KeywordHit, KeywordSearchEngine
+from repro.pipeline import build_demo_pipeline
+from repro.text.analyze import AnalyzedPaperCache
+
+WORDS = ("gene", "cell", "repair", "signal", "protein", "kinase")
+OUT_OF_VOCABULARY = ("zebra", "quartz")
+#: Few distinct texts, so papers repeat and their scores tie.
+TEXTS = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
+
+
+def reference_idf(index, term):
+    df = index.document_frequency(term)
+    if df == 0:
+        return 0.0
+    return math.log((1.0 + index.n_papers) / (1.0 + df)) + 1.0
+
+
+def reference_evaluate(index, query):
+    """``(scores, matched_terms, max_score, postings_scanned)`` by paper id."""
+    terms = list(dict.fromkeys(index.analyzer.analyze(query)))
+    scores, matches, postings_scanned = {}, {}, 0
+    for term in terms:
+        idf = reference_idf(index, term)
+        if idf == 0.0:
+            continue
+        seen = set()
+        for posting in index.postings(term):
+            postings_scanned += 1
+            weight = DEFAULT_SECTION_WEIGHTS.get(posting.section, 1.0)
+            tf_component = 1.0 + math.log(posting.term_frequency)
+            paper_id = posting.paper_id
+            scores[paper_id] = scores.get(paper_id, 0.0) + weight * tf_component * idf
+            if paper_id not in seen:
+                seen.add(paper_id)
+                matches[paper_id] = matches.get(paper_id, 0) + 1
+    total_weight = sum(DEFAULT_SECTION_WEIGHTS.values())
+    max_score = sum(
+        total_weight * 3.0 * reference_idf(index, term)
+        for term in terms
+        if reference_idf(index, term) > 0.0
+    )
+    normalised, matched = {}, {}
+    for paper_id, raw in scores.items():
+        value = min(raw / max_score, 1.0) if max_score > 0 else 0.0
+        if value <= 0.0:
+            continue
+        normalised[paper_id] = value
+        matched[paper_id] = matches[paper_id]
+    return normalised, matched, max_score, postings_scanned
+
+
+def reference_hits(reference, n_terms, limit, threshold, require_all_terms):
+    scores, matched = reference[0], reference[1]
+    hits = sorted(
+        (
+            KeywordHit(paper_id, score, matched[paper_id])
+            for paper_id, score in scores.items()
+            if score >= threshold
+            and (not require_all_terms or matched[paper_id] >= n_terms)
+        ),
+        key=lambda hit: (-hit.score, hit.paper_id),
+    )
+    return hits if limit is None else hits[: max(limit, 0)]
+
+
+def by_paper(evaluation):
+    ids = evaluation.table.ids
+    papers = evaluation.papers.tolist()
+    return (
+        {ids[row]: score for row, score in zip(papers, evaluation.scores.tolist())},
+        {ids[row]: n for row, n in zip(papers, evaluation.matched_terms.tolist())},
+    )
+
+
+def assert_matches_reference(engine, query, paper_ids, limits):
+    evaluation = engine.evaluate(query)
+    reference = reference_evaluate(engine.index, query)
+    assert list(evaluation.papers) == sorted(evaluation.papers)
+    assert by_paper(evaluation) == reference[:2]
+    assert evaluation.max_score == reference[2]
+    assert evaluation.postings_scanned == reference[3]
+    for paper_id in list(paper_ids) + ["NOT-A-PAPER"]:
+        assert evaluation.score(paper_id) == reference[0].get(paper_id, 0.0)
+    n_terms = len(evaluation.terms)
+    for limit in limits:
+        expected = reference_hits(reference, n_terms, limit, 0.0, False)
+        if limit is not None:
+            assert evaluation.top_scores(limit) == [
+                (hit.paper_id, hit.score) for hit in expected
+            ]
+        for threshold in (0.0, 0.3, 1.0):
+            for require_all_terms in (False, True):
+                assert evaluation.hits(
+                    limit, threshold, require_all_terms
+                ) == reference_hits(
+                    reference, n_terms, limit, threshold, require_all_terms
+                )
+
+
+@st.composite
+def corpora(draw):
+    n_papers = draw(st.integers(1, 8))
+    return [
+        Paper(
+            paper_id=f"P{i}",
+            title=draw(TEXTS),
+            abstract=draw(TEXTS),
+            body=draw(TEXTS),
+            year=2000,
+        )
+        for i in draw(st.permutations(range(n_papers)))
+    ]
+
+
+QUERIES = st.lists(
+    st.sampled_from(WORDS + OUT_OF_VOCABULARY), max_size=5
+).map(" ".join)
+LIMITS = st.lists(st.one_of(st.none(), st.integers(-1, 10)), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), st.lists(QUERIES, min_size=1, max_size=4), LIMITS)
+def test_in_memory_and_packed_evaluations_equal_reference(papers, queries, limits):
+    index = build_index(AnalyzedPaperCache(Corpus(papers)))
+    paper_ids = [paper.paper_id for paper in papers]
+    engine = KeywordSearchEngine(index)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "index.bin"
+        save_index(index, path)
+        packed = open_index(path)
+        try:
+            packed_engine = KeywordSearchEngine(packed)
+            for query in queries + queries:  # the second pass reads the cache
+                assert_matches_reference(engine, query, paper_ids, limits)
+                assert_matches_reference(packed_engine, query, paper_ids, limits)
+        finally:
+            packed.close()
+
+
+@st.composite
+def deltas(draw, papers):
+    """Up to four remove/replace/add steps over the drawn corpus."""
+    live = [paper.paper_id for paper in papers]
+    steps, fresh = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("remove", "replace", "add")))
+        if kind != "add" and len(live) > 1:
+            paper_id = draw(st.sampled_from(live))
+            if kind == "remove":
+                live.remove(paper_id)
+                steps.append((paper_id, None))
+                continue
+        else:
+            paper_id = f"N{fresh}"
+            fresh += 1
+            live.append(paper_id)
+        body = draw(TEXTS)
+        steps.append((paper_id, Paper(paper_id=paper_id, title=body, body=body, year=2000)))
+    return steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora(), st.data(), st.lists(QUERIES, min_size=1, max_size=3), LIMITS)
+def test_deltas_on_a_warm_engine_equal_reference(papers, data, queries, limits):
+    corpus = Corpus(list(papers))
+    tokens = AnalyzedPaperCache(corpus)
+    index = build_index(tokens)
+    engine = KeywordSearchEngine(index)
+    for query in queries:
+        engine.evaluate(query)  # warm the old revision's cache
+    for paper_id, paper in data.draw(deltas(papers)):
+        if paper_id in corpus:
+            index.remove_paper(paper_id)
+            corpus.remove(paper_id)
+            tokens.evict_paper(paper_id)
+        if paper is not None:
+            corpus.add(paper)
+            index.index_paper(paper_id)
+        for query in queries:
+            assert_matches_reference(engine, query, corpus.paper_ids(), limits)
+
+
+def _in_threads(call, items, n_threads=8):
+    """``call(item)`` for every item from each of ``n_threads`` threads at once."""
+    results = [None] * n_threads
+    barrier = threading.Barrier(n_threads)
+
+    def work(slot):
+        barrier.wait()
+        results[slot] = [call(item) for item in items]
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def _hits_of(engine):
+    return lambda query: engine.evaluate(query).hits()
+
+
+class TestConcurrentColdEngines:
+    """Eight threads fill one cold engine's caches; answers equal a serial run."""
+
+    def setup_method(self):
+        self.pipeline = build_demo_pipeline(seed=5, n_papers=120, n_terms=30)
+        index = self.pipeline.index
+        self.queries = [
+            " ".join(index.vocabulary()[i : i + 3]) for i in range(0, 60, 3)
+        ]
+
+    def context_engine(self, keyword_engine):
+        pipeline = self.pipeline
+        return ContextSearchEngine(
+            pipeline.ontology,
+            pipeline.text_paper_set,
+            pipeline.substrates.prestige("text", "text"),
+            keyword_engine,
+        )
+
+    def test_cold_keyword_and_context_engines(self):
+        index = self.pipeline.index
+        serial_keyword = [_hits_of(KeywordSearchEngine(index))(q) for q in self.queries]
+        serial_context = [
+            self.context_engine(KeywordSearchEngine(index)).search(q)
+            for q in self.queries
+        ]
+        keyword = KeywordSearchEngine(index)
+        for answers in _in_threads(_hits_of(keyword), self.queries):
+            assert answers == serial_keyword
+        context = self.context_engine(KeywordSearchEngine(index))
+        for answers in _in_threads(context.search, self.queries):
+            assert answers == serial_context
+
+    def test_revision_bump_under_a_warm_old_engine(self):
+        corpus = Corpus(list(self.pipeline.corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
+        keyword = KeywordSearchEngine(index)
+        context = self.context_engine(keyword)
+        for query in self.queries:  # warm the term cache and the gather
+            context.search(query)
+        removed = corpus.paper_ids()[:5]
+        for paper_id in removed:
+            index.remove_paper(paper_id)
+            corpus.remove(paper_id)
+            tokens.evict_paper(paper_id)
+        fresh = build_index(AnalyzedPaperCache(Corpus(list(corpus))))
+        serial_keyword = [_hits_of(KeywordSearchEngine(fresh))(q) for q in self.queries]
+        serial_context = [
+            self.context_engine(KeywordSearchEngine(fresh)).search(q)
+            for q in self.queries
+        ]
+        assert not any(
+            hit.paper_id in removed for hits in serial_context for hit in hits
+        )
+        for answers in _in_threads(_hits_of(keyword), self.queries):
+            assert answers == serial_keyword
+        for answers in _in_threads(context.search, self.queries):
+            assert answers == serial_context
