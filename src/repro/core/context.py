@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,24 +97,18 @@ class ContextColumns:
         self.context_row: Dict[str, int] = {
             cid: row for row, cid in enumerate(self.context_ids)
         }
-        #: Each row's ``paper_ids`` tuple (shared with the contexts).
-        self.row_paper_ids: Tuple[Tuple[str, ...], ...] = tuple(
-            c.paper_ids for c in contexts
-        )
+        row_paper_ids = [c.paper_ids for c in contexts]
         self.paper_ids: Tuple[str, ...] = tuple(
-            sorted(set(chain.from_iterable(self.row_paper_ids)))
+            sorted(set(chain.from_iterable(row_paper_ids)))
         )
         self.paper_row: Dict[str, int] = {
             pid: row for row, pid in enumerate(self.paper_ids)
         }
-        sizes = np.fromiter(
-            map(len, self.row_paper_ids), dtype=np.int64, count=len(contexts)
-        )
-        self.indptr = np.zeros(len(contexts) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.indptr[1:])
+        sizes = np.fromiter(map(len, row_paper_ids), np.int64, len(contexts))
+        self.indptr = indptr_of(sizes)
         total = int(self.indptr[-1])
         self.members = np.fromiter(
-            map(self.paper_row.__getitem__, chain.from_iterable(self.row_paper_ids)),
+            map(self.paper_row.__getitem__, chain.from_iterable(row_paper_ids)),
             dtype=np.int32,
             count=total,
         )
@@ -130,13 +124,20 @@ class ContextColumns:
             out=self.paper_indptr[1:],
         )
         self.sqrt_sizes = np.fromiter(
-            (max(len(pids) ** 0.5, 1.0) for pids in self.row_paper_ids),
+            (max(len(pids) ** 0.5, 1.0) for pids in row_paper_ids),
             dtype=np.float64,
             count=len(contexts),
         )
 
     def __len__(self) -> int:
         return len(self.context_ids)
+
+
+def indptr_of(lengths: Sequence[int]) -> np.ndarray:
+    """CSR row bounds (int64) of rows with ``lengths`` entries."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
 
 
 def csr_positions(

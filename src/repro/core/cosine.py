@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.context import csr_positions
+from repro.core.context import csr_positions, indptr_of
 from repro.obs import get_registry
 from repro.text.vectorize import SparseVector, l2_norm
 
@@ -60,13 +60,6 @@ BATCH_CELLS = 1 << 14
 #: ``k * 2.2e-16``, far below this for any row of fewer than millions
 #: of terms.
 BORDERLINE = 1e-9
-
-
-def indptr_of(lengths: Sequence[int]) -> np.ndarray:
-    """CSR row bounds (int64) of rows with ``lengths`` entries."""
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr
 
 
 class TermMajor(NamedTuple):

@@ -28,7 +28,7 @@ from typing import IO, Dict, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.core.context import Context, ContextPaperSet
+from repro.core.context import Context, ContextPaperSet, indptr_of
 from repro.core.vectors import PaperVectorStore
 from repro.ontology.ontology import Ontology
 from repro.scoring.base import PrestigeScores, ScoreRows
@@ -139,8 +139,7 @@ def write_context_paper_set(paper_set: ContextPaperSet, path: PathLike) -> None:
             named.add(context.representative)
     paper_ids = sorted(named)
     row = {pid: i for i, pid in enumerate(paper_ids)}
-    indptr = np.zeros(len(contexts) + 1, dtype=np.int64)
-    np.cumsum([context.size for context in contexts], out=indptr[1:])
+    indptr = indptr_of([context.size for context in contexts])
     members = np.fromiter(
         (row[pid] for context in contexts for pid in context.paper_ids),
         dtype=np.int32,
@@ -217,17 +216,16 @@ def _check_rows(rows: Iterable, n_table: int) -> None:
 # Members: ``header`` (uint8 bytes of a JSON object: format tag, function
 # name, the sorted paper-id table, the row context ids of each map) and
 # ``indptr`` (int64) / ``rows`` (int32 into the paper table) / ``values``
-# (float64) per map, prefixed ``pre_`` for ``pre_propagation``.  The zip
+# (float64) per map, prefixed ``pre_`` for the pre-propagation rows.  The zip
 # CRC-32 of every member is checked on read.
 
 
 def write_prestige_scores(scores: PrestigeScores, path: PathLike) -> None:
-    """Serialise prestige scores, with ``pre_propagation`` when present.
+    """Serialise prestige scores, with their ``pre`` rows when present.
 
-    Keeping ``pre_propagation`` gives a workspace-hydrated pipeline the
+    Keeping ``pre`` gives a workspace-hydrated pipeline the
     incremental per-context patch path that in-memory scores get (see
-    :class:`PrestigeScores`).  Row-backed scores are written from their
-    rows; nothing builds per-entry dicts.
+    :class:`PrestigeScores`).  The scores' rows are written as they are.
     """
     paper_ids, main, pre = scores.to_rows()
     header = {
@@ -246,19 +244,23 @@ def write_prestige_scores(scores: PrestigeScores, path: PathLike) -> None:
 def read_prestige_scores(path: PathLike) -> PrestigeScores:
     """Load prestige scores written by :func:`write_prestige_scores`.
 
-    The result is row-backed: no per-entry Python object is built.
+    The rows are used as stored: no per-entry Python object is built.
+    The paper table must be strictly ascending and each map's context
+    ids unique, since lookups by paper and by context rely on both.
     """
     header, members = _read_npz(path, _SCORES_FORMAT, "prestige-scores")
     try:
         function_name = str(header["function"])
         paper_ids = tuple(header["paper_ids"])
+        if any(a >= b for a, b in zip(paper_ids, paper_ids[1:])):
+            raise ValueError("paper_ids not strictly ascending")
         main = _score_rows(header["contexts"], members, "", len(paper_ids))
         pre = header["pre_propagation_contexts"]
         if pre is not None:
             pre = _score_rows(pre, members, "pre_", len(paper_ids))
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"{path}: corrupt prestige-scores file ({error})") from error
-    return PrestigeScores.from_rows(function_name, paper_ids, main, pre)
+    return PrestigeScores(function_name, paper_ids, main, pre)
 
 
 def _score_rows(
@@ -266,6 +268,8 @@ def _score_rows(
 ) -> ScoreRows:
     """One map's arrays, checked against each other and the paper table."""
     context_ids = tuple(context_ids)
+    if len(set(context_ids)) != len(context_ids):
+        raise ValueError(f"duplicate {prefix}context ids")
     indptr = members[prefix + "indptr"]
     rows = members[prefix + "rows"]
     values = members[prefix + "values"]

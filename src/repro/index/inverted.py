@@ -56,14 +56,12 @@ class InvertedIndex(SearchBackend):
         self._paper_terms: Dict[str, Tuple[str, ...]] = {}
         self._n_papers = 0
         self._revision = 0
-        # Read-path snapshots handed out by postings()/vocabulary()/
-        # paper_table(); dropped wholesale on every mutation.
-        self._postings_views: Dict[str, Tuple[Posting, ...]] = {}
+        # Read-path snapshots handed out by vocabulary()/paper_table();
+        # dropped wholesale on every mutation.
         self._vocabulary_view: Optional[Tuple[str, ...]] = None
         self._paper_table: Optional[PaperTable] = None
 
     def _invalidate_views(self) -> None:
-        self._postings_views.clear()
         self._vocabulary_view = None
         self._paper_table = None
 
@@ -145,18 +143,10 @@ class InvertedIndex(SearchBackend):
     def postings(self, term: str) -> Sequence[Posting]:
         """All postings of ``term``, in indexing order (empty if unseen).
 
-        Returns a cached immutable tuple shared across calls; the
-        snapshot is invalidated by paper add/remove.  The query path
-        reads :meth:`term_run` instead.
+        Returns an immutable snapshot; later paper adds and removes do
+        not change it.  The query path reads :meth:`term_run` instead.
         """
-        view = self._postings_views.get(term)
-        if view is None:
-            entries = self._postings.get(term)
-            if entries is None:
-                return ()
-            view = tuple(entries)
-            self._postings_views[term] = view
-        return view
+        return tuple(self._postings.get(term, ()))
 
     def paper_table(self) -> PaperTable:
         """Indexed papers in indexing order; built once per revision."""

@@ -1,7 +1,7 @@
 """The prestige score functions of section 3 and their registry.
 
-- :mod:`repro.scoring.base` -- the common interface, min-max
-  normalisation, and hierarchy max-propagation.
+- :mod:`repro.scoring.base` -- the common interface, score tables as
+  rows, per-context normalisation and hierarchy max-propagation.
 - :mod:`repro.scoring.citation` -- per-context PageRank (section 3.1).
 - :mod:`repro.scoring.hits_prestige` -- per-context HITS authority, the
   section-3.1 alternative.
@@ -22,9 +22,8 @@ from repro.scoring.base import (
     NORMALIZERS,
     PrestigeScoreFunction,
     PrestigeScores,
-    max_normalize,
-    min_max_normalize,
-    propagate_max_over_descendants,
+    ScoreRows,
+    propagate_max,
 )
 from repro.scoring.citation import CitationPrestige
 from repro.scoring.hits_prestige import HitsPrestige
@@ -51,10 +50,9 @@ from repro.scoring import functions as _functions  # noqa: F401  (registers buil
 __all__ = [
     "PrestigeScoreFunction",
     "PrestigeScores",
+    "ScoreRows",
     "NORMALIZERS",
-    "max_normalize",
-    "min_max_normalize",
-    "propagate_max_over_descendants",
+    "propagate_max",
     "CitationPrestige",
     "HitsPrestige",
     "TextPrestige",

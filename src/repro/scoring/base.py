@@ -4,24 +4,29 @@ Every score function maps ``(context, paper) -> prestige in [0, 1]``.
 This module provides:
 
 - the :class:`PrestigeScoreFunction` interface;
-- :class:`PrestigeScores`, the computed result over a whole context paper
-  set;
-- min-max normalisation (each function's raw scale differs wildly --
-  PageRank probabilities vs. pattern sums -- and the relevancy formula of
-  section 3 needs them commensurable);
-- hierarchy max-propagation: section 3 modifies p's score in context ci to
-  ``max(s_i, s_k, ..., s_n)`` over ci's descendant contexts containing p,
-  because high prestige in a more specific descendant implies high
-  relevance to the ancestor.
+- :class:`PrestigeScores`, the result over a whole context paper set,
+  as :class:`ScoreRows`;
+- per-context normalisation (each function's raw scale differs wildly --
+  PageRank probabilities vs. pattern sums -- and the relevancy formula
+  of section 3 needs them commensurable);
+- hierarchy max-propagation: section 3 modifies p's score in context ci
+  to ``max(s_i, s_k, ..., s_n)`` over ci's descendant contexts
+  containing p, because high prestige in a more specific descendant
+  implies high relevance to the ancestor.
+
+Each stage is array arithmetic on the rows, with every entry's float
+operations in the order a per-entry loop does them, so every score has
+that loop's bits (``tests/prestige_reference.py`` keeps the loops).
 """
 
 from __future__ import annotations
 
 import abc
 import re
-import threading
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,317 +35,351 @@ from repro.core.context import (
     ContextColumns,
     ContextPaperSet,
     csr_positions,
+    indptr_of,
 )
 from repro.obs import get_registry, span
 
 _METRIC_SEGMENT_SUB = re.compile(r"[^a-z0-9_]+")
 
 
-def min_max_normalize(scores: Mapping[str, float]) -> Dict[str, float]:
-    """Rescale to [0, 1] by (x - min) / (max - min).
+@dataclass(frozen=True, eq=False)
+class ScoreRows:
+    """Prestige per context as CSR rows over a paper table.
 
-    Constant inputs map to 0.0 for every paper: a context whose raw
-    scores are all equal carries no *relative* evidence, and min-max is
-    the spread-only view.  Use :func:`max_normalize` when the raw floor is
-    meaningful (PageRank's teleport floor keeps every paper at a positive
-    baseline -- the paper's "small number of unique scores" regime, where
-    tied papers are equally important rather than all unimportant).
-
-    >>> min_max_normalize({"a": 2.0, "b": 4.0, "c": 3.0})
-    {'a': 0.0, 'b': 1.0, 'c': 0.5}
+    ``values[indptr[c]:indptr[c + 1]]`` are the scores of context
+    ``context_ids[c]`` for the papers ``paper_ids[rows[...]]`` of a table
+    the caller owns, in the order they were scored; a row holds a paper
+    at most once.  The one form of a score table, from scoring to the
+    stored file (see :mod:`repro.core.io`).
     """
-    if not scores:
-        return {}
-    values = scores.values()
-    low, high = min(values), max(values)
+
+    context_ids: Tuple[str, ...]
+    indptr: np.ndarray  # int64
+    rows: np.ndarray  # int32
+    values: np.ndarray  # float64
+
+    @cached_property
+    def context_row(self) -> Dict[str, int]:
+        return {cid: row for row, cid in enumerate(self.context_ids)}
+
+
+def _find(keys: np.ndarray, wanted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each ``wanted`` key's position in the unique ``keys``, and if found."""
+    if not len(keys):
+        return np.zeros(len(wanted), np.intp), np.zeros(len(wanted), bool)
+    order = np.argsort(keys)
+    at = order[np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)]
+    return at, keys[at] == wanted
+
+
+def rows_from_maps(
+    context_ids: Sequence[str], maps: Sequence[Mapping[str, float]]
+) -> Tuple[Tuple[str, ...], ScoreRows]:
+    """``(paper_ids, rows)``: one row per map in its key order, over the
+    sorted ids the maps name."""
+    paper_ids = tuple(sorted(set(chain.from_iterable(maps))))
+    paper_row = {pid: row for row, pid in enumerate(paper_ids)}
+    indptr = indptr_of([len(scores) for scores in maps])
+    total = int(indptr[-1])
+    rows = np.fromiter(
+        map(paper_row.__getitem__, chain.from_iterable(maps)), np.int32, total
+    )
+    values = np.fromiter(
+        chain.from_iterable(scores.values() for scores in maps), np.float64, total
+    )
+    return paper_ids, ScoreRows(tuple(context_ids), indptr, rows, values)
+
+
+def take_rows(
+    sources: Sequence[Tuple[Tuple[str, ...], ScoreRows]],
+    picks: Sequence[Tuple[int, int]],
+) -> Tuple[Tuple[str, ...], ScoreRows]:
+    """Row ``row`` of ``sources[source]`` for each ``(source, row)`` pick.
+
+    ``sources`` are ``(paper_ids, rows)`` pairs.  Returns ``(paper_ids,
+    rows)`` over the sorted union of the papers the picked rows hold.
+    """
+    base = np.cumsum([0] + [len(paper_ids) for paper_ids, _ in sources])
+    papers, values = [np.zeros(0, np.int64)], [np.zeros(0, np.float64)]
+    for source, row in picks:
+        rows = sources[source][1]
+        start, end = rows.indptr[row:row + 2]
+        papers.append(rows.rows[start:end] + base[source])
+        values.append(rows.values[start:end])
+    papers = np.concatenate(papers)
+    every_id = tuple(chain.from_iterable(paper_ids for paper_ids, _ in sources))
+    used = np.flatnonzero(np.bincount(papers, minlength=len(every_id)))
+    used_ids = [every_id[row] for row in used.tolist()]
+    paper_ids = tuple(sorted(set(used_ids)))
+    paper_row = {pid: row for row, pid in enumerate(paper_ids)}
+    remap = np.fromiter(map(paper_row.__getitem__, used_ids), np.int32, len(used))
+    return paper_ids, ScoreRows(
+        tuple(sources[source][1].context_ids[row] for source, row in picks),
+        indptr_of([len(part) for part in values[1:]]),
+        remap[np.searchsorted(used, papers)],
+        np.concatenate(values),
+    )
+
+
+def blend_rows(
+    paper_set: ContextPaperSet, components: Sequence[Tuple["PrestigeScores", float]]
+) -> Tuple[Tuple[str, ...], ScoreRows]:
+    """The weighted sum of ``(scores, weight)`` components' ``pre`` rows.
+
+    One row per context of ``paper_set`` that a component scored, in
+    paper-set order, listing its papers in order of first appearance over
+    the components.  A paper's value is ``0.0 + w_1 * v_1 + w_2 * v_2
+    ...`` over the components holding it, added in component order.
+    """
+    context_ids = paper_set.context_ids()
+    picks, pick_context, pick_weight = [], [], []
+    for position, context_id in enumerate(context_ids):
+        for source, (scores, weight) in enumerate(components):
+            row = scores.pre.context_row.get(context_id)
+            if row is not None:
+                picks.append((source, row))
+                pick_context.append(position)
+                pick_weight.append(weight)
+    paper_ids, stacked = take_rows(
+        [(scores.paper_ids, scores.pre) for scores, _ in components], picks
+    )
+    counts = np.diff(stacked.indptr)
+    keys = np.repeat(np.array(pick_context, dtype=np.int64) << 32, counts)
+    keys |= stacked.rows
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    # add.at adds in entry order: per context, component by component.
+    values = np.zeros(len(unique), dtype=np.float64)
+    weighted = np.repeat(np.array(pick_weight, dtype=np.float64), counts)
+    np.add.at(values, np.argsort(order)[inverse], weighted * stacked.values)
+    blended = unique[order]
+    contexts, sizes = np.unique(blended >> 32, return_counts=True)
+    return paper_ids, ScoreRows(
+        tuple(context_ids[position] for position in contexts.tolist()),
+        indptr_of(sizes),
+        (blended & 0xFFFFFFFF).astype(np.int32),
+        values,
+    )
+
+
+def propagate_max(paper_set: ContextPaperSet, pre: ScoreRows) -> ScoreRows:
+    """Apply section 3's max-over-descendant-contexts score modification.
+
+    Each score of ``pre`` becomes the maximum of the paper's scores in
+    its context and in every descendant context in ``paper_set`` whose
+    row holds the paper.  Equal to a scan of the descendants in
+    ``descendants_in_set`` order that takes a candidate only when
+    ``candidate > current``: a NaN never replaces a score, and of equal
+    maxima the first wins, so a zero keeps that one's sign.
+    """
+    pairs = [
+        (row, pre.context_row[descendant])
+        for row, context_id in enumerate(pre.context_ids)
+        for descendant in paper_set.descendants_in_set(context_id)
+        if descendant in pre.context_row
+    ]
+    values = pre.values.copy()
+    if not pairs:
+        return replace(pre, values=values)
+    ancestors, descendants = np.array(pairs, dtype=np.int64).T
+    # Look each descendant entry up in its ancestor's row.
+    context_rows = np.arange(len(pre.context_ids), dtype=np.int64) << 32
+    keys = np.repeat(context_rows, np.diff(pre.indptr)) | pre.rows
+    positions, counts = csr_positions(pre.indptr, descendants)
+    wanted = np.repeat(ancestors << 32, counts)
+    wanted |= pre.rows[positions]
+    targets, held = _find(keys, wanted)
+    candidates = pre.values[positions]
+    held &= ~np.isnan(candidates)
+    targets, candidates = targets[held], candidates[held]
+    best = np.full(len(values), -np.inf)
+    np.maximum.at(best, targets, candidates)
+    wins = best > values
+    zero_wins = wins & (best == 0.0)
+    if zero_wins.any():
+        zeros = (candidates == 0.0) & zero_wins[targets]
+        first_targets, first = np.unique(targets[zeros], return_index=True)
+        best[first_targets] = candidates[zeros][first]
+    values[wins] = best[wins]
+    return replace(pre, values=values)
+
+
+# -- per-context normalisers over rows ------------------------------------------------
+
+
+def _row_extremes(values: np.ndarray, indptr: np.ndarray):
+    """Each (non-empty) row's ``(min, max)``, repeated over its entries.
+
+    A zero minimum takes the sign of the row's first zero, as Python's
+    ``min()`` returns the first of equal values.
+    """
+    starts = indptr[:-1]
+    low = np.minimum.reduceat(values, starts)
+    high = np.maximum.reduceat(values, starts)
+    zero_rows = np.flatnonzero(low == 0.0)
+    if zero_rows.size:
+        zeros = np.flatnonzero(values == 0.0)
+        low[zero_rows] = values[zeros[np.searchsorted(zeros, starts[zero_rows])]]
+    counts = np.diff(indptr)
+    return np.repeat(low, counts), np.repeat(high, counts)
+
+
+def min_max_rows(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Rescale each row to [0, 1] by (x - min) / (max - min).
+
+    A constant row maps to 0.0: it carries no *relative* evidence, and
+    min-max is the spread-only view.  :func:`max_rows` keeps a meaningful
+    raw floor instead (PageRank's teleport floor, where tied papers are
+    equally important rather than all unimportant).
+
+    >>> min_max_rows(np.array([2.0, 4.0, 3.0, 7.0]), np.array([0, 3, 4])).tolist()
+    [0.0, 1.0, 0.5, 0.0]
+    """
+    if not len(values):
+        return values
+    low, high = _row_extremes(values, indptr)
     spread = high - low
-    if spread == 0.0:
-        return {paper_id: 0.0 for paper_id in scores}
-    return {pid: (value - low) / spread for pid, value in scores.items()}
+    normalised = np.zeros_like(values)
+    moving = spread != 0.0
+    normalised[moving] = (values[moving] - low[moving]) / spread[moving]
+    return normalised
 
 
-def max_normalize(scores: Mapping[str, float]) -> Dict[str, float]:
-    """Rescale to [0, 1] by x / max, preserving the raw score *floor*.
+def max_rows(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Rescale each row to [0, 1] by max(x, 0) / max, keeping the floor.
 
     The section-3 relevancy formula mixes prestige with text matching, so
-    the absolute level of a context's scores matters: per-context PageRank
-    on a sparse citation subgraph leaves most papers at the teleport
-    floor, and dividing by the max keeps them at a high shared value --
-    "papers with the same scores are considered equally important", which
-    is exactly the ranking weakness (everyone survives the relevancy
-    threshold together) the paper attributes to citation-based scores.
-    All-zero or negative-max inputs map to 0.0.
+    a context's level matters: per-context PageRank on a sparse citation
+    subgraph leaves most papers at the teleport floor, which this keeps at
+    a high shared value -- "papers with the same scores are considered
+    equally important", the weakness the paper attributes to citation
+    scores.  A row whose max is not positive maps to 0.0.
 
-    >>> max_normalize({"a": 2.0, "b": 4.0, "c": 3.0})
-    {'a': 0.5, 'b': 1.0, 'c': 0.75}
+    >>> max_rows(np.array([2.0, 4.0, 3.0, -0.0]), np.array([0, 4])).tolist()
+    [0.5, 1.0, 0.75, -0.0]
     """
-    if not scores:
-        return {}
-    high = max(scores.values())
-    if high <= 0.0:
-        return {paper_id: 0.0 for paper_id in scores}
-    return {pid: max(value, 0.0) / high for pid, value in scores.items()}
+    if not len(values):
+        return values
+    _, high = _row_extremes(values, indptr)
+    normalised = np.zeros_like(values)
+    scaled = ~(high <= 0.0)
+    kept = values[scaled]
+    normalised[scaled] = np.where(0.0 > kept, 0.0, kept) / high[scaled]
+    return normalised
 
 
-#: Normalisation registry for :meth:`PrestigeScoreFunction.score_all`.
-NORMALIZERS = {
-    "minmax": min_max_normalize,
-    "max": max_normalize,
-    "none": dict,
+#: Normalisation registry for :meth:`PrestigeScoreFunction.score_all`:
+#: ``normalizer(values, indptr) -> values``, row by row.
+NORMALIZERS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "minmax": min_max_rows,
+    "max": max_rows,
+    "none": lambda values, indptr: values,
 }
 
 
-class ScoreRows:
-    """One ``{context: {paper: score}}`` map as CSR rows over a paper table.
-
-    ``values[indptr[c]:indptr[c + 1]]`` are the scores of context
-    ``context_ids[c]``, for the papers ``paper_ids[rows[...]]`` of a
-    table the caller owns, in the map's key order.  This is the stored
-    form of :class:`PrestigeScores` (see :mod:`repro.core.io`).
-    """
-
-    def __init__(
-        self,
-        context_ids: Tuple[str, ...],
-        indptr: np.ndarray,
-        rows: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        self.context_ids = context_ids
-        self.indptr = indptr
-        self.rows = rows
-        self.values = values
-
-    @classmethod
-    def from_dicts(
-        cls, by_context: Dict[str, Dict[str, float]], paper_row: Dict[str, int]
-    ) -> "ScoreRows":
-        maps = list(by_context.values())
-        sizes = np.fromiter(map(len, maps), dtype=np.int64, count=len(maps))
-        indptr = np.zeros(len(maps) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        total = int(indptr[-1])
-        rows = np.fromiter(
-            map(paper_row.__getitem__, chain.from_iterable(maps)),
-            dtype=np.int32,
-            count=total,
-        )
-        values = np.fromiter(
-            chain.from_iterable(scores.values() for scores in maps),
-            dtype=np.float64,
-            count=total,
-        )
-        return cls(tuple(by_context), indptr, rows, values)
-
-    def to_dicts(self, paper_ids: Tuple[str, ...]) -> Dict[str, Dict[str, float]]:
-        papers = [paper_ids[row] for row in self.rows.tolist()]
-        values = self.values.tolist()
-        bounds = self.indptr.tolist()
-        return {
-            context_id: dict(zip(papers[start:end], values[start:end]))
-            for context_id, start, end in zip(
-                self.context_ids, bounds, bounds[1:]
-            )
-        }
-
-
+@dataclass(eq=False)
 class PrestigeScores:
     """Prestige of every paper in every context, for one score function.
 
-    ``pre_propagation`` optionally retains the per-context scores as they
-    were *before* hierarchy max-propagation.  Incremental prestige
-    patching needs them: propagation mixes descendant scores into
-    ancestors, so patching a changed context requires re-running the
-    propagation pass over pre-propagation values, not the merged ones.
-    Scores without it (``propagate=False``) fall back to full recompute
-    on a corpus delta.
-
-    Scores come either from dicts (a fresh :meth:`PrestigeScoreFunction.
-    score_all`) or from the :class:`ScoreRows` of a workspace artifact
-    (:meth:`from_rows`).  Row-backed scores answer :meth:`context_ids`,
-    ``in`` and ``len`` from the rows, serve :meth:`aligned` straight from
-    the stored values when the layout matches, and build the dicts that
-    :meth:`of`, :meth:`score` and :attr:`pre_propagation` read only on
-    first use, once.
+    One sorted paper table ``paper_ids`` and two :class:`ScoreRows` over
+    it with the same layout: ``scores``, after hierarchy max-propagation,
+    and ``pre``, before it (None when a stored file has none), which
+    corpus deltas patch and re-propagate and derived functions blend.
+    Never mutated; :meth:`aligned` caches its scatter.
     """
 
-    def __init__(
-        self,
-        function_name: str,
-        by_context: Dict[str, Dict[str, float]],
-        pre_propagation: Optional[Dict[str, Dict[str, float]]] = None,
-    ) -> None:
-        self.function_name = function_name
-        self._by_context: Optional[Dict[str, Dict[str, float]]] = by_context
-        self._pre_propagation = pre_propagation
-        self._stored: Optional[
-            Tuple[Tuple[str, ...], ScoreRows, Optional[ScoreRows]]
-        ] = None
-        self._stored_ids: frozenset = frozenset()
-        self._dicts_lock = threading.Lock()
-        self._aligned: Optional[Tuple[ContextColumns, np.ndarray]] = None
-
-    @classmethod
-    def from_rows(
-        cls,
-        function_name: str,
-        paper_ids: Tuple[str, ...],
-        scores: ScoreRows,
-        pre_propagation: Optional[ScoreRows] = None,
-    ) -> "PrestigeScores":
-        """Row-backed scores over the sorted paper table ``paper_ids``."""
-        loaded = cls(function_name, None)
-        loaded._stored = (paper_ids, scores, pre_propagation)
-        loaded._stored_ids = frozenset(scores.context_ids)
-        return loaded
+    function_name: str
+    paper_ids: Tuple[str, ...]
+    scores: ScoreRows
+    pre: Optional[ScoreRows] = None
+    _aligned: Optional[Tuple[ContextColumns, np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
     def to_rows(self) -> Tuple[Tuple[str, ...], ScoreRows, Optional[ScoreRows]]:
-        """``(paper_ids, scores, pre_propagation)`` in stored form."""
-        if self._stored is not None:
-            return self._stored
-        by_context, pre = self._by_context, self._pre_propagation
-        paper_ids = tuple(
-            sorted(
-                set(chain.from_iterable(
-                    chain(by_context.values(), (pre or {}).values())
-                ))
-            )
-        )
-        paper_row = {pid: row for row, pid in enumerate(paper_ids)}
-        return (
-            paper_ids,
-            ScoreRows.from_dicts(by_context, paper_row),
-            None if pre is None else ScoreRows.from_dicts(pre, paper_row),
-        )
-
-    def _dicts(self) -> Dict[str, Dict[str, float]]:
-        by_context = self._by_context
-        if by_context is None:
-            with self._dicts_lock:
-                if self._by_context is None:
-                    paper_ids, scores, pre = self._stored
-                    if pre is not None:
-                        self._pre_propagation = pre.to_dicts(paper_ids)
-                    self._by_context = scores.to_dicts(paper_ids)
-                by_context = self._by_context
-        return by_context
-
-    @property
-    def pre_propagation(self) -> Optional[Dict[str, Dict[str, float]]]:
-        self._dicts()
-        return self._pre_propagation
+        """``(paper_ids, scores, pre)``, the stored form."""
+        return self.paper_ids, self.scores, self.pre
 
     def of(self, context_id: str) -> Dict[str, float]:
         """``paper_id -> prestige`` within one context (empty if unknown)."""
-        return dict(self._dicts().get(context_id, {}))
+        row = self.scores.context_row.get(context_id)
+        if row is None:
+            return {}
+        start, end = self.scores.indptr[row:row + 2]
+        papers = map(self.paper_ids.__getitem__, self.scores.rows[start:end].tolist())
+        return dict(zip(papers, self.scores.values[start:end].tolist()))
 
     def score(self, context_id: str, paper_id: str, default: float = 0.0) -> float:
         """Prestige of one paper in one context."""
-        return self._dicts().get(context_id, {}).get(paper_id, default)
+        return self.of(context_id).get(paper_id, default)
 
     def aligned(self, columns: ContextColumns) -> np.ndarray:
         """Prestige as ``float64`` aligned with ``columns.members``.
 
         Entry ``i`` is the prestige of member ``i`` in its context (0.0
-        when the context or the paper is unscored).  Cached for the last
-        ``columns`` asked for; the scores never change after
-        construction, so the array needs no invalidation.
+        when the context or the paper is unscored).  A row as long as its
+        context places each entry at its own rank when the member there
+        holds the entry's paper (a row scored in member order); only the
+        other members are looked up.  Cached for the last ``columns``
+        asked for.
         """
         cached = self._aligned
         if cached is not None and cached[0] is columns:
             return cached[1]
-        values = None
-        if self._stored is not None:
-            values = self._aligned_from_rows(columns)
-        if values is None:
-            values = self._aligned_from_dicts(columns)
+        scores = self.scores
+        values = np.zeros(len(columns.members), dtype=np.float64)
+        # Each stored row's context as a columns row (-1: not there), and
+        # the stored paper table as columns paper rows (-1: no member).
+        context_row = np.fromiter(
+            map(columns.context_row.get, scores.context_ids, repeat(-1)),
+            np.int64,
+            len(scores.context_ids),
+        )
+        paper_row = np.fromiter(
+            map(columns.paper_row.get, self.paper_ids, repeat(-1)),
+            np.int32,
+            len(self.paper_ids),
+        )
+        rows = np.flatnonzero(context_row >= 0)
+        sizes = np.diff(columns.indptr)[context_row[rows]]
+        same = np.diff(scores.indptr)[rows] == sizes
+        members, _ = csr_positions(columns.indptr, context_row[rows[same]])
+        entries = slice(None)  # every stored row, in order: no gather
+        if same.sum() < len(scores.context_ids):
+            entries, _ = csr_positions(scores.indptr, rows[same])
+        placed = paper_row[scores.rows[entries]] == columns.members[members]
+        if placed.all():
+            values[members] = scores.values[entries]
+        else:
+            values[members[placed]] = scores.values[entries][placed]
+        # The rest: members out of rank, and every member of a row whose
+        # length differs from its context's.
+        out_of_rank = np.flatnonzero(~placed)
+        starts = np.cumsum(sizes[same]) - sizes[same]
+        other, counts = csr_positions(columns.indptr, context_row[rows[~same]])
+        missed = np.concatenate([members[out_of_rank], other])
+        missed_rows = np.concatenate([
+            rows[same][np.searchsorted(starts, out_of_rank, side="right") - 1],
+            np.repeat(rows[~same], counts),
+        ])
+        if missed.size:
+            needed = np.flatnonzero(np.bincount(missed_rows))
+            positions, counts = csr_positions(scores.indptr, needed)
+            keys = np.repeat(needed << 32, counts) + paper_row[scores.rows[positions]]
+            wanted = (missed_rows << 32) + columns.members[missed]
+            at, found = _find(keys, wanted)
+            values[missed[found]] = scores.values[positions[at[found]]]
         self._aligned = (columns, values)
         return values
 
-    def _aligned_from_rows(self, columns: ContextColumns) -> Optional[np.ndarray]:
-        """The stored values scattered onto ``columns``, or None.
-
-        Valid only when every stored row holds exactly its context's
-        members in member order; any other layout returns None and goes
-        through the dicts.
-        """
-        paper_ids, scores, _ = self._stored
-        context_rows = np.fromiter(
-            map(columns.context_row.get, scores.context_ids, repeat(-1)),
-            dtype=np.int64,
-            count=len(scores.context_ids),
-        )
-        if (context_rows < 0).any():
-            return None
-        positions, counts = csr_positions(columns.indptr, context_rows)
-        if not np.array_equal(counts, np.diff(scores.indptr)):
-            return None
-        table = np.fromiter(
-            map(columns.paper_row.get, paper_ids, repeat(-1)),
-            dtype=np.int64,
-            count=len(paper_ids),
-        )
-        if not np.array_equal(columns.members[positions], table[scores.rows]):
-            return None
-        values = np.zeros(len(columns.members), dtype=np.float64)
-        values[positions] = scores.values
-        return values
-
-    def _aligned_from_dicts(self, columns: ContextColumns) -> np.ndarray:
-        by_context = self._dicts()
-
-        def row_values(context_id, paper_ids):
-            scores = by_context.get(context_id)
-            if scores is None:
-                return repeat(0.0, len(paper_ids))
-            return map(scores.get, paper_ids, repeat(0.0))
-
-        return np.fromiter(
-            chain.from_iterable(
-                map(row_values, columns.context_ids, columns.row_paper_ids)
-            ),
-            dtype=np.float64,
-            count=len(columns.members),
-        )
-
-    def context_ids(self):
-        if self._stored is not None:
-            return list(self._stored[1].context_ids)
-        return list(self._by_context)
+    def context_ids(self) -> List[str]:
+        return list(self.scores.context_ids)
 
     def __contains__(self, context_id: str) -> bool:
-        if self._stored is not None:
-            return context_id in self._stored_ids
-        return context_id in self._by_context
+        return context_id in self.scores.context_row
 
     def __len__(self) -> int:
-        if self._stored is not None:
-            return len(self._stored[1].context_ids)
-        return len(self._by_context)
-
-
-def propagate_max_over_descendants(
-    paper_set: ContextPaperSet, by_context: Dict[str, Dict[str, float]]
-) -> Dict[str, Dict[str, float]]:
-    """Apply section 3's max-over-descendant-contexts score modification.
-
-    For each context ci and paper p in ci, the final score is the maximum
-    of p's scores over ci and every descendant context of ci that contains
-    p.  Contexts missing from ``by_context`` contribute nothing.
-    """
-    result: Dict[str, Dict[str, float]] = {}
-    for context_id, scores in by_context.items():
-        merged = dict(scores)
-        for descendant_id in paper_set.descendants_in_set(context_id):
-            descendant_scores = by_context.get(descendant_id)
-            if not descendant_scores:
-                continue
-            for paper_id in merged:
-                candidate = descendant_scores.get(paper_id)
-                if candidate is not None and candidate > merged[paper_id]:
-                    merged[paper_id] = candidate
-        result[context_id] = merged
-    return result
+        return len(self.scores.context_ids)
 
 
 class PrestigeScoreFunction(abc.ABC):
@@ -365,56 +404,43 @@ class PrestigeScoreFunction(abc.ABC):
         """
         return [self.score_context(context) for context in contexts]
 
-    #: Default per-context normaliser; subclasses override when the raw
-    #: scale calls for it (citation scores keep their teleport floor).
+    #: Per-context normaliser, a :data:`NORMALIZERS` key; subclasses
+    #: override when the raw scale calls for it (citation scores keep
+    #: their teleport floor).
     normalization: str = "minmax"
 
-    def score_all(
-        self,
-        paper_set: ContextPaperSet,
-        normalize: Optional[str] = None,
-        propagate: bool = True,
-    ) -> PrestigeScores:
-        """Score every context; normalise and max-propagate.
+    def score_all(self, paper_set: ContextPaperSet) -> PrestigeScores:
+        """Score every context; normalise, decay and max-propagate.
 
-        ``normalize`` is a :data:`NORMALIZERS` key ("minmax", "max",
-        "none"); None uses the function's own default.  Normalisation
-        happens per context *before* propagation so that a descendant's
-        scores are commensurable with the ancestor's when the max is
-        taken -- both live in [0, 1].
+        Normalisation (:attr:`normalization`) happens per context
+        *before* propagation so that a descendant's scores are
+        commensurable with the ancestor's when the max is taken -- both
+        live in [0, 1].
         """
-        key, normalizer = self._normalizer(normalize)
         metric_name = self._metric_name()
         with span(
-            f"scores.{metric_name}.score_all", normalize=key
+            f"scores.{metric_name}.score_all", normalize=self.normalization
         ) as trace, get_registry().timer(f"scores.{metric_name}.seconds"):
-            by_context, papers_scored = self._score_each(paper_set, normalizer)
-            pre_propagation = None
-            if propagate:
-                pre_propagation = by_context
-                by_context = propagate_max_over_descendants(paper_set, by_context)
-            trace.set(contexts_scored=len(by_context), papers_scored=papers_scored)
-        return PrestigeScores(self.name, by_context, pre_propagation=pre_propagation)
+            paper_ids, pre = self._score_each(paper_set)
+            main = propagate_max(paper_set, pre)
+            scores = PrestigeScores(self.name, paper_ids, main, pre)
+            trace.set(
+                contexts_scored=len(pre.context_ids), papers_scored=len(pre.values)
+            )
+        return scores
 
     def score_contexts(
-        self,
-        paper_set: ContextPaperSet,
-        context_ids,
-        normalize: Optional[str] = None,
-    ) -> Dict[str, Dict[str, float]]:
-        """Pre-propagation scores for a subset of contexts.
+        self, paper_set: ContextPaperSet, context_ids
+    ) -> Tuple[Tuple[str, ...], ScoreRows]:
+        """``(paper_ids, rows)``: pre-propagation rows of ``context_ids``.
 
-        The incremental-update path scores only the contexts whose paper
-        sets changed, then merges the result into an existing
-        :attr:`PrestigeScores.pre_propagation` map and re-runs
-        propagation.  Normalisation and decay match :meth:`score_all`
-        exactly.  Contexts that cannot be scored map to an *absent* entry,
-        mirroring ``score_all``'s skip of empty raw scores.
+        A corpus delta scores only the contexts whose paper sets changed
+        and splices their rows into :attr:`PrestigeScores.pre`; the
+        normalisation, the decay and the skip of contexts without raw
+        scores are :meth:`score_all`'s.
         """
-        _, normalizer = self._normalizer(normalize)
         wanted = set(context_ids)
-        contexts = (c for c in paper_set if c.term_id in wanted)
-        return self._score_each(contexts, normalizer)[0]
+        return self._score_each(c for c in paper_set if c.term_id in wanted)
 
     def _metric_name(self) -> str:
         """:attr:`name` (free-form: "citation-xctx") as one metric segment."""
@@ -423,37 +449,33 @@ class PrestigeScoreFunction(abc.ABC):
             or "unnamed"
         )
 
-    def _normalizer(self, normalize: Optional[str]) -> Tuple[str, Callable]:
-        """The :data:`NORMALIZERS` key and function (None: the default)."""
-        key = normalize if normalize is not None else self.normalization
-        try:
-            return key, NORMALIZERS[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown normalization {key!r}; expected one of "
-                f"{sorted(NORMALIZERS)}"
-            ) from None
-
     def _score_each(
-        self, contexts: Iterable[Context], normalizer: Callable
-    ) -> Tuple[Dict[str, Dict[str, float]], int]:
-        """Normalised, decayed scores per context, and papers scored.
+        self, contexts: Iterable[Context]
+    ) -> Tuple[Tuple[str, ...], ScoreRows]:
+        """Normalised, decayed rows of ``contexts`` over their paper table.
 
-        Contexts whose raw scores are empty get no entry.  Both counts
-        go to the ``scores.<function>.*_scored`` counters.
+        Contexts whose raw scores are empty get no row; a row keeps its
+        raw map's key order.  The counts of rows and entries go to the
+        ``scores.<function>.*_scored`` counters.
         """
-        by_context: Dict[str, Dict[str, float]] = {}
-        papers_scored = 0
+        normalizer = NORMALIZERS.get(self.normalization)
+        if normalizer is None:
+            raise ValueError(
+                f"unknown normalization {self.normalization!r}; expected one "
+                f"of {sorted(NORMALIZERS)}"
+            )
         contexts = list(contexts)
-        for context, raw in zip(contexts, self.score_batch(contexts)):
-            if not raw:
-                continue
-            papers_scored += len(raw)
-            scored = normalizer(raw)
-            if context.decay != 1.0:
-                scored = {pid: s * context.decay for pid, s in scored.items()}
-            by_context[context.term_id] = scored
+        batch = zip(contexts, self.score_batch(contexts))
+        scored = [(context, raw) for context, raw in batch if raw]
+        paper_ids, raw = rows_from_maps(
+            [context.term_id for context, _ in scored], [raw for _, raw in scored]
+        )
+        decay = np.fromiter(
+            (context.decay for context, _ in scored), np.float64, len(scored)
+        )
+        values = normalizer(raw.values, raw.indptr)
+        values = values * np.repeat(decay, np.diff(raw.indptr))
         registry, metric_name = get_registry(), self._metric_name()
-        registry.counter(f"scores.{metric_name}.contexts_scored").inc(len(by_context))
-        registry.counter(f"scores.{metric_name}.papers_scored").inc(papers_scored)
-        return by_context, papers_scored
+        registry.counter(f"scores.{metric_name}.contexts_scored").inc(len(scored))
+        registry.counter(f"scores.{metric_name}.papers_scored").inc(len(values))
+        return paper_ids, replace(raw, values=values)

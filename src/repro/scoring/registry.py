@@ -74,11 +74,13 @@ class ScoreFunctionSpec:
     delta_scope: str = "full"
     #: ``(function, weight)`` pairs, weights made convex (``w / sum``):
     #: a paper's pre-propagation score in a context is ``0.0 + w_1*s_1 +
-    #: w_2*s_2 ...`` over the components' pre-propagation scores, in
-    #: order, skipping components that did not score the context; the
-    #: blend is then max-propagated.  Those scores are already normalised
-    #: and decayed, so a decayed context gets ``sum(w * (d * x))``, which
-    #: can differ from ``d * sum(w * x)`` in the last ulp.
+    #: w_2*s_2 ...`` over the components' pre-propagation rows
+    #: (:attr:`PrestigeScores.pre`), in order, skipping components that
+    #: did not score the context or the paper; the blended row lists its
+    #: papers in order of first appearance, and is then max-propagated.
+    #: Those scores are already normalised and decayed, so a decayed
+    #: context gets ``sum(w * (d * x))``, which can differ from
+    #: ``d * sum(w * x)`` in the last ulp.
     components: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:

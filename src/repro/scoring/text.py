@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Mapping, Optional
 import numpy as np
 
 from repro.citations.graph import CitationGraph
-from repro.core.context import Context, csr_positions
+from repro.core.context import Context, csr_positions, indptr_of
 from repro.core.cosine import cosine_pairs
 from repro.obs import get_registry
 from repro.scoring.base import PrestigeScoreFunction
@@ -179,8 +179,7 @@ class SetRows:
         self.bound = max(bound, 1)
         self.keys = np.unique(rows * self.bound + items)
         self.sizes = np.bincount(self.keys // self.bound, minlength=n_rows)
-        self.indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(self.sizes, out=self.indptr[1:])
+        self.indptr = indptr_of(self.sizes)
 
     def intersections(
         self, rows: np.ndarray, other: "SetRows", other_rows: np.ndarray
@@ -276,8 +275,7 @@ class _FacetSets:
         paper_of = np.repeat(np.arange(n, dtype=np.int64), authors.sizes)
         author_of = authors.keys % authors.bound
         by_author = np.argsort(author_of, kind="stable")
-        author_indptr = np.zeros(n_authors + 1, dtype=np.int64)
-        np.cumsum(np.bincount(author_of, minlength=n_authors), out=author_indptr[1:])
+        author_indptr = indptr_of(np.bincount(author_of, minlength=n_authors))
         # (paper, author) -> (paper, paper sharing that author), deduplicated.
         positions, counts = csr_positions(author_indptr, author_of)
         shared = np.unique(

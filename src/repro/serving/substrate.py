@@ -42,7 +42,7 @@ from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology
-from repro.scoring.base import PrestigeScores, propagate_max_over_descendants
+from repro.scoring.base import PrestigeScores, blend_rows, propagate_max, take_rows
 from repro.text.analyze import AnalyzedPaperCache
 
 
@@ -315,34 +315,23 @@ class SubstrateStore:
     ) -> PrestigeScores:
         """A derived function's scores from its components' memoised ones.
 
-        Blends the components' pre-propagation scores as
+        Blends the components' pre-propagation rows as
         ``ScoreFunctionSpec.components`` specifies, then max-propagates;
         no paper is scored again.
         """
         components = [
-            (self.prestige(name, paper_set_name).pre_propagation, weight)
+            (self.prestige(name, paper_set_name), weight)
             for name, weight in spec.components
         ]
         with span(f"scores.{spec.name}.derive") as trace:
-            blended_by_context: Dict[str, Dict[str, float]] = {}
-            for context in paper_set:
-                blended: Dict[str, float] = {}
-                for pre, weight in components:
-                    for paper_id, value in pre.get(context.term_id, {}).items():
-                        blended[paper_id] = blended.get(paper_id, 0.0) + weight * value
-                if blended:
-                    blended_by_context[context.term_id] = blended
-            merged = propagate_max_over_descendants(paper_set, blended_by_context)
-            trace.set(
-                contexts=len(blended_by_context),
-                papers=sum(map(len, blended_by_context.values())),
-            )
+            paper_ids, pre = blend_rows(paper_set, components)
+            main = propagate_max(paper_set, pre)
+            scores = PrestigeScores(spec.name, paper_ids, main, pre)
+            trace.set(contexts=len(pre.context_ids), papers=len(pre.values))
         get_registry().counter(f"scores.{spec.name}.contexts_derived").inc(
-            len(blended_by_context)
+            len(pre.context_ids)
         )
-        return PrestigeScores(
-            spec.name, merged, pre_propagation=blended_by_context
-        )
+        return scores
 
     # -- incremental corpus mutation --------------------------------------------------
 
@@ -490,7 +479,7 @@ class SubstrateStore:
                             spec is not None
                             and spec.delta_scope == "contexts"
                             and changed is not None
-                            and scores.pre_propagation is not None
+                            and scores.pre is not None
                         ):
                             self._scores[key] = self._patch_scores(
                                 spec,
@@ -563,26 +552,23 @@ class SubstrateStore:
         Valid only for ``delta_scope="contexts"`` functions: their
         per-context scores depend exclusively on structure induced by the
         context's own paper ids, so unchanged contexts keep their
-        pre-propagation scores byte-identically.  The pre-propagation map
-        is rebuilt in paper-set iteration order so the patched result is
-        indistinguishable from a from-scratch ``score_all``.
+        pre-propagation rows byte-identically.  The old and fresh rows
+        are spliced in paper-set iteration order over a new paper table,
+        so the patched result is indistinguishable from a from-scratch
+        ``score_all``.
         """
-        scorer = spec.factory(self)
         changed = set(changed_ids)
-        fresh = scorer.score_contexts(paper_set, changed)
-        old_pre = scores.pre_propagation or {}
-        pre: Dict[str, Dict[str, float]] = {}
+        fresh_ids, fresh = spec.factory(self).score_contexts(paper_set, changed)
+        sources = ((scores.paper_ids, scores.pre), (fresh_ids, fresh))
+        picks = []
         for context in paper_set:
-            cid = context.term_id
-            if cid in changed:
-                if cid in fresh:
-                    pre[cid] = fresh[cid]
-            elif cid in old_pre:
-                pre[cid] = old_pre[cid]
-        merged = propagate_max_over_descendants(paper_set, pre)
-        return PrestigeScores(
-            scores.function_name, merged, pre_propagation=pre
-        )
+            source = int(context.term_id in changed)
+            row = sources[source][1].context_row.get(context.term_id)
+            if row is not None:
+                picks.append((source, row))
+        paper_ids, pre = take_rows(sources, picks)
+        main = propagate_max(paper_set, pre)
+        return PrestigeScores(scores.function_name, paper_ids, main, pre)
 
     # -- installation (workspace hydration) -----------------------------------------
 

@@ -6,7 +6,7 @@ derives it from the memoised ``citation`` and ``text`` scores.
 component scorers re-score every context, each component's raw scores
 go through its own normaliser, the blend is summed per context, decayed,
 and max-propagated.  Hypothesis draws demo pipelines and add/remove
-deltas; after the delta the derived scores (``of()``, ``pre_propagation``
+deltas; after the delta the derived scores (``of()``, ``pre``
 and ``aligned()``) must equal the reference's with ``==``.
 
 The text paper set has no decayed context, so there it is exact
@@ -27,11 +27,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from prestige_reference import NORMALIZERS, pre_maps
 from repro import scoring
 from repro.core.context import Context
 from repro.obs import get_registry
 from repro.pipeline import Pipeline, build_demo_pipeline
-from repro.scoring import NORMALIZERS, PrestigeScoreFunction
+from repro.scoring import PrestigeScoreFunction
 from repro.workspace import ARTIFACTS, workspace_status
 
 
@@ -79,9 +80,10 @@ def assert_matches_reference(store, paper_set_name):
     if paper_set_name == "text":
         assert exact == {c.term_id for c in paper_set}
     assert derived.context_ids() == reference.context_ids()
-    assert list(derived.pre_propagation) == list(reference.pre_propagation)
-    for cid, expected in reference.pre_propagation.items():
-        got = derived.pre_propagation[cid]
+    derived_pre, reference_pre = pre_maps(derived), pre_maps(reference)
+    assert list(derived_pre) == list(reference_pre)
+    for cid, expected in reference_pre.items():
+        got = derived_pre[cid]
         assert list(got) == list(expected)
         if cid in undecayed:
             assert got == expected

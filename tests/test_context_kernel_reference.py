@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prestige_reference import scores_from_maps
 from repro.core.context import Context, ContextPaperSet
 from repro.core.cosine import VectorRows
 from repro.core.search import (
@@ -30,7 +31,6 @@ from repro.index.search import QueryEvaluation
 from repro.obs import reset_registry
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
-from repro.scoring.base import PrestigeScores
 from repro.text.vectorize import SparseVector
 
 COUNTERS = tuple(
@@ -218,7 +218,7 @@ def build_engine(s):
         rows_of=lambda reps: np.array([rep_row[rep] for rep in reps], dtype=np.int64),
     )
     return paper_set, ContextSearchEngine(
-        ontology, paper_set, PrestigeScores("reference", s.prestige),
+        ontology, paper_set, scores_from_maps("reference", s.prestige),
         keyword_engine,
         w_prestige=s.w_prestige, w_matching=s.w_matching,
         probe_depth=s.probe_depth, name_bonus=s.name_bonus,

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prestige_reference import aligned_reference, pre_maps, scores_from_maps
 from repro.core.context import Context, ContextPaperSet
 from repro.core.io import (
     TEMP_SUFFIX,
@@ -25,7 +26,6 @@ from repro.core.io import (
 )
 from repro.ontology import Ontology
 from repro.ontology.term import Term
-from repro.scoring.base import PrestigeScores
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -162,7 +162,7 @@ class TestContextPaperSetRoundTrip:
 
 class TestPrestigeScoresRoundTrip:
     def test_round_trip(self, tmp_path):
-        scores = PrestigeScores(
+        scores = scores_from_maps(
             "text", {"met": {"M1": 1.0, "M2": 0.25}, "glu": {"M1": 0.5}}
         )
         path = tmp_path / "scores.json"
@@ -181,14 +181,14 @@ class TestPrestigeScoresRoundTrip:
 
     def test_empty_scores(self, tmp_path):
         path = tmp_path / "empty.json"
-        write_prestige_scores(PrestigeScores("citation", {}), path)
+        write_prestige_scores(scores_from_maps("citation", {}), path)
         loaded = read_prestige_scores(path)
         assert len(loaded) == 0
         assert loaded.function_name == "citation"
 
     def test_flipped_value_byte_is_rejected(self, tmp_path):
         values = [0.125 * (i + 1) for i in range(16)]
-        scores = PrestigeScores(
+        scores = scores_from_maps(
             "text", {"met": {f"M{i}": v for i, v in enumerate(values)}}
         )
         path = tmp_path / "scores.npz"
@@ -204,7 +204,7 @@ class TestPrestigeScoresRoundTrip:
 
     def test_inconsistent_arrays_rejected(self, tmp_path):
         path = tmp_path / "scores.npz"
-        write_prestige_scores(PrestigeScores("text", {"met": {"M1": 1.0}}), path)
+        write_prestige_scores(scores_from_maps("text", {"met": {"M1": 1.0}}), path)
         with np.load(path) as archive:
             members = {name: archive[name] for name in archive.files}
         members["rows"] = np.array([5], dtype=np.int32)  # past the paper table
@@ -212,6 +212,33 @@ class TestPrestigeScoresRoundTrip:
             np.savez(handle, **members)
         with pytest.raises(ValueError, match="corrupt prestige-scores"):
             read_prestige_scores(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"paper_ids": ["M2", "M1"]}, "paper_ids not strictly ascending"),
+            ({"paper_ids": ["M1", "M1"]}, "paper_ids not strictly ascending"),
+            ({"paper_ids": ["M1", 2]}, "corrupt prestige-scores"),
+            ({"contexts": ["met", "met"]}, "duplicate context ids"),
+            ({"pre_propagation_contexts": ["glu", "glu"]}, "duplicate pre_context ids"),
+        ],
+    )
+    def test_unsorted_papers_or_repeated_contexts_rejected(
+        self, tmp_path, header, message
+    ):
+        """Lookups by paper bisect the table and lookups by context read
+        one row per id, so a file breaking either is corrupt."""
+        path = tmp_path / "scores.npz"
+        pre = {"met": {"M1": 0.5}, "glu": {"M2": 0.25}}
+        scores = scores_from_maps(
+            "text", {"met": {"M1": 1.0}, "glu": {"M2": 0.5}}, pre
+        )
+        write_prestige_scores(scores, path)
+        read_prestige_scores(path)
+        _rewrite(path, header)
+        with pytest.raises(ValueError, match="corrupt prestige-scores") as excinfo:
+            read_prestige_scores(path)
+        assert message in str(excinfo.value) and str(path) in str(excinfo.value)
 
 
 # -- codec property test --------------------------------------------------------
@@ -266,20 +293,19 @@ class TestPrestigeScoresCodecProperty:
         by_context = data.draw(_score_maps, label="by_context")
         pre_propagation = data.draw(st.none() | _score_maps, label="pre")
         function_name = data.draw(st.sampled_from(["text", "citation_xctx"]))
-        original = PrestigeScores(function_name, by_context, pre_propagation)
+        original = scores_from_maps(function_name, by_context, pre_propagation)
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "scores.npz"
             write_prestige_scores(original, path)
             loaded = read_prestige_scores(path)
             assert os.listdir(directory) == ["scores.npz"]
 
-        paper_set, matches = data.draw(_layouts(by_context), label="layout")
+        paper_set, _ = data.draw(_layouts(by_context), label="layout")
         columns = paper_set.columns
         fast = loaded.aligned(columns)
-        if matches:
-            assert loaded._by_context is None  # served from the stored rows
-        reference = PrestigeScores(function_name, by_context).aligned(columns)
+        reference = aligned_reference(by_context, columns)
         assert np.array_equal(_bits(fast), _bits(reference))
+        assert loaded.aligned(columns) is fast
 
         assert loaded.function_name == function_name
         assert loaded.context_ids() == list(by_context)
@@ -291,15 +317,15 @@ class TestPrestigeScoresCodecProperty:
             )
             for pid in _PAPER_POOL:
                 assert loaded.score(cid, pid, -7.0) == original.score(cid, pid, -7.0)
-        assert loaded.pre_propagation == pre_propagation
+        loaded_pre = pre_maps(loaded)
+        assert loaded_pre == pre_propagation
         if pre_propagation is not None:
-            assert list(loaded.pre_propagation) == list(pre_propagation)
+            assert list(loaded_pre) == list(pre_propagation)
             for cid, scores in pre_propagation.items():
-                assert list(loaded.pre_propagation[cid]) == list(scores)
-        # Dicts built on demand are reused, and aligned() agrees with them.
-        assert loaded._dicts() is loaded._dicts()
-        loaded._aligned = None
-        assert np.array_equal(_bits(loaded.aligned(columns)), _bits(reference))
+                assert list(loaded_pre[cid]) == list(scores)
+        # Other columns of the same layout get their own, equal array.
+        again = ContextPaperSet(_ONTOLOGY, list(paper_set)).columns
+        assert np.array_equal(_bits(loaded.aligned(again)), _bits(reference))
 
 
 class TestAtomicWrite:
@@ -315,7 +341,7 @@ class TestAtomicWrite:
 
     def test_failed_scores_write_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "scores.npz"
-        write_prestige_scores(PrestigeScores("text", {"met": {"M1": 1.0}}), path)
+        write_prestige_scores(scores_from_maps("text", {"met": {"M1": 1.0}}), path)
         before = path.read_bytes()
 
         def broken_savez(handle, **arrays):
@@ -324,7 +350,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(np, "savez", broken_savez)
         with pytest.raises(OSError, match="disk full"):
-            write_prestige_scores(PrestigeScores("text", {"met": {"M2": 0.5}}), path)
+            write_prestige_scores(scores_from_maps("text", {"met": {"M2": 0.5}}), path)
         assert path.read_bytes() == before
         assert not list(tmp_path.glob(f"*{TEMP_SUFFIX}"))
 

@@ -1,7 +1,9 @@
 """Unit tests for the prestige score machinery and the three functions."""
 
+import numpy as np
 import pytest
 
+from prestige_reference import maps, pre_maps
 from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner
 from repro.core.context import Context, ContextPaperSet
@@ -14,10 +16,23 @@ from repro.scoring import (
     FacetWeights,
     PatternPrestige,
     TextPrestige,
-    min_max_normalize,
-    propagate_max_over_descendants,
+    propagate_max,
 )
+from repro.scoring.base import min_max_rows, rows_from_maps
 from repro.text.analyze import AnalyzedPaperCache
+
+
+def min_max_normalize(scores):
+    """``min_max_rows`` of ``scores`` as one row."""
+    values = np.array(list(scores.values()), dtype=np.float64)
+    normalised = min_max_rows(values, np.array([0, len(values)], dtype=np.int64))
+    return dict(zip(scores, normalised.tolist()))
+
+
+def propagate_max_over_descendants(paper_set, by_context):
+    """``propagate_max`` over ``by_context``'s rows, read back as maps."""
+    paper_ids, rows = rows_from_maps(list(by_context), list(by_context.values()))
+    return maps(paper_ids, propagate_max(paper_set, rows))
 
 
 class TestMinMaxNormalize:
@@ -104,8 +119,8 @@ def tiny_setup(request):
 class TestCitationPrestige:
     def test_most_cited_in_context_wins(self, tiny_setup):
         scorer = CitationPrestige(tiny_setup["graph"])
-        scores = scorer.score_all(tiny_setup["paper_set"], propagate=False)
-        met = scores.of("met")
+        scores = scorer.score_all(tiny_setup["paper_set"])
+        met = pre_maps(scores)["met"]
         # Within {M1, M2, M3}: M1 cited by M2, M3; M2 cited by M3.
         assert met["M1"] > met["M2"] > met["M3"]
 
@@ -130,10 +145,11 @@ class TestCitationPrestige:
     def test_unknown_normalization_rejected_on_both_paths(self, tiny_setup):
         scorer = CitationPrestige(tiny_setup["graph"])
         paper_set = tiny_setup["paper_set"]
+        scorer.normalization = "nope"
         with pytest.raises(ValueError, match="unknown normalization 'nope'"):
-            scorer.score_all(paper_set, normalize="nope")
+            scorer.score_all(paper_set)
         with pytest.raises(ValueError, match="unknown normalization 'nope'"):
-            scorer.score_contexts(paper_set, ["met"], normalize="nope")
+            scorer.score_contexts(paper_set, ["met"])
 
 
 class TestTextPrestige:
@@ -260,9 +276,9 @@ class TestPatternPrestige:
                 ),
             ],
         )
-        scores = scorer.score_all(decayed_set, propagate=False)
-        met_scores = scores.of("met")
-        glu_scores = scores.of("glu")
+        pre = pre_maps(scorer.score_all(decayed_set))
+        met_scores = pre.get("met", {})
+        glu_scores = pre.get("glu", {})
         if met_scores and glu_scores:
             assert max(glu_scores.values()) == pytest.approx(
                 0.5 * max(met_scores.values())

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from prestige_reference import pre_maps
 from repro import scoring
 from repro.core.patterns import PatternSetBuilder
 from repro.corpus.corpus import Corpus
@@ -70,7 +71,7 @@ def _hit_rows(memo, hits):
 
 def _scores(scores):
     by_context = {cid: scores.of(cid) for cid in scores.context_ids()}
-    return by_context, scores.pre_propagation
+    return by_context, pre_maps(scores)
 
 
 class DeltaParity(RuleBasedStateMachine):

@@ -8,6 +8,7 @@ statistics.
 
 import pytest
 
+from prestige_reference import scores_from_maps
 from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import Context, ContextPaperSet
@@ -165,14 +166,12 @@ class TestDegenerateContexts:
 
 class TestDegenerateSearch:
     def test_search_with_empty_prestige(self, degenerate_corpus, flat_ontology):
-        from repro.scoring.base import PrestigeScores
-
         index = build_index(AnalyzedPaperCache(degenerate_corpus))
         paper_set = ContextPaperSet(flat_ontology, [Context("t1", ("OK",))])
         engine = ContextSearchEngine(
             flat_ontology,
             paper_set,
-            PrestigeScores("text", {}),
+            scores_from_maps("text", {}),
             KeywordSearchEngine(index),
         )
         hits = engine.search("glucose")

@@ -13,6 +13,7 @@ from typing import Dict
 
 import pytest
 
+from prestige_reference import pre_maps
 from repro import scoring
 from repro.cli import build_parser
 from repro.core.context import Context
@@ -237,9 +238,9 @@ class TestCombinedFunction:
         assert spec.components == (("citation", 0.25), ("text", 0.75))
         with scoring.temporary_registration(spec) as registered:
             assert registered.substrates == scoring.get("combined").substrates
-            blend = pipeline.prestige("blend", "text").pre_propagation
-        citation = pipeline.prestige("citation", "text").pre_propagation
-        text = pipeline.prestige("text", "text").pre_propagation
+            blend = pre_maps(pipeline.prestige("blend", "text"))
+        citation = pre_maps(pipeline.prestige("citation", "text"))
+        text = pre_maps(pipeline.prestige("text", "text"))
         assert blend
         for context_id, scores in blend.items():
             c_norm = citation.get(context_id, {})
@@ -349,4 +350,33 @@ class TestCheckRegistries:
         assert lint.scan_src(scoring) == [
             "src: src/repro/core/vectors.py:1: raw paper text .section_text() "
             "(read analysed terms from AnalyzedPaperCache instead)"
+        ]
+
+    def test_score_table_dicts_only_outside_scoring_and_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """A prestige table is ScoreRows from scoring to the store; a
+        ``{context: {paper: score}}`` annotation there is a second form."""
+        lint = _load_tool("check_registries")
+        table = "by_context: Dict[str, Dict[str, float]] = {}\n"
+        for relative in (
+            "src/repro/scoring/base.py",
+            "src/repro/serving/substrate.py",
+            "src/repro/serving/view.py",
+            "src/repro/eval/experiments.py",
+        ):
+            (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / relative).write_text(table, encoding="utf-8")
+        (tmp_path / "src/repro/scoring/text.py").write_text(
+            "scores: Dict[str, float] = {}  # Dict[str, Dict[str, float]]\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(lint, "REPO_ROOT", tmp_path)
+        assert lint.scan_src(scoring) == [
+            f"src: {relative}:1: {{context: {{paper: score}}}} map (keep "
+            f"prestige tables as ScoreRows)"
+            for relative in (
+                "src/repro/scoring/base.py",
+                "src/repro/serving/substrate.py",
+            )
         ]

@@ -13,6 +13,7 @@ Three layers:
   ``refresh()`` on the churn of the candidate view against them.
 """
 
+import dataclasses
 import json
 import math
 import queue
@@ -20,6 +21,7 @@ import re
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import repro.obs.request as request_module
@@ -131,15 +133,13 @@ def _invert_text_scores(pipeline, query, top_n=5):
     store = pipeline._store
     engine = pipeline.serving_view.engine("text", "text", "probe")
     top_ids = {hit.paper_id for hit in engine.search(query, limit=top_n)}
-    old = store.scores["text/text"]
-    perturbed = {
-        ctx: {
-            pid: (0.001 if pid in top_ids else value + 10.0)
-            for pid, value in old.of(ctx).items()
-        }
-        for ctx in old.context_ids()
-    }
-    store.install_scores("text/text", PrestigeScores("text", perturbed))
+    paper_ids, rows, _ = store.scores["text/text"].to_rows()
+    top_rows = [row for row, pid in enumerate(paper_ids) if pid in top_ids]
+    demoted = np.isin(rows.rows, top_rows)
+    perturbed = dataclasses.replace(
+        rows, values=np.where(demoted, 0.001, rows.values + 10.0)
+    )
+    store.install_scores("text/text", PrestigeScores("text", paper_ids, perturbed))
 
 
 class TestQueryAnalytics:

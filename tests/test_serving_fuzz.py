@@ -13,6 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from prestige_reference import pre_maps
 from repro.corpus.corpus import Corpus
 from repro.datagen.presets import get_preset
 from repro.pipeline import Pipeline
@@ -150,7 +151,7 @@ def paper_objects(draw, pipeline):
 
 def _pattern_scores(pipeline):
     scores = pipeline.prestige("pattern", "pattern")
-    return {cid: scores.of(cid) for cid in scores.context_ids()}, scores.pre_propagation
+    return {cid: scores.of(cid) for cid in scores.context_ids()}, pre_maps(scores)
 
 
 @given(data=st.data())

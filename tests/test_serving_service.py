@@ -18,6 +18,7 @@ caller sees.  The load-bearing properties:
   single-query search looks up.
 """
 
+import dataclasses
 import json
 import threading
 import time
@@ -469,20 +470,20 @@ class TestDriftGatedReload:
 
     @staticmethod
     def _invert_text_scores(target, query):
+        import numpy as np
+
         from repro.scoring import PrestigeScores
 
         store = target._store
         engine = target.serving_view.engine("text", "text", "probe")
         top_ids = {hit.paper_id for hit in engine.search(query, limit=5)}
-        old = store.scores["text/text"]
-        perturbed = {
-            ctx: {
-                pid: (0.001 if pid in top_ids else value + 10.0)
-                for pid, value in old.of(ctx).items()
-            }
-            for ctx in old.context_ids()
-        }
-        store.install_scores("text/text", PrestigeScores("text", perturbed))
+        paper_ids, rows, _ = store.scores["text/text"].to_rows()
+        top_rows = [row for row, pid in enumerate(paper_ids) if pid in top_ids]
+        demoted = np.isin(rows.rows, top_rows)
+        perturbed = dataclasses.replace(
+            rows, values=np.where(demoted, 0.001, rows.values + 10.0)
+        )
+        store.install_scores("text/text", PrestigeScores("text", paper_ids, perturbed))
 
     def test_reload_without_drift_config_has_no_drift_key(self, service):
         status, _, body = _request(service, "/admin/reload", method="POST")

@@ -29,6 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from facet_reference import facet_similarity
+from prestige_reference import pre_maps
 
 from repro.core.assignment import TextContextAssigner
 from repro.core.cosine import VectorRows, cosine_pairs
@@ -302,7 +303,7 @@ def assert_kernel_matches_reference(pipeline):
             pid: reference_similarity(reference, prestige, pid, representative)
             for pid in context.paper_ids
         }
-        got = scores.pre_propagation.get(context.term_id, {})
+        got = pre_maps(scores).get(context.term_id, {})
         assert list(got.items()) == list(expected.items())
 
     for context in paper_set:

@@ -152,9 +152,11 @@ class TestOpenWorkspace:
                 (h.paper_id, h.relevancy) for h in expected
             ]
 
-    def test_search_builds_no_score_dicts(self, built, data_dir):
-        """Loaded scores serve every arm and strategy from their arrays."""
+    def test_search_serves_loaded_rows_as_stored(self, built, data_dir, tmp_path):
+        """Loaded scores serve every arm and strategy, and still write
+        back to their artifact's bytes."""
         from repro import scoring
+        from repro.core.io import write_prestige_scores
         from repro.core.search import SELECTION_STRATEGIES
 
         hydrated = Pipeline.open_workspace(data_dir)
@@ -170,7 +172,11 @@ class TestOpenWorkspace:
             for function, paper_set in arms
         ]
         assert len(loaded) == len(arms) > 0
-        assert all(scores._by_context is None for scores in loaded)
+        for (function, paper_set), scores in zip(arms, loaded):
+            name = f"scores_{function}_{paper_set}.npz"
+            write_prestige_scores(scores, tmp_path / name)
+            stored = data_dir / "workspace" / name
+            assert (tmp_path / name).read_bytes() == stored.read_bytes()
         # The loaded vector store holds the token cache; no query reads it.
         tokens = hydrated.substrates.tokens
         assert tokens.cache_hits == tokens.cache_misses == 0
@@ -824,11 +830,11 @@ class TestCodecs:
         assert str(path) in str(excinfo.value)
 
     def test_mismatched_format_tag_names_both_tags(self, tiny_ontology, tmp_path):
+        from prestige_reference import scores_from_maps
         from repro.core.io import read_context_paper_set, write_prestige_scores
-        from repro.scoring.base import PrestigeScores
 
         path = tmp_path / "artifact.npz"
-        write_prestige_scores(PrestigeScores("text", {"met": {"M1": 1.0}}), path)
+        write_prestige_scores(scores_from_maps("text", {"met": {"M1": 1.0}}), path)
         with pytest.raises(ValueError, match="expected format") as excinfo:
             read_context_paper_set(path, tiny_ontology)
         assert "repro/context-paper-set/v2" in str(excinfo.value)

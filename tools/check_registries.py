@@ -19,7 +19,10 @@ prestige score functions.  This lint (modeled on
    and no raw paper text (``.section_text(``, ``.all_text(``) outside
    the token-cache module and the two raw-text readers in
    ``RAW_TEXT_ALLOWED``: every analysed term comes from the one
-   ``AnalyzedPaperCache``.
+   ``AnalyzedPaperCache``;
+4. prestige tables: no ``{context: {paper: score}}`` map
+   (``Dict[str, Dict[str, float]]``) in the modules of
+   ``SCORE_TABLE_PATHS`` -- a score table is ``ScoreRows``.
 
 The "Registered score functions" table of ``docs/architecture.md`` is
 not linted: ``tools/gen_api_docs.py`` writes it from the registry.
@@ -49,6 +52,9 @@ RAW_TEXT_ALLOWED = frozenset(
         "src/repro/corpus/validate.py",
     }
 )
+#: Where a prestige table exists only as ``ScoreRows``: the scoring
+#: package and the store that blends and patches tables.
+SCORE_TABLE_PATHS = ("src/repro/scoring/", "src/repro/serving/substrate.py")
 #: Subcommands each registry-derived flag must appear on.
 REQUIRED_SUBCOMMANDS = {"--function": {"search", "tune"}}
 
@@ -131,12 +137,14 @@ LITERAL_RUN_RE = re.compile(
 CONCRETE_RE = re.compile(r"\b(InvertedIndex|PackedIndex)\b")
 #: A read of a paper's raw text.
 RAW_TEXT_RE = re.compile(r"\.(section_text|all_text)\(")
+#: A ``{context: {paper: score}}`` annotation.
+SCORE_MAP_RE = re.compile(r"Dict\[\s*str\s*,\s*Dict\[\s*str\s*,\s*float\s*\]\s*\]")
 COMMENT_RE = re.compile(r"#.*$")
 
 
 def scan_src(scoring) -> list:
     """No literal function dispatch, concrete index types or raw paper
-    text outside their modules in src/."""
+    text outside their modules in src/, and no score-table dicts."""
     names = set(scoring.function_names())
     paper_sets = set(scoring.PAPER_SET_NAMES)
     problems = []
@@ -180,6 +188,11 @@ def scan_src(scoring) -> list:
                         f"{where} raw paper text .{match.group(1)}() (read "
                         f"analysed terms from AnalyzedPaperCache instead)"
                     )
+            if relative.startswith(SCORE_TABLE_PATHS) and SCORE_MAP_RE.search(line):
+                problems.append(
+                    f"{where} {{context: {{paper: score}}}} map (keep "
+                    f"prestige tables as ScoreRows)"
+                )
     return problems
 
 

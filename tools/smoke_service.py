@@ -34,11 +34,14 @@ benchmark (that is the ``search_hot`` workload of ``benchmarks/e2e/``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import urllib.error
 import urllib.parse
 import urllib.request
+
+import numpy as np
 
 REPO_ROOT = __import__("pathlib").Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -211,15 +214,13 @@ def main() -> int:
         store = pipeline._store
         engine = pipeline.serving_view.engine("text", "text", "probe")
         top_ids = {h.paper_id for h in engine.search(QUERY, limit=5)}
-        old_scores = store.scores["text/text"]
-        perturbed = {
-            ctx: {
-                pid: (0.001 if pid in top_ids else value + 10.0)
-                for pid, value in old_scores.of(ctx).items()
-            }
-            for ctx in old_scores.context_ids()
-        }
-        store.install_scores("text/text", PrestigeScores("text", perturbed))
+        paper_ids, rows, _ = store.scores["text/text"].to_rows()
+        top_rows = [row for row, pid in enumerate(paper_ids) if pid in top_ids]
+        demoted = np.isin(rows.rows, top_rows)
+        perturbed = dataclasses.replace(
+            rows, values=np.where(demoted, 0.001, rows.values + 10.0)
+        )
+        store.install_scores("text/text", PrestigeScores("text", paper_ids, perturbed))
 
         view_before = pipeline.serving_view
         status, body = _fetch(base_url, "/admin/reload", method="POST")
