@@ -6,7 +6,7 @@ corpora; these helpers serialise them so a deployment computes them once
 searches from disk thereafter.  Each artefact is stored as arrays in an
 uncompressed ``.npz`` with a format-tagged JSON header
 (:func:`write_context_paper_set`, :func:`write_prestige_scores`,
-:func:`write_vector_store`).
+:func:`write_vector_store`, :func:`write_pattern_extractions`).
 
 Every writer goes through :func:`atomic_write`, so a crash mid-write
 leaves the previous file intact and a reader that has a file open or
@@ -29,6 +29,7 @@ from typing import IO, Dict, Iterable, Iterator, Optional, Union
 import numpy as np
 
 from repro.core.context import Context, ContextPaperSet, indptr_of
+from repro.core.patterns import Extractions, PatternExtraction
 from repro.core.vectors import PaperVectorStore
 from repro.ontology.ontology import Ontology
 from repro.scoring.base import PrestigeScores, ScoreRows
@@ -43,6 +44,7 @@ TEMP_SUFFIX = ".tmp"
 _PAPER_SET_FORMAT = "repro/context-paper-set/v2"
 _SCORES_FORMAT = "repro/prestige-scores/v2"
 _VECTORS_FORMAT = "repro/vector-store/v2"
+_EXTRACTIONS_FORMAT = "repro/pattern-extractions/v1"
 
 
 @contextmanager
@@ -103,18 +105,26 @@ def _read_npz(path: PathLike, format_tag: str, what: str):
     return header, members
 
 
+def _check_indptr(indptr: np.ndarray, n_rows: int, n_entries: int, what: str) -> None:
+    """``ValueError`` unless ``indptr`` (int64) splits ``n_entries``
+    entries into ``n_rows`` rows."""
+    if (
+        indptr.dtype != np.int64 or indptr.shape != (n_rows + 1,)
+        or indptr[0] != 0 or (np.diff(indptr) < 0).any()
+        or indptr[-1] != n_entries
+    ):
+        raise ValueError(f"inconsistent {what} arrays")
+
+
 def _check_csr(
     indptr: np.ndarray, rows: np.ndarray, n_rows: int, n_table: int, what: str
 ) -> None:
     """``ValueError`` unless ``indptr`` (int64) and ``rows`` (int32) are a
     CSR of ``n_rows`` rows whose entries index a table of ``n_table``."""
-    if (
-        indptr.dtype != np.int64 or rows.dtype != np.int32
-        or indptr.shape != (n_rows + 1,)
-        or indptr[0] != 0 or (np.diff(indptr) < 0).any()
-        or rows.shape != (int(indptr[-1]),)
-        or (rows.size and not 0 <= rows.min() <= rows.max() < n_table)
-    ):
+    if rows.dtype != np.int32 or rows.ndim != 1:
+        raise ValueError(f"inconsistent {what} arrays")
+    _check_indptr(indptr, n_rows, len(rows), what)
+    if rows.size and not 0 <= rows.min() <= rows.max() < n_table:
         raise ValueError(f"inconsistent {what} arrays")
 
 
@@ -209,6 +219,210 @@ def _check_rows(rows: Iterable, n_table: int) -> None:
     """``ValueError`` unless every row is an int in ``[0, n_table)``."""
     if not all(type(row) is int and 0 <= row < n_table for row in rows):
         raise ValueError(f"row outside the {n_table}-paper table")
+
+
+# -- pattern extractions (v1) --------------------------------------------------------
+#
+# Members: ``header`` (uint8 bytes of a JSON object: format tag, the
+# sorted ``words`` table of every vocabulary word and middle word, the
+# sorted table of every training paper id, and per context its term id,
+# extraction ``settings`` and training rows) and three CSRs with one row
+# per context (``int64`` indptr):
+#
+# - ``vocab_indptr`` / ``vocab`` (int32 into ``words``): the vocabulary;
+# - ``middle_indptr`` over the middle rows; per middle row its words
+#   (``middle_word_indptr`` / ``middle_words``, int32 into ``words``),
+#   ``middle_base`` (float64) and ``middle_papers``;
+# - ``row_indptr`` over the pattern rows; per row its ``middle`` and
+#   ``count``, and ``window`` ids each of ``left`` and ``right``.
+#
+# The five column members are the records' own compact columns
+# concatenated, so ``uint16`` unless one record needed ``uint32``.
+
+_COLUMNS = ("middle_papers", "middle", "count", "left", "right")
+_EXTRACTION_MEMBERS = (
+    "header", "vocab_indptr", "vocab", "middle_indptr", "middle_word_indptr",
+    "middle_words", "middle_base", "row_indptr",
+) + _COLUMNS
+
+
+def write_pattern_extractions(extractions: Extractions, path: PathLike) -> None:
+    """Serialise ``term_id -> (training ids, extraction)`` records.
+
+    Contexts are written in ``extractions``' order, and one sorted word
+    table serves every vocabulary and middle, so the bytes depend on
+    nothing but the records and their order.
+    """
+    records = [record for _, record in extractions.values()]
+    middles = [middle for record in records for middle in record.middles]
+    words = sorted(
+        set(chain.from_iterable(record.vocabulary for record in records))
+        | set(chain.from_iterable(middles))
+    )
+    word_row = {word: i for i, word in enumerate(words)}
+    paper_ids = sorted(
+        set(chain.from_iterable(training for training, _ in extractions.values()))
+    )
+    paper_row = {pid: i for i, pid in enumerate(paper_ids)}
+
+    def word_rows(sequences) -> np.ndarray:
+        return np.fromiter(
+            map(word_row.__getitem__, chain.from_iterable(sequences)), dtype=np.int32
+        )
+
+    header = {
+        "format": _EXTRACTIONS_FORMAT,
+        "words": words,
+        "paper_ids": paper_ids,
+        "contexts": list(extractions),
+        "settings": [list(record.settings) for record in records],
+        "training": [
+            [paper_row[pid] for pid in training]
+            for training, _ in extractions.values()
+        ],
+    }
+    arrays = {
+        "vocab_indptr": indptr_of([len(record.vocabulary) for record in records]),
+        "vocab": word_rows(record.vocabulary for record in records),
+        "middle_indptr": indptr_of([len(record.middles) for record in records]),
+        "middle_word_indptr": indptr_of(list(map(len, middles))),
+        "middle_words": word_rows(middles),
+        "middle_base": np.concatenate(
+            [np.zeros(0)] + [record.middle_base for record in records]
+        ),
+        "row_indptr": indptr_of([len(record) for record in records]),
+    }
+    for name in _COLUMNS:
+        arrays[name] = np.concatenate(
+            [np.zeros(0, dtype=np.uint16)]
+            + [getattr(record, name).ravel() for record in records]
+        )
+    _write_npz(path, header, arrays)
+
+
+def check_pattern_extractions(path: PathLike) -> Path:
+    """``path``, once its zip directory lists every member.
+
+    Reads the directory at the end of the file and no member, so a
+    workspace open stays cheap yet still rejects a truncated file; the
+    members are checked when :func:`read_pattern_extractions` reads them.
+    """
+    try:
+        with zipfile.ZipFile(path) as archive:
+            missing = {f"{name}.npy" for name in _EXTRACTION_MEMBERS} - set(
+                archive.namelist()
+            )
+    except (OSError, zipfile.BadZipFile) as error:
+        raise ValueError(
+            f"{path}: corrupt pattern-extractions file ({error})"
+        ) from error
+    if missing:
+        raise ValueError(
+            f"{path}: corrupt pattern-extractions file (no {sorted(missing)})"
+        )
+    return Path(path)
+
+
+def read_pattern_extractions(path: PathLike) -> Extractions:
+    """Load the records :func:`write_pattern_extractions` wrote, in order.
+
+    Every record is bit for bit the one written, each int column back in
+    its compact dtype.  Every index is checked against the table it
+    indexes, so a corrupt file raises ``ValueError`` naming ``path``
+    here rather than failing a later pattern build.
+    """
+    try:
+        header, members = _read_npz(path, _EXTRACTIONS_FORMAT, "pattern-extractions")
+        words = np.array(header["words"], dtype=object)
+        paper_ids = header["paper_ids"]
+        term_ids = header["contexts"]
+        settings, training = header["settings"], header["training"]
+        n = len(term_ids)
+        if {len(settings), len(training)} != {n}:
+            raise ValueError("per-context header lists differ in length")
+        if len(set(term_ids)) != n:
+            raise ValueError("duplicate context ids")
+        _check_rows(chain.from_iterable(training), len(paper_ids))
+        if not all(
+            len(knobs) == 3 and all(type(k) is int and k >= 0 for k in knobs)
+            for knobs in settings
+        ):
+            raise ValueError("settings are not three non-negative ints")
+        vocab_indptr, middle_indptr = members["vocab_indptr"], members["middle_indptr"]
+        row_indptr = members["row_indptr"]
+        _check_csr(vocab_indptr, members["vocab"], n, len(words), "vocab")
+        middle_base = members["middle_base"]
+        n_middles = len(middle_base)
+        if middle_base.dtype != np.float64 or middle_base.ndim != 1:
+            raise ValueError("inconsistent middle_base array")
+        _check_indptr(middle_indptr, n, n_middles, "middle_indptr")
+        middle_word_indptr = members["middle_word_indptr"]
+        _check_csr(
+            middle_word_indptr, members["middle_words"], n_middles, len(words),
+            "middle_words",
+        )
+        n_rows = len(members["count"])
+        _check_indptr(row_indptr, n, n_rows, "row_indptr")
+        windows = np.array([knobs[0] for knobs in settings], dtype=np.int64)
+        rows_per_context = np.diff(row_indptr)
+        sizes = {
+            "middle_papers": n_middles, "middle": n_rows, "count": n_rows,
+            "left": int(rows_per_context @ windows),
+        }
+        sizes["right"] = sizes["left"]
+        for name in _COLUMNS:
+            column = members[name]
+            if column.dtype not in (np.uint16, np.uint32) or column.shape != (
+                sizes[name],
+            ):
+                raise ValueError(f"inconsistent {name} array")
+        # Each context's token ids stop at its vocabulary size (0 pads)
+        # and its middle indices below its middle count.
+        token_bound = np.repeat(np.diff(vocab_indptr), rows_per_context * windows)
+        middle_bound = np.repeat(np.diff(middle_indptr), rows_per_context)
+        if (members["left"] > token_bound).any() or (
+            members["right"] > token_bound
+        ).any():
+            raise ValueError("token id outside its context's vocabulary")
+        if (members["middle"] >= middle_bound).any():
+            raise ValueError("middle index outside its context's middles")
+    except (KeyError, TypeError, ValueError) as error:
+        message = str(error).removeprefix(f"{path}: ")
+        raise ValueError(
+            f"{path}: corrupt pattern-extractions file ({message})"
+        ) from error
+
+    vocab_words = words[members["vocab"]].tolist()
+    middle_words = words[members["middle_words"]].tolist()
+    word_bounds = middle_word_indptr.tolist()
+    middles = [
+        tuple(middle_words[lo:hi]) for lo, hi in zip(word_bounds, word_bounds[1:])
+    ]
+    vocab_bounds, middle_bounds = vocab_indptr.tolist(), middle_indptr.tolist()
+    row_bounds = row_indptr.tolist()
+    token_bounds = indptr_of((rows_per_context * windows).tolist()).tolist()
+    extractions: Extractions = {}
+    for c, term_id in enumerate(term_ids):
+        rows = slice(row_bounds[c], row_bounds[c + 1])
+        tokens = slice(token_bounds[c], token_bounds[c + 1])
+        in_middles = slice(middle_bounds[c], middle_bounds[c + 1])
+        shape = (row_bounds[c + 1] - row_bounds[c], int(windows[c]))
+        extractions[term_id] = (
+            tuple(paper_ids[r] for r in training[c]),
+            PatternExtraction.from_columns(
+                settings=tuple(settings[c]),
+                n_training=len(training[c]),
+                vocabulary=vocab_words[vocab_bounds[c]:vocab_bounds[c + 1]],
+                middles=middles[in_middles],
+                middle_base=middle_base[in_middles],
+                middle_papers=members["middle_papers"][in_middles],
+                left=members["left"][tokens].reshape(shape),
+                middle=members["middle"][rows],
+                right=members["right"][tokens].reshape(shape),
+                count=members["count"][rows],
+            ),
+        )
+    return extractions
 
 
 # -- prestige scores (v2) ------------------------------------------------------------

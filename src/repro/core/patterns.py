@@ -187,6 +187,42 @@ class PatternExtraction:
     right: np.ndarray
     count: np.ndarray
 
+    @classmethod
+    def from_columns(
+        cls,
+        settings: Tuple[int, int, int],
+        n_training: int,
+        vocabulary: Sequence[str],
+        middles: Sequence[Terms],
+        middle_base: np.ndarray,
+        middle_papers: np.ndarray,
+        left: np.ndarray,
+        middle: np.ndarray,
+        right: np.ndarray,
+        count: np.ndarray,
+    ) -> "PatternExtraction":
+        """The record with every int column in its most compact dtype.
+
+        Token ids are bounded by the vocabulary size plus the pad, middle
+        indices by the number of middles, and the two counts by their
+        maxima, so a record's dtypes follow from its values alone.
+        """
+        token_dtype = _compact_dtype(len(vocabulary) + 1)
+        return cls(
+            settings=tuple(settings),
+            n_training=n_training,
+            vocabulary=tuple(vocabulary),
+            middles=tuple(middles),
+            middle_base=np.asarray(middle_base, dtype=np.float64),
+            middle_papers=middle_papers.astype(
+                _compact_dtype(int(middle_papers.max(initial=0)))
+            ),
+            left=left.astype(token_dtype),
+            middle=middle.astype(_compact_dtype(len(middles))),
+            right=right.astype(token_dtype),
+            count=count.astype(_compact_dtype(int(count.max(initial=0)))),
+        )
+
     def __len__(self) -> int:
         return len(self.count)
 
@@ -325,6 +361,8 @@ class PatternMemo:
     The last two describe the whole corpus, so whoever changes it calls
     :meth:`apply_delta` with the old text of every removed paper and the
     new text of every added one (``SubstrateStore.apply_delta`` does).
+    Extractions read nothing of the corpus but their training papers,
+    so :meth:`seed` can restore them from a workspace file.
     """
 
     def __init__(self) -> None:
@@ -356,12 +394,31 @@ class PatternMemo:
             hits.nbytes for hits in self.hits.values()
         )
 
+    def seed(self, extractions: Extractions) -> int:
+        """Add the records of ``extractions`` for contexts the memo lacks.
+
+        A record already held was computed from the live corpus, so it
+        wins.  A seeded record is reused only while its training ids and
+        settings match the builder's, like any other.  Returns the
+        number of records added.
+        """
+        added = 0
+        for term_id, record in extractions.items():
+            if term_id not in self.extractions:
+                self.extractions[term_id] = record
+                added += 1
+        registry = get_registry()
+        registry.counter("patterns.extraction.loaded").inc(added)
+        registry.gauge("patterns.memo.bytes").set(self.nbytes)
+        return added
+
     def apply_delta(
         self, removed: Mapping[str, Sections], added: Mapping[str, Sections]
     ) -> None:
         """Patch the memo for papers leaving and joining the corpus.
 
-        ``removed`` maps each removed paper id to its old sections and
+        ``removed`` maps each removed paper id to its old sections (which
+        may be empty while the memo holds no coverage count or hit) and
         ``added`` each added id to its new ones; an id in both is a paper
         replaced in place.  Extractions listing a touched id are dropped.
         Coverage and hits are kept only for middles of the surviving
@@ -649,12 +706,11 @@ class PatternSetBuilder:
 
         context_word_set = set(context_words)
         occurring = [middles[i] for i in kept_middles.tolist()]
-        token_dtype = _compact_dtype(len(kept_ids))
-        return PatternExtraction(
+        return PatternExtraction.from_columns(
             settings=self._settings,
             n_training=len(training_tokens),
-            vocabulary=tuple(vocabulary[i - 1] for i in kept_ids[1:].tolist()),
-            middles=tuple(occurring),
+            vocabulary=[vocabulary[i - 1] for i in kept_ids[1:].tolist()],
+            middles=occurring,
             middle_base=np.array(
                 [
                     self._middle_type_score(middle, context_word_set, significant)
@@ -667,13 +723,11 @@ class PatternSetBuilder:
                 ],
                 dtype=np.float64,
             ),
-            middle_papers=middle_papers[kept_middles].astype(
-                _compact_dtype(int(middle_papers.max(initial=0)))
-            ),
-            left=id_row[left[first]].astype(token_dtype),
-            middle=middle_row[middle[first]].astype(_compact_dtype(len(occurring))),
-            right=id_row[right[first]].astype(token_dtype),
-            count=count.astype(_compact_dtype(int(count.max(initial=0)))),
+            middle_papers=middle_papers[kept_middles],
+            left=id_row[left[first]],
+            middle=middle_row[middle[first]],
+            right=id_row[right[first]],
+            count=count,
         )
 
     # -- scoring -------------------------------------------------------------------

@@ -19,8 +19,10 @@ parallel.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -33,17 +35,20 @@ from repro.core.assignment import (
     check_similarity_threshold,
 )
 from repro.core.context import ContextPaperSet
-from repro.core.patterns import PatternMemo, Sections
+from repro.core.io import read_pattern_extractions
+from repro.core.patterns import Extractions, PatternMemo, Sections
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper, TEXT_SECTIONS
 from repro.index.backend import SearchBackend
 from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
-from repro.obs import get_registry, span
+from repro.obs import get_logger, get_registry, span
 from repro.ontology.ontology import Ontology
 from repro.scoring.base import PrestigeScores, blend_rows, propagate_max, take_rows
 from repro.text.analyze import AnalyzedPaperCache
+
+logger = get_logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,9 @@ class SubstrateStore:
         #: Pattern extractions, coverage counts and middle hits, kept
         #: across deltas and patched from the papers each one touches.
         self._pattern_memo = PatternMemo()
+        #: An installed ``pattern_extractions`` file and its stat stamp,
+        #: read into the memo by the first pattern build or delta.
+        self._pattern_seed: Optional[Tuple[Path, Tuple[int, int, int]]] = None
         self._scores: Dict[str, PrestigeScores] = {}
         self._build_lock = threading.RLock()
         self._mutation_lock = threading.Lock()
@@ -236,9 +244,14 @@ class SubstrateStore:
         When the pattern paper set was hydrated from a workspace, the
         assigner has not run; accessing it (only pattern-*score* builds
         do) re-runs pattern construction while keeping the loaded set.
+        If a ``pattern_extractions`` file is installed and no delta has
+        read it yet, the build first seeds the pattern memo from it, so
+        construction re-mines only the contexts the file lacks or whose
+        training papers changed.
         """
 
         def build() -> PatternContextAssigner:
+            self._seed_pattern_memo()
             assigner = PatternContextAssigner(
                 self.corpus,
                 self.ontology,
@@ -252,6 +265,40 @@ class SubstrateStore:
             return assigner
 
         return self._lazy("_pattern_assigner", build)
+
+    @property
+    def pattern_extractions(self) -> Extractions:
+        """Every context's pattern extraction, in ontology order.
+
+        Runs the pattern build if it has not run; that build holds one
+        record per ontology term in the memo, which this only reads.
+        """
+        with self._build_lock:
+            _ = self.pattern_assigner
+            extractions = self._pattern_memo.extractions
+            return {
+                term_id: extractions[term_id] for term_id in self.ontology.term_ids()
+            }
+
+    def _seed_pattern_memo(self) -> None:
+        """Seed the pattern memo from the installed file, at most once.
+
+        Called under the build lock.  A file replaced since it was
+        installed describes another corpus, so it is skipped.
+        """
+        seed, self._pattern_seed = self._pattern_seed, None
+        if seed is None:
+            return
+        path, stamp = seed
+        if _stamp(path) != stamp:
+            logger.warning(
+                "pattern extractions file changed since open; not seeding",
+                path=str(path),
+            )
+            return
+        with span("patterns.memo.seed") as trace:
+            added = self._pattern_memo.seed(read_pattern_extractions(path))
+            trace.set(contexts=added, bytes=stamp[1])
 
     def paper_set(self, paper_set_name: str) -> ContextPaperSet:
         """The context paper set registered under ``paper_set_name``."""
@@ -373,7 +420,11 @@ class SubstrateStore:
           of the middle's words, read before removal and after addition.
           The rebuild then re-extracts only the dropped contexts; every
           context is re-scored and re-matched from the kept counts and
-          hits, with nothing re-counted or re-scanned;
+          hits, with nothing re-counted or re-scanned.  On the first
+          delta after a workspace open the memo is first seeded from
+          the installed ``pattern_extractions`` file, so that delta too
+          re-extracts only the contexts it touched (counts and hits
+          start empty and are counted by the rebuild);
         - **prestige memos** -- functions whose spec declares
           ``delta_scope="contexts"`` are re-scored only for changed
           contexts and re-propagated; everything else is dropped for
@@ -408,11 +459,16 @@ class SubstrateStore:
             with span(
                 "substrate.delta.apply", added=len(added), removed=len(removed)
             ):
-                # The memo needs a removed paper's words, read while the
-                # corpus and token cache still hold them.
-                old_sections = (
-                    {pid: self._sections(pid) for pid in removed} if memo else {}
-                )
+                # Seeded before the delta, so its touched contexts drop
+                # their extractions below like those of a warm memo.
+                self._seed_pattern_memo()
+                # The memo's counts and hits need a removed paper's words,
+                # read while the corpus and token cache still hold them; a
+                # memo holding only (seeded) extractions needs its id alone.
+                counted = bool(memo.coverage or memo.hits)
+                old_sections = {
+                    pid: self._sections(pid) if counted else () for pid in removed
+                }
                 # Evict before anything reads the added papers: a paper
                 # replaced in this delta keeps its id.
                 if self._tokens is not None:
@@ -598,12 +654,21 @@ class SubstrateStore:
             self._scores[key] = scores
         self._bump()
 
+    def install_pattern_extractions(self, path: Path) -> None:
+        """Seed the pattern memo from ``path`` at the next build or delta.
+
+        Reads nothing now and bumps no revision: no query reads the memo.
+        """
+        with self._build_lock:
+            self._pattern_seed = (Path(path), _stamp(path))
+
     #: Substrate name (as in the workspace artifact graph) -> raw slot.
     _SLOTS = {
         "index": "_index",
         "vectors": "_vectors",
         "text_paper_set": "_text_paper_set",
         "pattern_paper_set": "_pattern_paper_set",
+        "pattern_extractions": "_pattern_seed",
     }
 
     def has(self, slot: str) -> bool:
@@ -615,3 +680,9 @@ class SubstrateStore:
         if "/" in slot:
             return slot in self._scores
         return getattr(self, self._SLOTS[slot]) is not None
+
+
+def _stamp(path: Path) -> Tuple[int, int, int]:
+    """Inode, size and mtime of ``path``: a rewrite changes the inode."""
+    stat = os.stat(path)
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)

@@ -148,6 +148,21 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         deps=("index",),
         description="pattern-based context paper set (section 4)",
     ),
+    Artifact(
+        name="pattern_extractions",
+        filename="pattern_extractions.npz",
+        schema_version=1,
+        # The pattern build has filled the memo; this only serialises it.
+        build=lambda pipeline: pipeline.substrates.pattern_extractions,
+        save=core_io.write_pattern_extractions,
+        # Read when the memo is seeded, not on open: no query needs it.
+        load=lambda path, pipeline: core_io.check_pattern_extractions(path),
+        install=lambda pipeline, path: (
+            pipeline.substrates.install_pattern_extractions(path)
+        ),
+        deps=("pattern_paper_set",),
+        description="per-context pattern extractions, seeding the pattern memo",
+    ),
 )
 
 

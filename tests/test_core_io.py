@@ -1,5 +1,5 @@
 """Unit tests for artefact persistence (context sets, prestige scores,
-atomic writes)."""
+pattern extractions, atomic writes)."""
 
 import os
 import re
@@ -19,11 +19,15 @@ from repro.core.context import Context, ContextPaperSet
 from repro.core.io import (
     TEMP_SUFFIX,
     atomic_write,
+    check_pattern_extractions,
     read_context_paper_set,
+    read_pattern_extractions,
     read_prestige_scores,
     write_context_paper_set,
+    write_pattern_extractions,
     write_prestige_scores,
 )
+from repro.core.patterns import PatternExtraction
 from repro.ontology import Ontology
 from repro.ontology.term import Term
 
@@ -326,6 +330,163 @@ class TestPrestigeScoresCodecProperty:
         # Other columns of the same layout get their own, equal array.
         again = ContextPaperSet(_ONTOLOGY, list(paper_set)).columns
         assert np.array_equal(_bits(loaded.aligned(again)), _bits(reference))
+
+
+# -- pattern extractions --------------------------------------------------------
+
+_WORDS = st.text(alphabet="abcdeé ", min_size=1, max_size=4)
+#: Sizes on both sides of the uint16/uint32 column boundary, besides small ones.
+_BOUNDARY = st.sampled_from([0xFFFE, 0xFFFF, 0x10000])
+
+
+def _column(draw, elements, n, fill, dtype):
+    """``n`` values: up to eight drawn from ``elements``, then ``fill``."""
+    head = draw(st.lists(elements, min_size=min(n, 8), max_size=min(n, 8)))
+    return np.array(head + [fill] * (n - len(head)), dtype=dtype)
+
+
+@st.composite
+def _extraction(draw):
+    """A (training ids, extraction) record with arbitrary, consistent columns."""
+    window = draw(st.integers(0, 3))
+    big = draw(st.sampled_from([None, "vocabulary", "middles", "count", "papers"]))
+    if big == "vocabulary":
+        vocabulary = tuple(f"v{i:05d}" for i in range(draw(_BOUNDARY) - 1))
+    else:
+        vocabulary = tuple(sorted(set(draw(st.lists(_WORDS, max_size=5)))))
+    if big == "middles":
+        middles = tuple((f"m{i:05d}",) for i in range(draw(_BOUNDARY)))
+    else:
+        phrases = st.lists(_WORDS, min_size=1, max_size=3).map(tuple)
+        middles = tuple(sorted(set(draw(st.lists(phrases, max_size=4)))))
+    n_rows = draw(st.integers(0, 6)) if middles else 0
+    n_tokens = 2 * n_rows * window
+    tokens = _column(draw, st.integers(0, len(vocabulary)), n_tokens, 0, np.int64)
+    counts = st.integers(1, 3) | (_BOUNDARY if big == "count" else st.nothing())
+    papers = st.integers(0, 3) | (_BOUNDARY if big == "papers" else st.nothing())
+    training = tuple(draw(st.lists(st.sampled_from(_PAPER_POOL), unique=True)))
+    record = PatternExtraction.from_columns(
+        settings=(window, draw(st.integers(0, 4)), draw(st.integers(0, 4))),
+        n_training=len(training),
+        vocabulary=vocabulary,
+        middles=middles,
+        middle_base=_column(draw, st.floats(), len(middles), 0.5, np.float64),
+        middle_papers=_column(draw, papers, len(middles), 1, np.int64),
+        left=tokens.reshape(2, n_rows, window)[0],
+        middle=_column(
+            draw, st.integers(0, max(len(middles) - 1, 0)), n_rows, 0, np.int64
+        ),
+        right=tokens.reshape(2, n_rows, window)[1],
+        count=_column(draw, counts, n_rows, 1, np.int64),
+    )
+    return training, record
+
+
+def _assert_records_equal(loaded, original):
+    """Every field of every record equal, arrays in dtype, shape and bits."""
+    assert list(loaded) == list(original)
+    for term_id, (training, record) in original.items():
+        loaded_training, loaded_record = loaded[term_id]
+        assert loaded_training == training
+        for name in ("settings", "n_training", "vocabulary", "middles"):
+            assert getattr(loaded_record, name) == getattr(record, name), name
+        for name in ("middle_base", "middle_papers", "left", "middle", "right",
+                     "count"):
+            ours, theirs = getattr(loaded_record, name), getattr(record, name)
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), name
+            assert ours.tobytes() == theirs.tobytes(), name
+
+
+class TestPatternExtractionsCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.dictionaries(
+            st.sampled_from(_CONTEXT_POOL), _extraction(), max_size=4
+        )
+    )
+    def test_round_trip_is_bit_for_bit(self, records):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "extractions.npz"
+            write_pattern_extractions(records, path)
+            assert check_pattern_extractions(path) == path
+            loaded = read_pattern_extractions(path)
+            again = Path(directory) / "again.npz"
+            write_pattern_extractions(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
+        _assert_records_equal(loaded, records)
+
+    def test_uint32_columns_round_trip(self, tmp_path):
+        """Each compact column on the uint32 side of the boundary."""
+        window = 1
+        vocabulary = tuple(f"v{i:05d}" for i in range(0xFFFF))
+        record = PatternExtraction.from_columns(
+            settings=(window, 2, 3), n_training=1, vocabulary=vocabulary,
+            middles=(("a",), ("b",)), middle_base=np.array([0.5, -0.0]),
+            middle_papers=np.array([0x10000, 1]),
+            left=np.array([[0xFFFF], [0]]), middle=np.array([0, 1]),
+            right=np.array([[1], [0xFFFF]]), count=np.array([0x10000, 2]),
+        )
+        assert {column.dtype for column in (
+            record.left, record.right, record.count, record.middle_papers
+        )} == {np.dtype(np.uint32)}
+        records = {"c0": (("P00",), record)}
+        path = tmp_path / "extractions.npz"
+        write_pattern_extractions(records, path)
+        _assert_records_equal(read_pattern_extractions(path), records)
+
+    def test_demo_pipeline_memo_round_trips(self, tmp_path):
+        from repro.pipeline import build_demo_pipeline
+
+        pipeline = build_demo_pipeline(seed=1, n_papers=80, n_terms=20)
+        records = pipeline.substrates.pattern_extractions
+        assert list(records) == pipeline.ontology.term_ids()
+        assert all(len(record) for _, record in records.values())
+        path = tmp_path / "extractions.npz"
+        write_pattern_extractions(records, path)
+        _assert_records_equal(read_pattern_extractions(path), records)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "format", "vocab_row", "middle_word_row", "left_id",
+         "middle_index", "training_row", "indptr", "column_dtype", "short_list"],
+    )
+    def test_damaged_file_is_corrupt(self, tmp_path, damage):
+        record = PatternExtraction.from_columns(
+            settings=(1, 2, 3), n_training=1, vocabulary=("x", "y"),
+            middles=(("m",), ("n", "x")), middle_base=np.array([1.0, 2.0]),
+            middle_papers=np.array([1, 1]), left=np.array([[0], [2]]),
+            middle=np.array([0, 1]), right=np.array([[1], [0]]),
+            count=np.array([1, 3]),
+        )
+        path = tmp_path / "extractions.npz"
+        write_pattern_extractions({"c0": (("P00",), record)}, path)  # words m n x y
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            with pytest.raises(ValueError, match="corrupt pattern-extractions file"):
+                check_pattern_extractions(path)
+        elif damage == "format":
+            _rewrite(path, {"format": "repro/pattern-extractions/v0"})
+        elif damage == "vocab_row":
+            _rewrite(path, vocab=np.array([2, 4], dtype=np.int32))
+        elif damage == "middle_word_row":
+            _rewrite(path, middle_words=np.array([0, -1, 2], dtype=np.int32))
+        elif damage == "left_id":  # past the context's two-word vocabulary
+            _rewrite(path, left=np.array([0, 3], dtype=np.uint16))
+        elif damage == "middle_index":
+            _rewrite(path, middle=np.array([0, 2], dtype=np.uint16))
+        elif damage == "training_row":
+            _rewrite(path, {"training": [[1]]})
+        elif damage == "indptr":
+            _rewrite(path, row_indptr=np.array([0, 3], dtype=np.int64))
+        elif damage == "column_dtype":
+            _rewrite(path, count=np.array([1, 3], dtype=np.int64))
+        else:
+            _rewrite(path, {"settings": []})
+        with pytest.raises(
+            ValueError, match="corrupt pattern-extractions file"
+        ) as excinfo:
+            read_pattern_extractions(path)
+        assert str(excinfo.value).startswith(str(path))
 
 
 class TestAtomicWrite:

@@ -5,7 +5,10 @@ through random corpus deltas -- adding held-out papers, removing papers,
 and replacing a paper in one delta with changed references and text --
 while every arm's prestige stays memoised, so each delta takes the
 incremental paths (patched citation scores, cached pattern extractions,
-patched coverage counts and middle hits).  After every step, every kept
+patched coverage counts and middle hits).  A reopen rule persists the
+workspace and carries on with a pipeline opened from it, whose pattern
+memo is seeded from the persisted extractions, by a delta applied at
+once or by the next pattern build.  After every step, every kept
 coverage count and middle hit list must equal a fresh count and scan of
 the corpus, and the keyword index (paper count, and every term's
 document frequency and postings), every mined pattern set, both context
@@ -14,7 +17,10 @@ those of a pipeline built from scratch on the same corpus.
 """
 
 import dataclasses
+import shutil
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -27,6 +33,7 @@ from repro.corpus.corpus import Corpus
 from repro.datagen.corpus_gen import CorpusGenerator
 from repro.datagen.ontology_gen import OntologyGenerator
 from repro.pipeline import Pipeline
+from repro.workspace import open_workspace
 
 #: Papers held out of the starting corpus, available to add.
 HELD_OUT = 6
@@ -83,6 +90,10 @@ class DeltaParity(RuleBasedStateMachine):
         self.pipeline = Pipeline(
             Corpus(papers[:-HELD_OUT]), dataset.ontology, dataset.training_papers
         )
+        self.workspace = Path(tempfile.mkdtemp(prefix="delta-parity-"))
+
+    def teardown(self):
+        shutil.rmtree(self.workspace, ignore_errors=True)
 
     def _apply(self, added=(), removed=()):
         for paper_id in removed:
@@ -108,6 +119,21 @@ class DeltaParity(RuleBasedStateMachine):
     @rule(data=st.data(), retitle=st.booleans())
     def replace(self, data, retitle):
         """Remove and re-add one id in one delta with changed content."""
+        self._replace(data, retitle)
+
+    @rule(data=st.data(), then_replace=st.booleans(), retitle=st.booleans())
+    def reopen(self, data, then_replace, retitle):
+        """Persist the workspace and carry on with a pipeline opened from it."""
+        pipeline = self.pipeline
+        pipeline.build_workspace(self.workspace)
+        self.pipeline = Pipeline(
+            Corpus(list(pipeline.corpus)), pipeline.ontology, pipeline.training_papers
+        )
+        open_workspace(self.pipeline, self.workspace)
+        if then_replace:
+            self._replace(data, retitle)
+
+    def _replace(self, data, retitle):
         paper_ids = self.pipeline.corpus.paper_ids()
         old = self.pipeline.corpus.paper(data.draw(st.sampled_from(paper_ids)))
         cited = data.draw(st.lists(st.sampled_from(paper_ids), max_size=3, unique=True))

@@ -9,6 +9,8 @@ Covers the delta-aware build layer end to end:
 - invalid deltas raise before any mutation;
 - a freshly built index mutates in place; the read-only packed index
   reopened from a workspace is rebuilt in memory on the first delta;
+- the first delta after a workspace open seeds the pattern memo from
+  the persisted extractions and re-extracts only the touched contexts;
 - workspace generations: manifest lineage fields, archives, chain
   validation, and the :func:`repro.workspace.ingest_delta` flow;
 - ``POST /admin/ingest`` on the search service.
@@ -23,8 +25,9 @@ import pytest
 from repro.citations.graph import CitationGraph
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper
-from repro.obs import get_registry
+from repro.obs import get_registry, reset_registry
 from repro.pipeline import Pipeline, build_demo_pipeline
+from repro.workspace import ingest_delta
 
 
 @pytest.fixture()
@@ -259,6 +262,154 @@ class TestPatternExtractionScoping:
             extractions = store.pattern_assigner.pattern_builder.memo.extractions
             assert set(extractions) <= term_ids
         assert sum(record.nbytes for _, record in extractions.values()) > 0
+
+
+def _reopen(pipeline, workspace_dir):
+    """A fresh pipeline over a copy of ``pipeline``'s inputs, hydrated
+    from the workspace built at ``workspace_dir``."""
+    from repro.workspace import open_workspace
+
+    reopened = Pipeline(
+        Corpus(list(pipeline.corpus)), pipeline.ontology, pipeline.training_papers
+    )
+    open_workspace(reopened, workspace_dir)
+    return reopened
+
+
+def _pattern_state(pipeline):
+    """The pattern paper set and both pattern-set arms' scores, by value."""
+    contexts = [
+        (c.term_id, c.paper_ids, c.training_paper_ids, c.inherited_from, c.decay)
+        for c in pipeline.pattern_paper_set
+    ]
+    scores = {}
+    for function in ("pattern", "citation"):
+        table = pipeline.prestige(function, "pattern")
+        scores[function] = {cid: table.of(cid) for cid in table.context_ids()}
+    return contexts, scores
+
+
+class TestReopenedWorkspaceDelta:
+    """The first delta after a workspace open reuses the persisted
+    pattern extractions: it re-extracts only the contexts whose training
+    papers it touched, and ends where a scratch build of the final
+    corpus does."""
+
+    @pytest.fixture()
+    def built(self, pipeline, tmp_path):
+        """The built pipeline, its workspace, and each context's training
+        ids (those with any); counters restart after the build."""
+        pipeline.build_workspace(tmp_path)
+        training = {
+            term_id: ids
+            for term_id, (ids, _) in pipeline.substrates.pattern_extractions.items()
+            if ids
+        }
+        reset_registry()
+        return pipeline, tmp_path, training
+
+    @staticmethod
+    def _touching(training, paper_ids):
+        return {tid for tid, ids in training.items() if set(ids) & set(paper_ids)}
+
+    def _check_first_delta(self, pipeline, workspace, training, added, removed):
+        reopened = _reopen(pipeline, workspace)
+        report, _ = ingest_delta(
+            reopened, workspace, added_papers=added, removed_ids=removed
+        )
+        expected = self._touching(training, set(report.added) | set(report.removed))
+        n_contexts = len(reopened.ontology.term_ids())
+        assert get_registry().counter("patterns.extraction.loaded").value == n_contexts
+        assert _extraction_counts() == (len(expected), n_contexts - len(expected))
+        scratch = Pipeline(
+            Corpus(list(reopened.corpus)), reopened.ontology, reopened.training_papers
+        )
+        assert _pattern_state(reopened) == _pattern_state(scratch)
+        return reopened, scratch, expected
+
+    def test_delta_touching_no_training_paper_extracts_nothing(self, built):
+        pipeline, workspace, training = built
+        trained = {pid for ids in training.values() for pid in ids}
+        victim = next(pid for pid in pipeline.corpus.paper_ids() if pid not in trained)
+        _, _, expected = self._check_first_delta(
+            pipeline, workspace, training, [], [victim]
+        )
+        assert expected == set()
+
+    def test_removing_a_training_paper_extracts_its_contexts(self, built):
+        pipeline, workspace, training = built
+        victim = training[min(training)][0]
+        _, _, expected = self._check_first_delta(
+            pipeline, workspace, training, [], [victim]
+        )
+        assert expected
+
+    def test_training_paper_replaced_in_place_is_reextracted(self, built, tmp_path):
+        """Same id, new text: the seeded records of its contexts describe
+        the old text, so the delta drops and re-mines them, and the
+        generation's extractions file is the bytes a fresh build writes."""
+        from repro.workspace import ARTIFACTS
+
+        pipeline, workspace, training = built
+        victim = pipeline.corpus.paper(training[max(training)][-1])
+        replacement = dataclasses.replace(
+            victim,
+            title=f"{victim.abstract} {victim.title}",
+            body=f"{victim.body} {victim.title}",
+        )
+        reopened, scratch, expected = self._check_first_delta(
+            pipeline, workspace, training, [replacement], [victim.paper_id]
+        )
+        assert expected
+        extractions = reopened.substrates.pattern_extractions
+        assert all(
+            extractions[tid][1] is not old
+            for tid, (_, old) in pipeline.substrates.pattern_extractions.items()
+            if tid in expected
+        )
+        fresh = tmp_path / "fresh"
+        scratch.build_workspace(fresh)
+        name = ARTIFACTS["pattern_extractions"].filename
+        assert (workspace / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_seeding_happens_once_and_keeps_live_records(self, built):
+        """The open reads no records; the first pattern build seeds the
+        memo and later builds and deltas do not seed it again."""
+        pipeline, workspace, training = built
+        reopened = _reopen(pipeline, workspace)
+        store = reopened.substrates
+        assert not store._pattern_memo.extractions
+        _ = store.pattern_assigner
+        registry = get_registry()
+        n_contexts = len(reopened.ontology.term_ids())
+        assert registry.counter("patterns.extraction.loaded").value == n_contexts
+        assert registry.counter("patterns.extraction.computed").value == 0
+        victim = training[min(training)][0]
+        store.apply_delta(removed_ids=[victim])
+        _ = store.pattern_paper_set
+        assert registry.counter("patterns.extraction.loaded").value == n_contexts
+        assert registry.counter("patterns.extraction.computed").value == len(
+            self._touching(training, [victim])
+        )
+
+    def test_file_replaced_after_open_is_not_seeded(self, built, tmp_path):
+        """A file rewritten after the open (another process's delta)
+        describes another corpus: the delta mines cold instead."""
+        pipeline, workspace, _ = built
+        reopened = _reopen(pipeline, workspace)
+        from repro.workspace import ARTIFACTS
+
+        path = workspace / ARTIFACTS["pattern_extractions"].filename
+        copy = tmp_path / "copy.npz"
+        copy.write_bytes(path.read_bytes())
+        copy.replace(path)
+        reopened.substrates.apply_delta(removed_ids=[reopened.corpus.paper_ids()[0]])
+        _ = reopened.pattern_paper_set
+        registry = get_registry()
+        assert registry.counter("patterns.extraction.loaded").value == 0
+        assert registry.counter("patterns.extraction.computed").value == len(
+            reopened.ontology.term_ids()
+        )
 
 
 class TestIndexMutationCapability:

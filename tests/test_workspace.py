@@ -336,9 +336,10 @@ class TestCorruptArtifacts:
     ):
         """A workspace whose paper sets are v1 JSON and whose
         representatives are the ``representatives.json`` artifact, with
-        the fingerprints such a workspace recorded, rebuilds the two
-        paper sets as ``.npz`` and the five score artifacts to the same
-        bytes, and drops the JSON files and the retired entry."""
+        the fingerprints such a workspace recorded and no pattern
+        extractions, rebuilds the two paper sets as ``.npz`` and the five
+        score artifacts to the same bytes, writes the extractions, and
+        drops the JSON files and the retired entry."""
         from repro.workspace.manifest import entries_from_payload
 
         pipeline, workspace, _ = built
@@ -371,6 +372,7 @@ class TestCorruptArtifacts:
         artifacts["representatives"] = dict(
             artifacts["vectors"], file="representatives.json", schema_version=1
         )
+        (copy / artifacts.pop("pattern_extractions")["file"]).unlink()
         graph = _json_era_graph()
         old = {
             "text_paper_set": (
@@ -401,7 +403,7 @@ class TestCorruptArtifacts:
         }
 
         report = WorkspaceBuilder(reopened, copy).build()
-        assert set(report.built) == set(paper_sets) | scores
+        assert set(report.built) == set(paper_sets) | scores | {"pattern_extractions"}
         assert sorted(p.name for p in copy.glob("*.json")) == ["manifest.json"]
         entries = entries_from_payload(read_manifest(copy))
         assert set(entries) == set(ARTIFACTS)
@@ -464,8 +466,10 @@ def _v1_fingerprints(pipeline, old, graph=None):
 
 def _json_era_graph():
     """The artifact graph of a workspace whose representatives were an
-    artifact of their own, which the text-set scores depended on."""
+    artifact of their own, which the text-set scores depended on, and
+    which had no pattern extractions."""
     graph = {name: ARTIFACTS[name].deps for name in topological_order()}
+    del graph["pattern_extractions"]
     graph["representatives"] = ("text_paper_set", "vectors")
     for name in ("scores_text_text", "scores_combined_text"):
         graph[name] = graph.pop(name) + ("representatives",)

@@ -39,7 +39,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.io import TEMP_SUFFIX  # noqa: E402
+from repro.core.io import TEMP_SUFFIX, read_pattern_extractions  # noqa: E402
 from repro.pipeline import Pipeline  # noqa: E402
 from repro.workspace import (  # noqa: E402
     ARTIFACTS,
@@ -135,7 +135,8 @@ def check_loads(path: Path, payload: dict) -> list:
     load in build order and each loaded object is installed, as a
     workspace open does.  No codec reads another artifact: the vector
     store takes the token cache, which derives from the corpus and
-    analyses nothing until read.  Any exception is a violation.
+    analyses nothing until read.  The pattern extractions, which an open
+    only checks, are read in full too.  Any exception is a violation.
     """
     workspace = path.parent
     try:
@@ -151,6 +152,9 @@ def check_loads(path: Path, payload: dict) -> list:
         try:
             loaded = artifact.load(workspace / entry["file"], pipeline)
             artifact.install(pipeline, loaded)
+            if name == "pattern_extractions":
+                # Its load reads only the zip directory; read the records.
+                read_pattern_extractions(workspace / entry["file"])
         except Exception as error:
             problems.append(
                 f"{path}: {name}: {entry['file']} does not load "

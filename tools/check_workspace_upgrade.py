@@ -27,6 +27,10 @@ Scenarios:
 - ``json_paper_sets`` -- both paper sets as v1 JSON plus a
   ``representatives`` entry and file; the two paper sets and all five
   score artifacts rebuild.
+- ``no_pattern_extractions`` -- no ``pattern_extractions`` entry or
+  file, from before the pattern memo was persisted; it alone rebuilds,
+  re-running pattern construction without rewriting the pattern paper
+  set or the pattern scores.
 
 Exit status 1 on the first failed check.
 """
@@ -127,9 +131,17 @@ def json_paper_sets(data: Path, artifacts: dict) -> tuple:
     return 7, ["text_paper_set.json", "pattern_paper_set.json", "representatives.json"]
 
 
+def no_pattern_extractions(data: Path, artifacts: dict) -> tuple:
+    (data / "workspace" / artifacts.pop("pattern_extractions")["file"]).unlink()
+    return 1, []
+
+
 SCENARIOS = {
     scenario.__name__: scenario
-    for scenario in (citation_graph, tokens, text_index_dep, json_paper_sets)
+    for scenario in (
+        citation_graph, tokens, text_index_dep, json_paper_sets,
+        no_pattern_extractions,
+    )
 }
 
 

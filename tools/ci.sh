@@ -37,7 +37,7 @@ python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/m
 # and that every artifact file keeps its sha256 (see the tool's
 # docstring for what each scenario models).
 python tools/check_workspace_upgrade.py "$WORKSPACE_DATA" \
-    citation_graph tokens text_index_dep json_paper_sets
+    citation_graph tokens text_index_dep json_paper_sets no_pattern_extractions
 # ... and so does the next generation a one-paper delta writes (the
 # delta path rewrites vectors.npz from the retained term counts).
 python - "$WORKSPACE_DATA" <<'PY'
@@ -69,6 +69,11 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli ingest-delta \
 python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/manifest.json"
 cp "$WORKSPACE_DATA"/corpus.jsonl "$WORKSPACE_DATA"/ontology.obo "$WORKSPACE_DATA"/training.json "$FRESH_DATA"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build --data "$FRESH_DATA" > /dev/null
+# The generation's pattern extractions, seeded from generation 1's file,
+# are the bytes a fresh build of the final corpus writes.
+cmp "$WORKSPACE_DATA/workspace/pattern_extractions.npz" \
+    "$FRESH_DATA/workspace/pattern_extractions.npz"
+echo "generation 2's pattern_extractions.npz equals a fresh build's"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$WORKSPACE_DATA" "$FRESH_DATA" <<'PY'
 import json, sys
 from pathlib import Path
