@@ -32,7 +32,7 @@ from repro.core.patterns import (
 from repro.core.representative import representatives_of
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
-from repro.index.backend import SearchBackend
+from repro.index.inverted import InvertedIndex
 from repro.obs import get_logger, get_registry, span
 from repro.ontology.ontology import Ontology
 from repro.text.analyze import AnalyzedPaperCache
@@ -164,7 +164,7 @@ class PatternContextAssigner:
         self,
         corpus: Corpus,
         ontology: Ontology,
-        index: SearchBackend,
+        index: InvertedIndex,
         token_cache: AnalyzedPaperCache,
         pattern_builder: Optional[PatternSetBuilder] = None,
         max_middle_coverage: float = 0.08,

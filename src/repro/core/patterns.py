@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.cosine import ordered_sums
 from repro.corpus.paper import Section, TEXT_SECTIONS
-from repro.index.backend import SearchBackend
+from repro.index.inverted import InvertedIndex
 from repro.obs import get_registry
 from repro.ontology.ontology import Ontology
 from repro.text.analyze import AnalyzedPaperCache
@@ -506,7 +506,7 @@ class PatternSetBuilder:
     def __init__(
         self,
         ontology: Ontology,
-        index: SearchBackend,
+        index: InvertedIndex,
         token_cache: AnalyzedPaperCache,
         window: int = 2,
         min_phrase_support: int = 2,

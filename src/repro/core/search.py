@@ -62,7 +62,7 @@ import numpy as np
 from repro.core.context import ContextPaperSet, csr_positions
 from repro.core.cosine import TermMajor, VectorRows, dot_pairs, finish_cosines
 from repro.core.vectors import PaperVectorStore
-from repro.index.backend import PaperTable
+from repro.index.inverted import PaperTable
 from repro.index.search import (
     KeywordSearchEngine,
     QueryEvaluation,
@@ -371,8 +371,8 @@ class ContextSearchEngine:
 
         One gather through an index-row -> columns-row array, built on
         first use per paper table.  The array is cached with the table
-        object it was built from, so an index revision (a new table)
-        never reads it with rows of another table.
+        object it was built from, so an evaluation over another index (a
+        new table) never reads it with rows of another table.
         """
         table = evaluation.table
         cached = self._gather

@@ -1,213 +1,423 @@
-"""The inverted index.
+"""The inverted index: one immutable, columnar form, built or mapped.
 
-Maps analysis terms to postings ``(paper_id, section, term_frequency)``.
+Maps analysis terms to postings ``(paper, section, term_frequency)``.
 Sections are indexed separately so searches can weight title matches above
 body matches -- the usual digital-library behaviour, and the mechanism the
 context search engine reuses for its text-matching component.
+
+An :class:`InvertedIndex` is a term directory (terms, document
+frequencies, run offsets) over term-major packed records, made in one
+of two ways:
+
+- :func:`build_index` -- one pass over the token cache in corpus order,
+  then a stable sort by term id, so each term's postings are in corpus
+  order, then section order;
+- :func:`open_index` -- ``mmap`` of a file :func:`save_index` wrote, plus
+  a parse of its header.  Postings are decoded only when something asks
+  for their term.
+
+Both number papers and sections in first-posting order (the order a
+term-major scan first meets them), so a built index and its reopened
+copy hold equal records, and the saved bytes are a pure function of the
+corpus.  The index never changes: a corpus delta builds a new one.
+
+File layout (``index.bin``): ``magic | u64 header_len | header JSON |
+data``:
+
+- header: ``n_papers``, ``revision`` (written as ``n_papers``; not
+  read), the paper-id and section tables, the per-term ``[term, df,
+  offset, count]`` directory and ``data_bytes``;
+- data: per-term runs of packed ``(paper u32, section u8, tf u32)``
+  records (:data:`_RECORD`), tiling the data region in directory order.
+
+Opening checks the header's keys and types, that the runs tile the data,
+and that every record indexes the paper and section tables with a
+positive tf, so a damaged file fails at open, not at its first query.
+
+Metrics: an ``index.backend.mapped_bytes`` gauge set when a file is
+mapped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+import json
+import mmap
+import os
+import struct
+from collections import Counter
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.corpus.paper import Section, TEXT_SECTIONS
-from repro.index.backend import PaperTable, SearchBackend, TermRun
-from repro.text.analyze import AnalyzedPaperCache
+from repro.obs import get_registry
+from repro.text.analyze import Analyzer, AnalyzedPaperCache, default_analyzer
 
-#: The section codes of :meth:`InvertedIndex.term_run`.
-_SECTIONS: Tuple[Section, ...] = tuple(Section)
-_SECTION_CODE: Dict[Section, int] = {
-    section: code for code, section in enumerate(_SECTIONS)
+_MAGIC = b"RPROIDX2"
+_LEN = struct.Struct("<Q")
+#: One posting as an (unpadded) record: paper row, section code, tf.
+_RECORD = np.dtype([("paper", "<u4"), ("section", "u1"), ("tf", "<u4")])
+_PREAMBLE = len(_MAGIC) + _LEN.size
+#: The header keys :func:`open_index` reads, and their JSON types.
+_HEADER_TYPES = {
+    "n_papers": int,
+    "paper_ids": list,
+    "sections": list,
+    "terms": list,
+    "data_bytes": int,
 }
 
 
-@dataclass(frozen=True)
-class Posting:
-    """One term occurrence record."""
+class PaperTable:
+    """The dense paper rows of one index.
 
-    paper_id: str
-    section: Section
-    term_frequency: int
-
-
-class InvertedIndex(SearchBackend):
-    """Section-aware inverted index over a corpus.
-
-    Build once with :func:`build_index` (or incrementally with
-    :meth:`index_paper`); the index reads each paper's terms from the
-    corpus's token cache and also tracks the document frequencies
-    TF-IDF scoring needs.  This is the build form and the mutation
-    form; a workspace persists it with
-    :func:`repro.index.packed.save_index`.
+    ``ids[row]`` is a row's paper and ``row_of`` the inverse;
+    ``rank[row]`` is the row's position in ascending paper-id order, so
+    a ``(-score, paper_id)`` ranking over rows is one ``lexsort``.
     """
 
-    #: Mutates in place (see :meth:`index_paper`/:meth:`remove_paper`).
-    supports_mutation = True
+    __slots__ = ("ids", "row_of", "rank")
 
-    def __init__(self, tokens: AnalyzedPaperCache) -> None:
-        self.tokens = tokens
-        self.analyzer = tokens.analyzer
-        self._postings: Dict[str, List[Posting]] = {}
-        self._document_frequency: Dict[str, int] = {}
-        # Each paper's distinct terms: what remove_paper must visit.
-        self._paper_terms: Dict[str, Tuple[str, ...]] = {}
-        self._n_papers = 0
-        self._revision = 0
-        # Read-path snapshots handed out by vocabulary()/paper_table();
-        # dropped wholesale on every mutation.
-        self._vocabulary_view: Optional[Tuple[str, ...]] = None
-        self._paper_table: Optional[PaperTable] = None
+    def __init__(self, ids: Sequence[str]) -> None:
+        self.ids: Tuple[str, ...] = tuple(ids)
+        self.row_of = {paper_id: row for row, paper_id in enumerate(self.ids)}
+        self.rank = np.empty(len(self.ids), dtype=np.intp)
+        self.rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = (
+            np.arange(len(self.ids))
+        )
 
-    def _invalidate_views(self) -> None:
-        self._vocabulary_view = None
-        self._paper_table = None
 
-    # -- construction -------------------------------------------------------------
+class TermRun(NamedTuple):
+    """One term's postings as parallel columns, in indexing order."""
 
-    def index_paper(self, paper_id: str) -> None:
-        """Index one corpus paper across all textual sections."""
-        if paper_id in self._paper_terms:
-            raise ValueError(f"paper {paper_id!r} is already indexed")
-        seen_terms: Dict[str, None] = {}
-        for section in TEXT_SECTIONS:
-            terms = self.tokens.tokens(paper_id, section)
-            if not terms:
-                continue
-            counts: Dict[str, int] = {}
-            for term in terms:
-                counts[term] = counts.get(term, 0) + 1
-            for term, frequency in counts.items():
-                self._postings.setdefault(term, []).append(
-                    Posting(paper_id, section, frequency)
-                )
-                seen_terms[term] = None
-        for term in seen_terms:
-            self._document_frequency[term] = self._document_frequency.get(term, 0) + 1
-        self._paper_terms[paper_id] = tuple(seen_terms)
-        self._n_papers += 1
-        self._revision += 1
-        self._invalidate_views()
+    #: Each posting's paper, as a row of the index's :class:`PaperTable`.
+    rows: np.ndarray
+    #: Each posting's section, as a position in ``section_table``.
+    sections: np.ndarray
+    term_frequency: np.ndarray
+    section_table: Tuple[Section, ...]
 
-    def remove_paper(self, paper_id: str) -> None:
-        """Remove one paper from the index (ValueError if not indexed).
 
-        Surviving postings keep their relative order, so the index is
-        byte-equivalent to one that never contained the paper.
+class InvertedIndex:
+    """Section-aware inverted index over a corpus; immutable.
 
-        Cost is proportional to the paper's vocabulary times those terms'
-        posting-list lengths -- fine for incremental maintenance of a
-        living corpus; rebuild from scratch for bulk deletions.
+    Make one with :func:`build_index` or :func:`open_index`.  ``data``
+    holds the records, ``terms`` maps each term to its ``(df, offset,
+    count)`` with ``offset`` in bytes from ``data_start``.  Scoring sums
+    floats in postings order, so two indexes with equal records give
+    bit-identical scores.
+    """
+
+    def __init__(
+        self,
+        analyzer: Analyzer,
+        n_papers: int,
+        paper_ids: Sequence[str],
+        sections: Sequence[Section],
+        terms: Dict[str, Tuple[int, int, int]],
+        data,
+        data_start: int = 0,
+    ) -> None:
+        #: The analyzer whose term pipeline produced the indexed terms;
+        #: queries must be analysed with the same one.
+        self.analyzer = analyzer
+        self.n_papers = n_papers
+        self._paper_table = PaperTable(paper_ids)
+        self._sections: Tuple[Section, ...] = tuple(sections)
+        self._terms = terms
+        self._vocabulary: Tuple[str, ...] = tuple(terms)
+        self._data = data
+        self._data_start = data_start
+
+    # -- lifecycle -----------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release a mapped file (idempotent; a built index maps none)."""
+        if isinstance(self._data, mmap.mmap):
+            self._data.close()
+            self._data = None
+
+    def __del__(self) -> None:  # pragma: no cover - GC safety net
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    # -- postings ------------------------------------------------------------------
+
+    def _records(self, term: str) -> np.ndarray:
+        """The term's records, decoded with one ``np.frombuffer``.
+
+        The slice copies the run out of the buffer, so no array keeps a
+        mapping exported and :meth:`close` always succeeds.
         """
-        terms = self._paper_terms.pop(paper_id, None)
-        if terms is None:
-            raise ValueError(f"paper {paper_id!r} is not indexed")
-        for term in terms:
-            remaining = [
-                posting
-                for posting in self._postings.get(term, ())
-                if posting.paper_id != paper_id
-            ]
-            if remaining:
-                self._postings[term] = remaining
-            else:
-                self._postings.pop(term, None)
-            df = self._document_frequency.get(term, 0) - 1
-            if df > 0:
-                self._document_frequency[term] = df
-            else:
-                self._document_frequency.pop(term, None)
-        self._n_papers -= 1
-        self._revision += 1
-        self._invalidate_views()
-
-    # -- access --------------------------------------------------------------------
-
-    @property
-    def n_papers(self) -> int:
-        return self._n_papers
-
-    @property
-    def revision(self) -> int:
-        """Mutation counter: bumped by every paper add/remove.
-
-        The search engine's term cache keys on this rather than
-        ``n_papers``, so replacing a paper without changing the count
-        still invalidates it; :meth:`paper_table` is rebuilt after each
-        bump.
-        """
-        return self._revision
-
-    def postings(self, term: str) -> Sequence[Posting]:
-        """All postings of ``term``, in indexing order (empty if unseen).
-
-        Returns an immutable snapshot; later paper adds and removes do
-        not change it.  The query path reads :meth:`term_run` instead.
-        """
-        return tuple(self._postings.get(term, ()))
+        entry = self._terms.get(term)
+        if entry is None:
+            return np.empty(0, dtype=_RECORD)
+        _, offset, count = entry
+        start = self._data_start + offset
+        return np.frombuffer(
+            self._data[start : start + count * _RECORD.itemsize], dtype=_RECORD
+        )
 
     def paper_table(self) -> PaperTable:
-        """Indexed papers in indexing order; built once per revision."""
-        table = self._paper_table
-        if table is None:
-            table = self._paper_table = PaperTable(self._paper_terms)
-        return table
+        """The papers that have postings, in first-posting order."""
+        return self._paper_table
 
     def term_run(self, term: str) -> TermRun:
-        """:meth:`postings` of ``term`` as columns over :meth:`paper_table`."""
-        row_of = self.paper_table().row_of
-        postings = self._postings.get(term, ())
-        count = len(postings)
+        """The postings of ``term`` in indexing order (empty if unseen)."""
+        records = self._records(term)
         return TermRun(
-            np.fromiter(
-                (row_of[posting.paper_id] for posting in postings), np.intp, count
-            ),
-            np.fromiter(
-                (_SECTION_CODE[posting.section] for posting in postings),
-                np.uint8,
-                count,
-            ),
-            np.fromiter(
-                (posting.term_frequency for posting in postings), np.int64, count
-            ),
-            _SECTIONS,
+            records["paper"].astype(np.intp),
+            records["section"],
+            records["tf"],
+            self._sections,
         )
 
     def document_frequency(self, term: str) -> int:
         """Number of papers containing ``term`` in any section."""
-        return self._document_frequency.get(term, 0)
+        entry = self._terms.get(term)
+        return entry[0] if entry is not None else 0
 
     def papers_containing(self, term: str) -> List[str]:
         """Distinct paper ids containing ``term``, in indexing order."""
-        seen: Dict[str, None] = {}
-        for posting in self._postings.get(term, ()):
-            seen.setdefault(posting.paper_id, None)
-        return list(seen)
+        rows = self._records(term)["paper"]
+        _, first = np.unique(rows, return_index=True)
+        paper_ids = self._paper_table.ids
+        return [paper_ids[row] for row in rows[np.sort(first)].tolist()]
+
+    # -- vocabulary ----------------------------------------------------------------
 
     def vocabulary(self) -> Sequence[str]:
-        """All indexed terms, as a stable snapshot in indexing order.
-
-        Never the live ``dict.keys()`` view: callers may add or remove
-        papers while iterating the result without a ``RuntimeError``
-        (the :class:`~repro.index.backend.SearchBackend` contract).
-        """
-        view = self._vocabulary_view
-        if view is None:
-            view = self._vocabulary_view = tuple(self._postings)
-        return view
+        """All indexed terms, in indexing order."""
+        return self._vocabulary
 
     def __contains__(self, term: str) -> bool:
-        return term in self._postings
+        return term in self._terms
+
+    # -- observability -------------------------------------------------------------
+
+    def backend_stats(self) -> Dict[str, float]:
+        """Point-in-time stats exported as ``index.backend.*`` gauges."""
+        mapped = isinstance(self._data, mmap.mmap)
+        return {"mapped_bytes": float(len(self._data)) if mapped else 0.0}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"InvertedIndex({self._n_papers} papers, {len(self._postings)} terms)"
+        return f"InvertedIndex({self.n_papers} papers, {len(self._terms)} terms)"
 
 
 def build_index(tokens: AnalyzedPaperCache) -> InvertedIndex:
-    """Index every paper of the token cache's corpus, in corpus order."""
-    index = InvertedIndex(tokens)
-    for paper_id in tokens.corpus.paper_ids():
-        index.index_paper(paper_id)
-    return index
+    """Index every paper of the token cache's corpus, in corpus order.
+
+    One pass appends each section's ``(term id, paper, section, tf)``
+    cells, with terms numbered by first occurrence; a stable sort by
+    term id then makes the runs term-major with each run in corpus and
+    section order.  Papers and sections are renumbered in first-posting
+    order, the row space :func:`open_index` reads back.
+    """
+    vocabulary: Dict[str, int] = {}
+    term_ids: List[int] = []
+    frequencies: List[int] = []
+    # One entry per (paper, section) run of cells: its length and owner.
+    run_lengths: List[int] = []
+    run_papers: List[int] = []
+    run_sections: List[int] = []
+    paper_ids = tokens.corpus.paper_ids()
+    for position, paper_id in enumerate(paper_ids):
+        for code, section in enumerate(TEXT_SECTIONS):
+            terms = tokens.tokens(paper_id, section)
+            if not terms:
+                continue
+            counts = Counter(terms)  # first-occurrence order
+            term_ids.extend(
+                [vocabulary.setdefault(term, len(vocabulary)) for term in counts]
+            )
+            frequencies.extend(counts.values())
+            run_lengths.append(len(counts))
+            run_papers.append(position)
+            run_sections.append(code)
+
+    term_col = np.array(term_ids, dtype=np.int64)
+    order = np.argsort(term_col, kind="stable")
+    term_col = term_col[order]
+    paper_col = np.repeat(np.array(run_papers, dtype=np.int64), run_lengths)[order]
+    section_col = np.repeat(np.array(run_sections, dtype=np.int64), run_lengths)[order]
+    papers, paper_rows = _first_seen(paper_col)
+    sections, section_codes = _first_seen(section_col)
+
+    records = np.empty(len(order), dtype=_RECORD)
+    records["paper"] = paper_rows
+    records["section"] = section_codes
+    records["tf"] = np.array(frequencies, dtype=np.int64)[order]
+
+    # A run's df counts its distinct papers; a run lists each paper's
+    # postings together, so a new paper starts where the paper changes.
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (term_col[1:] != term_col[:-1]) | (paper_col[1:] != paper_col[:-1])
+    dfs = np.bincount(term_col[starts], minlength=len(vocabulary)).tolist()
+    counts = np.bincount(term_col, minlength=len(vocabulary)).tolist()
+    offsets = (np.cumsum([0] + counts[:-1]) * _RECORD.itemsize).tolist()
+    return InvertedIndex(
+        tokens.analyzer,
+        len(paper_ids),
+        [paper_ids[position] for position in papers.tolist()],
+        [TEXT_SECTIONS[code] for code in sections.tolist()],
+        {
+            term: (df, offset, count)
+            for term, df, offset, count in zip(vocabulary, dfs, offsets, counts)
+        },
+        records.tobytes(),
+    )
+
+
+def _first_seen(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distinct values in first-occurrence order, each value's position
+    in that order)``."""
+    distinct, first, inverse = np.unique(
+        values, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[order] = np.arange(len(distinct))
+    return distinct[order], rank[inverse]
+
+
+def save_index(index: InvertedIndex, path) -> None:
+    """Write ``index`` to one file at ``path``: the header, then its records."""
+    header = json.dumps(
+        {
+            "n_papers": index.n_papers,
+            "revision": index.n_papers,
+            "paper_ids": list(index.paper_table().ids),
+            "sections": [section.value for section in index._sections],
+            "terms": [
+                [term, *index._terms[term]] for term in index.vocabulary()
+            ],
+            "data_bytes": len(index._data) - index._data_start,
+        }
+    ).encode("utf-8")
+
+    from repro.core.io import atomic_write  # lazy: core.io imports repro.index
+
+    # Replaced, never truncated: an opened index keeps its mapping valid.
+    with atomic_write(path) as handle:
+        handle.write(_MAGIC)
+        handle.write(_LEN.pack(len(header)))
+        handle.write(header)
+        handle.write(index._data[index._data_start :])
+
+
+def _parse_header(buffer, path) -> Tuple[dict, int]:
+    """Validate a mapped file's framing; returns ``(header, data_start)``.
+
+    The header must hold its keys with their JSON types, and the term
+    directory must tile the data region: each run starts where the
+    previous one ended, the last ends at ``data_bytes``, and ``1 <= df
+    <= count``.
+    """
+    if buffer[: len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a packed index (bad magic)")
+    (header_len,) = _LEN.unpack_from(buffer, len(_MAGIC))
+    data_start = _PREAMBLE + header_len
+    try:
+        header = json.loads(buffer[_PREAMBLE:data_start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ValueError(f"{path}: corrupt header ({error})") from error
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: corrupt header (not an object)")
+    for key, kind in _HEADER_TYPES.items():
+        if key not in header:
+            raise ValueError(f"{path}: corrupt header (no {key!r})")
+        value = header[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(
+                f"{path}: corrupt header ({key!r} is {type(value).__name__}, "
+                f"not {kind.__name__})"
+            )
+    if not all(isinstance(paper_id, str) for paper_id in header["paper_ids"]):
+        raise ValueError(f"{path}: corrupt header (a paper id is not a string)")
+    if len(buffer) != data_start + header["data_bytes"]:
+        raise ValueError(
+            f"{path}: truncated packed index ({len(buffer) - data_start} of "
+            f"{header['data_bytes']} data bytes)"
+        )
+    end = 0
+    for entry in header["terms"]:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 4
+            and isinstance(entry[0], str)
+            and all(type(field) is int for field in entry[1:])
+        ):
+            raise ValueError(f"{path}: corrupt term directory entry {entry!r}")
+        term, df, offset, count = entry
+        if offset != end or not 1 <= df <= count:
+            raise ValueError(
+                f"{path}: corrupt term directory at {term!r} (df {df}, "
+                f"offset {offset}, count {count}; expected offset {end})"
+            )
+        end = offset + count * _RECORD.itemsize
+    if end != header["data_bytes"]:
+        raise ValueError(
+            f"{path}: corrupt term directory (runs end at {end} of "
+            f"{header['data_bytes']} data bytes)"
+        )
+    return header, data_start
+
+
+def _check_records(buffer, data_start: int, header: dict, path) -> None:
+    """Every record must index the paper and section tables, with tf >= 1."""
+    records = np.frombuffer(
+        buffer,
+        dtype=_RECORD,
+        count=header["data_bytes"] // _RECORD.itemsize,
+        offset=data_start,
+    )
+    bad = np.flatnonzero(
+        (records["paper"] >= len(header["paper_ids"]))
+        | (records["section"] >= len(header["sections"]))
+        | (records["tf"] == 0)
+    )
+    at = int(bad[0]) if len(bad) else -1
+    record = records[at].tolist() if at >= 0 else None
+    # No view of the mapping may outlive this call, or closing it fails.
+    del records
+    if record is not None:
+        paper, section, tf = record
+        raise ValueError(
+            f"{path}: corrupt record {at} (paper {paper} of "
+            f"{len(header['paper_ids'])}, section {section} of "
+            f"{len(header['sections'])}, tf {tf})"
+        )
+
+
+def open_index(path) -> InvertedIndex:
+    """Map an index file read-only, parse its header and check its
+    records in one vectorised pass; decode no run."""
+    path = Path(path)
+    with open(path, "rb") as handle:
+        if os.fstat(handle.fileno()).st_size < _PREAMBLE:
+            raise ValueError(f"{path}: not a packed index (too short)")
+        # The mapping keeps its own descriptor, so the file can close.
+        buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        header, data_start = _parse_header(buffer, path)
+        _check_records(buffer, data_start, header, path)
+        try:
+            sections = [Section(value) for value in header["sections"]]
+        except ValueError as error:
+            raise ValueError(f"{path}: corrupt header ({error})") from error
+    except ValueError:
+        buffer.close()
+        raise
+    get_registry().gauge("index.backend.mapped_bytes").set(len(buffer))
+    return InvertedIndex(
+        default_analyzer(),
+        header["n_papers"],
+        header["paper_ids"],
+        sections,
+        {term: (df, offset, count) for term, df, offset, count in header["terms"]},
+        buffer,
+        data_start,
+    )

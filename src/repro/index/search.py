@@ -18,12 +18,11 @@ normalised match score, which ranked retrieval, per-paper match scoring,
 context selection, and explain all share.  A single context-based search
 therefore touches each posting list exactly once.
 
-The scan is columnar.  Per index revision, the engine caches each
-queried term's paper rows (over the backend's
-:class:`~repro.index.backend.PaperTable`), its per-posting
-contributions ``weight * (1 + log tf) * idf``, its distinct rows and
-its idf.  A query concatenates its terms' arrays and sums them with one
-``np.bincount``, which adds in postings order from 0.0 -- the float
+The scan is columnar.  The engine caches each queried term's paper
+rows (over the index's :class:`~repro.index.inverted.PaperTable`), its
+per-posting contributions ``weight * (1 + log tf) * idf``, its distinct
+rows and its idf.  A query concatenates its terms' arrays and sums them
+with one ``np.bincount``, which adds in postings order from 0.0 -- the float
 sums of a per-posting dict loop (``tests/test_query_evaluation_reference.py``
 keeps that loop as the reference).  The evaluation is arrays over the
 table's rows, so its consumers index them and never map paper ids.
@@ -32,7 +31,6 @@ table's rows, so its consumers index them and never map paper ids.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,7 +38,7 @@ import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section
-from repro.index.backend import PaperTable, SearchBackend
+from repro.index.inverted import InvertedIndex, PaperTable
 from repro.obs import get_registry
 
 #: Per-section match weights: a title hit is worth more than a body
@@ -96,8 +94,8 @@ class QueryEvaluation:
     search engine's selection/scoring/explain stages, so a single search
     request never rescans the index.
 
-    Columnar: ``papers`` are the matched rows of ``table`` (the index
-    revision's :class:`~repro.index.backend.PaperTable`), ascending, and
+    Columnar: ``papers`` are the matched rows of ``table`` (the index's
+    :class:`~repro.index.inverted.PaperTable`), ascending, and
     ``scores``/``matched_terms`` are parallel to them.  ``scores`` are
     normalised to [0, 1] by the query's maximum achievable self-score.
     """
@@ -205,30 +203,20 @@ class _TermEntry:
     matched: np.ndarray
 
 
-@dataclass(frozen=True)
-class _RevisionCache:
-    """The per-term entries of one index revision, over its paper table."""
-
-    revision: int
-    table: PaperTable
-    terms: Dict[str, Optional[_TermEntry]]
-
-
 class KeywordSearchEngine:
-    """Ranked keyword search over any :class:`SearchBackend`.
+    """Ranked keyword search over an :class:`InvertedIndex`.
 
     Scores are sublinear tf x smoothed idf, weighted per section by
     :data:`DEFAULT_SECTION_WEIGHTS`.
     """
 
-    def __init__(self, index: SearchBackend) -> None:
+    def __init__(self, index: InvertedIndex) -> None:
         self.index = index
-        # Per-term cache: a term's contributions are query-independent,
-        # so each is computed once per index revision and replayed on
-        # later queries in the same order -- scores stay bitwise
-        # identical to a fresh scan.
-        self._cache: Optional[_RevisionCache] = None
-        self._cache_lock = threading.Lock()
+        # Per-term cache: a term's contributions are query-independent
+        # and the index never changes, so each is computed once and
+        # replayed on later queries in the same order -- scores stay
+        # bitwise identical to a fresh scan.
+        self._terms: Dict[str, Optional[_TermEntry]] = {}
 
     # -- the single-scan evaluation ------------------------------------------------
 
@@ -244,10 +232,9 @@ class KeywordSearchEngine:
         index again.
         """
         distinct_terms = list(dict.fromkeys(self.index.analyzer.analyze(query)))
-        cache = self._revision_cache()
         entries = [
             entry
-            for entry in (self._term_entry(cache, term) for term in distinct_terms)
+            for entry in map(self._term_entry, distinct_terms)
             if entry is not None
         ]
         postings_scanned = sum(len(entry.rows) for entry in entries)
@@ -260,8 +247,9 @@ class KeywordSearchEngine:
         papers = np.empty(0, dtype=np.intp)
         scores = np.empty(0, dtype=np.float64)
         matched = np.empty(0, dtype=np.intp)
+        table = self.index.paper_table()
         if entries:
-            n_rows = len(cache.table.ids)
+            n_rows = len(table.ids)
             raw = np.bincount(
                 np.concatenate([entry.rows for entry in entries]),
                 weights=np.concatenate([entry.contributions for entry in entries]),
@@ -280,7 +268,7 @@ class KeywordSearchEngine:
         return QueryEvaluation(
             query=query,
             terms=tuple(distinct_terms),
-            table=cache.table,
+            table=table,
             papers=papers,
             scores=scores,
             matched_terms=matched,
@@ -320,20 +308,7 @@ class KeywordSearchEngine:
 
     # -- scoring components ----------------------------------------------------------
 
-    def _revision_cache(self) -> _RevisionCache:
-        """The current revision's cache; a revision bump starts a new one."""
-        revision = self.index.revision
-        cache = self._cache
-        if cache is None or cache.revision != revision:
-            with self._cache_lock:
-                cache = self._cache
-                if cache is None or cache.revision != revision:
-                    cache = self._cache = _RevisionCache(
-                        revision, self.index.paper_table(), {}
-                    )
-        return cache
-
-    def _term_entry(self, cache: _RevisionCache, term: str) -> Optional[_TermEntry]:
+    def _term_entry(self, term: str) -> Optional[_TermEntry]:
         """Cached :class:`_TermEntry` of one term; None out of vocabulary.
 
         Each contribution is the scalar expression a per-posting loop
@@ -341,7 +316,7 @@ class KeywordSearchEngine:
         in that order (``math.log`` once per distinct tf).
         """
         try:
-            return cache.terms[term]
+            return self._terms[term]
         except KeyError:
             pass
         idf = self._idf(term)
@@ -362,7 +337,7 @@ class KeywordSearchEngine:
                 matched=np.unique(run.rows),
             )
         # setdefault: racing first callers all keep the first entry stored.
-        return cache.terms.setdefault(term, entry)
+        return self._terms.setdefault(term, entry)
 
     def match_score(self, query: str, paper_id: str) -> float:
         """Text-matching score of one (query, paper) pair in [0, 1].

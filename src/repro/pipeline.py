@@ -35,7 +35,7 @@ from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.datagen.corpus_gen import CorpusGenerator, GeneratedDataset
 from repro.datagen.ontology_gen import OntologyGenerator
-from repro.index.backend import SearchBackend
+from repro.index.inverted import InvertedIndex
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, get_telemetry, span
 from repro.obs.quality import (
@@ -326,8 +326,9 @@ class Pipeline:
         """Add papers to the corpus, delta-updating every built substrate.
 
         The incremental counterpart of rebuilding the pipeline on an
-        extended corpus: the index, vectors and context assignments
-        update in place, the citation graph rebuilds on its next read (see
+        extended corpus: the vectors and context assignments update in
+        place, the index is rebuilt from the token cache, the citation
+        graph rebuilds on its next read (see
         :meth:`~repro.serving.substrate.SubstrateStore.apply_delta`), and
         prestige is recomputed only for contexts whose paper sets
         changed.  Returns the
@@ -369,7 +370,7 @@ class Pipeline:
     # -- shared substrates ----------------------------------------------------------
 
     @property
-    def index(self) -> SearchBackend:
+    def index(self) -> InvertedIndex:
         return self._store.index
 
     @property

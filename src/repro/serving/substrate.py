@@ -40,8 +40,7 @@ from repro.core.patterns import Extractions, PatternMemo, Sections
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper, TEXT_SECTIONS
-from repro.index.backend import SearchBackend
-from repro.index.inverted import build_index
+from repro.index.inverted import InvertedIndex, build_index
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_logger, get_registry, span
 from repro.ontology.ontology import Ontology
@@ -65,7 +64,8 @@ class DeltaReport:
     #: Memoised score keys patched in place vs dropped for lazy recompute.
     scores_patched: Tuple[str, ...]
     scores_dropped: Tuple[str, ...]
-    #: True when a read-only (packed) index was rebuilt from the corpus.
+    #: True when a built index was rebuilt from the mutated corpus (an
+    #: index never built stays lazy).
     index_rebuilt: bool
     #: Substrate revision after the delta (unchanged for a no-op).
     revision: int
@@ -111,7 +111,7 @@ class SubstrateStore:
         self.text_similarity_threshold = check_similarity_threshold(
             text_similarity_threshold
         )
-        self._index: Optional[SearchBackend] = None
+        self._index: Optional[InvertedIndex] = None
         self._vectors: Optional[PaperVectorStore] = None
         self._tokens: Optional[AnalyzedPaperCache] = None
         self._graph: Optional[CitationGraph] = None
@@ -164,8 +164,8 @@ class SubstrateStore:
         return value
 
     @property
-    def index(self) -> SearchBackend:
-        def build() -> SearchBackend:
+    def index(self) -> InvertedIndex:
+        def build() -> InvertedIndex:
             with span("substrate.index.build"):
                 return build_index(self.tokens)
 
@@ -397,11 +397,9 @@ class SubstrateStore:
 
         Built substrates update as follows:
 
-        - **index** -- mutated in place when it declares
-          ``supports_mutation`` (the in-memory index), otherwise rebuilt
-          in memory from the token cache with ``build_index`` (the
-          read-only packed index a workspace opens; later deltas then
-          mutate the rebuilt index in place);
+        - **index** -- rebuilt in memory from the token cache with
+          ``build_index`` (the index is immutable, so the result is a
+          fresh build's whatever the delta history);
         - **vectors** -- fitted TF-IDF models are delta-updated exactly
           (ghost terms keep df=0); cached vectors re-weight from retained
           count maps;
@@ -480,18 +478,11 @@ class SubstrateStore:
                 added_ids = [paper.paper_id for paper in added]
                 touched = removed_set | seen_added
 
-                index_rebuilt = False
-                if self._index is not None:
+                index_rebuilt = self._index is not None
+                if index_rebuilt:
                     with span("substrate.delta.index"):
-                        if self._index.supports_mutation:
-                            for paper in removed_papers:
-                                self._index.remove_paper(paper.paper_id)
-                            for paper_id in added_ids:
-                                self._index.index_paper(paper_id)
-                        else:
-                            self._index = build_index(self.tokens)
-                            index_rebuilt = True
-                            registry.counter("substrate.delta.index_rebuilds").inc()
+                        self._index = build_index(self.tokens)
+                    registry.counter("substrate.delta.index_rebuilds").inc()
                     self._keyword_engine = None
                 if self._vectors is not None:
                     with span("substrate.delta.vectors"):
@@ -628,7 +619,7 @@ class SubstrateStore:
 
     # -- installation (workspace hydration) -----------------------------------------
 
-    def install_index(self, index: Optional[SearchBackend]) -> None:
+    def install_index(self, index: Optional[InvertedIndex]) -> None:
         with self._build_lock:
             self._index = index
             self._keyword_engine = None  # derived from the index

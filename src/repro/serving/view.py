@@ -197,15 +197,12 @@ class ServingView:
         hit_rate = self.result_cache.hit_rate
         if hit_rate is not None:
             registry.gauge("search.cache.hit_rate").set(hit_rate)
-        # The packed index exposes its mmap stats; only the raw slot
-        # is inspected so a scrape never triggers a substrate build.  An
-        # index that maps nothing (in memory after a delta, or not built
-        # yet) exports zeros, never the last packed file's figures.
-        backend_stats = getattr(self._store._index, "backend_stats", None)
+        # Only the raw slot is inspected so a scrape never triggers a
+        # substrate build.  An index that maps nothing (built in memory,
+        # or not built yet) exports zeros, never the last file's figures.
+        index = self._store._index
         stats = (
-            backend_stats()
-            if callable(backend_stats)
-            else {"mapped_bytes": 0.0}
+            index.backend_stats() if index is not None else {"mapped_bytes": 0.0}
         )
         for stat, value in stats.items():
             registry.gauge(f"index.backend.{stat}").set(value)

@@ -7,7 +7,7 @@ pipeline substrate as a first-class build product:
   pipeline's lazily-memoised properties, so dependency objects installed
   beforehand are reused, never rebuilt);
 - ``save(obj, path)`` / ``load(path, pipeline)`` -- the typed codec
-  (see :mod:`repro.core.io` and :mod:`repro.index.packed`); ``save``
+  (see :mod:`repro.core.io` and :mod:`repro.index.inverted`); ``save``
   writes exactly ``path``, atomically;
 - ``install(pipeline, obj)`` -- hydrate the substrate store's slot so
   later property accesses short-circuit (and the serving layer sees the
@@ -99,7 +99,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         schema_version=3,
         build=lambda pipeline: pipeline.index,
         save=save_index,
-        # Opened read-only behind mmap; a delta rebuilds it in memory.
+        # Opened read-only behind mmap; a delta builds a new one in memory.
         load=lambda path, pipeline: open_index(path),
         install=lambda pipeline, index: pipeline.substrates.install_index(index),
         description="section-aware inverted index over the corpus (packed postings)",

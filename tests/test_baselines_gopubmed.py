@@ -12,8 +12,9 @@ from repro.text.analyze import AnalyzedPaperCache
 def classifier(request):
     corpus = request.getfixturevalue("tiny_corpus")
     ontology = request.getfixturevalue("tiny_ontology")
-    engine = KeywordSearchEngine(build_index(AnalyzedPaperCache(corpus)))
-    return GoPubMedClassifier(engine.index.tokens, ontology, engine)
+    tokens = AnalyzedPaperCache(corpus)
+    engine = KeywordSearchEngine(build_index(tokens))
+    return GoPubMedClassifier(tokens, ontology, engine)
 
 
 class TestClassifyPaper:

@@ -26,7 +26,7 @@ from repro.core.search import (
     ContextSelection,
     SearchHit,
 )
-from repro.index.backend import PaperTable
+from repro.index.inverted import PaperTable
 from repro.index.search import QueryEvaluation
 from repro.obs import reset_registry
 from repro.ontology.ontology import Ontology

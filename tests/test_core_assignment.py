@@ -14,13 +14,18 @@ from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def index(request):
-    return build_index(AnalyzedPaperCache(request.getfixturevalue("tiny_corpus")))
+def tokens(request):
+    return AnalyzedPaperCache(request.getfixturevalue("tiny_corpus"))
 
 
 @pytest.fixture(scope="module")
-def vectors(request, index):
-    return PaperVectorStore(index.tokens)
+def index(tokens):
+    return build_index(tokens)
+
+
+@pytest.fixture(scope="module")
+def vectors(tokens):
+    return PaperVectorStore(tokens)
 
 
 class TestTextContextAssigner:
@@ -70,12 +75,12 @@ class TestTextContextAssigner:
 
 class TestPatternContextAssigner:
     @pytest.fixture(scope="class")
-    def assigner(self, request, index):
+    def assigner(self, request, index, tokens):
         return PatternContextAssigner(
             request.getfixturevalue("tiny_corpus"),
             request.getfixturevalue("tiny_ontology"),
             index,
-            index.tokens,
+            tokens,
             max_middle_coverage=0.5,
         )
 
@@ -106,13 +111,13 @@ class TestPatternContextAssigner:
                 if context.inherited_from is None:
                     assert set(context.paper_ids) <= root
 
-    def test_ancestor_fallback_decay(self, request, index):
+    def test_ancestor_fallback_decay(self, request, index, tokens):
         """A context with no training and no matches inherits with decay."""
         assigner = PatternContextAssigner(
             request.getfixturevalue("tiny_corpus"),
             request.getfixturevalue("tiny_ontology"),
             index,
-            index.tokens,
+            tokens,
             max_middle_coverage=0.5,
         )
         # Only 'met' gets training; 'glu' (child of met) has none.
@@ -126,12 +131,12 @@ class TestPatternContextAssigner:
                     paper_set.context(glu.inherited_from).paper_ids
                 )
 
-    def test_coverage_cap_blocks_ubiquitous_middles(self, request, index):
+    def test_coverage_cap_blocks_ubiquitous_middles(self, request, index, tokens):
         strict = PatternContextAssigner(
             request.getfixturevalue("tiny_corpus"),
             request.getfixturevalue("tiny_ontology"),
             index,
-            index.tokens,
+            tokens,
             max_middle_coverage=0.01,  # nothing passes
         )
         paper_set = strict.build(request.getfixturevalue("tiny_training"))
@@ -153,18 +158,19 @@ class TestMembershipAcrossSections:
                 Paper("OFF", title="yeast growth", abstract="budding"),
             ]
         )
-        index = build_index(AnalyzedPaperCache(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         middle = tuple(index.analyzer.analyze("liver kinase"))
         pattern_set = PatternSet(
             "t", [Pattern((), middle, (), PatternKind.REGULAR, 1.0)]
         )
-        return corpus, index, pattern_set
+        return corpus, index, pattern_set, tokens
 
     def _assigner(self, setup, max_middle_coverage):
-        corpus, index, _ = setup
+        corpus, index, _, tokens = setup
         ontology = Ontology([Term("t", "liver kinase")])
         return PatternContextAssigner(
-            corpus, ontology, index, index.tokens,
+            corpus, ontology, index, tokens,
             max_middle_coverage=max_middle_coverage,
         )
 

@@ -526,7 +526,6 @@ class TestAtomicWrite:
             import sys
             from repro.corpus.corpus import Corpus
             from repro.index import build_index, open_index, save_index
-            from repro.index.packed import PackedIndex
             from repro.pipeline import build_demo_pipeline
             from repro.text.analyze import AnalyzedPaperCache
 
@@ -534,13 +533,15 @@ class TestAtomicWrite:
             pipeline = build_demo_pipeline(seed=11, n_papers=60, n_terms=20)
             full = pipeline.index
             save_index(full, path)
-            live = PackedIndex(path)
-            live._term_cache_size = 0
+            live = open_index(path)
             small = build_index(AnalyzedPaperCache(Corpus(list(pipeline.corpus)[:3])))
             save_index(small, path)
             assert open_index(path).n_papers == 3
             for term in full.vocabulary():
-                if tuple(live.postings(term)) != tuple(full.postings(term)):
+                run, expected = live.term_run(term), full.term_run(term)
+                if any(
+                    a.tolist() != b.tolist() for a, b in zip(run[:3], expected[:3])
+                ):
                     sys.exit(f"postings of {term!r} changed under the mapping")
             """
         )

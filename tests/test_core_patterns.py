@@ -22,8 +22,9 @@ from repro.text.analyze import AnalyzedPaperCache
 def builder(request):
     corpus = request.getfixturevalue("tiny_corpus")
     ontology = request.getfixturevalue("tiny_ontology")
-    index = build_index(AnalyzedPaperCache(corpus))
-    return PatternSetBuilder(ontology, index, index.tokens, min_phrase_support=2)
+    tokens = AnalyzedPaperCache(corpus)
+    index = build_index(tokens)
+    return PatternSetBuilder(ontology, index, tokens, min_phrase_support=2)
 
 
 class TestFindOccurrences:
@@ -63,28 +64,31 @@ class TestKnobValidation:
     def test_builder_rejects_nonsense(self, request, knob, value):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = build_index(AnalyzedPaperCache(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         with pytest.raises(ValueError, match=knob):
-            PatternSetBuilder(ontology, index, index.tokens, **{knob: value})
+            PatternSetBuilder(ontology, index, tokens, **{knob: value})
 
     @pytest.mark.parametrize("value", [-0.1, math.nan])
     def test_assigner_rejects_nonsense_coverage_cut(self, request, value):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = build_index(AnalyzedPaperCache(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         with pytest.raises(ValueError, match="max_middle_coverage"):
             PatternContextAssigner(
-                corpus, ontology, index, index.tokens, max_middle_coverage=value
+                corpus, ontology, index, tokens, max_middle_coverage=value
             )
 
     def test_zero_knobs_are_accepted(self, request):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = build_index(AnalyzedPaperCache(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         builder = PatternSetBuilder(
             ontology,
             index,
-            index.tokens,
+            tokens,
             window=0,
             max_regular_patterns=0,
             max_joined_pairs=0,
@@ -116,9 +120,10 @@ class TestPatternConstruction:
     def test_regular_pattern_cap(self, request, builder):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = build_index(AnalyzedPaperCache(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         capped = PatternSetBuilder(
-            ontology, index, index.tokens, max_regular_patterns=3, build_extended=False
+            ontology, index, tokens, max_regular_patterns=3, build_extended=False
         )
         pattern_set = capped.build("met", ["M1", "M2", "M3"])
         assert len(pattern_set) <= 3
@@ -126,9 +131,10 @@ class TestPatternConstruction:
     def test_simplified_builder_only_regular(self, request):
         corpus = request.getfixturevalue("tiny_corpus")
         ontology = request.getfixturevalue("tiny_ontology")
-        index = build_index(AnalyzedPaperCache(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         simplified = PatternSetBuilder(
-            ontology, index, index.tokens, build_extended=False
+            ontology, index, tokens, build_extended=False
         )
         pattern_set = simplified.build("met", ["M1", "M2", "M3"])
         assert all(p.kind is PatternKind.REGULAR for p in pattern_set.patterns)

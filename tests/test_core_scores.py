@@ -95,8 +95,9 @@ class TestPropagation:
 def tiny_setup(request):
     corpus = request.getfixturevalue("tiny_corpus")
     ontology = request.getfixturevalue("tiny_ontology")
-    index = build_index(AnalyzedPaperCache(corpus))
-    vectors = PaperVectorStore(index.tokens)
+    tokens = AnalyzedPaperCache(corpus)
+    index = build_index(tokens)
+    vectors = PaperVectorStore(tokens)
     graph = CitationGraph.from_corpus(corpus)
     paper_set = ContextPaperSet(
         ontology,
@@ -110,6 +111,7 @@ def tiny_setup(request):
         "corpus": corpus,
         "ontology": ontology,
         "index": index,
+        "tokens": tokens,
         "vectors": vectors,
         "graph": graph,
         "paper_set": paper_set,
@@ -239,7 +241,7 @@ class TestPatternPrestige:
             tiny_setup["corpus"],
             tiny_setup["ontology"],
             tiny_setup["index"],
-            tiny_setup["index"].tokens,
+            tiny_setup["tokens"],
             max_middle_coverage=0.5,
         )
         training = request.getfixturevalue("tiny_training")

@@ -10,8 +10,8 @@ workspace and carries on with a pipeline opened from it, whose pattern
 memo is seeded from the persisted extractions, by a delta applied at
 once or by the next pattern build.  After every step, every kept
 coverage count and middle hit list must equal a fresh count and scan of
-the corpus, and the keyword index (paper count, and every term's
-document frequency and postings), every mined pattern set, both context
+the corpus, and the keyword index (paper count, paper table, vocabulary
+order, and every term's document frequency and postings), every mined pattern set, both context
 paper sets and every evaluation arm's scores must equal, with ``==``,
 those of a pipeline built from scratch on the same corpus.
 """
@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from index_reference import postings
 from prestige_reference import pre_maps
 from repro import scoring
 from repro.core.patterns import PatternSetBuilder
@@ -166,12 +167,13 @@ class DeltaParity(RuleBasedStateMachine):
             ), middle
         index, fresh_index = pipeline.index, scratch.index
         assert index.n_papers == fresh_index.n_papers
-        assert set(index.vocabulary()) == set(fresh_index.vocabulary())
+        assert index.paper_table().ids == fresh_index.paper_table().ids
+        assert index.vocabulary() == fresh_index.vocabulary()
         for term in fresh_index.vocabulary():
             assert index.document_frequency(term) == fresh_index.document_frequency(
                 term
             ), term
-            assert index.postings(term) == fresh_index.postings(term), term
+            assert postings(index, term) == postings(fresh_index, term), term
         for function, paper_set in scoring.evaluation_arms():
             assert _scores(pipeline.prestige(function, paper_set)) == _scores(
                 scratch.prestige(function, paper_set)

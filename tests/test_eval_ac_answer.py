@@ -13,10 +13,11 @@ from repro.text.analyze import AnalyzedPaperCache
 @pytest.fixture(scope="module")
 def builder(request):
     corpus = request.getfixturevalue("tiny_corpus")
-    index = build_index(AnalyzedPaperCache(corpus))
+    tokens = AnalyzedPaperCache(corpus)
+    index = build_index(tokens)
     return ACAnswerBuilder(
         KeywordSearchEngine(index),
-        PaperVectorStore(index.tokens),
+        PaperVectorStore(tokens),
         CitationGraph.from_corpus(corpus),
         config=ACAnswerConfig(
             seed_threshold=0.2, centroid_similarity=0.2, citation_percentile=0.5
@@ -58,10 +59,11 @@ class TestACAnswerBuilder:
 
     def test_citation_expansion_respects_hops(self, request):
         corpus = request.getfixturevalue("tiny_corpus")
-        index = build_index(AnalyzedPaperCache(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         no_hops = ACAnswerBuilder(
             KeywordSearchEngine(index),
-            PaperVectorStore(index.tokens),
+            PaperVectorStore(tokens),
             CitationGraph.from_corpus(corpus),
             config=ACAnswerConfig(
                 seed_threshold=0.2,
@@ -74,11 +76,12 @@ class TestACAnswerBuilder:
 
     def test_citation_percentile_zero_takes_all_reachable(self, request):
         corpus = request.getfixturevalue("tiny_corpus")
-        index = build_index(AnalyzedPaperCache(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         graph = CitationGraph.from_corpus(corpus)
         greedy = ACAnswerBuilder(
             KeywordSearchEngine(index),
-            PaperVectorStore(index.tokens),
+            PaperVectorStore(tokens),
             graph,
             config=ACAnswerConfig(
                 seed_threshold=0.2,
@@ -114,10 +117,11 @@ class TestACAgainstGroundTruth:
 
     def test_ac_set_enriched_for_true_context(self, small_dataset):
         corpus = small_dataset.corpus
-        index = build_index(AnalyzedPaperCache(corpus))
+        tokens = AnalyzedPaperCache(corpus)
+        index = build_index(tokens)
         builder = ACAnswerBuilder(
             KeywordSearchEngine(index),
-            PaperVectorStore(index.tokens),
+            PaperVectorStore(tokens),
             CitationGraph.from_corpus(corpus),
         )
         # Query drawn from a term's jargon; its true-context papers should

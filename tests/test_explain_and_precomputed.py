@@ -18,8 +18,9 @@ from repro.text.analyze import AnalyzedPaperCache
 def engine(request):
     corpus = request.getfixturevalue("tiny_corpus")
     ontology = request.getfixturevalue("tiny_ontology")
-    index = build_index(AnalyzedPaperCache(corpus))
-    vectors = PaperVectorStore(index.tokens)
+    tokens = AnalyzedPaperCache(corpus)
+    index = build_index(tokens)
+    vectors = PaperVectorStore(tokens)
     graph = CitationGraph.from_corpus(corpus)
     paper_set = ContextPaperSet(
         ontology,

@@ -64,7 +64,8 @@ def flat_ontology():
 
 class TestDegenerateCorpus:
     def test_indexing_survives_empty_papers(self, degenerate_corpus):
-        index = build_index(AnalyzedPaperCache(degenerate_corpus))
+        tokens = AnalyzedPaperCache(degenerate_corpus)
+        index = build_index(tokens)
         assert index.n_papers == 4
         assert index.papers_containing("glucos") == ["OK"]
 
@@ -90,8 +91,9 @@ class TestDegenerateCorpus:
     def test_text_assignment_with_textless_training(
         self, degenerate_corpus, flat_ontology
     ):
-        index = build_index(AnalyzedPaperCache(degenerate_corpus))
-        vectors = PaperVectorStore(index.tokens)
+        tokens = AnalyzedPaperCache(degenerate_corpus)
+        index = build_index(tokens)
+        vectors = PaperVectorStore(tokens)
         assigner = TextContextAssigner(
             degenerate_corpus, flat_ontology, vectors, similarity_threshold=0.18
         )
@@ -103,12 +105,13 @@ class TestDegenerateCorpus:
     def test_pattern_assignment_with_textless_training(
         self, degenerate_corpus, flat_ontology
     ):
-        index = build_index(AnalyzedPaperCache(degenerate_corpus))
+        tokens = AnalyzedPaperCache(degenerate_corpus)
+        index = build_index(tokens)
         assigner = PatternContextAssigner(
             degenerate_corpus,
             flat_ontology,
             index,
-            index.tokens,
+            tokens,
             max_middle_coverage=1.0,
         )
         paper_set = assigner.build({"t1": ["EMPTY", "PUNCT"]})
@@ -116,10 +119,11 @@ class TestDegenerateCorpus:
         assert isinstance(len(paper_set), int)
 
     def test_ac_answer_for_unanswerable_query(self, degenerate_corpus):
-        index = build_index(AnalyzedPaperCache(degenerate_corpus))
+        tokens = AnalyzedPaperCache(degenerate_corpus)
+        index = build_index(tokens)
         builder = ACAnswerBuilder(
             KeywordSearchEngine(index),
-            PaperVectorStore(index.tokens),
+            PaperVectorStore(tokens),
             CitationGraph.from_corpus(degenerate_corpus),
         )
         answer = builder.build("nonexistent vocabulary entirely")
@@ -147,16 +151,18 @@ class TestDegenerateContexts:
     def test_pattern_prestige_with_empty_pattern_sets(
         self, degenerate_corpus, flat_ontology
     ):
-        index = build_index(AnalyzedPaperCache(degenerate_corpus))
-        builder = PatternSetBuilder(flat_ontology, index, index.tokens)
+        tokens = AnalyzedPaperCache(degenerate_corpus)
+        index = build_index(tokens)
+        builder = PatternSetBuilder(flat_ontology, index, tokens)
         scorer = PatternPrestige({}, builder)
         assert scorer.score_context(Context("root", ("OK",))) == {}
 
     def test_text_prestige_representative_missing_from_corpus(
         self, degenerate_corpus, flat_ontology
     ):
-        index = build_index(AnalyzedPaperCache(degenerate_corpus))
-        vectors = PaperVectorStore(index.tokens)
+        tokens = AnalyzedPaperCache(degenerate_corpus)
+        index = build_index(tokens)
+        vectors = PaperVectorStore(tokens)
         graph = CitationGraph.from_corpus(degenerate_corpus)
         scorer = TextPrestige(
             degenerate_corpus, vectors, graph, {"t1": "NOT_IN_CORPUS"}
@@ -166,7 +172,8 @@ class TestDegenerateContexts:
 
 class TestDegenerateSearch:
     def test_search_with_empty_prestige(self, degenerate_corpus, flat_ontology):
-        index = build_index(AnalyzedPaperCache(degenerate_corpus))
+        tokens = AnalyzedPaperCache(degenerate_corpus)
+        index = build_index(tokens)
         paper_set = ContextPaperSet(flat_ontology, [Context("t1", ("OK",))])
         engine = ContextSearchEngine(
             flat_ontology,
@@ -200,9 +207,10 @@ class TestDegenerateSearch:
         assert [h.paper_id for h in hits] == ["ONLY"]
 
     def test_pattern_builder_window_zero(self, degenerate_corpus, flat_ontology):
-        index = build_index(AnalyzedPaperCache(degenerate_corpus))
+        tokens = AnalyzedPaperCache(degenerate_corpus)
+        index = build_index(tokens)
         builder = PatternSetBuilder(
-            flat_ontology, index, index.tokens, window=0
+            flat_ontology, index, tokens, window=0
         )
         pattern_set = builder.build("t1", ["OK"])
         for pattern in pattern_set.patterns:

@@ -412,21 +412,24 @@ class TestReopenedWorkspaceDelta:
         )
 
 
-class TestIndexMutationCapability:
-    def test_memory_backend_mutates_in_place(self, pipeline):
+class TestIndexRebuild:
+    """The index is immutable: every delta builds a new one from the
+    token cache, equal to a fresh build of the changed corpus."""
+
+    def test_built_index_is_rebuilt_by_every_delta(self, pipeline):
         papers = list(pipeline.corpus)
         index_before = pipeline.index
-        assert index_before.supports_mutation
         report = pipeline.add_papers([_new_paper("PDELTA30", papers[0].paper_id)])
-        assert not report.index_rebuilt
-        assert pipeline.index is index_before
+        assert report.index_rebuilt
+        assert pipeline.index is not index_before
         assert pipeline.index.n_papers == len(pipeline.corpus)
+        assert index_before.n_papers == len(pipeline.corpus) - 1
 
-    def test_readonly_backend_takes_rebuild_fallback(self, tmp_path):
-        """The mmap-backed packed index reopened from a workspace cannot
-        mutate in place: the first delta rebuilds it in memory, and the
-        next one mutates the rebuilt index in place."""
-        from repro.index import open_index
+    def test_opened_index_is_rebuilt_like_a_fresh_build(self, tmp_path):
+        """The index opened from a workspace and the built index that
+        replaces it are both rebuilt, each time to a fresh build's bytes."""
+        from repro.index import build_index, open_index, save_index
+        from repro.text.analyze import AnalyzedPaperCache
         from repro.workspace import ARTIFACTS
 
         pipeline = build_demo_pipeline(seed=11, n_papers=40, n_terms=10)
@@ -434,20 +437,23 @@ class TestIndexMutationCapability:
         pipeline.build_workspace(tmp_path, only=["index"])
         loaded = open_index(tmp_path / ARTIFACTS["index"].filename)
         try:
-            assert not loaded.supports_mutation
             pipeline.substrates.install_index(loaded)
-            report = pipeline.add_papers(
-                [_new_paper("PDELTA31", papers[0].paper_id)]
+            previous = loaded
+            deltas = (
+                ([_new_paper("PDELTA31", papers[0].paper_id)], [papers[2].paper_id]),
+                ([_new_paper("PDELTA32", papers[1].paper_id)], []),
             )
-            assert report.index_rebuilt
-            assert pipeline.index is not loaded
-            assert pipeline.index.n_papers == len(pipeline.corpus)
-            rebuilt = pipeline.index
-            report = pipeline.add_papers(
-                [_new_paper("PDELTA32", papers[1].paper_id)]
-            )
-            assert not report.index_rebuilt
-            assert pipeline.index is rebuilt
+            for added, removed in deltas:
+                report = pipeline.substrates.apply_delta(added, removed)
+                assert report.index_rebuilt
+                assert pipeline.index is not previous
+                previous = pipeline.index
+                fresh = build_index(AnalyzedPaperCache(Corpus(list(pipeline.corpus))))
+                save_index(pipeline.index, tmp_path / "delta.bin")
+                save_index(fresh, tmp_path / "fresh.bin")
+                assert (tmp_path / "delta.bin").read_bytes() == (
+                    tmp_path / "fresh.bin"
+                ).read_bytes()
         finally:
             loaded.close()
 
@@ -562,6 +568,30 @@ class TestWorkspaceIngestDelta:
         assert archived.exists()
         chain = read_generation_chain(workspace)
         assert [int(p["generation"]) for p in chain] == [1, 0]
+
+    def test_in_process_generations_equal_a_fresh_build(
+        self, built, tmp_path_factory
+    ):
+        """Deltas applied one after another in the process that opened
+        the workspace, each removing the corpus's first paper: every
+        generation's ``index.bin`` is a fresh build's bytes for its
+        corpus, whatever index the delta started from."""
+        from repro.workspace import ARTIFACTS, ingest_delta, open_workspace
+
+        _, workspace = built
+        opened = build_demo_pipeline(seed=11, n_papers=50, n_terms=10)
+        open_workspace(opened, workspace)
+        filename = ARTIFACTS["index"].filename
+        for generation in (1, 2, 3):
+            ingest_delta(opened, workspace, removed_ids=[opened.corpus.paper_ids()[0]])
+            fresh = Pipeline(
+                Corpus(list(opened.corpus)), opened.ontology, opened.training_papers
+            )
+            fresh_dir = tmp_path_factory.mktemp(f"fresh-{generation}")
+            fresh.build_workspace(fresh_dir, only=["index"])
+            assert (workspace / filename).read_bytes() == (
+                fresh_dir / filename
+            ).read_bytes(), generation
 
     def test_noop_ingest_archives_nothing(self, built):
         from repro.workspace import ingest_delta

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.corpus.corpus import Corpus
+from index_reference import ReferenceIndex, assert_index_equals_reference, postings
+from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper, Section
 from repro.index.inverted import build_index
+from repro.ontology.ontology import Ontology
+from repro.serving.substrate import SubstrateStore
 from repro.text.analyze import AnalyzedPaperCache
 
 
@@ -39,7 +42,7 @@ def _tf(index, paper_id, term, section=None):
     off the postings."""
     return sum(
         posting.term_frequency
-        for posting in index.postings(term)
+        for posting in postings(index, term)
         if posting.paper_id == paper_id
         and (section is None or posting.section == section)
     )
@@ -50,7 +53,7 @@ class TestIndexing:
         assert index.n_papers == 3
 
     def test_postings_cover_sections(self, index):
-        sections = {p.section for p in index.postings("express")}
+        sections = {p.section for p in postings(index, "express")}
         assert sections == {Section.TITLE, Section.ABSTRACT, Section.BODY}
 
     def test_document_frequency_counts_papers(self, index):
@@ -81,12 +84,19 @@ class TestIndexing:
         assert all(
             posting.paper_id != "P3"
             for term in index.vocabulary()
-            for posting in index.postings(term)
+            for posting in postings(index, term)
         )
 
     def test_duplicate_indexing_rejected(self, index, corpus):
-        with pytest.raises(ValueError, match="already indexed"):
-            index.index_paper("P1")
+        """A paper is indexed once: its corpus refuses a second paper
+        under its id, and each term run holds one posting per (paper,
+        section)."""
+        with pytest.raises(CorpusError, match="duplicate paper id"):
+            corpus.add(Paper(paper_id="P1", title="Gene"))
+        for term in index.vocabulary():
+            run = index.term_run(term)
+            cells = list(zip(run.rows.tolist(), run.sections.tolist()))
+            assert len(cells) == len(set(cells)), term
 
     def test_index_terms_section(self, index):
         assert _tf(index, "P1", "yeast", Section.INDEX_TERMS) == 1
@@ -100,45 +110,61 @@ class TestIndexing:
         assert "of" not in index
 
 
-class TestRemovePaper:
-    @pytest.fixture
-    def index(self, corpus):
-        # Function-scoped: removal mutates.
-        return build_index(AnalyzedPaperCache(corpus))
+def _without(corpus, *paper_ids):
+    """``(index built after removing paper_ids, reference mutated in place)``."""
+    reference = ReferenceIndex.of(AnalyzedPaperCache(corpus))
+    for paper_id in paper_ids:
+        reference.remove_paper(paper_id)
+    kept = Corpus([paper for paper in corpus if paper.paper_id not in paper_ids])
+    return build_index(AnalyzedPaperCache(kept)), reference
 
-    def test_removed_paper_gone_everywhere(self, index):
-        index.remove_paper("P1")
+
+class TestRemovePaper:
+    """Removing a paper is a rebuild of the smaller corpus; it equals
+    the reference index the paper was removed from in place."""
+
+    def test_removed_paper_gone_everywhere(self, corpus):
+        index, reference = _without(corpus, "P1")
+        assert_index_equals_reference(index, reference)
         assert index.n_papers == 2
         assert index.papers_containing("gene") == []
         assert _tf(index, "P1", "express") == 0
         assert index.document_frequency("express") == 0
 
     def test_shared_terms_survive_for_other_papers(self, corpus):
-        from repro.corpus.paper import Paper
-
         corpus2 = Corpus(list(corpus))
         corpus2.add(Paper(paper_id="P4", title="gene studies"))
-        index = build_index(AnalyzedPaperCache(corpus2))
-        assert index.document_frequency("gene") == 2
-        index.remove_paper("P1")
+        assert build_index(AnalyzedPaperCache(corpus2)).document_frequency("gene") == 2
+        index, reference = _without(corpus2, "P1")
+        assert_index_equals_reference(index, reference)
         assert index.document_frequency("gene") == 1
         assert index.papers_containing("gene") == ["P4"]
 
-    def test_unknown_paper_rejected(self, index):
-        with pytest.raises(ValueError, match="not indexed"):
-            index.remove_paper("NOPE")
+    def test_unknown_paper_rejected(self, corpus):
+        store = SubstrateStore(corpus, Ontology([]), {})
+        before = store.index
+        with pytest.raises(CorpusError, match="unknown paper id"):
+            store.apply_delta(removed_ids=["NOPE"])
+        assert store.index is before
+        assert store.index.n_papers == 3
 
-    def test_reindex_after_removal(self, index, corpus):
-        index.remove_paper("P1")
-        index.index_paper("P1")
-        assert index.n_papers == 3
-        assert index.document_frequency("express") == 1
+    def test_reindex_after_removal(self, corpus):
+        store = SubstrateStore(corpus, Ontology([]), {})
+        built = store.index
+        paper = corpus.paper("P1")
+        store.apply_delta(removed_ids=["P1"])
+        store.apply_delta(added_papers=[paper])
+        assert store.index is not built
+        assert store.index.n_papers == 3
+        assert store.index.document_frequency("express") == 1
+        reference = ReferenceIndex.of(AnalyzedPaperCache(Corpus(list(corpus))))
+        assert_index_equals_reference(store.index, reference)
 
     def test_search_consistent_after_removal(self, corpus):
-        from repro.index.search import KeywordSearchEngine
-
-        index = build_index(AnalyzedPaperCache(corpus))
-        engine = KeywordSearchEngine(index)
-        assert any(h.paper_id == "P1" for h in engine.search("gene"))
-        index.remove_paper("P1")
-        assert all(h.paper_id != "P1" for h in engine.search("gene"))
+        store = SubstrateStore(corpus, Ontology([]), {})
+        assert any(h.paper_id == "P1" for h in store.keyword_engine.search("gene"))
+        old_engine = store.keyword_engine
+        store.apply_delta(removed_ids=["P1"])
+        assert all(h.paper_id != "P1" for h in store.keyword_engine.search("gene"))
+        # An engine over the old index keeps answering for its corpus.
+        assert any(h.paper_id == "P1" for h in old_engine.search("gene"))

@@ -1,25 +1,34 @@
-"""Tests for the two index forms behind the ``SearchBackend`` protocol.
+"""Tests for the inverted index's two origins: built and opened.
 
-Covers the packed index's equivalence with the in-memory index it was
-saved from -- fresh or mutated by paper removals, replacements and
-additions -- over every read API (postings and their columnar runs) and
-engine score (the reference check for the one writer), its on-demand
-run decode, its framing and
-term-directory checks, the ``index.backend.*`` gauges across a delta,
-and the in-memory index's postings-view and vocabulary-snapshot
-contracts.
+Covers a built index's equivalence with its saved and reopened copy --
+over a fresh corpus or one changed by paper removals, replacements and
+additions -- on every read API and engine score, and both against the
+naive reference index mutated in place (``tests/index_reference.py``,
+also under hypothesis-drawn micro corpora and delta sequences); the
+reopened index's on-demand run decode, framing, term-directory and
+record checks; the ``index.backend.*`` gauges across a delta; and the
+vocabulary snapshot and immutability contracts.
 """
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from index_reference import (
+    ReferenceIndex,
+    assert_index_equals_reference,
+    postings,
+)
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
 from repro.index import build_index, open_index, save_index
-from repro.index.inverted import InvertedIndex, Posting
-from repro.index.packed import _LEN, _MAGIC, _PREAMBLE, PackedIndex
+from repro.index.inverted import _LEN, _MAGIC, _PREAMBLE, _RECORD
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_registry, reset_registry
 from repro.pipeline import build_demo_pipeline
@@ -60,7 +69,8 @@ def packed_index(packed_path):
 
 
 def _mutated(pipeline):
-    """An index mutated in place, and the corpus it ends up indexing.
+    """The reference index mutated in place, and the corpus it ends up
+    indexing.
 
     Removes the first paper (so some surviving terms lose their first
     posting), replaces the second with different text under the same
@@ -69,7 +79,7 @@ def _mutated(pipeline):
     papers = list(pipeline.corpus)
     corpus = Corpus(papers)
     tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
+    reference = ReferenceIndex.of(tokens)
     first, second, donor = papers[0], papers[1], papers[-1]
     replacement = dataclasses.replace(
         second, title=donor.title, abstract=first.abstract, body=""
@@ -79,106 +89,105 @@ def _mutated(pipeline):
         Paper(paper_id="NEW-TEXTLESS", title=""),
     ]
     for paper_id in (first.paper_id, second.paper_id):
-        index.remove_paper(paper_id)
+        reference.remove_paper(paper_id)
         corpus.remove(paper_id)
         tokens.evict_paper(paper_id)
     for paper in [replacement, *added]:
         corpus.add(paper)
-        index.index_paper(paper.paper_id)
+        reference.index_paper(paper.paper_id)
     moved = [
         term
-        for term in index.vocabulary()
-        if pipeline.index.postings(term)[0].paper_id == first.paper_id
-        and index.postings(term)[0].paper_id != "NEW-1"
+        for term in reference.vocabulary()
+        if postings(pipeline.index, term)[0].paper_id == first.paper_id
+        and reference.postings(term)[0].paper_id != "NEW-1"
     ]
     assert moved, "no term lost its first posting paper"
-    return index, corpus
+    return reference, corpus
 
 
 @pytest.fixture(scope="module", params=["fresh", "mutated"])
 def saved(request, pipeline, tmp_path_factory):
-    """``(source index, corpus it indexes, packed file saved from it)``."""
+    """``(built index, reference index, corpus both index, saved file)``."""
     if request.param == "fresh":
-        source, corpus = pipeline.index, pipeline.corpus
+        corpus = pipeline.corpus
+        source = pipeline.index
+        reference = ReferenceIndex.of(AnalyzedPaperCache(corpus))
     else:
-        source, corpus = _mutated(pipeline)
+        reference, corpus = _mutated(pipeline)
+        source = build_index(AnalyzedPaperCache(corpus))
     path = tmp_path_factory.mktemp(f"saved-{request.param}") / "index.bin"
     save_index(source, path)
-    return source, corpus, path
+    return source, reference, corpus, path
 
 
-def _run_postings(index, term):
-    """``index.term_run(term)`` mapped back to postings through its tables."""
-    run = index.term_run(term)
-    paper_ids = index.paper_table().ids
-    return tuple(
-        Posting(paper_ids[row], run.section_table[section], tf)
-        for row, section, tf in zip(
-            run.rows.tolist(), run.sections.tolist(), run.term_frequency.tolist()
-        )
-    )
+def assert_same_arrays(index, other):
+    """Equal tables, vocabulary order, dfs and records, term by term."""
+    assert index.n_papers == other.n_papers
+    assert index.paper_table().ids == other.paper_table().ids
+    assert tuple(index.vocabulary()) == tuple(other.vocabulary())
+    for term in index.vocabulary():
+        run, other_run = index.term_run(term), other.term_run(term)
+        assert run.section_table == other_run.section_table
+        for column in ("rows", "sections", "term_frequency"):
+            assert np.array_equal(getattr(run, column), getattr(other_run, column))
+        assert index.document_frequency(term) == other.document_frequency(term)
 
 
 class TestOndiskEquivalence:
-    """The packed index answers every read exactly as the in-memory index
-    it was saved from, fresh or mutated."""
+    """The reopened index answers every read exactly as the built index
+    it was saved from, fresh or after a delta, and both equal the
+    reference index."""
 
     def test_every_read_api_matches_memory(self, saved):
-        source, _, path = saved
-        packed_index = open_index(path)
+        source, reference, _, path = saved
+        opened = open_index(path)
         try:
-            assert packed_index.n_papers == source.n_papers
-            assert tuple(packed_index.vocabulary()) == tuple(source.vocabulary())
-            for term in source.vocabulary():
-                assert tuple(packed_index.postings(term)) == tuple(
-                    source.postings(term)
-                ), term
-                assert packed_index.document_frequency(
-                    term
-                ) == source.document_frequency(term)
-                assert packed_index.papers_containing(
-                    term
-                ) == source.papers_containing(term)
-                assert _run_postings(packed_index, term) == tuple(
-                    source.postings(term)
-                ), term
-                assert _run_postings(source, term) == tuple(source.postings(term))
-                assert term in packed_index
+            assert_same_arrays(opened, source)
+            assert_index_equals_reference(source, reference)
+            assert_index_equals_reference(opened, reference)
         finally:
-            packed_index.close()
+            opened.close()
 
     def test_engine_rankings_identical(self, saved):
         """Scores off the file ``==`` a fresh build of the final corpus."""
-        source, corpus, path = saved
-        packed_index = open_index(path)
+        source, _, corpus, path = saved
+        opened = open_index(path)
         fresh_engine = KeywordSearchEngine(build_index(AnalyzedPaperCache(corpus)))
-        packed_engine = KeywordSearchEngine(packed_index)
+        opened_engine = KeywordSearchEngine(opened)
         queries = list(QUERIES) + [paper.title for paper in list(corpus)[::5]]
         try:
             for query in queries:
                 # Every matched paper, its score and its matched-term count.
                 assert (
-                    packed_engine.evaluate(query).hits()
+                    opened_engine.evaluate(query).hits()
                     == fresh_engine.evaluate(query).hits()
                 ), query
-                assert packed_engine.search(query, limit=10) == KeywordSearchEngine(
+                assert opened_engine.search(query, limit=10) == KeywordSearchEngine(
                     source
                 ).search(query, limit=10)
         finally:
-            packed_index.close()
+            opened.close()
 
     def test_out_of_vocabulary_term(self, packed_index):
-        assert packed_index.postings("zzz_not_a_term") == ()
+        assert postings(packed_index, "zzz_not_a_term") == ()
         assert packed_index.document_frequency("zzz_not_a_term") == 0
         assert packed_index.papers_containing("zzz_not_a_term") == []
         assert "zzz_not_a_term" not in packed_index
 
     def test_read_only(self, pipeline, packed_index):
-        paper = next(iter(pipeline.corpus))
-        with pytest.raises(TypeError, match="read-only"):
-            packed_index.index_paper(paper.paper_id)
-        with pytest.raises(TypeError, match="read-only"):
-            packed_index.remove_paper(paper.paper_id)
+        """No mutators, and a run handed out cannot write the index."""
+        for index in (pipeline.index, packed_index):
+            assert not hasattr(index, "index_paper")
+            assert not hasattr(index, "remove_paper")
+            term = index.vocabulary()[0]
+            run = index.term_run(term)
+            before = postings(index, term)
+            with pytest.raises(ValueError, match="read-only"):
+                run.term_frequency[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                run.sections[0] = 0
+            run.rows[0] += 1  # a private copy
+            assert postings(index, term) == before
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "index.bin"
@@ -202,19 +211,67 @@ class TestOndiskEquivalence:
 
 
 def _rewrite_header(source, target, edit):
-    """Copy a packed file, applying ``edit`` to its header JSON; the
-    header keeps its length so the framing stays valid."""
+    """Copy a packed file, applying ``edit`` to its header JSON and
+    reframing it, so only the header's content is damaged."""
     raw = source.read_bytes()
     (header_len,) = _LEN.unpack_from(raw, len(_MAGIC))
     header = json.loads(raw[_PREAMBLE : _PREAMBLE + header_len])
     edit(header)
     encoded = json.dumps(header).encode("utf-8")
-    assert len(encoded) == header_len
-    target.write_bytes(raw[:_PREAMBLE] + encoded + raw[_PREAMBLE + header_len :])
+    target.write_bytes(
+        _MAGIC + _LEN.pack(len(encoded)) + encoded + raw[_PREAMBLE + header_len :]
+    )
+
+
+def _rewrite_record(source, target, field, value, position=0):
+    """Copy a packed file with one field of its ``position``-th record set."""
+    raw = bytearray(source.read_bytes())
+    (header_len,) = _LEN.unpack_from(raw, len(_MAGIC))
+    data_start = _PREAMBLE + header_len
+    records = np.frombuffer(raw, dtype=_RECORD, offset=data_start).copy()
+    records[position][field] = value
+    raw[data_start:] = records.tobytes()
+    target.write_bytes(bytes(raw))
+
+
+def _drop(key):
+    return lambda header: header.pop(key)
+
+
+def _set(key, value):
+    return lambda header: header.__setitem__(key, value)
+
+
+#: Damage the opening checks must reject, and the message naming it.
+DAMAGE = {
+    "paper_past_table": (lambda header: None, ("paper", 10**6), "corrupt record 0"),
+    "section_past_table": (lambda header: None, ("section", 9), "corrupt record 0"),
+    "zero_tf": (lambda header: None, ("tf", 0), "corrupt record 0"),
+    "no_n_papers": (_drop("n_papers"), None, "no 'n_papers'"),
+    "no_paper_ids": (_drop("paper_ids"), None, "no 'paper_ids'"),
+    "string_n_papers": (_set("n_papers", "60"), None, "'n_papers' is str"),
+    "terms_not_a_list": (_set("terms", {}), None, "'terms' is dict"),
+    "short_directory_entry": (
+        lambda header: header["terms"][0].pop(),
+        None,
+        "corrupt term directory entry",
+    ),
+    "unknown_section": (
+        lambda header: header["sections"].__setitem__(0, "preface"),
+        None,
+        "corrupt header",
+    ),
+    "paper_id_not_a_string": (
+        lambda header: header["paper_ids"].__setitem__(0, 7),
+        None,
+        "paper id is not a string",
+    ),
+}
 
 
 class TestTermDirectoryCheck:
-    """Opening rejects a term directory whose runs do not tile the data."""
+    """Opening rejects a term directory whose runs do not tile the data,
+    and any header or record the index could not serve."""
 
     def _term_with_count(self, header, low, high):
         for position, (_, _, _, count) in enumerate(header["terms"][:-1]):
@@ -244,15 +301,42 @@ class TestTermDirectoryCheck:
         with pytest.raises(ValueError, match="corrupt term directory"):
             open_index(path)
 
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_file_rejected_at_open(self, packed_path, tmp_path, damage):
+        edit, record, message = DAMAGE[damage]
+        path = tmp_path / "index.bin"
+        _rewrite_header(packed_path, path, edit)
+        if record is not None:
+            _rewrite_record(path, path, *record, position=0)
+        with pytest.raises(ValueError, match=message) as raised:
+            open_index(path)
+        assert str(path) in str(raised.value)
+
+    def test_a_record_damaged_deep_in_the_data_is_named(self, packed_path, tmp_path):
+        path = tmp_path / "index.bin"
+        raw = packed_path.read_bytes()
+        (header_len,) = _LEN.unpack_from(raw, len(_MAGIC))
+        position = (len(raw) - _PREAMBLE - header_len) // _RECORD.itemsize - 1
+        _rewrite_record(packed_path, path, "tf", 0, position=position)
+        with pytest.raises(ValueError, match=f"corrupt record {position} "):
+            open_index(path)
+
+    def test_undamaged_rewrite_opens(self, packed_path, tmp_path):
+        """The damage helpers change nothing but what they are told to."""
+        path = tmp_path / "index.bin"
+        _rewrite_header(packed_path, path, lambda header: None)
+        assert path.read_bytes() == packed_path.read_bytes()
+        open_index(path).close()
+
 
 class TestRunDecode:
-    """The packed index decodes runs on demand and keeps nothing mapped."""
+    """The opened index decodes runs on demand and keeps nothing mapped."""
 
     def test_decoded_runs_outlive_close(self, packed_path):
         index = open_index(packed_path)
         term = index.vocabulary()[0]
         run = index.term_run(term)
-        expected = _run_postings(index, term)
+        expected = postings(index, term)
         # No decoded array is a view of the mapping, so closing succeeds.
         index.close()
         assert len(run.rows) == len(expected)
@@ -260,20 +344,21 @@ class TestRunDecode:
             index.paper_table().row_of[posting.paper_id] for posting in expected
         ]
 
-    def test_backend_stats_report_mapped_bytes(self, packed_path):
+    def test_backend_stats_report_mapped_bytes(self, pipeline, packed_path):
         index = open_index(packed_path)
-        index.postings(index.vocabulary()[0])
+        index.term_run(index.vocabulary()[0])
         assert index.backend_stats() == {
             "mapped_bytes": float(packed_path.stat().st_size)
         }
         index.close()
         assert index.backend_stats() == {"mapped_bytes": 0.0}
+        assert pipeline.index.backend_stats() == {"mapped_bytes": 0.0}
 
 
 class TestBackendGauges:
     def test_delta_zeroes_the_packed_index_gauges(self, tmp_path):
-        """Once a delta swaps the opened file for an in-memory index,
-        ``/metrics`` must stop reporting the closed file's figures."""
+        """Once a delta swaps the opened file for a built index,
+        ``/metrics`` must stop reporting the file's figures."""
         build_demo_pipeline(seed=11, n_papers=40, n_terms=10).build_workspace(
             tmp_path
         )
@@ -284,13 +369,14 @@ class TestBackendGauges:
             pipeline.serving_view.export_gauges()
             return get_registry().snapshot()["gauges"]["index.backend.mapped_bytes"]
 
-        assert isinstance(pipeline.substrates._index, PackedIndex)
+        opened = pipeline.substrates._index
         size = (tmp_path / "index.bin").stat().st_size
+        assert opened.backend_stats() == {"mapped_bytes": float(size)}
         assert mapped() == size
 
         paper_id = next(iter(pipeline.corpus)).paper_id
         ingest_delta(pipeline, tmp_path, removed_ids=[paper_id])
-        assert isinstance(pipeline.substrates._index, InvertedIndex)
+        assert pipeline.substrates._index is not opened
         assert mapped() == 0.0
 
 
@@ -307,47 +393,85 @@ class TestFormatDispatch:
 
 
 class TestMemoryViewSatellites:
-    """Postings and vocabulary are immutable snapshots."""
-
-    def _two_papers(self, pipeline):
-        papers = iter(pipeline.corpus)
-        return next(papers), next(papers)
-
-    def test_postings_view_is_immutable(self, pipeline):
-        first_paper, second_paper = self._two_papers(pipeline)
-        index = InvertedIndex(AnalyzedPaperCache(pipeline.corpus))
-        index.index_paper(first_paper.paper_id)
-        term = index.vocabulary()[0]
-        view = index.postings(term)
-        assert isinstance(view, tuple)
-        assert index.postings(term) == view
-        with pytest.raises(AttributeError):
-            view.append  # tuples expose no mutators
-
-    def test_postings_view_invalidated_by_mutation(self, pipeline):
-        first_paper, second_paper = self._two_papers(pipeline)
-        index = InvertedIndex(AnalyzedPaperCache(pipeline.corpus))
-        index.index_paper(first_paper.paper_id)
-        term = index.vocabulary()[0]
-        before = index.postings(term)
-        index.index_paper(second_paper.paper_id)
-        after = index.postings(term)
-        assert tuple(before) == tuple(after)[: len(before)]
-        index.remove_paper(second_paper.paper_id)
-        assert tuple(index.postings(term)) == tuple(before)
+    """The vocabulary is an immutable snapshot of an immutable index."""
 
     def test_vocabulary_is_a_stable_snapshot(self, pipeline):
-        first_paper, second_paper = self._two_papers(pipeline)
-        index = InvertedIndex(AnalyzedPaperCache(pipeline.corpus))
-        index.index_paper(first_paper.paper_id)
+        corpus = Corpus(list(pipeline.corpus))
+        index = build_index(AnalyzedPaperCache(corpus))
         snapshot = index.vocabulary()
         assert isinstance(snapshot, tuple)
-        # Mutating mid-iteration must not raise or change the snapshot.
-        seen = []
-        for i, term in enumerate(snapshot):
-            if i == 0:
-                index.index_paper(second_paper.paper_id)
-            seen.append(term)
-        assert tuple(seen) == snapshot
-        fresh = index.vocabulary()
-        assert set(fresh) >= set(snapshot)
+        assert index.vocabulary() is snapshot
+        # A delta builds a new index; the held snapshot stays valid.
+        first = corpus.paper_ids()[0]
+        corpus.remove(first)
+        smaller = build_index(AnalyzedPaperCache(corpus))
+        assert index.vocabulary() is snapshot
+        assert set(smaller.vocabulary()) <= set(snapshot)
+
+
+WORDS = ("gene", "cell", "repair", "signal", "protein", "kinase")
+TEXTS = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
+
+
+@st.composite
+def corpora_and_deltas(draw):
+    """A micro corpus and up to four remove/replace/add steps over it."""
+    papers = [
+        Paper(
+            paper_id=f"P{i}",
+            title=draw(TEXTS),
+            abstract=draw(TEXTS),
+            body=draw(TEXTS),
+            index_terms=tuple(draw(st.lists(st.sampled_from(WORDS), max_size=2))),
+        )
+        for i in draw(st.permutations(range(draw(st.integers(0, 6)))))
+    ]
+    live = [paper.paper_id for paper in papers]
+    steps, fresh = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("remove", "replace", "add")))
+        if kind != "add" and live:
+            paper_id = draw(st.sampled_from(live))
+            if kind == "remove":
+                live.remove(paper_id)
+                steps.append((paper_id, None))
+                continue
+        else:
+            paper_id = f"N{fresh}"
+            fresh += 1
+            live.append(paper_id)
+        body = draw(TEXTS)
+        steps.append((paper_id, Paper(paper_id=paper_id, title=body, body=body)))
+    return papers, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora_and_deltas())
+def test_built_and_reopened_index_equal_the_reference(corpus_and_steps):
+    """After every delta step, a build of the changed corpus equals the
+    reference mutated in place, and its saved copy reopens to equal
+    arrays and re-saves to the same bytes."""
+    papers, steps = corpus_and_steps
+    corpus = Corpus(papers)
+    tokens = AnalyzedPaperCache(corpus)
+    reference = ReferenceIndex.of(tokens)
+    with tempfile.TemporaryDirectory() as directory:
+        path, again = Path(directory) / "index.bin", Path(directory) / "again.bin"
+        for paper_id, paper in [(None, None), *steps]:
+            if paper_id in corpus:
+                reference.remove_paper(paper_id)
+                corpus.remove(paper_id)
+                tokens.evict_paper(paper_id)
+            if paper is not None:
+                corpus.add(paper)
+                reference.index_paper(paper_id)
+            index = build_index(tokens)
+            assert_index_equals_reference(index, reference)
+            save_index(index, path)
+            opened = open_index(path)
+            try:
+                assert_same_arrays(opened, index)
+                save_index(opened, again)
+                assert again.read_bytes() == path.read_bytes()
+            finally:
+                opened.close()

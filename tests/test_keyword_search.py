@@ -6,6 +6,8 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
 from repro.index.inverted import build_index
 from repro.index.search import KeywordSearchEngine
+from repro.ontology.ontology import Ontology
+from repro.serving.substrate import SubstrateStore
 from repro.text.analyze import AnalyzedPaperCache
 
 
@@ -156,32 +158,27 @@ class TestSameYearTieBreak:
 
 class TestContributionCache:
     def test_replacing_a_paper_invalidates_contributions(self, corpus):
-        # remove + add keeps n_papers stable, so a count-keyed cache would
-        # replay the old paper's contributions; the revision counter must
-        # not.
-        corpus = Corpus(list(corpus))
-        tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
-        engine = KeywordSearchEngine(index)
+        # remove + add keeps n_papers stable, so an engine keyed on the
+        # count would replay the old paper's contributions; the delta
+        # builds a new index, and the store a new engine over it.
+        store = SubstrateStore(Corpus(list(corpus)), Ontology([]), {})
+        old_engine = store.keyword_engine
 
         def scores(engine):
-            return dict(engine.evaluate("gene").top_scores(index.n_papers))
+            return dict(engine.evaluate("gene").top_scores(engine.index.n_papers))
 
-        before = scores(engine)
+        before = scores(old_engine)
         replacement = Paper(
             paper_id="P2",
             title="Gene gene gene gene gene",
             abstract="gene gene gene gene gene gene",
             year=2004,
         )
-        index.remove_paper("P2")
-        corpus.remove("P2")
-        tokens.evict_paper("P2")
-        corpus.add(replacement)
-        index.index_paper("P2")
-        assert index.n_papers == 3  # same count, different content
-        after = scores(engine)
+        store.apply_delta(added_papers=[replacement], removed_ids=["P2"])
+        assert store.index.n_papers == 3  # same count, different content
+        after = scores(store.keyword_engine)
         assert after != before
+        assert scores(old_engine) == before  # the old index is unchanged
         # The fresh contributions must reflect the replacement exactly.
         fresh = build_index(AnalyzedPaperCache(
             Corpus([corpus.paper("P1"), corpus.paper("P3"), replacement])

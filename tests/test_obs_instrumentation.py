@@ -83,7 +83,7 @@ class TestPipelineSearchSpans:
         engine = pipeline.search_engine("text", "text")
         index = pipeline.keyword_engine.index
         # The rarest term makes a narrow probe: a handful of hits.
-        query = min(index.vocabulary(), key=lambda t: len(index.postings(t)))
+        query = min(index.vocabulary(), key=lambda t: len(index.term_run(t).rows))
         probe = pipeline.keyword_engine.evaluate(query).top_scores(
             engine.probe_depth
         )

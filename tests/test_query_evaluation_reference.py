@@ -4,15 +4,17 @@
 used to run: one ``(paper_id, weight * (1 + log tf) * idf)`` pair per
 posting, summed into a per-paper dict in postings order, normalised by
 a bound that calls ``_idf`` per term, and ranked with ``sorted``.
+The loop reads the naive reference index of ``tests/index_reference.py``.
 Hypothesis draws micro corpora (identical papers, so scores tie; terms
 repeated within a section, so tf > 1), queries with duplicate and
-out-of-vocabulary terms (and empty ones), and remove/replace/add deltas
-applied in place to an in-memory index whose engine already cached the
-old revision.  Every answer of the engine -- on the in-memory index and
-on the same index saved and reopened packed -- must equal the
-reference's by paper id with ``==``: scores, matched-term counts,
-``postings_scanned``, ``max_score``, ``hits`` and the ``top_scores``
-order, including ties that straddle the cut.
+out-of-vocabulary terms (and empty ones), and remove/replace/add deltas,
+applied in place to the reference and as a rebuild of the changed corpus
+to the index, while an engine over the old index stays warm.  Every
+answer of the engine -- on the built index and on the same index saved
+and reopened -- must equal the reference's by paper id with ``==``:
+scores, matched-term counts, ``postings_scanned``, ``max_score``,
+``hits`` and the ``top_scores`` order, including ties that straddle the
+cut.
 
 The concurrency tests run cold engines (the term cache and the context
 engine's row gather fill on first use) from eight threads.
@@ -27,6 +29,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_reference import ReferenceIndex
 from repro.core.search import ContextSearchEngine
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
@@ -49,7 +52,8 @@ def reference_idf(index, term):
 
 
 def reference_evaluate(index, query):
-    """``(scores, matched_terms, max_score, postings_scanned)`` by paper id."""
+    """``(scores, matched_terms, max_score, postings_scanned)`` by paper id,
+    read off a :class:`ReferenceIndex`."""
     terms = list(dict.fromkeys(index.analyzer.analyze(query)))
     scores, matches, postings_scanned = {}, {}, 0
     for term in terms:
@@ -105,9 +109,9 @@ def by_paper(evaluation):
     )
 
 
-def assert_matches_reference(engine, query, paper_ids, limits):
+def assert_matches_reference(engine, reference_index, query, paper_ids, limits):
     evaluation = engine.evaluate(query)
-    reference = reference_evaluate(engine.index, query)
+    reference = reference_evaluate(reference_index, query)
     assert list(evaluation.papers) == sorted(evaluation.papers)
     assert by_paper(evaluation) == reference[:2]
     assert evaluation.max_score == reference[2]
@@ -154,7 +158,8 @@ LIMITS = st.lists(st.one_of(st.none(), st.integers(-1, 10)), min_size=1, max_siz
 @settings(max_examples=150, deadline=None)
 @given(corpora(), st.lists(QUERIES, min_size=1, max_size=4), LIMITS)
 def test_in_memory_and_packed_evaluations_equal_reference(papers, queries, limits):
-    index = build_index(AnalyzedPaperCache(Corpus(papers)))
+    tokens = AnalyzedPaperCache(Corpus(papers))
+    index, reference = build_index(tokens), ReferenceIndex.of(tokens)
     paper_ids = [paper.paper_id for paper in papers]
     engine = KeywordSearchEngine(index)
     with tempfile.TemporaryDirectory() as directory:
@@ -164,8 +169,8 @@ def test_in_memory_and_packed_evaluations_equal_reference(papers, queries, limit
         try:
             packed_engine = KeywordSearchEngine(packed)
             for query in queries + queries:  # the second pass reads the cache
-                assert_matches_reference(engine, query, paper_ids, limits)
-                assert_matches_reference(packed_engine, query, paper_ids, limits)
+                for each in (engine, packed_engine):
+                    assert_matches_reference(each, reference, query, paper_ids, limits)
         finally:
             packed.close()
 
@@ -195,22 +200,27 @@ def deltas(draw, papers):
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.data(), st.lists(QUERIES, min_size=1, max_size=3), LIMITS)
 def test_deltas_on_a_warm_engine_equal_reference(papers, data, queries, limits):
+    """Each delta's rebuilt index answers like the reference mutated in
+    place; the warm engine over the index before it answers as before."""
     corpus = Corpus(list(papers))
     tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
-    engine = KeywordSearchEngine(index)
-    for query in queries:
-        engine.evaluate(query)  # warm the old revision's cache
+    reference = ReferenceIndex.of(tokens)
+    engine = KeywordSearchEngine(build_index(tokens))
     for paper_id, paper in data.draw(deltas(papers)):
+        before = [engine.evaluate(query).hits() for query in queries]  # warm
         if paper_id in corpus:
-            index.remove_paper(paper_id)
+            reference.remove_paper(paper_id)
             corpus.remove(paper_id)
             tokens.evict_paper(paper_id)
         if paper is not None:
             corpus.add(paper)
-            index.index_paper(paper_id)
-        for query in queries:
-            assert_matches_reference(engine, query, corpus.paper_ids(), limits)
+            reference.index_paper(paper_id)
+        old, engine = engine, KeywordSearchEngine(build_index(tokens))
+        for query, hits in zip(queries, before):
+            assert_matches_reference(
+                engine, reference, query, corpus.paper_ids(), limits
+            )
+            assert old.evaluate(query).hits() == hits
 
 
 def _in_threads(call, items, n_threads=8):
@@ -274,18 +284,20 @@ class TestConcurrentColdEngines:
             assert answers == serial_context
 
     def test_revision_bump_under_a_warm_old_engine(self):
+        """A delta's new index serves beside the warm engines over the
+        old one: from eight threads, each answers for its own corpus."""
         corpus = Corpus(list(self.pipeline.corpus))
         tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
-        keyword = KeywordSearchEngine(index)
+        keyword = KeywordSearchEngine(build_index(tokens))
         context = self.context_engine(keyword)
-        for query in self.queries:  # warm the term cache and the gather
-            context.search(query)
+        old_keyword = [_hits_of(keyword)(q) for q in self.queries]
+        old_context = [context.search(q) for q in self.queries]  # warm
         removed = corpus.paper_ids()[:5]
         for paper_id in removed:
-            index.remove_paper(paper_id)
             corpus.remove(paper_id)
             tokens.evict_paper(paper_id)
+        new_keyword = KeywordSearchEngine(build_index(tokens))
+        new_context = self.context_engine(new_keyword)
         fresh = build_index(AnalyzedPaperCache(Corpus(list(corpus))))
         serial_keyword = [_hits_of(KeywordSearchEngine(fresh))(q) for q in self.queries]
         serial_context = [
@@ -295,7 +307,11 @@ class TestConcurrentColdEngines:
         assert not any(
             hit.paper_id in removed for hits in serial_context for hit in hits
         )
-        for answers in _in_threads(_hits_of(keyword), self.queries):
-            assert answers == serial_keyword
-        for answers in _in_threads(context.search, self.queries):
-            assert answers == serial_context
+        for engine, expected in (
+            (_hits_of(keyword), old_keyword),
+            (context.search, old_context),
+            (_hits_of(new_keyword), serial_keyword),
+            (new_context.search, serial_context),
+        ):
+            for answers in _in_threads(engine, self.queries):
+                assert answers == expected

@@ -12,9 +12,10 @@ from repro.text.analyze import AnalyzedPaperCache
 @pytest.fixture(scope="module")
 def setup(request):
     corpus = request.getfixturevalue("tiny_corpus")
-    index = build_index(AnalyzedPaperCache(corpus))
+    tokens = AnalyzedPaperCache(corpus)
+    index = build_index(tokens)
     return {
-        "vectors": PaperVectorStore(index.tokens),
+        "vectors": PaperVectorStore(tokens),
         "keyword": KeywordSearchEngine(index),
     }
 

@@ -47,7 +47,7 @@ class TestSingleScan:
         # term, exactly once.
         terms = list(dict.fromkeys(keyword.index.analyzer.analyze(QUERY)))
         expected = sum(
-            len(list(keyword.index.postings(term)))
+            len(keyword.index.term_run(term).rows)
             for term in terms
             if keyword._idf(term) > 0.0
         )

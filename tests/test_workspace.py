@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from index_reference import postings
 from repro.corpus import write_corpus_jsonl
 from repro.corpus.paper import TEXT_SECTIONS
 from repro.datagen import CorpusGenerator, OntologyGenerator
@@ -422,7 +423,7 @@ def _v1_index_payload(index):
     counts, rebuilt from the postings."""
     papers = {}
     for term in index.vocabulary():
-        for posting in index.postings(term):
+        for posting in postings(index, term):
             sections = papers.setdefault(posting.paper_id, {})
             counts = sections.setdefault(posting.section.value, {})
             counts[term] = posting.term_frequency
@@ -803,8 +804,9 @@ class TestCodecs:
         save_index(index, tmp_path / "index.bin")
         restored = open_index(tmp_path / "index.bin")
         assert restored.vocabulary() == index.vocabulary()
+        assert restored.paper_table().ids == index.paper_table().ids
         for term in index.vocabulary():
-            assert restored.postings(term) == index.postings(term), term
+            assert postings(restored, term) == postings(index, term), term
             assert restored.document_frequency(term) == index.document_frequency(
                 term
             )

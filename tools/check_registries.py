@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Lint the score-function registry and the index protocol boundary.
+"""Lint the score-function registry and the one-text-analysis boundary.
 
 The registry in ``src/repro/scoring/`` is the single source of truth for
 prestige score functions.  This lint (modeled on
@@ -13,13 +13,10 @@ prestige score functions.  This lint (modeled on
    + spec.substrates``;
 3. ``src/``: no literal function-name dispatch ladder
    (``function == "citation"``) or hand-rolled choices tuple of function
-   names outside ``src/repro/scoring/``, no concrete index class
-   (``InvertedIndex``, ``PackedIndex``) outside
-   ``src/repro/index/`` -- talk to the ``SearchBackend`` protocol --
-   and no raw paper text (``.section_text(``, ``.all_text(``) outside
-   the token-cache module and the two raw-text readers in
-   ``RAW_TEXT_ALLOWED``: every analysed term comes from the one
-   ``AnalyzedPaperCache``;
+   names outside ``src/repro/scoring/``, and no raw paper text
+   (``.section_text(``, ``.all_text(``) outside the token-cache module
+   and the two raw-text readers in ``RAW_TEXT_ALLOWED``: every analysed
+   term comes from the one ``AnalyzedPaperCache``;
 4. prestige tables: no ``{context: {paper: score}}`` map
    (``Dict[str, Dict[str, float]]``) in the modules of
    ``SCORE_TABLE_PATHS`` -- a score table is ``ScoreRows``.
@@ -42,7 +39,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: The registry package itself is where literal names belong.
 SCORING_PREFIX = "src/repro/scoring/"
-INDEX_PREFIX = "src/repro/index/"
 #: The token-cache module, and the readers that need raw words: snippets
 #: display them, corpus validation checks that a paper has any text.
 RAW_TEXT_ALLOWED = frozenset(
@@ -133,8 +129,6 @@ DISPATCH_RE = re.compile(r"\bfunction(?:_name)?\s*==\s*[\"'][a-z0-9_]+[\"']")
 LITERAL_RUN_RE = re.compile(
     r"[\"']([a-z][a-z0-9_]*)[\"'](?:\s*,\s*[\"']([a-z][a-z0-9_]*)[\"'])+"
 )
-#: Concrete index classes that must stay inside src/repro/index/.
-CONCRETE_RE = re.compile(r"\b(InvertedIndex|PackedIndex)\b")
 #: A read of a paper's raw text.
 RAW_TEXT_RE = re.compile(r"\.(section_text|all_text)\(")
 #: A ``{context: {paper: score}}`` annotation.
@@ -143,8 +137,8 @@ COMMENT_RE = re.compile(r"#.*$")
 
 
 def scan_src(scoring) -> list:
-    """No literal function dispatch, concrete index types or raw paper
-    text outside their modules in src/, and no score-table dicts."""
+    """No literal function dispatch or raw paper text outside their
+    modules in src/, and no score-table dicts."""
     names = set(scoring.function_names())
     paper_sets = set(scoring.PAPER_SET_NAMES)
     problems = []
@@ -174,13 +168,6 @@ def scan_src(scoring) -> list:
                             f"{where} literal function-name tuple "
                             f"{tuple(literals)} (use scoring.function_names())"
                         )
-            if not relative.startswith(INDEX_PREFIX):
-                match = CONCRETE_RE.search(line)
-                if match:
-                    problems.append(
-                        f"{where} concrete index type {match.group(1)} (talk "
-                        f"to the SearchBackend protocol instead)"
-                    )
             if relative not in RAW_TEXT_ALLOWED:
                 match = RAW_TEXT_RE.search(line)
                 if match:

@@ -14,7 +14,7 @@ echo "== lint: metric name convention =="
 python tools/check_metric_names.py
 
 echo
-echo "== lint: score-function registry and the index protocol boundary =="
+echo "== lint: score-function registry and the one-text-analysis boundary =="
 python tools/check_registries.py
 
 echo
@@ -70,10 +70,13 @@ python tools/check_workspace_manifest.py --manifest "$WORKSPACE_DATA/workspace/m
 cp "$WORKSPACE_DATA"/corpus.jsonl "$WORKSPACE_DATA"/ontology.obo "$WORKSPACE_DATA"/training.json "$FRESH_DATA"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli build --data "$FRESH_DATA" > /dev/null
 # The generation's pattern extractions, seeded from generation 1's file,
-# are the bytes a fresh build of the final corpus writes.
+# and its index, rebuilt from the token cache, are the bytes a fresh
+# build of the final corpus writes.
 cmp "$WORKSPACE_DATA/workspace/pattern_extractions.npz" \
     "$FRESH_DATA/workspace/pattern_extractions.npz"
 echo "generation 2's pattern_extractions.npz equals a fresh build's"
+cmp "$WORKSPACE_DATA/workspace/index.bin" "$FRESH_DATA/workspace/index.bin"
+echo "generation 2's index.bin equals a fresh build's"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$WORKSPACE_DATA" "$FRESH_DATA" <<'PY'
 import json, sys
 from pathlib import Path
