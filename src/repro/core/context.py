@@ -156,6 +156,29 @@ def csr_positions(
     return positions, counts
 
 
+def check_indptr(indptr: np.ndarray, n_rows: int, n_entries: int, what: str) -> None:
+    """``ValueError`` unless ``indptr`` (int64) splits ``n_entries``
+    entries into ``n_rows`` rows."""
+    if (
+        indptr.dtype != np.int64 or indptr.shape != (n_rows + 1,)
+        or indptr[0] != 0 or (np.diff(indptr) < 0).any()
+        or indptr[-1] != n_entries
+    ):
+        raise ValueError(f"inconsistent {what} arrays")
+
+
+def check_csr(
+    indptr: np.ndarray, rows: np.ndarray, n_rows: int, n_table: int, what: str
+) -> None:
+    """``ValueError`` unless ``indptr`` (int64) and ``rows`` (int32) are a
+    CSR of ``n_rows`` rows whose entries index a table of ``n_table``."""
+    if rows.dtype != np.int32 or rows.ndim != 1:
+        raise ValueError(f"inconsistent {what} arrays")
+    check_indptr(indptr, n_rows, len(rows), what)
+    if rows.size and not 0 <= rows.min() <= rows.max() < n_table:
+        raise ValueError(f"inconsistent {what} arrays")
+
+
 class ContextPaperSet:
     """An assignment of papers to ontology contexts."""
 

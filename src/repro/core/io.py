@@ -28,7 +28,13 @@ from typing import IO, Dict, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.core.context import Context, ContextPaperSet, indptr_of
+from repro.core.context import (
+    Context,
+    ContextPaperSet,
+    check_csr,
+    check_indptr,
+    indptr_of,
+)
 from repro.core.patterns import Extractions, PatternExtraction
 from repro.core.vectors import PaperVectorStore
 from repro.ontology.ontology import Ontology
@@ -105,29 +111,6 @@ def _read_npz(path: PathLike, format_tag: str, what: str):
     return header, members
 
 
-def _check_indptr(indptr: np.ndarray, n_rows: int, n_entries: int, what: str) -> None:
-    """``ValueError`` unless ``indptr`` (int64) splits ``n_entries``
-    entries into ``n_rows`` rows."""
-    if (
-        indptr.dtype != np.int64 or indptr.shape != (n_rows + 1,)
-        or indptr[0] != 0 or (np.diff(indptr) < 0).any()
-        or indptr[-1] != n_entries
-    ):
-        raise ValueError(f"inconsistent {what} arrays")
-
-
-def _check_csr(
-    indptr: np.ndarray, rows: np.ndarray, n_rows: int, n_table: int, what: str
-) -> None:
-    """``ValueError`` unless ``indptr`` (int64) and ``rows`` (int32) are a
-    CSR of ``n_rows`` rows whose entries index a table of ``n_table``."""
-    if rows.dtype != np.int32 or rows.ndim != 1:
-        raise ValueError(f"inconsistent {what} arrays")
-    _check_indptr(indptr, n_rows, len(rows), what)
-    if rows.size and not 0 <= rows.min() <= rows.max() < n_table:
-        raise ValueError(f"inconsistent {what} arrays")
-
-
 # -- context paper sets (v2) ---------------------------------------------------------
 #
 # Members: ``header`` (uint8 bytes of a JSON object: format tag, the
@@ -190,7 +173,7 @@ def read_context_paper_set(path: PathLike, ontology: Ontology) -> ContextPaperSe
         }:
             raise ValueError("per-context header lists differ in length")
         indptr, rows = members["indptr"], members["members"]
-        _check_csr(indptr, rows, len(term_ids), len(paper_ids), "indptr/members")
+        check_csr(indptr, rows, len(term_ids), len(paper_ids), "indptr/members")
         _check_rows(chain.from_iterable(training), len(paper_ids))
         _check_rows((r for r in representatives if r is not None), len(paper_ids))
         # Object-array indexing maps every member row to its id in C.
@@ -350,19 +333,19 @@ def read_pattern_extractions(path: PathLike) -> Extractions:
             raise ValueError("settings are not three non-negative ints")
         vocab_indptr, middle_indptr = members["vocab_indptr"], members["middle_indptr"]
         row_indptr = members["row_indptr"]
-        _check_csr(vocab_indptr, members["vocab"], n, len(words), "vocab")
+        check_csr(vocab_indptr, members["vocab"], n, len(words), "vocab")
         middle_base = members["middle_base"]
         n_middles = len(middle_base)
         if middle_base.dtype != np.float64 or middle_base.ndim != 1:
             raise ValueError("inconsistent middle_base array")
-        _check_indptr(middle_indptr, n, n_middles, "middle_indptr")
+        check_indptr(middle_indptr, n, n_middles, "middle_indptr")
         middle_word_indptr = members["middle_word_indptr"]
-        _check_csr(
+        check_csr(
             middle_word_indptr, members["middle_words"], n_middles, len(words),
             "middle_words",
         )
         n_rows = len(members["count"])
-        _check_indptr(row_indptr, n, n_rows, "row_indptr")
+        check_indptr(row_indptr, n, n_rows, "row_indptr")
         windows = np.array([knobs[0] for knobs in settings], dtype=np.int64)
         rows_per_context = np.diff(row_indptr)
         sizes = {
@@ -488,7 +471,7 @@ def _score_rows(
     rows = members[prefix + "rows"]
     values = members[prefix + "values"]
     what = f"{prefix}indptr/rows/values"
-    _check_csr(indptr, rows, len(context_ids), n_papers, what)
+    check_csr(indptr, rows, len(context_ids), n_papers, what)
     if values.dtype != np.float64 or values.shape != rows.shape:
         raise ValueError(f"inconsistent {what} arrays")
     return ScoreRows(context_ids, indptr, rows, values)

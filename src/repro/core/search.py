@@ -39,8 +39,7 @@ them into the columns' row space without a paper-id lookup:
   returned rows.
 
 Rankings are bit-identical to the per-paper loop they replace
-(``tests/test_context_kernel_reference.py`` keeps that loop as the
-reference).
+(``tests/reference/search.py`` keeps that loop as the reference).
 
 Thread safety: HTTP handler threads call :meth:`ContextSearchEngine.search`
 on shared engines.  The arrays are built once per engine under its lock

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.context import csr_positions
+from repro.core.context import check_csr, csr_positions
 from repro.core.cosine import VectorRows, indptr_of, row_norms
 from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
 from repro.text.analyze import AnalyzedPaperCache
@@ -335,11 +335,10 @@ class PaperVectorStore:
                 )
             }
             n_terms = len(tfidf.vocabulary)
-            _check_csr(
-                fields["indptr"], fields["ids"], len(paper_ids), n_terms, name
-            )
-            _check_csr(
-                fields["row_indptr"], fields["row_ids"], len(paper_ids), n_terms, name
+            what = f"{name} indptr/ids"
+            check_csr(fields["indptr"], fields["ids"], len(paper_ids), n_terms, what)
+            check_csr(
+                fields["row_indptr"], fields["row_ids"], len(paper_ids), n_terms, what
             )
             if (
                 fields["counts"].dtype != np.int32
@@ -363,19 +362,3 @@ class PaperVectorStore:
                 ),
             )
         return store
-
-
-def _check_csr(
-    indptr: np.ndarray, ids: np.ndarray, n_rows: int, n_terms: int, name: str
-) -> None:
-    if (
-        indptr.dtype != np.int64
-        or ids.dtype != np.int32
-        or indptr.shape != (n_rows + 1,)
-        or indptr[0] != 0
-        or (np.diff(indptr) < 0).any()
-        or ids.shape != (int(indptr[-1]),)
-        or (ids.size and not 0 <= ids.min() <= ids.max() < n_terms)
-    ):
-        raise ValueError(f"inconsistent {name} indptr/ids arrays")
-

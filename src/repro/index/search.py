@@ -23,8 +23,8 @@ rows (over the index's :class:`~repro.index.inverted.PaperTable`), its
 per-posting contributions ``weight * (1 + log tf) * idf``, its distinct
 rows and its idf.  A query concatenates its terms' arrays and sums them
 with one ``np.bincount``, which adds in postings order from 0.0 -- the float
-sums of a per-posting dict loop (``tests/test_query_evaluation_reference.py``
-keeps that loop as the reference).  The evaluation is arrays over the
+sums of a per-posting dict loop (``tests/reference/index.py`` keeps that
+loop as the reference).  The evaluation is arrays over the
 table's rows, so its consumers index them and never map paper ids.
 """
 
@@ -170,21 +170,6 @@ class QueryEvaluation:
                 kept.papers[positions].tolist(),
                 kept.scores[positions].tolist(),
                 kept.matched_terms[positions].tolist(),
-            )
-        ]
-
-    def top_scores(self, limit: int) -> List[Tuple[str, float]]:
-        """The ``limit`` best ``(paper_id, score)`` pairs, best first.
-
-        Same ranking as :meth:`hits` without materialising a
-        :class:`KeywordHit` per matched paper.
-        """
-        positions = self.ranked(limit)
-        paper_ids = self.table.ids
-        return [
-            (paper_ids[row], score)
-            for row, score in zip(
-                self.papers[positions].tolist(), self.scores[positions].tolist()
             )
         ]
 

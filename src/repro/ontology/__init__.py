@@ -15,8 +15,6 @@ pattern construction.
 from repro.ontology.obo import read_obo, write_obo
 from repro.ontology.ontology import Ontology
 from repro.ontology.semantic import (
-    jiang_conrath_distance,
-    jiang_conrath_similarity,
     lin_similarity,
     most_informative_common_ancestor,
     resnik_similarity,
@@ -30,7 +28,5 @@ __all__ = [
     "write_obo",
     "resnik_similarity",
     "lin_similarity",
-    "jiang_conrath_distance",
-    "jiang_conrath_similarity",
     "most_informative_common_ancestor",
 ]

@@ -5,9 +5,7 @@ quantify informativeness decay; this module completes the classic IC
 similarity family over the same machinery:
 
 - **Resnik** -- IC of the most informative common ancestor (MICA);
-- **Lin**    -- ``2 * IC(MICA) / (IC(a) + IC(b))``, normalised to [0, 1];
-- **Jiang-Conrath distance** -- ``IC(a) + IC(b) - 2 * IC(MICA)`` (0 =
-  identical), plus the standard similarity transform ``1 / (1 + dist)``.
+- **Lin**    -- ``2 * IC(MICA) / (IC(a) + IC(b))``, normalised to [0, 1].
 
 These are the standard tools for grading how related two GO contexts are
 -- e.g. a finer-grained weighting schedule for the section-7 extension
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from repro.ontology.ontology import Ontology, OntologyError
+from repro.ontology.ontology import Ontology
 
 
 def common_ancestors(ontology: Ontology, a: str, b: str) -> Set[str]:
@@ -63,28 +61,3 @@ def lin_similarity(ontology: Ontology, a: str, b: str) -> float:
     if denominator == 0.0:
         return 0.0
     return 2.0 * resnik_similarity(ontology, a, b) / denominator
-
-
-def jiang_conrath_distance(ontology: Ontology, a: str, b: str) -> float:
-    """JC distance: IC(a) + IC(b) - 2 IC(MICA); 0 = semantically identical.
-
-    Raises :class:`OntologyError` when the terms share no ancestor -- the
-    distance is undefined across disconnected roots.
-    """
-    mica = most_informative_common_ancestor(ontology, a, b)
-    if mica is None:
-        raise OntologyError(f"{a} and {b} share no common ancestor")
-    return (
-        ontology.information_content(a)
-        + ontology.information_content(b)
-        - 2.0 * ontology.information_content(mica)
-    )
-
-
-def jiang_conrath_similarity(ontology: Ontology, a: str, b: str) -> float:
-    """``1 / (1 + JC distance)`` in (0, 1]; 0.0 for disconnected terms."""
-    try:
-        distance = jiang_conrath_distance(ontology, a, b)
-    except OntologyError:
-        return 0.0
-    return 1.0 / (1.0 + distance)

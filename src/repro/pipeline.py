@@ -124,7 +124,9 @@ class Pipeline:
         Expects ``corpus.jsonl`` (one Paper per line), ``ontology.obo``,
         and ``training.json`` (``{term_id: [paper_id, ...]}``) -- the
         layout ``repro generate`` writes and the layout to use for real
-        data.  Raises ``FileNotFoundError`` naming the first missing file.
+        data.  Raises ``FileNotFoundError`` naming the first missing file,
+        and ``ValueError`` naming ``training.json`` (and the term id) when
+        it is not an object of paper-id string lists.
         """
         import json
         from pathlib import Path
@@ -149,6 +151,19 @@ class Pipeline:
                 raise ValueError(
                     f"{training_path}: corrupt JSON ({error})"
                 ) from error
+        if not isinstance(training, dict):
+            raise ValueError(
+                f"{training_path}: expected an object mapping term ids to "
+                f"paper-id lists, found a JSON {type(training).__name__}"
+            )
+        for term_id, paper_ids in training.items():
+            if not isinstance(paper_ids, list) or not all(
+                isinstance(paper_id, str) for paper_id in paper_ids
+            ):
+                raise ValueError(
+                    f"{training_path}: training entry {term_id!r} must be a "
+                    f"list of paper-id strings"
+                )
         return cls(
             corpus=corpus, ontology=ontology, training_papers=training, **kwargs
         )

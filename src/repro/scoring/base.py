@@ -16,7 +16,7 @@ This module provides:
 
 Each stage is array arithmetic on the rows, with every entry's float
 operations in the order a per-entry loop does them, so every score has
-that loop's bits (``tests/prestige_reference.py`` keeps the loops).
+that loop's bits (``tests/reference/prestige.py`` keeps the loops).
 """
 
 from __future__ import annotations

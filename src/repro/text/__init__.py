@@ -18,7 +18,7 @@ Everything the paper's scoring functions need from classic IR:
 from repro.text.analyze import Analyzer, default_analyzer
 from repro.text.phrases import FrequentPhraseMiner, Phrase
 from repro.text.stem import PorterStemmer, stem
-from repro.text.stopwords import STOPWORDS, is_stopword
+from repro.text.stopwords import STOPWORDS
 from repro.text.tokenize import ngrams, sentences, tokenize
 from repro.text.vectorize import SparseVector, TfidfModel
 from repro.text.vocabulary import Vocabulary
@@ -31,7 +31,6 @@ __all__ = [
     "PorterStemmer",
     "stem",
     "STOPWORDS",
-    "is_stopword",
     "tokenize",
     "sentences",
     "ngrams",

@@ -6,15 +6,32 @@ statistical structure.  Both are session-scoped -- building them is the
 expensive part of the suite.
 """
 
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import Phase, settings
+
+from repro.citations.graph import CitationGraph
+from repro.core.context import Context, ContextPaperSet
+from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.obs import reset_registry, reset_telemetry
 from repro.corpus.paper import Paper
 from repro.datagen.corpus_gen import CorpusGenerator
 from repro.datagen.ontology_gen import OntologyGenerator
+from repro.index.inverted import build_index
+from repro.index.search import KeywordSearchEngine
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
+from repro.scoring import TextPrestige
+from repro.text.analyze import AnalyzedPaperCache
+
+
+#: ``--hypothesis-profile=no-shrink`` (tools/check_reference_sharpness.py):
+#: report the first failing example, and keep no example database.
+settings.register_profile(
+    "no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate], database=None
+)
 
 
 @pytest.fixture(autouse=True)
@@ -126,6 +143,32 @@ def tiny_corpus():
 @pytest.fixture(scope="session")
 def tiny_training():
     return {"met": ["M1", "M2"], "sig": ["S1"], "glu": ["M1"]}
+
+
+@pytest.fixture(scope="module")
+def tiny(tiny_corpus, tiny_ontology, tiny_training):
+    """The tiny testbed with its token cache, index, vectors, citation
+    graph and keyword engine, built once per module."""
+    tokens = AnalyzedPaperCache(tiny_corpus)
+    index = build_index(tokens)
+    stack = SimpleNamespace(
+        corpus=tiny_corpus, ontology=tiny_ontology, training=tiny_training,
+        tokens=tokens, index=index, vectors=PaperVectorStore(tokens),
+        graph=CitationGraph.from_corpus(tiny_corpus), keyword=KeywordSearchEngine(index),
+    )
+
+    def text_scores(contexts):
+        """``(paper set, representatives, text prestige)`` of ``contexts``
+        (term id -> papers, the first one its representative)."""
+        paper_set = ContextPaperSet(
+            tiny_ontology, [Context(cid, papers) for cid, papers in contexts.items()]
+        )
+        representatives = {cid: papers[0] for cid, papers in contexts.items()}
+        prestige = TextPrestige(tiny_corpus, stack.vectors, stack.graph, representatives)
+        return paper_set, representatives, prestige.score_all(paper_set)
+
+    stack.text_scores = text_scores
+    return stack
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,8 @@ from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def classifier(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    ontology = request.getfixturevalue("tiny_ontology")
-    tokens = AnalyzedPaperCache(corpus)
-    engine = KeywordSearchEngine(build_index(tokens))
-    return GoPubMedClassifier(tokens, ontology, engine)
+def classifier(tiny):
+    return GoPubMedClassifier(tiny.tokens, tiny.ontology, tiny.keyword)
 
 
 class TestClassifyPaper:

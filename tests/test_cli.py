@@ -24,6 +24,18 @@ def data_dir(tmp_path_factory):
     return directory
 
 
+def term_queries(data_dir, n=3):
+    """The first two words of the first ``n`` ontology term names that
+    have more than two."""
+    obo_text = (data_dir / "ontology.obo").read_text(encoding="utf-8")
+    names = [
+        " ".join(line.split()[1:3])
+        for line in obo_text.splitlines()
+        if line.startswith("name: ") and len(line.split()) > 3
+    ]
+    return names[:n]
+
+
 class TestGenerate:
     def test_files_written(self, data_dir):
         assert (data_dir / "corpus.jsonl").exists()
@@ -94,15 +106,10 @@ class TestSearch:
             ])
 
     def test_queries_file_batch(self, data_dir, tmp_path, capsys):
-        obo_text = (data_dir / "ontology.obo").read_text(encoding="utf-8")
-        names = [
-            " ".join(line.split()[1:3])
-            for line in obo_text.splitlines()
-            if line.startswith("name: ") and len(line.split()) > 3
-        ]
+        names = term_queries(data_dir)
         queries_file = tmp_path / "queries.txt"
         queries_file.write_text(
-            "# validation queries\n" + "\n".join(names[:3]) + "\n\n",
+            "# validation queries\n" + "\n".join(names) + "\n\n",
             encoding="utf-8",
         )
         code = main([
@@ -111,7 +118,7 @@ class TestSearch:
         ])
         output = capsys.readouterr().out
         assert code in (0, 1)
-        for query in names[:3]:
+        for query in names:
             assert f"== {query}" in output
 
     def test_queries_file_missing_fails(self, data_dir):
@@ -374,21 +381,12 @@ class TestIngest:
 
 
 class TestObsTelemetry:
-    def _queries(self, data_dir, n=3):
-        obo_text = (data_dir / "ontology.obo").read_text(encoding="utf-8")
-        names = [
-            " ".join(line.split()[1:3])
-            for line in obo_text.splitlines()
-            if line.startswith("name: ") and len(line.split()) > 3
-        ]
-        return names[:n]
-
     @pytest.fixture()
     def telemetry_dump(self, data_dir, tmp_path, capsys):
         """Run a batch search with --telemetry-out and return the dump path."""
         queries_file = tmp_path / "queries.txt"
         queries_file.write_text(
-            "\n".join(self._queries(data_dir)) + "\n", encoding="utf-8"
+            "\n".join(term_queries(data_dir)) + "\n", encoding="utf-8"
         )
         out = tmp_path / "telemetry.json"
         code = main([
@@ -499,7 +497,7 @@ class TestObsTelemetry:
         self, data_dir, tmp_path, capsys
     ):
         out = tmp_path / "telemetry.json"
-        query = self._queries(data_dir, n=1)[0]
+        query = term_queries(data_dir, n=1)[0]
         main([
             "search", "--data", str(data_dir), "--query", query,
             "--telemetry-out", str(out),

@@ -1,11 +1,9 @@
 """Differential test: derived ``combined`` scores against a recompute reference.
 
 ``combined`` is declared with ``components=`` and the substrate store
-derives it from the memoised ``citation`` and ``text`` scores.
-:class:`ReferenceCombined` keeps the former way as a reference: fresh
-component scorers re-score every context, each component's raw scores
-go through its own normaliser, the blend is summed per context, decayed,
-and max-propagated.  Hypothesis draws demo pipelines and add/remove
+derives it from the memoised ``citation`` and ``text`` scores; the
+reference is :class:`reference.prestige.ReferenceCombined`, decayed and
+max-propagated.  Hypothesis draws demo pipelines and add/remove
 deltas; after the delta the derived scores (``of()``, ``pre``
 and ``aligned()``) must equal the reference's with ``==``.
 
@@ -21,41 +19,16 @@ text similarity once and PageRank only for the changed contexts, and
 that the persisted artifact is byte-identical to the reference's.
 """
 
-from typing import Dict
-
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prestige_reference import NORMALIZERS, pre_maps
+from reference.prestige import ReferenceCombined, pre_maps
+from reference.strategies import delta_pipeline
 from repro import scoring
-from repro.core.context import Context
 from repro.obs import get_registry
-from repro.pipeline import Pipeline, build_demo_pipeline
-from repro.scoring import PrestigeScoreFunction
+from repro.pipeline import build_demo_pipeline
 from repro.workspace import ARTIFACTS, workspace_status
-
-
-class ReferenceCombined(PrestigeScoreFunction):
-    """The per-context recompute loop: blend fresh component scores."""
-
-    name = "combined"
-    #: Components are normalised individually; the blend is used as-is.
-    normalization = "none"
-
-    def __init__(self, components) -> None:
-        self.components = components
-
-    def score_context(self, context: Context) -> Dict[str, float]:
-        blended: Dict[str, float] = {}
-        for scorer, weight in self.components:
-            raw = scorer.score_context(context)
-            if not raw:
-                continue
-            normalised = NORMALIZERS[scorer.normalization](raw)
-            for paper_id, value in normalised.items():
-                blended[paper_id] = blended.get(paper_id, 0.0) + weight * value
-        return blended
 
 
 def reference_scores(store, paper_set_name):
@@ -105,29 +78,6 @@ def assert_matches_reference(store, paper_set_name):
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
-def delta_pipeline(seed, n_add, n_remove):
-    """A demo pipeline minus its last ``n_add`` papers, warmed, then the
-    delta that adds them back and removes ``n_remove`` others."""
-    demo = build_demo_pipeline(seed=seed, n_papers=50, n_terms=12)
-    papers = list(demo.corpus)
-    held_out = papers[len(papers) - n_add:] if n_add else []
-    base = papers[: len(papers) - n_add]
-    pipeline = Pipeline(
-        corpus=type(demo.corpus)(),
-        ontology=demo.ontology,
-        training_papers=demo.training_papers,
-    )
-    for paper in base:
-        pipeline.corpus.add(paper)
-    for paper_set_name in scoring.PAPER_SET_NAMES:
-        pipeline.prestige("combined", paper_set_name)
-    removed = [paper.paper_id for paper in base[::7][:n_remove]]
-    report = pipeline.substrates.apply_delta(
-        added_papers=held_out, removed_ids=removed
-    )
-    return pipeline, report
-
-
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 40),
@@ -136,7 +86,8 @@ def delta_pipeline(seed, n_add, n_remove):
 )
 def test_derived_scores_equal_recompute_after_delta(seed, n_add, n_remove):
     assume(n_add + n_remove > 0)
-    pipeline, report = delta_pipeline(seed, n_add, n_remove)
+    warm = [("combined", name) for name in scoring.PAPER_SET_NAMES]
+    pipeline, report = delta_pipeline(seed, n_add, n_remove, warm)
     assert "citation/text" in report.scores_patched
     assert "combined/text" in report.scores_dropped
     for paper_set_name in scoring.PAPER_SET_NAMES:

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.obs import get_registry, reset_registry
+from repro.obs import get_registry
 from repro.pipeline import build_demo_pipeline
 
 QUERIES = (
@@ -30,13 +30,6 @@ QUERIES = (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    reset_registry()
-    yield
-    reset_registry()
-
-
 def _rows(hits):
     return tuple(
         (h.paper_id, h.context_id, h.relevancy, h.prestige, h.matching)
@@ -44,41 +37,45 @@ def _rows(hits):
     )
 
 
+def _search_while_swapping(pipeline, swap):
+    """Four threads search :data:`QUERIES` while ``swap()`` runs in a loop:
+    the queries whose rankings differed from a baseline taken first, and
+    the number of swaps."""
+    baseline = {query: _rows(pipeline.search(query, limit=10)) for query in QUERIES}
+    stop = threading.Event()
+    swaps = 0
+
+    def swapper():
+        nonlocal swaps
+        while not stop.is_set():
+            swap()
+            swaps += 1
+
+    def searcher(_worker: int):
+        mismatches = []
+        for _ in range(15):
+            results = pipeline.search_many(list(QUERIES), limit=10)
+            for query, hits in zip(QUERIES, results):
+                if _rows(hits) != baseline[query]:
+                    mismatches.append(query)
+        return mismatches
+
+    swap_thread = threading.Thread(target=swapper, daemon=True)
+    swap_thread.start()
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            mismatches = [q for found in pool.map(searcher, range(4)) for q in found]
+    finally:
+        stop.set()
+        swap_thread.join(timeout=10)
+    return mismatches, swaps
+
+
 class TestSearchUnderRefresh:
     def test_rankings_identical_while_views_swap(self):
         pipeline = build_demo_pipeline(seed=7, n_papers=120, n_terms=30)
-        # Single-threaded baseline, computed before any contention.
-        baseline = {
-            query: _rows(pipeline.search(query, limit=10)) for query in QUERIES
-        }
-
-        stop = threading.Event()
-        swaps = 0
-
-        def swapper():
-            nonlocal swaps
-            while not stop.is_set():
-                pipeline.refresh()
-                swaps += 1
-
-        def searcher(_worker: int):
-            mismatches = []
-            for _ in range(15):
-                results = pipeline.search_many(list(QUERIES), limit=10)
-                for query, hits in zip(QUERIES, results):
-                    if _rows(hits) != baseline[query]:
-                        mismatches.append(query)
-            return mismatches
-
-        swap_thread = threading.Thread(target=swapper, daemon=True)
-        swap_thread.start()
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                all_mismatches = list(pool.map(searcher, range(4)))
-        finally:
-            stop.set()
-            swap_thread.join(timeout=10)
-        assert all(not m for m in all_mismatches), all_mismatches
+        mismatches, swaps = _search_while_swapping(pipeline, pipeline.refresh)
+        assert not mismatches, mismatches
         # The swapper actually raced the searchers.
         assert swaps > 0
 
@@ -93,39 +90,14 @@ class TestSearchUnderRefresh:
         fresh_index = pipeline.index
         pipeline.build_workspace(tmp_path, only=["index"])
         reopened_index = open_index(tmp_path / ARTIFACTS["index"].filename)
-        baseline = {
-            query: _rows(pipeline.search(query, limit=10)) for query in QUERIES
-        }
 
-        stop = threading.Event()
-        swaps = 0
+        def swap():
+            pipeline.substrates.install_index(reopened_index)
+            pipeline.substrates.install_index(fresh_index)
 
-        def swapper():
-            nonlocal swaps
-            while not stop.is_set():
-                pipeline.substrates.install_index(reopened_index)
-                pipeline.substrates.install_index(fresh_index)
-                swaps += 2
-
-        def searcher(_worker: int):
-            mismatches = []
-            for _ in range(15):
-                results = pipeline.search_many(list(QUERIES), limit=10)
-                for query, hits in zip(QUERIES, results):
-                    if _rows(hits) != baseline[query]:
-                        mismatches.append(query)
-            return mismatches
-
-        swap_thread = threading.Thread(target=swapper, daemon=True)
-        swap_thread.start()
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                all_mismatches = list(pool.map(searcher, range(4)))
-        finally:
-            stop.set()
-            swap_thread.join(timeout=10)
-        try:
-            assert all(not m for m in all_mismatches), all_mismatches
+            mismatches, swaps = _search_while_swapping(pipeline, swap)
+            assert not mismatches, mismatches
             assert swaps > 0
         finally:
             pipeline.substrates.install_index(fresh_index)

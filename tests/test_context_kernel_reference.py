@@ -1,12 +1,8 @@
-"""Differential test: the context search kernel against a brute-force reference.
+"""Differential test: the context search kernel against :mod:`reference.search`.
 
-:class:`ReferenceSearch` is the per-paper dict loop the engine used to
-run -- select contexts, score ``w_prestige * p + w_matching * m`` in
-them, drop what falls below the threshold, merge by best relevancy --
-with no arrays, caches or index.  Hypothesis generates small paper sets
-(ties, papers shared by several contexts, empty contexts, matched papers
-in no context, probe depths below the match count) and every engine
-answer, ranking and ``search.context.*`` counter delta must equal the
+Hypothesis generates small paper sets (ties, papers shared by several
+contexts, empty contexts, matched papers in no context, probe depths
+below the match count) and every engine answer, ranking and ``search.context.*`` counter delta must equal the
 reference's exactly.
 """
 
@@ -16,130 +12,26 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prestige_reference import scores_from_maps
+from reference.prestige import scores_from_maps
+from reference.search import (
+    COUNTERS,
+    QUERY_VECTOR,
+    ReferenceSearch,
+    representative_vector,
+)
 from repro.core.context import Context, ContextPaperSet
 from repro.core.cosine import VectorRows
-from repro.core.search import (
-    SELECTION_STRATEGIES,
-    ContextResultGroup,
-    ContextSearchEngine,
-    ContextSelection,
-    SearchHit,
-)
+from repro.core.search import SELECTION_STRATEGIES, ContextSearchEngine
 from repro.index.inverted import PaperTable
 from repro.index.search import QueryEvaluation
 from repro.obs import reset_registry
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
-from repro.text.vectorize import SparseVector
 
-COUNTERS = tuple(
-    f"search.context.{name}"
-    for name in (
-        "queries", "papers_scored", "papers_dropped", "merge_deduped",
-        "contexts_probed", "contexts_selected",
-    )
-)
 #: Few distinct values, so relevancies, match scores and strengths tie.
 VALUES = (0.0, 0.1, 0.25, 0.3, 0.5, 1.0)
 WORDS = ("gene", "cell", "repair", "signal")
 OUTSIDE = ("X0", "X1", "X2")  # matched papers that are in no context
-
-
-class ReferenceSearch:
-    """Select -> score -> threshold -> merge over plain dicts."""
-
-    def __init__(self, s):
-        self.s = s
-        self.counters = dict.fromkeys(COUNTERS, 0)
-
-    def _count(self, name, value=1):
-        self.counters[f"search.context.{name}"] += value
-
-    def select(self, max_contexts):
-        s = self.s
-        strengths = {}
-        if s.strategy == "name":
-            query = set(s.terms)
-            for cid, _ in s.contexts:
-                shared = query & set(s.names[cid].split())
-                if query and shared:
-                    strengths[cid] = len(shared) / len(query)
-        elif s.strategy == "representative":
-            for cid, _ in s.contexts:
-                similarity = QUERY_VECTOR.cosine(representative_vector(s, cid))
-                if similarity > 0.0:
-                    strengths[cid] = similarity
-        else:
-            ranked = sorted(s.match.items(), key=lambda kv: (-kv[1], kv[0]))
-            for pid, score in ranked[:s.probe_depth]:
-                for cid, members in s.contexts:
-                    if pid in members:
-                        strengths[cid] = strengths.get(cid, 0.0) + score
-            for cid, members in s.contexts:
-                if cid in strengths:
-                    strength = strengths[cid] / max(len(members) ** 0.5, 1.0)
-                    if s.terms:
-                        shared = set(s.terms) & set(s.names[cid].split())
-                        strength += s.name_bonus * len(shared)
-                    strengths[cid] = strength
-        ranked = sorted(strengths.items(), key=lambda kv: (-kv[1], kv[0]))
-        selected = ranked[:max_contexts] if max_contexts > 0 else []
-        self._count("contexts_probed", len(strengths))
-        self._count("contexts_selected", len(selected))
-        return [ContextSelection(cid, value) for cid, value in selected]
-
-    def _scored(self, cid, threshold):
-        """(hit, dropped?) for every matched member of one context."""
-        s = self.s
-        for pid in dict(s.contexts)[cid]:
-            matching = s.match.get(pid, 0.0)
-            if matching > 0.0:
-                prestige = s.prestige.get(cid, {}).get(pid, 0.0)
-                relevancy = s.w_prestige * prestige + s.w_matching * matching
-                hit = SearchHit(pid, cid, relevancy, prestige, matching)
-                yield hit, relevancy < threshold
-
-    def search(self, max_contexts, threshold, limit, contexts=None):
-        if contexts is None:
-            selected = [sel.context_id for sel in self.select(max_contexts)]
-        else:
-            known = dict(self.s.contexts)
-            selected = [cid for cid in dict.fromkeys(contexts) if cid in known]
-        if not selected:
-            return []
-        best = {}
-        for cid in selected:
-            for hit, dropped in self._scored(cid, threshold):
-                self._count("papers_scored")
-                if dropped:
-                    self._count("papers_dropped")
-                    continue
-                current = best.get(hit.paper_id)
-                if current is not None:
-                    self._count("merge_deduped")
-                    if hit.relevancy <= current.relevancy:
-                        continue
-                best[hit.paper_id] = hit
-        self._count("queries")
-        hits = sorted(best.values(), key=lambda h: (-h.relevancy, h.paper_id))
-        return hits if limit is None else hits[:limit]
-
-    def search_grouped(self, max_contexts, threshold, per_context_limit):
-        groups = []
-        for selection in self.select(max_contexts):
-            hits = sorted(
-                (hit for hit, dropped in self._scored(selection.context_id, threshold)
-                 if not dropped),
-                key=lambda h: (-h.relevancy, h.paper_id),
-            )
-            if per_context_limit is not None:
-                hits = hits[:per_context_limit]
-            if hits:
-                groups.append(ContextResultGroup(
-                    selection.context_id, selection.strength, tuple(hits)
-                ))
-        return groups
 
 
 @st.composite
@@ -174,20 +66,6 @@ def scenarios(draw):
         name_bonus=draw(st.sampled_from((0.0, 0.1, 0.5))),
         strategy=draw(st.sampled_from(SELECTION_STRATEGIES)),
     )
-
-
-#: The query's vector under the representative strategy.
-QUERY_VECTOR = SparseVector({0: 1.0, 2: 0.5})
-
-
-def representative_vector(s, cid):
-    """Context ``cid``'s representative vector, from its drawn value.
-
-    Equal values give equal vectors, so strengths tie; a zero value gives
-    a vector shorter than the query, whose dot product walks it instead.
-    """
-    value = s.similarity.get(cid, 0.0)
-    return SparseVector({0: value, 1: 1.0} if value else {1: 1.0})
 
 
 def build_engine(s):

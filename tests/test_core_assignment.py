@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.patterns import Pattern, PatternKind, PatternSet
-from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
 from repro.index.inverted import build_index
@@ -13,31 +12,16 @@ from repro.ontology.term import Term
 from repro.text.analyze import AnalyzedPaperCache
 
 
-@pytest.fixture(scope="module")
-def tokens(request):
-    return AnalyzedPaperCache(request.getfixturevalue("tiny_corpus"))
-
-
-@pytest.fixture(scope="module")
-def index(tokens):
-    return build_index(tokens)
-
-
-@pytest.fixture(scope="module")
-def vectors(tokens):
-    return PaperVectorStore(tokens)
-
-
 class TestTextContextAssigner:
     @pytest.fixture(scope="class")
-    def paper_set(self, request, vectors):
+    def paper_set(self, tiny):
         assigner = TextContextAssigner(
-            request.getfixturevalue("tiny_corpus"),
-            request.getfixturevalue("tiny_ontology"),
-            vectors,
+            tiny.corpus,
+            tiny.ontology,
+            tiny.vectors,
             similarity_threshold=0.15,
         )
-        return assigner.build(request.getfixturevalue("tiny_training"))
+        return assigner.build(tiny.training)
 
     def test_only_contexts_with_training(self, paper_set):
         assert set(paper_set.context_ids()) == {"met", "sig", "glu"}
@@ -61,32 +45,32 @@ class TestTextContextAssigner:
         assert reps["glu"] == "M1"
         assert reps["sig"] == "S1"
 
-    def test_high_threshold_shrinks_contexts(self, request, vectors):
+    def test_high_threshold_shrinks_contexts(self, tiny):
         strict = TextContextAssigner(
-            request.getfixturevalue("tiny_corpus"),
-            request.getfixturevalue("tiny_ontology"),
-            vectors,
+            tiny.corpus,
+            tiny.ontology,
+            tiny.vectors,
             similarity_threshold=0.99,
         )
-        built = strict.build(request.getfixturevalue("tiny_training"))
+        built = strict.build(tiny.training)
         # Only training papers survive a near-exact threshold.
         assert set(built.context("met").paper_ids) == {"M1", "M2"}
 
 
 class TestPatternContextAssigner:
     @pytest.fixture(scope="class")
-    def assigner(self, request, index, tokens):
+    def assigner(self, tiny):
         return PatternContextAssigner(
-            request.getfixturevalue("tiny_corpus"),
-            request.getfixturevalue("tiny_ontology"),
-            index,
-            tokens,
+            tiny.corpus,
+            tiny.ontology,
+            tiny.index,
+            tiny.tokens,
             max_middle_coverage=0.5,
         )
 
     @pytest.fixture(scope="class")
-    def paper_set(self, request, assigner):
-        return assigner.build(request.getfixturevalue("tiny_training"))
+    def paper_set(self, tiny, assigner):
+        return assigner.build(tiny.training)
 
     def test_pattern_sets_populated(self, assigner, paper_set):
         assert "met" in assigner.pattern_sets
@@ -111,13 +95,13 @@ class TestPatternContextAssigner:
                 if context.inherited_from is None:
                     assert set(context.paper_ids) <= root
 
-    def test_ancestor_fallback_decay(self, request, index, tokens):
+    def test_ancestor_fallback_decay(self, tiny):
         """A context with no training and no matches inherits with decay."""
         assigner = PatternContextAssigner(
-            request.getfixturevalue("tiny_corpus"),
-            request.getfixturevalue("tiny_ontology"),
-            index,
-            tokens,
+            tiny.corpus,
+            tiny.ontology,
+            tiny.index,
+            tiny.tokens,
             max_middle_coverage=0.5,
         )
         # Only 'met' gets training; 'glu' (child of met) has none.
@@ -131,15 +115,15 @@ class TestPatternContextAssigner:
                     paper_set.context(glu.inherited_from).paper_ids
                 )
 
-    def test_coverage_cap_blocks_ubiquitous_middles(self, request, index, tokens):
+    def test_coverage_cap_blocks_ubiquitous_middles(self, tiny):
         strict = PatternContextAssigner(
-            request.getfixturevalue("tiny_corpus"),
-            request.getfixturevalue("tiny_ontology"),
-            index,
-            tokens,
+            tiny.corpus,
+            tiny.ontology,
+            tiny.index,
+            tiny.tokens,
             max_middle_coverage=0.01,  # nothing passes
         )
-        paper_set = strict.build(request.getfixturevalue("tiny_training"))
+        paper_set = strict.build(tiny.training)
         # With no matches anywhere, fallback finds no non-empty ancestor
         # either, so the set is empty.
         assert len(paper_set) == 0

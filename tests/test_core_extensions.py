@@ -64,19 +64,16 @@ class TestCrossContextWeights:
 
 
 @pytest.fixture(scope="module")
-def setup(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    ontology = request.getfixturevalue("tiny_ontology")
-    graph = CitationGraph.from_corpus(corpus)
+def setup(tiny):
     paper_set = ContextPaperSet(
-        ontology,
+        tiny.ontology,
         [
             Context("met", ("M1", "M2", "M3")),
             Context("sig", ("S1", "S2")),
             Context("glu", ("M1", "M2")),
         ],
     )
-    return corpus, ontology, graph, paper_set
+    return tiny.corpus, tiny.ontology, tiny.graph, paper_set
 
 
 class TestCrossContextCitationPrestige:

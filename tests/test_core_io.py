@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prestige_reference import aligned_reference, pre_maps, scores_from_maps
+from reference.prestige import aligned_reference, pre_maps, scores_from_maps
 from repro.core.context import Context, ContextPaperSet
 from repro.core.io import (
     TEMP_SUFFIX,
@@ -23,13 +23,17 @@ from repro.core.io import (
     read_context_paper_set,
     read_pattern_extractions,
     read_prestige_scores,
+    read_vector_store,
     write_context_paper_set,
     write_pattern_extractions,
     write_prestige_scores,
+    write_vector_store,
 )
 from repro.core.patterns import PatternExtraction
+from repro.core.vectors import PaperVectorStore
 from repro.ontology import Ontology
 from repro.ontology.term import Term
+from repro.text.analyze import AnalyzedPaperCache
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -65,7 +69,7 @@ def _fields(paper_set):
 
 
 def _rewrite(path, header=None, **arrays):
-    """Rewrite a paper-set file with ``header`` keys and ``arrays`` replaced."""
+    """Rewrite an ``.npz`` artifact with ``header`` keys and ``arrays`` replaced."""
     import json
 
     with np.load(path) as archive:
@@ -487,6 +491,38 @@ class TestPatternExtractionsCodec:
         ) as excinfo:
             read_pattern_extractions(path)
         assert str(excinfo.value).startswith(str(path))
+
+
+class TestVectorStoreChecks:
+    @pytest.mark.parametrize(
+        "member, damage",
+        [
+            ("full.ids", "past-vocabulary"),
+            ("title.row_ids", "past-vocabulary"),
+            ("full.indptr", "decreasing"),
+            ("body.row_indptr", "decreasing"),
+            ("full.counts", "short"),
+            ("abstract.weights", "short"),
+        ],
+    )
+    def test_damaged_arrays_are_corrupt(self, tiny_corpus, tmp_path, member, damage):
+        tokens = AnalyzedPaperCache(tiny_corpus)
+        vectors = PaperVectorStore(tokens)
+        vectors.warm()
+        path = tmp_path / "vectors.npz"
+        write_vector_store(vectors, path)
+        with np.load(path) as archive:
+            array = archive[member].copy()
+        if damage == "past-vocabulary":
+            array[0] = np.iinfo(np.int32).max
+        elif damage == "decreasing":
+            array[1] = array[-1] + 1
+        else:
+            array = array[:-1]
+        _rewrite(path, **{member: array})
+        match = r"corrupt vector-store file \(inconsistent"
+        with pytest.raises(ValueError, match=match):
+            read_vector_store(path, tokens)
 
 
 class TestAtomicWrite:

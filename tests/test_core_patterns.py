@@ -14,17 +14,12 @@ from repro.core.patterns import (
     match_strength,
 )
 from repro.corpus.paper import Section
-from repro.index.inverted import build_index
 from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def builder(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    ontology = request.getfixturevalue("tiny_ontology")
-    tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
-    return PatternSetBuilder(ontology, index, tokens, min_phrase_support=2)
+def builder(tiny):
+    return PatternSetBuilder(tiny.ontology, tiny.index, tiny.tokens, min_phrase_support=2)
 
 
 class TestFindOccurrences:
@@ -61,34 +56,23 @@ class TestKnobValidation:
             ("frequency_coefficient", -math.inf),
         ],
     )
-    def test_builder_rejects_nonsense(self, request, knob, value):
-        corpus = request.getfixturevalue("tiny_corpus")
-        ontology = request.getfixturevalue("tiny_ontology")
-        tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
+    def test_builder_rejects_nonsense(self, tiny, knob, value):
         with pytest.raises(ValueError, match=knob):
-            PatternSetBuilder(ontology, index, tokens, **{knob: value})
+            PatternSetBuilder(tiny.ontology, tiny.index, tiny.tokens, **{knob: value})
 
     @pytest.mark.parametrize("value", [-0.1, math.nan])
-    def test_assigner_rejects_nonsense_coverage_cut(self, request, value):
-        corpus = request.getfixturevalue("tiny_corpus")
-        ontology = request.getfixturevalue("tiny_ontology")
-        tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
+    def test_assigner_rejects_nonsense_coverage_cut(self, tiny, value):
         with pytest.raises(ValueError, match="max_middle_coverage"):
             PatternContextAssigner(
-                corpus, ontology, index, tokens, max_middle_coverage=value
+                tiny.corpus, tiny.ontology, tiny.index, tiny.tokens,
+                max_middle_coverage=value,
             )
 
-    def test_zero_knobs_are_accepted(self, request):
-        corpus = request.getfixturevalue("tiny_corpus")
-        ontology = request.getfixturevalue("tiny_ontology")
-        tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
+    def test_zero_knobs_are_accepted(self, tiny):
         builder = PatternSetBuilder(
-            ontology,
-            index,
-            tokens,
+            tiny.ontology,
+            tiny.index,
+            tiny.tokens,
             window=0,
             max_regular_patterns=0,
             max_joined_pairs=0,
@@ -117,24 +101,17 @@ class TestPatternConstruction:
         pattern_set = builder.build("met", ["M1", "M2", "M3"])
         assert all(p.score > 0 for p in pattern_set.patterns)
 
-    def test_regular_pattern_cap(self, request, builder):
-        corpus = request.getfixturevalue("tiny_corpus")
-        ontology = request.getfixturevalue("tiny_ontology")
-        tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
+    def test_regular_pattern_cap(self, tiny, builder):
         capped = PatternSetBuilder(
-            ontology, index, tokens, max_regular_patterns=3, build_extended=False
+            tiny.ontology, tiny.index, tiny.tokens, max_regular_patterns=3,
+            build_extended=False,
         )
         pattern_set = capped.build("met", ["M1", "M2", "M3"])
         assert len(pattern_set) <= 3
 
-    def test_simplified_builder_only_regular(self, request):
-        corpus = request.getfixturevalue("tiny_corpus")
-        ontology = request.getfixturevalue("tiny_ontology")
-        tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
+    def test_simplified_builder_only_regular(self, tiny):
         simplified = PatternSetBuilder(
-            ontology, index, tokens, build_extended=False
+            tiny.ontology, tiny.index, tiny.tokens, build_extended=False
         )
         pattern_set = simplified.build("met", ["M1", "M2", "M3"])
         assert all(p.kind is PatternKind.REGULAR for p in pattern_set.patterns)
@@ -266,16 +243,14 @@ class TestMatching:
 
 
 class TestAnalyzedPaperCache:
-    def test_tokens_cached(self, request):
-        corpus = request.getfixturevalue("tiny_corpus")
-        cache = AnalyzedPaperCache(corpus)
+    def test_tokens_cached(self, tiny_corpus):
+        cache = AnalyzedPaperCache(tiny_corpus)
         a = cache.tokens("M1", Section.BODY)
         b = cache.tokens("M1", Section.BODY)
         assert a is b
 
-    def test_all_tokens_concatenates_sections(self, request):
-        corpus = request.getfixturevalue("tiny_corpus")
-        cache = AnalyzedPaperCache(corpus)
+    def test_all_tokens_concatenates_sections(self, tiny_corpus):
+        cache = AnalyzedPaperCache(tiny_corpus)
         combined = cache.all_tokens("M1")
         assert len(combined) == sum(
             len(cache.tokens("M1", s))

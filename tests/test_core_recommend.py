@@ -2,35 +2,16 @@
 
 import pytest
 
-from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
 from repro.core.recommend import RelatedWorkRecommender
-from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import build_index
-from repro.scoring import TextPrestige
-from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def recommender(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    ontology = request.getfixturevalue("tiny_ontology")
-    tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
-    vectors = PaperVectorStore(tokens)
-    graph = CitationGraph.from_corpus(corpus)
-    paper_set = ContextPaperSet(
-        ontology,
-        [
-            Context("met", ("M1", "M2", "M3")),
-            Context("sig", ("S1", "S2")),
-        ],
+def recommender(tiny):
+    paper_set, representatives, prestige = tiny.text_scores(
+        {"met": ("M1", "M2", "M3"), "sig": ("S1", "S2")}
     )
-    representatives = {"met": "M1", "sig": "S1"}
-    prestige = TextPrestige(corpus, vectors, graph, representatives).score_all(
-        paper_set
-    )
-    return RelatedWorkRecommender(paper_set, prestige, vectors, representatives)
+    return RelatedWorkRecommender(paper_set, prestige, tiny.vectors, representatives)
 
 
 DRAFT = (

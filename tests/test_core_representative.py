@@ -4,14 +4,12 @@ import pytest
 
 from repro.core.assignment import TextContextAssigner
 from repro.core.representative import representatives_of, select_representative
-from repro.core.vectors import PaperVectorStore
 from repro.serving.substrate import SubstrateStore
-from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def store(request):
-    return PaperVectorStore(AnalyzedPaperCache(request.getfixturevalue("tiny_corpus")))
+def store(tiny):
+    return tiny.vectors
 
 
 class TestSelectRepresentative:

@@ -1,14 +1,10 @@
 """Unit tests for the prestige score machinery and the three functions."""
 
-import numpy as np
 import pytest
 
-from prestige_reference import maps, pre_maps
-from repro.citations.graph import CitationGraph
+from reference.prestige import maps, one_row, pre_maps
 from repro.core.assignment import PatternContextAssigner
 from repro.core.context import Context, ContextPaperSet
-from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import build_index
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 from repro.scoring import (
@@ -19,14 +15,10 @@ from repro.scoring import (
     propagate_max,
 )
 from repro.scoring.base import min_max_rows, rows_from_maps
-from repro.text.analyze import AnalyzedPaperCache
 
 
 def min_max_normalize(scores):
-    """``min_max_rows`` of ``scores`` as one row."""
-    values = np.array(list(scores.values()), dtype=np.float64)
-    normalised = min_max_rows(values, np.array([0, len(values)], dtype=np.int64))
-    return dict(zip(scores, normalised.tolist()))
+    return one_row(min_max_rows, scores)
 
 
 def propagate_max_over_descendants(paper_set, by_context):
@@ -92,30 +84,16 @@ class TestPropagation:
 
 
 @pytest.fixture(scope="module")
-def tiny_setup(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    ontology = request.getfixturevalue("tiny_ontology")
-    tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
-    vectors = PaperVectorStore(tokens)
-    graph = CitationGraph.from_corpus(corpus)
+def tiny_setup(tiny):
     paper_set = ContextPaperSet(
-        ontology,
+        tiny.ontology,
         [
             Context("met", ("M1", "M2", "M3"), training_paper_ids=("M1", "M2")),
             Context("sig", ("S1", "S2"), training_paper_ids=("S1",)),
             Context("glu", ("M1", "M2"), training_paper_ids=("M1",)),
         ],
     )
-    return {
-        "corpus": corpus,
-        "ontology": ontology,
-        "index": index,
-        "tokens": tokens,
-        "vectors": vectors,
-        "graph": graph,
-        "paper_set": paper_set,
-    }
+    return {**vars(tiny), "paper_set": paper_set}
 
 
 class TestCitationPrestige:

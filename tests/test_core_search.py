@@ -2,44 +2,29 @@
 
 import pytest
 
-from repro.citations.graph import CitationGraph
-from repro.core.context import Context, ContextPaperSet
 from repro.core.search import ContextSearchEngine
-from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import build_index
-from repro.index.search import KeywordSearchEngine
-from repro.scoring import TextPrestige
-from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def setup(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    ontology = request.getfixturevalue("tiny_ontology")
-    tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
-    vectors = PaperVectorStore(tokens)
-    graph = CitationGraph.from_corpus(corpus)
-    paper_set = ContextPaperSet(
-        ontology,
-        [
-            Context("met", ("M1", "M2", "M3")),
-            Context("sig", ("S1", "S2")),
-            Context("glu", ("M1", "M2")),
-        ],
+def setup(tiny):
+    paper_set, _, prestige = tiny.text_scores(
+        {"met": ("M1", "M2", "M3"), "sig": ("S1", "S2"), "glu": ("M1", "M2")}
     )
-    prestige = TextPrestige(
-        corpus, vectors, graph, {"met": "M1", "sig": "S1", "glu": "M1"}
-    ).score_all(paper_set)
-    keyword = KeywordSearchEngine(index)
-    engine = ContextSearchEngine(ontology, paper_set, prestige, keyword)
     return {
-        "engine": engine,
+        "engine": ContextSearchEngine(tiny.ontology, paper_set, prestige, tiny.keyword),
         "paper_set": paper_set,
-        "keyword": keyword,
-        "ontology": ontology,
+        "keyword": tiny.keyword,
+        "ontology": tiny.ontology,
         "prestige": prestige,
     }
+
+
+def weighted(setup, **weights):
+    """An engine over ``setup`` with the given relevancy weights."""
+    return ContextSearchEngine(
+        setup["ontology"], setup["paper_set"], setup["prestige"], setup["keyword"],
+        **weights,
+    )
 
 
 class TestContextSelection:
@@ -115,46 +100,19 @@ class TestSearch:
 
 class TestWeights:
     def test_prestige_only_ranking(self, setup):
-        engine = ContextSearchEngine(
-            setup["ontology"],
-            setup["paper_set"],
-            setup["prestige"],
-            setup["keyword"],
-            w_prestige=1.0,
-            w_matching=0.0,
-        )
+        engine = weighted(setup, w_prestige=1.0, w_matching=0.0)
         hits = engine.search("metabolic", contexts=["met"])
         for hit in hits:
             assert hit.relevancy == pytest.approx(hit.prestige)
 
     def test_matching_only_ranking(self, setup):
-        engine = ContextSearchEngine(
-            setup["ontology"],
-            setup["paper_set"],
-            setup["prestige"],
-            setup["keyword"],
-            w_prestige=0.0,
-            w_matching=1.0,
-        )
+        engine = weighted(setup, w_prestige=0.0, w_matching=1.0)
         hits = engine.search("metabolic", contexts=["met"])
         for hit in hits:
             assert hit.relevancy == pytest.approx(hit.matching)
 
     def test_invalid_weights(self, setup):
         with pytest.raises(ValueError):
-            ContextSearchEngine(
-                setup["ontology"],
-                setup["paper_set"],
-                setup["prestige"],
-                setup["keyword"],
-                w_prestige=0.0,
-                w_matching=0.0,
-            )
+            weighted(setup, w_prestige=0.0, w_matching=0.0)
         with pytest.raises(ValueError):
-            ContextSearchEngine(
-                setup["ontology"],
-                setup["paper_set"],
-                setup["prestige"],
-                setup["keyword"],
-                w_prestige=-1.0,
-            )
+            weighted(setup, w_prestige=-1.0)

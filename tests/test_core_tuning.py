@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.tuning import RelevancyTuner, TuningPoint
+from repro.core.tuning import RelevancyTuner
 from repro.datagen.queries import generate_queries
 from repro.pipeline import Pipeline
 

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.core.cosine import cosine_pairs
-from repro.core.vectors import PaperVectorStore
 from repro.corpus.paper import Section
-from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def store(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    return PaperVectorStore(AnalyzedPaperCache(corpus))
+def store(tiny):
+    return tiny.vectors
 
 
 def section_cosine(store, paper_a, paper_b, section):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from facet_reference import coauthors_of
+from reference.facets import coauthors_of
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper, Section
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from facet_reference import (
+from reference.facets import (
     bibliographic_coupling,
     citation_similarity,
     cocitation,

@@ -6,9 +6,7 @@ import pytest
 
 from repro.citations.graph import CitationGraph
 from repro.datagen.corpus_gen import CorpusGenerator
-from repro.datagen.lexicon import Lexicon
 from repro.datagen.ontology_gen import OntologyGenerator
-from repro.datagen.topics import TopicModel
 from repro.text.tokenize import tokenize
 
 

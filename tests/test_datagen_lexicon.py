@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.datagen.lexicon import FILLER_WORDS, TERM_HEADS, TERM_MODIFIERS, Lexicon
 from repro.text.tokenize import tokenize
 

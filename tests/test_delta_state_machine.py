@@ -1,4 +1,5 @@
-"""Stateful delta parity: any add/remove/replace sequence equals a scratch build.
+"""Stateful delta parity: any add/remove/replace sequence equals a scratch
+build and the naive reference build.
 
 A hypothesis ``RuleBasedStateMachine`` drives one small demo pipeline
 through random corpus deltas -- adding held-out papers, removing papers,
@@ -10,10 +11,15 @@ workspace and carries on with a pipeline opened from it, whose pattern
 memo is seeded from the persisted extractions, by a delta applied at
 once or by the next pattern build.  After every step, every kept
 coverage count and middle hit list must equal a fresh count and scan of
-the corpus, and the keyword index (paper count, paper table, vocabulary
-order, and every term's document frequency and postings), every mined pattern set, both context
-paper sets and every evaluation arm's scores must equal, with ``==``,
-those of a pipeline built from scratch on the same corpus.
+the corpus, the index's paper table and vocabulary order must equal a
+scratch build's, and every artifact's content -- index postings and
+document frequencies, vectors, both paper sets, pattern sets and
+extractions, and every evaluation arm's scores -- must equal, with
+``==``, both a pipeline built from scratch on the same corpus and
+:func:`reference.build.reference_build`.  The scratch build runs the
+same array kernels as the incremental paths; the reference build runs
+none of them, but shares the TF-IDF fit, the pattern builder's scalar
+helpers and subgraph PageRank (``pagerank_arrays``) with both.
 """
 
 import dataclasses
@@ -26,9 +32,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from index_reference import postings
-from prestige_reference import pre_maps
-from repro import scoring
+from reference.build import pipeline_artifacts, reference_build
 from repro.core.patterns import PatternSetBuilder
 from repro.corpus.corpus import Corpus
 from repro.datagen.corpus_gen import CorpusGenerator
@@ -48,26 +52,6 @@ def _dataset():
     return generator.generate(seed=11)
 
 
-def _pattern_sets(pipeline):
-    return {
-        term_id: [(p.key(), p.kind, p.score) for p in pattern_set.patterns]
-        for term_id, pattern_set in pipeline.pattern_assigner.pattern_sets.items()
-    }
-
-
-def _contexts(paper_set):
-    return [
-        (
-            c.term_id,
-            c.paper_ids,
-            c.training_paper_ids,
-            c.inherited_from,
-            c.decay,
-        )
-        for c in paper_set
-    ]
-
-
 def _hit_rows(memo, hits):
     """Paper id -> (section, position) rows of one middle's hits."""
     rows = {}
@@ -75,11 +59,6 @@ def _hit_rows(memo, hits):
     for key, section, position in zip(*columns):
         rows.setdefault(memo.paper_ids[key], []).append((section, position))
     return rows
-
-
-def _scores(scores):
-    by_context = {cid: scores.of(cid) for cid in scores.context_ids()}
-    return by_context, pre_maps(scores)
 
 
 class DeltaParity(RuleBasedStateMachine):
@@ -148,7 +127,7 @@ class DeltaParity(RuleBasedStateMachine):
         )
 
     @invariant()
-    def equals_scratch_build(self):
+    def equals_scratch_and_reference_builds(self):
         pipeline = self.pipeline
         scratch = Pipeline(
             Corpus(list(pipeline.corpus)),
@@ -165,24 +144,13 @@ class DeltaParity(RuleBasedStateMachine):
             assert _hit_rows(memo, hits) == _hit_rows(
                 fresh.memo, fresh_hits[middle]
             ), middle
-        index, fresh_index = pipeline.index, scratch.index
-        assert index.n_papers == fresh_index.n_papers
-        assert index.paper_table().ids == fresh_index.paper_table().ids
-        assert index.vocabulary() == fresh_index.vocabulary()
-        for term in fresh_index.vocabulary():
-            assert index.document_frequency(term) == fresh_index.document_frequency(
-                term
-            ), term
-            assert postings(index, term) == postings(fresh_index, term), term
-        for function, paper_set in scoring.evaluation_arms():
-            assert _scores(pipeline.prestige(function, paper_set)) == _scores(
-                scratch.prestige(function, paper_set)
-            ), (function, paper_set)
-        for name in scoring.PAPER_SET_NAMES:
-            assert _contexts(pipeline.paper_set(name)) == _contexts(
-                scratch.paper_set(name)
-            ), name
-        assert _pattern_sets(pipeline) == _pattern_sets(scratch)
+        assert pipeline.index.paper_table().ids == scratch.index.paper_table().ids
+        assert pipeline.index.vocabulary() == scratch.index.vocabulary()
+        got = pipeline_artifacts(pipeline)
+        for expected in (pipeline_artifacts(scratch), reference_build(pipeline)):
+            assert list(got) == list(expected)
+            for name, content in expected.items():
+                assert got[name] == content, name
 
 
 DeltaParity.TestCase.settings = settings(

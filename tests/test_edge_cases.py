@@ -2,10 +2,7 @@
 
 import io
 
-import pytest
-
 from repro.datagen.corpus_gen import CorpusGenerator
-from repro.datagen.ontology_gen import OntologyGenerator
 from repro.datagen.queries import generate_queries
 from repro.ontology.obo import read_obo
 from repro.ontology.ontology import Ontology

@@ -11,14 +11,11 @@ from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def builder(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
+def builder(tiny):
     return ACAnswerBuilder(
-        KeywordSearchEngine(index),
-        PaperVectorStore(tokens),
-        CitationGraph.from_corpus(corpus),
+        tiny.keyword,
+        tiny.vectors,
+        tiny.graph,
         config=ACAnswerConfig(
             seed_threshold=0.2, centroid_similarity=0.2, citation_percentile=0.5
         ),
@@ -57,14 +54,11 @@ class TestACAnswerBuilder:
             assert paper_id in answer
         assert len(answer) == len(answer.papers)
 
-    def test_citation_expansion_respects_hops(self, request):
-        corpus = request.getfixturevalue("tiny_corpus")
-        tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
+    def test_citation_expansion_respects_hops(self, tiny):
         no_hops = ACAnswerBuilder(
-            KeywordSearchEngine(index),
-            PaperVectorStore(tokens),
-            CitationGraph.from_corpus(corpus),
+            tiny.keyword,
+            tiny.vectors,
+            tiny.graph,
             config=ACAnswerConfig(
                 seed_threshold=0.2,
                 centroid_similarity=0.99,  # disable text expansion
@@ -74,14 +68,11 @@ class TestACAnswerBuilder:
         answer = no_hops.build("glucose metabolic glycolysis")
         assert answer.citation_expanded == frozenset()
 
-    def test_citation_percentile_zero_takes_all_reachable(self, request):
-        corpus = request.getfixturevalue("tiny_corpus")
-        tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
-        graph = CitationGraph.from_corpus(corpus)
+    def test_citation_percentile_zero_takes_all_reachable(self, tiny):
+        graph = tiny.graph
         greedy = ACAnswerBuilder(
-            KeywordSearchEngine(index),
-            PaperVectorStore(tokens),
+            tiny.keyword,
+            tiny.vectors,
             graph,
             config=ACAnswerConfig(
                 seed_threshold=0.2,

@@ -2,39 +2,17 @@
 
 import pytest
 
-from repro.citations.graph import CitationGraph
-from repro.core.context import Context, ContextPaperSet
 from repro.core.search import ContextSearchEngine
-from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import build_index
-from repro.index.search import KeywordSearchEngine
 from repro.ontology.ontology import Ontology, OntologyError
 from repro.ontology.term import Term
-from repro.scoring import TextPrestige
-from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def engine(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    ontology = request.getfixturevalue("tiny_ontology")
-    tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
-    vectors = PaperVectorStore(tokens)
-    graph = CitationGraph.from_corpus(corpus)
-    paper_set = ContextPaperSet(
-        ontology,
-        [
-            Context("met", ("M1", "M2", "M3")),
-            Context("sig", ("S1", "S2")),
-        ],
+def engine(tiny):
+    paper_set, _, prestige = tiny.text_scores(
+        {"met": ("M1", "M2", "M3"), "sig": ("S1", "S2")}
     )
-    prestige = TextPrestige(
-        corpus, vectors, graph, {"met": "M1", "sig": "S1"}
-    ).score_all(paper_set)
-    return ContextSearchEngine(
-        ontology, paper_set, prestige, KeywordSearchEngine(index)
-    )
+    return ContextSearchEngine(tiny.ontology, paper_set, prestige, tiny.keyword)
 
 
 class TestExplain:

@@ -8,7 +8,7 @@ statistics.
 
 import pytest
 
-from prestige_reference import scores_from_maps
+from reference.prestige import scores_from_maps
 from repro.citations.graph import CitationGraph
 from repro.core.assignment import PatternContextAssigner, TextContextAssigner
 from repro.core.context import Context, ContextPaperSet

@@ -11,8 +11,6 @@ chunk each RNG draw selected), and AC citation expansion breaking
 PageRank ties by set order.
 """
 
-import hashlib
-import json
 import os
 import subprocess
 import sys

@@ -2,7 +2,7 @@
 
 import pytest
 
-from index_reference import ReferenceIndex, assert_index_equals_reference, postings
+from reference.index import ReferenceIndex, assert_index_equals_reference, postings
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper, Section
 from repro.index.inverted import build_index

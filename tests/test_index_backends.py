@@ -3,7 +3,7 @@
 Covers a built index's equivalence with its saved and reopened copy --
 over a fresh corpus or one changed by paper removals, replacements and
 additions -- on every read API and engine score, and both against the
-naive reference index mutated in place (``tests/index_reference.py``,
+naive reference index mutated in place (:mod:`reference.index`,
 also under hypothesis-drawn micro corpora and delta sequences); the
 reopened index's on-demand run decode, framing, term-directory and
 record checks; the ``index.backend.*`` gauges across a delta; and the
@@ -20,17 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from index_reference import (
-    ReferenceIndex,
-    assert_index_equals_reference,
-    postings,
-)
+from reference.index import ReferenceIndex, assert_index_equals_reference, postings
+from reference.strategies import deltas, micro_corpora
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
 from repro.index import build_index, open_index, save_index
 from repro.index.inverted import _LEN, _MAGIC, _PREAMBLE, _RECORD
 from repro.index.search import KeywordSearchEngine
-from repro.obs import get_registry, reset_registry
+from repro.obs import get_registry
 from repro.pipeline import build_demo_pipeline
 from repro.text.analyze import AnalyzedPaperCache
 from repro.workspace import ingest_delta, open_workspace
@@ -40,13 +37,6 @@ QUERIES = (
     "protein binding activity",
     "cell membrane transport",
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    reset_registry()
-    yield
-    reset_registry()
 
 
 @pytest.fixture(scope="module")
@@ -409,50 +399,14 @@ class TestMemoryViewSatellites:
         assert set(smaller.vocabulary()) <= set(snapshot)
 
 
-WORDS = ("gene", "cell", "repair", "signal", "protein", "kinase")
-TEXTS = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
-
-
-@st.composite
-def corpora_and_deltas(draw):
-    """A micro corpus and up to four remove/replace/add steps over it."""
-    papers = [
-        Paper(
-            paper_id=f"P{i}",
-            title=draw(TEXTS),
-            abstract=draw(TEXTS),
-            body=draw(TEXTS),
-            index_terms=tuple(draw(st.lists(st.sampled_from(WORDS), max_size=2))),
-        )
-        for i in draw(st.permutations(range(draw(st.integers(0, 6)))))
-    ]
-    live = [paper.paper_id for paper in papers]
-    steps, fresh = [], 0
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(("remove", "replace", "add")))
-        if kind != "add" and live:
-            paper_id = draw(st.sampled_from(live))
-            if kind == "remove":
-                live.remove(paper_id)
-                steps.append((paper_id, None))
-                continue
-        else:
-            paper_id = f"N{fresh}"
-            fresh += 1
-            live.append(paper_id)
-        body = draw(TEXTS)
-        steps.append((paper_id, Paper(paper_id=paper_id, title=body, body=body)))
-    return papers, steps
-
-
 @settings(max_examples=150, deadline=None)
-@given(corpora_and_deltas())
-def test_built_and_reopened_index_equal_the_reference(corpus_and_steps):
+@given(micro_corpora(), st.data())
+def test_built_and_reopened_index_equal_the_reference(micro, data):
     """After every delta step, a build of the changed corpus equals the
     reference mutated in place, and its saved copy reopens to equal
     arrays and re-saves to the same bytes."""
-    papers, steps = corpus_and_steps
-    corpus = Corpus(papers)
+    corpus = micro.corpus()
+    steps = data.draw(deltas(micro.papers))
     tokens = AnalyzedPaperCache(corpus)
     reference = ReferenceIndex.of(tokens)
     with tempfile.TemporaryDirectory() as directory:

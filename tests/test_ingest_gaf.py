@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.ingest.gaf import EXPERIMENTAL_EVIDENCE_CODES, read_gaf_training_map
 
 SAMPLE_GAF = """!gaf-version: 2.2

@@ -165,7 +165,7 @@ class TestContributionCache:
         old_engine = store.keyword_engine
 
         def scores(engine):
-            return dict(engine.evaluate("gene").top_scores(engine.index.n_papers))
+            return {hit.paper_id: hit.score for hit in engine.evaluate("gene").hits()}
 
         before = scores(old_engine)
         replacement = Paper(

@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.ontology.obo import read_obo, write_obo
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term

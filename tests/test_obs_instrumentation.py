@@ -84,13 +84,11 @@ class TestPipelineSearchSpans:
         index = pipeline.keyword_engine.index
         # The rarest term makes a narrow probe: a handful of hits.
         query = min(index.vocabulary(), key=lambda t: len(index.term_run(t).rows))
-        probe = pipeline.keyword_engine.evaluate(query).top_scores(
-            engine.probe_depth
-        )
+        probe = pipeline.keyword_engine.evaluate(query).hits(engine.probe_depth)
         reached = {
             context_id
-            for paper_id, _ in probe
-            for context_id in engine.paper_set.contexts_of_paper(paper_id)
+            for hit in probe
+            for context_id in engine.paper_set.contexts_of_paper(hit.paper_id)
         }
         assert 0 < len(reached) < len(engine.paper_set)
 

@@ -20,13 +20,6 @@ from repro.obs.metrics import (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    registry = reset_registry()
-    yield registry
-    reset_registry()
-
-
 class TestMetricNames:
     def test_three_segments_accepted(self):
         assert validate_metric_name("search.context.queries") == (

@@ -1,14 +1,10 @@
 """Unit tests for IC-based semantic similarity."""
 
-import math
-
 import pytest
 
-from repro.ontology.ontology import Ontology, OntologyError
+from repro.ontology.ontology import Ontology
 from repro.ontology.semantic import (
     common_ancestors,
-    jiang_conrath_distance,
-    jiang_conrath_similarity,
     lin_similarity,
     most_informative_common_ancestor,
     resnik_similarity,
@@ -93,29 +89,3 @@ class TestLin:
     def test_disconnected_zero(self, onto):
         assert lin_similarity(onto, "a1", "r2") == 0.0
 
-
-class TestJiangConrath:
-    def test_identical_terms_distance_zero(self, onto):
-        assert jiang_conrath_distance(onto, "a1", "a1") == pytest.approx(0.0)
-
-    def test_distance_orders_by_relatedness(self, onto):
-        assert jiang_conrath_distance(onto, "a1", "a2") < jiang_conrath_distance(
-            onto, "a1", "b1"
-        )
-
-    def test_disconnected_raises(self, onto):
-        with pytest.raises(OntologyError, match="no common ancestor"):
-            jiang_conrath_distance(onto, "a1", "r2")
-
-    def test_similarity_transform(self, onto):
-        distance = jiang_conrath_distance(onto, "a1", "a2")
-        assert jiang_conrath_similarity(onto, "a1", "a2") == pytest.approx(
-            1.0 / (1.0 + distance)
-        )
-
-    def test_similarity_disconnected_zero(self, onto):
-        assert jiang_conrath_similarity(onto, "a1", "r2") == 0.0
-
-    def test_similarity_bounds(self, onto):
-        value = jiang_conrath_similarity(onto, "a1", "b1")
-        assert 0.0 < value <= 1.0

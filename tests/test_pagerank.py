@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference.citations import random_graph, reference_pagerank
 from repro.citations.graph import CitationGraph
 from repro.citations.pagerank import PageRankResult, TeleportKind, pagerank
 
@@ -127,64 +128,11 @@ class TestVectorizedParity:
     """The CSR/bincount inner loop must match a straight list-of-lists
     reference implementation of the same recurrence to 1e-10."""
 
-    @staticmethod
-    def _reference_pagerank(graph, teleport, d=0.15, max_iterations=200,
-                            tolerance=1e-10):
-        """Pre-vectorization formulation: Python loop over in-neighbour lists."""
-        import numpy as np
-
-        nodes = graph.nodes()
-        n = len(nodes)
-        index = {node: position for position, node in enumerate(nodes)}
-        out_degree = np.array(
-            [graph.out_degree(node) for node in nodes], dtype=float
-        )
-        dangling = out_degree == 0.0
-        in_lists = [
-            [index[u] for u in graph.in_neighbors(node)] for node in nodes
-        ]
-        p = np.full(n, 1.0 / n)
-        damping = 1.0 - d
-        for _ in range(1, max_iterations + 1):
-            spread = np.where(dangling, 0.0, p / np.maximum(out_degree, 1.0))
-            flowed = np.array(
-                [sum(spread[u] for u in sources) for sources in in_lists],
-                dtype=float,
-            )
-            flowed += p[dangling].sum() / n
-            if teleport is TeleportKind.E2_UNIFORM:
-                new_p = damping * flowed + d / n
-            else:
-                new_p = damping * flowed + d
-            residual = float(np.abs(new_p - p).sum())
-            p = new_p
-            if teleport is TeleportKind.E2_UNIFORM and residual < tolerance:
-                break
-            if teleport is TeleportKind.E1_CONSTANT and residual < tolerance * max(
-                p.sum(), 1.0
-            ):
-                break
-        return {node: float(p[index[node]]) for node in nodes}
-
-    @staticmethod
-    def _random_graph(seed, n_nodes=60, n_edges=300):
-        import random
-
-        rng = random.Random(seed)
-        names = [f"P{i:03d}" for i in range(n_nodes)]
-        graph = CitationGraph()
-        for name in names:
-            graph.add_node(name)
-        for _ in range(n_edges):
-            src, dst = rng.sample(names, 2)
-            graph.add_edge(src, dst)
-        return graph
-
     @pytest.mark.parametrize("teleport", list(TeleportKind))
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_reference_on_random_graphs(self, teleport, seed):
-        graph = self._random_graph(seed)
-        expected = self._reference_pagerank(graph, teleport)
+        graph = random_graph(seed, n=60, p=0.08)
+        expected = reference_pagerank(graph, teleport)
         result = pagerank(graph, teleport=teleport)
         assert result.scores.keys() == expected.keys()
         for node, score in expected.items():
@@ -197,7 +145,7 @@ class TestVectorizedParity:
         )
         graph.add_node("ISOLATED")  # no edges at all
         # C and ISOLATED are dangling (no outgoing citations).
-        expected = self._reference_pagerank(graph, teleport)
+        expected = reference_pagerank(graph, teleport)
         result = pagerank(graph, teleport=teleport)
         for node, score in expected.items():
             assert result.scores[node] == pytest.approx(score, abs=1e-10)

@@ -1,14 +1,10 @@
-"""Differential test: the pattern-set builder against a per-phrase reference.
+"""Differential test: the pattern-set builder against :mod:`reference.patterns`.
 
-:func:`reference_extract` and :func:`reference_build` are the builder's
-former kernel: one :func:`find_occurrences` scan per significant phrase
-per training paper, then a :class:`Pattern` for every raw key, scored one
-by one and fully sorted before the ``max_regular_patterns`` cut.
 Hypothesis generates token documents over a five-word vocabulary
 (repeated, overlapping and nested phrases, phrases longer than a
 document) and the builder's counts, decoded from its
 :class:`PatternExtraction` columns, and pattern lists -- scores compared
-with ``==`` -- must equal the reference's.
+with ``==`` -- must equal the per-phrase reference's.
 
 ``TestGoldenPatternSets`` pins every pattern the demo pipeline mines
 against ``tests/data/golden_pattern_sets.json`` (written by
@@ -18,104 +14,28 @@ against ``tests/data/golden_pattern_sets.json`` (written by
 import importlib.util
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.patterns import (
-    Pattern,
-    PatternKind,
-    PatternSetBuilder,
-    find_occurrences,
-)
-from repro.corpus.corpus import Corpus
-from repro.corpus.paper import Paper
-from repro.ontology.ontology import Ontology
-from repro.ontology.term import Term
-from repro.text.analyze import AnalyzedPaperCache
+from reference.patterns import reference_extract, reference_patterns
+from reference.strategies import make_builder
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO_ROOT / "tests" / "data" / "golden_pattern_sets.json"
 WORDS = ("a", "b", "c", "d", "e")
-
-
-def reference_extract(training_tokens, significant, window):
-    """Per-phrase scan: key -> {'occ': occurrences, 'papers': papers}."""
-    counts = {}
-    phrases = sorted(significant, key=len, reverse=True)
-    for tokens in training_tokens:
-        seen_here = set()
-        for phrase in phrases:
-            for start in find_occurrences(tokens, phrase):
-                left = tuple(tokens[max(start - window, 0) : start])
-                end = start + len(phrase)
-                right = tuple(tokens[end : end + window])
-                key = (left, phrase, right)
-                entry = counts.setdefault(key, {"occ": 0, "papers": 0})
-                entry["occ"] += 1
-                if key not in seen_here:
-                    entry["papers"] += 1
-                    seen_here.add(key)
-    return counts
-
-
-def reference_build(builder, term_id, training_ids):
-    """Score every raw key as a Pattern, sort all, keep the top ones."""
-    context_words = builder._context_term_words(term_id)
-    training_tokens = [builder.tokens.all_tokens(pid) for pid in training_ids]
-    significant = builder._significant_terms(context_words, training_tokens)
-    raw = reference_extract(training_tokens, significant, builder.window)
-    n_training = len(training_tokens)
-    papers_by_middle = {}
-    for (_, middle, __), stats in raw.items():
-        papers_by_middle[middle] = papers_by_middle.get(middle, 0) + stats["papers"]
-    context_word_set = set(context_words)
-    patterns = []
-    for (left, middle, right), stats in raw.items():
-        middle_type = builder._middle_type_score(middle, context_word_set, significant)
-        total_term = sum(
-            builder._word_selectivity(word)
-            for word in middle
-            if word in context_word_set
-        )
-        occ_freq = stats["occ"] / max(n_training, 1)
-        paper_freq = min(papers_by_middle[middle] / max(n_training, 1), 1.0)
-        base = middle_type + total_term + builder.frequency_coefficient * (
-            occ_freq + paper_freq
-        )
-        coverage = builder._paper_coverage(middle)
-        score = base * (1.0 / coverage) ** builder.coverage_exponent
-        patterns.append(Pattern(left, middle, right, PatternKind.REGULAR, score))
-    patterns.sort(key=lambda p: (-p.score, p.key()))
-    patterns = patterns[: builder.max_regular_patterns]
-    if builder.build_extended:
-        patterns.extend(builder._side_joined(patterns))
-        patterns.extend(builder._middle_joined(patterns))
-    return patterns
-
-
-def make_builder(docs, names, **knobs):
-    """A builder over ``docs`` (paper id -> title tokens) with a stub index."""
-    ontology = Ontology([Term(f"T{i}", name) for i, name in enumerate(names)])
-    corpus = Corpus(Paper(pid, title=" ".join(tokens)) for pid, tokens in docs.items())
-    cache = AnalyzedPaperCache(corpus, SimpleNamespace(analyze=str.split))
-    index = SimpleNamespace(
-        n_papers=len(docs),
-        papers_containing=lambda word: {
-            pid for pid, tokens in docs.items() if word in tokens
-        },
-    )
-    return PatternSetBuilder(ontology, index, cache, **knobs)
-
-
 documents = st.lists(st.sampled_from(WORDS), min_size=0, max_size=14)
 names = st.lists(
     st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
     min_size=1,
     max_size=3,
 )
+
+
+def titles(docs):
+    """``make_builder`` documents of title tokens only."""
+    return {pid: (tokens, (), (), ()) for pid, tokens in docs.items()}
 
 
 def decode(extraction):
@@ -178,7 +98,7 @@ class TestBuild:
     ):
         corpus = {f"P{i}": tuple(doc) for i, doc in enumerate(docs)}
         builder = make_builder(
-            corpus,
+            titles(corpus),
             names,
             window=window,
             max_regular_patterns=max_regular_patterns,
@@ -188,7 +108,7 @@ class TestBuild:
         training = sorted(corpus)[:n_training]
         for term_id in ("T0", f"T{len(names) - 1}"):
             built = builder.build(term_id, training).patterns
-            expected = reference_build(builder, term_id, training)
+            expected = reference_patterns(builder, term_id, training)
             assert [(p.key(), p.kind, p.score) for p in built] == [
                 (p.key(), p.kind, p.score) for p in expected
             ]
@@ -199,7 +119,7 @@ class TestBuild:
         corpus = {"P0": ("c", "a", "e", "d", "a", "b"), "P1": ("b", "a", "d")}
         for coefficient in (1.0, -0.75):
             builder = make_builder(
-                corpus,
+                titles(corpus),
                 ["a"],
                 window=1,
                 max_regular_patterns=2,
@@ -212,7 +132,7 @@ class TestBuild:
                 (("c",), ("a",), ("e",)),
             ]
             assert built[0].score == built[1].score
-            expected = reference_build(builder, "T0", ["P0", "P1"])
+            expected = reference_patterns(builder, "T0", ["P0", "P1"])
             assert [(p.key(), p.score) for p in built] == [
                 (p.key(), p.score) for p in expected
             ]

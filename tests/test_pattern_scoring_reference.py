@@ -1,95 +1,29 @@
 """Differential test: pattern prestige from kept middle hits against a token loop.
 
-:func:`reference_score` is the scorer's former kernel: for each paper,
-each section and each token, try every pattern whose middle starts with
-that token, in pattern order, and add ``score * M(P, pt)`` on a match.
-:meth:`PatternSetBuilder.score_papers` instead sums the kept hits of each
-middle (:class:`MiddleHits`) in (section, position, pattern) order, and
-must give the same dict -- values compared with ``==``, keys in the same
-order -- for pattern sets the builder mines (extended patterns on and
-off) and for generated ones, with ``middle_only`` both ways.
+:meth:`PatternSetBuilder.score_papers` sums the kept hits of each middle
+(:class:`MiddleHits`) in (section, position, pattern) order, and must
+give the same dict as :func:`reference.patterns.reference_score` --
+values compared with ``==``, keys in the same order -- for pattern sets
+the builder mines (extended patterns on and off) and for generated
+ones, with ``middle_only`` both ways.
 
 Hypothesis generates papers of four sections over a five-word
 vocabulary, so middles nest, overlap and repeat, some run longer than
 their section, and some sections are empty.
 """
 
-from types import SimpleNamespace
 from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.patterns import by_first_middle_word, reference_score
+from reference.strategies import make_builder
 from repro.core import patterns
-from repro.core.patterns import (
-    MATCH_SECTION_WEIGHTS,
-    Pattern,
-    PatternKind,
-    PatternSet,
-    PatternSetBuilder,
-    match_strength,
-)
-from repro.corpus.corpus import Corpus
-from repro.corpus.paper import TEXT_SECTIONS, Paper
-from repro.ontology.ontology import Ontology
-from repro.ontology.term import Term
-from repro.text.analyze import AnalyzedPaperCache
+from repro.core.patterns import Pattern, PatternKind, PatternSet
+from repro.corpus.paper import TEXT_SECTIONS
 
 WORDS = ("a", "b", "c", "d", "e")
-
-
-def by_first_middle_word(pattern_set):
-    """Index patterns by the first word of their middle, for scanning."""
-    result = {}
-    for pattern in pattern_set.patterns:
-        if pattern.middle:
-            result.setdefault(pattern.middle[0], []).append(pattern)
-    return result
-
-
-def reference_score(pattern_set, token_cache, paper_ids, middle_only=False):
-    """Score(P) = sum of Score(pt) * M(P, pt), one token at a time."""
-    by_first = by_first_middle_word(pattern_set)
-    if not by_first:
-        return dict.fromkeys(paper_ids, 0.0)
-    scores = {}
-    for paper_id in paper_ids:
-        total = 0.0
-        for section in TEXT_SECTIONS:
-            tokens = token_cache.tokens(paper_id, section)
-            if not tokens:
-                continue
-            section_weight = MATCH_SECTION_WEIGHTS.get(section, 0.6)
-            for i, token in enumerate(tokens):
-                for pattern in by_first.get(token, ()):
-                    n = len(pattern.middle)
-                    if tuple(tokens[i : i + n]) != pattern.middle:
-                        continue
-                    if middle_only:
-                        total += pattern.score * section_weight
-                    else:
-                        total += pattern.score * match_strength(
-                            pattern, tokens, i, section
-                        )
-        scores[paper_id] = total
-    return scores
-
-
-def make_builder(docs, names, **knobs):
-    """A builder over ``docs`` (paper id -> one token tuple per section)."""
-    ontology = Ontology([Term(f"T{i}", name) for i, name in enumerate(names)])
-    corpus = Corpus(
-        Paper(pid, " ".join(title), " ".join(abstract), " ".join(body), index_terms)
-        for pid, (title, abstract, body, index_terms) in docs.items()
-    )
-    cache = AnalyzedPaperCache(corpus, SimpleNamespace(analyze=str.split))
-    index = SimpleNamespace(
-        n_papers=len(docs),
-        papers_containing=lambda word: {
-            pid for pid, sections in docs.items() if any(word in s for s in sections)
-        },
-    )
-    return PatternSetBuilder(ontology, index, cache, **knobs)
 
 
 sections = st.lists(st.sampled_from(WORDS), max_size=10).map(tuple)

@@ -1,7 +1,10 @@
 """Integration tests for the end-to-end pipeline."""
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.pipeline import Pipeline, build_demo_pipeline
 
 
@@ -114,8 +117,6 @@ class TestFromDirectory:
     """Failure paths of the standard data-directory layout."""
 
     def _write_valid(self, directory, dataset):
-        import json
-
         from repro.corpus import write_corpus_jsonl
         from repro.ontology import write_obo
 
@@ -139,6 +140,26 @@ class TestFromDirectory:
         with pytest.raises(ValueError, match="corrupt JSON") as excinfo:
             Pipeline.from_directory(tmp_path)
         assert str(tmp_path / "training.json") in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "training, named",
+        [
+            (["P000004"], "found a JSON list"),
+            ({"T1": "P000004"}, "entry 'T1'"),
+            ({"T1": ["P000004", 4]}, "entry 'T1'"),
+        ],
+        ids=["list", "string-value", "non-string-id"],
+    )
+    def test_malformed_training_map_names_path_and_key(
+        self, small_dataset, tmp_path, training, named
+    ):
+        self._write_valid(tmp_path, small_dataset)
+        (tmp_path / "training.json").write_text(json.dumps(training), encoding="utf-8")
+        with pytest.raises(ValueError, match=named) as excinfo:
+            Pipeline.from_directory(tmp_path)
+        assert str(tmp_path / "training.json") in str(excinfo.value)
+        with pytest.raises(SystemExit, match=f"error: .*training.json.*{named}"):
+            main(["search", "--data", str(tmp_path), "--query", "x"])
 
     def test_round_trip_matches_in_memory(self, small_dataset, tmp_path):
         self._write_valid(tmp_path, small_dataset)

@@ -2,7 +2,7 @@
 
 :mod:`repro.scoring.base` builds, normalises, decays, max-propagates,
 blends and patches score tables as :class:`ScoreRows`.
-``tests/prestige_reference.py`` keeps the per-entry dict loops they
+:mod:`reference.prestige` keeps the per-entry dict loops they
 replaced.  Hypothesis draws micro paper sets over small DAG ontologies,
 with raw scores that include ``-0.0``, ``+-0`` ties across descendants,
 negative values, unscored contexts and rows in an order other than the
@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prestige_reference import (
+from reference.prestige import (
     aligned_reference,
     blend,
     maps,
@@ -29,6 +29,7 @@ from prestige_reference import (
     score_each,
     scores_from_maps,
 )
+from reference.strategies import ontologies
 from repro.core.context import Context, ContextPaperSet
 from repro.core.io import write_prestige_scores
 from repro.ontology.ontology import Ontology
@@ -68,17 +69,6 @@ class DrawnScorer(PrestigeScoreFunction):
 
     def score_context(self, context):
         return dict(self.raw.get(context.term_id, {}))
-
-
-@st.composite
-def ontologies(draw):
-    """A DAG of 1-7 terms: each term's parents come before it."""
-    ids = [f"c{i}" for i in range(draw(st.integers(1, 7)))]
-    terms = []
-    for i, cid in enumerate(ids):
-        parents = draw(st.lists(st.sampled_from(ids[:i]), unique=True, max_size=2)) if i else []
-        terms.append(Term(cid, cid, parent_ids=tuple(parents)))
-    return Ontology(terms)
 
 
 @st.composite

@@ -2,12 +2,11 @@
 
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facet_reference import bibliographic_coupling, cocitation
-
+from reference.facets import bibliographic_coupling, cocitation
+from reference.prestige import one_row
 from repro.citations.graph import CitationGraph
 from repro.citations.hits import hits_scores
 from repro.citations.pagerank import TeleportKind, pagerank
@@ -15,19 +14,12 @@ from repro.scoring.base import max_rows, min_max_rows
 
 
 def min_max_normalize(scores):
-    """``min_max_rows`` of ``scores`` as one row."""
-    return _one_row(min_max_rows, scores)
+    return one_row(min_max_rows, scores)
 
 
 def max_normalize(scores):
-    """``max_rows`` of ``scores`` as one row."""
-    return _one_row(max_rows, scores)
+    return one_row(max_rows, scores)
 
-
-def _one_row(normalizer, scores):
-    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
-    normalised = normalizer(values, np.array([0, len(values)], dtype=np.int64))
-    return dict(zip(scores, normalised.tolist()))
 
 node_ids = st.integers(min_value=0, max_value=12).map(lambda i: f"N{i}")
 edge_lists = st.lists(st.tuples(node_ids, node_ids), max_size=40)

@@ -6,7 +6,7 @@ import string
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facet_reference import dice_coefficient, jaccard_similarity
+from reference.facets import dice_coefficient, jaccard_similarity
 
 from repro.text.analyze import Analyzer
 from repro.text.stem import PorterStemmer

@@ -3,21 +3,11 @@
 import pytest
 
 from repro.core.query_expansion import ContextQueryExpander, PseudoRelevanceExpander
-from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import build_index
-from repro.index.search import KeywordSearchEngine
-from repro.text.analyze import AnalyzedPaperCache
 
 
 @pytest.fixture(scope="module")
-def setup(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
-    return {
-        "vectors": PaperVectorStore(tokens),
-        "keyword": KeywordSearchEngine(index),
-    }
+def setup(tiny):
+    return {"vectors": tiny.vectors, "keyword": tiny.keyword}
 
 
 class TestContextQueryExpander:

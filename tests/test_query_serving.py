@@ -16,18 +16,11 @@ Covers the serving-layer contract end to end:
 
 import pytest
 
-from repro.obs import get_registry, reset_registry
+from repro.obs import get_registry
 from repro.pipeline import SearchResultCache, build_demo_pipeline
 from repro.workspace import open_workspace, topological_order
 
 QUERY = "gene expression regulation"
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    reset_registry()
-    yield
-    reset_registry()
 
 
 @pytest.fixture(scope="module")

@@ -49,6 +49,41 @@ def _combo_cases(golden):
     return sorted(golden["combos"])
 
 
+def _explain_row(engine, query, hits):
+    if not hits:
+        return []
+    explanation = engine.explain(query, hits[0].paper_id)
+    return [
+        explanation.matching,
+        list(explanation.selected_context_ids),
+        [list(row) for row in explanation.in_selected_contexts],
+        explanation.best_relevancy,
+    ]
+
+
+def _golden_mismatches(golden, pipeline, checks=("search", "grouped", "explain")):
+    """``(combo, query, check)`` for each golden answer ``pipeline`` misses;
+    a query's ``checks`` run in order up to its first miss."""
+    mismatches = []
+    for combo in _combo_cases(golden):
+        engine = pipeline.search_engine(*combo.split("/"))
+        for query, expected in golden["combos"][combo].items():
+            hits = engine.search(query, limit=10)
+            answers = {
+                "search": lambda: _hit_rows(hits),
+                "grouped": lambda: [
+                    [group.context_id, group.selection_strength, _hit_rows(group.hits)]
+                    for group in engine.search_grouped(query, per_context_limit=5)
+                ],
+                "explain": lambda: _explain_row(engine, query, hits),
+            }
+            for check in checks:
+                if answers[check]() != expected[check]:
+                    mismatches.append((combo, query, check))
+                    break
+    return mismatches
+
+
 class TestRankingParity:
     def test_golden_covers_every_seed_function(self, golden):
         functions = {combo.split("/")[0] for combo in golden["combos"]}
@@ -64,38 +99,7 @@ class TestRankingParity:
         assert nonempty > 0
 
     def test_search_grouped_explain_match_golden(self, golden, pipeline):
-        mismatches = []
-        for combo in _combo_cases(golden):
-            function, paper_set, strategy = combo.split("/")
-            engine = pipeline.search_engine(function, paper_set, strategy)
-            for query, expected in golden["combos"][combo].items():
-                hits = engine.search(query, limit=10)
-                if _hit_rows(hits) != expected["search"]:
-                    mismatches.append((combo, query, "search"))
-                    continue
-                grouped = [
-                    [
-                        group.context_id,
-                        group.selection_strength,
-                        _hit_rows(group.hits),
-                    ]
-                    for group in engine.search_grouped(query, per_context_limit=5)
-                ]
-                if grouped != expected["grouped"]:
-                    mismatches.append((combo, query, "grouped"))
-                    continue
-                explain_rows = []
-                if hits:
-                    explanation = engine.explain(query, hits[0].paper_id)
-                    explain_rows = [
-                        explanation.matching,
-                        list(explanation.selected_context_ids),
-                        [list(row) for row in explanation.in_selected_contexts],
-                        explanation.best_relevancy,
-                    ]
-                if explain_rows != expected["explain"]:
-                    mismatches.append((combo, query, "explain"))
-        assert mismatches == []
+        assert _golden_mismatches(golden, pipeline) == []
 
     def test_pipeline_search_matches_engine_path(self, golden, pipeline):
         """The cached pipeline.search fast path returns the same rankings."""
@@ -199,26 +203,7 @@ class TestDeltaParity:
         self, golden, delta_outcome
     ):
         delta_pipeline, _, _ = delta_outcome
-        mismatches = []
-        for combo in _combo_cases(golden):
-            function, paper_set, strategy = combo.split("/")
-            engine = delta_pipeline.search_engine(function, paper_set, strategy)
-            for query, expected in golden["combos"][combo].items():
-                hits = engine.search(query, limit=10)
-                if _hit_rows(hits) != expected["search"]:
-                    mismatches.append((combo, query, "search"))
-                    continue
-                grouped = [
-                    [
-                        group.context_id,
-                        group.selection_strength,
-                        _hit_rows(group.hits),
-                    ]
-                    for group in engine.search_grouped(query, per_context_limit=5)
-                ]
-                if grouped != expected["grouped"]:
-                    mismatches.append((combo, query, "grouped"))
-        assert mismatches == []
+        assert _golden_mismatches(golden, delta_pipeline, ("search", "grouped")) == []
 
 
 class TestIndexParity:
@@ -240,16 +225,9 @@ class TestIndexParity:
         if form == "reopened":
             pipeline.build_workspace(tmp_path, only=["index"])
             installed = open_index(tmp_path / ARTIFACTS["index"].filename)
-        mismatches = []
         try:
             pipeline.substrates.install_index(installed)
-            for combo in _combo_cases(golden):
-                function, paper_set, strategy = combo.split("/")
-                engine = pipeline.search_engine(function, paper_set, strategy)
-                for query, expected in golden["combos"][combo].items():
-                    hits = engine.search(query, limit=10)
-                    if _hit_rows(hits) != expected["search"]:
-                        mismatches.append((combo, query))
+            mismatches = _golden_mismatches(golden, pipeline, ("search",))
         finally:
             pipeline.substrates.install_index(source)
             if installed is not source:

@@ -12,6 +12,7 @@ import networkx as nx
 import pytest
 import scipy.stats
 
+from reference.citations import random_graph
 from repro.citations.graph import CitationGraph
 from repro.citations.hits import hits_scores
 from repro.citations.pagerank import pagerank
@@ -34,18 +35,6 @@ def from_networkx(nx_graph):
     for source, target in nx_graph.edges():
         result.add_edge(str(source), str(target))
     return result
-
-
-def random_graph(seed, n=30, p=0.12):
-    rng = random.Random(seed)
-    graph = CitationGraph()
-    for i in range(n):
-        graph.add_node(f"N{i}")
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < p:
-                graph.add_edge(f"N{i}", f"N{j}")
-    return graph
 
 
 class TestNetworkxInterop:

@@ -13,7 +13,7 @@ from typing import Dict
 
 import pytest
 
-from prestige_reference import pre_maps
+from reference.prestige import pre_maps
 from repro import scoring
 from repro.cli import build_parser
 from repro.core.context import Context

@@ -2,45 +2,24 @@
 
 import pytest
 
-from repro.citations.graph import CitationGraph
-from repro.core.context import Context, ContextPaperSet
+from repro.core.context import Context
 from repro.core.search import SELECTION_STRATEGIES, ContextSearchEngine
-from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import build_index
-from repro.index.search import KeywordSearchEngine
-from repro.scoring import HitsPrestige, TextPrestige
-from repro.text.analyze import AnalyzedPaperCache
+from repro.scoring import HitsPrestige
 
 
 @pytest.fixture(scope="module")
-def setup(request):
-    corpus = request.getfixturevalue("tiny_corpus")
-    ontology = request.getfixturevalue("tiny_ontology")
-    tokens = AnalyzedPaperCache(corpus)
-    index = build_index(tokens)
-    vectors = PaperVectorStore(tokens)
-    graph = CitationGraph.from_corpus(corpus)
-    paper_set = ContextPaperSet(
-        ontology,
-        [
-            Context("met", ("M1", "M2", "M3")),
-            Context("sig", ("S1", "S2")),
-            Context("glu", ("M1", "M2")),
-        ],
+def setup(tiny):
+    paper_set, representatives, prestige = tiny.text_scores(
+        {"met": ("M1", "M2", "M3"), "sig": ("S1", "S2"), "glu": ("M1", "M2")}
     )
-    representatives = {"met": "M1", "sig": "S1", "glu": "M1"}
-    prestige = TextPrestige(corpus, vectors, graph, representatives).score_all(
-        paper_set
-    )
-    keyword = KeywordSearchEngine(index)
     return {
-        "ontology": ontology,
+        "ontology": tiny.ontology,
         "paper_set": paper_set,
         "prestige": prestige,
-        "keyword": keyword,
-        "vectors": vectors,
+        "keyword": tiny.keyword,
+        "vectors": tiny.vectors,
         "representatives": representatives,
-        "graph": graph,
+        "graph": tiny.graph,
     }
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from prestige_reference import pre_maps
+from reference.prestige import pre_maps
 from repro.corpus.corpus import Corpus
 from repro.datagen.presets import get_preset
 from repro.pipeline import Pipeline

@@ -7,14 +7,15 @@ citation graph.  Hypothesis draws small corpora with duplicate authors
 in one paper, papers without authors or references, references to ids
 outside the corpus, self-citations, co-authorship through a third paper
 and representatives that are themselves members.  Every batch score must
-equal the per-pair reference (:mod:`facet_reference`, and ``pagerank``
+equal the per-pair reference (:mod:`reference.facets`, and ``pagerank``
 of ``graph.subgraph``) with ``==``, in the same key order.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facet_reference import facet_similarity
+from reference.facets import facet_similarity
+from reference.strategies import micro_corpora
 from repro.citations.graph import CitationGraph
 from repro.citations.pagerank import TeleportKind, pagerank
 from repro.core.context import Context
@@ -25,10 +26,6 @@ from repro.obs import get_registry
 from repro.scoring.citation import CitationPrestige
 from repro.scoring.text import FacetWeights, TextPrestige
 from repro.text.analyze import AnalyzedPaperCache
-
-WORDS = ("glucose", "kinase", "signal", "yeast", "membrane", "repair")
-AUTHORS = ("Ann", "Bo", "Cy", "Di", "Ed")
-OUTSIDE = ("X1", "X2")
 
 #: Cosine facets off: the differential then covers the set facets alone.
 NO_COSINE = dict(title=0.0, abstract=0.0, body=0.0, index_terms=0.0)
@@ -48,36 +45,22 @@ WEIGHTS = (
 
 @st.composite
 def corpora(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    ids = [f"P{i}" for i in range(n)]
-    papers = []
-    for paper_id in ids:
-        text = " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=5)))
-        papers.append(
-            Paper(
-                paper_id=paper_id,
-                title=text,
-                abstract=text,
-                body=text,
-                authors=tuple(draw(st.lists(st.sampled_from(AUTHORS), max_size=4))),
-                references=tuple(
-                    draw(st.lists(st.sampled_from(ids + list(OUTSIDE)), max_size=5))
-                ),
-            )
-        )
-    corpus = Corpus(papers)
+    """A micro corpus, its graph, contexts and representatives that are
+    sometimes members."""
+    micro = draw(micro_corpora().filter(lambda micro: micro.papers))
+    corpus = micro.corpus()
     if draw(st.booleans()):
         graph = CitationGraph.from_corpus(corpus)
     else:
         # Raw reference edges: the graph gains nodes outside the corpus
         # and lacks corpus papers that cite and are cited by nothing.
         graph = CitationGraph(
-            edges=[(p.paper_id, ref) for p in papers for ref in p.references]
+            edges=[(p.paper_id, ref) for p in micro.papers for ref in p.references]
         )
+    ids = sorted(corpus.paper_ids())
     contexts, representatives = [], {}
-    for index in range(draw(st.integers(min_value=1, max_value=4))):
-        term_id = f"T{index}"
-        members = draw(st.lists(st.sampled_from(ids), unique=True, max_size=n))
+    for term_id in micro.ontology.term_ids()[: draw(st.integers(1, 4))]:
+        members = draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids)))
         contexts.append(Context(term_id, tuple(members)))
         if draw(st.booleans()):
             representatives[term_id] = draw(st.sampled_from(ids + members))

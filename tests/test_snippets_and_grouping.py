@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.citations.graph import CitationGraph
-from repro.core.context import Context, ContextPaperSet
 from repro.core.search import ContextSearchEngine
-from repro.core.vectors import PaperVectorStore
 from repro.corpus.paper import Paper, Section
-from repro.index.inverted import build_index
-from repro.index.search import KeywordSearchEngine
 from repro.index.snippets import best_snippet
-from repro.scoring import TextPrestige
-from repro.text.analyze import AnalyzedPaperCache
 
 
 class TestBestSnippet:
@@ -64,27 +57,11 @@ class TestBestSnippet:
 
 class TestSearchGrouped:
     @pytest.fixture(scope="class")
-    def engine(self, request):
-        corpus = request.getfixturevalue("tiny_corpus")
-        ontology = request.getfixturevalue("tiny_ontology")
-        tokens = AnalyzedPaperCache(corpus)
-        index = build_index(tokens)
-        vectors = PaperVectorStore(tokens)
-        graph = CitationGraph.from_corpus(corpus)
-        paper_set = ContextPaperSet(
-            ontology,
-            [
-                Context("met", ("M1", "M2", "M3")),
-                Context("glu", ("M1", "M2")),
-                Context("sig", ("S1", "S2")),
-            ],
+    def engine(self, tiny):
+        paper_set, _, prestige = tiny.text_scores(
+            {"met": ("M1", "M2", "M3"), "glu": ("M1", "M2"), "sig": ("S1", "S2")}
         )
-        prestige = TextPrestige(
-            corpus, vectors, graph, {"met": "M1", "glu": "M1", "sig": "S1"}
-        ).score_all(paper_set)
-        return ContextSearchEngine(
-            ontology, paper_set, prestige, KeywordSearchEngine(index)
-        )
+        return ContextSearchEngine(tiny.ontology, paper_set, prestige, tiny.keyword)
 
     def test_groups_ordered_by_selection_strength(self, engine):
         groups = engine.search_grouped("glucose metabolic")

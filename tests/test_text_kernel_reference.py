@@ -1,100 +1,48 @@
-"""Differential test: the batch cosine kernel against the dict loops it replaced.
+"""Differential test: the batch cosine kernel against :mod:`reference.text`.
 
-:class:`ReferenceVector` keeps ``SparseVector``'s former norm, dot and
-cosine code, and the ``reference_*`` functions keep the per-pair loops
-of ``TextPrestige.similarity``, ``select_representative``, text
-assignment (every paper scored against the representative, one pair at
-a time) and ``ContextSearchEngine._representative_strengths``.  Reference vectors
-come from ``TfidfModel.vectorize`` of freshly analysed text, never from
-the store's rows.  Every kernel answer must equal the reference's with
-``==``, and dicts must keep the reference's key order.
-
-Hypothesis draws sparse vectors with equal-length pairs (``dot`` walks
-``self`` on a tie), shared terms in different insertion orders, rows of
-more than eight shared terms (where pairwise summation would round
-differently), empty rows, and subnormal or huge weights (``cosine``'s
-rescaling fallback), and demo pipelines before and after add/remove
-deltas.  Text assignment is also drawn on small generated corpora:
-representatives of more than 30 terms, papers that share only
-low-weight terms with them, empty papers, and thresholds equal to a
-pair's exact cosine.
+Every kernel answer must equal the per-pair reference's with ``==``, and
+dicts must keep the reference's key order.  Hypothesis draws sparse
+vectors with equal-length pairs (``dot`` walks ``self`` on a tie),
+shared terms in different insertion orders, rows of more than eight
+shared terms (where pairwise summation would round differently), empty
+rows, and subnormal or huge weights (``cosine``'s rescaling fallback),
+and demo pipelines before and after add/remove deltas.  Text assignment
+is also drawn on small generated corpora: representatives of more than
+30 terms, papers that share only low-weight terms with them, empty
+papers, and thresholds equal to a pair's exact cosine.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from facet_reference import facet_similarity
-from prestige_reference import pre_maps
-
+from reference.prestige import pre_maps
+from reference.strategies import delta_pipeline
+from reference.text import (
+    ReferenceVector,
+    ReferenceVectors,
+    needs_fallback,
+    reference_representative_strengths,
+    reference_similarity,
+    reference_text_contexts,
+)
+from repro import scoring
 from repro.core.assignment import TextContextAssigner
 from repro.core.cosine import VectorRows, cosine_pairs
 from repro.core.representative import select_representative
 from repro.core.search import ContextSearchEngine
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
-from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
+from repro.corpus.paper import Paper, TEXT_SECTIONS
 from repro.obs import get_registry
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
-from repro.pipeline import Pipeline, build_demo_pipeline
+from repro.pipeline import build_demo_pipeline
 from repro.text.analyze import AnalyzedPaperCache
 from repro.text.vectorize import SparseVector, centroid
-
-
-class ReferenceVector:
-    """``SparseVector``'s norm / dot / cosine as the dict loops computed them."""
-
-    def __init__(self, weights):
-        self.weights = dict(weights)
-
-    @property
-    def norm(self):
-        peak = max((abs(w) for w in self.weights.values()), default=0.0)
-        if peak == 0.0:
-            return 0.0
-        return peak * math.sqrt(sum((w / peak) ** 2 for w in self.weights.values()))
-
-    def dot(self, other):
-        a, b = self.weights, other.weights
-        if len(a) > len(b):
-            a, b = b, a
-        return sum(weight * b[term] for term, weight in a.items() if term in b)
-
-    def normalized(self):
-        n = self.norm
-        if n == 0.0:
-            return ReferenceVector({})
-        if n < sys.float_info.min:
-            peak = max(abs(w) for w in self.weights.values())
-            scaled = {t: w / peak for t, w in self.weights.items()}
-            m = math.sqrt(sum(v * v for v in scaled.values()))
-            return ReferenceVector({t: v / m for t, v in scaled.items()})
-        return ReferenceVector({t: w / n for t, w in self.weights.items()})
-
-    def cosine(self, other):
-        na, nb = self.norm, other.norm
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        denominator = na * nb
-        if denominator < sys.float_info.min or math.isinf(denominator):
-            value = self.normalized().dot(other.normalized())
-        else:
-            value = self.dot(other) / denominator
-        return min(max(value, 0.0), 1.0)
-
-
-def needs_fallback(a, b):
-    na, nb = a.norm, b.norm
-    product = na * nb
-    return (
-        na != 0.0 and nb != 0.0
-        and (product < sys.float_info.min or math.isinf(product))
-    )
 
 
 # -- the kernel on drawn vectors ---------------------------------------------------
@@ -189,97 +137,6 @@ def test_centroid_equals_dict_centroid(pool, data):
 # -- the scorers on demo pipelines ----------------------------------------------------
 
 
-class ReferenceVectors:
-    """Each paper's vectors from ``TfidfModel.vectorize`` of fresh analysis.
-
-    Never read from the store's rows; memoised for one state of the
-    store (build a new one after a delta).
-    """
-
-    def __init__(self, store):
-        self.store = store
-        self._memo = {}
-
-    def __call__(self, paper_id, section=None):
-        key = (paper_id, section)
-        if key not in self._memo:
-            paper = self.store.corpus.paper(paper_id)
-            if section is None:
-                model, text = self.store.full_model, paper.all_text()
-            else:
-                model = self.store.section_model(section)
-                text = paper.section_text(section)
-            vector = model.vectorize(self.store.tokens.analyzer.analyze(text))
-            self._memo[key] = ReferenceVector(vector.weights)
-        return self._memo[key]
-
-
-def reference_similarity(reference, prestige, paper_id, representative):
-    """``TextPrestige.similarity``: the six facets summed per pair."""
-    w = prestige.weights
-
-    def section_cosine(section):
-        return reference(paper_id, section).cosine(reference(representative, section))
-
-    total = 0.0
-    if w.title:
-        total += w.title * section_cosine(Section.TITLE)
-    if w.abstract:
-        total += w.abstract * section_cosine(Section.ABSTRACT)
-    if w.body:
-        total += w.body * section_cosine(Section.BODY)
-    if w.index_terms:
-        total += w.index_terms * section_cosine(Section.INDEX_TERMS)
-    return facet_similarity(prestige, total, paper_id, representative)
-
-
-def reference_select_representative(reference, candidate_ids):
-    candidates = list(dict.fromkeys(candidate_ids))
-    if not candidates:
-        return None
-    if len(candidates) == 1:
-        return candidates[0]
-    center = ReferenceVector(
-        centroid(SparseVector(reference(pid).weights) for pid in candidates).weights
-    )
-    best_id, best_similarity = None, -1.0
-    for paper_id in sorted(candidates):
-        similarity = reference(paper_id).cosine(center)
-        if similarity > best_similarity:
-            best_similarity, best_id = similarity, paper_id
-    return best_id
-
-
-def reference_assign(reference, corpus, threshold, representative, training):
-    """Every corpus paper, in id order, that is a training paper, the
-    representative, or at least ``threshold`` similar to it."""
-    rep_vector = reference(representative)
-    return [
-        paper_id
-        for paper_id in sorted(corpus.paper_ids())
-        if paper_id in training
-        or paper_id == representative
-        or reference(paper_id).cosine(rep_vector) >= threshold
-    ]
-
-
-def reference_representative_strengths(
-    reference, paper_set, representatives, query
-):
-    query_vector = ReferenceVector(reference.store.query_vector(query).weights)
-    strengths = {}
-    if not query_vector.weights:
-        return strengths
-    for context in paper_set:
-        representative = representatives.get(context.term_id)
-        if representative is None:
-            continue
-        similarity = query_vector.cosine(reference(representative))
-        if similarity > 0.0:
-            strengths[context.term_id] = similarity
-    return strengths
-
-
 def assert_kernel_matches_reference(pipeline):
     store = pipeline.substrates
     vectors = store.vectors
@@ -296,7 +153,7 @@ def assert_kernel_matches_reference(pipeline):
     paper_set = store.text_paper_set
     representatives = store.representatives
     scores = store.prestige("text", "text")
-    prestige = scores_function(store)
+    prestige = scoring.get("text").factory(store)
     for context in paper_set:
         representative = representatives.get(context.term_id)
         expected = {
@@ -306,22 +163,16 @@ def assert_kernel_matches_reference(pipeline):
         got = pre_maps(scores).get(context.term_id, {})
         assert list(got.items()) == list(expected.items())
 
+    assert [
+        (c.term_id, c.paper_ids, c.training_paper_ids, c.representative)
+        for c in paper_set
+    ] == reference_text_contexts(
+        reference, store.corpus, store.ontology, store.training_papers,
+        store.text_similarity_threshold,
+    )
     for context in paper_set:
-        training = list(context.training_paper_ids)
-        assert select_representative(vectors, training) == (
-            reference_select_representative(reference, training)
-        )
-        representative = representatives[context.term_id]
-        assert list(context.paper_ids) == reference_assign(
-            reference,
-            store.corpus,
-            store.text_similarity_threshold,
-            representative,
-            training,
-        )
-    for context in paper_set:
-        assert context.representative == reference_select_representative(
-            reference, context.training_paper_ids
+        assert select_representative(vectors, context.training_paper_ids) == (
+            context.representative
         )
     assert representatives == {c.term_id: c.representative for c in paper_set}
 
@@ -341,32 +192,6 @@ def assert_kernel_matches_reference(pipeline):
         assert list(got.items()) == list(expected.items())
 
 
-def scores_function(store):
-    from repro import scoring
-
-    return scoring.get("text").factory(store)
-
-
-def delta_pipeline(seed, n_add, n_remove):
-    """A demo pipeline minus its last ``n_add`` papers, warmed, then the
-    delta that adds them back and removes ``n_remove`` others."""
-    demo = build_demo_pipeline(seed=seed, n_papers=50, n_terms=12)
-    papers = list(demo.corpus)
-    held_out = papers[len(papers) - n_add:] if n_add else []
-    base = papers[: len(papers) - n_add]
-    pipeline = Pipeline(
-        corpus=type(demo.corpus)(),
-        ontology=demo.ontology,
-        training_papers=demo.training_papers,
-    )
-    for paper in base:
-        pipeline.corpus.add(paper)
-    pipeline.prestige("text", "text")
-    removed = [paper.paper_id for paper in base[::7][:n_remove]]
-    pipeline.substrates.apply_delta(added_papers=held_out, removed_ids=removed)
-    return pipeline
-
-
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 40),
@@ -375,7 +200,8 @@ def delta_pipeline(seed, n_add, n_remove):
 )
 def test_scorers_equal_reference_after_delta(seed, n_add, n_remove):
     assume(n_add + n_remove > 0)
-    assert_kernel_matches_reference(delta_pipeline(seed, n_add, n_remove))
+    pipeline, _ = delta_pipeline(seed, n_add, n_remove, warm=[("text", "text")])
+    assert_kernel_matches_reference(pipeline)
 
 
 def test_scorers_equal_reference_on_a_fresh_pipeline():
@@ -427,25 +253,15 @@ def assignment_inputs(bodies, training):
 
 
 def assert_assigner_matches_reference(corpus, ontology, vectors, training, threshold):
-    assigner = TextContextAssigner(
+    paper_set = TextContextAssigner(
         corpus, ontology, vectors, similarity_threshold=threshold
+    ).build(training)
+    assert [
+        (c.term_id, c.paper_ids, c.training_paper_ids, c.representative)
+        for c in paper_set
+    ] == reference_text_contexts(
+        ReferenceVectors(vectors), corpus, ontology, training, threshold
     )
-    paper_set = assigner.build(training)
-    reference = ReferenceVectors(vectors)
-    expected_ids = []
-    for term_id in ontology.term_ids():
-        kept = [pid for pid in training.get(term_id, ()) if pid in corpus]
-        if not kept:
-            continue
-        expected_ids.append(term_id)
-        representative = reference_select_representative(reference, kept)
-        context = paper_set.context(term_id)
-        assert context.representative == representative
-        assert context.training_paper_ids == tuple(kept)
-        assert list(context.paper_ids) == reference_assign(
-            reference, corpus, threshold, representative, kept
-        )
-    assert paper_set.context_ids() == expected_ids
     return paper_set
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from facet_reference import (
+from reference.facets import (
     dice_coefficient,
     jaccard_similarity,
     overlap_coefficient,

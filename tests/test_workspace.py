@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from index_reference import postings
+from reference.index import postings
 from repro.corpus import write_corpus_jsonl
 from repro.corpus.paper import TEXT_SECTIONS
 from repro.datagen import CorpusGenerator, OntologyGenerator
@@ -836,7 +836,7 @@ class TestCodecs:
         assert str(path) in str(excinfo.value)
 
     def test_mismatched_format_tag_names_both_tags(self, tiny_ontology, tmp_path):
-        from prestige_reference import scores_from_maps
+        from reference.prestige import scores_from_maps
         from repro.core.io import read_context_paper_set, write_prestige_scores
 
         path = tmp_path / "artifact.npz"

@@ -104,6 +104,10 @@ print(f"reopened generation 2 ranks like a fresh build ({len(arms)} arms, "
 PY
 
 echo
+echo "== tests: the differential tests catch every listed one-line mutation of src/ =="
+python tools/check_reference_sharpness.py
+
+echo
 echo "== docs: docs/api.md and the architecture score-function and artifact tables are generated from the code =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/gen_api_docs.py
 git diff --exit-code docs/api.md docs/architecture.md
