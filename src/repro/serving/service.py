@@ -34,39 +34,47 @@ request telemetry, SLO events included), so an HTTP ranking is
 byte-identical to the same :meth:`Pipeline.search` call in process --
 the property ``tests/test_serving_service.py`` pins.
 
-Built on :class:`http.server.ThreadingHTTPServer` so a slow scraper
-cannot block a health probe.  The scrape-time gauges (view age, cache
-hit rate, query volumes) are exported at the top of every ``/metrics``
-and ``/health`` request, so they stay current without a background
-refresher thread.
+**Connection threads.**  Every accepted connection gets a thread at
+once, so a slow scraper cannot block a health probe: the most recently
+parked idle thread when there is one, else a new one.  A warm server
+thus starts no thread on the request path, and threads a burst started
+retire after :data:`IDLE_THREAD_TIMEOUT_S` idle.  A socket read that
+stalls for ``_Handler.timeout`` ends the connection (``408`` when the
+body stalls), so a stalled client frees its thread.  The scrape-time
+gauges (view age, cache hit rate, query volumes) are exported at the
+top of every ``/metrics`` and ``/health`` request, so they stay current
+without a background refresher thread.
 
-**Admission control.**  ``ThreadingHTTPServer`` spawns one thread per
-connection; unbounded, a traffic spike turns into unbounded threads all
-contending for the GIL and every request slowing down together.  The
-:class:`AdmissionController` bounds that: at most ``max_in_flight``
-requests execute concurrently, at most ``queue_depth`` more wait their
-turn, and everything beyond is shed immediately with ``429`` and a
-``Retry-After`` header -- degraded throughput never becomes degraded
-latency for the requests that are accepted.  Observability routes are
-exempt so a saturated service can still be scraped and health-checked.
+**Admission control.**  Unbounded, a traffic spike turns into as many
+busy connection threads, all contending for the GIL and every request
+slowing down together.  The :class:`AdmissionController` bounds that:
+at most ``max_in_flight`` requests execute concurrently, at most
+``queue_depth`` more wait their turn, and everything beyond is shed
+immediately with ``429`` and a ``Retry-After`` header -- degraded
+throughput never becomes degraded latency for the requests that are
+accepted.  Observability routes are exempt so a saturated service can
+still be scraped and health-checked.
 
 Metrics (catalogued in ``docs/observability.md``): per-endpoint latency
 histograms ``serving.http.<endpoint>.latency``, counters
-``serving.http.{requests,accepted,shed,bad_request}``, gauge
-``serving.http.in_flight``.
+``serving.http.{requests,accepted,shed,bad_request,threads_started}``,
+gauges ``serving.http.{in_flight,idle_threads}``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import queue
+import sys
 import threading
 import time
+import traceback
 import urllib.parse
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import scoring
 from repro.core.search import (
@@ -308,8 +316,48 @@ def _float(
     return value
 
 
+def _bad_request(error: BadRequest) -> Response:
+    """The 400 JSON answer to a malformed request, counted."""
+    get_registry().counter("serving.http.bad_request").inc()
+    return json_response({"error": str(error)}, status=400)
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-obs/1"
+
+    #: Seconds one socket read or write may wait.  A stalled request line
+    #: closes the connection; a stalled body answers 408.  Either way the
+    #: thread is free for the next connection.
+    timeout = 30.0
+
+    def _read_body(self) -> Optional[str]:
+        """The decoded request body, or None when there is none.
+
+        Raises :class:`BadRequest` for a malformed ``Content-Length`` or a
+        body that is short or not UTF-8, ``TimeoutError`` for a stall.
+        """
+        declared = self.headers.get("Content-Length")
+        if not declared:
+            return None
+        try:
+            length = int(declared)
+        except ValueError:
+            raise BadRequest(
+                f"Content-Length must be an integer, got {declared!r}"
+            ) from None
+        if length < 0:
+            raise BadRequest(f"Content-Length must be >= 0, got {length}")
+        if length == 0:
+            return None
+        raw = self.rfile.read(length)
+        if len(raw) < length:
+            raise BadRequest(
+                f"body ended after {len(raw)} of {length} bytes"
+            )
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise BadRequest(f"body is not UTF-8: {error}") from None
 
     def _handle(self, method: str) -> None:
         service = self.server.service  # type: ignore[attr-defined]
@@ -317,17 +365,26 @@ class _Handler(BaseHTTPRequestHandler):
         path = parsed.path.rstrip("/") or "/"
         params = urllib.parse.parse_qs(parsed.query)
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length).decode("utf-8") if length > 0 else None
-            response = service.dispatch(method, path, params, body)
-            if response is None:
-                response = json_response(
-                    {"error": f"no route {method} {path!r}"}, status=404
-                )
-        except Exception as error:  # surface handler bugs to the client
+            body = self._read_body()
+        except BadRequest as bad:
+            response = _bad_request(bad)
+        except TimeoutError:
+            self.close_connection = True
             response = json_response(
-                {"error": f"{type(error).__name__}: {error}"}, status=500
+                {"error": f"request body not received within {self.timeout:g}s"},
+                status=408,
             )
+        else:
+            try:
+                response = service.dispatch(method, path, params, body)
+                if response is None:
+                    response = json_response(
+                        {"error": f"no route {method} {path!r}"}, status=404
+                    )
+            except Exception as error:  # surface handler bugs to the client
+                response = json_response(
+                    {"error": f"{type(error).__name__}: {error}"}, status=500
+                )
         self._respond(response)
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -348,6 +405,138 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:
         _log.debug("http.request", detail=format % args)
+
+
+#: Seconds a parked connection thread waits for its next connection
+#: before it exits, so the threads a burst started retire when it ends.
+IDLE_THREAD_TIMEOUT_S = 30.0
+
+#: Seconds ``stop()`` waits, in total, for busy connection threads.
+_STOP_JOIN_S = 5.0
+
+
+class _ThreadReusingHTTPServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that hands connections to idle threads.
+
+    Every accepted connection gets a thread at once: the most recently
+    parked idle one when there is one, else a new ``repro-http-worker``.
+    So no connection waits for a worker and a stalled client holds only
+    its own thread, as with a thread per connection, but a warm server
+    starts no thread on the request path.  A worker serves one
+    connection, parks its inbox on the idle stack and exits when nothing
+    arrives within :data:`IDLE_THREAD_TIMEOUT_S`.  ``server_close`` wakes
+    and ends every idle worker and waits for the busy ones.
+    """
+
+    allow_reuse_address = True  # before bind(): see SearchService
+
+    def __init__(self, address: Tuple[str, int], service: "SearchService") -> None:
+        self.service = service
+        self._lock = threading.Lock()
+        self._idle: List["queue.SimpleQueue"] = []  # parked inboxes, a stack
+        self._workers: Set[threading.Thread] = set()
+        self._closed = False
+        super().__init__(address, _Handler)
+
+    def _export_idle(self) -> None:
+        """Set the idle-thread gauge (called holding ``_lock``)."""
+        get_registry().gauge("serving.http.idle_threads").set(len(self._idle))
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            if self._idle:
+                inbox = self._idle.pop()
+                self._export_idle()
+            else:
+                inbox = None
+                worker = threading.Thread(
+                    target=self._work,
+                    args=(request, client_address),
+                    name="repro-http-worker",
+                    daemon=True,
+                )
+                self._workers.add(worker)
+        if inbox is not None:
+            inbox.put((request, client_address))
+            return
+        try:
+            worker.start()
+        except RuntimeError:  # no thread to be had; the caller logs it
+            with self._lock:
+                self._workers.discard(worker)
+            raise
+
+    def _work(self, request, client_address) -> None:
+        """Serve connections until idle for the timeout or closed.
+
+        Like ``process_request_thread``, but the worker parks *before*
+        it closes the finished connection, so a client that reads its
+        answer to the end always finds a warm worker for its next one.
+        """
+        get_registry().counter("serving.http.threads_started").inc()
+        inbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        job: Optional[Tuple[Any, Any]] = (request, client_address)
+        try:
+            while job is not None:
+                request, client_address = job
+                try:
+                    self.finish_request(request, client_address)
+                except Exception:
+                    self.handle_error(request, client_address)
+                with self._lock:
+                    parked = not self._closed
+                    if parked:
+                        self._idle.append(inbox)
+                        self._export_idle()
+                try:
+                    self.shutdown_request(request)
+                except OSError:  # parked already: this thread must live on
+                    self.handle_error(request, client_address)
+                job = self._next_job(inbox) if parked else None
+        finally:
+            with self._lock:
+                self._workers.discard(threading.current_thread())
+
+    def _next_job(self, inbox: "queue.SimpleQueue") -> Optional[Tuple[Any, Any]]:
+        """The parked worker's next connection; None to exit."""
+        try:
+            return inbox.get(timeout=IDLE_THREAD_TIMEOUT_S)
+        except queue.Empty:
+            with self._lock:
+                if inbox in self._idle:
+                    self._idle.remove(inbox)
+                    self._export_idle()
+                    return None
+            # Popped between the timeout and the lock: a connection (or
+            # the close's None) is on its way to this inbox.
+            return inbox.get()
+
+    def handle_error(self, request, client_address) -> None:
+        """Log a connection's uncaught error instead of printing it."""
+        error = sys.exc_info()[1]
+        client = f"{client_address[0]}:{client_address[1]}"
+        if isinstance(error, ConnectionError):
+            _log.info("http.client_disconnected", client=client, error=repr(error))
+        else:
+            _log.error(
+                "http.connection_error",
+                client=client,
+                error=repr(error),
+                traceback=traceback.format_exc(),
+            )
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+            self._export_idle()
+            workers = list(self._workers)
+        for inbox in idle:
+            inbox.put(None)
+        deadline = time.monotonic() + _STOP_JOIN_S
+        for worker in workers:
+            worker.join(timeout=max(deadline - time.monotonic(), 0.0))
 
 
 class SearchService:
@@ -417,21 +606,7 @@ class SearchService:
         )
         self.ready_max_age_s = ready_max_age_s
         self.started_at = time.monotonic()
-        # Bind in two steps so socket options are set *before* bind():
-        # with bind_and_activate=True the option would land too late to
-        # matter for the rebind race.
-        self._httpd = ThreadingHTTPServer(
-            (host, port), _Handler, bind_and_activate=False
-        )
-        self._httpd.allow_reuse_address = True
-        self._httpd.daemon_threads = True
-        self._httpd.service = self  # type: ignore[attr-defined]
-        try:
-            self._httpd.server_bind()
-            self._httpd.server_activate()
-        except OSError:
-            self._httpd.server_close()
-            raise
+        self._httpd = _ThreadReusingHTTPServer((host, port), self)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -463,7 +638,8 @@ class SearchService:
     def stop(self) -> None:
         """Stop serving and release the port (safe before ``start`` too).
 
-        ``shutdown()`` blocks until ``serve_forever`` acknowledges, so it
+        Every idle connection thread ends; busy ones finish their request
+        first (waited for up to 5 s in all).  ``shutdown()`` blocks until ``serve_forever`` acknowledges, so it
         must only run when the serve thread exists -- the socket is bound
         at construction, and a constructed-but-never-started service
         still needs ``stop()`` to release it.
@@ -523,8 +699,7 @@ class SearchService:
                 Retry_After=f"{max(int(-(-rejected.retry_after_s // 1)), 1)}",
             )
         except BadRequest as bad:
-            registry.counter("serving.http.bad_request").inc()
-            response = json_response({"error": str(bad)}, status=400)
+            response = _bad_request(bad)
         finally:
             registry.histogram(
                 f"serving.http.{endpoint}.latency"

@@ -7,10 +7,13 @@ caller sees.  The load-bearing properties:
 - every search endpoint's JSON is produced by the same serializers the
   tests use to encode ``Pipeline`` results, so an HTTP ranking is
   byte-identical to the in-process call;
-- bad parameters are 400s with the offending parameter named, never
-  500s;
+- bad parameters and bad request framing (``Content-Length``, a body
+  that is not UTF-8) are 400s, never 500s; a stalled request times out;
 - a saturated admission controller sheds with 429 + ``Retry-After``
   while the observability routes keep answering;
+- a warm server hands each connection to an idle thread: it starts a
+  thread only when every thread is busy, idle threads retire, and
+  ``stop()`` leaves none alive;
 - ``GET /search`` racing ``POST /admin/reload`` never observes a torn
   view (the PR-7 swap-race property, extended over HTTP);
 - a batch does the same search work and records the same telemetry as
@@ -20,6 +23,9 @@ caller sees.  The load-bearing properties:
 
 import dataclasses
 import json
+import logging
+import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -37,6 +43,7 @@ from repro.obs import (
     stop_tracing,
 )
 from repro.pipeline import build_demo_pipeline
+from repro.serving import service as service_module
 from repro.serving.service import (
     AdmissionController,
     AdmissionRejected,
@@ -77,6 +84,48 @@ def _request(service, path, method="GET", **params):
             return response.status, response.headers, response.read().decode()
     except urllib.error.HTTPError as error:
         return error.code, error.headers, error.read().decode()
+
+
+def _raw(service, data: bytes, timeout: float = 10.0) -> bytes:
+    """Send raw request bytes, end the upload and read until the server closes.
+
+    The server parks a connection's thread before it closes the
+    connection, so once this returns that thread is idle.  (urllib
+    returns after ``Content-Length`` bytes; its next request can race
+    the thread, which shares the interpreter lock with the test.)
+    """
+    with socket.create_connection((service.host, service.port), timeout=timeout) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _raw_get(service, path: str) -> bytes:
+    return _raw(service, f"GET {path} HTTP/1.0\r\n\r\n".encode())
+
+
+def _status(answer: bytes) -> int:
+    return int(answer.split(b" ", 2)[1])
+
+
+def _json_body(answer: bytes):
+    return json.loads(answer.split(b"\r\n\r\n", 1)[1])
+
+
+def _threads_started() -> int:
+    return get_registry().counter("serving.http.threads_started").value
+
+
+def _live_workers(excluding=()):
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name == "repro-http-worker" and thread not in excluding
+    ]
 
 
 class TestSearchEndpoint:
@@ -231,6 +280,61 @@ class TestBadRequests:
         assert status == 404
 
 
+def _assert_next_request_reuses_a_thread(service):
+    """The stalled connection's thread went back to the idle stack."""
+    assert get_registry().gauge("serving.http.idle_threads").value >= 1
+    started = _threads_started()
+    assert _status(_raw_get(service, "/health")) == 200
+    assert _threads_started() == started
+
+
+class TestRequestFraming:
+    """Malformed or stalled requests reach the handler, not ``dispatch``."""
+
+    @pytest.mark.parametrize(
+        "headers, body, fragment",
+        [
+            (b"Content-Length: abc\r\n", b"", "Content-Length"),
+            (b"Content-Length: -3\r\n", b"", "Content-Length"),
+            (b"Content-Length: 10\r\n", b"{}", "2 of 10 bytes"),
+            (b"Content-Length: 4\r\n", b"\xff\xfe\xfd\xfc", "UTF-8"),
+        ],
+        ids=["non-numeric-length", "negative-length", "short-body", "not-utf8"],
+    )
+    def test_bad_framing_is_400(self, service, headers, body, fragment):
+        answer = _raw(
+            service,
+            b"POST /admin/ingest HTTP/1.0\r\n" + headers + b"\r\n" + body,
+        )
+        assert _status(answer) == 400
+        assert fragment in _json_body(answer)["error"]
+        assert get_registry().counter("serving.http.bad_request").value == 1
+
+    def test_stalled_body_is_408_and_frees_its_thread(self, service, monkeypatch):
+        monkeypatch.setattr(service_module._Handler, "timeout", 0.5)
+        with socket.create_connection((service.host, service.port), timeout=10) as sock:
+            sock.sendall(b"POST /admin/ingest HTTP/1.0\r\nContent-Length: 100\r\n\r\n{}")
+            # The stalled connection holds one thread; another answers.
+            assert _status(_raw_get(service, "/health")) == 200
+            answer = sock.makefile("rb").read()
+        assert _status(answer) == 408
+        assert "not received" in _json_body(answer)["error"]
+        _assert_next_request_reuses_a_thread(service)
+
+    def test_stalled_request_line_closes_and_frees_its_thread(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setattr(service_module._Handler, "timeout", 0.5)
+        with socket.create_connection((service.host, service.port), timeout=10) as sock:
+            sock.sendall(b"GET /hea")
+            assert _status(_raw_get(service, "/health")) == 200
+            assert sock.makefile("rb").read() == b""
+        _assert_next_request_reuses_a_thread(service)
+
+    def test_default_read_timeout_is_finite(self):
+        assert 0 < service_module._Handler.timeout <= 60
+
+
 class TestAdmission:
     def test_saturated_service_sheds_with_429(self, pipeline, monkeypatch):
         service = SearchService(
@@ -315,6 +419,143 @@ class TestAdmission:
         registry = get_registry()
         assert registry.counter("serving.http.accepted").value == 2
         assert registry.counter("serving.http.shed").value == 1
+
+
+class TestConnectionThreads:
+    """Each connection gets a thread at once; a warm server starts none."""
+
+    def test_sequential_requests_start_one_worker(self, service):
+        for _ in range(50):
+            assert _status(_raw_get(service, "/search?q=gene+expression")) == 200
+        assert _threads_started() == 1
+        assert get_registry().gauge("serving.http.idle_threads").value == 1
+
+    def test_held_searches_start_one_worker_each(self, pipeline, monkeypatch):
+        held = 3
+        service = SearchService(pipeline, port=0, max_in_flight=held).start()
+        entered = threading.Semaphore(0)
+        release = threading.Event()
+
+        def slow_search(query, **kwargs):
+            entered.release()
+            assert release.wait(timeout=10)
+            return []
+
+        monkeypatch.setattr(pipeline, "search", slow_search)
+        try:
+            with ThreadPoolExecutor(max_workers=held) as pool:
+                searches = [
+                    pool.submit(_raw_get, service, f"/search?q=held+{i}")
+                    for i in range(held)
+                ]
+                for _ in range(held):
+                    assert entered.acquire(timeout=10)
+                assert _threads_started() == held
+                # Every worker is busy: /health gets a thread of its own.
+                assert _status(_raw_get(service, "/health")) == 200
+                assert _threads_started() == held + 1
+                release.set()
+                assert [_status(f.result(timeout=10)) for f in searches] == [200] * held
+            assert get_registry().gauge("serving.http.idle_threads").value == held + 1
+            # The next burst reuses them.
+            assert _status(_raw_get(service, "/health")) == 200
+            assert _threads_started() == held + 1
+        finally:
+            release.set()
+            service.stop()
+
+    def test_idle_workers_exit_after_the_idle_timeout(self, service, monkeypatch):
+        monkeypatch.setattr(service_module, "IDLE_THREAD_TIMEOUT_S", 0.2)
+        before = set(threading.enumerate())
+        assert _status(_raw_get(service, "/health")) == 200
+        assert _threads_started() == 1
+        deadline = time.monotonic() + 10
+        while _live_workers(before) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_workers(before) == []
+        assert get_registry().gauge("serving.http.idle_threads").value == 0
+        # A retired worker is replaced on demand.
+        assert _status(_raw_get(service, "/health")) == 200
+        assert _threads_started() == 2
+
+    def test_stop_ends_idle_and_busy_workers(self, pipeline, monkeypatch):
+        before = set(threading.enumerate())
+        service = SearchService(pipeline, port=0).start()
+        entered = threading.Event()
+        release = threading.Event()
+
+        def slow_search(query, **kwargs):
+            entered.set()
+            assert release.wait(timeout=10)
+            return []
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            idle = [pool.submit(_raw_get, service, "/health") for _ in range(2)]
+            for future in idle:
+                assert _status(future.result(timeout=10)) == 200
+            monkeypatch.setattr(pipeline, "search", slow_search)
+            busy = pool.submit(_raw_get, service, "/search?q=held")
+            assert entered.wait(timeout=10)
+            stopper = threading.Thread(target=service.stop)
+            stopper.start()
+            time.sleep(1.0)  # past serve_forever's 0.5 s shutdown poll
+            # The busy worker finishes its request before stop() returns.
+            assert stopper.is_alive()
+            release.set()
+            stopper.join(timeout=10)
+            assert not stopper.is_alive()
+            assert _status(busy.result(timeout=10)) == 200
+        assert _live_workers(before) == []
+
+    def test_connections_racing_idle_timeouts_are_all_served(
+        self, pipeline, monkeypatch
+    ):
+        # Workers time out about as often as connections arrive, so a
+        # connection is often handed to an inbox whose worker just timed
+        # out; a connection lost that way would hang its client.
+        monkeypatch.setattr(service_module, "IDLE_THREAD_TIMEOUT_S", 0.002)
+        before = set(threading.enumerate())
+        service = SearchService(pipeline, port=0).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                answers = list(pool.map(
+                    lambda _: _raw_get(service, "/health"), range(200)
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert [_status(answer) for answer in answers] == [200] * 200
+        assert _live_workers(before) == []
+
+    @pytest.mark.parametrize(
+        "error, level, event",
+        [
+            (RuntimeError("handler bug"), logging.ERROR, "http.connection_error"),
+            (BrokenPipeError(32, "Broken pipe"), logging.INFO, "http.client_disconnected"),
+        ],
+        ids=["handler-bug", "client-gone"],
+    )
+    def test_handler_error_is_logged_and_keeps_the_worker(
+        self, service, monkeypatch, caplog, capsys, error, level, event
+    ):
+        respond = service_module._Handler._respond
+        failures = [error]
+
+        def failing_respond(handler, response):
+            if failures:
+                raise failures.pop()
+            respond(handler, response)
+
+        monkeypatch.setattr(service_module._Handler, "_respond", failing_respond)
+        with caplog.at_level(logging.INFO, logger="repro.serving.service"):
+            assert _raw_get(service, "/health") == b""
+            assert _status(_raw_get(service, "/health")) == 200
+        assert _threads_started() == 1
+        records = [r for r in caplog.records if r.getMessage() == event]
+        assert [r.levelno for r in records] == [level]
+        assert "Exception occurred during processing" not in capsys.readouterr().err
 
 
 class TestReload:

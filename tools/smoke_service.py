@@ -14,6 +14,9 @@ once over real HTTP:
    (the byte-identical acceptance property, end to end), and the
    quoted query must answer the same hits;
 6. ``GET /search`` (bad)  -- an unknown score function must be a 400;
+   then 20 sequential searches, each read to the server's close, must
+   start at most one connection thread (``serving.http.threads_started``
+   on ``/metrics``): the server hands them to its idle thread;
 7. ``GET /analytics``     -- must report the live zero-result rate and
    shadow rank agreement for the non-primary ``citation`` function
    (the service runs with ``shadow_functions=["citation"]`` at a 100%
@@ -24,8 +27,9 @@ once over real HTTP:
    report zero drift, an injected ranking regression must be refused
    with a 409 (the old view keeps serving), and ``?force=1`` must push
    the swap through;
-9. stop, then restart on the same port -- the rebind path must not
-   raise ``EADDRINUSE``.
+9. stop, then restart on the same port -- ``stop()`` must leave no
+   connection thread alive, and the rebind path must not raise
+   ``EADDRINUSE``.
 
 Seconds, not minutes: this is the "does the service even serve" check
 between the lints and the full test suite in ``tools/ci.sh``, not a
@@ -36,7 +40,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import socket
 import sys
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -76,6 +83,20 @@ def _fetch(base_url: str, path: str, method: str = "GET", **params):
         return status, json.loads(raw)
     except json.JSONDecodeError:
         return status, raw.decode("utf-8")
+
+
+def _get_to_close(host: str, port: int, path: str) -> int:
+    """GET over a raw socket, reading until the server closes; the status."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(f"GET {path} HTTP/1.0\r\n\r\n".encode("ascii"))
+        answer = sock.makefile("rb").read()
+    return int(answer.split(b" ", 2)[1])
+
+
+def _threads_started(base_url: str) -> int:
+    _, text = _fetch(base_url, "/metrics")
+    match = re.search(r"^serving_http_threads_started_total (\S+)$", text, re.M)
+    return int(float(match.group(1))) if match else 0
 
 
 def _check(condition: bool, message: str) -> None:
@@ -158,6 +179,17 @@ def main() -> int:
         _check(
             status == 400 and "score_function" in body.get("error", ""),
             "bad score_function is a 400",
+        )
+
+        started = _threads_started(base_url)
+        path = "/search?" + urllib.parse.urlencode({"q": QUERY})
+        statuses = [
+            _get_to_close(service.host, service.port, path) for _ in range(20)
+        ]
+        grown = _threads_started(base_url) - started
+        _check(
+            statuses == [200] * 20 and grown <= 1,
+            f"20 sequential searches started {grown} connection thread(s)",
         )
 
         status, body = _fetch(base_url, "/search", q=ZERO_HIT_QUERY)
@@ -247,6 +279,8 @@ def main() -> int:
         service.stop()
         reset_telemetry()
         port = service.port
+    workers = [t for t in threading.enumerate() if t.name == "repro-http-worker"]
+    _check(not workers, "stop() leaves no connection thread alive")
 
     # Rebind on the port just released must not raise EADDRINUSE.
     service = SearchService(pipeline, port=port)
