@@ -113,7 +113,8 @@ def _load_pipeline(
 
     Hydration is non-strict: whatever is fresh loads from disk, anything
     stale falls back to the lazy in-memory build (``repro build`` makes
-    the next start cold-start-free again).
+    the next start cold-start-free again); a fresh artifact that fails
+    to load is an error.
     """
     try:
         pipeline = Pipeline.from_directory(data_dir, **pipeline_kwargs)
@@ -126,10 +127,7 @@ def _load_pipeline(
         try:
             open_workspace(pipeline, workspace, strict=False)
         except ValueError as error:
-            print(
-                f"warning: ignoring workspace {workspace}: {error}",
-                file=sys.stderr,
-            )
+            raise SystemExit(f"error: {error}") from error
     return pipeline
 
 

@@ -98,11 +98,11 @@ class TextContextAssigner:
             chosen = representatives_of(
                 self.vectors, [training for _, training in trained]
             )
-            paper_ids = self.vectors.paper_ids
-            n = len(paper_ids)
+            paper_rows = self.vectors.paper_rows
+            n = len(paper_rows)
             hubs, members, borderline = cosines_at_least(
                 self.vectors.full_rows,
-                self.vectors.rows_of(chosen),
+                paper_rows.rows(chosen),
                 self.similarity_threshold,
             )
             # Training papers and the representative always belong; list
@@ -112,19 +112,16 @@ class TextContextAssigner:
                 [hubs, np.repeat(np.arange(len(fixed)), [len(f) for f in fixed])]
             )
             members = np.concatenate(
-                [members, self.vectors.rows_of(chain.from_iterable(fixed))]
+                [members, paper_rows.rows(chain.from_iterable(fixed))]
             )
-            by_id = sorted(range(n), key=paper_ids.__getitem__)
-            rank = np.empty(n, dtype=np.int64)
-            rank[by_id] = np.arange(n)
-            keys = np.unique(hubs * n + rank[members])
+            keys = np.unique(hubs * n + paper_rows.rank[members])
             bounds = indptr_of(np.bincount(keys // n, minlength=len(fixed))).tolist()
-            ranked = (keys % n).tolist()
-            sorted_ids = [paper_ids[row] for row in by_id]
+            by_rank = np.argsort(paper_rows.rank)
+            ranked = [paper_rows.ids[row] for row in by_rank[keys % n].tolist()]
             contexts = [
                 Context(
                     term_id=term_id,
-                    paper_ids=tuple(map(sorted_ids.__getitem__, ranked[a:b])),
+                    paper_ids=tuple(ranked[a:b]),
                     training_paper_ids=tuple(training),
                     representative=representative,
                 )
@@ -149,7 +146,7 @@ class TextContextAssigner:
             seconds=round(time.perf_counter() - started, 2),
             threshold=self.similarity_threshold,
         )
-        return ContextPaperSet(self.ontology, contexts)
+        return ContextPaperSet(self.ontology, contexts, paper_rows)
 
 
 class PatternContextAssigner:
@@ -276,7 +273,7 @@ class PatternContextAssigner:
             papers_assigned=papers_assigned,
             seconds=round(time.perf_counter() - started, 2),
         )
-        return ContextPaperSet(self.ontology, contexts)
+        return ContextPaperSet(self.ontology, contexts, self.corpus.paper_rows)
 
     # -- matching ------------------------------------------------------------------
 

@@ -6,8 +6,8 @@ A :class:`ContextPaperSet` is a full assignment of a corpus into contexts
 every score function consumes.
 
 :class:`ContextColumns` is the same assignment laid out as arrays (CSR
-rows over a dense paper index) for the context search kernel in
-:mod:`repro.core.search`.
+rows over the corpus's :class:`~repro.corpus.rows.PaperRows`) for the
+context search kernel in :mod:`repro.core.search`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.corpus.rows import PaperRows
 from repro.ontology.ontology import Ontology
 
 
@@ -69,21 +70,21 @@ class Context:
 
 
 class ContextColumns:
-    """A context paper set as CSR rows over a dense paper index.
+    """A context paper set as CSR rows over the corpus's paper rows.
 
     Attributes
     ----------
     context_ids:
         Context ids in paper-set iteration order; position = context row.
-    paper_ids:
-        Every distinct member paper, sorted by id; position = paper row.
-        Sorting makes paper-row order the ``paper_id`` tie-break.
+    paper_rows:
+        The :class:`PaperRows` every paper row here indexes.
     indptr / members:
         Forward CSR: ``members[indptr[c]:indptr[c + 1]]`` are context
         ``c``'s paper rows in assignment order (``int32``).
     paper_indptr / paper_contexts:
-        Reverse CSR: the context rows holding paper ``p``, in context
-        order (a stable argsort of ``members``).
+        Reverse CSR: the context rows holding paper row ``p``, in
+        context order (a stable argsort of ``members``); a paper in no
+        context has an empty row.
     sqrt_sizes:
         ``max(size ** 0.5, 1.0)`` per context row, as probe selection
         normalises by it.
@@ -92,36 +93,25 @@ class ContextColumns:
     deltas build a new set), so the arrays never need invalidation.
     """
 
-    def __init__(self, contexts: List[Context]) -> None:
+    def __init__(self, contexts: List[Context], paper_rows: PaperRows) -> None:
         self.context_ids: Tuple[str, ...] = tuple(c.term_id for c in contexts)
         self.context_row: Dict[str, int] = {
             cid: row for row, cid in enumerate(self.context_ids)
         }
+        self.paper_rows = paper_rows
         row_paper_ids = [c.paper_ids for c in contexts]
-        self.paper_ids: Tuple[str, ...] = tuple(
-            sorted(set(chain.from_iterable(row_paper_ids)))
-        )
-        self.paper_row: Dict[str, int] = {
-            pid: row for row, pid in enumerate(self.paper_ids)
-        }
         sizes = np.fromiter(map(len, row_paper_ids), np.int64, len(contexts))
         self.indptr = indptr_of(sizes)
-        total = int(self.indptr[-1])
-        self.members = np.fromiter(
-            map(self.paper_row.__getitem__, chain.from_iterable(row_paper_ids)),
-            dtype=np.int32,
-            count=total,
-        )
+        members = paper_rows.rows(chain.from_iterable(row_paper_ids))
+        self.members = members.astype(np.int32)
         context_of_member = np.repeat(
             np.arange(len(contexts), dtype=np.int32), sizes
         )
         self.paper_contexts = context_of_member[
             np.argsort(self.members, kind="stable")
         ]
-        self.paper_indptr = np.zeros(len(self.paper_ids) + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.members, minlength=len(self.paper_ids)),
-            out=self.paper_indptr[1:],
+        self.paper_indptr = indptr_of(
+            np.bincount(self.members, minlength=len(paper_rows))
         )
         self.sqrt_sizes = np.fromiter(
             (max(len(pids) ** 0.5, 1.0) for pids in row_paper_ids),
@@ -180,10 +170,16 @@ def check_csr(
 
 
 class ContextPaperSet:
-    """An assignment of papers to ontology contexts."""
+    """An assignment of papers to ontology contexts, over ``paper_rows``."""
 
-    def __init__(self, ontology: Ontology, contexts: Iterable[Context]) -> None:
+    def __init__(
+        self,
+        ontology: Ontology,
+        contexts: Iterable[Context],
+        paper_rows: PaperRows,
+    ) -> None:
         self.ontology = ontology
+        self.paper_rows = paper_rows
         self._contexts: Dict[str, Context] = {}
         for context in contexts:
             if context.term_id not in ontology:
@@ -223,13 +219,15 @@ class ContextPaperSet:
         """
         columns = self._columns
         if columns is None:
-            columns = self._columns = ContextColumns(list(self._contexts.values()))
+            columns = self._columns = ContextColumns(
+                list(self._contexts.values()), self.paper_rows
+            )
         return columns
 
     def contexts_of_paper(self, paper_id: str) -> Tuple[str, ...]:
         """All context ids containing ``paper_id``, in context order."""
         columns = self.columns
-        row = columns.paper_row.get(paper_id)
+        row = self.paper_rows.row_of.get(paper_id)
         if row is None:
             return ()
         context_ids = columns.context_ids
@@ -249,6 +247,7 @@ class ContextPaperSet:
         return ContextPaperSet(
             self.ontology,
             [c for c in self._contexts.values() if c.size >= min_size],
+            self.paper_rows,
         )
 
     def contexts_at_level(self, level: int) -> List[Context]:

@@ -12,7 +12,8 @@ Every writer goes through :func:`atomic_write`, so a crash mid-write
 leaves the previous file intact and a reader that has a file open or
 mapped keeps seeing the bytes it opened.  Every reader raises
 ``ValueError`` naming the path when a file is corrupt or of the wrong
-format.
+format, or names a paper the corpus lacks: a file's paper table is its
+own, mapped to the corpus's :class:`~repro.corpus.rows.PaperRows` once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.core.context import (
 )
 from repro.core.patterns import Extractions, PatternExtraction
 from repro.core.vectors import PaperVectorStore
+from repro.corpus.rows import PaperRows
 from repro.ontology.ontology import Ontology
 from repro.scoring.base import PrestigeScores, ScoreRows
 from repro.text.analyze import AnalyzedPaperCache
@@ -155,15 +157,16 @@ def write_context_paper_set(paper_set: ContextPaperSet, path: PathLike) -> None:
     _write_npz(path, header, {"indptr": indptr, "members": members})
 
 
-def read_context_paper_set(path: PathLike, ontology: Ontology) -> ContextPaperSet:
-    """Load a context paper set against the ontology it was built on.
-
-    Terms missing from ``ontology`` raise (a paper set only makes sense
-    with its ontology; silently dropping contexts would skew experiments).
-    """
+def read_context_paper_set(
+    path: PathLike, ontology: Ontology, paper_rows: PaperRows
+) -> ContextPaperSet:
+    """Load a context paper set against the ontology and corpus rows it
+    was built on; a term or paper they lack raises (silently dropping
+    contexts would skew experiments)."""
     header, members = _read_npz(path, _PAPER_SET_FORMAT, "context paper set")
     try:
         paper_ids = header["paper_ids"]
+        paper_rows.rows(paper_ids)
         term_ids = header["contexts"]
         training, representatives, inherited, decays = (header[key] for key in (
             "training", "representatives", "inherited_from", "decay"
@@ -193,7 +196,7 @@ def read_context_paper_set(path: PathLike, ontology: Ontology) -> ContextPaperSe
                 inherited, decays,
             )
         ]
-        return ContextPaperSet(ontology, contexts)
+        return ContextPaperSet(ontology, contexts, paper_rows)
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"{path}: corrupt context paper set file ({error})") from error
 
@@ -411,10 +414,10 @@ def read_pattern_extractions(path: PathLike) -> Extractions:
 # -- prestige scores (v2) ------------------------------------------------------------
 #
 # Members: ``header`` (uint8 bytes of a JSON object: format tag, function
-# name, the sorted paper-id table, the row context ids of each map) and
-# ``indptr`` (int64) / ``rows`` (int32 into the paper table) / ``values``
-# (float64) per map, prefixed ``pre_`` for the pre-propagation rows.  The zip
-# CRC-32 of every member is checked on read.
+# name, the sorted table of the papers the maps hold, the row context ids
+# of each map) and ``indptr`` (int64) / ``rows`` (int32 into the table) /
+# ``values`` (float64) per map, prefixed ``pre_`` for the pre-propagation
+# rows.  The zip CRC-32 of every member is checked on read.
 
 
 def write_prestige_scores(scores: PrestigeScores, path: PathLike) -> None:
@@ -422,28 +425,34 @@ def write_prestige_scores(scores: PrestigeScores, path: PathLike) -> None:
 
     Keeping ``pre`` gives a workspace-hydrated pipeline the
     incremental per-context patch path that in-memory scores get (see
-    :class:`PrestigeScores`).  The scores' rows are written as they are.
+    :class:`PrestigeScores`).  The file's paper table is the papers the
+    maps hold, sorted by id; each map's rows are renumbered into it.
     """
-    paper_ids, main, pre = scores.to_rows()
+    main, pre, paper_rows = scores.scores, scores.pre, scores.paper_rows
+    used = np.unique(np.concatenate([m.rows for m in (main, pre) if m is not None]))
+    used = used[np.argsort(paper_rows.rank[used])]
+    position = np.zeros(len(paper_rows), dtype=np.int32)
+    position[used] = np.arange(len(used), dtype=np.int32)
     header = {
         "format": _SCORES_FORMAT,
         "function": scores.function_name,
-        "paper_ids": list(paper_ids),
+        "paper_ids": [paper_rows.ids[row] for row in used.tolist()],
         "contexts": list(main.context_ids),
         "pre_propagation_contexts": None if pre is None else list(pre.context_ids),
     }
-    arrays = {"indptr": main.indptr, "rows": main.rows, "values": main.values}
+    arrays = {"indptr": main.indptr, "rows": position[main.rows], "values": main.values}
     if pre is not None:
-        arrays.update(pre_indptr=pre.indptr, pre_rows=pre.rows, pre_values=pre.values)
+        arrays.update(pre_indptr=pre.indptr, pre_rows=position[pre.rows])
+        arrays["pre_values"] = pre.values
     _write_npz(path, header, arrays)
 
 
-def read_prestige_scores(path: PathLike) -> PrestigeScores:
+def read_prestige_scores(path: PathLike, paper_rows: PaperRows) -> PrestigeScores:
     """Load prestige scores written by :func:`write_prestige_scores`.
 
-    The rows are used as stored: no per-entry Python object is built.
-    The paper table must be strictly ascending and each map's context
-    ids unique, since lookups by paper and by context rely on both.
+    The file's paper table must be strictly ascending, name only papers
+    of ``paper_rows``, and each map's context ids must be unique; the
+    table is mapped to ``paper_rows`` with one gather per map.
     """
     header, members = _read_npz(path, _SCORES_FORMAT, "prestige-scores")
     try:
@@ -451,19 +460,20 @@ def read_prestige_scores(path: PathLike) -> PrestigeScores:
         paper_ids = tuple(header["paper_ids"])
         if any(a >= b for a, b in zip(paper_ids, paper_ids[1:])):
             raise ValueError("paper_ids not strictly ascending")
-        main = _score_rows(header["contexts"], members, "", len(paper_ids))
+        table = paper_rows.rows(paper_ids).astype(np.int32)
+        main = _score_rows(header["contexts"], members, "", table)
         pre = header["pre_propagation_contexts"]
         if pre is not None:
-            pre = _score_rows(pre, members, "pre_", len(paper_ids))
+            pre = _score_rows(pre, members, "pre_", table)
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"{path}: corrupt prestige-scores file ({error})") from error
-    return PrestigeScores(function_name, paper_ids, main, pre)
+    return PrestigeScores(function_name, paper_rows, main, pre)
 
 
 def _score_rows(
-    context_ids, members: Dict[str, np.ndarray], prefix: str, n_papers: int
+    context_ids, members: Dict[str, np.ndarray], prefix: str, table: np.ndarray
 ) -> ScoreRows:
-    """One map's arrays, checked against each other and the paper table."""
+    """One map's arrays, checked, with its rows mapped through ``table``."""
     context_ids = tuple(context_ids)
     if len(set(context_ids)) != len(context_ids):
         raise ValueError(f"duplicate {prefix}context ids")
@@ -471,10 +481,10 @@ def _score_rows(
     rows = members[prefix + "rows"]
     values = members[prefix + "values"]
     what = f"{prefix}indptr/rows/values"
-    check_csr(indptr, rows, len(context_ids), n_papers, what)
+    check_csr(indptr, rows, len(context_ids), len(table), what)
     if values.dtype != np.float64 or values.shape != rows.shape:
         raise ValueError(f"inconsistent {what} arrays")
-    return ScoreRows(context_ids, indptr, rows, values)
+    return ScoreRows(context_ids, indptr, table[rows], values)
 
 
 # -- the vector store (v2) -----------------------------------------------------------

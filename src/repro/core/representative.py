@@ -44,14 +44,14 @@ def representatives_of(
     scored = [i for i, group in enumerate(groups) if len(group) > 1]
     if not scored:
         return chosen
-    rows = vectors.full_rows
+    rows, paper_rows = vectors.full_rows, vectors.paper_rows
     sizes = [len(groups[i]) for i in scored]
     centers = rows.centroids(
-        vectors.rows_of(chain.from_iterable(groups[i] for i in scored)), sizes
+        paper_rows.rows(chain.from_iterable(groups[i] for i in scored)), sizes
     )
     ordered = [pid for i in scored for pid in sorted(groups[i])]
     owner = np.repeat(np.arange(len(scored)), sizes)
-    similarities = cosine_pairs(rows, vectors.rows_of(ordered), centers, owner)
+    similarities = cosine_pairs(rows, paper_rows.rows(ordered), centers, owner)
     # Per group, the highest similarity, the first in paper-id order on a tie.
     best = np.lexsort((np.arange(len(ordered)), -similarities, owner))
     firsts = best[np.flatnonzero(np.diff(owner[best], prepend=-1))]

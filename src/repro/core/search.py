@@ -20,23 +20,22 @@ that probe selection, relevancy scoring, grouped results, and
 scanned twice for one request.
 
 Selection, scoring and merging run as array operations over the paper
-set's :class:`~repro.core.context.ContextColumns` (CSR rows over a dense
-paper index sorted by id) and the prestige values aligned with them.
-The evaluation is itself arrays over the index's paper rows; one
-index-row -> columns-row gather array, cached per paper table, carries
-them into the columns' row space without a paper-id lookup:
+set's :class:`~repro.core.context.ContextColumns` (CSR rows over the
+corpus's :class:`~repro.corpus.rows.PaperRows`) and the prestige values
+aligned with them.  The evaluation is arrays over the same paper rows,
+so its rows index the columns directly:
 
-- probe selection takes the evaluation's top rows with one ``lexsort``,
-  gathers their columns rows, and sums their scores into the contexts
-  of their reverse-CSR rows with ``np.add.at``, in probe order;
+- probe selection takes the evaluation's top rows with one ``lexsort``
+  and sums their scores into the contexts of their reverse-CSR rows
+  with ``np.add.at``, in probe order;
 - scoring scatters the evaluation into a match vector, gathers the
   selected rows, masks the members the query matched, and computes
   ``w_prestige * p + w_matching * m`` with the same float64 operations
   a scalar loop performs;
 - merging keeps each paper's best relevancy (the earliest selected
   context on a tie) and ranks by ``(-relevancy, paper_id)`` with
-  ``lexsort``; :class:`SearchHit` objects are built only for the
-  returned rows.
+  ``lexsort`` over the rows' id ``rank``; :class:`SearchHit` objects
+  are built only for the returned rows.
 
 Rankings are bit-identical to the per-paper loop they replace
 (``tests/reference/search.py`` keeps that loop as the reference).
@@ -46,8 +45,9 @@ on shared engines.  The arrays are built once per engine under its lock
 (:meth:`ContextSearchEngine.warm`) and only read afterwards; every
 per-query array is local to the call.  Paper sets and prestige scores
 are immutable -- a corpus delta builds new ones -- so nothing is ever
-invalidated.  The gather array is stored with its paper table as one
-tuple, so a racing first build costs a duplicate, never a mismatch.
+invalidated.  An evaluation, the paper set and the prestige scores must
+hold the same :class:`~repro.corpus.rows.PaperRows` object; a request
+that mixes two corpus revisions raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 from repro.core.context import ContextPaperSet, csr_positions
 from repro.core.cosine import TermMajor, VectorRows, dot_pairs, finish_cosines
 from repro.core.vectors import PaperVectorStore
-from repro.index.inverted import PaperTable
+from repro.corpus.rows import check_same_rows
 from repro.index.search import (
     KeywordSearchEngine,
     QueryEvaluation,
@@ -147,7 +147,7 @@ class _RepresentativeView:
             if cid in representatives
         ]
         context_rows = np.array([row for row, _ in chosen], dtype=np.intp)
-        rows = vectors.full_rows.take(vectors.rows_of(rep for _, rep in chosen))
+        rows = vectors.full_rows.take(vectors.paper_rows.rows(rep for _, rep in chosen))
         terms = rows.by_term()
         return cls(context_rows, rows, terms, terms.indptr.tolist())
 
@@ -157,7 +157,7 @@ class _Scored:
     """Scored (context, paper) pairs as parallel arrays.
 
     ``order`` is the context's position in the selection, ``papers`` the
-    paper's row in the set's :class:`~repro.core.context.ContextColumns`.
+    paper's :class:`~repro.corpus.rows.PaperRows` row.
     """
 
     order: np.ndarray
@@ -239,7 +239,6 @@ class ContextSearchEngine:
         self._warm_lock = threading.Lock()
         self._warmed = False
         self._rep_view: Optional[_RepresentativeView] = None
-        self._gather: Optional[Tuple[PaperTable, np.ndarray]] = None
 
     # -- engine warm-up ----------------------------------------------------------------
 
@@ -340,21 +339,18 @@ class ContextSearchEngine:
         rows give the contexts they reach, and ``np.add.at`` sums each
         hit's score into those contexts in probe order -- the order a
         per-hit loop would add them in.  Papers outside the set still
-        take probe slots; they just reach no context.
+        take probe slots; their reverse-CSR rows are empty.
         """
         self.warm()
         columns = self._columns
         probe = evaluation.ranked(self.probe_depth)
         if not len(probe):
             return {}
-        rows = self._member_rows(evaluation)[probe]
-        inside = rows >= 0
-        positions, counts = csr_positions(columns.paper_indptr, rows[inside])
+        check_same_rows(evaluation.table, columns.paper_rows)
+        positions, counts = csr_positions(columns.paper_indptr, evaluation.papers[probe])
         reached = columns.paper_contexts[positions]
         totals = np.zeros(len(columns))
-        np.add.at(
-            totals, reached, np.repeat(evaluation.scores[probe][inside], counts)
-        )
+        np.add.at(totals, reached, np.repeat(evaluation.scores[probe], counts))
         touched = np.flatnonzero(np.bincount(reached, minlength=len(columns)))
         # Normalise by context size so huge contexts don't always win.
         strengths = totals[touched] / columns.sqrt_sizes[touched]
@@ -364,26 +360,6 @@ class ContextSearchEngine:
                 query_terms
             )[touched]
         return self._by_context_id(touched, strengths)
-
-    def _member_rows(self, evaluation: QueryEvaluation) -> np.ndarray:
-        """Each matched paper's ``ContextColumns`` row (-1 outside the set).
-
-        One gather through an index-row -> columns-row array, built on
-        first use per paper table.  The array is cached with the table
-        object it was built from, so an evaluation over another index (a
-        new table) never reads it with rows of another table.
-        """
-        table = evaluation.table
-        cached = self._gather
-        if cached is None or cached[0] is not table:
-            row_of = self._columns.paper_row
-            gather = np.fromiter(
-                (row_of.get(paper_id, -1) for paper_id in table.ids),
-                dtype=np.intp,
-                count=len(table.ids),
-            )
-            cached = self._gather = (table, gather)
-        return cached[1][evaluation.papers]
 
     def _name_strengths(self, query: str) -> Dict[str, float]:
         """Strength by query-term overlap with context term names only.
@@ -504,7 +480,8 @@ class ContextSearchEngine:
                 first[1:] = papers[1:] != papers[:-1]
                 best = scored.take(by_paper[first])
                 merge_deduped = len(scored) - len(best)
-                ranked = np.lexsort((best.papers, -best.relevancy))
+                rank = self._columns.paper_rows.rank
+                ranked = np.lexsort((rank[best.papers], -best.relevancy))
                 if limit is not None:
                     ranked = ranked[:limit]
                 hits = self._hits(best.take(ranked), selected)
@@ -557,16 +534,16 @@ class ContextSearchEngine:
         return scored.take(~(scored.relevancy < threshold)), len(scored)
 
     def _match_vector(self, evaluation: QueryEvaluation) -> np.ndarray:
-        """Match score by paper row; 0.0 for members the query missed."""
-        rows = self._member_rows(evaluation)
-        inside = rows >= 0
-        vector = np.zeros(len(self._columns.paper_ids))
-        vector[rows[inside]] = evaluation.scores[inside]
+        """Match score by paper row; 0.0 for papers the query missed."""
+        paper_rows = self._columns.paper_rows
+        check_same_rows(evaluation.table, paper_rows)
+        vector = np.zeros(len(paper_rows))
+        vector[evaluation.papers] = evaluation.scores
         return vector
 
     def _hits(self, scored: _Scored, selected: Sequence[str]) -> List[SearchHit]:
         """One :class:`SearchHit` per scored row, in row order."""
-        paper_ids = self._columns.paper_ids
+        paper_ids = self._columns.paper_rows.ids
         return [
             SearchHit(
                 paper_id=paper_ids[paper],
@@ -638,8 +615,9 @@ class ContextSearchEngine:
         selected = [selection.context_id for selection in selections]
         scored, _ = self._score(selected, evaluation, threshold)
         # Selection order first, then the per-context ranking.
+        rank = self._columns.paper_rows.rank
         scored = scored.take(
-            np.lexsort((scored.papers, -scored.relevancy, scored.order))
+            np.lexsort((rank[scored.papers], -scored.relevancy, scored.order))
         )
         bounds = np.searchsorted(scored.order, np.arange(len(selected) + 1))
         groups: List[ContextResultGroup] = []

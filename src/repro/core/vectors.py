@@ -11,7 +11,8 @@ text.  A model is fitted on first use from every paper's analysed terms,
 read from the corpus's token cache
 (:class:`~repro.text.analyze.AnalyzedPaperCache`); the terms survive as
 each paper's ordered term counts (term ids in first-occurrence order),
-kept as CSR arrays over one corpus-wide paper row index.  The unit
+kept as CSR arrays over the corpus's
+:class:`~repro.corpus.rows.PaperRows`.  The unit
 TF-IDF rows (:class:`~repro.core.cosine.VectorRows`) are weighted from
 those counts on first use, and re-weighted from them after a corpus
 delta: a delta reads only the papers it adds.
@@ -27,6 +28,7 @@ import numpy as np
 from repro.core.context import check_csr, csr_positions
 from repro.core.cosine import VectorRows, indptr_of, row_norms
 from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
+from repro.corpus.rows import PaperRows
 from repro.text.analyze import AnalyzedPaperCache
 from repro.text.vectorize import SparseVector, TfidfModel
 
@@ -122,35 +124,9 @@ class PaperVectorStore:
         self.tokens = tokens
         self.corpus = tokens.corpus
         self._models: Dict[str, ModelRows] = {}
-        #: The paper row index every model's rows share (corpus order).
-        self._paper_ids: Optional[List[str]] = None
-        self._paper_row: Dict[str, int] = {}
+        #: The rows every model shares, moved on by :meth:`apply_delta`.
+        self.paper_rows: PaperRows = self.corpus.paper_rows
         self._vectors: Dict[str, Dict[str, SparseVector]] = {}
-
-    # -- the paper row index --------------------------------------------------------
-
-    @property
-    def paper_ids(self) -> List[str]:
-        """Paper ids by row: the corpus order the models were fitted in."""
-        if self._paper_ids is None:
-            self._set_paper_ids(self.corpus.paper_ids())
-        return self._paper_ids
-
-    def _set_paper_ids(self, paper_ids: List[str]) -> None:
-        self._paper_ids = paper_ids
-        self._paper_row = {pid: row for row, pid in enumerate(paper_ids)}
-
-    def row_of(self, paper_id: str) -> int:
-        """The row of ``paper_id`` (``KeyError`` if it is not in the corpus)."""
-        _ = self.paper_ids
-        return self._paper_row[paper_id]
-
-    def rows_of(self, paper_ids: Iterable[str]) -> np.ndarray:
-        """Rows of ``paper_ids``, in their order."""
-        _ = self.paper_ids
-        return np.array(
-            [self._paper_row[pid] for pid in paper_ids], dtype=np.int64
-        )
 
     # -- models -----------------------------------------------------------------------
 
@@ -174,7 +150,7 @@ class PaperVectorStore:
         model = self._models.get(name)
         if model is None:
             tfidf = TfidfModel()
-            analysed = [self._analyze(tfidf, pid, name) for pid in self.paper_ids]
+            analysed = [self._analyze(tfidf, pid, name) for pid in self.paper_rows.ids]
             model = ModelRows.of_counts(
                 tfidf, [ids for ids, _ in analysed], [c for _, c in analysed]
             )
@@ -205,7 +181,7 @@ class PaperVectorStore:
         cache = self._vectors.setdefault(name, {})
         vector = cache.get(paper_id)
         if vector is None:
-            vector = self._model(name).rows.vector(self.row_of(paper_id))
+            vector = self._model(name).rows.vector(self.paper_rows.row_of[paper_id])
             cache[paper_id] = vector
         return vector
 
@@ -223,7 +199,7 @@ class PaperVectorStore:
 
     def centroid_of(self, paper_ids: Iterable[str]) -> SparseVector:
         """Centroid of the whole-paper vectors of ``paper_ids``."""
-        return self.full_rows.centroid(self.rows_of(paper_ids)).vector(0)
+        return self.full_rows.centroid(self.paper_rows.rows(paper_ids)).vector(0)
 
     # -- incremental updates -----------------------------------------------------------
 
@@ -241,18 +217,15 @@ class PaperVectorStore:
         analysed; every row re-weights lazily from the retained counts
         (a corpus-wide IDF shift stales them all).  Models not yet fitted
         stay lazy and simply see the mutated corpus when first requested.
+        The rows move to the corpus's new :class:`PaperRows` (kept rows,
+        then the added papers).
         """
-        if self._paper_ids is None:
-            return
-        removed_rows = {self._paper_row[paper.paper_id] for paper in removed}
-        kept = np.array(
-            [r for r in range(len(self._paper_ids)) if r not in removed_rows],
-            dtype=np.int64,
-        )
+        old, new = self.paper_rows, self.corpus.paper_rows
+        kept = np.flatnonzero(old.remap(new, {p.paper_id for p in removed}) >= 0)
         for name, model in list(self._models.items()):
             vocabulary = model.tfidf.vocabulary
             for paper in removed:
-                row = self._paper_row[paper.paper_id]
+                row = old.row_of[paper.paper_id]
                 vocabulary.remove_document(
                     [vocabulary.term_of(term_id) for term_id in model.row_ids(row)]
                 )
@@ -262,10 +235,7 @@ class PaperVectorStore:
             self._models[name] = model.spliced(
                 kept, [ids for ids, _ in analysed], [c for _, c in analysed]
             )
-        self._set_paper_ids(
-            [self._paper_ids[r] for r in kept.tolist()]
-            + [paper.paper_id for paper in added]
-        )
+        self.paper_rows = new
         self._vectors.clear()
 
     # -- (de)serialisation -------------------------------------------------------------
@@ -287,7 +257,8 @@ class PaperVectorStore:
         ``counts`` (the counts) and ``row_indptr`` / ``row_ids`` /
         ``weights`` / ``norms`` (the unit rows).
         """
-        header: Dict[str, object] = {"paper_ids": list(self.paper_ids), "models": {}}
+        header: Dict[str, object] = {"paper_ids": list(self.paper_rows.ids)}
+        header["models"] = {}
         arrays: Dict[str, np.ndarray] = {}
         for name in MODEL_NAMES:
             model = self._models.get(name)
@@ -318,11 +289,12 @@ class PaperVectorStore:
         """Rebuild a store from :meth:`to_arrays` output.
 
         Raises ``ValueError`` when the arrays disagree with each other or
-        with the paper table.
+        with the paper table, or the table is not the corpus's rows.
         """
         store = cls(tokens)
         paper_ids = list(header["paper_ids"])
-        store._set_paper_ids(paper_ids)
+        if paper_ids != list(store.paper_rows.ids):
+            raise ValueError("paper_ids differ from the corpus's papers")
         for name, payload in header["models"].items():
             if name not in MODEL_NAMES:
                 raise ValueError(f"unknown vector model {name!r}")

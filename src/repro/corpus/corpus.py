@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.corpus.paper import Paper
+from repro.corpus.rows import PaperRows
+
+#: Concurrent first readers of a revision's rows get one object.
+_ROWS_LOCK = threading.Lock()
 
 
 class CorpusError(ValueError):
@@ -24,6 +29,7 @@ class Corpus:
         self._papers: Dict[str, Paper] = {}
         self._outgoing: Optional[Dict[str, Tuple[str, ...]]] = None
         self._by_author: Optional[Dict[str, Tuple[str, ...]]] = None
+        self._paper_rows: Optional[PaperRows] = None
         if papers is not None:
             for paper in papers:
                 self.add(paper)
@@ -54,6 +60,7 @@ class Corpus:
     def _invalidate(self) -> None:
         self._outgoing = None
         self._by_author = None
+        self._paper_rows = None
 
     # -- basic access -------------------------------------------------------------
 
@@ -76,6 +83,17 @@ class Corpus:
     def paper_ids(self) -> List[str]:
         """All paper ids in insertion order."""
         return list(self._papers)
+
+    @property
+    def paper_rows(self) -> PaperRows:
+        """This revision's :class:`PaperRows`, built on first read."""
+        paper_rows = self._paper_rows
+        if paper_rows is None:
+            with _ROWS_LOCK:
+                paper_rows = self._paper_rows
+                if paper_rows is None:
+                    paper_rows = self._paper_rows = PaperRows(self._papers)
+        return paper_rows
 
     # -- citation structure ---------------------------------------------------------
 

@@ -14,7 +14,6 @@ search with a high threshold", section 2).
 
 from repro.index.inverted import (
     InvertedIndex,
-    PaperTable,
     build_index,
     open_index,
     save_index,
@@ -24,7 +23,6 @@ from repro.index.snippets import Snippet, best_snippet
 
 __all__ = [
     "InvertedIndex",
-    "PaperTable",
     "build_index",
     "open_index",
     "save_index",

@@ -19,7 +19,9 @@ of two ways:
 Both number papers and sections in first-posting order (the order a
 term-major scan first meets them), so a built index and its reopened
 copy hold equal records, and the saved bytes are a pure function of the
-corpus.  The index never changes: a corpus delta builds a new one.
+corpus.  Both map that table once to the corpus's
+:class:`~repro.corpus.rows.PaperRows`.  The index never changes: a
+corpus delta builds a new one.
 
 File layout (``index.bin``): ``magic | u64 header_len | header JSON |
 data``:
@@ -31,8 +33,9 @@ data``:
   records (:data:`_RECORD`), tiling the data region in directory order.
 
 Opening checks the header's keys and types, that the runs tile the data,
-and that every record indexes the paper and section tables with a
-positive tf, so a damaged file fails at open, not at its first query.
+that every record indexes the paper and section tables with a positive
+tf, and that the corpus holds every paper of the table, so a damaged or
+foreign file fails at open, not at its first query.
 
 Metrics: an ``index.backend.mapped_bytes`` gauge set when a file is
 mapped.
@@ -51,6 +54,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.corpus.paper import Section, TEXT_SECTIONS
+from repro.corpus.rows import PaperRows
 from repro.obs import get_registry
 from repro.text.analyze import Analyzer, AnalyzedPaperCache, default_analyzer
 
@@ -69,29 +73,10 @@ _HEADER_TYPES = {
 }
 
 
-class PaperTable:
-    """The dense paper rows of one index.
-
-    ``ids[row]`` is a row's paper and ``row_of`` the inverse;
-    ``rank[row]`` is the row's position in ascending paper-id order, so
-    a ``(-score, paper_id)`` ranking over rows is one ``lexsort``.
-    """
-
-    __slots__ = ("ids", "row_of", "rank")
-
-    def __init__(self, ids: Sequence[str]) -> None:
-        self.ids: Tuple[str, ...] = tuple(ids)
-        self.row_of = {paper_id: row for row, paper_id in enumerate(self.ids)}
-        self.rank = np.empty(len(self.ids), dtype=np.intp)
-        self.rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = (
-            np.arange(len(self.ids))
-        )
-
-
 class TermRun(NamedTuple):
     """One term's postings as parallel columns, in indexing order."""
 
-    #: Each posting's paper, as a row of the index's :class:`PaperTable`.
+    #: Each posting's paper, as a row of the index's :class:`PaperRows`.
     rows: np.ndarray
     #: Each posting's section, as a position in ``section_table``.
     sections: np.ndarray
@@ -104,8 +89,10 @@ class InvertedIndex:
 
     Make one with :func:`build_index` or :func:`open_index`.  ``data``
     holds the records, ``terms`` maps each term to its ``(df, offset,
-    count)`` with ``offset`` in bytes from ``data_start``.  Scoring sums
-    floats in postings order, so two indexes with equal records give
+    count)`` with ``offset`` in bytes from ``data_start``;
+    ``table_rows`` maps the file's paper table to ``paper_rows``.
+    Scoring sums floats in postings order, so two indexes with equal
+    records give
     bit-identical scores.
     """
 
@@ -113,7 +100,8 @@ class InvertedIndex:
         self,
         analyzer: Analyzer,
         n_papers: int,
-        paper_ids: Sequence[str],
+        paper_rows: PaperRows,
+        table_rows: np.ndarray,
         sections: Sequence[Section],
         terms: Dict[str, Tuple[int, int, int]],
         data,
@@ -123,7 +111,8 @@ class InvertedIndex:
         #: queries must be analysed with the same one.
         self.analyzer = analyzer
         self.n_papers = n_papers
-        self._paper_table = PaperTable(paper_ids)
+        self.paper_rows = paper_rows
+        self._table_rows = table_rows
         self._sections: Tuple[Section, ...] = tuple(sections)
         self._terms = terms
         self._vocabulary: Tuple[str, ...] = tuple(terms)
@@ -161,15 +150,11 @@ class InvertedIndex:
             self._data[start : start + count * _RECORD.itemsize], dtype=_RECORD
         )
 
-    def paper_table(self) -> PaperTable:
-        """The papers that have postings, in first-posting order."""
-        return self._paper_table
-
     def term_run(self, term: str) -> TermRun:
         """The postings of ``term`` in indexing order (empty if unseen)."""
         records = self._records(term)
         return TermRun(
-            records["paper"].astype(np.intp),
+            self._table_rows[records["paper"]],
             records["section"],
             records["tf"],
             self._sections,
@@ -182,9 +167,9 @@ class InvertedIndex:
 
     def papers_containing(self, term: str) -> List[str]:
         """Distinct paper ids containing ``term``, in indexing order."""
-        rows = self._records(term)["paper"]
+        rows = self._table_rows[self._records(term)["paper"]]
         _, first = np.unique(rows, return_index=True)
-        paper_ids = self._paper_table.ids
+        paper_ids = self.paper_rows.ids
         return [paper_ids[row] for row in rows[np.sort(first)].tolist()]
 
     # -- vocabulary ----------------------------------------------------------------
@@ -214,7 +199,7 @@ def build_index(tokens: AnalyzedPaperCache) -> InvertedIndex:
     cells, with terms numbered by first occurrence; a stable sort by
     term id then makes the runs term-major with each run in corpus and
     section order.  Papers and sections are renumbered in first-posting
-    order, the row space :func:`open_index` reads back.
+    order, the file table :func:`open_index` reads back.
     """
     vocabulary: Dict[str, int] = {}
     term_ids: List[int] = []
@@ -223,8 +208,8 @@ def build_index(tokens: AnalyzedPaperCache) -> InvertedIndex:
     run_lengths: List[int] = []
     run_papers: List[int] = []
     run_sections: List[int] = []
-    paper_ids = tokens.corpus.paper_ids()
-    for position, paper_id in enumerate(paper_ids):
+    paper_rows = tokens.corpus.paper_rows
+    for position, paper_id in enumerate(paper_rows.ids):
         for code, section in enumerate(TEXT_SECTIONS):
             terms = tokens.tokens(paper_id, section)
             if not terms:
@@ -243,11 +228,11 @@ def build_index(tokens: AnalyzedPaperCache) -> InvertedIndex:
     term_col = term_col[order]
     paper_col = np.repeat(np.array(run_papers, dtype=np.int64), run_lengths)[order]
     section_col = np.repeat(np.array(run_sections, dtype=np.int64), run_lengths)[order]
-    papers, paper_rows = _first_seen(paper_col)
+    papers, table_positions = _first_seen(paper_col)
     sections, section_codes = _first_seen(section_col)
 
     records = np.empty(len(order), dtype=_RECORD)
-    records["paper"] = paper_rows
+    records["paper"] = table_positions
     records["section"] = section_codes
     records["tf"] = np.array(frequencies, dtype=np.int64)[order]
 
@@ -260,8 +245,9 @@ def build_index(tokens: AnalyzedPaperCache) -> InvertedIndex:
     offsets = (np.cumsum([0] + counts[:-1]) * _RECORD.itemsize).tolist()
     return InvertedIndex(
         tokens.analyzer,
-        len(paper_ids),
-        [paper_ids[position] for position in papers.tolist()],
+        len(paper_rows),
+        paper_rows,
+        papers,
         [TEXT_SECTIONS[code] for code in sections.tolist()],
         {
             term: (df, offset, count)
@@ -289,7 +275,7 @@ def save_index(index: InvertedIndex, path) -> None:
         {
             "n_papers": index.n_papers,
             "revision": index.n_papers,
-            "paper_ids": list(index.paper_table().ids),
+            "paper_ids": [index.paper_rows.ids[r] for r in index._table_rows.tolist()],
             "sections": [section.value for section in index._sections],
             "terms": [
                 [term, *index._terms[term]] for term in index.vocabulary()
@@ -392,9 +378,11 @@ def _check_records(buffer, data_start: int, header: dict, path) -> None:
         )
 
 
-def open_index(path) -> InvertedIndex:
+def open_index(path, paper_rows: PaperRows) -> InvertedIndex:
     """Map an index file read-only, parse its header and check its
-    records in one vectorised pass; decode no run."""
+    records in one vectorised pass; decode no run.  The paper table is
+    mapped to ``paper_rows`` once; a paper it lacks raises ``ValueError``.
+    """
     path = Path(path)
     with open(path, "rb") as handle:
         if os.fstat(handle.fileno()).st_size < _PREAMBLE:
@@ -408,6 +396,10 @@ def open_index(path) -> InvertedIndex:
             sections = [Section(value) for value in header["sections"]]
         except ValueError as error:
             raise ValueError(f"{path}: corrupt header ({error})") from error
+        try:
+            table_rows = paper_rows.rows(header["paper_ids"])
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from error
     except ValueError:
         buffer.close()
         raise
@@ -415,7 +407,8 @@ def open_index(path) -> InvertedIndex:
     return InvertedIndex(
         default_analyzer(),
         header["n_papers"],
-        header["paper_ids"],
+        paper_rows,
+        table_rows,
         sections,
         {term: (df, offset, count) for term, df, offset, count in header["terms"]},
         buffer,

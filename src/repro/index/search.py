@@ -19,13 +19,13 @@ context selection, and explain all share.  A single context-based search
 therefore touches each posting list exactly once.
 
 The scan is columnar.  The engine caches each queried term's paper
-rows (over the index's :class:`~repro.index.inverted.PaperTable`), its
+rows (the corpus's :class:`~repro.corpus.rows.PaperRows` rows), its
 per-posting contributions ``weight * (1 + log tf) * idf``, its distinct
 rows and its idf.  A query concatenates its terms' arrays and sums them
 with one ``np.bincount``, which adds in postings order from 0.0 -- the float
 sums of a per-posting dict loop (``tests/reference/index.py`` keeps that
-loop as the reference).  The evaluation is arrays over the
-table's rows, so its consumers index them and never map paper ids.
+loop as the reference).  The evaluation is arrays over those rows, so
+its consumers index them and never map paper ids.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section
-from repro.index.inverted import InvertedIndex, PaperTable
+from repro.corpus.rows import PaperRows
+from repro.index.inverted import InvertedIndex
 from repro.obs import get_registry
 
 #: Per-section match weights: a title hit is worth more than a body
@@ -95,7 +96,7 @@ class QueryEvaluation:
     request never rescans the index.
 
     Columnar: ``papers`` are the matched rows of ``table`` (the index's
-    :class:`~repro.index.inverted.PaperTable`), ascending, and
+    :class:`~repro.corpus.rows.PaperRows`), ascending, and
     ``scores``/``matched_terms`` are parallel to them.  ``scores`` are
     normalised to [0, 1] by the query's maximum achievable self-score.
     """
@@ -104,7 +105,7 @@ class QueryEvaluation:
     #: Distinct analysed scoring terms, in query order.
     terms: Tuple[str, ...]
     #: The paper rows ``papers`` index.
-    table: PaperTable
+    table: PaperRows
     #: Matched paper rows, ascending (papers scoring 0 are absent).
     papers: np.ndarray
     #: Normalised match score per matched row (float64).
@@ -232,9 +233,9 @@ class KeywordSearchEngine:
         papers = np.empty(0, dtype=np.intp)
         scores = np.empty(0, dtype=np.float64)
         matched = np.empty(0, dtype=np.intp)
-        table = self.index.paper_table()
+        table = self.index.paper_rows
         if entries:
-            n_rows = len(table.ids)
+            n_rows = len(table)
             raw = np.bincount(
                 np.concatenate([entry.rows for entry in entries]),
                 weights=np.concatenate([entry.contributions for entry in entries]),

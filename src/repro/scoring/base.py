@@ -37,6 +37,7 @@ from repro.core.context import (
     csr_positions,
     indptr_of,
 )
+from repro.corpus.rows import PaperRows, check_same_rows
 from repro.obs import get_registry, span
 
 _METRIC_SEGMENT_SUB = re.compile(r"[^a-z0-9_]+")
@@ -44,13 +45,13 @@ _METRIC_SEGMENT_SUB = re.compile(r"[^a-z0-9_]+")
 
 @dataclass(frozen=True, eq=False)
 class ScoreRows:
-    """Prestige per context as CSR rows over a paper table.
+    """Prestige per context as CSR rows over a corpus's paper rows.
 
     ``values[indptr[c]:indptr[c + 1]]`` are the scores of context
-    ``context_ids[c]`` for the papers ``paper_ids[rows[...]]`` of a table
-    the caller owns, in the order they were scored; a row holds a paper
-    at most once.  The one form of a score table, from scoring to the
-    stored file (see :mod:`repro.core.io`).
+    ``context_ids[c]`` for the papers at ``rows[...]`` of the
+    :class:`PaperRows` the caller owns, in the order they were scored; a
+    row holds a paper at most once.  The one form of a score table, from
+    scoring to the stored file (see :mod:`repro.core.io`).
     """
 
     context_ids: Tuple[str, ...]
@@ -73,64 +74,56 @@ def _find(keys: np.ndarray, wanted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 
 
 def rows_from_maps(
-    context_ids: Sequence[str], maps: Sequence[Mapping[str, float]]
-) -> Tuple[Tuple[str, ...], ScoreRows]:
-    """``(paper_ids, rows)``: one row per map in its key order, over the
-    sorted ids the maps name."""
-    paper_ids = tuple(sorted(set(chain.from_iterable(maps))))
-    paper_row = {pid: row for row, pid in enumerate(paper_ids)}
+    paper_rows: PaperRows,
+    context_ids: Sequence[str],
+    maps: Sequence[Mapping[str, float]],
+) -> ScoreRows:
+    """One row per map, in its key order, over ``paper_rows``."""
     indptr = indptr_of([len(scores) for scores in maps])
     total = int(indptr[-1])
-    rows = np.fromiter(
-        map(paper_row.__getitem__, chain.from_iterable(maps)), np.int32, total
-    )
+    rows = paper_rows.rows(chain.from_iterable(maps)).astype(np.int32)
     values = np.fromiter(
         chain.from_iterable(scores.values() for scores in maps), np.float64, total
     )
-    return paper_ids, ScoreRows(tuple(context_ids), indptr, rows, values)
+    return ScoreRows(tuple(context_ids), indptr, rows, values)
 
 
 def take_rows(
-    sources: Sequence[Tuple[Tuple[str, ...], ScoreRows]],
-    picks: Sequence[Tuple[int, int]],
-) -> Tuple[Tuple[str, ...], ScoreRows]:
+    sources: Sequence[ScoreRows], picks: Sequence[Tuple[int, int]]
+) -> ScoreRows:
     """Row ``row`` of ``sources[source]`` for each ``(source, row)`` pick.
 
-    ``sources`` are ``(paper_ids, rows)`` pairs.  Returns ``(paper_ids,
-    rows)`` over the sorted union of the papers the picked rows hold.
+    Every source indexes the same paper rows, so the picked rows are
+    concatenated as they are.
     """
-    base = np.cumsum([0] + [len(paper_ids) for paper_ids, _ in sources])
-    papers, values = [np.zeros(0, np.int64)], [np.zeros(0, np.float64)]
-    for source, row in picks:
-        rows = sources[source][1]
-        start, end = rows.indptr[row:row + 2]
-        papers.append(rows.rows[start:end] + base[source])
-        values.append(rows.values[start:end])
-    papers = np.concatenate(papers)
-    every_id = tuple(chain.from_iterable(paper_ids for paper_ids, _ in sources))
-    used = np.flatnonzero(np.bincount(papers, minlength=len(every_id)))
-    used_ids = [every_id[row] for row in used.tolist()]
-    paper_ids = tuple(sorted(set(used_ids)))
-    paper_row = {pid: row for row, pid in enumerate(paper_ids)}
-    remap = np.fromiter(map(paper_row.__getitem__, used_ids), np.int32, len(used))
-    return paper_ids, ScoreRows(
-        tuple(sources[source][1].context_ids[row] for source, row in picks),
-        indptr_of([len(part) for part in values[1:]]),
-        remap[np.searchsorted(used, papers)],
-        np.concatenate(values),
+    bounds = [sources[source].indptr[row:row + 2] for source, row in picks]
+    return ScoreRows(
+        tuple(sources[source].context_ids[row] for source, row in picks),
+        indptr_of([end - start for start, end in bounds]),
+        np.concatenate([np.zeros(0, np.int32)] + [
+            sources[source].rows[start:end]
+            for (source, _), (start, end) in zip(picks, bounds)
+        ]),
+        np.concatenate([np.zeros(0, np.float64)] + [
+            sources[source].values[start:end]
+            for (source, _), (start, end) in zip(picks, bounds)
+        ]),
     )
 
 
 def blend_rows(
     paper_set: ContextPaperSet, components: Sequence[Tuple["PrestigeScores", float]]
-) -> Tuple[Tuple[str, ...], ScoreRows]:
+) -> ScoreRows:
     """The weighted sum of ``(scores, weight)`` components' ``pre`` rows.
 
     One row per context of ``paper_set`` that a component scored, in
     paper-set order, listing its papers in order of first appearance over
     the components.  A paper's value is ``0.0 + w_1 * v_1 + w_2 * v_2
     ...`` over the components holding it, added in component order.
+    Every component must be over ``paper_set``'s paper rows.
     """
+    for scores, _ in components:
+        check_same_rows(scores.paper_rows, paper_set.paper_rows)
     context_ids = paper_set.context_ids()
     picks, pick_context, pick_weight = [], [], []
     for position, context_id in enumerate(context_ids):
@@ -140,9 +133,7 @@ def blend_rows(
                 picks.append((source, row))
                 pick_context.append(position)
                 pick_weight.append(weight)
-    paper_ids, stacked = take_rows(
-        [(scores.paper_ids, scores.pre) for scores, _ in components], picks
-    )
+    stacked = take_rows([scores.pre for scores, _ in components], picks)
     counts = np.diff(stacked.indptr)
     keys = np.repeat(np.array(pick_context, dtype=np.int64) << 32, counts)
     keys |= stacked.rows
@@ -154,7 +145,7 @@ def blend_rows(
     np.add.at(values, np.argsort(order)[inverse], weighted * stacked.values)
     blended = unique[order]
     contexts, sizes = np.unique(blended >> 32, return_counts=True)
-    return paper_ids, ScoreRows(
+    return ScoreRows(
         tuple(context_ids[position] for position in contexts.tolist()),
         indptr_of(sizes),
         (blended & 0xFFFFFFFF).astype(np.int32),
@@ -281,24 +272,20 @@ NORMALIZERS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 class PrestigeScores:
     """Prestige of every paper in every context, for one score function.
 
-    One sorted paper table ``paper_ids`` and two :class:`ScoreRows` over
-    it with the same layout: ``scores``, after hierarchy max-propagation,
-    and ``pre``, before it (None when a stored file has none), which
-    corpus deltas patch and re-propagate and derived functions blend.
-    Never mutated; :meth:`aligned` caches its scatter.
+    Two :class:`ScoreRows` over the corpus revision ``paper_rows`` with
+    the same layout: ``scores``, after hierarchy max-propagation, and
+    ``pre``, before it (None when a stored file has none), which corpus
+    deltas patch and re-propagate and derived functions blend.  Never
+    mutated; :meth:`aligned` caches its scatter.
     """
 
     function_name: str
-    paper_ids: Tuple[str, ...]
+    paper_rows: PaperRows
     scores: ScoreRows
     pre: Optional[ScoreRows] = None
     _aligned: Optional[Tuple[ContextColumns, np.ndarray]] = field(
         default=None, init=False, repr=False
     )
-
-    def to_rows(self) -> Tuple[Tuple[str, ...], ScoreRows, Optional[ScoreRows]]:
-        """``(paper_ids, scores, pre)``, the stored form."""
-        return self.paper_ids, self.scores, self.pre
 
     def of(self, context_id: str) -> Dict[str, float]:
         """``paper_id -> prestige`` within one context (empty if unknown)."""
@@ -306,7 +293,9 @@ class PrestigeScores:
         if row is None:
             return {}
         start, end = self.scores.indptr[row:row + 2]
-        papers = map(self.paper_ids.__getitem__, self.scores.rows[start:end].tolist())
+        papers = map(
+            self.paper_rows.ids.__getitem__, self.scores.rows[start:end].tolist()
+        )
         return dict(zip(papers, self.scores.values[start:end].tolist()))
 
     def score(self, context_id: str, paper_id: str, default: float = 0.0) -> float:
@@ -320,25 +309,20 @@ class PrestigeScores:
         when the context or the paper is unscored).  A row as long as its
         context places each entry at its own rank when the member there
         holds the entry's paper (a row scored in member order); only the
-        other members are looked up.  Cached for the last ``columns``
-        asked for.
+        other members are looked up.  ``columns`` must be over the same
+        paper rows.  Cached for the last ``columns`` asked for.
         """
         cached = self._aligned
         if cached is not None and cached[0] is columns:
             return cached[1]
+        check_same_rows(self.paper_rows, columns.paper_rows)
         scores = self.scores
         values = np.zeros(len(columns.members), dtype=np.float64)
-        # Each stored row's context as a columns row (-1: not there), and
-        # the stored paper table as columns paper rows (-1: no member).
+        # Each stored row's context as a columns row (-1: not there).
         context_row = np.fromiter(
             map(columns.context_row.get, scores.context_ids, repeat(-1)),
             np.int64,
             len(scores.context_ids),
-        )
-        paper_row = np.fromiter(
-            map(columns.paper_row.get, self.paper_ids, repeat(-1)),
-            np.int32,
-            len(self.paper_ids),
         )
         rows = np.flatnonzero(context_row >= 0)
         sizes = np.diff(columns.indptr)[context_row[rows]]
@@ -347,7 +331,7 @@ class PrestigeScores:
         entries = slice(None)  # every stored row, in order: no gather
         if same.sum() < len(scores.context_ids):
             entries, _ = csr_positions(scores.indptr, rows[same])
-        placed = paper_row[scores.rows[entries]] == columns.members[members]
+        placed = scores.rows[entries] == columns.members[members]
         if placed.all():
             values[members] = scores.values[entries]
         else:
@@ -365,7 +349,7 @@ class PrestigeScores:
         if missed.size:
             needed = np.flatnonzero(np.bincount(missed_rows))
             positions, counts = csr_positions(scores.indptr, needed)
-            keys = np.repeat(needed << 32, counts) + paper_row[scores.rows[positions]]
+            keys = np.repeat(needed << 32, counts) + scores.rows[positions]
             wanted = (missed_rows << 32) + columns.members[missed]
             at, found = _find(keys, wanted)
             values[missed[found]] = scores.values[positions[at[found]]]
@@ -421,18 +405,16 @@ class PrestigeScoreFunction(abc.ABC):
         with span(
             f"scores.{metric_name}.score_all", normalize=self.normalization
         ) as trace, get_registry().timer(f"scores.{metric_name}.seconds"):
-            paper_ids, pre = self._score_each(paper_set)
+            pre = self._score_each(paper_set.paper_rows, paper_set)
             main = propagate_max(paper_set, pre)
-            scores = PrestigeScores(self.name, paper_ids, main, pre)
+            scores = PrestigeScores(self.name, paper_set.paper_rows, main, pre)
             trace.set(
                 contexts_scored=len(pre.context_ids), papers_scored=len(pre.values)
             )
         return scores
 
-    def score_contexts(
-        self, paper_set: ContextPaperSet, context_ids
-    ) -> Tuple[Tuple[str, ...], ScoreRows]:
-        """``(paper_ids, rows)``: pre-propagation rows of ``context_ids``.
+    def score_contexts(self, paper_set: ContextPaperSet, context_ids) -> ScoreRows:
+        """Pre-propagation rows of ``context_ids``, over the set's paper rows.
 
         A corpus delta scores only the contexts whose paper sets changed
         and splices their rows into :attr:`PrestigeScores.pre`; the
@@ -440,7 +422,9 @@ class PrestigeScoreFunction(abc.ABC):
         scores are :meth:`score_all`'s.
         """
         wanted = set(context_ids)
-        return self._score_each(c for c in paper_set if c.term_id in wanted)
+        return self._score_each(
+            paper_set.paper_rows, (c for c in paper_set if c.term_id in wanted)
+        )
 
     def _metric_name(self) -> str:
         """:attr:`name` (free-form: "citation-xctx") as one metric segment."""
@@ -450,9 +434,9 @@ class PrestigeScoreFunction(abc.ABC):
         )
 
     def _score_each(
-        self, contexts: Iterable[Context]
-    ) -> Tuple[Tuple[str, ...], ScoreRows]:
-        """Normalised, decayed rows of ``contexts`` over their paper table.
+        self, paper_rows: PaperRows, contexts: Iterable[Context]
+    ) -> ScoreRows:
+        """Normalised, decayed rows of ``contexts`` over ``paper_rows``.
 
         Contexts whose raw scores are empty get no row; a row keeps its
         raw map's key order.  The counts of rows and entries go to the
@@ -467,8 +451,10 @@ class PrestigeScoreFunction(abc.ABC):
         contexts = list(contexts)
         batch = zip(contexts, self.score_batch(contexts))
         scored = [(context, raw) for context, raw in batch if raw]
-        paper_ids, raw = rows_from_maps(
-            [context.term_id for context, _ in scored], [raw for _, raw in scored]
+        raw = rows_from_maps(
+            paper_rows,
+            [context.term_id for context, _ in scored],
+            [raw for _, raw in scored],
         )
         decay = np.fromiter(
             (context.decay for context, _ in scored), np.float64, len(scored)
@@ -478,4 +464,4 @@ class PrestigeScoreFunction(abc.ABC):
         registry, metric_name = get_registry(), self._metric_name()
         registry.counter(f"scores.{metric_name}.contexts_scored").inc(len(scored))
         registry.counter(f"scores.{metric_name}.papers_scored").inc(len(values))
-        return paper_ids, replace(raw, values=values)
+        return replace(raw, values=values)

@@ -37,6 +37,7 @@ from repro.obs import get_registry
 from repro.scoring.base import PrestigeScoreFunction
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
+from repro.corpus.rows import check_same_rows
 from repro.corpus.paper import Section
 
 
@@ -131,8 +132,9 @@ class TextPrestige(PrestigeScoreFunction):
     ) -> List[float]:
         """Sim(PX, PC) for each ``(members[i], representatives[i])`` pair."""
         w = self.weights
-        member_rows = self.vectors.rows_of(members)
-        rep_rows = self.vectors.rows_of(representatives)
+        paper_rows = self.vectors.paper_rows
+        member_rows = paper_rows.rows(members)
+        rep_rows = paper_rows.rows(representatives)
         totals = np.zeros(len(members))
         for weight, section in (
             (w.title, Section.TITLE),
@@ -145,8 +147,7 @@ class TextPrestige(PrestigeScoreFunction):
                 totals += weight * cosine_pairs(rows, member_rows, rows, rep_rows)
         if w.authors or w.references:
             facets = self._facets()
-            member_rows = facets.rows_of(members)
-            rep_rows = facets.rows_of(representatives)
+            check_same_rows(facets.paper_rows, paper_rows)
             if w.authors:
                 totals += w.authors * facets.author_similarity(
                     member_rows, rep_rows, w
@@ -225,15 +226,14 @@ def _cosine_overlap(
 class _FacetSets:
     """The author and reference facets' sets, as :class:`SetRows` families.
 
-    Rows follow ``corpus.paper_ids()``.  Authors are interned to integers
-    in first-seen order; references and citers are positions in the
-    graph's node order (a paper the graph lacks has neither).
+    Rows are the corpus's ``paper_rows``.  Authors are interned to
+    integers in first-seen order; references and citers are positions in
+    the graph's node order (a paper the graph lacks has neither).
     """
 
     def __init__(self, corpus: Corpus, graph: CitationGraph) -> None:
-        paper_ids = corpus.paper_ids()
-        n = len(paper_ids)
-        self.paper_row = {pid: row for row, pid in enumerate(paper_ids)}
+        self.paper_rows = corpus.paper_rows
+        n = len(self.paper_rows)
 
         author_id: Dict[str, int] = {}
         lists = [
@@ -251,7 +251,7 @@ class _FacetSets:
 
         nodes, indptr, targets = graph.out_rows()
         corpus_row = np.fromiter(
-            map(self.paper_row.get, nodes, [-1] * len(nodes)),
+            map(self.paper_rows.row_of.get, nodes, [-1] * len(nodes)),
             dtype=np.int64,
             count=len(nodes),
         )
@@ -290,13 +290,6 @@ class _FacetSets:
         own = np.isin(expanded.keys, authors.keys, assume_unique=True)
         keys = expanded.keys[~own]
         return SetRows(keys // expanded.bound, keys % expanded.bound, n, n_authors)
-
-    def rows_of(self, paper_ids: List[str]) -> np.ndarray:
-        return np.fromiter(
-            map(self.paper_row.__getitem__, paper_ids),
-            dtype=np.int64,
-            count=len(paper_ids),
-        )
 
     def author_similarity(
         self, rows_a: np.ndarray, rows_b: np.ndarray, w: FacetWeights

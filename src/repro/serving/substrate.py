@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
+
+import numpy as np
 
 from repro import scoring
 from repro.citations.graph import CitationGraph
@@ -40,6 +42,7 @@ from repro.core.patterns import Extractions, PatternMemo, Sections
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus, CorpusError
 from repro.corpus.paper import Paper, TEXT_SECTIONS
+from repro.corpus.rows import PaperRows, check_same_rows
 from repro.index.inverted import InvertedIndex, build_index
 from repro.index.search import KeywordSearchEngine
 from repro.obs import get_logger, get_registry, span
@@ -371,9 +374,9 @@ class SubstrateStore:
             for name, weight in spec.components
         ]
         with span(f"scores.{spec.name}.derive") as trace:
-            paper_ids, pre = blend_rows(paper_set, components)
+            pre = blend_rows(paper_set, components)
             main = propagate_max(paper_set, pre)
-            scores = PrestigeScores(spec.name, paper_ids, main, pre)
+            scores = PrestigeScores(spec.name, paper_set.paper_rows, main, pre)
             trace.set(contexts=len(pre.context_ids), papers=len(pre.values))
         get_registry().counter(f"scores.{spec.name}.contexts_derived").inc(
             len(pre.context_ids)
@@ -472,11 +475,13 @@ class SubstrateStore:
                 if self._tokens is not None:
                     for pid in removed:
                         self._tokens.evict_paper(pid)
+                old_rows = self.corpus.paper_rows
                 removed_papers = [self.corpus.remove(pid) for pid in removed]
                 for paper in added:
                     self.corpus.add(paper)
                 added_ids = [paper.paper_id for paper in added]
                 touched = removed_set | seen_added
+                remap = old_rows.remap(self.corpus.paper_rows, removed_set)
 
                 index_rebuilt = self._index is not None
                 if index_rebuilt:
@@ -533,6 +538,8 @@ class SubstrateStore:
                                 scores,
                                 self.paper_set(paper_set_name),
                                 changed,
+                                old_rows,
+                                remap,
                             )
                             scores_patched.append(key)
                         else:
@@ -593,29 +600,34 @@ class SubstrateStore:
         scores: PrestigeScores,
         paper_set: ContextPaperSet,
         changed_ids: Sequence[str],
+        old_rows: PaperRows,
+        remap: np.ndarray,
     ) -> PrestigeScores:
         """Re-score only the changed contexts and re-run propagation.
 
         Valid only for ``delta_scope="contexts"`` functions: their
         per-context scores depend exclusively on structure induced by the
         context's own paper ids, so unchanged contexts keep their
-        pre-propagation rows byte-identically.  The old and fresh rows
-        are spliced in paper-set iteration order over a new paper table,
-        so the patched result is indistinguishable from a from-scratch
-        ``score_all``.
+        pre-propagation rows byte-identically, moved from ``old_rows``
+        to the set's rows through ``remap`` (-1: removed, which no kept
+        row may hold).  Old and fresh rows are spliced in paper-set
+        order, so the result equals a from-scratch ``score_all``.
         """
+        check_same_rows(scores.paper_rows, old_rows)
         changed = set(changed_ids)
-        fresh_ids, fresh = spec.factory(self).score_contexts(paper_set, changed)
-        sources = ((scores.paper_ids, scores.pre), (fresh_ids, fresh))
+        fresh = spec.factory(self).score_contexts(paper_set, changed)
+        sources = (replace(scores.pre, rows=remap[scores.pre.rows]), fresh)
         picks = []
         for context in paper_set:
             source = int(context.term_id in changed)
-            row = sources[source][1].context_row.get(context.term_id)
+            row = sources[source].context_row.get(context.term_id)
             if row is not None:
                 picks.append((source, row))
-        paper_ids, pre = take_rows(sources, picks)
+        pre = take_rows(sources, picks)
+        if (pre.rows < 0).any():
+            raise RuntimeError("a kept score row holds a removed paper")
         main = propagate_max(paper_set, pre)
-        return PrestigeScores(scores.function_name, paper_ids, main, pre)
+        return PrestigeScores(scores.function_name, paper_set.paper_rows, main, pre)
 
     # -- installation (workspace hydration) -----------------------------------------
 

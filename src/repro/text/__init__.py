@@ -2,7 +2,7 @@
 
 Everything the paper's scoring functions need from classic IR:
 
-- :mod:`repro.text.tokenize` -- word/sentence tokenisation and n-grams.
+- :mod:`repro.text.tokenize` -- word tokenisation and n-grams.
 - :mod:`repro.text.stopwords` -- English stopword list used throughout.
 - :mod:`repro.text.stem` -- a full Porter stemmer implementation.
 - :mod:`repro.text.analyze` -- the composed analysis pipeline
@@ -19,7 +19,7 @@ from repro.text.analyze import Analyzer, default_analyzer
 from repro.text.phrases import FrequentPhraseMiner, Phrase
 from repro.text.stem import PorterStemmer, stem
 from repro.text.stopwords import STOPWORDS
-from repro.text.tokenize import ngrams, sentences, tokenize
+from repro.text.tokenize import ngrams, tokenize
 from repro.text.vectorize import SparseVector, TfidfModel
 from repro.text.vocabulary import Vocabulary
 
@@ -32,7 +32,6 @@ __all__ = [
     "stem",
     "STOPWORDS",
     "tokenize",
-    "sentences",
     "ngrams",
     "SparseVector",
     "TfidfModel",

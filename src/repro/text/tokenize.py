@@ -1,4 +1,4 @@
-"""Word and sentence tokenisation.
+"""Word tokenisation and n-grams.
 
 The corpus is plain ASCII-ish scientific text (titles, abstracts, bodies,
 index terms), so a compact regular-expression tokeniser is sufficient and
@@ -15,15 +15,6 @@ from typing import List, Sequence, Tuple
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:[-'][A-Za-z0-9]+)*")
 
-_SENTENCE_RE = re.compile(
-    r"""
-    [^.!?]+            # sentence body: anything that is not a terminator
-    (?:[.!?]+|\Z)      # one or more terminators, or end of text
-    """,
-    re.VERBOSE,
-)
-
-
 def tokenize(text: str, lowercase: bool = True) -> List[str]:
     """Split ``text`` into word tokens.
 
@@ -36,22 +27,6 @@ def tokenize(text: str, lowercase: bool = True) -> List[str]:
     if lowercase:
         tokens = [token.lower() for token in tokens]
     return tokens
-
-
-def sentences(text: str) -> List[str]:
-    """Split ``text`` into sentences on ``.``, ``!`` and ``?`` boundaries.
-
-    The splitter is intentionally simple: abbreviations are rare in the
-    synthetic corpus, and pattern mining only needs *local* word windows, so
-    occasional over-splitting is harmless.
-
-    >>> sentences("First point. Second point!  Third?")
-    ['First point.', 'Second point!', 'Third?']
-    """
-    if not text:
-        return []
-    found = [match.group().strip() for match in _SENTENCE_RE.finditer(text)]
-    return [sentence for sentence in found if sentence]
 
 
 def ngrams(tokens: Sequence[str], n: int) -> List[Tuple[str, ...]]:

@@ -75,7 +75,9 @@ def _score_artifact(function: str, paper_set_name: str, deps: Tuple[str, ...]) -
         schema_version=2,
         build=lambda pipeline: pipeline.prestige(function, paper_set_name),
         save=core_io.write_prestige_scores,
-        load=lambda path, pipeline: core_io.read_prestige_scores(path),
+        load=lambda path, pipeline: core_io.read_prestige_scores(
+            path, pipeline.corpus.paper_rows
+        ),
         install=install,
         deps=deps,
         description=f"{function} prestige scores on the {paper_set_name} paper set",
@@ -100,7 +102,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         build=lambda pipeline: pipeline.index,
         save=save_index,
         # Opened read-only behind mmap; a delta builds a new one in memory.
-        load=lambda path, pipeline: open_index(path),
+        load=lambda path, pipeline: open_index(path, pipeline.corpus.paper_rows),
         install=lambda pipeline, index: pipeline.substrates.install_index(index),
         description="section-aware inverted index over the corpus (packed postings)",
     ),
@@ -124,7 +126,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         build=lambda pipeline: pipeline.text_paper_set,
         save=core_io.write_context_paper_set,
         load=lambda path, pipeline: core_io.read_context_paper_set(
-            path, pipeline.ontology
+            path, pipeline.ontology, pipeline.corpus.paper_rows
         ),
         install=lambda pipeline, paper_set: (
             pipeline.substrates.install_text_paper_set(paper_set)
@@ -140,7 +142,7 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
         build=lambda pipeline: pipeline.pattern_paper_set,
         save=core_io.write_context_paper_set,
         load=lambda path, pipeline: core_io.read_context_paper_set(
-            path, pipeline.ontology
+            path, pipeline.ontology, pipeline.corpus.paper_rows
         ),
         install=lambda pipeline, paper_set: (
             pipeline.substrates.install_pattern_paper_set(paper_set)

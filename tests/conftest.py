@@ -161,7 +161,9 @@ def tiny(tiny_corpus, tiny_ontology, tiny_training):
         """``(paper set, representatives, text prestige)`` of ``contexts``
         (term id -> papers, the first one its representative)."""
         paper_set = ContextPaperSet(
-            tiny_ontology, [Context(cid, papers) for cid, papers in contexts.items()]
+            tiny_ontology,
+            [Context(cid, papers) for cid, papers in contexts.items()],
+            tiny_corpus.paper_rows,
         )
         representatives = {cid: papers[0] for cid, papers in contexts.items()}
         prestige = TextPrestige(tiny_corpus, stack.vectors, stack.graph, representatives)

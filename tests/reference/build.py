@@ -136,7 +136,7 @@ def reference_build(pipeline):
         for term_id, papers, training_ids, representative in reference_text_contexts(
             vectors, corpus, ontology, training, substrates.text_similarity_threshold
         )
-    ])
+    ], corpus.paper_rows)
 
     builder = PatternSetBuilder(ontology, index, tokens, build_extended=False)
     patterns, extractions = {}, {}
@@ -153,7 +153,7 @@ def reference_build(pipeline):
             ontology, tokens, corpus.paper_ids(), patterns, kept,
             pipeline.pattern_assigner.max_middle_coverage,
         )
-    ])
+    ], corpus.paper_rows)
 
     graph = CitationGraph.from_corpus(corpus)
     facets = SimpleNamespace(

@@ -107,9 +107,9 @@ class ReferenceIndex:
 
 def postings(index, term: str) -> Tuple[Posting, ...]:
     """An :class:`~repro.index.inverted.InvertedIndex`'s run of ``term``
-    as reference postings, through its paper and section tables."""
+    as reference postings, through its paper rows and section table."""
     run = index.term_run(term)
-    paper_ids = index.paper_table().ids
+    paper_ids = index.paper_rows.ids
     return tuple(
         Posting(paper_ids[row], run.section_table[section], tf)
         for row, section, tf in zip(

@@ -16,6 +16,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.core.context import Context
+from repro.corpus.rows import PaperRows
 from repro.scoring import PrestigeScoreFunction, PrestigeScores, ScoreRows
 
 Maps = Dict[str, Dict[str, float]]
@@ -134,7 +135,7 @@ def aligned_reference(by_context: Maps, columns) -> np.ndarray:
     bounds = columns.indptr.tolist()
     return np.array(
         [
-            by_context.get(context_id, {}).get(columns.paper_ids[member], 0.0)
+            by_context.get(context_id, {}).get(columns.paper_rows.ids[member], 0.0)
             for context_id, start, end in zip(columns.context_ids, bounds, bounds[1:])
             for member in columns.members[start:end].tolist()
         ],
@@ -142,11 +143,11 @@ def aligned_reference(by_context: Maps, columns) -> np.ndarray:
     )
 
 
-def maps(paper_ids, rows: Optional[ScoreRows]) -> Optional[Maps]:
-    """``rows`` over the table ``paper_ids`` as ordered maps."""
+def maps(paper_rows: PaperRows, rows: Optional[ScoreRows]) -> Optional[Maps]:
+    """``rows`` over ``paper_rows`` as ordered maps."""
     if rows is None:
         return None
-    papers = [paper_ids[row] for row in rows.rows.tolist()]
+    papers = [paper_rows.ids[row] for row in rows.rows.tolist()]
     values = rows.values.tolist()
     bounds = rows.indptr.tolist()
     return {
@@ -164,10 +165,10 @@ def one_row(normalizer, scores: Mapping[str, float]) -> Dict[str, float]:
 
 def pre_maps(scores: PrestigeScores) -> Optional[Maps]:
     """The pre-propagation rows of ``scores`` as ordered maps."""
-    return maps(scores.paper_ids, scores.pre)
+    return maps(scores.paper_rows, scores.pre)
 
 
-def _rows(by_context: Maps, paper_row: Dict[str, int]) -> ScoreRows:
+def _rows(by_context: Maps, paper_row: Mapping[str, int]) -> ScoreRows:
     sizes = [len(scores) for scores in by_context.values()]
     indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
@@ -183,15 +184,19 @@ def _rows(by_context: Maps, paper_row: Dict[str, int]) -> ScoreRows:
 
 
 def scores_from_maps(
-    function_name: str, by_context: Maps, pre: Optional[Maps] = None
+    function_name: str,
+    by_context: Maps,
+    pre: Optional[Maps] = None,
+    paper_rows: Optional[PaperRows] = None,
 ) -> PrestigeScores:
-    """Scores holding ``by_context`` (and ``pre``) over their sorted paper ids."""
-    named = chain.from_iterable(chain(by_context.values(), (pre or {}).values()))
-    paper_ids = tuple(sorted(set(named)))
-    paper_row = {pid: row for row, pid in enumerate(paper_ids)}
+    """Scores holding ``by_context`` (and ``pre``) over ``paper_rows``
+    (default: rows of the papers they name, sorted by id)."""
+    if paper_rows is None:
+        named = chain.from_iterable(chain(by_context.values(), (pre or {}).values()))
+        paper_rows = PaperRows(sorted(set(named)))
     return PrestigeScores(
         function_name,
-        paper_ids,
-        _rows(by_context, paper_row),
-        None if pre is None else _rows(pre, paper_row),
+        paper_rows,
+        _rows(by_context, paper_rows.row_of),
+        None if pre is None else _rows(pre, paper_rows.row_of),
     )

@@ -160,12 +160,60 @@ class TestBuild:
 
     def test_artifacts_load_back(self, data_dir):
         from repro.core.io import read_prestige_scores
+        from repro.pipeline import Pipeline
 
         scores = read_prestige_scores(
-            data_dir / "workspace" / "scores_text_text.npz"
+            data_dir / "workspace" / "scores_text_text.npz",
+            Pipeline.from_directory(data_dir).corpus.paper_rows,
         )
         assert scores.function_name == "text"
         assert len(scores) > 0
+
+    @pytest.mark.parametrize("artifact", ["vectors.npz", "index.bin", "scores"])
+    def test_table_the_corpus_disagrees_with_fails(self, tmp_path, artifact):
+        """A fresh artifact whose paper table disagrees with the corpus
+        stops the command with ``error:`` naming the file."""
+        import json
+
+        import numpy as np
+
+        from repro.index.inverted import _LEN, _MAGIC, _PREAMBLE
+
+        main(["generate", "--papers", "60", "--terms", "15", "--seed", "8",
+              "--out", str(tmp_path)])
+        assert main(["build", "--data", str(tmp_path)]) == 0
+        workspace = tmp_path / "workspace"
+        if artifact == "index.bin":
+            path = workspace / artifact
+            raw = path.read_bytes()
+            (length,) = _LEN.unpack_from(raw, len(_MAGIC))
+            header = json.loads(raw[_PREAMBLE:_PREAMBLE + length])
+            header["paper_ids"][0] = "GHOST"
+            encoded = json.dumps(header).encode("utf-8")
+            path.write_bytes(
+                _MAGIC + _LEN.pack(len(encoded)) + encoded
+                + raw[_PREAMBLE + length:]
+            )
+        else:
+            path = workspace / (
+                artifact if artifact == "vectors.npz" else "scores_text_text.npz"
+            )
+            with np.load(path) as archive:
+                members = {name: archive[name] for name in archive.files}
+            header = json.loads(members["header"].tobytes())
+            ids = header["paper_ids"]
+            # vectors: another order; scores: a sorted id the corpus lacks.
+            header["paper_ids"] = ids[::-1] if artifact == "vectors.npz" else (
+                ids[:-1] + ["ZZZ-GHOST"]
+            )
+            members["header"] = np.frombuffer(
+                json.dumps(header).encode("utf-8"), dtype=np.uint8
+            )
+            with open(path, "wb") as handle:
+                np.savez(handle, **members)
+        with pytest.raises(SystemExit, match=r"^error: .*") as raised:
+            main(["search", "--data", str(tmp_path), "--query", "gene process"])
+        assert str(path) in str(raised.value)
 
     def test_second_build_is_noop(self, data_dir, capsys):
         code = main(["build", "--data", str(data_dir)])

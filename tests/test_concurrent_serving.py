@@ -89,7 +89,9 @@ class TestSearchUnderRefresh:
         pipeline = build_demo_pipeline(seed=7, n_papers=120, n_terms=30)
         fresh_index = pipeline.index
         pipeline.build_workspace(tmp_path, only=["index"])
-        reopened_index = open_index(tmp_path / ARTIFACTS["index"].filename)
+        reopened_index = open_index(
+            tmp_path / ARTIFACTS["index"].filename, pipeline.corpus.paper_rows
+        )
 
         def swap():
             pipeline.substrates.install_index(reopened_index)
@@ -177,9 +179,9 @@ class TestEngineWarmRace:
         built = []
 
         class CountingColumns(context_module.ContextColumns):
-            def __init__(self, contexts):
+            def __init__(self, contexts, paper_rows):
                 built.append(len(contexts))
-                super().__init__(contexts)
+                super().__init__(contexts, paper_rows)
 
         monkeypatch.setattr(context_module, "ContextColumns", CountingColumns)
         pipeline = build_demo_pipeline(seed=5, n_papers=120, n_terms=30)

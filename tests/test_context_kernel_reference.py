@@ -22,7 +22,7 @@ from reference.search import (
 from repro.core.context import Context, ContextPaperSet
 from repro.core.cosine import VectorRows
 from repro.core.search import SELECTION_STRATEGIES, ContextSearchEngine
-from repro.index.inverted import PaperTable
+from repro.corpus.rows import PaperRows
 from repro.index.search import QueryEvaluation
 from repro.obs import reset_registry
 from repro.ontology.ontology import Ontology
@@ -71,32 +71,37 @@ def scenarios(draw):
 def build_engine(s):
     """A production engine over the scenario, with stub index and vectors."""
     ontology = Ontology([Term(cid, s.names[cid]) for cid, _ in s.contexts])
-    paper_set = ContextPaperSet(
-        ontology, [Context(cid, members) for cid, members in s.contexts]
-    )
     # Rows in the drawn (not id) order, so ranking must go by paper id.
-    table = PaperTable(s.match)
+    paper_rows = PaperRows(dict.fromkeys([
+        *s.match,
+        *(pid for _, members in s.contexts for pid in members),
+        *(pid for scores in s.prestige.values() for pid in scores),
+    ]))
+    paper_set = ContextPaperSet(
+        ontology, [Context(cid, members) for cid, members in s.contexts], paper_rows
+    )
     evaluation = QueryEvaluation(
-        query=" ".join(s.terms), terms=s.terms, table=table,
-        papers=np.arange(len(table.ids)),
+        query=" ".join(s.terms), terms=s.terms, table=paper_rows,
+        papers=np.arange(len(s.match)),
         scores=np.array(list(s.match.values()), dtype=np.float64),
-        matched_terms=np.ones(len(table.ids), dtype=np.intp), max_score=1.0,
+        matched_terms=np.ones(len(s.match), dtype=np.intp), max_score=1.0,
         postings_scanned=0,
     )
     keyword_engine = SimpleNamespace(
         evaluate=lambda query: evaluation,
         index=SimpleNamespace(analyzer=SimpleNamespace(analyze=str.split)),
     )
-    rep_row = {cid: row for row, (cid, _) in enumerate(s.contexts)}
     vectors = SimpleNamespace(
         query_vector=lambda query: QUERY_VECTOR,
         full_rows=VectorRows.of_vectors(
             [representative_vector(s, cid) for cid, _ in s.contexts]
         ),
-        rows_of=lambda reps: np.array([rep_row[rep] for rep in reps], dtype=np.int64),
+        # Each context is its own representative, at its context row.
+        paper_rows=PaperRows(cid for cid, _ in s.contexts),
     )
     return paper_set, ContextSearchEngine(
-        ontology, paper_set, scores_from_maps("reference", s.prestige),
+        ontology, paper_set,
+        scores_from_maps("reference", s.prestige, paper_rows=paper_rows),
         keyword_engine,
         w_prestige=s.w_prestige, w_matching=s.w_matching,
         probe_depth=s.probe_depth, name_bonus=s.name_bonus,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.context import Context, ContextPaperSet
+from repro.corpus.rows import PaperRows
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 
@@ -19,6 +20,10 @@ def ontology():
     )
 
 
+#: The papers' rows, in an order other than the ids'.
+ROWS = PaperRows(("P4", "P2", "P9", "P1", "P3"))
+
+
 @pytest.fixture
 def paper_set(ontology):
     return ContextPaperSet(
@@ -29,6 +34,7 @@ def paper_set(ontology):
             Context("a1", ("P1",), inherited_from="a", decay=0.5),
             Context("b", ("P3",)),
         ],
+        ROWS,
     )
 
 
@@ -57,11 +63,11 @@ class TestContextPaperSet:
 
     def test_unknown_term_rejected(self, ontology):
         with pytest.raises(ValueError, match="not an ontology term"):
-            ContextPaperSet(ontology, [Context("ghost", ())])
+            ContextPaperSet(ontology, [Context("ghost", ())], ROWS)
 
     def test_duplicate_context_rejected(self, ontology):
         with pytest.raises(ValueError, match="duplicate"):
-            ContextPaperSet(ontology, [Context("a", ()), Context("a", ())])
+            ContextPaperSet(ontology, [Context("a", ()), Context("a", ())], ROWS)
 
     def test_contexts_of_paper(self, paper_set):
         assert set(paper_set.contexts_of_paper("P1")) == {"root", "a", "a1"}

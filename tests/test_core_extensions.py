@@ -72,6 +72,7 @@ def setup(tiny):
             Context("sig", ("S1", "S2")),
             Context("glu", ("M1", "M2")),
         ],
+        tiny.corpus.paper_rows,
     )
     return tiny.corpus, tiny.ontology, tiny.graph, paper_set
 

@@ -31,11 +31,15 @@ from repro.core.io import (
 )
 from repro.core.patterns import PatternExtraction
 from repro.core.vectors import PaperVectorStore
+from repro.corpus.corpus import Corpus
+from repro.corpus.rows import PaperRows
 from repro.ontology import Ontology
 from repro.ontology.term import Term
 from repro.text.analyze import AnalyzedPaperCache
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+#: The papers the hand-made sets and tables below name, in non-id order.
+ROWS = PaperRows(["X1", *(f"M{i}" for i in reversed(range(16)))])
 
 
 @pytest.fixture
@@ -57,6 +61,7 @@ def paper_set(tiny_ontology):
             ),
             Context("sig", ()),
         ],
+        ROWS,
     )
 
 
@@ -87,7 +92,7 @@ class TestContextPaperSetRoundTrip:
     def test_round_trip(self, paper_set, tiny_ontology, tmp_path):
         path = tmp_path / "set.npz"
         write_context_paper_set(paper_set, path)
-        loaded = read_context_paper_set(path, tiny_ontology)
+        loaded = read_context_paper_set(path, tiny_ontology, ROWS)
         assert _fields(loaded) == _fields(paper_set)
         assert [c for c in loaded] == [c for c in paper_set]
 
@@ -101,7 +106,9 @@ class TestContextPaperSetRoundTrip:
             original = pipeline.paper_set(name)
             path = tmp_path / f"{name}.npz"
             write_context_paper_set(original, path)
-            loaded = read_context_paper_set(path, pipeline.ontology)
+            loaded = read_context_paper_set(
+                path, pipeline.ontology, pipeline.corpus.paper_rows
+            )
             assert _fields(loaded) == _fields(original)
         text = pipeline.paper_set("text")
         assert all(c.representative for c in text)
@@ -116,7 +123,7 @@ class TestContextPaperSetRoundTrip:
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(ValueError, match="not a context paper set"):
-            read_context_paper_set(path, tiny_ontology)
+            read_context_paper_set(path, tiny_ontology, ROWS)
 
     def test_unknown_term_rejected_on_load(self, paper_set, tmp_path):
         from repro.ontology import Ontology
@@ -126,7 +133,7 @@ class TestContextPaperSetRoundTrip:
         write_context_paper_set(paper_set, path)
         other_ontology = Ontology([Term("different", "thing")])
         with pytest.raises(ValueError, match="not an ontology term") as excinfo:
-            read_context_paper_set(path, other_ontology)
+            read_context_paper_set(path, other_ontology, ROWS)
         assert str(path) in str(excinfo.value)
 
     @pytest.mark.parametrize(
@@ -164,7 +171,7 @@ class TestContextPaperSetRoundTrip:
         else:
             _rewrite(path, {"decay": [1.0]})
         with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
-            read_context_paper_set(path, tiny_ontology)
+            read_context_paper_set(path, tiny_ontology, ROWS)
         assert str(path) in str(excinfo.value)
 
 
@@ -175,7 +182,7 @@ class TestPrestigeScoresRoundTrip:
         )
         path = tmp_path / "scores.json"
         write_prestige_scores(scores, path)
-        loaded = read_prestige_scores(path)
+        loaded = read_prestige_scores(path, ROWS)
         assert loaded.function_name == "text"
         assert loaded.of("met") == {"M1": 1.0, "M2": 0.25}
         assert loaded.score("glu", "M1") == 0.5
@@ -185,12 +192,12 @@ class TestPrestigeScoresRoundTrip:
         path = tmp_path / "junk.json"
         path.write_text('{"format": "nope"}', encoding="utf-8")
         with pytest.raises(ValueError, match="not a prestige-scores"):
-            read_prestige_scores(path)
+            read_prestige_scores(path, ROWS)
 
     def test_empty_scores(self, tmp_path):
         path = tmp_path / "empty.json"
         write_prestige_scores(scores_from_maps("citation", {}), path)
-        loaded = read_prestige_scores(path)
+        loaded = read_prestige_scores(path, ROWS)
         assert len(loaded) == 0
         assert loaded.function_name == "citation"
 
@@ -207,7 +214,7 @@ class TestPrestigeScoresRoundTrip:
         data[at + 8 * 7 + 3] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="not a prestige-scores") as excinfo:
-            read_prestige_scores(path)
+            read_prestige_scores(path, ROWS)
         assert str(path) in str(excinfo.value)
 
     def test_inconsistent_arrays_rejected(self, tmp_path):
@@ -219,7 +226,7 @@ class TestPrestigeScoresRoundTrip:
         with open(path, "wb") as handle:
             np.savez(handle, **members)
         with pytest.raises(ValueError, match="corrupt prestige-scores"):
-            read_prestige_scores(path)
+            read_prestige_scores(path, ROWS)
 
     @pytest.mark.parametrize(
         "header, message",
@@ -242,10 +249,10 @@ class TestPrestigeScoresRoundTrip:
             "text", {"met": {"M1": 1.0}, "glu": {"M2": 0.5}}, pre
         )
         write_prestige_scores(scores, path)
-        read_prestige_scores(path)
+        read_prestige_scores(path, ROWS)
         _rewrite(path, header)
         with pytest.raises(ValueError, match="corrupt prestige-scores") as excinfo:
-            read_prestige_scores(path)
+            read_prestige_scores(path, ROWS)
         assert message in str(excinfo.value) and str(path) in str(excinfo.value)
 
 
@@ -254,6 +261,7 @@ class TestPrestigeScoresRoundTrip:
 _CONTEXT_POOL = tuple(f"c{i}" for i in range(6))
 _PAPER_POOL = tuple(f"P{i:02d}" for i in range(12))
 _ONTOLOGY = Ontology([Term(cid, cid) for cid in _CONTEXT_POOL])
+_ROWS = PaperRows(reversed(_PAPER_POOL))
 
 _score_maps = st.dictionaries(
     st.sampled_from(_CONTEXT_POOL),
@@ -283,10 +291,11 @@ def _layouts(draw, by_context):
         return ContextPaperSet(
             _ONTOLOGY,
             [Context(cid, rows[cid]) for cid in draw(st.permutations(list(rows)))],
+            _ROWS,
         ), True
     contexts = draw(st.lists(st.sampled_from(_CONTEXT_POOL), unique=True))
     return ContextPaperSet(
-        _ONTOLOGY, [Context(cid, tuple(draw(_members))) for cid in contexts]
+        _ONTOLOGY, [Context(cid, tuple(draw(_members))) for cid in contexts], _ROWS
     ), False
 
 
@@ -301,11 +310,11 @@ class TestPrestigeScoresCodecProperty:
         by_context = data.draw(_score_maps, label="by_context")
         pre_propagation = data.draw(st.none() | _score_maps, label="pre")
         function_name = data.draw(st.sampled_from(["text", "citation_xctx"]))
-        original = scores_from_maps(function_name, by_context, pre_propagation)
+        original = scores_from_maps(function_name, by_context, pre_propagation, _ROWS)
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "scores.npz"
             write_prestige_scores(original, path)
-            loaded = read_prestige_scores(path)
+            loaded = read_prestige_scores(path, _ROWS)
             assert os.listdir(directory) == ["scores.npz"]
 
         paper_set, _ = data.draw(_layouts(by_context), label="layout")
@@ -332,7 +341,7 @@ class TestPrestigeScoresCodecProperty:
             for cid, scores in pre_propagation.items():
                 assert list(loaded_pre[cid]) == list(scores)
         # Other columns of the same layout get their own, equal array.
-        again = ContextPaperSet(_ONTOLOGY, list(paper_set)).columns
+        again = ContextPaperSet(_ONTOLOGY, list(paper_set), _ROWS).columns
         assert np.array_equal(_bits(loaded.aligned(again)), _bits(reference))
 
 
@@ -524,6 +533,25 @@ class TestVectorStoreChecks:
         with pytest.raises(ValueError, match=match):
             read_vector_store(path, tokens)
 
+    def test_paper_table_must_be_the_corpus_order(self, tiny_corpus, tmp_path):
+        vectors = PaperVectorStore(AnalyzedPaperCache(tiny_corpus))
+        vectors.warm()
+        path = tmp_path / "vectors.npz"
+        write_vector_store(vectors, path)
+        reordered = AnalyzedPaperCache(Corpus(reversed(list(tiny_corpus))))
+        with pytest.raises(ValueError, match="differ from the corpus") as excinfo:
+            read_vector_store(path, reordered)
+        assert str(excinfo.value).startswith(str(path))
+
+
+class TestScoresTableCheck:
+    def test_paper_the_corpus_lacks_is_rejected(self, tmp_path):
+        path = tmp_path / "scores.npz"
+        write_prestige_scores(scores_from_maps("text", {"met": {"M1": 1.0}}), path)
+        with pytest.raises(ValueError, match="'M1' is not in the corpus") as excinfo:
+            read_prestige_scores(path, PaperRows(["M0", "M2"]))
+        assert str(excinfo.value).startswith(str(path))
+
 
 class TestAtomicWrite:
     def test_failed_writer_keeps_old_bytes_and_leaves_no_temp(self, tmp_path):
@@ -569,10 +597,10 @@ class TestAtomicWrite:
             pipeline = build_demo_pipeline(seed=11, n_papers=60, n_terms=20)
             full = pipeline.index
             save_index(full, path)
-            live = open_index(path)
+            live = open_index(path, full.paper_rows)
             small = build_index(AnalyzedPaperCache(Corpus(list(pipeline.corpus)[:3])))
             save_index(small, path)
-            assert open_index(path).n_papers == 3
+            assert open_index(path, full.paper_rows).n_papers == 3
             for term in full.vocabulary():
                 run, expected = live.term_run(term), full.term_run(term)
                 if any(

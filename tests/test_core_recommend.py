@@ -88,6 +88,7 @@ class TestRecommend:
                 Context("met", ("M1", "M2")),
                 Context("glu", ("M1",)),
             ],
+            request.getfixturevalue("tiny_corpus").paper_rows,
         )
         shared = RelatedWorkRecommender(
             paper_set,

@@ -5,6 +5,7 @@ import pytest
 from reference.prestige import maps, one_row, pre_maps
 from repro.core.assignment import PatternContextAssigner
 from repro.core.context import Context, ContextPaperSet
+from repro.corpus.rows import PaperRows
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 from repro.scoring import (
@@ -23,8 +24,10 @@ def min_max_normalize(scores):
 
 def propagate_max_over_descendants(paper_set, by_context):
     """``propagate_max`` over ``by_context``'s rows, read back as maps."""
-    paper_ids, rows = rows_from_maps(list(by_context), list(by_context.values()))
-    return maps(paper_ids, propagate_max(paper_set, rows))
+    rows = rows_from_maps(
+        paper_set.paper_rows, list(by_context), list(by_context.values())
+    )
+    return maps(paper_set.paper_rows, propagate_max(paper_set, rows))
 
 
 class TestMinMaxNormalize:
@@ -58,6 +61,7 @@ class TestPropagation:
                 Context("root", ("P1", "P2")),
                 Context("child", ("P1",)),
             ],
+            PaperRows(("P2", "P1")),
         )
 
     def test_max_taken_from_descendant(self, paper_set):
@@ -92,6 +96,7 @@ def tiny_setup(tiny):
             Context("sig", ("S1", "S2"), training_paper_ids=("S1",)),
             Context("glu", ("M1", "M2"), training_paper_ids=("M1",)),
         ],
+        tiny.corpus.paper_rows,
     )
     return {**vars(tiny), "paper_set": paper_set}
 
@@ -255,6 +260,7 @@ class TestPatternPrestige:
                     decay=0.5,
                 ),
             ],
+            tiny_setup["corpus"].paper_rows,
         )
         pre = pre_maps(scorer.score_all(decayed_set))
         met_scores = pre.get("met", {})

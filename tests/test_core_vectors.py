@@ -15,7 +15,12 @@ def section_cosine(store, paper_a, paper_b, section):
     """Cosine of one section across two papers, through the kernel."""
     rows = store.section_rows(section)
     return float(
-        cosine_pairs(rows, store.rows_of([paper_a]), rows, store.rows_of([paper_b]))[0]
+        cosine_pairs(
+            rows,
+            store.paper_rows.rows([paper_a]),
+            rows,
+            store.paper_rows.rows([paper_b]),
+        )[0]
     )
 
 

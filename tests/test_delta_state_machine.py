@@ -9,10 +9,13 @@ incremental paths (patched citation scores, cached pattern extractions,
 patched coverage counts and middle hits).  A reopen rule persists the
 workspace and carries on with a pipeline opened from it, whose pattern
 memo is seeded from the persisted extractions, by a delta applied at
-once or by the next pattern build.  After every step, every kept
-coverage count and middle hit list must equal a fresh count and scan of
-the corpus, the index's paper table and vocabulary order must equal a
-scratch build's, and every artifact's content -- index postings and
+once or by the next pattern build.  After every step, every live index,
+vector store, paper set and score table must hold the corpus's current
+:class:`~repro.corpus.rows.PaperRows` object, with every row in range
+(a -1 a remap left for a removed paper would name the last paper), and
+no removed id among them; every kept coverage count and middle hit list
+must equal a fresh count and scan of the corpus, the index must save
+the bytes of a scratch build's, and every artifact's content -- index postings and
 document frequencies, vectors, both paper sets, pattern sets and
 extractions, and every evaluation arm's scores -- must equal, with
 ``==``, both a pipeline built from scratch on the same corpus and
@@ -37,6 +40,7 @@ from repro.core.patterns import PatternSetBuilder
 from repro.corpus.corpus import Corpus
 from repro.datagen.corpus_gen import CorpusGenerator
 from repro.datagen.ontology_gen import OntologyGenerator
+from repro.index import save_index
 from repro.pipeline import Pipeline
 from repro.workspace import open_workspace
 
@@ -71,6 +75,8 @@ class DeltaParity(RuleBasedStateMachine):
             Corpus(papers[:-HELD_OUT]), dataset.ontology, dataset.training_papers
         )
         self.workspace = Path(tempfile.mkdtemp(prefix="delta-parity-"))
+        #: Ids removed and not added back since.
+        self.gone = set()
 
     def teardown(self):
         shutil.rmtree(self.workspace, ignore_errors=True)
@@ -78,8 +84,10 @@ class DeltaParity(RuleBasedStateMachine):
     def _apply(self, added=(), removed=()):
         for paper_id in removed:
             self.outside[paper_id] = self.pipeline.corpus.paper(paper_id)
+            self.gone.add(paper_id)
         for paper in added:
             self.outside.pop(paper.paper_id, None)
+            self.gone.discard(paper.paper_id)
         self.pipeline.substrates.apply_delta(added_papers=added, removed_ids=removed)
 
     @precondition(lambda self: self.outside)
@@ -127,6 +135,30 @@ class DeltaParity(RuleBasedStateMachine):
         )
 
     @invariant()
+    def arrays_hold_the_current_rows(self):
+        store = self.pipeline.substrates
+        paper_rows = store.corpus.paper_rows
+        assert self.gone.isdisjoint(paper_rows.ids)
+        columns = []
+        if store.has("index"):
+            assert store.index.paper_rows is paper_rows
+            columns += [store.index.term_run(t).rows for t in store.index.vocabulary()]
+        if store.has("vectors"):
+            assert store.vectors.paper_rows is paper_rows
+            for model in store.vectors._models.values():
+                assert len(model.indptr) == len(model.rows.indptr) == len(paper_rows) + 1
+        for name in ("text_paper_set", "pattern_paper_set"):
+            if store.has(name):
+                paper_set = store.paper_set(name.split("_")[0])
+                assert paper_set.columns.paper_rows is paper_set.paper_rows is paper_rows
+                columns.append(paper_set.columns.members)
+        for scores in store.scores.values():
+            assert scores.paper_rows is paper_rows
+            columns += [rows.rows for rows in (scores.scores, scores.pre) if rows]
+        for rows in columns:
+            assert ((rows >= 0) & (rows < len(paper_rows))).all()
+
+    @invariant()
     def equals_scratch_and_reference_builds(self):
         pipeline = self.pipeline
         scratch = Pipeline(
@@ -144,7 +176,11 @@ class DeltaParity(RuleBasedStateMachine):
             assert _hit_rows(memo, hits) == _hit_rows(
                 fresh.memo, fresh_hits[middle]
             ), middle
-        assert pipeline.index.paper_table().ids == scratch.index.paper_table().ids
+        with tempfile.TemporaryDirectory() as directory:
+            saved = Path(directory) / "got.bin", Path(directory) / "scratch.bin"
+            save_index(pipeline.index, saved[0])
+            save_index(scratch.index, saved[1])
+            assert saved[0].read_bytes() == saved[1].read_bytes()
         assert pipeline.index.vocabulary() == scratch.index.vocabulary()
         got = pipeline_artifacts(pipeline)
         for expected in (pipeline_artifacts(scratch), reference_build(pipeline)):

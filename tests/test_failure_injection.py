@@ -79,8 +79,9 @@ class TestDegenerateCorpus:
         assert len(vectors.full_vector("EMPTY")) == 0
         assert vectors.full_vector("EMPTY").cosine(vectors.full_vector("OK")) == 0.0
         rows = vectors.full_rows
+        paper_rows = vectors.paper_rows
         assert cosine_pairs(
-            rows, vectors.rows_of(["EMPTY"]), rows, vectors.rows_of(["OK"])
+            rows, paper_rows.rows(["EMPTY"]), rows, paper_rows.rows(["OK"])
         ).tolist() == [0.0]
 
     def test_citation_graph_drops_dangling(self, degenerate_corpus):
@@ -142,6 +143,7 @@ class TestDegenerateContexts:
         paper_set = ContextPaperSet(
             flat_ontology,
             [Context("t1", ()), Context("root", ("OK",))],
+            degenerate_corpus.paper_rows,
         )
         graph = CitationGraph.from_corpus(degenerate_corpus)
         scores = CitationPrestige(graph).score_all(paper_set)
@@ -174,11 +176,12 @@ class TestDegenerateSearch:
     def test_search_with_empty_prestige(self, degenerate_corpus, flat_ontology):
         tokens = AnalyzedPaperCache(degenerate_corpus)
         index = build_index(tokens)
-        paper_set = ContextPaperSet(flat_ontology, [Context("t1", ("OK",))])
+        paper_rows = degenerate_corpus.paper_rows
+        paper_set = ContextPaperSet(flat_ontology, [Context("t1", ("OK",))], paper_rows)
         engine = ContextSearchEngine(
             flat_ontology,
             paper_set,
-            scores_from_maps("text", {}),
+            scores_from_maps("text", {}, paper_rows=paper_rows),
             KeywordSearchEngine(index),
         )
         hits = engine.search("glucose")

@@ -435,7 +435,9 @@ class TestIndexRebuild:
         pipeline = build_demo_pipeline(seed=11, n_papers=40, n_terms=10)
         papers = list(pipeline.corpus)
         pipeline.build_workspace(tmp_path, only=["index"])
-        loaded = open_index(tmp_path / ARTIFACTS["index"].filename)
+        loaded = open_index(
+            tmp_path / ARTIFACTS["index"].filename, pipeline.corpus.paper_rows
+        )
         try:
             pipeline.substrates.install_index(loaded)
             previous = loaded

@@ -24,6 +24,7 @@ from reference.index import ReferenceIndex, assert_index_equals_reference, posti
 from reference.strategies import deltas, micro_corpora
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Paper
+from repro.corpus.rows import PaperRows
 from repro.index import build_index, open_index, save_index
 from repro.index.inverted import _LEN, _MAGIC, _PREAMBLE, _RECORD
 from repro.index.search import KeywordSearchEngine
@@ -52,8 +53,8 @@ def packed_path(pipeline, tmp_path_factory):
 
 
 @pytest.fixture()
-def packed_index(packed_path):
-    index = open_index(packed_path)
+def packed_index(packed_path, pipeline):
+    index = open_index(packed_path, pipeline.corpus.paper_rows)
     yield index
     index.close()
 
@@ -111,9 +112,9 @@ def saved(request, pipeline, tmp_path_factory):
 
 
 def assert_same_arrays(index, other):
-    """Equal tables, vocabulary order, dfs and records, term by term."""
+    """Equal paper rows, vocabulary order, dfs and records, term by term."""
     assert index.n_papers == other.n_papers
-    assert index.paper_table().ids == other.paper_table().ids
+    assert index.paper_rows is other.paper_rows
     assert tuple(index.vocabulary()) == tuple(other.vocabulary())
     for term in index.vocabulary():
         run, other_run = index.term_run(term), other.term_run(term)
@@ -129,8 +130,8 @@ class TestOndiskEquivalence:
     reference index."""
 
     def test_every_read_api_matches_memory(self, saved):
-        source, reference, _, path = saved
-        opened = open_index(path)
+        source, reference, corpus, path = saved
+        opened = open_index(path, corpus.paper_rows)
         try:
             assert_same_arrays(opened, source)
             assert_index_equals_reference(source, reference)
@@ -141,7 +142,7 @@ class TestOndiskEquivalence:
     def test_engine_rankings_identical(self, saved):
         """Scores off the file ``==`` a fresh build of the final corpus."""
         source, _, corpus, path = saved
-        opened = open_index(path)
+        opened = open_index(path, corpus.paper_rows)
         fresh_engine = KeywordSearchEngine(build_index(AnalyzedPaperCache(corpus)))
         opened_engine = KeywordSearchEngine(opened)
         queries = list(QUERIES) + [paper.title for paper in list(corpus)[::5]]
@@ -183,13 +184,13 @@ class TestOndiskEquivalence:
         path = tmp_path / "index.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(ValueError, match="bad magic"):
-            open_index(path)
+            open_index(path, NO_PAPERS)
 
     def test_truncated_data_rejected(self, packed_path, tmp_path):
         path = tmp_path / "index.bin"
         path.write_bytes(packed_path.read_bytes()[:-1])
         with pytest.raises(ValueError, match="truncated packed index"):
-            open_index(path)
+            open_index(path, NO_PAPERS)
 
     def test_parent_format_rejected(self, packed_path, tmp_path):
         """A file of the earlier layout (with a forward region) fails on
@@ -197,7 +198,7 @@ class TestOndiskEquivalence:
         path = tmp_path / "index.bin"
         path.write_bytes(b"RPROIDX1" + packed_path.read_bytes()[len(_MAGIC):])
         with pytest.raises(ValueError, match="bad magic"):
-            open_index(path)
+            open_index(path, NO_PAPERS)
 
 
 def _rewrite_header(source, target, edit):
@@ -231,6 +232,9 @@ def _drop(key):
 def _set(key, value):
     return lambda header: header.__setitem__(key, value)
 
+
+#: Rows for files whose damage is found before their paper table is mapped.
+NO_PAPERS = PaperRows(())
 
 #: Damage the opening checks must reject, and the message naming it.
 DAMAGE = {
@@ -278,7 +282,7 @@ class TestTermDirectoryCheck:
 
         _rewrite_header(packed_path, path, grow_one_run)
         with pytest.raises(ValueError, match="corrupt term directory"):
-            open_index(path)
+            open_index(path, NO_PAPERS)
 
     def test_df_above_run_count_rejected(self, packed_path, tmp_path):
         path = tmp_path / "index.bin"
@@ -289,7 +293,7 @@ class TestTermDirectoryCheck:
 
         _rewrite_header(packed_path, path, raise_one_df)
         with pytest.raises(ValueError, match="corrupt term directory"):
-            open_index(path)
+            open_index(path, NO_PAPERS)
 
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_damaged_file_rejected_at_open(self, packed_path, tmp_path, damage):
@@ -299,7 +303,7 @@ class TestTermDirectoryCheck:
         if record is not None:
             _rewrite_record(path, path, *record, position=0)
         with pytest.raises(ValueError, match=message) as raised:
-            open_index(path)
+            open_index(path, NO_PAPERS)
         assert str(path) in str(raised.value)
 
     def test_a_record_damaged_deep_in_the_data_is_named(self, packed_path, tmp_path):
@@ -309,21 +313,32 @@ class TestTermDirectoryCheck:
         position = (len(raw) - _PREAMBLE - header_len) // _RECORD.itemsize - 1
         _rewrite_record(packed_path, path, "tf", 0, position=position)
         with pytest.raises(ValueError, match=f"corrupt record {position} "):
-            open_index(path)
+            open_index(path, NO_PAPERS)
 
-    def test_undamaged_rewrite_opens(self, packed_path, tmp_path):
+    def test_undamaged_rewrite_opens(self, pipeline, packed_path, tmp_path):
         """The damage helpers change nothing but what they are told to."""
         path = tmp_path / "index.bin"
         _rewrite_header(packed_path, path, lambda header: None)
         assert path.read_bytes() == packed_path.read_bytes()
-        open_index(path).close()
+        open_index(path, pipeline.corpus.paper_rows).close()
+
+    def test_paper_the_corpus_lacks_rejected(self, pipeline, packed_path):
+        index = pipeline.index
+        missing = postings(index, index.vocabulary()[0])[0].paper_id
+        paper_rows = PaperRows(
+            pid for pid in pipeline.corpus.paper_ids() if pid != missing
+        )
+        message = f"{missing!r} is not in the corpus"
+        with pytest.raises(ValueError, match=message) as raised:
+            open_index(packed_path, paper_rows)
+        assert str(raised.value).startswith(str(packed_path))
 
 
 class TestRunDecode:
     """The opened index decodes runs on demand and keeps nothing mapped."""
 
-    def test_decoded_runs_outlive_close(self, packed_path):
-        index = open_index(packed_path)
+    def test_decoded_runs_outlive_close(self, pipeline, packed_path):
+        index = open_index(packed_path, pipeline.corpus.paper_rows)
         term = index.vocabulary()[0]
         run = index.term_run(term)
         expected = postings(index, term)
@@ -331,11 +346,11 @@ class TestRunDecode:
         index.close()
         assert len(run.rows) == len(expected)
         assert run.rows.tolist() == [
-            index.paper_table().row_of[posting.paper_id] for posting in expected
+            index.paper_rows.row_of[posting.paper_id] for posting in expected
         ]
 
     def test_backend_stats_report_mapped_bytes(self, pipeline, packed_path):
-        index = open_index(packed_path)
+        index = open_index(packed_path, pipeline.corpus.paper_rows)
         index.term_run(index.vocabulary()[0])
         assert index.backend_stats() == {
             "mapped_bytes": float(packed_path.stat().st_size)
@@ -377,9 +392,9 @@ class TestFormatDispatch:
         garbage = tmp_path / "garbage.bin"
         garbage.write_text("{}", encoding="utf-8")
         with pytest.raises(ValueError, match="not a packed index"):
-            open_index(garbage)
+            open_index(garbage, NO_PAPERS)
         with pytest.raises(FileNotFoundError):
-            open_index(tmp_path / "missing.bin")
+            open_index(tmp_path / "missing.bin", NO_PAPERS)
 
 
 class TestMemoryViewSatellites:
@@ -422,7 +437,7 @@ def test_built_and_reopened_index_equal_the_reference(micro, data):
             index = build_index(tokens)
             assert_index_equals_reference(index, reference)
             save_index(index, path)
-            opened = open_index(path)
+            opened = open_index(path, corpus.paper_rows)
             try:
                 assert_same_arrays(opened, index)
                 save_index(opened, again)

@@ -32,6 +32,7 @@ from reference.prestige import (
 from reference.strategies import ontologies
 from repro.core.context import Context, ContextPaperSet
 from repro.core.io import write_prestige_scores
+from repro.corpus.rows import PaperRows
 from repro.ontology.ontology import Ontology
 from repro.ontology.term import Term
 from repro.scoring import PrestigeScoreFunction, PrestigeScores, propagate_max
@@ -39,6 +40,11 @@ from repro.scoring.base import rows_from_maps
 from repro.serving.substrate import SubstrateStore
 
 PAPERS = tuple(f"P{i}" for i in range(7))
+#: The papers' rows, in an order other than the ids', so a table that
+#: leaned on row order for id order would show; ``NEW_ROWS`` is a later
+#: corpus revision's numbering of the same papers.
+ROWS = PaperRows(("P3", "P0", "P6", "P1", "P5", "P2", "P4"))
+NEW_ROWS = PaperRows(("P5", "P1", "P4", "P0", "P6", "P3", "P2"))
 #: Ties and signed zeros come up often from a small pool.
 VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0, -0.5, -2.0]) | st.floats(
     -4.0, 4.0, allow_nan=False
@@ -72,7 +78,7 @@ class DrawnScorer(PrestigeScoreFunction):
 
 
 @st.composite
-def paper_sets(draw, ontology):
+def paper_sets(draw, ontology, paper_rows=ROWS):
     ids = draw(st.permutations(sorted(ontology.term_ids())))
     contexts = [
         Context(
@@ -82,7 +88,7 @@ def paper_sets(draw, ontology):
         )
         for cid in ids[: draw(st.integers(0, len(ids)))]
     ]
-    return ContextPaperSet(ontology, contexts)
+    return ContextPaperSet(ontology, contexts, paper_rows)
 
 
 @st.composite
@@ -102,12 +108,10 @@ def raw_scores(draw, paper_set):
 
 
 def assert_table(got: PrestigeScores, by_context, pre) -> None:
-    """``got`` holds exactly the reference maps, in order, bit for bit."""
-    expected = scores_from_maps(got.function_name, by_context, pre)
-    got_ids, got_main, got_pre = got.to_rows()
-    ids, main, expected_pre = expected.to_rows()
-    assert got_ids == ids
-    for rows, reference in ((got_main, main), (got_pre, expected_pre)):
+    """``got`` holds exactly the reference maps, in order, bit for bit,
+    and writes the bytes of the same maps over their own sorted rows."""
+    expected = scores_from_maps(got.function_name, by_context, pre, got.paper_rows)
+    for rows, reference in ((got.scores, expected.scores), (got.pre, expected.pre)):
         assert rows.context_ids == reference.context_ids
         assert rows.indptr.dtype == np.int64 and rows.rows.dtype == np.int32
         assert rows.indptr.tolist() == reference.indptr.tolist()
@@ -116,7 +120,9 @@ def assert_table(got: PrestigeScores, by_context, pre) -> None:
     with tempfile.TemporaryDirectory() as directory:
         paths = Path(directory) / "got.npz", Path(directory) / "expected.npz"
         write_prestige_scores(got, paths[0])
-        write_prestige_scores(expected, paths[1])
+        write_prestige_scores(
+            scores_from_maps(got.function_name, by_context, pre), paths[1]
+        )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -167,6 +173,7 @@ def test_aligned_on_other_layouts(data):
                 Context(c.term_id, tuple(data.draw(st.permutations(c.paper_ids))))
                 for c in scored_set
             ],
+            ROWS,
         )
     else:
         layout = data.draw(paper_sets(ontology))
@@ -185,8 +192,8 @@ def test_propagate_max_equals_dict_reference(data):
         cid: {pid: data.draw(values) for pid in scores}
         for cid, scores in data.draw(raw_scores(paper_set)).items()
     }
-    paper_ids, rows = rows_from_maps(list(pre), list(pre.values()))
-    got = maps(paper_ids, propagate_max(paper_set, rows))
+    rows = rows_from_maps(ROWS, list(pre), list(pre.values()))
+    got = maps(ROWS, propagate_max(paper_set, rows))
     assert map_bits(got) == map_bits(propagate_max_over_descendants(paper_set, pre))
 
 
@@ -222,9 +229,11 @@ def test_blend_equals_dict_reference(data):
 @given(data=st.data())
 def test_patch_equals_dict_reference(data):
     """``SubstrateStore._patch_scores`` against the dict splice: old rows
-    from one paper set, fresh rows for the changed contexts of another."""
+    from one paper set, fresh rows for the changed contexts of another,
+    over the next corpus revision's rows."""
     ontology = data.draw(ontologies())
-    old_set, new_set = data.draw(paper_sets(ontology)), data.draw(paper_sets(ontology))
+    old_set = data.draw(paper_sets(ontology))
+    new_set = data.draw(paper_sets(ontology, NEW_ROWS))
     normalization = data.draw(NORMALIZATIONS)
     old = DrawnScorer(data.draw(raw_scores(old_set)), normalization).score_all(old_set)
     scorer = DrawnScorer(data.draw(raw_scores(new_set)), normalization)
@@ -232,7 +241,9 @@ def test_patch_equals_dict_reference(data):
         st.lists(st.sampled_from(sorted(ontology.term_ids())), unique=True)
     )
     spec = SimpleNamespace(factory=lambda store: scorer)
-    got = SubstrateStore._patch_scores(None, spec, old, new_set, changed)
+    got = SubstrateStore._patch_scores(
+        None, spec, old, new_set, changed, ROWS, ROWS.remap(NEW_ROWS, set())
+    )
     fresh = score_each(scorer, [c for c in new_set if c.term_id in set(changed)])
     pre = patch(new_set, pre_maps(old), fresh, set(changed))
     by_context = propagate_max_over_descendants(new_set, pre)
@@ -245,7 +256,9 @@ class TestSignedZero:
 
     def test_min_max_takes_the_first_zero_as_the_minimum(self):
         paper_set = ContextPaperSet(
-            Ontology([Term("c", "c")]), [Context("c", ("a", "b", "x"))]
+            Ontology([Term("c", "c")]),
+            [Context("c", ("a", "b", "x"))],
+            PaperRows(("a", "b", "x")),
         )
         for raw, expected in (
             ({"a": 0.0, "b": -0.0, "x": 1.0}, [0.0, -0.0, 1.0]),
@@ -256,7 +269,7 @@ class TestSignedZero:
 
     def test_max_keeps_a_negative_zero(self):
         paper_set = ContextPaperSet(
-            Ontology([Term("c", "c")]), [Context("c", ("a", "b"))]
+            Ontology([Term("c", "c")]), [Context("c", ("a", "b"))], PaperRows("ab")
         )
         got = DrawnScorer({"c": {"a": -0.0, "b": 2.0}}, "max").score_all(paper_set)
         assert bits(got.pre.values) == bits([-0.0, 1.0])
@@ -270,10 +283,11 @@ class TestSignedZero:
             ]
         )
         contexts = [Context(cid, ("p",)) for cid in ("root", "left", "right")]
-        paper_set = ContextPaperSet(ontology, contexts)
+        paper_rows = PaperRows(("p",))
+        paper_set = ContextPaperSet(ontology, contexts, paper_rows)
         first, second = paper_set.descendants_in_set("root")
         pre = {"root": {"p": -0.5}, first: {"p": -0.0}, second: {"p": 0.0}}
-        paper_ids, rows = rows_from_maps(list(pre), list(pre.values()))
-        got = maps(paper_ids, propagate_max(paper_set, rows))
+        rows = rows_from_maps(paper_rows, list(pre), list(pre.values()))
+        got = maps(paper_rows, propagate_max(paper_set, rows))
         assert bits([got["root"]["p"]]) == bits([-0.0])
         assert map_bits(got) == map_bits(propagate_max_over_descendants(paper_set, pre))

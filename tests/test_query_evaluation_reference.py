@@ -28,7 +28,7 @@ from repro.core.search import ContextSearchEngine
 from repro.corpus.corpus import Corpus
 from repro.index import build_index, open_index, save_index
 from repro.index.search import KeywordSearchEngine
-from repro.pipeline import build_demo_pipeline
+from repro.pipeline import Pipeline, build_demo_pipeline
 from repro.text.analyze import AnalyzedPaperCache
 
 
@@ -75,7 +75,7 @@ def test_in_memory_and_packed_evaluations_equal_reference(micro, queries, limits
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "index.bin"
         save_index(index, path)
-        packed = open_index(path)
+        packed = open_index(path, index.paper_rows)
         try:
             packed_engine = KeywordSearchEngine(packed)
             for query in queries + queries:  # the second pass reads the cache
@@ -148,8 +148,8 @@ class TestConcurrentColdEngines:
             " ".join(index.vocabulary()[i : i + 3]) for i in range(0, 60, 3)
         ]
 
-    def context_engine(self, keyword_engine):
-        pipeline = self.pipeline
+    def context_engine(self, keyword_engine, pipeline=None):
+        pipeline = pipeline or self.pipeline
         return ContextSearchEngine(
             pipeline.ontology,
             pipeline.text_paper_set,
@@ -172,24 +172,29 @@ class TestConcurrentColdEngines:
             assert answers == serial_context
 
     def test_revision_bump_under_a_warm_old_engine(self):
-        """A delta's new index serves beside the warm engines over the
-        old one: from eight threads, each answers for its own corpus."""
-        corpus = Corpus(list(self.pipeline.corpus))
-        tokens = AnalyzedPaperCache(corpus)
-        keyword = KeywordSearchEngine(build_index(tokens))
-        context = self.context_engine(keyword)
+        """A delta's new index, paper set and scores serve beside the warm
+        engines over the old ones: from eight threads, each answers for
+        its own corpus revision."""
+        source = self.pipeline
+        pipeline = Pipeline(
+            Corpus(list(source.corpus)), source.ontology, source.training_papers
+        )
+        keyword = KeywordSearchEngine(pipeline.index)
+        context = self.context_engine(keyword, pipeline)
         old_keyword = [_hits_of(keyword)(q) for q in self.queries]
         old_context = [context.search(q) for q in self.queries]  # warm
-        removed = corpus.paper_ids()[:5]
-        for paper_id in removed:
-            corpus.remove(paper_id)
-            tokens.evict_paper(paper_id)
-        new_keyword = KeywordSearchEngine(build_index(tokens))
-        new_context = self.context_engine(new_keyword)
-        fresh = build_index(AnalyzedPaperCache(Corpus(list(corpus))))
-        serial_keyword = [_hits_of(KeywordSearchEngine(fresh))(q) for q in self.queries]
+        removed = pipeline.corpus.paper_ids()[:5]
+        pipeline.substrates.apply_delta(removed_ids=removed)
+        new_keyword = KeywordSearchEngine(pipeline.index)
+        new_context = self.context_engine(new_keyword, pipeline)
+        fresh = Pipeline(
+            Corpus(list(pipeline.corpus)), source.ontology, source.training_papers
+        )
+        serial_keyword = [
+            _hits_of(KeywordSearchEngine(fresh.index))(q) for q in self.queries
+        ]
         serial_context = [
-            self.context_engine(KeywordSearchEngine(fresh)).search(q)
+            self.context_engine(KeywordSearchEngine(fresh.index), fresh).search(q)
             for q in self.queries
         ]
         assert not any(

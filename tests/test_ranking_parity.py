@@ -224,7 +224,9 @@ class TestIndexParity:
         installed = source
         if form == "reopened":
             pipeline.build_workspace(tmp_path, only=["index"])
-            installed = open_index(tmp_path / ARTIFACTS["index"].filename)
+            installed = open_index(
+                tmp_path / ARTIFACTS["index"].filename, pipeline.corpus.paper_rows
+            )
         try:
             pipeline.substrates.install_index(installed)
             mismatches = _golden_mismatches(golden, pipeline, ("search",))

@@ -133,13 +133,13 @@ def _invert_text_scores(pipeline, query, top_n=5):
     store = pipeline._store
     engine = pipeline.serving_view.engine("text", "text", "probe")
     top_ids = {hit.paper_id for hit in engine.search(query, limit=top_n)}
-    paper_ids, rows, _ = store.scores["text/text"].to_rows()
-    top_rows = [row for row, pid in enumerate(paper_ids) if pid in top_ids]
-    demoted = np.isin(rows.rows, top_rows)
+    scores = store.scores["text/text"]
+    rows = scores.scores
+    demoted = np.isin(rows.rows, scores.paper_rows.rows(top_ids))
     perturbed = dataclasses.replace(
         rows, values=np.where(demoted, 0.001, rows.values + 10.0)
     )
-    store.install_scores("text/text", PrestigeScores("text", paper_ids, perturbed))
+    store.install_scores("text/text", PrestigeScores("text", scores.paper_rows, perturbed))
 
 
 class TestQueryAnalytics:

@@ -314,7 +314,7 @@ def test_a_paper_sharing_only_low_weight_terms_joins():
     corpus, ontology, vectors = pruned_away_inputs()
     rows = vectors.full_rows
     similarity = cosine_pairs(
-        rows, vectors.rows_of(["LIGHT"]), rows, vectors.rows_of(["REP"])
+        rows, vectors.paper_rows.rows(["LIGHT"]), rows, vectors.paper_rows.rows(["REP"])
     )[0]
     assert 0.3 < similarity < 0.4
     paper_set = assert_assigner_matches_reference(
@@ -327,7 +327,9 @@ def test_threshold_equal_to_an_exact_cosine():
     corpus, ontology, vectors = pruned_away_inputs()
     rows = vectors.full_rows
     similarity = float(
-        cosine_pairs(rows, vectors.rows_of(["LIGHT"]), rows, vectors.rows_of(["REP"]))[0]
+        cosine_pairs(
+            rows, vectors.paper_rows.rows(["LIGHT"]), rows, vectors.paper_rows.rows(["REP"])
+        )[0]
     )
     for threshold, members in (
         (similarity, ("LIGHT", "REP")),

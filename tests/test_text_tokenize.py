@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text.tokenize import ngrams, sentences, tokenize
+from repro.text.tokenize import ngrams, tokenize
 
 
 class TestTokenize:
@@ -43,24 +43,6 @@ class TestTokenize:
 
     def test_leading_trailing_hyphen_not_part_of_token(self):
         assert tokenize("-prefix suffix-") == ["prefix", "suffix"]
-
-
-class TestSentences:
-    def test_basic_split(self):
-        assert sentences("First point. Second point!  Third?") == [
-            "First point.",
-            "Second point!",
-            "Third?",
-        ]
-
-    def test_no_terminator(self):
-        assert sentences("unterminated text") == ["unterminated text"]
-
-    def test_empty(self):
-        assert sentences("") == []
-
-    def test_repeated_terminators(self):
-        assert sentences("Really?!  Yes.") == ["Really?!", "Yes."]
 
 
 class TestNgrams:

@@ -802,9 +802,9 @@ class TestCodecs:
 
         index = build_index(AnalyzedPaperCache(tiny_corpus))
         save_index(index, tmp_path / "index.bin")
-        restored = open_index(tmp_path / "index.bin")
+        restored = open_index(tmp_path / "index.bin", tiny_corpus.paper_rows)
         assert restored.vocabulary() == index.vocabulary()
-        assert restored.paper_table().ids == index.paper_table().ids
+        assert restored.paper_rows is index.paper_rows
         for term in index.vocabulary():
             assert postings(restored, term) == postings(index, term), term
             assert restored.document_frequency(term) == index.document_frequency(
@@ -832,7 +832,7 @@ class TestCodecs:
         path = tmp_path / "text_paper_set.npz"
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(ValueError, match="not a context paper set") as excinfo:
-            read_context_paper_set(path, None)
+            read_context_paper_set(path, None, None)
         assert str(path) in str(excinfo.value)
 
     def test_mismatched_format_tag_names_both_tags(self, tiny_ontology, tmp_path):
@@ -842,6 +842,6 @@ class TestCodecs:
         path = tmp_path / "artifact.npz"
         write_prestige_scores(scores_from_maps("text", {"met": {"M1": 1.0}}), path)
         with pytest.raises(ValueError, match="expected format") as excinfo:
-            read_context_paper_set(path, tiny_ontology)
+            read_context_paper_set(path, tiny_ontology, None)
         assert "repro/context-paper-set/v2" in str(excinfo.value)
         assert "repro/prestige-scores/v2" in str(excinfo.value)

@@ -70,6 +70,12 @@ MUTATIONS = (
         (KERNEL,),
     ),
     Mutation(
+        "search-id-tie-break", "repro/core/search.py",
+        "ranked = np.lexsort((rank[best.papers], -best.relevancy))",
+        "ranked = np.lexsort((best.papers, -best.relevancy))",
+        (KERNEL,),
+    ),
+    Mutation(
         "search-probe-size", "repro/core/search.py",
         "strengths = totals[touched] / columns.sqrt_sizes[touched]",
         "strengths = totals[touched]",

@@ -94,10 +94,12 @@ def text_index_dep(data: Path, artifacts: dict) -> tuple:
 
 def json_paper_sets(data: Path, artifacts: dict) -> tuple:
     workspace = data / "workspace"
-    ontology = Pipeline.from_directory(data).ontology
+    pipeline = Pipeline.from_directory(data)
     representatives = {}
     for name in ("text_paper_set", "pattern_paper_set"):
-        paper_set = read_context_paper_set(workspace / f"{name}.npz", ontology)
+        paper_set = read_context_paper_set(
+            workspace / f"{name}.npz", pipeline.ontology, pipeline.corpus.paper_rows
+        )
         (workspace / f"{name}.npz").unlink()
         contexts = []
         for context in paper_set:
