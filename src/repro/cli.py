@@ -76,6 +76,17 @@ ONTOLOGY_FILE = "ontology.obo"
 TRAINING_FILE = "training.json"
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -776,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="probe",
         help="how to pick candidate contexts for a query",
     )
-    search.add_argument("--limit", type=int, default=10)
+    search.add_argument("--limit", type=_non_negative_int, default=10)
     search.add_argument("--threshold", type=float, default=0.0)
     search.add_argument(
         "--no-result-cache",

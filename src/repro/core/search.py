@@ -32,10 +32,14 @@ so its rows index the columns directly:
   selected rows, masks the members the query matched, and computes
   ``w_prestige * p + w_matching * m`` with the same float64 operations
   a scalar loop performs;
-- merging keeps each paper's best relevancy (the earliest selected
-  context on a tie) and ranks by ``(-relevancy, paper_id)`` with
-  ``lexsort`` over the rows' id ``rank``; :class:`SearchHit` objects
-  are built only for the returned rows.
+- merging first cuts the scored pairs to those that can still reach
+  the top ``limit`` papers: ``np.fmax.at`` takes each paper's best
+  relevancy (skipping NaN) and ``np.partition`` finds the ``limit``-th
+  best, and pairs below it are dropped (ties kept).  Two ``lexsort``
+  passes then keep each surviving paper's best relevancy (the earliest
+  selected context on a tie) and rank by ``(-relevancy, paper_id)``
+  over the rows' id ``rank``; :class:`SearchHit` objects are built only
+  for the returned rows.
 
 Rankings are bit-identical to the per-paper loop they replace
 (``tests/reference/search.py`` keeps that loop as the reference).
@@ -152,6 +156,12 @@ class _RepresentativeView:
         return cls(context_rows, rows, terms, terms.indptr.tolist())
 
 
+def _check_limit(name: str, limit: Optional[int]) -> None:
+    """Reject a negative result limit, which slicing would read from the end."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"{name} must be non-negative, got {limit}")
+
+
 @dataclass(frozen=True)
 class _Scored:
     """Scored (context, paper) pairs as parallel arrays.
@@ -178,6 +188,49 @@ class _Scored:
             self.prestige[index],
             self.matching[index],
         )
+
+    def merge(
+        self, rank: np.ndarray, limit: Optional[int]
+    ) -> Tuple[_Scored, int, int]:
+        """Merge step: each paper's best row, ranked, at most ``limit``.
+
+        A paper selected through several contexts keeps its best
+        relevancy; on a tie the earliest selected context wins.  Papers
+        rank by ``(-relevancy, id rank)``, ``rank`` being the paper rows'
+        id rank; a NaN relevancy sorts last.  When more than ``limit``
+        papers were scored, the pairs are first cut to those at or above
+        the ``limit``-th best per-paper relevancy (ties kept), so the two
+        sorts run on the few pairs that can still be returned.
+        ``np.fmax.at`` takes each paper's best skipping NaN, as the sort
+        does; a NaN cut (fewer than ``limit`` finite bests) cuts nothing.
+
+        Returns ``(hits, deduped, kept)``: ``deduped`` counts every pair
+        beyond its paper's first, ``kept`` the pairs left after the cut.
+        """
+        scored = self
+        if limit is not None and len(self) > limit:
+            touched = np.zeros(len(rank), dtype=bool)
+            touched[self.papers] = True
+            n_papers = int(np.count_nonzero(touched))
+            if n_papers > limit and limit == 0:
+                scored = self.take(np.zeros(0, dtype=np.intp))
+            elif n_papers > limit:
+                paper_best = np.full(len(rank), np.nan)
+                np.fmax.at(paper_best, self.papers, self.relevancy)
+                cut = -np.partition(-paper_best[touched], limit - 1)[limit - 1]
+                if not np.isnan(cut):
+                    scored = self.take(self.relevancy >= cut)
+        by_paper = np.lexsort((scored.order, -scored.relevancy, scored.papers))
+        papers = scored.papers[by_paper]
+        first = np.ones(len(papers), dtype=bool)
+        first[1:] = papers[1:] != papers[:-1]
+        best = scored.take(by_paper[first])
+        # Uncut, every paper has its row in ``best``.
+        deduped = len(self) - (len(best) if scored is self else n_papers)
+        ranked = np.lexsort((rank[best.papers], -best.relevancy))
+        if limit is not None:
+            ranked = ranked[:limit]
+        return best.take(ranked), deduped, len(scored)
 
 
 class ContextSearchEngine:
@@ -443,8 +496,10 @@ class ContextSearchEngine:
         ``contexts`` overrides automatic selection (used by experiments
         that fix the context of interest); a repeated id counts once.
         The whole request shares one :class:`QueryEvaluation`, so the
-        inverted index is scanned exactly once per call.
+        inverted index is scanned exactly once per call.  A negative
+        ``limit`` raises ``ValueError``.
         """
+        _check_limit("limit", limit)
         with span("search.run", query=query, threshold=threshold) as trace:
             self.warm()
             evaluation = self.keyword_engine.evaluate(query)
@@ -469,23 +524,11 @@ class ContextSearchEngine:
                     papers_scored=papers_scored, papers_dropped=papers_dropped
                 )
             with span("search.merge") as merge_trace:
-                # Merge step: a paper selected through several contexts
-                # keeps its best relevancy; on a tie the earliest
-                # selected context wins.
-                by_paper = np.lexsort(
-                    (scored.order, -scored.relevancy, scored.papers)
+                merged, merge_deduped, kept = scored.merge(
+                    self._columns.paper_rows.rank, limit
                 )
-                papers = scored.papers[by_paper]
-                first = np.ones(len(papers), dtype=bool)
-                first[1:] = papers[1:] != papers[:-1]
-                best = scored.take(by_paper[first])
-                merge_deduped = len(scored) - len(best)
-                rank = self._columns.paper_rows.rank
-                ranked = np.lexsort((rank[best.papers], -best.relevancy))
-                if limit is not None:
-                    ranked = ranked[:limit]
-                hits = self._hits(best.take(ranked), selected)
-                merge_trace.set(deduped=merge_deduped, hits=len(hits))
+                hits = self._hits(merged, selected)
+                merge_trace.set(deduped=merge_deduped, kept=kept, hits=len(hits))
             trace.set(hits=len(hits))
             registry = get_registry()
             registry.counter("search.context.queries").inc()
@@ -605,8 +648,10 @@ class ContextSearchEngine:
         several selected contexts appears in each group with that
         context's prestige.  Empty groups (no paper cleared the threshold)
         are dropped.  Shares one :class:`QueryEvaluation` between
-        selection and scoring, like :meth:`search`.
+        selection and scoring, like :meth:`search`.  A negative
+        ``per_context_limit`` raises ``ValueError``.
         """
+        _check_limit("per_context_limit", per_context_limit)
         self.warm()
         evaluation = self.keyword_engine.evaluate(query)
         selections = self._select_contexts(query, max_contexts, evaluation)

@@ -6,7 +6,13 @@ them, drop what falls below the threshold, merge by best relevancy --
 with no arrays, caches or index, over a scenario namespace: contexts,
 names, prestige and match maps, representative similarities, query
 terms, weights, probe depth, name bonus and selection strategy.
+
+:func:`two_sort_merge` is the engine's array merge step as it was
+before the top-``limit`` cut, and :func:`pairs_kept` counts the pairs
+that cut should leave.
 """
+
+import numpy as np
 
 from repro.core.search import ContextResultGroup, ContextSelection, SearchHit
 from repro.text.vectorize import SparseVector
@@ -127,3 +133,46 @@ class ReferenceSearch:
                     selection.context_id, selection.strength, tuple(hits)
                 ))
         return groups
+
+
+def two_sort_merge(scored, rank, limit):
+    """``(hits, deduped)``: the merge step sorting every scored pair.
+
+    A 3-key ``lexsort`` over all pairs keeps each paper's best row (the
+    earliest selected context on a tie, NaN last), a 2-key ``lexsort``
+    ranks those by ``(-relevancy, id rank)``, and only then is the answer
+    cut to ``limit``.
+    """
+    by_paper = np.lexsort((scored.order, -scored.relevancy, scored.papers))
+    papers = scored.papers[by_paper]
+    first = np.ones(len(papers), dtype=bool)
+    first[1:] = papers[1:] != papers[:-1]
+    best = scored.take(by_paper[first])
+    merge_deduped = len(scored) - len(best)
+    ranked = np.lexsort((rank[best.papers], -best.relevancy))
+    if limit is not None:
+        ranked = ranked[:limit]
+    return best.take(ranked), merge_deduped
+
+
+def pairs_kept(scored, limit):
+    """How many pairs the top-``limit`` cut keeps, by a per-pair loop.
+
+    With more than ``limit`` papers scored, the pairs at or above the
+    ``limit``-th best of the papers' finite best relevancies; all pairs
+    if fewer than ``limit`` papers have a finite best, none at limit 0.
+    """
+    papers = scored.papers.tolist()
+    relevancies = scored.relevancy.tolist()
+    if limit is None or len(set(papers)) <= limit:
+        return len(papers)
+    if limit == 0:
+        return 0
+    best = {}
+    for paper, relevancy in zip(papers, relevancies):
+        if relevancy == relevancy:  # not NaN
+            best[paper] = max(best.get(paper, relevancy), relevancy)
+    finite = sorted(best.values(), reverse=True)
+    if len(finite) < limit:
+        return len(papers)
+    return sum(relevancy >= finite[limit - 1] for relevancy in relevancies)

@@ -141,6 +141,12 @@ class TestSearch:
         with pytest.raises(SystemExit):
             main(["search", "--data", str(data_dir)])
 
+    def test_negative_limit_rejected(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["search", "--data", str(data_dir), "--query", "x", "--limit", "-1"])
+        assert raised.value.code == 2
+        assert "--limit: must be non-negative, got -1" in capsys.readouterr().err
+
 
 class TestBuild:
     def test_workspace_written(self, data_dir, capsys):

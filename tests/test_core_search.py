@@ -81,6 +81,15 @@ class TestSearch:
         hits = setup["engine"].search("metabolic process", limit=1)
         assert len(hits) == 1
 
+    def test_negative_limit_rejected(self, setup):
+        # A slice would read -1 from the end and drop only the last hit.
+        with pytest.raises(ValueError, match="limit must be non-negative"):
+            setup["engine"].search("metabolic process", limit=-1)
+
+    def test_negative_per_context_limit_rejected(self, setup):
+        with pytest.raises(ValueError, match="per_context_limit must be non-negative"):
+            setup["engine"].search_grouped("metabolic process", per_context_limit=-1)
+
     def test_explicit_contexts_skip_selection(self, setup):
         hits = setup["engine"].search("kinase receptor", contexts=["sig"])
         assert {h.context_id for h in hits} == {"sig"}

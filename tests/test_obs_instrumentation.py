@@ -72,6 +72,13 @@ class TestPipelineSearchSpans:
         assert select.attrs["probed"] >= select.attrs["selected"] > 0
         assert score.attrs["contexts"] == select.attrs["selected"]
         assert merge.attrs["hits"] == len(hits)
+        # The cut keeps at least every returned hit's pair and at most
+        # the pairs left after the threshold.
+        assert (
+            len(hits)
+            <= merge.attrs["kept"]
+            <= score.attrs["papers_scored"] - score.attrs["papers_dropped"]
+        )
         for node in (run, select, score, merge):
             assert node.duration > 0.0
 

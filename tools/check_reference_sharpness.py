@@ -43,6 +43,7 @@ class Mutation(NamedTuple):
 PRESTIGE = "tests/test_prestige_rows_reference.py"
 BUILDER = "tests/test_pattern_builder_reference.py::TestBuild"
 KERNEL = "tests/test_context_kernel_reference.py"
+MERGE = "tests/test_search_merge_reference.py"
 QUERY = (
     "tests/test_query_evaluation_reference.py"
     "::test_in_memory_and_packed_evaluations_equal_reference"
@@ -74,6 +75,18 @@ MUTATIONS = (
         "ranked = np.lexsort((rank[best.papers], -best.relevancy))",
         "ranked = np.lexsort((best.papers, -best.relevancy))",
         (KERNEL,),
+    ),
+    Mutation(
+        "search-merge-cut", "repro/core/search.py",
+        "scored = self.take(self.relevancy >= cut)",
+        "scored = self.take(self.relevancy > cut)",
+        (MERGE,),
+    ),
+    Mutation(
+        "search-merge-fmax", "repro/core/search.py",
+        "np.fmax.at(paper_best, self.papers, self.relevancy)",
+        "np.maximum.at(paper_best, self.papers, self.relevancy)",
+        (MERGE,),
     ),
     Mutation(
         "search-probe-size", "repro/core/search.py",
