@@ -75,8 +75,8 @@ def pagerank(
         score flows from citing papers to cited papers.
     teleport:
         ``E1_CONSTANT`` adds ``d`` to every component each step (scores are
-        then min-max normalised by consumers); ``E2_UNIFORM`` keeps a
-        probability distribution.
+        then divided by their maximum by consumers); ``E2_UNIFORM`` keeps
+        a probability distribution.
     d:
         Teleport probability; ``1 - d`` is the damping factor.  The classic
         web value is d = 0.15.

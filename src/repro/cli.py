@@ -236,8 +236,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         pipeline, queries, thresholds=(0.1, 0.2, 0.3, 0.4, 0.5)
     )
     print(f"evaluating {len(queries)} queries\n")
-    # The sweep is registry-driven: every (function, paper set) arm a
-    # registered score function declares is evaluated.
+    # The sweep derives from the score-function table: every (function,
+    # paper set) arm a declared score function names is evaluated.
     for function, paper_set in scoring.evaluation_arms():
         curve = experiment.run(function, paper_set)
         print(f"[{function} scores on {paper_set}-based paper set]")
@@ -773,8 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="file with one query per line (blank lines and # comments skipped); "
         "queries run as a concurrent batch",
     )
-    # Both choice lists derive from the scoring registry, so a function
-    # registered by a plugin is searchable with no CLI edits.
+    # Both choice lists derive from the score-function table, so a
+    # function added there is searchable with no CLI edits.
     search.add_argument(
         "--function", choices=scoring.function_names(), default="text"
     )

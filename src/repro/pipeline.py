@@ -3,8 +3,9 @@
 :class:`Pipeline` is a thin façade over the three layers of the system
 (see ``docs/architecture.md``):
 
-1. the **scoring registry** (:mod:`repro.scoring`) -- every prestige
-   score function, declared once, driving dispatch/CLI/workspace/sweeps;
+1. the **score-function table** (:mod:`repro.scoring`) -- every
+   prestige score function, declared once, driving
+   dispatch/CLI/workspace/sweeps;
 2. the **build layer** (:class:`~repro.serving.substrate.SubstrateStore`)
    -- index, vectors, token cache, citation graph, the two context paper
    sets (text contexts carry their representatives), memoised scores,
@@ -91,13 +92,7 @@ class Pipeline:
             training_papers,
             text_similarity_threshold=text_similarity_threshold,
         )
-        self._serving = ServingView(
-            self._store,
-            self._store.revision,
-            w_prestige=w_prestige,
-            w_matching=w_matching,
-            result_cache_size=result_cache_size,
-        )
+        self._serving = self._new_view()
         # Reload drift detection (configure_drift): a pinned probe-query
         # baseline, the threshold an *enforced* refresh refuses above,
         # and the substrate revision a refused swap pinned the old view
@@ -197,6 +192,16 @@ class Pipeline:
                 return view
         return view
 
+    def _new_view(self) -> ServingView:
+        """A view of the store's current revision with this pipeline's settings."""
+        return ServingView(
+            self._store,
+            self._store.revision,
+            w_prestige=self.w_prestige,
+            w_matching=self.w_matching,
+            result_cache_size=self.result_cache_size,
+        )
+
     def refresh(self, enforce_drift: bool = False) -> ServingView:
         """Swap in a fresh :class:`ServingView` (atomic reference swap).
 
@@ -218,13 +223,7 @@ class Pipeline:
         hold it pinned until a forced reload or another substrate
         change.
         """
-        view = ServingView(
-            self._store,
-            self._store.revision,
-            w_prestige=self.w_prestige,
-            w_matching=self.w_matching,
-            result_cache_size=self.result_cache_size,
-        )
+        view = self._new_view()
         candidate_rankings: Optional[Dict[str, Dict[str, tuple]]] = None
         if self._drift_config is not None and self._drift_baseline is not None:
             config = self._drift_config
@@ -483,7 +482,7 @@ class Pipeline:
     def prestige(self, function: str, paper_set_name: str = "text") -> PrestigeScores:
         """Memoised prestige scores.
 
-        ``function`` is any score function registered with
+        ``function`` is any score function declared in
         :mod:`repro.scoring` (``repro.scoring.function_names()`` lists
         them); ``paper_set_name`` selects the context paper set, matching
         section 4's two experiment arms.  Concurrent cold lookups of the

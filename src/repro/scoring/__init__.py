@@ -1,4 +1,4 @@
-"""The prestige score functions of section 3 and their registry.
+"""The prestige score functions of section 3 and their table.
 
 - :mod:`repro.scoring.base` -- the common interface, score tables as
   rows, per-context normalisation and hierarchy max-propagation.
@@ -8,14 +8,15 @@
 - :mod:`repro.scoring.text` -- representative-paper multi-facet
   similarity (section 3.2).
 - :mod:`repro.scoring.pattern` -- pattern matching scores (section 3.3).
-- :mod:`repro.scoring.registry` -- :class:`ScoreFunctionSpec` and the
-  registry (see ``docs/architecture.md``).
-- :mod:`repro.scoring.functions` -- the registrations: ``text``,
-  ``citation``, ``pattern``, ``hits`` and the ``combined`` rank fusion.
+- :mod:`repro.scoring.spec` -- :class:`ScoreFunctionSpec` and the
+  checks a table of specs passes (see ``docs/architecture.md``).
+- :mod:`repro.scoring.functions` -- the table: ``text``, ``citation``,
+  ``pattern``, ``hits`` and the ``combined`` rank fusion, and its
+  readers.
 
-Importing this package registers those functions.  Everything
-downstream -- prestige dispatch, CLI choices, workspace score artifacts,
-evaluation sweeps -- derives its function lists from the registry.
+Everything downstream -- prestige dispatch, CLI choices, workspace
+score artifacts, evaluation sweeps -- derives its function lists from
+that table.
 """
 
 from repro.scoring.base import (
@@ -29,23 +30,14 @@ from repro.scoring.citation import CitationPrestige
 from repro.scoring.hits_prestige import HitsPrestige
 from repro.scoring.pattern import PatternPrestige
 from repro.scoring.text import FacetWeights, TextPrestige
-from repro.scoring.registry import (
-    PAPER_SET_NAMES,
-    ScoreFunctionSpec,
+from repro.scoring.spec import PAPER_SET_NAMES, ScoreFunctionSpec
+from repro.scoring.functions import (
     evaluation_arms,
     function_names,
     get,
-    is_registered,
     overlap_pairs,
-    register,
-    registry_revision,
     specs,
-    temporary_registration,
-    unregister,
 )
-
-# Importing the module runs its register() calls.
-from repro.scoring import functions as _functions  # noqa: F401  (registers built-ins)
 
 __all__ = [
     "PrestigeScoreFunction",
@@ -63,11 +55,6 @@ __all__ = [
     "evaluation_arms",
     "function_names",
     "get",
-    "is_registered",
     "overlap_pairs",
-    "register",
-    "registry_revision",
     "specs",
-    "temporary_registration",
-    "unregister",
 ]

@@ -198,44 +198,6 @@ def propagate_max(paper_set: ContextPaperSet, pre: ScoreRows) -> ScoreRows:
 # -- per-context normalisers over rows ------------------------------------------------
 
 
-def _row_extremes(values: np.ndarray, indptr: np.ndarray):
-    """Each (non-empty) row's ``(min, max)``, repeated over its entries.
-
-    A zero minimum takes the sign of the row's first zero, as Python's
-    ``min()`` returns the first of equal values.
-    """
-    starts = indptr[:-1]
-    low = np.minimum.reduceat(values, starts)
-    high = np.maximum.reduceat(values, starts)
-    zero_rows = np.flatnonzero(low == 0.0)
-    if zero_rows.size:
-        zeros = np.flatnonzero(values == 0.0)
-        low[zero_rows] = values[zeros[np.searchsorted(zeros, starts[zero_rows])]]
-    counts = np.diff(indptr)
-    return np.repeat(low, counts), np.repeat(high, counts)
-
-
-def min_max_rows(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Rescale each row to [0, 1] by (x - min) / (max - min).
-
-    A constant row maps to 0.0: it carries no *relative* evidence, and
-    min-max is the spread-only view.  :func:`max_rows` keeps a meaningful
-    raw floor instead (PageRank's teleport floor, where tied papers are
-    equally important rather than all unimportant).
-
-    >>> min_max_rows(np.array([2.0, 4.0, 3.0, 7.0]), np.array([0, 3, 4])).tolist()
-    [0.0, 1.0, 0.5, 0.0]
-    """
-    if not len(values):
-        return values
-    low, high = _row_extremes(values, indptr)
-    spread = high - low
-    normalised = np.zeros_like(values)
-    moving = spread != 0.0
-    normalised[moving] = (values[moving] - low[moving]) / spread[moving]
-    return normalised
-
-
 def max_rows(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Rescale each row to [0, 1] by max(x, 0) / max, keeping the floor.
 
@@ -251,7 +213,7 @@ def max_rows(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """
     if not len(values):
         return values
-    _, high = _row_extremes(values, indptr)
+    high = np.repeat(np.maximum.reduceat(values, indptr[:-1]), np.diff(indptr))
     normalised = np.zeros_like(values)
     scaled = ~(high <= 0.0)
     kept = values[scaled]
@@ -262,7 +224,6 @@ def max_rows(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 #: Normalisation registry for :meth:`PrestigeScoreFunction.score_all`:
 #: ``normalizer(values, indptr) -> values``, row by row.
 NORMALIZERS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "minmax": min_max_rows,
     "max": max_rows,
     "none": lambda values, indptr: values,
 }
@@ -389,9 +350,9 @@ class PrestigeScoreFunction(abc.ABC):
         return [self.score_context(context) for context in contexts]
 
     #: Per-context normaliser, a :data:`NORMALIZERS` key; subclasses
-    #: override when the raw scale calls for it (citation scores keep
-    #: their teleport floor).
-    normalization: str = "minmax"
+    #: override when the raw scale calls for it (text similarities are
+    #: already in [0, 1] and stay as they are).
+    normalization: str = "max"
 
     def score_all(self, paper_set: ContextPaperSet) -> PrestigeScores:
         """Score every context; normalise, decay and max-propagate.

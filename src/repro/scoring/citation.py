@@ -43,7 +43,7 @@ class CitationPrestige(PrestigeScoreFunction):
     name = "citation"
     #: PageRank's teleport floor is a real baseline: papers tied at it are
     #: equally (somewhat) important, not all worthless, so per-context
-    #: normalisation divides by the max instead of subtracting the min.
+    #: normalisation divides by the max, which keeps that floor.
     normalization = "max"
 
     def __init__(

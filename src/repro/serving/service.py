@@ -278,6 +278,20 @@ def _choice(
     return value
 
 
+def _query_choices(params: Dict[str, List[str]]) -> Tuple[str, str, str]:
+    """The query's ``score_function``, ``paper_set`` and ``selection_strategy``."""
+    return (
+        _choice(params, "score_function", scoring.function_names(), "text"),
+        _choice(params, "paper_set", scoring.PAPER_SET_NAMES, "text"),
+        _choice(params, "selection_strategy", SELECTION_STRATEGIES, "probe"),
+    )
+
+
+def _force(params: Dict[str, List[str]]) -> bool:
+    """Whether ``?force=1`` asks to swap the view past the drift gate."""
+    return _one(params, "force", "0") in ("1", "true", "yes")
+
+
 def _int(
     params: Dict[str, List[str]], name: str, default: int, minimum: int = 1
 ) -> int:
@@ -710,15 +724,7 @@ class SearchService:
 
     def _handle_search(self, params: Dict[str, List[str]]) -> Response:
         query = _required(params, "q")
-        function = _choice(
-            params, "score_function", scoring.function_names(), "text"
-        )
-        paper_set = _choice(
-            params, "paper_set", scoring.PAPER_SET_NAMES, "text"
-        )
-        strategy = _choice(
-            params, "selection_strategy", SELECTION_STRATEGIES, "probe"
-        )
+        function, paper_set, strategy = _query_choices(params)
         top_k = _int(params, "top_k", default=10)
         threshold = _float(params, "threshold", default=0.0)
         contexts = params.get("context") or None
@@ -760,15 +766,7 @@ class SearchService:
 
     def _handle_search_grouped(self, params: Dict[str, List[str]]) -> Response:
         query = _required(params, "q")
-        function = _choice(
-            params, "score_function", scoring.function_names(), "text"
-        )
-        paper_set = _choice(
-            params, "paper_set", scoring.PAPER_SET_NAMES, "text"
-        )
-        strategy = _choice(
-            params, "selection_strategy", SELECTION_STRATEGIES, "probe"
-        )
+        function, paper_set, strategy = _query_choices(params)
         top_k = _int(params, "top_k", default=10)
         max_contexts = _int(params, "max_contexts", default=5)
         threshold = _float(params, "threshold", default=0.0)
@@ -798,15 +796,7 @@ class SearchService:
     def _handle_explain(self, params: Dict[str, List[str]]) -> Response:
         query = _required(params, "q")
         paper_id = _required(params, "paper_id")
-        function = _choice(
-            params, "score_function", scoring.function_names(), "text"
-        )
-        paper_set = _choice(
-            params, "paper_set", scoring.PAPER_SET_NAMES, "text"
-        )
-        strategy = _choice(
-            params, "selection_strategy", SELECTION_STRATEGIES, "probe"
-        )
+        function, paper_set, strategy = _query_choices(params)
         max_contexts = _int(params, "max_contexts", default=5)
         if paper_id not in self.pipeline.corpus:
             raise BadRequest(f"unknown paper_id {paper_id!r}")
@@ -963,7 +953,7 @@ class SearchService:
             added = [Paper.from_dict(item) for item in raw_added]
         except (KeyError, TypeError, ValueError) as error:
             raise BadRequest(f"bad paper in 'add': {error}") from None
-        force = _one(params, "force", "0") in ("1", "true", "yes")
+        force = _force(params)
         try:
             report = self.pipeline.substrates.apply_delta(
                 added_papers=added, removed_ids=removed
@@ -974,31 +964,19 @@ class SearchService:
             return json_response(
                 {"status": "noop", "report": report.to_dict()}
             )
-        try:
-            view = self.pipeline.refresh(enforce_drift=not force)
-        except DriftExceeded as exceeded:
-            return json_response(
-                {
-                    "status": "refused",
-                    "error": str(exceeded),
-                    "max_drift": exceeded.max_drift,
-                    "drift": exceeded.report.to_dict(),
-                    "report": report.to_dict(),
-                },
-                status=409,
-            )
-        payload_out: Dict[str, Any] = {
-            "status": "ingested",
-            "view_revision": view.revision,
-            "report": report.to_dict(),
-        }
-        drift = self.pipeline.last_drift_report
-        if drift is not None:
-            payload_out["drift"] = drift.to_dict()
-        return json_response(payload_out)
+        return self._swap_view(force, "ingested", report=report.to_dict())
 
     def _handle_reload(self, params: Dict[str, List[str]]) -> Response:
-        force = _one(params, "force", "0") in ("1", "true", "yes")
+        return self._swap_view(_force(params), "reloaded")
+
+    def _swap_view(self, force: bool, status: str, **fields: Any) -> Response:
+        """Refresh the serving view behind the drift gate (``force`` skips it).
+
+        A refused swap answers 409 ``refused`` with the drift report and
+        ``max_drift``; a swap answers ``status`` with the new view
+        revision and the drift report when one was measured.  Both carry
+        ``fields``.
+        """
         try:
             view = self.pipeline.refresh(enforce_drift=not force)
         except DriftExceeded as exceeded:
@@ -1008,13 +986,14 @@ class SearchService:
                     "error": str(exceeded),
                     "max_drift": exceeded.max_drift,
                     "drift": exceeded.report.to_dict(),
+                    **fields,
                 },
                 status=409,
             )
         payload: Dict[str, Any] = {
-            "status": "reloaded", "view_revision": view.revision,
+            "status": status, "view_revision": view.revision, **fields,
         }
-        report = self.pipeline.last_drift_report
-        if report is not None:
-            payload["drift"] = report.to_dict()
+        drift = self.pipeline.last_drift_report
+        if drift is not None:
+            payload["drift"] = drift.to_dict()
         return json_response(payload)

@@ -324,7 +324,7 @@ class SubstrateStore:
     def prestige(self, function: str, paper_set_name: str = "text") -> PrestigeScores:
         """Memoised prestige scores, computed at most once per key.
 
-        ``function`` is any registered score function (plus any key
+        ``function`` is any declared score function (plus any key
         installed from precomputed artefacts); ``paper_set_name`` selects
         the context paper set.  Concurrent cold lookups of the same key
         single-flight on a per-key lock.

@@ -115,8 +115,8 @@ class ServingView:
         self,
         store: SubstrateStore,
         revision: int,
-        w_prestige: float = 0.7,
-        w_matching: float = 0.3,
+        w_prestige: float,
+        w_matching: float,
         result_cache_size: int = 256,
     ) -> None:
         self._store = store

@@ -21,13 +21,12 @@ topologically sorted; :func:`topological_order` re-derives the order from
 the declared edges and is what the builder actually uses, so a future
 out-of-order declaration cannot corrupt builds.
 
-Score artifacts are **derived from the scoring registry**
-(:mod:`repro.scoring`): each registered function contributes one
+Score artifacts are **derived from the score-function table**
+(:mod:`repro.scoring`): each declared function contributes one
 ``scores_<function>_<paper_set>`` artifact per declared paper set, whose
 fingerprint dependencies are the paper-set artifact plus the spec's
-``substrates``.  :data:`ARTIFACTS` is a live mapping that re-derives
-itself whenever the scoring registry changes, so registering a plugin
-function gets it fingerprinted persistence with no edits here.
+``substrates``.  A function added to that table therefore gets
+fingerprinted persistence with no edits here.
 """
 
 from __future__ import annotations
@@ -92,8 +91,8 @@ def _build_vectors(pipeline):
 
 
 #: The structural artifacts every pipeline shares (declaration order is
-#: a valid build order).  Score artifacts are appended dynamically from
-#: the scoring registry -- see :class:`_ArtifactRegistry`.
+#: a valid build order).  Score artifacts are appended from the
+#: score-function table -- see :func:`_derive_artifacts`.
 _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
     Artifact(
         name="index",
@@ -169,12 +168,11 @@ _BASE_ARTIFACTS: Tuple[Artifact, ...] = (
 
 
 def _derive_artifacts() -> Dict[str, Artifact]:
-    """Base artifacts + one score artifact per registry evaluation arm.
+    """Base artifacts + one score artifact per evaluation arm.
 
     A score artifact's fingerprint dependencies are the paper-set
-    artifact followed by the spec's declared ``substrates`` -- the same
-    (order-preserving) chains the pre-registry declarations used, so
-    existing workspace fingerprints stay valid.
+    artifact followed by the spec's declared ``substrates``, in that
+    order: the order is part of every workspace fingerprint.
     """
     registry: Dict[str, Artifact] = {
         artifact.name: artifact for artifact in _BASE_ARTIFACTS
@@ -191,12 +189,12 @@ def _derive_artifacts() -> Dict[str, Artifact]:
 
 
 class _ArtifactRegistry(Mapping):
-    """A live, read-only mapping view of the artifact graph.
+    """A read-only mapping view of the artifact graph.
 
-    Re-derives its contents whenever the scoring registry's revision
-    moves, so plugin registrations (including test-scoped
-    ``temporary_registration``) appear -- and disappear -- without any
-    caller holding a stale snapshot.
+    Derives its contents from :func:`_derive_artifacts` on the first
+    read, and again only after ``_cached_revision`` is reset to None:
+    a tracer that swaps ``_derive_artifacts`` for one wrapping every
+    node resets it on install and on uninstall.
     """
 
     def __init__(self) -> None:
@@ -204,10 +202,9 @@ class _ArtifactRegistry(Mapping):
         self._cached_revision: Optional[int] = None
 
     def _snapshot(self) -> Dict[str, Artifact]:
-        revision = scoring.registry_revision()
-        if revision != self._cached_revision:
+        if self._cached_revision is None:
             self._cached = _derive_artifacts()
-            self._cached_revision = revision
+            self._cached_revision = 0
         return self._cached
 
     def __getitem__(self, name: str) -> Artifact:
@@ -220,8 +217,7 @@ class _ArtifactRegistry(Mapping):
         return len(self._snapshot())
 
 
-#: Declaration-ordered artifact registry (already a valid build order),
-#: kept in sync with the scoring registry automatically.
+#: Declaration-ordered artifact registry (already a valid build order).
 ARTIFACTS: Mapping = _ArtifactRegistry()
 
 
@@ -236,7 +232,7 @@ def topological_order(targets: Optional[Iterable[str]] = None) -> List[str]:
     Raises ``KeyError`` for unknown names, and ``ValueError`` on a
     dependency that names no artifact (a score function's ``substrates``
     typo) or a dependency cycle (neither can happen with the shipped
-    registry; both guard future edits and plugins).
+    table; both guard future edits).
     """
     requested = list(targets) if targets is not None else artifact_names()
     for name in requested:

@@ -109,11 +109,6 @@ class WorkspaceBuilder:
     def __init__(self, pipeline, directory: PathLike) -> None:
         self.pipeline = pipeline
         self.directory = Path(directory)
-        #: Lineage the *next* manifest write should carry; set by
-        #: :func:`ingest_delta` before it rebuilds.  None preserves the
-        #: existing manifest's generation/parent/delta (a full rebuild
-        #: refreshes artifacts within the same generation).
-        self._next_lineage: Optional[Dict[str, object]] = None
 
     # -- freshness ----------------------------------------------------------------
 
@@ -164,15 +159,19 @@ class WorkspaceBuilder:
         self,
         only: Optional[Iterable[str]] = None,
         force: bool = False,
+        lineage: Optional[Dict[str, object]] = None,
     ) -> BuildReport:
         """Build stale artifacts (all of them, or ``only`` + dependencies).
 
         Fresh artifacts are left on disk untouched; the ones a stale node
         needs are hydrated into the pipeline first so the stale build
         reuses them.  Entries and files of artifacts that are no longer
-        registered are dropped.  Returns a :class:`BuildReport`;
-        re-running on an unchanged workspace is a no-op for every
-        artifact.
+        declared are dropped.  ``lineage`` is the ``generation``,
+        ``parent`` and ``delta`` the manifest records (what
+        :func:`ingest_delta` passes); None keeps the existing manifest's,
+        so a full rebuild refreshes artifacts within the same generation.
+        Returns a :class:`BuildReport`; re-running on an unchanged
+        workspace is a no-op for every artifact.
         """
         registry = get_registry()
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -205,7 +204,7 @@ class WorkspaceBuilder:
         actions: List[BuildAction] = []
         #: Files the new manifest no longer names: those of rebuilt
         #: artifacts whose file name changed (a schema bump) and those of
-        #: retired artifacts (no longer registered, so their entries go).
+        #: retired artifacts (no longer declared, so their entries go).
         superseded: List[str] = [
             entries.pop(name).file for name in list(entries) if name not in ARTIFACTS
         ]
@@ -245,7 +244,6 @@ class WorkspaceBuilder:
                         )
                     else:
                         actions.append(BuildAction(name, "fresh", 0.0))
-            lineage = self._next_lineage
             if lineage is None:
                 lineage = {
                     "generation": int(payload.get("generation", 0)) if payload else 0,
@@ -264,7 +262,6 @@ class WorkspaceBuilder:
                 parent=lineage["parent"],
                 delta=lineage["delta"],
             )
-            self._next_lineage = None
             for filename in superseded:
                 (self.directory / filename).unlink(missing_ok=True)
             registry.gauge("workspace.generation.current").set(
@@ -371,13 +368,13 @@ def ingest_delta(
         archive = directory / generation_archive_name(parent_generation)
         with atomic_write(archive) as handle:
             handle.write((directory / MANIFEST_FILE).read_bytes())
-        builder = WorkspaceBuilder(pipeline, directory)
-        builder._next_lineage = {
-            "generation": parent_generation + 1,
-            "parent": parent_fingerprint,
-            "delta": {"added": list(report.added), "removed": list(report.removed)},
-        }
-        build_report = builder.build()
+        build_report = WorkspaceBuilder(pipeline, directory).build(
+            lineage={
+                "generation": parent_generation + 1,
+                "parent": parent_fingerprint,
+                "delta": {"added": list(report.added), "removed": list(report.removed)},
+            }
+        )
         trace.set(
             generation=parent_generation + 1,
             added=len(report.added),

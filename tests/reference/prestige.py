@@ -22,18 +22,6 @@ from repro.scoring import PrestigeScoreFunction, PrestigeScores, ScoreRows
 Maps = Dict[str, Dict[str, float]]
 
 
-def min_max_normalize(scores: Mapping[str, float]) -> Dict[str, float]:
-    """(x - min) / (max - min); constant inputs map to 0.0."""
-    if not scores:
-        return {}
-    values = scores.values()
-    low, high = min(values), max(values)
-    spread = high - low
-    if spread == 0.0:
-        return {paper_id: 0.0 for paper_id in scores}
-    return {pid: (value - low) / spread for pid, value in scores.items()}
-
-
 def max_normalize(scores: Mapping[str, float]) -> Dict[str, float]:
     """x / max with negatives floored at 0.0; a non-positive max maps to 0.0."""
     if not scores:
@@ -45,7 +33,6 @@ def max_normalize(scores: Mapping[str, float]) -> Dict[str, float]:
 
 
 NORMALIZERS = {
-    "minmax": min_max_normalize,
     "max": max_normalize,
     "none": dict,
 }

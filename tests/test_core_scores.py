@@ -2,7 +2,7 @@
 
 import pytest
 
-from reference.prestige import maps, one_row, pre_maps
+from reference.prestige import maps, pre_maps
 from repro.core.assignment import PatternContextAssigner
 from repro.core.context import Context, ContextPaperSet
 from repro.corpus.rows import PaperRows
@@ -15,11 +15,7 @@ from repro.scoring import (
     TextPrestige,
     propagate_max,
 )
-from repro.scoring.base import min_max_rows, rows_from_maps
-
-
-def min_max_normalize(scores):
-    return one_row(min_max_rows, scores)
+from repro.scoring.base import rows_from_maps
 
 
 def propagate_max_over_descendants(paper_set, by_context):
@@ -28,22 +24,6 @@ def propagate_max_over_descendants(paper_set, by_context):
         paper_set.paper_rows, list(by_context), list(by_context.values())
     )
     return maps(paper_set.paper_rows, propagate_max(paper_set, rows))
-
-
-class TestMinMaxNormalize:
-    def test_rescales_to_unit_interval(self):
-        result = min_max_normalize({"a": 2.0, "b": 6.0, "c": 4.0})
-        assert result == {"a": 0.0, "b": 1.0, "c": 0.5}
-
-    def test_constant_maps_to_zero(self):
-        # No discriminating evidence -> no prestige (see docstring).
-        assert min_max_normalize({"a": 3.0, "b": 3.0}) == {"a": 0.0, "b": 0.0}
-
-    def test_empty(self):
-        assert min_max_normalize({}) == {}
-
-    def test_single(self):
-        assert min_max_normalize({"a": 7.0}) == {"a": 0.0}
 
 
 class TestPropagation:

@@ -175,21 +175,17 @@ class TestWorkspaceScoreArtifacts:
     def test_function_name_with_underscore(self, small_dataset, tmp_path):
         """scores_<function>_<set> where <function> itself contains an
         underscore hydrates under the ``<function>/<set>`` score key."""
-        from dataclasses import replace
+        from repro.workspace.artifact import _score_artifact
 
-        from repro import scoring
-        from repro.workspace import open_workspace
-
-        spec = replace(
-            scoring.get("citation"), name="citation_xctx", paper_sets=("text",)
-        )
-        with scoring.temporary_registration(spec):
-            source = Pipeline.from_dataset(small_dataset)
-            source.build_workspace(tmp_path, only=["scores_citation_xctx_text"])
-            pipeline = Pipeline.from_dataset(small_dataset)
-            open_workspace(pipeline, tmp_path, strict=False)
-            assert pipeline.substrates.has("citation_xctx/text")
-            restored = pipeline.substrates.scores["citation_xctx/text"]
-            original = source.prestige("citation_xctx", "text")
+        node = _score_artifact("citation_xctx", "text", deps=("text_paper_set",))
+        assert node.filename == "scores_citation_xctx_text.npz"
+        source = Pipeline.from_dataset(small_dataset)
+        original = source.prestige("citation", "text")
+        node.save(original, tmp_path / node.filename)
+        pipeline = Pipeline.from_dataset(small_dataset)
+        node.install(pipeline, node.load(tmp_path / node.filename, pipeline))
+        assert node.installed(pipeline)
+        assert pipeline.substrates.has("citation_xctx/text")
+        restored = pipeline.substrates.scores["citation_xctx/text"]
         for context_id in original.context_ids():
             assert restored.of(context_id) == original.of(context_id)

@@ -50,7 +50,7 @@ VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0, -0.5, -2.0]) | st.floa
     -4.0, 4.0, allow_nan=False
 )
 DECAYS = st.sampled_from([1.0, 1.0, 0.5, 0.3, 0.7])
-NORMALIZATIONS = st.sampled_from(["minmax", "max", "none"])
+NORMALIZATIONS = st.sampled_from(["max", "none"])
 
 
 def bits(values) -> list:
@@ -253,19 +253,6 @@ def test_patch_equals_dict_reference(data):
 
 class TestSignedZero:
     """The cases a per-entry loop decides by order, spelt out."""
-
-    def test_min_max_takes_the_first_zero_as_the_minimum(self):
-        paper_set = ContextPaperSet(
-            Ontology([Term("c", "c")]),
-            [Context("c", ("a", "b", "x"))],
-            PaperRows(("a", "b", "x")),
-        )
-        for raw, expected in (
-            ({"a": 0.0, "b": -0.0, "x": 1.0}, [0.0, -0.0, 1.0]),
-            ({"a": -0.0, "b": 0.0, "x": 1.0}, [0.0, 0.0, 1.0]),
-        ):
-            got = DrawnScorer({"c": raw}, "minmax").score_all(paper_set)
-            assert bits(got.pre.values) == bits(expected)
 
     def test_max_keeps_a_negative_zero(self):
         paper_set = ContextPaperSet(

@@ -10,11 +10,7 @@ from reference.prestige import one_row
 from repro.citations.graph import CitationGraph
 from repro.citations.hits import hits_scores
 from repro.citations.pagerank import TeleportKind, pagerank
-from repro.scoring.base import max_rows, min_max_rows
-
-
-def min_max_normalize(scores):
-    return one_row(min_max_rows, scores)
+from repro.scoring.base import max_rows
 
 
 def max_normalize(scores):
@@ -111,18 +107,6 @@ class TestNormalizeProperties:
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
         max_size=15,
     )
-
-    @given(score_maps)
-    def test_minmax_bounds_and_order(self, scores):
-        result = min_max_normalize(scores)
-        assert set(result) == set(scores)
-        for value in result.values():
-            assert 0.0 <= value <= 1.0
-        keys = list(scores)
-        for a in keys:
-            for b in keys:
-                if scores[a] < scores[b]:
-                    assert result[a] <= result[b] + 1e-12
 
     @given(score_maps)
     def test_max_normalize_bounds_and_order(self, scores):

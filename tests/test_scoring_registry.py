@@ -1,12 +1,13 @@
-"""Tests for the pluggable score-function registry.
+"""Tests for the score-function table.
 
-The acceptance test of the plugin seam: registering a toy score
-function must surface it in the CLI ``--function`` choices, the
-workspace artifact list, and the evaluation sweeps *without modifying
-any core module* -- and unregistering must remove every trace.
+The table in ``repro.scoring.functions`` is declared once, at import,
+and checked by ``check_specs``; every derived surface -- the CLI
+``--function`` choices, the workspace artifact list, the evaluation
+sweeps -- must follow it.  No test here changes the table: the checks
+run on local spec tuples, and the surfaces are checked against the
+declared functions.
 """
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 from typing import Dict
@@ -17,9 +18,12 @@ from reference.prestige import pre_maps
 from repro import scoring
 from repro.cli import build_parser
 from repro.core.context import Context
+from repro.core.search import ContextSearchEngine
 from repro.pipeline import build_demo_pipeline
 from repro.scoring import PrestigeScoreFunction, ScoreFunctionSpec
+from repro.scoring.spec import check_specs
 from repro.workspace import ARTIFACTS, topological_order
+from repro.workspace import artifact as artifact_graph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,6 +63,9 @@ class TestRegistryBasics:
         assert scoring.function_names() == (
             "text", "citation", "pattern", "hits", "combined",
         )
+        assert [spec.name for spec in scoring.specs()] == list(
+            scoring.function_names()
+        )
 
     def test_evaluation_arms_follow_registration_order(self):
         assert scoring.evaluation_arms() == (
@@ -90,12 +97,10 @@ class TestRegistryBasics:
             scoring.get("pagerank2")
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            scoring.register(_toy_spec(name="text"))
-
-    def test_unregister_unknown_rejected(self):
-        with pytest.raises(ValueError, match="not registered"):
-            scoring.unregister("nope")
+        with pytest.raises(ValueError, match="'text' is declared twice"):
+            check_specs([*scoring.specs(), _toy_spec(name="text")])
+        table = check_specs([*scoring.specs(), _toy_spec()])
+        assert tuple(table) == scoring.function_names() + ("toy",)
 
     def test_invalid_names_rejected(self):
         for bad in ("", "Text", "9lives", "has-dash", "has space"):
@@ -111,112 +116,95 @@ class TestRegistryBasics:
             _toy_spec(factory="toy")
 
 
-class TestTemporaryRegistration:
-    def test_revision_bumps_on_mutation(self):
-        before = scoring.registry_revision()
-        with scoring.temporary_registration(_toy_spec()):
-            assert scoring.registry_revision() > before
-        assert scoring.registry_revision() > before
-
-    def test_restores_shadowed_spec(self):
-        original = scoring.get("text")
-        with scoring.temporary_registration(
-            _toy_spec(name="text"), replace=True
-        ):
-            assert scoring.get("text").description == "uniform prestige (test fixture)"
-        assert scoring.get("text") is original
-
-    def test_shadowing_requires_replace(self):
-        with pytest.raises(ValueError, match="already registered"):
-            with scoring.temporary_registration(_toy_spec(name="text")):
-                pass  # pragma: no cover
-
-    def test_shadowing_keeps_registration_order(self):
-        def snapshot():
-            return scoring.function_names(), scoring.evaluation_arms()
-
-        before = snapshot()
-        shadow = dataclasses.replace(scoring.get("text"), description="shadow")
-        with scoring.temporary_registration(shadow, replace=True):
-            assert scoring.get("text") is shadow
-            assert snapshot() == before
-        assert snapshot() == before
-
-    def test_unregisters_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with scoring.temporary_registration(_toy_spec()):
-                raise RuntimeError("boom")
-        assert not scoring.is_registered("toy")
-
-
 class TestPluginSeam:
-    """One registration, zero core edits -- everything derives."""
+    """One table entry, zero core edits -- everything derives."""
 
-    def test_toy_function_joins_every_derived_surface(self):
-        assert not scoring.is_registered("toy")
-        assert "scores_toy_text" not in ARTIFACTS
-        with scoring.temporary_registration(_toy_spec()):
+    def test_every_function_joins_every_derived_surface(self):
+        parser = build_parser()
+        for spec in scoring.specs():
             # CLI: both --function choice lists accept it.
-            parser = build_parser()
-            for subcommand in ("search", "tune"):
-                args = parser.parse_args(
-                    [subcommand, "--data", "d", "--query", "q",
-                     "--function", "toy"]
-                    if subcommand == "search"
-                    else [subcommand, "--data", "d", "--function", "toy"]
-                )
-                assert args.function == "toy"
-            # Evaluation sweep: the toy arm is appended.
-            assert ("toy", "text") in scoring.evaluation_arms()
-            # Workspace: a fingerprinted score artifact is derived.
-            artifact = ARTIFACTS["scores_toy_text"]
-            assert artifact.deps == ("text_paper_set",)
-            assert "scores_toy_text" in ARTIFACTS
-        # Teardown removes every trace.
-        assert "scores_toy_text" not in ARTIFACTS
-        assert ("toy", "text") not in scoring.evaluation_arms()
+            for argv in (
+                ["search", "--data", "d", "--query", "q"],
+                ["tune", "--data", "d"],
+            ):
+                args = parser.parse_args(argv + ["--function", spec.name])
+                assert args.function == spec.name
+            for paper_set in spec.paper_sets:
+                # Evaluation sweep: every declared paper set is an arm.
+                assert (spec.name, paper_set) in scoring.evaluation_arms()
+                # Workspace: a fingerprinted score artifact is derived.
+                assert f"scores_{spec.name}_{paper_set}" in ARTIFACTS
+        score_artifacts = [name for name in ARTIFACTS if name.startswith("scores_")]
+        assert score_artifacts == [
+            f"scores_{function}_{paper_set}"
+            for function, paper_set in scoring.evaluation_arms()
+        ]
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
+            parser.parse_args(
                 ["search", "--data", "d", "--query", "q", "--function", "toy"]
             )
 
     def test_substrates_become_artifact_deps(self):
-        spec = _toy_spec(substrates=("tokens", "vectors"))
-        with scoring.temporary_registration(spec):
-            artifact = ARTIFACTS["scores_toy_text"]
-            assert artifact.deps == ("text_paper_set", "tokens", "vectors")
+        for function, paper_set in scoring.evaluation_arms():
+            node = ARTIFACTS[f"scores_{function}_{paper_set}"]
+            assert node.deps == (
+                (f"{paper_set}_paper_set",) + scoring.get(function).substrates
+            )
+        assert ARTIFACTS["scores_text_text"].deps == ("text_paper_set", "vectors")
+        assert ARTIFACTS["scores_citation_pattern"].deps == ("pattern_paper_set",)
 
     # ``citation_graph`` and ``representatives`` were artifacts once: the
     # graph now derives from the corpus and the text paper set carries
     # the representatives, so a spec still naming either must learn that
     # clearly.
     @pytest.mark.parametrize("unknown", ["graph", "citation_graph", "representatives"])
-    def test_unknown_substrate_is_named(self, unknown):
-        spec = _toy_spec(substrates=(unknown,))
-        with scoring.temporary_registration(spec):
+    def test_unknown_substrate_is_named(self, unknown, monkeypatch):
+        derive = artifact_graph._derive_artifacts
+
+        def with_toy():
+            nodes = derive()
+            toy = artifact_graph._score_artifact(
+                "toy", "text", deps=("text_paper_set", unknown)
+            )
+            nodes[toy.name] = toy
+            return nodes
+
+        monkeypatch.setattr(artifact_graph, "_derive_artifacts", with_toy)
+        ARTIFACTS._cached_revision = None
+        try:
             with pytest.raises(ValueError) as excinfo:
                 topological_order()
+        finally:
+            monkeypatch.undo()
+            ARTIFACTS._cached_revision = None
         message = str(excinfo.value)
         assert "'scores_toy_text'" in message
         assert f"unknown artifact {unknown!r}" in message
         assert "known: index, vectors, text_paper_set" in message
+        assert "scores_toy_text" not in ARTIFACTS
 
     def test_toy_function_searches_end_to_end(self):
+        """A spec's factory is all a search needs: the toy scorer feeds a
+        context search engine, while the pipeline, which reads only the
+        declared table, refuses the undeclared name."""
         pipeline = build_demo_pipeline(seed=11, n_papers=60, n_terms=20)
-        with scoring.temporary_registration(_toy_spec()):
-            scores = pipeline.prestige("toy", "text")
-            assert scores.function_name == "toy"
-            assert len(scores) > 0
-            engine = pipeline.search_engine("toy", "text")
-            assert engine is not None
-        # The computed scores stay memoised under their key, but new
-        # lookups of the now-unknown function fail loudly.
+        store = pipeline.substrates
+        paper_set = pipeline.paper_set("text")
+        scores = _toy_spec().factory(store).score_all(paper_set)
+        assert scores.function_name == "toy"
+        assert len(scores) > 0
+        engine = ContextSearchEngine(
+            pipeline.ontology, paper_set, scores, store.keyword_engine
+        )
+        hits = engine.search("gene expression regulation", limit=5)
+        assert hits
+        assert all(hit.prestige == 1.0 for hit in hits)
         with pytest.raises(ValueError, match="unknown prestige function"):
-            pipeline.prestige("toy", "pattern")
+            pipeline.prestige("toy", "text")
 
 
 class TestCombinedFunction:
-    """The worked example: rank fusion registered purely via the plugin API."""
+    """The worked example: rank fusion declared as one table entry."""
 
     def test_registered_with_union_substrates(self):
         spec = scoring.get("combined")
@@ -236,9 +224,12 @@ class TestCombinedFunction:
             paper_sets=("text",),
         )
         assert spec.components == (("citation", 0.25), ("text", 0.75))
-        with scoring.temporary_registration(spec) as registered:
-            assert registered.substrates == scoring.get("combined").substrates
-            blend = pre_maps(pipeline.prestige("blend", "text"))
+        declared = check_specs([*scoring.specs(), spec])["blend"]
+        assert declared.substrates == scoring.get("combined").substrates
+        store = pipeline.substrates
+        blend = pre_maps(
+            store._derive_scores(declared, "text", store.paper_set("text"))
+        )
         citation = pre_maps(pipeline.prestige("citation", "text"))
         text = pre_maps(pipeline.prestige("text", "text"))
         assert blend
@@ -265,8 +256,8 @@ class TestCombinedFunction:
             return ScoreFunctionSpec(**fields)
 
         cases = [
-            (dict(components=(("nope", 1.0),)), "must be another registered"),
-            (dict(components=(("blend", 1.0),)), "must be another registered"),
+            (dict(components=(("nope", 1.0),)), "must be another declared"),
+            (dict(components=(("blend", 1.0),)), "must be another declared"),
             (dict(paper_sets=("pattern",)), "not declared on paper set"),
             (dict(components=(("text", 0.0),)), "positive"),
             (dict(components=(("text", 1.0), ("citation", -1.0))), "positive"),
@@ -276,12 +267,14 @@ class TestCombinedFunction:
         ]
         for overrides, message in cases:
             with pytest.raises(ValueError, match=message):
-                scoring.register(derived(**overrides))
-            assert not scoring.is_registered("blend")
+                check_specs([*scoring.specs(), derived(**overrides)])
         # A derived component is refused, so no component chain can loop.
         with pytest.raises(ValueError, match="with a factory"):
-            scoring.register(derived(components=(("combined", 1.0),)))
-        assert not scoring.is_registered("blend")
+            check_specs([*scoring.specs(), derived(components=(("combined", 1.0),))])
+        # Components must be declared before the function that blends them.
+        with pytest.raises(ValueError, match="must be another declared"):
+            check_specs([derived(), *scoring.specs()])
+        assert "blend" not in scoring.function_names()
 
     def test_combined_searches_end_to_end(self):
         pipeline = build_demo_pipeline(seed=7, n_papers=80, n_terms=25)
@@ -297,7 +290,7 @@ class TestCombinedFunction:
 
 
 class TestCheckRegistries:
-    """The registry lint and the docs table generated from the registry."""
+    """The table lint and the docs table generated from the table."""
 
     def test_docs_table_follows_registry_and_lint_passes(self, capsys):
         lint = _load_tool("check_registries")
@@ -305,18 +298,17 @@ class TestCheckRegistries:
         architecture = (REPO_ROOT / "docs" / "architecture.md").read_text(
             encoding="utf-8"
         )
-        undocumented_function = dataclasses.replace(
-            scoring.get("hits"), name="undocumented"
-        )
         def score_table(text):
             return docs.with_table(
                 text, docs.SCORE_TABLE_HEADING, docs.score_function_table()
             )
 
-        with scoring.temporary_registration(undocumented_function):
-            regenerated = score_table(architecture)
-        assert "| `undocumented` |" in regenerated
-        assert regenerated != architecture
+        hits_row = next(
+            line for line in architecture.split("\n") if line.startswith("| `hits` |")
+        )
+        stale = architecture.replace(hits_row + "\n", "")
+        assert stale != architecture
+        assert score_table(stale) == architecture
         assert score_table(architecture) == architecture
         assert docs.with_table(
             architecture,
@@ -324,7 +316,7 @@ class TestCheckRegistries:
             docs.structural_artifact_table(),
         ) == architecture
         assert lint.main() == 0
-        assert "agree with the registry" in capsys.readouterr().out
+        assert "agree with the score-function table" in capsys.readouterr().out
 
     def test_raw_paper_text_only_in_the_token_cache_and_raw_readers(
         self, tmp_path, monkeypatch

@@ -775,6 +775,58 @@ class TestDriftGatedReload:
             live.stop()
 
 
+    def test_drift_gated_ingest_flow(self):
+        """``/admin/ingest`` behind an armed gate: a delta that moves the
+        probe rankings is applied but refused as a view swap (409 with the
+        drift and delta reports), searches stay on the old view, and
+        ``?force=1`` on the next delta swaps it."""
+        # Own pipeline: this test mutates the substrate store.
+        target = build_demo_pipeline(seed=7, n_papers=120, n_terms=30)
+        service = SearchService(target, port=0)
+        try:
+            target.configure_drift(self.PROBES, functions=["text"], max_drift=0.0)
+            top = [hit.paper_id for hit in target.search(self.PROBES[0], limit=2)]
+            view_before = target._serving
+
+            # Removing the probe's top hit moves its ranking: refused.
+            response = service.dispatch(
+                "POST", "/admin/ingest", {}, json.dumps({"remove": [top[0]]})
+            )
+            payload = json.loads(response.body)
+            assert response.status == 409
+            assert payload["status"] == "refused"
+            assert payload["max_drift"] == 0.0
+            assert payload["drift"]["max_churn"] > 0.0
+            assert payload["report"]["removed"] == [top[0]]
+            assert top[0] not in target.corpus
+            assert target._serving is view_before
+
+            # The pinned old view keeps serving searches, removed paper too.
+            response = service.dispatch("GET", "/search", {"q": [self.PROBES[0]]})
+            assert response.status == 200
+            hits = [hit["paper_id"] for hit in json.loads(response.body)["hits"]]
+            assert top[0] in hits
+            assert target._serving is view_before
+
+            # force=1 pushes the next delta's swap through.
+            response = service.dispatch(
+                "POST", "/admin/ingest", {"force": ["1"]},
+                json.dumps({"remove": [top[1]]}),
+            )
+            payload = json.loads(response.body)
+            assert response.status == 200
+            assert payload["status"] == "ingested"
+            assert payload["report"]["removed"] == [top[1]]
+            assert payload["drift"]["max_churn"] > 0.0
+            assert target._serving is not view_before
+            assert payload["view_revision"] == target._serving.revision
+            response = service.dispatch("GET", "/search", {"q": [self.PROBES[0]]})
+            hits = [hit["paper_id"] for hit in json.loads(response.body)["hits"]]
+            assert not {top[0], top[1]} & set(hits)
+        finally:
+            service.stop()
+
+
 class TestMetricsExposition:
     def test_fresh_view_scrape_skips_unobserved_hit_rate(
         self, pipeline, service

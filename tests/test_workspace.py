@@ -23,6 +23,7 @@ from repro.obs.metrics import reset_registry
 from repro.ontology import write_obo
 from repro.pipeline import Pipeline
 from repro.text.analyze import AnalyzedPaperCache, Analyzer
+from repro.workspace import artifact as artifact_graph
 from repro.workspace import (
     ARTIFACTS,
     StaleWorkspaceError,
@@ -87,6 +88,30 @@ class TestRegistry:
     def test_filenames_unique(self):
         filenames = [a.filename for a in ARTIFACTS.values()]
         assert len(filenames) == len(set(filenames))
+
+    def test_graph_rederives_only_when_reset(self, monkeypatch):
+        """The hook a tracer uses: swap ``_derive_artifacts``, reset
+        ``_cached_revision``, and reads see the swapped nodes; restore and
+        reset again, and they see the original nodes."""
+        original = dict(ARTIFACTS)
+        patched = {
+            name: dataclasses.replace(node, description="patched")
+            for name, node in original.items()
+        }
+        monkeypatch.setattr(artifact_graph, "_derive_artifacts", lambda: patched)
+        try:
+            assert ARTIFACTS["index"] is original["index"]  # not reset yet
+            ARTIFACTS._cached_revision = None
+            assert dict(ARTIFACTS) == patched
+            assert ARTIFACTS["index"] is patched["index"]
+            assert topological_order() == list(patched)
+        finally:
+            monkeypatch.undo()
+            ARTIFACTS._cached_revision = None
+        # Score nodes are derived afresh (new closures); base nodes are shared.
+        assert list(ARTIFACTS) == list(original)
+        assert ARTIFACTS["index"] is original["index"]
+        assert all(node.description != "patched" for node in ARTIFACTS.values())
 
 
 class TestBuild:
@@ -530,17 +555,17 @@ class TestManifestCheckTool:
         assert "truncated packed index" in out
 
     def test_build_drops_retired_artifacts(self, tool, copy):
-        """A score function that is no longer registered leaves neither a
+        """A score function that is no longer declared leaves neither a
         manifest entry nor a file behind after the next build."""
-        import dataclasses
-
-        from repro import scoring
-
-        toy = dataclasses.replace(scoring.get("citation"), name="toy")
-        with scoring.temporary_registration(toy):
-            assert Pipeline.from_directory(copy.parent).build_workspace(
-                copy
-            ).built == ["scores_toy_text", "scores_toy_pattern"]
+        manifest = json.loads((copy / "manifest.json").read_text(encoding="utf-8"))
+        for paper_set in ("text", "pattern"):
+            entry = dict(manifest["artifacts"][f"scores_citation_{paper_set}"])
+            entry["file"] = f"scores_toy_{paper_set}.npz"
+            manifest["artifacts"][f"scores_toy_{paper_set}"] = entry
+            shutil.copy(
+                copy / f"scores_citation_{paper_set}.npz", copy / entry["file"]
+            )
+        (copy / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert (copy / "scores_toy_text.npz").exists()
         assert Pipeline.from_directory(copy.parent).build_workspace(copy).is_noop()
         assert not set(read_manifest(copy)["artifacts"]) - set(ARTIFACTS)

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Lint the score-function registry and the one-text-analysis boundary.
+"""Lint the score-function table and the one-text-analysis boundary.
 
-The registry in ``src/repro/scoring/`` is the single source of truth for
-prestige score functions.  This lint (modeled on
+The table in ``src/repro/scoring/functions.py`` is the single source of
+truth for prestige score functions.  This lint (modeled on
 ``check_metric_names.py``) fails CI when a derived surface drifts:
 
 1. CLI: every ``--function`` choice list (``repro search`` / ``repro
-   tune``) equals the registered function names, and every
+   tune``) equals the declared function names, and every
    ``--paper-set`` equals ``scoring.PAPER_SET_NAMES``;
 2. workspace: exactly one ``scores_<function>_<paper_set>`` artifact per
    evaluation arm, with the dependency chain ``(<paper_set>_paper_set,)
@@ -21,8 +21,8 @@ prestige score functions.  This lint (modeled on
    (``Dict[str, Dict[str, float]]``) in the modules of
    ``SCORE_TABLE_PATHS`` -- a score table is ``ScoreRows``.
 
-The "Registered score functions" table of ``docs/architecture.md`` is
-not linted: ``tools/gen_api_docs.py`` writes it from the registry.
+The "Declared score functions" table of ``docs/architecture.md`` is
+not linted: ``tools/gen_api_docs.py`` writes it from the table.
 
 Exit status 1 on any violation; intended for tools/ci.sh.
 """
@@ -37,7 +37,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-#: The registry package itself is where literal names belong.
+#: The scoring package itself is where literal names belong.
 SCORING_PREFIX = "src/repro/scoring/"
 #: The token-cache module, and the readers that need raw words: snippets
 #: display them, corpus validation checks that a paper has any text.
@@ -51,7 +51,7 @@ RAW_TEXT_ALLOWED = frozenset(
 #: Where a prestige table exists only as ``ScoreRows``: the scoring
 #: package and the store that blends and patches tables.
 SCORE_TABLE_PATHS = ("src/repro/scoring/", "src/repro/serving/substrate.py")
-#: Subcommands each registry-derived flag must appear on.
+#: Subcommands each table-derived flag must appear on.
 REQUIRED_SUBCOMMANDS = {"--function": {"search", "tune"}}
 
 
@@ -72,7 +72,7 @@ def cli_flags(parser: argparse.ArgumentParser, flag: str) -> list:
 
 
 def check_cli(scoring) -> list:
-    """CLI choices must come from the registry."""
+    """CLI choices must come from the table."""
     from repro.cli import build_parser
 
     parser = build_parser()
@@ -88,7 +88,7 @@ def check_cli(scoring) -> list:
             if choices != names:
                 problems.append(
                     f"cli: `{subcommand} {flag}` choices {choices} != "
-                    f"registry {names}"
+                    f"table {names}"
                 )
         seen = {subcommand.split()[0] for subcommand, _ in flags}
         for subcommand in sorted(REQUIRED_SUBCOMMANDS.get(flag, set()) - seen):
@@ -113,7 +113,7 @@ def check_workspace(scoring) -> list:
     for name in sorted(set(expected) - set(actual)):
         problems.append(f"workspace: arm artifact {name} missing from ARTIFACTS")
     for name in sorted(set(actual) - set(expected)):
-        problems.append(f"workspace: score artifact {name} has no registry arm")
+        problems.append(f"workspace: score artifact {name} has no declared arm")
     for name in sorted(set(expected) & set(actual)):
         if expected[name] != actual[name]:
             problems.append(
@@ -160,7 +160,7 @@ def scan_src(scoring) -> list:
                         r"[\"']([a-z][a-z0-9_]*)[\"']", match.group(0)
                     )
                     # A hand-rolled choices tuple: every literal is a
-                    # registered function name and at least one is
+                    # declared function name and at least one is
                     # unambiguously a function (the text/pattern paper-set
                     # pair stays legal).
                     if set(literals) <= names and not set(literals) <= paper_sets:
@@ -188,14 +188,14 @@ def main() -> int:
 
     problems = [*check_cli(scoring), *check_workspace(scoring), *scan_src(scoring)]
     if problems:
-        print("registry violations:")
+        print("score-function table violations:")
         for problem in problems:
             print(f"  {problem}")
         return 1
     print(
         f"check_registries: {len(scoring.function_names())} functions "
         f"({len(scoring.evaluation_arms())} arms) -- CLI, workspace and src "
-        f"agree with the registry"
+        f"agree with the score-function table"
     )
     return 0
 
