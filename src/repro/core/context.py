@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.corpus.rows import PaperRows
+from repro.corpus.rows import PaperRows, id_rank
 from repro.ontology.ontology import Ontology
 
 
@@ -76,6 +76,9 @@ class ContextColumns:
     ----------
     context_ids:
         Context ids in paper-set iteration order; position = context row.
+    id_rank:
+        Each context row's position in ascending context-id order, so
+        selection ranks ``(-strength, context_id)`` with one ``lexsort``.
     paper_rows:
         The :class:`PaperRows` every paper row here indexes.
     indptr / members:
@@ -98,6 +101,7 @@ class ContextColumns:
         self.context_row: Dict[str, int] = {
             cid: row for row, cid in enumerate(self.context_ids)
         }
+        self.id_rank = id_rank(self.context_ids)
         self.paper_rows = paper_rows
         row_paper_ids = [c.paper_ids for c in contexts]
         sizes = np.fromiter(map(len, row_paper_ids), np.int64, len(contexts))

@@ -23,23 +23,28 @@ Selection, scoring and merging run as array operations over the paper
 set's :class:`~repro.core.context.ContextColumns` (CSR rows over the
 corpus's :class:`~repro.corpus.rows.PaperRows`) and the prestige values
 aligned with them.  The evaluation is arrays over the same paper rows,
-so its rows index the columns directly:
+so its rows index the columns directly, and the query stays in row
+space from the postings scan to the returned hits:
 
-- probe selection takes the evaluation's top rows with one ``lexsort``
+- each strategy yields parallel ``(context rows, strengths)`` arrays;
+  probe selection takes the evaluation's top rows with one ``lexsort``
   and sums their scores into the contexts of their reverse-CSR rows
-  with ``np.add.at``, in probe order;
+  with a weighted ``np.bincount``, in probe order.  The top
+  ``max_contexts`` are cut with ``np.partition`` (ties kept) and ranked
+  by ``(-strength, context id)`` over the columns' ``id_rank``;
 - scoring scatters the evaluation into a match vector, gathers the
-  selected rows, masks the members the query matched, and computes
-  ``w_prestige * p + w_matching * m`` with the same float64 operations
-  a scalar loop performs;
+  selected CSR rows, keeps the members the query matched at or above
+  the threshold, and computes ``w_prestige * p + w_matching * m`` with
+  the same float64 operations a scalar loop performs;
 - merging first cuts the scored pairs to those that can still reach
   the top ``limit`` papers: ``np.fmax.at`` takes each paper's best
   relevancy (skipping NaN) and ``np.partition`` finds the ``limit``-th
   best, and pairs below it are dropped (ties kept).  Two ``lexsort``
   passes then keep each surviving paper's best relevancy (the earliest
   selected context on a tie) and rank by ``(-relevancy, paper_id)``
-  over the rows' id ``rank``; :class:`SearchHit` objects are built only
-  for the returned rows.
+  over the rows' id ``rank``.  Paper and context ids, prestige and
+  matching are gathered, and :class:`SearchHit` objects built, only
+  for the returned pairs.
 
 Rankings are bit-identical to the per-paper loop they replace
 (``tests/reference/search.py`` keeps that loop as the reference).
@@ -66,11 +71,7 @@ from repro.core.context import ContextPaperSet, csr_positions
 from repro.core.cosine import TermMajor, VectorRows, dot_pairs, finish_cosines
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.rows import check_same_rows
-from repro.index.search import (
-    KeywordSearchEngine,
-    QueryEvaluation,
-    top_items,
-)
+from repro.index.search import KeywordSearchEngine, QueryEvaluation
 from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology
 from repro.scoring.base import PrestigeScores
@@ -85,6 +86,12 @@ from repro.scoring.base import PrestigeScores
 #:   and each context representative's full-text vector -- needs a vector
 #:   store and a representatives map.
 SELECTION_STRATEGIES = ("probe", "name", "representative")
+
+#: A strategy's answer: parallel context rows and strengths.
+_Strengths = Tuple[np.ndarray, np.ndarray]
+#: The answer when a strategy reaches no context.
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_STRENGTHS = np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -167,32 +174,22 @@ class _Scored:
     """Scored (context, paper) pairs as parallel arrays.
 
     ``order`` is the context's position in the selection, ``papers`` the
-    paper's :class:`~repro.corpus.rows.PaperRows` row.
+    paper's :class:`~repro.corpus.rows.PaperRows` row and ``positions``
+    the pair's forward-CSR entry, which indexes the aligned prestige.
     """
 
     order: np.ndarray
     papers: np.ndarray
     relevancy: np.ndarray
-    prestige: np.ndarray
-    matching: np.ndarray
+    positions: np.ndarray
 
     def __len__(self) -> int:
         return len(self.papers)
 
-    def take(self, index: np.ndarray) -> _Scored:
-        """The rows at ``index`` (an integer or boolean array)."""
-        return _Scored(
-            self.order[index],
-            self.papers[index],
-            self.relevancy[index],
-            self.prestige[index],
-            self.matching[index],
-        )
-
     def merge(
         self, rank: np.ndarray, limit: Optional[int]
-    ) -> Tuple[_Scored, int, int]:
-        """Merge step: each paper's best row, ranked, at most ``limit``.
+    ) -> Tuple[np.ndarray, int, int]:
+        """Merge step: each paper's best pair, ranked, at most ``limit``.
 
         A paper selected through several contexts keeps its best
         relevancy; on a tie the earliest selected context wins.  Papers
@@ -204,33 +201,38 @@ class _Scored:
         ``np.fmax.at`` takes each paper's best skipping NaN, as the sort
         does; a NaN cut (fewer than ``limit`` finite bests) cuts nothing.
 
-        Returns ``(hits, deduped, kept)``: ``deduped`` counts every pair
-        beyond its paper's first, ``kept`` the pairs left after the cut.
+        Returns ``(pairs, deduped, kept)``: ``pairs`` indexes the returned
+        pairs, best first; ``deduped`` counts every pair beyond its
+        paper's first, ``kept`` the pairs left after the cut.
         """
-        scored = self
+        kept = None
         if limit is not None and len(self) > limit:
             touched = np.zeros(len(rank), dtype=bool)
             touched[self.papers] = True
             n_papers = int(np.count_nonzero(touched))
             if n_papers > limit and limit == 0:
-                scored = self.take(np.zeros(0, dtype=np.intp))
+                kept = np.zeros(0, dtype=np.intp)
             elif n_papers > limit:
                 paper_best = np.full(len(rank), np.nan)
                 np.fmax.at(paper_best, self.papers, self.relevancy)
                 cut = -np.partition(-paper_best[touched], limit - 1)[limit - 1]
                 if not np.isnan(cut):
-                    scored = self.take(self.relevancy >= cut)
-        by_paper = np.lexsort((scored.order, -scored.relevancy, scored.papers))
-        papers = scored.papers[by_paper]
+                    kept = np.flatnonzero(self.relevancy >= cut)
+        order, papers, relevancy = (
+            (self.order, self.papers, self.relevancy) if kept is None
+            else (self.order[kept], self.papers[kept], self.relevancy[kept])
+        )
+        by_paper = np.lexsort((order, -relevancy, papers))
+        sorted_papers = papers[by_paper]
         first = np.ones(len(papers), dtype=bool)
-        first[1:] = papers[1:] != papers[:-1]
-        best = scored.take(by_paper[first])
-        # Uncut, every paper has its row in ``best``.
-        deduped = len(self) - (len(best) if scored is self else n_papers)
-        ranked = np.lexsort((rank[best.papers], -best.relevancy))
+        first[1:] = sorted_papers[1:] != sorted_papers[:-1]
+        best = by_paper[first]
+        # Uncut, every paper has its pair in ``best``.
+        deduped = len(self) - (len(best) if kept is None else n_papers)
+        ranked = best[np.lexsort((rank[papers[best]], -relevancy[best]))]
         if limit is not None:
             ranked = ranked[:limit]
-        return best.take(ranked), deduped, len(scored)
+        return (ranked if kept is None else kept[ranked]), deduped, len(papers)
 
 
 class ContextSearchEngine:
@@ -352,58 +354,73 @@ class ContextSearchEngine:
             if self.selection_strategy == "probe"
             else None
         )
-        return self._select_contexts(query, max_contexts, evaluation)
+        rows, strengths = self._select_contexts(query, max_contexts, evaluation)
+        context_ids = self._columns.context_ids
+        return [
+            ContextSelection(context_id=context_ids[row], strength=strength)
+            for row, strength in zip(rows.tolist(), strengths.tolist())
+        ]
 
     def _select_contexts(
         self,
         query: str,
         max_contexts: int,
         evaluation: Optional[QueryEvaluation],
-    ) -> List[ContextSelection]:
-        """Selection core; ``evaluation`` is the request's shared scan.
+    ) -> _Strengths:
+        """Selection core: the chosen ``(context rows, strengths)``, best first.
 
+        ``evaluation`` is the request's shared scan.  At most
+        ``max_contexts`` rows are kept: ``np.partition`` finds the
+        ``max_contexts``-th best strength, the rows at or above it (ties
+        kept) are ranked by ``(-strength, context id)``, then cut.
         ``probed`` counts the contexts the strategy computed a strength
         for, not the whole paper set: the probe strategy only reaches the
         contexts of its top hits.
         """
         with span("search.select", strategy=self.selection_strategy) as trace:
             if self.selection_strategy == "name":
-                strengths = self._name_strengths(query)
+                rows, strengths = self._name_strengths(query)
             elif self.selection_strategy == "representative":
-                strengths = self._representative_strengths(query)
+                rows, strengths = self._representative_strengths(query)
             else:
                 assert evaluation is not None
-                strengths = self._probe_strengths(evaluation)
-            ranked = top_items(strengths, max_contexts)
-            selections = [
-                ContextSelection(context_id=cid, strength=value)
-                for cid, value in ranked
-            ]
-            trace.set(probed=len(strengths), selected=len(selections))
+                rows, strengths = self._probe_strengths(evaluation)
+            probed = len(rows)
+            limit = max(max_contexts, 0)
+            if 0 < limit < probed:
+                cut = np.partition(strengths, probed - limit)[probed - limit]
+                chosen = strengths >= cut
+                rows, strengths = rows[chosen], strengths[chosen]
+            ranked = np.lexsort((self._columns.id_rank[rows], -strengths))[:limit]
+            rows, strengths = rows[ranked], strengths[ranked]
+            trace.set(probed=probed, selected=len(rows))
         registry = get_registry()
-        registry.counter("search.context.contexts_probed").inc(len(strengths))
-        registry.counter("search.context.contexts_selected").inc(len(selections))
-        return selections
+        registry.counter("search.context.contexts_probed").inc(probed)
+        registry.counter("search.context.contexts_selected").inc(len(rows))
+        return rows, strengths
 
-    def _probe_strengths(self, evaluation: QueryEvaluation) -> Dict[str, float]:
+    def _probe_strengths(self, evaluation: QueryEvaluation) -> _Strengths:
         """Strength by keyword-probe response plus term-name overlap.
 
         Only the top ``probe_depth`` hits are walked: their reverse-CSR
-        rows give the contexts they reach, and ``np.add.at`` sums each
-        hit's score into those contexts in probe order -- the order a
-        per-hit loop would add them in.  Papers outside the set still
-        take probe slots; their reverse-CSR rows are empty.
+        rows give the contexts they reach, and a weighted ``np.bincount``
+        sums each hit's score into those contexts in probe order -- the
+        order a per-hit loop would add them in.  Papers outside the set
+        still take probe slots; their reverse-CSR rows are empty.
         """
         self.warm()
         columns = self._columns
         probe = evaluation.ranked(self.probe_depth)
         if not len(probe):
-            return {}
+            return _NO_ROWS, _NO_STRENGTHS
         check_same_rows(evaluation.table, columns.paper_rows)
         positions, counts = csr_positions(columns.paper_indptr, evaluation.papers[probe])
         reached = columns.paper_contexts[positions]
-        totals = np.zeros(len(columns))
-        np.add.at(totals, reached, np.repeat(evaluation.scores[probe], counts))
+        totals = np.bincount(
+            reached,
+            weights=np.repeat(evaluation.scores[probe], counts),
+            minlength=len(columns),
+        )
         touched = np.flatnonzero(np.bincount(reached, minlength=len(columns)))
         # Normalise by context size so huge contexts don't always win.
         strengths = totals[touched] / columns.sqrt_sizes[touched]
@@ -412,9 +429,9 @@ class ContextSearchEngine:
             strengths = strengths + self.name_bonus * self._name_overlap(
                 query_terms
             )[touched]
-        return self._by_context_id(touched, strengths)
+        return touched, strengths
 
-    def _name_strengths(self, query: str) -> Dict[str, float]:
+    def _name_strengths(self, query: str) -> _Strengths:
         """Strength by query-term overlap with context term names only.
 
         The GoPubMed-style lookup the related-work section describes:
@@ -425,21 +442,12 @@ class ContextSearchEngine:
         analyzer = self.keyword_engine.index.analyzer
         query_terms = frozenset(analyzer.analyze(query))
         if not query_terms:
-            return {}
+            return _NO_ROWS, _NO_STRENGTHS
         shared = self._name_overlap(query_terms)
         named = np.flatnonzero(shared)
-        return self._by_context_id(named, shared[named] / len(query_terms))
+        return named, shared[named] / len(query_terms)
 
-    def _by_context_id(
-        self, rows: np.ndarray, values: np.ndarray
-    ) -> Dict[str, float]:
-        """``context_id -> value`` for parallel context rows and values."""
-        context_ids = self._columns.context_ids
-        return dict(
-            zip([context_ids[row] for row in rows.tolist()], values.tolist())
-        )
-
-    def _representative_strengths(self, query: str) -> Dict[str, float]:
+    def _representative_strengths(self, query: str) -> _Strengths:
         """Strength by cosine similarity to each context's representative.
 
         The query vector (the cosine's ``self``) is usually the shorter
@@ -453,7 +461,7 @@ class ContextSearchEngine:
         self.warm()
         query_vector = self.vectors.query_vector(query)
         if not query_vector:
-            return {}
+            return _NO_ROWS, _NO_STRENGTHS
         view = self._rep_view
         dots = np.zeros(len(view.rows))
         bounds = view.term_bounds
@@ -479,7 +487,7 @@ class ContextSearchEngine:
             lambda i: query_vector.cosine(view.rows.vector(i)),
         )
         positive = np.flatnonzero(similarities > 0.0)
-        return self._by_context_id(view.context_rows[positive], similarities[positive])
+        return view.context_rows[positive], similarities[positive]
 
     # -- tasks 4 & 5: search and rank -------------------------------------------------
 
@@ -504,77 +512,70 @@ class ContextSearchEngine:
             self.warm()
             evaluation = self.keyword_engine.evaluate(query)
             if contexts is None:
-                selected = [
-                    s.context_id
-                    for s in self._select_contexts(query, max_contexts, evaluation)
-                ]
+                rows, _ = self._select_contexts(query, max_contexts, evaluation)
             else:
-                selected = [
-                    cid for cid in dict.fromkeys(contexts) if cid in self.paper_set
-                ]
-            if not selected:
+                context_row = self._columns.context_row
+                rows = np.array(
+                    [context_row[cid] for cid in dict.fromkeys(contexts)
+                     if cid in context_row],
+                    dtype=np.intp,
+                )
+            registry = get_registry()
+            registry.counter("search.context.queries").inc()
+            if not len(rows):
                 trace.set(selected=0, hits=0)
                 return []
-            with span("search.score", contexts=len(selected)) as score_trace:
-                scored, papers_scored = self._score(
-                    selected, evaluation, threshold
-                )
+            with span("search.score", contexts=len(rows)) as score_trace:
+                match = self._match_vector(evaluation)
+                scored, papers_scored = self._score(rows, match, threshold)
                 papers_dropped = papers_scored - len(scored)
                 score_trace.set(
                     papers_scored=papers_scored, papers_dropped=papers_dropped
                 )
             with span("search.merge") as merge_trace:
-                merged, merge_deduped, kept = scored.merge(
+                pairs, merge_deduped, kept = scored.merge(
                     self._columns.paper_rows.rank, limit
                 )
-                hits = self._hits(merged, selected)
+                hits = self._hits(scored, pairs, rows, match)
                 merge_trace.set(deduped=merge_deduped, kept=kept, hits=len(hits))
             trace.set(hits=len(hits))
-            registry = get_registry()
-            registry.counter("search.context.queries").inc()
             registry.counter("search.context.papers_scored").inc(papers_scored)
             registry.counter("search.context.papers_dropped").inc(papers_dropped)
             registry.counter("search.context.merge_deduped").inc(merge_deduped)
             return hits
 
     def _score(
-        self,
-        selected: Sequence[str],
-        evaluation: QueryEvaluation,
-        threshold: float,
+        self, rows: np.ndarray, match: np.ndarray, threshold: float
     ) -> Tuple[_Scored, int]:
-        """Score the selected contexts; ``(rows at or above threshold, scored)``.
+        """Score the context ``rows``; ``(pairs at or above threshold, scored)``.
 
-        Gathers the selected CSR rows in selection order and scores the
-        members with a positive match score: a paper with no textual
-        response to the query is not a search result, however
-        prestigious.  Relevancy is ``w_prestige * p + w_matching * m``,
-        two products and a sum in float64, exactly as a scalar loop
-        computes it.  ``scored`` counts the pairs before the threshold.
+        Gathers the CSR rows in selection order and scores the members
+        with a positive match score (``match`` is :meth:`_match_vector`):
+        a paper with no textual response to the query is not a search
+        result, however prestigious.  Relevancy is ``w_prestige * p +
+        w_matching * m``, two products and a sum in float64, exactly as a
+        scalar loop computes it.  ``scored`` counts the matched pairs
+        before the threshold.
         """
         columns = self._columns
-        rows = np.fromiter(
-            map(columns.context_row.__getitem__, selected),
-            dtype=np.int64,
-            count=len(selected),
-        )
         positions, counts = csr_positions(columns.indptr, rows)
         papers = columns.members[positions]
-        matching = self._match_vector(evaluation)[papers]
+        matching = match[papers]
         matched = matching > 0.0
-        positions = positions[matched]
-        matching = matching[matched]
-        prestige = self._prestige_values[positions]
-        scored = _Scored(
-            order=np.repeat(np.arange(len(rows)), counts)[matched],
-            papers=papers[matched],
-            relevancy=self.w_prestige * prestige + self.w_matching * matching,
-            prestige=prestige,
-            matching=matching,
+        relevancy = (
+            self.w_prestige * self._prestige_values[positions]
+            + self.w_matching * matching
         )
         # Not ``>=``: a NaN relevancy is kept, as ``relevancy < threshold``
         # is what drops a pair.
-        return scored.take(~(scored.relevancy < threshold)), len(scored)
+        kept = np.flatnonzero(matched & ~(relevancy < threshold))
+        scored = _Scored(
+            order=np.repeat(np.arange(len(rows)), counts)[kept],
+            papers=papers[kept],
+            relevancy=relevancy[kept],
+            positions=positions[kept],
+        )
+        return scored, int(np.count_nonzero(matched))
 
     def _match_vector(self, evaluation: QueryEvaluation) -> np.ndarray:
         """Match score by paper row; 0.0 for papers the query missed."""
@@ -584,23 +585,31 @@ class ContextSearchEngine:
         vector[evaluation.papers] = evaluation.scores
         return vector
 
-    def _hits(self, scored: _Scored, selected: Sequence[str]) -> List[SearchHit]:
-        """One :class:`SearchHit` per scored row, in row order."""
-        paper_ids = self._columns.paper_rows.ids
+    def _hits(
+        self, scored: _Scored, pairs: np.ndarray, rows: np.ndarray, match: np.ndarray
+    ) -> List[SearchHit]:
+        """One :class:`SearchHit` per pair in ``pairs``, in that order.
+
+        ``rows`` are the selected context rows ``scored.order`` indexes;
+        ids, prestige and matching are gathered for these pairs only.
+        """
+        columns = self._columns
+        paper_ids, context_ids = columns.paper_rows.ids, columns.context_ids
+        papers = scored.papers[pairs]
         return [
             SearchHit(
                 paper_id=paper_ids[paper],
-                context_id=selected[order],
+                context_id=context_ids[row],
                 relevancy=relevancy,
                 prestige=prestige,
                 matching=matching,
             )
-            for paper, order, relevancy, prestige, matching in zip(
-                scored.papers.tolist(),
-                scored.order.tolist(),
-                scored.relevancy.tolist(),
-                scored.prestige.tolist(),
-                scored.matching.tolist(),
+            for paper, row, relevancy, prestige, matching in zip(
+                papers.tolist(),
+                rows[scored.order[pairs]].tolist(),
+                scored.relevancy[pairs].tolist(),
+                self._prestige_values[scored.positions[pairs]].tolist(),
+                match[papers].tolist(),
             )
         ]
 
@@ -654,28 +663,27 @@ class ContextSearchEngine:
         _check_limit("per_context_limit", per_context_limit)
         self.warm()
         evaluation = self.keyword_engine.evaluate(query)
-        selections = self._select_contexts(query, max_contexts, evaluation)
-        if not selections:
+        rows, strengths = self._select_contexts(query, max_contexts, evaluation)
+        if not len(rows):
             return []
-        selected = [selection.context_id for selection in selections]
-        scored, _ = self._score(selected, evaluation, threshold)
+        match = self._match_vector(evaluation)
+        scored, _ = self._score(rows, match, threshold)
         # Selection order first, then the per-context ranking.
         rank = self._columns.paper_rows.rank
-        scored = scored.take(
-            np.lexsort((rank[scored.papers], -scored.relevancy, scored.order))
-        )
-        bounds = np.searchsorted(scored.order, np.arange(len(selected) + 1))
+        pairs = np.lexsort((rank[scored.papers], -scored.relevancy, scored.order))
+        bounds = np.searchsorted(scored.order[pairs], np.arange(len(rows) + 1))
+        context_ids = self._columns.context_ids
         groups: List[ContextResultGroup] = []
-        for order, selection in enumerate(selections):
-            rows = np.arange(bounds[order], bounds[order + 1])
-            if per_context_limit is not None:
-                rows = rows[:per_context_limit]
-            if len(rows):
+        for order, (row, strength) in enumerate(
+            zip(rows.tolist(), strengths.tolist())
+        ):
+            group = pairs[bounds[order]:bounds[order + 1]][:per_context_limit]
+            if len(group):
                 groups.append(
                     ContextResultGroup(
-                        context_id=selection.context_id,
-                        selection_strength=selection.strength,
-                        hits=tuple(self._hits(scored.take(rows), selected)),
+                        context_id=context_ids[row],
+                        selection_strength=strength,
+                        hits=tuple(self._hits(scored, group, rows, match)),
                     )
                 )
         return groups
@@ -699,22 +707,22 @@ class ContextSearchEngine:
         scores :meth:`search` would use (quoted-phrase filters included).
         """
         evaluation = self.keyword_engine.evaluate(query)
-        selections = self._select_contexts(query, max_contexts, evaluation)
+        rows, _ = self._select_contexts(query, max_contexts, evaluation)
+        selected = [self._columns.context_ids[row] for row in rows.tolist()]
         matching = evaluation.score(paper_id)
         per_context: List[Tuple[str, float, float]] = []
-        for selection in selections:
-            context = self.paper_set.context(selection.context_id)
-            if paper_id not in context:
+        for context_id in selected:
+            if paper_id not in self.paper_set.context(context_id):
                 continue
-            prestige = self.prestige.score(selection.context_id, paper_id)
+            prestige = self.prestige.score(context_id, paper_id)
             relevancy = self.w_prestige * prestige + self.w_matching * matching
-            per_context.append((selection.context_id, prestige, relevancy))
+            per_context.append((context_id, prestige, relevancy))
         per_context.sort(key=lambda row: (-row[2], row[0]))
         return RankingExplanation(
             query=query,
             paper_id=paper_id,
             matching=matching,
-            selected_context_ids=tuple(s.context_id for s in selections),
+            selected_context_ids=tuple(selected),
             in_selected_contexts=tuple(per_context),
             best_relevancy=per_context[0][2] if per_context else None,
         )

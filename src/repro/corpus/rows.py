@@ -9,9 +9,16 @@ same object, so rows of two revisions never mix.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, Tuple
+from typing import AbstractSet, Dict, Iterable, Sequence, Tuple
 
 import numpy as np
+
+
+def id_rank(ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in ascending id order (``intp``)."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 class PaperRows:
@@ -27,10 +34,7 @@ class PaperRows:
     def __init__(self, ids: Iterable[str]) -> None:
         self.ids: Tuple[str, ...] = tuple(ids)
         self.row_of: Dict[str, int] = {pid: row for row, pid in enumerate(self.ids)}
-        self.rank = np.empty(len(self.ids), dtype=np.intp)
-        self.rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = (
-            np.arange(len(self.ids))
-        )
+        self.rank = id_rank(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)

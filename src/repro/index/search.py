@@ -52,30 +52,6 @@ DEFAULT_SECTION_WEIGHTS: Mapping[Section, float] = {
 }
 
 
-def _best_first(item: Tuple[str, float]) -> Tuple[float, str]:
-    return -item[1], item[0]
-
-
-def top_items(scores: Mapping[str, float], limit: int) -> List[Tuple[str, float]]:
-    """The ``limit`` best ``(key, score)`` pairs, ordered by ``(-score, key)``.
-
-    A partition finds the ``limit``-th best score, so only the pairs at
-    or above it are sorted -- the same pairs, in the same order, as a
-    full sort cut to ``limit``.
-    """
-    if limit <= 0:
-        return []
-    if limit < len(scores):
-        values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
-        cut = float(np.partition(values, len(values) - limit)[len(values) - limit])
-        items = [item for item in scores.items() if item[1] >= cut]
-    else:
-        items = list(scores.items())
-    items.sort(key=_best_first)
-    del items[limit:]
-    return items
-
-
 @dataclass(frozen=True)
 class KeywordHit:
     """One ranked search result."""

@@ -139,10 +139,14 @@ def blend_rows(
     keys |= stacked.rows
     unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    # add.at adds in entry order: per context, component by component.
-    values = np.zeros(len(unique), dtype=np.float64)
+    # bincount adds in entry order from 0.0: per context, component by
+    # component.  With no entries it answers int64.
     weighted = np.repeat(np.array(pick_weight, dtype=np.float64), counts)
-    np.add.at(values, np.argsort(order)[inverse], weighted * stacked.values)
+    values = np.bincount(
+        np.argsort(order)[inverse],
+        weights=weighted * stacked.values,
+        minlength=len(unique),
+    ).astype(np.float64, copy=False)
     blended = unique[order]
     contexts, sizes = np.unique(blended >> 32, return_counts=True)
     return ScoreRows(

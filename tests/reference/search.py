@@ -99,6 +99,7 @@ class ReferenceSearch:
         else:
             known = dict(self.s.contexts)
             selected = [cid for cid in dict.fromkeys(contexts) if cid in known]
+        self._count("queries")
         if not selected:
             return []
         best = {}
@@ -114,7 +115,6 @@ class ReferenceSearch:
                     if hit.relevancy <= current.relevancy:
                         continue
                 best[hit.paper_id] = hit
-        self._count("queries")
         hits = sorted(best.values(), key=lambda h: (-h.relevancy, h.paper_id))
         return hits if limit is None else hits[:limit]
 
@@ -136,23 +136,23 @@ class ReferenceSearch:
 
 
 def two_sort_merge(scored, rank, limit):
-    """``(hits, deduped)``: the merge step sorting every scored pair.
+    """``(pairs, deduped)``: the merge step sorting every scored pair.
 
-    A 3-key ``lexsort`` over all pairs keeps each paper's best row (the
+    A 3-key ``lexsort`` over all pairs keeps each paper's best pair (the
     earliest selected context on a tie, NaN last), a 2-key ``lexsort``
     ranks those by ``(-relevancy, id rank)``, and only then is the answer
-    cut to ``limit``.
+    cut to ``limit``.  ``pairs`` indexes the returned pairs, best first.
     """
     by_paper = np.lexsort((scored.order, -scored.relevancy, scored.papers))
     papers = scored.papers[by_paper]
     first = np.ones(len(papers), dtype=bool)
     first[1:] = papers[1:] != papers[:-1]
-    best = scored.take(by_paper[first])
+    best = by_paper[first]
     merge_deduped = len(scored) - len(best)
-    ranked = np.lexsort((rank[best.papers], -best.relevancy))
+    ranked = best[np.lexsort((rank[scored.papers[best]], -scored.relevancy[best]))]
     if limit is not None:
         ranked = ranked[:limit]
-    return best.take(ranked), merge_deduped
+    return ranked, merge_deduped
 
 
 def pairs_kept(scored, limit):

@@ -119,6 +119,19 @@ class TestPipelineSearchSpans:
         assert scored > 0
         assert len(hits) == scored - dropped - deduped
 
+    def test_search_that_selects_no_context_counts_one_query(self, pipeline):
+        engine = pipeline.search_engine("text", "text")
+        for search in (
+            lambda: pipeline.search("quasar telescope zzz"),
+            lambda: engine.search("gene expression regulation", contexts=["GHOST"]),
+        ):
+            registry = reset_registry()
+            assert search() == []
+            counters = registry.snapshot()["counters"]
+            assert counters["search.context.queries"] == 1
+            assert counters.get("search.context.contexts_selected", 0) == 0
+            assert counters.get("search.context.papers_scored", 0) == 0
+
     def test_repeated_explicit_context_is_scored_once(self, pipeline):
         engine = pipeline.search_engine("text", "text")
         query = "gene expression regulation"

@@ -6,9 +6,11 @@ context, papers shared by several contexts, relevancies from a few
 values that tie within and across papers, NaN among them.  Paper rows
 are ranked by id in a drawn order, not row order.  At limits 0, 1,
 n - 1, n, n + 1 and ``None`` (n the number of distinct papers) every
-column of :meth:`_Scored.merge`'s answer and its ``deduped`` count must
-equal :func:`reference.search.two_sort_merge` bit for bit, and ``kept``
-must equal :func:`reference.search.pairs_kept`.
+column of the pairs :meth:`_Scored.merge` returns (context, paper,
+relevancy, and the prestige and matching the engine gathers for them)
+and its ``deduped`` count must equal
+:func:`reference.search.two_sort_merge` bit for bit, and ``kept`` must
+equal :func:`reference.search.pairs_kept`.
 """
 
 import numpy as np
@@ -24,15 +26,13 @@ VALUES = (0.0, 0.1, 0.25, 0.5, 1.0, NAN)
 
 
 def scored_pairs(orders, papers, relevancy):
-    """A ``_Scored`` with production dtypes; prestige and matching are
-    unique per pair, so a wrong winning pair shows in every column."""
-    n = len(papers)
+    """A ``_Scored`` with production dtypes; each pair has its own CSR
+    position, so a wrong winning pair shows in the prestige column."""
     return _Scored(
         order=np.array(orders, dtype=np.intp),
         papers=np.array(papers, dtype=np.int32),
         relevancy=np.array(relevancy, dtype=np.float64),
-        prestige=np.arange(n, dtype=np.float64),
-        matching=np.arange(n, dtype=np.float64) / 8.0,
+        positions=np.arange(len(papers), dtype=np.int64),
     )
 
 
@@ -51,12 +51,17 @@ def pair_sets(draw):
     return scored_pairs(orders, papers, relevancy), rank
 
 
-def columns(scored):
+def columns(scored, pairs, rank):
+    """The returned pairs' columns, gathered as ``_hits`` gathers them:
+    prestige by CSR position, matching by paper row."""
+    prestige = np.arange(len(scored), dtype=np.float64)
+    match = np.arange(len(rank), dtype=np.float64) / 8.0
+    papers = scored.papers[pairs]
     return [
         (column.dtype.str, column.tobytes())
         for column in (
-            scored.order, scored.papers, scored.relevancy,
-            scored.prestige, scored.matching,
+            scored.order[pairs], papers, scored.relevancy[pairs],
+            prestige[scored.positions[pairs]], match[papers],
         )
     ]
 
@@ -77,15 +82,16 @@ def test_merge_equals_two_sort_merge(case):
     scored, rank = case
     n = len(set(scored.papers.tolist()))
     for limit in (None, *sorted({0, 1, n - 1, n, n + 1} - {-1})):
-        hits, deduped, kept = scored.merge(rank, limit)
+        pairs, deduped, kept = scored.merge(rank, limit)
         expected, expected_deduped = two_sort_merge(scored, rank, limit)
-        assert columns(hits) == columns(expected), limit
+        assert columns(scored, pairs, rank) == columns(scored, expected, rank), limit
         assert deduped == expected_deduped, limit
         assert kept == pairs_kept(scored, limit), limit
 
 
 def test_nan_pair_does_not_hide_a_finite_best():
     scored, rank = NAN_AND_FINITE
-    hits, deduped, kept = scored.merge(rank, 1)
-    assert hits.papers.tolist() == [0] and hits.relevancy.tolist() == [0.5]
+    pairs, deduped, kept = scored.merge(rank, 1)
+    assert scored.papers[pairs].tolist() == [0]
+    assert scored.relevancy[pairs].tolist() == [0.5]
     assert (deduped, kept) == (1, 1)

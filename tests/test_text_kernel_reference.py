@@ -185,11 +185,14 @@ def assert_kernel_matches_reference(pipeline):
     first_paper = pipeline.corpus.paper(pipeline.corpus.paper_ids()[0])
     long_query = " ".join(first_paper.body.split()[:400])
     for query in names + [long_query, "zzzz unknown"]:
-        got = engine._representative_strengths(query)
+        rows, strengths = engine._representative_strengths(query)
         expected = reference_representative_strengths(
             reference, paper_set, representatives, query
         )
-        assert list(got.items()) == list(expected.items())
+        context_ids = paper_set.columns.context_ids
+        assert [(context_ids[row], strength) for row, strength in zip(
+            rows.tolist(), strengths.tolist()
+        )] == list(expected.items())
 
 
 @settings(max_examples=10, deadline=None)

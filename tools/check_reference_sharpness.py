@@ -44,6 +44,7 @@ PRESTIGE = "tests/test_prestige_rows_reference.py"
 BUILDER = "tests/test_pattern_builder_reference.py::TestBuild"
 KERNEL = "tests/test_context_kernel_reference.py"
 MERGE = "tests/test_search_merge_reference.py"
+SELECTION = "tests/test_context_selection_reference.py"
 QUERY = (
     "tests/test_query_evaluation_reference.py"
     "::test_in_memory_and_packed_evaluations_equal_reference"
@@ -66,20 +67,20 @@ MUTATIONS = (
     ),
     Mutation(
         "search-threshold", "repro/core/search.py",
-        "scored.take(~(scored.relevancy < threshold))",
-        "scored.take(~(scored.relevancy <= threshold))",
+        "kept = np.flatnonzero(matched & ~(relevancy < threshold))",
+        "kept = np.flatnonzero(matched & ~(relevancy <= threshold))",
         (KERNEL,),
     ),
     Mutation(
         "search-id-tie-break", "repro/core/search.py",
-        "ranked = np.lexsort((rank[best.papers], -best.relevancy))",
-        "ranked = np.lexsort((best.papers, -best.relevancy))",
+        "ranked = best[np.lexsort((rank[papers[best]], -relevancy[best]))]",
+        "ranked = best[np.lexsort((papers[best], -relevancy[best]))]",
         (KERNEL,),
     ),
     Mutation(
         "search-merge-cut", "repro/core/search.py",
-        "scored = self.take(self.relevancy >= cut)",
-        "scored = self.take(self.relevancy > cut)",
+        "kept = np.flatnonzero(self.relevancy >= cut)",
+        "kept = np.flatnonzero(self.relevancy > cut)",
         (MERGE,),
     ),
     Mutation(
@@ -93,6 +94,18 @@ MUTATIONS = (
         "strengths = totals[touched] / columns.sqrt_sizes[touched]",
         "strengths = totals[touched]",
         (KERNEL,),
+    ),
+    Mutation(
+        "search-select-tie-break", "repro/core/search.py",
+        "ranked = np.lexsort((self._columns.id_rank[rows], -strengths))",
+        "ranked = np.lexsort((-strengths,))",
+        (SELECTION,),
+    ),
+    Mutation(
+        "search-select-cut", "repro/core/search.py",
+        "chosen = strengths >= cut",
+        "chosen = strengths > cut",
+        (SELECTION,),
     ),
     Mutation(
         "query-idf", "repro/index/search.py",
