@@ -5,123 +5,124 @@ The citation-based score function (paper section 3.1) deliberately uses
 central operation here is restricting a corpus-wide citation graph to an
 arbitrary node subset while keeping edge direction: an edge ``u -> v``
 means *u cites v*.
+
+A graph is immutable: a node table (:class:`~repro.corpus.rows.PaperRows`)
+and its edges as two CSRs over the table's rows, one of out-lists and one
+of in-lists.  The corpus-wide graph (:meth:`CitationGraph.from_corpus`)
+uses the corpus's own ``paper_rows`` as its node table, so its rows are
+the rows every other paper column indexes.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.corpus.corpus import Corpus
+from repro.corpus.rows import PaperRows, csr_positions, indptr_of
 
 
 class CitationGraph:
-    """A directed citation graph over paper ids (``u -> v`` = u cites v)."""
+    """A directed citation graph over paper ids (``u -> v`` = u cites v).
+
+    ``paper_rows`` is the node table.  ``out_targets[out_indptr[r]:
+    out_indptr[r + 1]]`` are the rows node ``r`` cites and ``in_sources``
+    (over ``in_indptr``) the rows citing it.  Both lists follow the order
+    in which the edges were first given: a repeated edge keeps its first
+    occurrence, and a self-loop is dropped but its node kept.  Self-loops
+    cannot occur in a clean corpus and would distort PageRank; a repeated
+    edge would double-weight one reference list entry.
+    """
+
+    __slots__ = ("paper_rows", "out_indptr", "out_targets", "in_indptr", "in_sources")
 
     def __init__(self, edges: Optional[Iterable[Tuple[str, str]]] = None,
                  nodes: Optional[Iterable[str]] = None) -> None:
-        self._out: Dict[str, List[str]] = {}
-        self._in: Dict[str, List[str]] = {}
-        if nodes is not None:
-            for node in nodes:
-                self.add_node(node)
-        if edges is not None:
-            for source, target in edges:
-                self.add_edge(source, target)
+        """Nodes are ``nodes``, then edge endpoints in first-seen order."""
+        edges = list(edges) if edges is not None else []
+        ids = dict.fromkeys(nodes if nodes is not None else ())
+        ids.update(dict.fromkeys(chain.from_iterable(edges)))
+        paper_rows = PaperRows(ids)
+        pairs = paper_rows.rows(chain.from_iterable(edges)).reshape(-1, 2)
+        self._index(paper_rows, pairs[:, 0], pairs[:, 1])
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "CitationGraph":
-        """Build the corpus-wide graph from resolvable references."""
-        graph = cls()
-        for paper in corpus:
-            graph.add_node(paper.paper_id)
-        for paper in corpus:
-            for reference in corpus.references_of(paper.paper_id):
-                graph.add_edge(paper.paper_id, reference)
+        """The corpus-wide graph of resolvable references, over
+        ``corpus.paper_rows`` itself."""
+        paper_rows = corpus.paper_rows
+        references = [corpus.references_of(pid) for pid in paper_rows.ids]
+        counts = np.fromiter(map(len, references), dtype=np.intp, count=len(references))
+        sources = np.repeat(np.arange(len(paper_rows)), counts)
+        return cls._over(
+            paper_rows, sources, paper_rows.rows(chain.from_iterable(references))
+        )
+
+    @classmethod
+    def _over(
+        cls, paper_rows: PaperRows, sources: np.ndarray, targets: np.ndarray
+    ) -> "CitationGraph":
+        graph = cls.__new__(cls)
+        graph._index(paper_rows, sources, targets)
         return graph
 
-    # -- construction -------------------------------------------------------------
-
-    def add_node(self, node: str) -> None:
-        """Ensure ``node`` exists (idempotent)."""
-        if node not in self._out:
-            self._out[node] = []
-            self._in[node] = []
-
-    def add_edge(self, source: str, target: str) -> None:
-        """Add a citation edge; self-loops and duplicates are ignored.
-
-        Self-citations of the *same paper record* cannot occur in a clean
-        corpus and would distort PageRank; duplicate edges would silently
-        double-weight one reference list entry.
-        """
-        self.add_node(source)
-        self.add_node(target)
-        if source == target:
-            return
-        if target not in self._out[source]:
-            self._out[source].append(target)
-            self._in[target].append(source)
+    def _index(
+        self, paper_rows: PaperRows, sources: np.ndarray, targets: np.ndarray
+    ) -> None:
+        """Set the node table and both CSRs of the edges ``sources[i] ->
+        targets[i]`` (rows of ``paper_rows``)."""
+        n = len(paper_rows)
+        loop = sources == targets
+        sources, targets = sources[~loop], targets[~loop]
+        first = np.sort(np.unique(sources * n + targets, return_index=True)[1])
+        sources, targets = sources[first], targets[first]
+        self.paper_rows = paper_rows
+        self.out_indptr = indptr_of(np.bincount(sources, minlength=n))
+        self.out_targets = targets[np.argsort(sources, kind="stable")]
+        self.in_indptr = indptr_of(np.bincount(targets, minlength=n))
+        self.in_sources = sources[np.argsort(targets, kind="stable")]
 
     # -- access --------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._out)
+        return len(self.paper_rows)
 
     def __contains__(self, node: str) -> bool:
-        return node in self._out
+        return node in self.paper_rows.row_of
 
     def nodes(self) -> List[str]:
-        """All node ids in insertion order."""
-        return list(self._out)
+        """All node ids in row order."""
+        return list(self.paper_rows.ids)
 
     def edges(self) -> Iterator[Tuple[str, str]]:
-        """Iterate all ``(citing, cited)`` pairs."""
-        for source, targets in self._out.items():
-            for target in targets:
-                yield source, target
+        """Iterate all ``(citing, cited)`` pairs, by source row, then out-list."""
+        ids = self.paper_rows.ids
+        sources = np.repeat(np.arange(len(ids)), np.diff(self.out_indptr))
+        return zip(
+            map(ids.__getitem__, sources.tolist()),
+            map(ids.__getitem__, self.out_targets.tolist()),
+        )
 
     @property
     def n_edges(self) -> int:
-        return sum(len(targets) for targets in self._out.values())
+        return len(self.out_targets)
 
     def out_neighbors(self, node: str) -> List[str]:
         """Papers cited by ``node``."""
-        return list(self._out.get(node, ()))
+        return self._neighbors(node, self.out_indptr, self.out_targets)
 
     def in_neighbors(self, node: str) -> List[str]:
         """Papers citing ``node``."""
-        return list(self._in.get(node, ()))
+        return self._neighbors(node, self.in_indptr, self.in_sources)
 
-    def out_degree(self, node: str) -> int:
-        return len(self._out.get(node, ()))
-
-    def in_degree(self, node: str) -> int:
-        return len(self._in.get(node, ()))
-
-    def out_rows(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
-        """``(nodes, indptr, targets)``: the out-lists as CSR rows.
-
-        ``targets[indptr[i]:indptr[i + 1]]`` are the positions in
-        ``nodes`` (insertion order) of the papers ``nodes[i]`` cites, in
-        out-list order.
-        """
-        nodes = list(self._out)
-        position = {node: i for i, node in enumerate(nodes)}
-        lists = self._out.values()
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter(map(len, lists), dtype=np.int64, count=len(nodes)),
-            out=indptr[1:],
-        )
-        targets = np.fromiter(
-            map(position.__getitem__, chain.from_iterable(lists)),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        return nodes, indptr, targets
+    def _neighbors(self, node: str, indptr: np.ndarray, column: np.ndarray) -> List[str]:
+        row = self.paper_rows.row_of.get(node)
+        if row is None:
+            return []
+        ids = self.paper_rows.ids
+        return [ids[r] for r in column[indptr[row]:indptr[row + 1]].tolist()]
 
     def density(self) -> float:
         """Edge density |E| / (|V| (|V|-1)); 0.0 for graphs with < 2 nodes.
@@ -136,6 +137,25 @@ class CitationGraph:
 
     # -- subgraphs -------------------------------------------------------------------
 
+    def induced(self, nodes: Iterable[str]) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """The subgraph on ``nodes`` as ``(ids, sources, targets)``.
+
+        ``ids`` are the known ``nodes`` in row order, then unknown ids once
+        each in ``nodes`` order; the edges are the ones between known nodes,
+        as positions in ``ids``, by source, then out-list order.
+        """
+        wanted = dict.fromkeys(nodes)
+        row_of = self.paper_rows.row_of
+        rows = np.array(sorted(row_of[n] for n in wanted if n in row_of), dtype=np.intp)
+        ids = list(map(self.paper_rows.ids.__getitem__, rows.tolist()))
+        ids.extend(n for n in wanted if n not in row_of)
+        positions, counts = csr_positions(self.out_indptr, rows)
+        targets = self.out_targets[positions]
+        local = np.searchsorted(rows, targets)
+        kept = rows[np.minimum(local, len(rows) - 1)] == targets
+        sources = np.repeat(np.arange(len(rows)), counts)
+        return ids, sources[kept], local[kept]
+
     def subgraph(self, nodes: Iterable[str]) -> "CitationGraph":
         """The induced subgraph on ``nodes`` (unknown ids become isolated nodes).
 
@@ -144,20 +164,8 @@ class CitationGraph:
         context are dropped.  Nodes keep this graph's order; unknown ids
         follow, once each, in ``nodes`` order.
         """
-        wanted = list(dict.fromkeys(nodes))
-        keep: Set[str] = set(wanted)
-        result = CitationGraph()
-        for node in self._out:
-            if node in keep:
-                result.add_node(node)
-        for node in wanted:
-            if node not in self._out:
-                result.add_node(node)
-        for source in result.nodes():
-            for target in self._out.get(source, ()):
-                if target in keep:
-                    result.add_edge(source, target)
-        return result
+        ids, sources, targets = self.induced(nodes)
+        return CitationGraph._over(PaperRows(ids), sources, targets)
 
     def within_path_length(
         self, sources: Iterable[str], max_hops: int, directed: bool = False
@@ -171,20 +179,24 @@ class CitationGraph:
         """
         if max_hops < 0:
             raise ValueError(f"max_hops must be >= 0, got {max_hops}")
-        frontier: Set[str] = {node for node in sources if node in self._out}
-        reached: Set[str] = set(frontier)
+        row_of = self.paper_rows.row_of
+        frontier = np.unique(
+            np.fromiter((row_of[n] for n in sources if n in row_of), dtype=np.intp)
+        )
+        reached = np.zeros(len(self), dtype=bool)
+        reached[frontier] = True
+        lists = [(self.out_indptr, self.out_targets)]
+        if not directed:
+            lists.append((self.in_indptr, self.in_sources))
         for _ in range(max_hops):
-            next_frontier: Set[str] = set()
-            for node in frontier:
-                next_frontier.update(self._out.get(node, ()))
-                if not directed:
-                    next_frontier.update(self._in.get(node, ()))
-            next_frontier -= reached
-            if not next_frontier:
+            frontier = np.unique(np.concatenate([
+                column[csr_positions(indptr, frontier)[0]] for indptr, column in lists
+            ]))
+            frontier = frontier[~reached[frontier]]
+            if not len(frontier):
                 break
-            reached |= next_frontier
-            frontier = next_frontier
-        return reached
+            reached[frontier] = True
+        return set(map(self.paper_rows.ids.__getitem__, np.flatnonzero(reached).tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CitationGraph({len(self)} nodes, {self.n_edges} edges)"

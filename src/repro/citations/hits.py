@@ -46,15 +46,16 @@ def hits_scores(
     n = len(nodes)
     if n == 0:
         return HitsResult(authorities={}, hubs={}, iterations=0, converged=True)
-    index = {node: position for position, node in enumerate(nodes)}
     if graph.n_edges == 0:
         uniform = 1.0 / np.sqrt(n)
         flat = {node: float(uniform) for node in nodes}
         return HitsResult(authorities=dict(flat), hubs=dict(flat), iterations=0,
                           converged=True)
 
-    in_lists = [[index[u] for u in graph.in_neighbors(node)] for node in nodes]
-    out_lists = [[index[v] for v in graph.out_neighbors(node)] for node in nodes]
+    # authority(v) sums its citers' hubs in in-list order, hub(u) its
+    # references' authorities in out-list order: one bincount each.
+    cited = np.repeat(np.arange(n), np.diff(graph.in_indptr))
+    citing = np.repeat(np.arange(n), np.diff(graph.out_indptr))
 
     authority = np.full(n, 1.0 / np.sqrt(n))
     hub = np.full(n, 1.0 / np.sqrt(n))
@@ -62,14 +63,12 @@ def hits_scores(
     converged = False
     delta = float("inf")
     for iterations in range(1, max_iterations + 1):
-        new_authority = np.array(
-            [sum(hub[u] for u in sources) for sources in in_lists]
-        )
+        new_authority = np.bincount(cited, weights=hub[graph.in_sources], minlength=n)
         norm = np.linalg.norm(new_authority)
         if norm > 0:
             new_authority /= norm
-        new_hub = np.array(
-            [sum(new_authority[v] for v in targets) for targets in out_lists]
+        new_hub = np.bincount(
+            citing, weights=new_authority[graph.out_targets], minlength=n
         )
         norm = np.linalg.norm(new_hub)
         if norm > 0:
@@ -97,8 +96,8 @@ def hits_scores(
             nodes=n,
         )
     return HitsResult(
-        authorities={node: float(authority[index[node]]) for node in nodes},
-        hubs={node: float(hub[index[node]]) for node in nodes},
+        authorities=dict(zip(nodes, authority.tolist())),
+        hubs=dict(zip(nodes, hub.tolist())),
         iterations=iterations,
         converged=converged,
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,11 +51,6 @@ class PageRankResult:
     iterations: int
     converged: bool
     residual: float
-
-    def top(self, k: int) -> List[str]:
-        """Ids of the ``k`` highest-scored nodes (ties broken by id)."""
-        ranked = sorted(self.scores.items(), key=lambda item: (-item[1], item[0]))
-        return [node for node, _ in ranked[:k]]
 
 
 def pagerank(
@@ -85,22 +80,17 @@ def pagerank(
         can verify invariance to the starting point.
 
     An empty graph yields an empty score map; a single node gets score 1.
-    The edges go to :func:`pagerank_arrays` grouped by destination in node
-    order, each destination's sources in in-list order.
+    The edges go to :func:`pagerank_arrays` as the graph's in-CSR: grouped
+    by destination in node order, each destination's sources in in-list
+    order.
     """
     nodes = graph.nodes()
-    index = {node: position for position, node in enumerate(nodes)}
-    edges = [
-        (index[u], v)
-        for v, node in enumerate(nodes)
-        for u in graph.in_neighbors(node)
-    ]
-    edge_src, edge_dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    edge_dst = np.repeat(np.arange(len(nodes)), np.diff(graph.in_indptr))
     start = None
     if initial is not None:
         start = np.array([float(initial.get(node, 0.0)) for node in nodes])
     p, iterations, converged, residual = pagerank_arrays(
-        len(nodes), edge_src, edge_dst,
+        len(nodes), graph.in_sources, edge_dst,
         teleport=teleport, d=d, max_iterations=max_iterations,
         tolerance=tolerance, initial=start,
     )

@@ -991,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = subparsers.add_parser(
         "obs",
-        help="observability utilities (render dumps, serve /metrics)",
+        help="observability reports: report, slowlog, slo, analytics",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_report = obs_sub.add_parser(

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.context import Context, ContextPaperSet
-from repro.core.cosine import cosines_at_least, indptr_of
+from repro.core.cosine import cosines_at_least
 from repro.core.patterns import (
     PatternMemo,
     PatternSet,
@@ -32,6 +32,7 @@ from repro.core.patterns import (
 from repro.core.representative import representatives_of
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
+from repro.corpus.rows import indptr_of
 from repro.index.inverted import InvertedIndex
 from repro.obs import get_logger, get_registry, span
 from repro.ontology.ontology import Ontology

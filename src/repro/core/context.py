@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.corpus.rows import PaperRows, id_rank
+from repro.corpus.rows import PaperRows, id_rank, indptr_of
 from repro.ontology.ontology import Ontology
 
 
@@ -125,29 +125,6 @@ class ContextColumns:
 
     def __len__(self) -> int:
         return len(self.context_ids)
-
-
-def indptr_of(lengths: Sequence[int]) -> np.ndarray:
-    """CSR row bounds (int64) of rows with ``lengths`` entries."""
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr
-
-
-def csr_positions(
-    indptr: np.ndarray, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Entry positions of CSR ``rows``, concatenated in ``rows`` order.
-
-    Returns ``(positions, counts)``; ``counts[i]`` is row ``i``'s length.
-    """
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    offsets = np.cumsum(counts) - counts
-    positions = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
-        starts - offsets, counts
-    )
-    return positions, counts
 
 
 def check_indptr(indptr: np.ndarray, n_rows: int, n_entries: int, what: str) -> None:

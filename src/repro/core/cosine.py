@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.context import csr_positions, indptr_of
+from repro.corpus.rows import csr_positions, indptr_of
 from repro.obs import get_registry
 from repro.text.vectorize import SparseVector, l2_norm
 

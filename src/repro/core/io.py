@@ -29,16 +29,10 @@ from typing import IO, Dict, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.core.context import (
-    Context,
-    ContextPaperSet,
-    check_csr,
-    check_indptr,
-    indptr_of,
-)
+from repro.core.context import Context, ContextPaperSet, check_csr, check_indptr
 from repro.core.patterns import Extractions, PatternExtraction
 from repro.core.vectors import PaperVectorStore
-from repro.corpus.rows import PaperRows
+from repro.corpus.rows import PaperRows, indptr_of
 from repro.ontology.ontology import Ontology
 from repro.scoring.base import PrestigeScores, ScoreRows
 from repro.text.analyze import AnalyzedPaperCache

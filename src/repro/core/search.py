@@ -67,10 +67,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.context import ContextPaperSet, csr_positions
+from repro.core.context import ContextPaperSet
 from repro.core.cosine import TermMajor, VectorRows, dot_pairs, finish_cosines
 from repro.core.vectors import PaperVectorStore
-from repro.corpus.rows import check_same_rows
+from repro.corpus.rows import check_same_rows, csr_positions
 from repro.index.search import KeywordSearchEngine, QueryEvaluation
 from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology

@@ -25,10 +25,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.context import check_csr, csr_positions
-from repro.core.cosine import VectorRows, indptr_of, row_norms
+from repro.core.context import check_csr
+from repro.core.cosine import VectorRows, row_norms
 from repro.corpus.paper import Paper, Section, TEXT_SECTIONS
-from repro.corpus.rows import PaperRows
+from repro.corpus.rows import PaperRows, csr_positions, indptr_of
 from repro.text.analyze import AnalyzedPaperCache
 from repro.text.vectorize import SparseVector, TfidfModel
 

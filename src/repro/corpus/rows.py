@@ -4,7 +4,8 @@ Every in-memory paper column (index postings, vector rows, context
 members, score tables, query evaluations) names a paper by its row in
 the :class:`PaperRows` of the corpus revision it was built over
 (:attr:`Corpus.paper_rows`).  Where two columns meet, they must hold the
-same object, so rows of two revisions never mix.
+same object, so rows of two revisions never mix.  :func:`indptr_of` and
+:func:`csr_positions` are the CSR helpers the row-indexed columns share.
 """
 
 from __future__ import annotations
@@ -19,6 +20,29 @@ def id_rank(ids: Sequence[str]) -> np.ndarray:
     rank = np.empty(len(ids), dtype=np.intp)
     rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return rank
+
+
+def indptr_of(lengths: Sequence[int]) -> np.ndarray:
+    """CSR row bounds (int64) of rows with ``lengths`` entries."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+def csr_positions(
+    indptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Entry positions of CSR ``rows``, concatenated in ``rows`` order.
+
+    Returns ``(positions, counts)``; ``counts[i]`` is row ``i``'s length.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    positions = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        starts - offsets, counts
+    )
+    return positions, counts
 
 
 class PaperRows:

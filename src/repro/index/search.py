@@ -67,7 +67,7 @@ class QueryEvaluation:
 
     Produced by :meth:`KeywordSearchEngine.evaluate`; shared by ranked
     retrieval (:meth:`KeywordSearchEngine.search`), per-paper match
-    scoring (:meth:`KeywordSearchEngine.match_score`), and the context
+    scoring (:meth:`score`), and the context
     search engine's selection/scoring/explain stages, so a single search
     request never rescans the index.
 
@@ -94,7 +94,8 @@ class QueryEvaluation:
     postings_scanned: int
 
     def score(self, paper_id: str) -> float:
-        """Normalised match score of one paper (0.0 when not matched)."""
+        """Normalised match score of one paper (0.0 when not matched): the
+        ``text_matching_score(p, q)`` of section 3's relevancy."""
         row = self.table.row_of.get(paper_id, -1)
         at = int(np.searchsorted(self.papers, row))
         if at < len(self.papers) and self.papers[at] == row:
@@ -300,16 +301,6 @@ class KeywordSearchEngine:
             )
         # setdefault: racing first callers all keep the first entry stored.
         return self._terms.setdefault(term, entry)
-
-    def match_score(self, query: str, paper_id: str) -> float:
-        """Text-matching score of one (query, paper) pair in [0, 1].
-
-        This is the ``text_matching_score(p, q)`` component of the
-        relevancy formula in section 3.  Identical by construction to the
-        score :meth:`search` would give the paper (both read the same
-        :class:`QueryEvaluation`).
-        """
-        return self.evaluate(query).score(paper_id)
 
     # -- PubMed-style unranked retrieval --------------------------------------------
 

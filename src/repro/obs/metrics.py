@@ -66,19 +66,19 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (last write wins)."""
+    """A point-in-time value (last write wins); ``None`` is "no sample"."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._value = 0.0
+        self._value: Optional[float] = 0.0
         self._lock = threading.Lock()
 
-    def set(self, value: float) -> None:
+    def set(self, value: Optional[float]) -> None:
         with self._lock:
-            self._value = float(value)
+            self._value = None if value is None else float(value)
 
     @property
-    def value(self) -> float:
+    def value(self) -> Optional[float]:
         with self._lock:
             return self._value
 
@@ -199,6 +199,11 @@ class MetricsRegistry:
                 metric = Gauge(validate_metric_name(name))
                 self._gauges[name] = metric
             return metric
+
+    def gauge_names(self) -> List[str]:
+        """Names of the gauges created so far."""
+        with self._lock:
+            return list(self._gauges)
 
     def histogram(self, name: str) -> Histogram:
         with self._lock:

@@ -30,14 +30,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.core.context import (
-    Context,
-    ContextColumns,
-    ContextPaperSet,
-    csr_positions,
-    indptr_of,
-)
-from repro.corpus.rows import PaperRows, check_same_rows
+from repro.core.context import Context, ContextColumns, ContextPaperSet
+from repro.corpus.rows import PaperRows, check_same_rows, csr_positions, indptr_of
 from repro.obs import get_registry, span
 
 _METRIC_SEGMENT_SUB = re.compile(r"[^a-z0-9_]+")

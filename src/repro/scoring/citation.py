@@ -10,24 +10,22 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-import numpy as np
-
 from repro.citations.graph import CitationGraph
 from repro.citations.pagerank import TeleportKind, pagerank_arrays
-from repro.core.context import Context, csr_positions
+from repro.core.context import Context
 from repro.scoring.base import PrestigeScoreFunction
 
 
 class CitationPrestige(PrestigeScoreFunction):
     """Per-context PageRank prestige.
 
-    A batch of contexts reads one CSR of the graph's out-lists
-    (:meth:`CitationGraph.out_rows`).  A context's edges are the rows of
-    its members cut to member targets, handed to
-    :func:`~repro.citations.pagerank.pagerank_arrays` in the order
-    :func:`~repro.citations.pagerank.pagerank` walks
-    ``graph.subgraph(context.paper_ids)``, so the scores are the same
-    floats, in the same key order.
+    A context's subgraph is :meth:`CitationGraph.induced` on its members:
+    the out-list slices of the members' rows, cut to member targets, with
+    members the graph lacks as isolated nodes in context order.  Sources
+    ascend, so each destination sums its sources in node order, as the
+    in-lists of ``graph.subgraph(context.paper_ids)`` have them: the
+    scores are the floats :func:`~repro.citations.pagerank.pagerank` gives
+    that subgraph, in the same key order.
 
     Parameters
     ----------
@@ -62,35 +60,14 @@ class CitationPrestige(PrestigeScoreFunction):
         return self.score_batch([context])[0]
 
     def score_batch(self, contexts: Iterable[Context]) -> List[Dict[str, float]]:
-        contexts = list(contexts)
-        nodes, indptr, targets = self.graph.out_rows()
-        position = {node: i for i, node in enumerate(nodes)}
-        # local[g]: graph node g's position in the current context, or -1.
-        local = np.full(len(nodes), -1, dtype=np.int64)
         results: List[Dict[str, float]] = []
         for context in contexts:
             if not context.paper_ids:
                 results.append({})
                 continue
-            wanted = dict.fromkeys(context.paper_ids)
-            rows = np.array(
-                sorted(position[pid] for pid in wanted if pid in position),
-                dtype=np.int64,
-            )
-            # The subgraph's nodes: members in graph order, then members
-            # the graph lacks (isolated) in context order.
-            ids = [nodes[row] for row in rows.tolist()]
-            ids.extend(pid for pid in wanted if pid not in position)
-            local[rows] = np.arange(len(rows))
-            edges, counts = csr_positions(indptr, rows)
-            dst = local[targets[edges]]
-            local[rows] = -1
-            # Sources ascend, so each destination sums its sources in
-            # node order, as the subgraph's in-lists have them.
-            src = np.repeat(np.arange(len(rows)), counts)
-            kept = dst >= 0
+            ids, sources, targets = self.graph.induced(context.paper_ids)
             scores = pagerank_arrays(
-                len(ids), src[kept], dst[kept],
+                len(ids), sources, targets,
                 teleport=self.teleport,
                 d=self.d,
                 max_iterations=self.max_iterations,

@@ -31,13 +31,13 @@ from typing import Dict, Iterable, List, Mapping, Optional
 import numpy as np
 
 from repro.citations.graph import CitationGraph
-from repro.core.context import Context, csr_positions, indptr_of
+from repro.core.context import Context
 from repro.core.cosine import cosine_pairs
 from repro.obs import get_registry
 from repro.scoring.base import PrestigeScoreFunction
 from repro.core.vectors import PaperVectorStore
 from repro.corpus.corpus import Corpus
-from repro.corpus.rows import check_same_rows
+from repro.corpus.rows import check_same_rows, csr_positions, indptr_of
 from repro.corpus.paper import Section
 
 
@@ -76,7 +76,11 @@ class FacetWeights:
 
 
 class TextPrestige(PrestigeScoreFunction):
-    """Multi-facet similarity to the context's representative paper."""
+    """Multi-facet similarity to the context's representative paper.
+
+    ``graph`` must number its nodes by ``corpus.paper_rows`` (as
+    :meth:`CitationGraph.from_corpus` does); another raises ``ValueError``.
+    """
 
     name = "text"
     #: The weighted facet similarity is already a [0, 1] score -- cosine
@@ -92,6 +96,7 @@ class TextPrestige(PrestigeScoreFunction):
         representatives: Mapping[str, str],
         weights: Optional[FacetWeights] = None,
     ) -> None:
+        check_same_rows(graph.paper_rows, corpus.paper_rows)
         self.corpus = corpus
         self.vectors = vectors
         self.graph = graph
@@ -226,13 +231,14 @@ def _cosine_overlap(
 class _FacetSets:
     """The author and reference facets' sets, as :class:`SetRows` families.
 
-    Rows are the corpus's ``paper_rows``.  Authors are interned to
-    integers in first-seen order; references and citers are positions in
-    the graph's node order (a paper the graph lacks has neither).
+    Rows are the corpus's ``paper_rows``, which are the citation graph's
+    node rows too.  Authors are interned to integers in first-seen order;
+    references and citers are rows.
     """
 
     def __init__(self, corpus: Corpus, graph: CitationGraph) -> None:
         self.paper_rows = corpus.paper_rows
+        check_same_rows(graph.paper_rows, self.paper_rows)
         n = len(self.paper_rows)
 
         author_id: Dict[str, int] = {}
@@ -249,21 +255,9 @@ class _FacetSets:
         self.authors = SetRows(rows, items, n, n_authors)
         self.coauthors = self._expand(self.authors, n, n_authors)
 
-        nodes, indptr, targets = graph.out_rows()
-        corpus_row = np.fromiter(
-            map(self.paper_rows.row_of.get, nodes, [-1] * len(nodes)),
-            dtype=np.int64,
-            count=len(nodes),
-        )
-        sources = np.repeat(np.arange(len(nodes), dtype=np.int64), np.diff(indptr))
-        cites = corpus_row[sources] >= 0
-        cited = corpus_row[targets] >= 0
-        self.references = SetRows(
-            corpus_row[sources[cites]], targets[cites], n, len(nodes)
-        )
-        self.citers = SetRows(
-            corpus_row[targets[cited]], sources[cited], n, len(nodes)
-        )
+        citing = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.out_indptr))
+        self.references = SetRows(citing, graph.out_targets, n, n)
+        self.citers = SetRows(graph.out_targets, citing, n, n)
 
     @staticmethod
     def _expand(authors: SetRows, n: int, n_authors: int) -> SetRows:

@@ -161,20 +161,27 @@ def summarize_queries(
 
 
 def export_query_gauges(events: Sequence[QueryEvent], now: float) -> None:
-    """Scrape-time collector: the window's volumes as gauges."""
+    """Scrape-time collector: the window's volumes as gauges.
+
+    A function that left the window reads 0, and the zero-result rate
+    holds no sample (``None``) while no counted request is in it.
+    """
     entries = _windowed(events, now)
     registry = get_registry()
     registry.gauge("search.analytics.window_queries").set(len(entries))
     counted = [entry.hits for entry in entries if entry.hits is not None]
-    if counted:
-        registry.gauge("search.analytics.zero_result_rate").set(
-            counted.count(0) / len(counted)
-        )
-    by_function = Counter(entry.function for entry in entries)
-    for function, count in by_function.items():
-        registry.gauge(
-            f"search.analytics.{_metric_segment(function)}.queries"
-        ).set(count)
+    registry.gauge("search.analytics.zero_result_rate").set(
+        counted.count(0) / len(counted) if counted else None
+    )
+    counts = Counter(
+        f"search.analytics.{_metric_segment(entry.function)}.queries"
+        for entry in entries
+    )
+    for name in registry.gauge_names():
+        if name.startswith("search.analytics.") and name.endswith(".queries"):
+            counts.setdefault(name, 0)
+    for name, count in counts.items():
+        registry.gauge(name).set(count)
 
 
 class _ShadowTask:

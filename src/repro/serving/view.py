@@ -194,9 +194,7 @@ class ServingView:
         registry.gauge("serving.view.age_seconds").set(self.age_seconds)
         registry.gauge("serving.view.engines").set(self.engine_count())
         registry.gauge("search.cache.size").set(len(self.result_cache))
-        hit_rate = self.result_cache.hit_rate
-        if hit_rate is not None:
-            registry.gauge("search.cache.hit_rate").set(hit_rate)
+        registry.gauge("search.cache.hit_rate").set(self.result_cache.hit_rate)
         # Only the raw slot is inspected so a scrape never triggers a
         # substrate build.  An index that maps nothing (built in memory,
         # or not built yet) exports zeros, never the last file's figures.

@@ -3,6 +3,8 @@
 :func:`reference_pagerank` is PageRank as it ran before its inner loop
 became a CSR ``bincount``: a Python sum over each node's in-neighbour
 list per iteration, with dangling mass spread uniformly.
+:func:`reference_hits` is HITS as the same kind of loop, over in- and
+out-neighbour lists.
 """
 
 import random
@@ -16,14 +18,14 @@ from repro.citations.pagerank import TeleportKind
 def random_graph(seed, n=30, p=0.12):
     """``n`` nodes, each ordered pair an edge with probability ``p``."""
     rng = random.Random(seed)
-    graph = CitationGraph()
-    for i in range(n):
-        graph.add_node(f"N{i}")
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < p:
-                graph.add_edge(f"N{i}", f"N{j}")
-    return graph
+    nodes = [f"N{i}" for i in range(n)]
+    edges = [
+        (source, target)
+        for source in nodes
+        for target in nodes
+        if source != target and rng.random() < p
+    ]
+    return CitationGraph(edges=edges, nodes=nodes)
 
 
 def reference_pagerank(graph, teleport, d=0.15, max_iterations=200, tolerance=1e-10):
@@ -32,7 +34,7 @@ def reference_pagerank(graph, teleport, d=0.15, max_iterations=200, tolerance=1e
     n = len(nodes)
     index = {node: position for position, node in enumerate(nodes)}
     out_degree = np.array(
-        [graph.out_degree(node) for node in nodes], dtype=float
+        [len(graph.out_neighbors(node)) for node in nodes], dtype=float
     )
     dangling = out_degree == 0.0
     in_lists = [
@@ -60,3 +62,38 @@ def reference_pagerank(graph, teleport, d=0.15, max_iterations=200, tolerance=1e
         ):
             break
     return {node: float(p[index[node]]) for node in nodes}
+
+
+def reference_hits(graph, max_iterations=100, tolerance=1e-10):
+    """``(authorities, hubs)``: HITS as Python sums over neighbour lists."""
+    nodes = graph.nodes()
+    n = len(nodes)
+    index = {node: position for position, node in enumerate(nodes)}
+    in_lists = [[index[u] for u in graph.in_neighbors(node)] for node in nodes]
+    out_lists = [[index[v] for v in graph.out_neighbors(node)] for node in nodes]
+    authority = np.full(n, 1.0 / np.sqrt(n))
+    hub = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(max_iterations):
+        new_authority = np.array(
+            [sum(hub[u] for u in sources) for sources in in_lists], dtype=float
+        )
+        norm = np.linalg.norm(new_authority)
+        if norm > 0:
+            new_authority /= norm
+        new_hub = np.array(
+            [sum(new_authority[v] for v in targets) for targets in out_lists],
+            dtype=float,
+        )
+        norm = np.linalg.norm(new_hub)
+        if norm > 0:
+            new_hub /= norm
+        delta = float(
+            np.abs(new_authority - authority).sum() + np.abs(new_hub - hub).sum()
+        )
+        authority, hub = new_authority, new_hub
+        if delta < tolerance:
+            break
+    return (
+        {node: float(authority[index[node]]) for node in nodes},
+        {node: float(hub[index[node]]) for node in nodes},
+    )

@@ -55,7 +55,7 @@ def _cosine_overlap(a: Set[str], b: Set[str]) -> float:
 def bibliographic_coupling(graph: CitationGraph, paper_a: str, paper_b: str) -> float:
     """Cosine overlap of the two papers' *outgoing* reference sets."""
     if paper_a == paper_b:
-        return 1.0 if graph.out_degree(paper_a) > 0 else 0.0
+        return 1.0 if len(graph.out_neighbors(paper_a)) > 0 else 0.0
     refs_a = set(graph.out_neighbors(paper_a))
     refs_b = set(graph.out_neighbors(paper_b))
     return _cosine_overlap(refs_a, refs_b)
@@ -64,7 +64,7 @@ def bibliographic_coupling(graph: CitationGraph, paper_a: str, paper_b: str) -> 
 def cocitation(graph: CitationGraph, paper_a: str, paper_b: str) -> float:
     """Cosine overlap of the two papers' *incoming* citer sets."""
     if paper_a == paper_b:
-        return 1.0 if graph.in_degree(paper_a) > 0 else 0.0
+        return 1.0 if len(graph.in_neighbors(paper_a)) > 0 else 0.0
     citers_a = set(graph.in_neighbors(paper_a))
     citers_b = set(graph.in_neighbors(paper_b))
     return _cosine_overlap(citers_a, citers_b)

@@ -1,4 +1,9 @@
-"""Unit tests for CitationGraph."""
+"""Unit tests for CitationGraph.
+
+Every expected order below is written out by hand: node order, keep-first
+deduplication, self-loops, in-list order and subgraph order are what the
+PageRank and facet floats depend on.
+"""
 
 import pytest
 
@@ -10,15 +15,13 @@ from repro.corpus.paper import Paper
 @pytest.fixture
 def graph():
     """A -> B -> C, A -> C, D isolated."""
-    g = CitationGraph(edges=[("A", "B"), ("B", "C"), ("A", "C")])
-    g.add_node("D")
-    return g
+    return CitationGraph(edges=[("A", "B"), ("B", "C"), ("A", "C")], nodes=["D"])
 
 
 class TestConstruction:
     def test_nodes_and_edges(self, graph):
-        assert set(graph.nodes()) == {"A", "B", "C", "D"}
-        assert set(graph.edges()) == {("A", "B"), ("B", "C"), ("A", "C")}
+        assert graph.nodes() == ["D", "A", "B", "C"]
+        assert list(graph.edges()) == [("A", "B"), ("A", "C"), ("B", "C")]
         assert graph.n_edges == 3
 
     def test_self_loop_ignored(self):
@@ -38,23 +41,81 @@ class TestConstruction:
             ]
         )
         g = CitationGraph.from_corpus(corpus)
-        assert set(g.nodes()) == {"P1", "P2"}
+        assert g.nodes() == ["P1", "P2"]
         assert list(g.edges()) == [("P1", "P2")]
+
+    def test_from_corpus_uses_the_corpus_rows(self):
+        corpus = Corpus(
+            [
+                Paper(paper_id="P2", title="t", references=("P1", "P1", "P2")),
+                Paper(paper_id="P1", title="t"),
+            ]
+        )
+        g = CitationGraph.from_corpus(corpus)
+        assert g.paper_rows is corpus.paper_rows
+        assert list(g.edges()) == [("P2", "P1")]
+
+
+class TestOrders:
+    def test_nodes_then_endpoints_in_first_seen_order(self):
+        g = CitationGraph(edges=[("C", "B"), ("E", "C"), ("A", "B")], nodes=["B", "Z"])
+        assert g.nodes() == ["B", "Z", "C", "E", "A"]
+
+    def test_duplicate_keeps_first_occurrence(self):
+        g = CitationGraph(edges=[("A", "C"), ("A", "B"), ("A", "C"), ("D", "B")])
+        assert g.out_neighbors("A") == ["C", "B"]
+        assert g.in_neighbors("B") == ["A", "D"]
+        assert g.n_edges == 3
+
+    def test_self_loop_keeps_its_node(self):
+        g = CitationGraph(edges=[("S", "S"), ("A", "B")])
+        assert g.nodes() == ["S", "A", "B"]
+        assert g.out_neighbors("S") == []
+        assert g.in_neighbors("S") == []
+        assert list(g.edges()) == [("A", "B")]
+
+    def test_in_lists_follow_edge_order_not_source_order(self):
+        g = CitationGraph(edges=[("C", "B"), ("A", "B")])
+        assert g.nodes() == ["C", "B", "A"]
+        assert g.in_neighbors("B") == ["C", "A"]
+        g = CitationGraph(edges=[("A", "B"), ("C", "B"), ("D", "B")], nodes=["D", "C"])
+        assert g.nodes() == ["D", "C", "A", "B"]
+        assert g.in_neighbors("B") == ["A", "C", "D"]
+
+    def test_out_lists_follow_edge_order(self):
+        g = CitationGraph(edges=[("A", "D"), ("B", "C"), ("A", "B"), ("A", "C")])
+        assert g.out_neighbors("A") == ["D", "B", "C"]
+        assert list(g.edges()) == [("A", "D"), ("A", "B"), ("A", "C"), ("B", "C")]
+
+    def test_subgraph_lists_graph_order_then_unknown_ids(self):
+        g = CitationGraph(edges=[("A", "B"), ("C", "A"), ("B", "C")], nodes=["C"])
+        sub = g.subgraph(["X", "B", "Y", "C", "X", "A"])
+        assert sub.nodes() == ["C", "A", "B", "X", "Y"]
+        assert list(sub.edges()) == [("C", "A"), ("A", "B"), ("B", "C")]
+        assert sub.in_neighbors("C") == ["B"]
+
+    def test_subgraph_in_lists_follow_graph_order(self):
+        g = CitationGraph(edges=[("A", "T"), ("C", "T"), ("B", "T")], nodes=["C", "B"])
+        assert g.in_neighbors("T") == ["A", "C", "B"]
+        sub = g.subgraph(["T", "A", "B", "C"])
+        assert sub.nodes() == ["C", "B", "A", "T"]
+        assert sub.in_neighbors("T") == ["C", "B", "A"]
 
 
 class TestDegrees:
     def test_degrees(self, graph):
-        assert graph.out_degree("A") == 2
-        assert graph.in_degree("C") == 2
-        assert graph.out_degree("D") == 0
-        assert graph.in_degree("D") == 0
+        assert len(graph.out_neighbors("A")) == 2
+        assert len(graph.in_neighbors("C")) == 2
+        assert len(graph.out_neighbors("D")) == 0
+        assert len(graph.in_neighbors("D")) == 0
 
     def test_neighbors(self, graph):
-        assert set(graph.out_neighbors("A")) == {"B", "C"}
-        assert set(graph.in_neighbors("C")) == {"A", "B"}
+        assert graph.out_neighbors("A") == ["B", "C"]
+        assert graph.in_neighbors("C") == ["B", "A"]
 
     def test_unknown_node_neighbors_empty(self, graph):
         assert graph.out_neighbors("ZZ") == []
+        assert graph.in_neighbors("ZZ") == []
 
 
 class TestDensity:
@@ -70,7 +131,7 @@ class TestDensity:
 class TestSubgraph:
     def test_induced_edges_only(self, graph):
         sub = graph.subgraph({"A", "B"})
-        assert set(sub.nodes()) == {"A", "B"}
+        assert sub.nodes() == ["A", "B"]
         assert list(sub.edges()) == [("A", "B")]
 
     def test_unknown_ids_become_isolated(self, graph):

@@ -600,3 +600,16 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_obs_help_names_its_four_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        top = capsys.readouterr().out
+        line = next(text for text in top.splitlines() if text.strip().startswith("obs "))
+        assert line.split(None, 1)[1] == (
+            "observability reports: report, slowlog, slo, analytics"
+        )
+        with pytest.raises(SystemExit):
+            main(["obs", "--help"])
+        commands = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert commands.split(",") == ["report", "slowlog", "slo", "analytics"]

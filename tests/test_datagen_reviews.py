@@ -31,9 +31,9 @@ class TestReviewGeneration:
         """The citation-pull boost must be visible in mean in-degree."""
         graph = CitationGraph.from_corpus(dataset.corpus)
         reviews = dataset.review_paper_ids
-        review_degrees = [graph.in_degree(pid) for pid in reviews]
+        review_degrees = [len(graph.in_neighbors(pid)) for pid in reviews]
         regular_degrees = [
-            graph.in_degree(p.paper_id)
+            len(graph.in_neighbors(p.paper_id))
             for p in dataset.corpus
             if p.paper_id not in reviews
         ]

@@ -155,6 +155,10 @@ class DeltaParity(RuleBasedStateMachine):
         for scores in store.scores.values():
             assert scores.paper_rows is paper_rows
             columns += [rows.rows for rows in (scores.scores, scores.pre) if rows]
+        graph = store._graph  # derived: None until a score function reads it
+        if graph is not None:
+            assert graph.paper_rows is paper_rows
+            columns += [graph.out_targets, graph.in_sources]
         for rows in columns:
             assert ((rows >= 0) & (rows < len(paper_rows))).all()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference.citations import random_graph, reference_hits
 from repro.citations.graph import CitationGraph
 from repro.citations.hits import hits_scores
 
@@ -56,3 +57,26 @@ class TestHits:
         )
         result = hits_scores(g)
         assert result.authorities["POPULAR"] > result.authorities["NICHE"]
+
+
+class TestBincountParity:
+    """Each step's sums run in in-list and out-list order, so the scores
+    equal the per-node Python loop of :func:`reference_hits` bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_loop_reference(self, seed):
+        graph = random_graph(seed, p=0.08)
+        result = hits_scores(graph)
+        authorities, hubs = reference_hits(graph)
+        assert list(result.authorities.items()) == list(authorities.items())
+        assert list(result.hubs.items()) == list(hubs.items())
+
+    def test_in_lists_out_of_source_order(self):
+        graph = CitationGraph(
+            edges=[("E", "A"), ("B", "A"), ("D", "A"), ("A", "C"), ("B", "C"), ("E", "B")],
+            nodes=["A", "B", "C", "D", "E"],
+        )
+        result = hits_scores(graph)
+        authorities, hubs = reference_hits(graph)
+        assert list(result.authorities.items()) == list(authorities.items())
+        assert list(result.hubs.items()) == list(hubs.items())

@@ -99,22 +99,21 @@ class TestRankedSearch:
 
 class TestMatchScore:
     def test_match_score_bounds(self, engine):
-        assert 0.0 <= engine.match_score("gene expression", "P1") <= 1.0
+        assert 0.0 <= engine.evaluate("gene expression").score("P1") <= 1.0
 
     def test_zero_for_no_match(self, engine):
-        assert engine.match_score("zebra", "P1") == 0.0
+        assert engine.evaluate("zebra").score("P1") == 0.0
 
     def test_zero_for_empty_query(self, engine):
-        assert engine.match_score("", "P1") == 0.0
+        assert engine.evaluate("").score("P1") == 0.0
 
     def test_better_match_scores_higher(self, engine):
-        assert engine.match_score("gene expression", "P1") > engine.match_score(
-            "gene expression", "P2"
-        )
+        evaluation = engine.evaluate("gene expression")
+        assert evaluation.score("P1") > evaluation.score("P2")
 
     def test_consistent_with_search(self, engine):
         hits = {h.paper_id: h.score for h in engine.search("gene expression")}
-        assert engine.match_score("gene expression", "P1") == pytest.approx(
+        assert engine.evaluate("gene expression").score("P1") == pytest.approx(
             hits["P1"]
         )
 

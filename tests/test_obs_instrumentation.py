@@ -185,9 +185,7 @@ class TestPageRankMetrics:
         from repro.citations.pagerank import pagerank
 
         registry = reset_registry()
-        graph = CitationGraph()
-        for src, dst in (("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")):
-            graph.add_edge(src, dst)
+        graph = CitationGraph(edges=[("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")])
         pagerank(graph)
         snapshot = registry.snapshot()
         assert snapshot["counters"]["citations.pagerank.runs"] == 1
@@ -203,9 +201,7 @@ class TestPageRankMetrics:
         registry = reset_registry()
         # Asymmetric graph: the uniform start is far from stationary, so a
         # 1-iteration cap cannot converge under an absurdly tight tolerance.
-        graph = CitationGraph()
-        for src, dst in (("a", "b"), ("a", "c"), ("b", "c")):
-            graph.add_edge(src, dst)
+        graph = CitationGraph(edges=[("a", "b"), ("a", "c"), ("b", "c")])
         configure_logging(json_format=False)
         pagerank(graph, max_iterations=1, tolerance=1e-30)
         assert registry.snapshot()["counters"][

@@ -22,10 +22,7 @@ edge_lists = st.lists(st.tuples(node_ids, node_ids), max_size=40)
 
 
 def build_graph(edges):
-    graph = CitationGraph()
-    for source, target in edges:
-        graph.add_edge(source, target)
-    return graph
+    return CitationGraph(edges=edges)
 
 
 class TestPageRankProperties:
@@ -47,12 +44,11 @@ class TestPageRankProperties:
         graph = build_graph(edges)
         if len(graph) == 0:
             return
-        relabeled = CitationGraph()
         mapping = {node: f"X{node}" for node in graph.nodes()}
-        for node in graph.nodes():
-            relabeled.add_node(mapping[node])
-        for source, target in graph.edges():
-            relabeled.add_edge(mapping[source], mapping[target])
+        relabeled = CitationGraph(
+            edges=[(mapping[s], mapping[t]) for s, t in graph.edges()],
+            nodes=[mapping[node] for node in graph.nodes()],
+        )
         original = pagerank(graph).scores
         renamed = pagerank(relabeled).scores
         for node, value in original.items():
@@ -90,9 +86,7 @@ class TestCouplingProperties:
     @given(edge_lists, node_ids, node_ids)
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_symmetry(self, edges, a, b):
-        graph = build_graph(edges)
-        graph.add_node(a)
-        graph.add_node(b)
+        graph = CitationGraph(edges=edges, nodes=[a, b])
         for measure in (bibliographic_coupling, cocitation):
             value = measure(graph, a, b)
             assert 0.0 <= value <= 1.0

@@ -29,12 +29,10 @@ def to_networkx(graph):
 
 def from_networkx(nx_graph):
     """A :class:`CitationGraph` of any networkx digraph (self-loops dropped)."""
-    result = CitationGraph()
-    for node in nx_graph.nodes():
-        result.add_node(str(node))
-    for source, target in nx_graph.edges():
-        result.add_edge(str(source), str(target))
-    return result
+    return CitationGraph(
+        edges=[(str(source), str(target)) for source, target in nx_graph.edges()],
+        nodes=map(str, nx_graph.nodes()),
+    )
 
 
 class TestNetworkxInterop:
@@ -67,8 +65,9 @@ class TestPagerankAgainstNetworkx:
             assert ours[node] == pytest.approx(reference[node], abs=1e-8)
 
     def test_matches_on_graph_with_dangling_nodes(self):
-        graph = CitationGraph(edges=[("a", "b"), ("c", "b"), ("b", "d")])
-        graph.add_node("isolated")
+        graph = CitationGraph(
+            edges=[("a", "b"), ("c", "b"), ("b", "d")], nodes=["a", "b", "c", "d", "isolated"]
+        )
         ours = pagerank(graph, d=0.15, tolerance=1e-12).scores
         reference = nx.pagerank(to_networkx(graph), alpha=0.85, tol=1e-12)
         for node in graph.nodes():

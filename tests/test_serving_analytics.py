@@ -26,6 +26,7 @@ import pytest
 
 import repro.obs.request as request_module
 from repro.obs import configure_telemetry, get_registry
+from repro.obs.prom import render_prometheus
 from repro.obs.quality import DriftExceeded
 from repro.obs.slo import QueryEvent, SLO, evaluate_slo, format_slo_report
 from repro.pipeline import build_demo_pipeline
@@ -222,8 +223,32 @@ class TestQueryAnalytics:
 
     def test_zero_result_gauge_absent_without_counted(self):
         export_query_gauges([_event("explain", "dna")], NOW)
+        snapshot = get_registry().snapshot()
+        assert snapshot["gauges"]["search.analytics.zero_result_rate"] is None
+        assert "zero_result_rate" not in render_prometheus(snapshot)
+
+    def test_gauges_of_events_that_left_the_window_reset(self):
+        events = [
+            _event("search", "a", hits=0, function="text"),
+            _event("search", "b", hits=2, function="citation"),
+        ]
+        export_query_gauges(events, NOW)
+        export_query_gauges(events[1:], NOW)
         gauges = get_registry().snapshot()["gauges"]
-        assert "search.analytics.zero_result_rate" not in gauges
+        assert gauges["search.analytics.window_queries"] == 1
+        assert gauges["search.analytics.text.queries"] == 0
+        assert gauges["search.analytics.citation.queries"] == 1
+        assert gauges["search.analytics.zero_result_rate"] == 0.0
+        export_query_gauges(events, NOW + WINDOW_S + 1.0)
+        snapshot = get_registry().snapshot()
+        gauges = snapshot["gauges"]
+        assert gauges["search.analytics.window_queries"] == 0
+        assert gauges["search.analytics.text.queries"] == 0
+        assert gauges["search.analytics.citation.queries"] == 0
+        assert gauges["search.analytics.zero_result_rate"] is None
+        exposition = render_prometheus(snapshot)
+        assert "search_analytics_citation_queries 0" in exposition
+        assert "zero_result_rate" not in exposition
 
 
 class TestAnalyticsOverTelemetry:

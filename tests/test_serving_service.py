@@ -842,6 +842,16 @@ class TestMetricsExposition:
         _, _, body = _request(service, "/metrics")
         assert "search_cache_hit_rate 0.5" in body
 
+    def test_view_swap_drops_the_old_hit_rate(self, pipeline, service):
+        pipeline.refresh()
+        _request(service, "/search", q=QUERIES[0])  # miss
+        _request(service, "/search", q=QUERIES[0])  # hit
+        _, _, body = _request(service, "/metrics")
+        assert "search_cache_hit_rate 0.5" in body
+        pipeline.refresh()  # a new view with an unused result cache
+        _, _, body = _request(service, "/metrics")
+        assert "search_cache_hit_rate" not in body
+
     def test_endpoint_latency_and_request_counters(self, service):
         _request(service, "/search", q=QUERIES[0])
         _request(service, "/search_grouped", q=QUERIES[0])

@@ -11,6 +11,7 @@ equal the per-pair reference (:mod:`reference.facets`, and ``pagerank``
 of ``graph.subgraph``) with ``==``, in the same key order.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,14 +50,7 @@ def corpora(draw):
     sometimes members."""
     micro = draw(micro_corpora().filter(lambda micro: micro.papers))
     corpus = micro.corpus()
-    if draw(st.booleans()):
-        graph = CitationGraph.from_corpus(corpus)
-    else:
-        # Raw reference edges: the graph gains nodes outside the corpus
-        # and lacks corpus papers that cite and are cited by nothing.
-        graph = CitationGraph(
-            edges=[(p.paper_id, ref) for p in micro.papers for ref in p.references]
-        )
+    graph = CitationGraph.from_corpus(corpus)
     ids = sorted(corpus.paper_ids())
     contexts, representatives = [], {}
     for term_id in micro.ontology.term_ids()[: draw(st.integers(1, 4))]:
@@ -86,6 +80,21 @@ def test_text_batch_matches_per_pair_reference(case, weights):
             for pid, total in cosines.items()
         }
         assert list(got.items()) == list(expected.items())
+
+
+def test_graph_over_other_rows_refused():
+    """The reference facets read the graph's rows as corpus rows, so a
+    graph with a node table of its own is refused, even on equal ids."""
+    corpus = Corpus(
+        [Paper("A", "glucose kinase"), Paper("B", "glucose signal", references=("A",))]
+    )
+    vectors = PaperVectorStore(AnalyzedPaperCache(corpus))
+    for graph in (
+        CitationGraph(edges=[("B", "A")]),
+        CitationGraph(edges=[("B", "A")], nodes=["A", "B"]),
+    ):
+        with pytest.raises(ValueError):
+            TextPrestige(corpus, vectors, graph, {"T": "A"})
 
 
 def test_facet_pairs_counted():

@@ -51,6 +51,7 @@ QUERY = (
 )
 TEXT = "tests/test_text_kernel_reference.py"
 ASSIGNMENT = "tests/test_pattern_assignment_reference.py"
+GRAPH = "tests/test_citations_graph.py::TestOrders"
 
 MUTATIONS = (
     Mutation(
@@ -137,6 +138,19 @@ MUTATIONS = (
         "papers.update(own_matches[descendant])",
         "papers.update(own_matches[term_id])",
         (ASSIGNMENT,),
+    ),
+    Mutation(
+        "graph-in-list-order", "repro/citations/graph.py",
+        'self.in_sources = sources[np.argsort(targets, kind="stable")]',
+        "self.in_sources = sources[np.lexsort((sources, targets))]",
+        (GRAPH,),
+    ),
+    Mutation(
+        "graph-keep-first", "repro/citations/graph.py",
+        "first = np.sort(np.unique(sources * n + targets, return_index=True)[1])",
+        "first = np.sort(len(sources) - 1"
+        " - np.unique((sources * n + targets)[::-1], return_index=True)[1])",
+        (GRAPH,),
     ),
 )
 
